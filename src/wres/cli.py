@@ -17,11 +17,11 @@ from pathlib import Path
 import click
 
 from .clifford import Dimension, FrameVector
-from .curvature import RiemannTensor, constant_curvature, flat, random_riemann, random_vector
-from .residue import Analysis, PART_IDS, verify_all
+from .curvature import RiemannTensor, constant_curvature, flat
+from .residue import Analysis, PART_IDS, derive_inputs, verify_all
 from .sphere import sphere_volume
 
-_SUPPORTED_DIMS = (2, 4, 6)
+_SUPPORTED_DIMS = (2, 4, 6, 8)
 
 
 def _check_dim(ctx, param, value: int) -> int:
@@ -53,7 +53,7 @@ def _parse_vector(raw: str | None, n: int, name: str) -> FrameVector | None:
     return FrameVector(n, comps)
 
 
-def _resolve_curvature(spec: str, n: int, seed: int):
+def _resolve_curvature(spec: str, n: int):
     """Returns (tensor or "random", label)."""
     if spec == "random":
         return "random", "random"
@@ -98,7 +98,7 @@ def main(ctx):
 
 
 @main.command()
-@click.option("--dim", type=int, default=4, callback=_check_dim, help="Even dimension (2, 4, or 6).")
+@click.option("--dim", type=int, default=4, callback=_check_dim, help="Even dimension (2, 4, 6, or 8).")
 @click.option("--seeds", "seed_count", type=int, default=10, help="Number of consecutive seeds.")
 @click.option("--curvature", default="random", help="random, constant, flat, or a JSON file path.")
 @click.option("--u", "u_raw", default=None, help="Comma-separated rational components, e.g. 1/2,0,3,0.")
@@ -112,7 +112,7 @@ def verify(dim, seed_count, curvature, u_raw, v_raw, as_json, out):
     d = Dimension(dim)
     base = _seed_base()
     seeds = list(range(base, base + seed_count))
-    source, label = _resolve_curvature(curvature, dim, base)
+    source, label = _resolve_curvature(curvature, dim)
     u = _parse_vector(u_raw, dim, "u")
     v = _parse_vector(v_raw, dim, "v")
     reports = verify_all(d, seeds, source, u, v)
@@ -166,12 +166,11 @@ def parts(dim, seed, curvature, u_raw, v_raw, as_json, out):
     d = Dimension(dim)
     if seed is None:
         seed = _seed_base()
-    source, label = _resolve_curvature(curvature, dim, seed)
-    if source == "random":
-        source = random_riemann(dim, seed)
-    u = _parse_vector(u_raw, dim, "u") or random_vector(dim, 1000003 * seed + 1)
-    v = _parse_vector(v_raw, dim, "v") or random_vector(dim, 1000003 * seed + 2)
-    analysis = Analysis(d, source, u, v)
+    source, label = _resolve_curvature(curvature, dim)
+    R, u, v = derive_inputs(dim, seed, source)
+    u = _parse_vector(u_raw, dim, "u") or u
+    v = _parse_vector(v_raw, dim, "v") or v
+    analysis = Analysis(d, R, u, v)
     rep = analysis.report_dict(seed)
     ok = analysis.all_match()
     if as_json:
@@ -210,12 +209,11 @@ def einstein(dim, curvature, u_raw, v_raw, eval_point, as_json, out, seed):
     d = Dimension(dim)
     if seed is None:
         seed = _seed_base()
-    source, label = _resolve_curvature(curvature, dim, seed)
-    if source == "random":
-        source = random_riemann(dim, seed)
+    source, label = _resolve_curvature(curvature, dim)
+    R = derive_inputs(dim, seed, source)[0]
     u = _parse_vector(u_raw, dim, "u")
     v = _parse_vector(v_raw, dim, "v")
-    analysis = Analysis(d, source, u, v)
+    analysis = Analysis(d, R, u, v)
     density = analysis.computed["einstein"].normalized()
     matches = analysis.computed["einstein"] == analysis.expected["einstein"]
 

@@ -1,10 +1,20 @@
-"""Clifford actions on the exterior algebra of R^n, with exact matrix arithmetic.
+"""Clifford actions on the exterior algebra of R^n as sparse Cl(n,n) elements.
 
 Basis of Lambda* R^n: subsets of {1..n} encoded as bitmasks (bit j-1 set
 means e_j* is a factor, factors ordered by increasing index).  Wedge and
-contraction pick up the sign (-1)^{#{k in S : k < j}}.  All operators are
-2^n x 2^n matrices over ScalarPoly; rows store only nonzero entries but
-equality, addition, and multiplication have dense semantics.
+contraction pick up the sign (-1)^{#{k in S : k < j}}.
+
+The operators c(e_j) = ext - int and chat(e_j) = ext + int satisfy
+c_j^2 = -1, chat_j^2 = +1 and anticommute pairwise, so they generate
+End(Lambda R^n) = Cl(n,n) (Lawson-Michelsohn, Spin Geometry, ch. I).  An
+operator is stored as {blade: ScalarPoly}, a blade being a bitmask over
+the 2n generators: bit j-1 for c_j, bit n+j-1 for chat_j, factors in
+increasing bit order.  Blade products follow the bitmap sign rules
+(Dorst-Fontijne-Mann, Geometric Algebra for Computer Science, ch. 19):
+the blade of a product is the XOR of the masks, its sign the reordering
+sign times the metric sign.  Every blade but the scalar one is
+traceless, so tr X = 2^n * (scalar part of X).  The 2^n x 2^n matrix is
+only a derived view (rows, entry) for checks.
 """
 
 from __future__ import annotations
@@ -12,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .scalars import GaussianRational, ScalarPoly
+from .scalars import GaussianRational, ScalarPoly, _frac
 
 _ZERO = ScalarPoly.zero()
-_F0 = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -49,7 +59,7 @@ class FrameVector:
         if len(self.components) != self.n:
             raise ValueError("component count does not match dimension")
         object.__setattr__(
-            self, "components", tuple(Fraction(c) for c in self.components)
+            self, "components", tuple(_frac(c) for c in self.components)
         )
 
     def __getitem__(self, a: int) -> Fraction:
@@ -69,170 +79,265 @@ def inner(u: FrameVector, v: FrameVector) -> Fraction:
     return sum((x * y for x, y in zip(u.components, v.components)), Fraction(0))
 
 
-class CliffordOp:
-    """Square matrix over ScalarPoly acting on the subset basis.
+# ---------------------------------------------------------------------------
+# blade sign rules
+# ---------------------------------------------------------------------------
 
-    rows[i] is a dict {column: ScalarPoly} holding the nonzero entries of
-    row i.  The zero-purge invariant (no zero polynomials stored) makes
-    dict comparison coincide with entrywise matrix equality.
+
+@lru_cache(maxsize=None)
+def _blade_sign(n: int, a: int, b: int) -> int:
+    """s with blade(a) * blade(b) = s * blade(a ^ b)."""
+    swaps = 0
+    x = a >> 1
+    while x:
+        swaps += (x & b).bit_count()
+        x >>= 1
+    # each shared c_j meets itself and squares to -1
+    swaps += (a & b & ((1 << n) - 1)).bit_count()
+    return -1 if swaps & 1 else 1
+
+
+@lru_cache(maxsize=None)
+def _blade_action(n: int, mask: int) -> tuple:
+    """(x, signs): blade(mask) sends the basis form S to signs[S] * (S ^ x).
+
+    The rightmost generator acts first.  Each flips one frame bit with
+    the wedge sign; c_j = ext - int adds a minus on its contraction branch.
+    """
+    gens = [g for g in range(2 * n) if mask >> g & 1]
+    signs = []
+    for s in range(1 << n):
+        sign, cur = 1, s
+        for g in reversed(gens):
+            bit = 1 << (g % n)
+            if (cur & (bit - 1)).bit_count() & 1:
+                sign = -sign
+            if g < n and cur & bit:
+                sign = -sign
+            cur ^= bit
+        signs.append(sign)
+    x = (mask ^ (mask >> n)) & ((1 << n) - 1)
+    return x, tuple(signs)
+
+
+# ---------------------------------------------------------------------------
+# integer trace kernels
+# ---------------------------------------------------------------------------
+#
+# The trace kernels multiply coefficients over a common denominator per
+# operator, so their inner loops run on ints, not Fractions.  A monomial
+# a0^da b0^db is packed as da << 8 | db, so the product of two
+# monomials is the sum of their packed degrees.
+
+
+def _imac(acc: dict, sign: int, p, q) -> None:
+    """acc[deg] += sign * p * q over [re, im] int slots; p and q are
+    sequences of (packed degree, re, im)."""
+    for k1, r1, i1 in p:
+        if sign < 0:
+            r1, i1 = -r1, -i1
+        for k2, r2, i2 in q:
+            key = k1 + k2
+            slot = acc.get(key)
+            if i1 or i2:
+                re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
+            else:
+                re, im = r1 * r2, 0
+            if slot is None:
+                acc[key] = [re, im]
+            else:
+                slot[0] += re
+                slot[1] += im
+
+
+def _slot_terms(acc: dict) -> tuple:
+    return tuple((k, re, im) for k, (re, im) in acc.items() if re or im)
+
+
+def _int_poly(acc: dict, num: int, den: int) -> ScalarPoly:
+    """ScalarPoly of (num / den) * slots."""
+    res = ScalarPoly.__new__(ScalarPoly)
+    res.terms = {
+        (k >> 8, k & 255): GaussianRational._make(
+            Fraction(re * num, den), Fraction(im * num, den)
+        )
+        for k, re, im in _slot_terms(acc)
+    }
+    return res
+
+
+def _put(out: dict, mask: int, p: ScalarPoly) -> None:
+    """out[mask] += p, keeping the zero-purge invariant."""
+    cur = out.get(mask)
+    s = p if cur is None else cur + p
+    if s:
+        out[mask] = s
+    elif cur is not None:
+        del out[mask]
+
+
+class CliffordOp:
+    """Element of Cl(n,n) acting on Lambda R^n: {blade mask: ScalarPoly}.
+
+    The zero-purge invariant (no zero polynomials stored) and the
+    faithfulness of the action make dict comparison coincide with
+    operator equality.  Instances are treated as immutable.
     """
 
-    __slots__ = ("n", "size", "rows")
+    __slots__ = ("n", "blades", "_ints")
 
-    def __init__(self, n: int, rows: list | None = None):
+    def __init__(self, n: int, blades: dict | None = None):
         self.n = n
-        self.size = 1 << n
-        if rows is None:
-            rows = [dict() for _ in range(self.size)]
-        self.rows = rows
+        self.blades = {} if blades is None else blades
+        self._ints = None
+
+    def int_form(self) -> tuple:
+        """(den, {blade: ((packed degree, re, im), ...)}) with den times
+        every coefficient integral; built once, for the trace kernels."""
+        if self._ints is None:
+            coeffs = [c for v in self.blades.values() for c in v.terms.values()]
+            den = lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
+            self._ints = den, {
+                mask: tuple(
+                    (da << 8 | db, int(c.re * den), int(c.im * den))
+                    for (da, db), c in v.terms.items()
+                )
+                for mask, v in self.blades.items()
+            }
+        return self._ints
 
     @classmethod
     def identity(cls, n: int) -> "CliffordOp":
-        one = ScalarPoly.one()
-        return cls(n, [{i: one} for i in range(1 << n)])
+        return cls(n, {0: ScalarPoly.one()})
 
     @classmethod
     def zero(cls, n: int) -> "CliffordOp":
         return cls(n)
 
-    def entry(self, i: int, j: int) -> ScalarPoly:
-        return self.rows[i].get(j, _ZERO)
+    # ---- algebra ----
 
     def __add__(self, other: "CliffordOp") -> "CliffordOp":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        rows = []
-        for ra, rb in zip(self.rows, other.rows):
-            row = dict(ra)
-            for j, v in rb.items():
-                cur = row.get(j)
-                s = v if cur is None else cur + v
-                if s:
-                    row[j] = s
-                elif cur is not None:
-                    del row[j]
-            rows.append(row)
-        return CliffordOp(self.n, rows)
+        out = dict(self.blades)
+        for mask, v in other.blades.items():
+            _put(out, mask, v)
+        return CliffordOp(self.n, out)
 
     def __sub__(self, other: "CliffordOp") -> "CliffordOp":
         return self + (-other)
 
     def __neg__(self) -> "CliffordOp":
-        return CliffordOp(self.n, [{j: -v for j, v in r.items()} for r in self.rows])
+        return CliffordOp(self.n, {k: -v for k, v in self.blades.items()})
 
     def scale(self, c) -> "CliffordOp":
-        if isinstance(c, ScalarPoly):
-            if not c:
-                return CliffordOp.zero(self.n)
-            return CliffordOp(
-                self.n, [{j: v * c for j, v in r.items()} for r in self.rows]
-            )
-        c = Fraction(c)
+        if not isinstance(c, ScalarPoly):
+            c = Fraction(c)
         if not c:
             return CliffordOp.zero(self.n)
-        return CliffordOp(
-            self.n, [{j: v.scale(c) for j, v in r.items()} for r in self.rows]
-        )
+        if isinstance(c, ScalarPoly):
+            return CliffordOp(self.n, {k: v * c for k, v in self.blades.items()})
+        return CliffordOp(self.n, {k: v.scale(c) for k, v in self.blades.items()})
 
     def __mul__(self, other: "CliffordOp") -> "CliffordOp":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        brows = other.rows
-        rows = []
-        for ra in self.rows:
-            acc: dict = {}
-            for k, a in ra.items():
-                for j, b in brows[k].items():
-                    p = a * b
-                    cur = acc.get(j)
-                    s = p if cur is None else cur + p
-                    if s:
-                        acc[j] = s
-                    elif cur is not None:
-                        del acc[j]
-            rows.append(acc)
-        return CliffordOp(self.n, rows)
+        n = self.n
+        out: dict = {}
+        for a, x in self.blades.items():
+            for b, y in other.blades.items():
+                p = x * y
+                _put(out, a ^ b, p if _blade_sign(n, a, b) > 0 else -p)
+        return CliffordOp(n, out)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CliffordOp):
-            return self.n == other.n and self.rows == other.rows
+            return self.n == other.n and self.blades == other.blades
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
+        return not self.blades
 
     def trace(self) -> ScalarPoly:
-        acc = ScalarPoly.zero()
-        for i, r in enumerate(self.rows):
-            v = r.get(i)
-            if v is not None:
-                acc = acc + v
-        return acc
+        scalar = self.blades.get(0)
+        return _ZERO if scalar is None else scalar.scale(1 << self.n)
 
     def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
+        """Number of stored blades."""
+        return len(self.blades)
+
+    # ---- matrix view, for checks ----
+
+    @property
+    def rows(self) -> list:
+        """2^n zero-purged row dicts {column: ScalarPoly} of the matrix."""
+        n = self.n
+        rows: list = [dict() for _ in range(1 << n)]
+        for mask, v in self.blades.items():
+            x, signs = _blade_action(n, mask)
+            neg = -v
+            for s, sign in enumerate(signs):
+                row = rows[s ^ x]
+                p = v if sign > 0 else neg
+                cur = row.get(s)
+                row[s] = p if cur is None else cur + p
+        return [{j: v for j, v in row.items() if v} for row in rows]
+
+    def entry(self, i: int, j: int) -> ScalarPoly:
+        return self.rows[i].get(j, _ZERO)
 
     def evaluate_params(self, a0, b0) -> list:
         """Dense numeric matrix of GaussianRational at a parameter point."""
         out = []
         for r in self.rows:
-            row = [GaussianRational(0)] * self.size
+            row = [GaussianRational(0)] * (1 << self.n)
             for j, v in r.items():
                 row[j] = v.evaluate(a0, b0)
             out.append(row)
         return out
 
     def __repr__(self) -> str:
-        return f"CliffordOp(n={self.n}, nnz={self.nnz()})"
+        return f"CliffordOp(n={self.n}, blades={self.nnz()})"
 
 
-def op_trace(op: CliffordOp) -> ScalarPoly:
-    return op.trace()
+def trace_product(a: CliffordOp, b: CliffordOp, c: CliffordOp | None = None) -> ScalarPoly:
+    """tr(a b), or tr(a b c), read off the scalar part; no product is built.
 
-
-def op_mul(a: CliffordOp, b: CliffordOp) -> CliffordOp:
-    return a * b
-
-
-def trace_product(a: CliffordOp, b: CliffordOp) -> ScalarPoly:
-    """tr(a*b) without materializing the product matrix.
-
-    Coefficients are accumulated in mutable slots and turned into a
-    polynomial once at the end; the entry loop is the innermost hot path
-    of the whole engine.
+    tr(a b) is 2^n times a signed dot product over the blades a and b
+    share.  For three factors the chain is rotated so that the two with
+    the fewest blades are multiplied pairwise, and only the blades of
+    that product that the third factor carries are kept.
     """
-    if a.n != b.n:
+    ops = (a, b) if c is None else (a, b, c)
+    n = a.n
+    if any(op.n != n for op in ops):
         raise ValueError("dimension mismatch")
-    brows = b.rows
     acc: dict = {}
-    for i, ra in enumerate(a.rows):
-        for k, av in ra.items():
-            bv = brows[k].get(i)
-            if bv is None:
-                continue
-            for (da1, db1), ca in av.terms.items():
-                for (db_key, cb) in bv.terms.items():
-                    da2, db2 = db_key
-                    if ca.im or cb.im:
-                        re = ca.re * cb.re - ca.im * cb.im
-                        im = ca.re * cb.im + ca.im * cb.re
-                    else:
-                        re = ca.re * cb.re
-                        im = _F0
-                    key = (da1 + da2, db1 + db2)
-                    slot = acc.get(key)
-                    if slot is None:
-                        acc[key] = [re, im]
-                    else:
-                        slot[0] += re
-                        slot[1] += im
-    out = {}
-    for key, (re, im) in acc.items():
-        if re or im:
-            out[key] = GaussianRational._make(re, im)
-    res = ScalarPoly.__new__(ScalarPoly)
-    res.terms = out
-    return res
+    if c is None:
+        (dx, xb), (dy, yb) = a.int_form(), b.int_form()
+        if len(xb) > len(yb):
+            xb, yb = yb, xb
+        for mask, xt in xb.items():
+            yt = yb.get(mask)
+            if yt is not None:
+                _imac(acc, _blade_sign(n, mask, mask), xt, yt)
+        return _int_poly(acc, 1 << n, dx * dy)
+    # tr(abc) = tr(bca) = tr(cab): put the largest factor last
+    sizes = [len(op.blades) for op in ops]
+    big = sizes.index(max(sizes))
+    (dx, xb), (dy, yb), (dz, zb) = (op.int_form() for op in ops[big + 1 :] + ops[: big + 1])
+    partial: dict = {}
+    for ma, xt in xb.items():
+        for mb, yt in yb.items():
+            mc = ma ^ mb
+            if mc in zb:
+                slots = partial.get(mc)
+                if slots is None:
+                    slots = partial[mc] = {}
+                _imac(slots, _blade_sign(n, ma, mb), xt, yt)
+    for mc, slots in partial.items():
+        _imac(acc, _blade_sign(n, mc, mc), _slot_terms(slots), zb[mc])
+    return _int_poly(acc, 1 << n, dx * dy * dz)
 
 
 def anticommutator(a: CliffordOp, b: CliffordOp) -> CliffordOp:
@@ -242,77 +347,58 @@ def anticommutator(a: CliffordOp, b: CliffordOp) -> CliffordOp:
 def weighted_sum(n: int, pieces) -> CliffordOp:
     """Sum of coeff * op over (coeff, op) pairs, accumulated in place.
 
-    Repeated immutable adds copy the growing accumulator on every step;
-    this builds the row dicts once.  coeff may be a rational or a
-    ScalarPoly.
+    coeff may be a rational or a ScalarPoly.
     """
-    rows: list = [dict() for _ in range(1 << n)]
+    out: dict = {}
     for coeff, op in pieces:
         poly = isinstance(coeff, ScalarPoly)
         if not poly:
             coeff = Fraction(coeff)
         if not coeff:
             continue
-        for i, r in enumerate(op.rows):
-            row = rows[i]
-            for j, v in r.items():
-                p = v * coeff if poly else v.scale(coeff)
-                cur = row.get(j)
-                s = p if cur is None else cur + p
-                if s:
-                    row[j] = s
-                elif cur is not None:
-                    del row[j]
-    return CliffordOp(n, rows)
+        for mask, v in op.blades.items():
+            _put(out, mask, v * coeff if poly else v.scale(coeff))
+    return CliffordOp(n, out)
 
 
-def _wedge_sign(mask: int, bit: int) -> int:
-    # parity of the number of set factors below the inserted index
-    return -1 if bin(mask & (bit - 1)).count("1") % 2 else 1
-
-
-@lru_cache(maxsize=None)
-def ext_op(n: int, j: int) -> CliffordOp:
-    """Wedge by e_j* (indices 1-based)."""
+def _generator(n: int, j: int, offset: int) -> CliffordOp:
     if not 1 <= j <= n:
         raise ValueError(f"frame index {j} out of range for n={n}")
-    bit = 1 << (j - 1)
-    rows = [dict() for _ in range(1 << n)]
-    for s in range(1 << n):
-        if not s & bit:
-            rows[s | bit][s] = ScalarPoly.const(_wedge_sign(s, bit))
-    return CliffordOp(n, rows)
-
-
-@lru_cache(maxsize=None)
-def int_op(n: int, j: int) -> CliffordOp:
-    """Contraction by e_j (adjoint of ext_op for the induced inner product)."""
-    if not 1 <= j <= n:
-        raise ValueError(f"frame index {j} out of range for n={n}")
-    bit = 1 << (j - 1)
-    rows = [dict() for _ in range(1 << n)]
-    for s in range(1 << n):
-        if s & bit:
-            rows[s ^ bit][s] = ScalarPoly.const(_wedge_sign(s, bit))
-    return CliffordOp(n, rows)
+    return CliffordOp(n, {1 << (offset + j - 1): ScalarPoly.one()})
 
 
 @lru_cache(maxsize=None)
 def c_op(n: int, j: int) -> CliffordOp:
-    """c(e_j) = ext - int; generates the Clifford relations with minus sign."""
-    return ext_op(n, j) - int_op(n, j)
+    """c(e_j) = ext - int, the blade of generator j; squares to -1."""
+    return _generator(n, j, 0)
 
 
 @lru_cache(maxsize=None)
 def hatc_op(n: int, j: int) -> CliffordOp:
-    """chat(e_j) = ext + int; generates the Clifford relations with plus sign."""
-    return ext_op(n, j) + int_op(n, j)
+    """chat(e_j) = ext + int, the blade of generator n + j; squares to +1."""
+    return _generator(n, j, n)
+
+
+@lru_cache(maxsize=None)
+def ext_op(n: int, j: int) -> CliffordOp:
+    """Wedge by e_j* (indices 1-based): (c + chat) / 2."""
+    return (c_op(n, j) + hatc_op(n, j)).scale(Fraction(1, 2))
+
+
+@lru_cache(maxsize=None)
+def int_op(n: int, j: int) -> CliffordOp:
+    """Contraction by e_j, the adjoint of ext_op: (chat - c) / 2."""
+    return (hatc_op(n, j) - c_op(n, j)).scale(Fraction(1, 2))
 
 
 @lru_cache(maxsize=None)
 def tildec_op(n: int, j: int) -> CliffordOp:
-    """ctilde(e_j) = a0*ext - b0*int, the nonminimal deformation of c."""
-    return ext_op(n, j).scale(ScalarPoly.a0()) - int_op(n, j).scale(ScalarPoly.b0())
+    """ctilde(e_j) = a0*ext - b0*int = ((a0+b0) c + (a0-b0) chat) / 2,
+    the nonminimal deformation of c."""
+    half = Fraction(1, 2)
+    return c_op(n, j).scale((ScalarPoly.a0() + ScalarPoly.b0()).scale(half)) + hatc_op(
+        n, j
+    ).scale((ScalarPoly.a0() - ScalarPoly.b0()).scale(half))
 
 
 _KINDS = {"ext": ext_op, "int": int_op, "c": c_op, "hatc": hatc_op, "tildec": tildec_op}
@@ -331,19 +417,19 @@ def vector_clifford(kind: str, u: FrameVector) -> CliffordOp:
 
 @lru_cache(maxsize=None)
 def pair_cc(n: int, s: int, t: int) -> CliffordOp:
-    """Cached product c(e_s) c(e_t)."""
+    """c(e_s) c(e_t): one signed blade."""
     return c_op(n, s) * c_op(n, t)
 
 
 @lru_cache(maxsize=None)
 def pair_hh(n: int, s: int, t: int) -> CliffordOp:
-    """Cached product chat(e_s) chat(e_t)."""
+    """chat(e_s) chat(e_t): one signed blade."""
     return hatc_op(n, s) * hatc_op(n, t)
 
 
 @lru_cache(maxsize=None)
 def quad_hhcc(n: int, i: int, j: int, k: int, l: int) -> CliffordOp:
-    """Cached product chat(e_i) chat(e_j) c(e_k) c(e_l)."""
+    """chat(e_i) chat(e_j) c(e_k) c(e_l): one signed blade."""
     return pair_hh(n, i, j) * pair_cc(n, k, l)
 
 
@@ -374,9 +460,10 @@ class ProductCache:
     def chain_trace(self, ops: tuple, n: int) -> ScalarPoly:
         """Trace of the product of a chain, memoized on the chain identity.
 
-        Composition reuses the same coefficient matrices across many
-        terms (derivative branches, index sums, tag filters), so chain
-        traces repeat heavily.
+        Composition reuses the same coefficients across many terms
+        (derivative branches, index sums, tag filters), so chain traces
+        repeat heavily.  Chains of up to three factors are read off the
+        scalar part directly; longer ones fold their head first.
         """
         if not ops:
             return ScalarPoly.const(1 << n)
@@ -385,9 +472,9 @@ class ProductCache:
         if hit is not None:
             return hit[1]
         seq = list(ops)
-        while len(seq) > 2:
+        while len(seq) > 3:
             seq[0:2] = [self.mul(seq[0], seq[1])]
-        val = trace_product(seq[0], seq[1]) if len(seq) == 2 else seq[0].trace()
+        val = trace_product(*seq) if len(seq) > 1 else seq[0].trace()
         self._traces[key] = (ops, val)
         return val
 

@@ -90,6 +90,8 @@ class RiemannTensor:
         entries = {}
         for row in data["entries"]:
             i, j, k, l, num, den = row
+            if not int(den):
+                raise ValueError(f"zero denominator in entry {row}")
             entries[(int(i), int(j), int(k), int(l))] = Fraction(int(num), int(den))
         return cls(n, entries, validate=True)
 

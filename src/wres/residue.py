@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import Dimension, FrameVector, ProductCache, inner, trace_product
+from .clifford import Dimension, FrameVector, ProductCache, inner
 from .curvature import (
     RiemannTensor,
     constant_curvature,
@@ -104,19 +104,6 @@ class FunctionalDensity:
         return f"FunctionalDensity({self.text()})"
 
 
-def _chain_trace(ops: tuple, n: int, cache: ProductCache | None) -> ScalarPoly:
-    if cache is not None:
-        return cache.chain_trace(ops, n)
-    if not ops:
-        return ScalarPoly.const(1 << n)
-    if len(ops) == 1:
-        return ops[0].trace()
-    seq = list(ops)
-    while len(seq) > 2:
-        seq[0:2] = [seq[0] * seq[1]]
-    return trace_product(seq[0], seq[1])
-
-
 def integrate_density(terms, dim: Dimension, cache: ProductCache | None = None) -> FunctionalDensity:
     """Trace the terms and integrate the xi monomials over the unit cosphere.
 
@@ -126,6 +113,8 @@ def integrate_density(terms, dim: Dimension, cache: ProductCache | None = None) 
     evaluated at the base point.
     """
     n = dim.n
+    if cache is None:
+        cache = ProductCache()
     acc = ScalarPoly.zero()
     for t in terms:
         if any(t.x_mono):
@@ -135,7 +124,7 @@ def integrate_density(terms, dim: Dimension, cache: ProductCache | None = None) 
         vm = vol_multiplier(n, t.xi_mono)
         if not vm:
             continue
-        tr = _chain_trace(t.ops, n, cache)
+        tr = cache.chain_trace(t.ops, n)
         if not tr:
             continue
         acc = acc + (t.scalar * tr).scale(vm)
@@ -396,13 +385,21 @@ def einstein_functional(
 # ---------------------------------------------------------------------------
 
 
-def derive_inputs(n: int, seed: int) -> tuple:
-    """Deterministic (R, u, v) for one verification seed."""
-    return (
-        random_riemann(n, seed),
-        random_vector(n, 1000003 * seed + 1),
-        random_vector(n, 1000003 * seed + 2),
-    )
+def derive_inputs(n: int, seed: int, curvature: "str | RiemannTensor" = "random") -> tuple:
+    """Deterministic (R, u, v) for one verification seed.
+
+    curvature "random" draws R from the seed; "constant" and an explicit
+    tensor fix R, while u and v still vary with the seed.
+    """
+    if isinstance(curvature, RiemannTensor):
+        R = curvature
+    elif curvature == "random":
+        R = random_riemann(n, seed)
+    elif curvature == "constant":
+        R = constant_curvature(n)
+    else:
+        raise ValueError(f"unknown curvature source {curvature!r}")
+    return R, random_vector(n, 1000003 * seed + 1), random_vector(n, 1000003 * seed + 2)
 
 
 def verify_all(
@@ -414,22 +411,13 @@ def verify_all(
 ) -> list:
     """Run the full part table for each seed; returns one report dict per seed.
 
-    curvature "random" derives a fresh tensor per seed; "constant" and an
-    explicit tensor reuse the same curvature while u, v still vary with
-    the seed unless pinned.
+    curvature is passed to derive_inputs; u and v, when given, pin the
+    vectors for every seed.
     """
-    n = dim.n
     reports = []
     for seed in seeds:
-        if isinstance(curvature, RiemannTensor):
-            R = curvature
-        elif curvature == "random":
-            R = random_riemann(n, seed)
-        elif curvature == "constant":
-            R = constant_curvature(n)
-        else:
-            raise ValueError(f"unknown curvature source {curvature!r}")
-        uu = u if u is not None else random_vector(n, 1000003 * seed + 1)
-        vv = v if v is not None else random_vector(n, 1000003 * seed + 2)
+        R, du, dv = derive_inputs(dim.n, seed, curvature)
+        uu = u if u is not None else du
+        vv = v if v is not None else dv
         reports.append(Analysis(dim, R, uu, vv).report_dict(seed))
     return reports

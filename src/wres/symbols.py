@@ -162,10 +162,10 @@ class SymbolExpansion:
         merged = self.merged(cache)
         for key in sorted(merged):
             order, x, xi, p = key
-            mat = merged[key]
+            rows = merged[key].rows
             digest = hashlib.sha256(
                 repr(
-                    [(i, j, mat.rows[i][j].text()) for i in range(mat.size) for j in sorted(mat.rows[i])]
+                    [(i, j, row[j].text()) for i, row in enumerate(rows) for j in sorted(row)]
                 ).encode()
             ).hexdigest()[:12]
             lines.append(f"order={order} x^{x} xi^{xi} |xi|^{p} (x) [{digest}]")
@@ -322,24 +322,15 @@ def _imag_const(q: Fraction) -> ScalarPoly:
     return ScalarPoly({(0, 0): GaussianRational(0, q)})
 
 
-def lemma1_symbols(
-    dim: Dimension,
-    R: RiemannTensor,
-    conn: ConnectionData,
-    m_family: int | None = None,
-) -> SymbolExpansion:
-    """Generic negative-order symbols of the -M power of a Laplacian with
-    connection slots (T_a, T_ab, E), through three orders at the base point.
-    """
-    n = dim.n
-    M = dim.m if m_family is None else m_family
-    contr = contract(R)
+def _curvature_family(exp: SymbolExpansion, R: RiemannTensor, contr, M: int) -> None:
+    """Terms both inverse-power families share: the flat top symbol, its
+    normal-coordinate correction, and the Ricci terms of the two lower
+    orders."""
+    n = exp.n
     zero_x = _e(n)
-    exp = SymbolExpansion(n)
-
-    # top order -2M
+    top = -2 * M - 2
     for a in range(1, n + 1):
-        exp.add(SymbolTerm(zero_x, _e(n, a, a), -2 * M - 2, _ONE, (), "delta"))
+        exp.add(SymbolTerm(zero_x, _e(n, a, a), top, _ONE, (), "delta"))
     mthird = Fraction(M, 3)
     for a in range(1, n + 1):
         for b in range(1, n + 1):
@@ -351,28 +342,44 @@ def lemma1_symbols(
                             SymbolTerm(
                                 _e(n, j, k),
                                 _e(n, a, b),
-                                -2 * M - 2,
+                                top,
                                 ScalarPoly.const(-mthird * r),
                                 (),
                                 "rxx",
                             )
                         )
-
-    # order -2M-1
+    slope = Fraction(-2 * M, 3)
+    mm1_3 = Fraction(M * (M + 1), 3)
     for a in range(1, n + 1):
-        for k in range(1, n + 1):
-            ric = contr.ric(a, k)
+        for b in range(1, n + 1):
+            ric = contr.ric(a, b)
             if ric:
                 exp.add(
+                    SymbolTerm(_e(n, b), _e(n, a), top, _imag_const(slope * ric), (), "ric")
+                )
+                exp.add(
                     SymbolTerm(
-                        _e(n, k),
-                        _e(n, a),
-                        -2 * M - 2,
-                        _imag_const(Fraction(-2 * M, 3) * ric),
-                        (),
-                        "ric",
+                        zero_x, _e(n, a, b), top - 2, ScalarPoly.const(mm1_3 * ric), (), "ric"
                     )
                 )
+
+
+def lemma1_symbols(
+    dim: Dimension,
+    R: RiemannTensor,
+    conn: ConnectionData,
+    m_family: int | None = None,
+) -> SymbolExpansion:
+    """Generic negative-order symbols of the -M power of a Laplacian with
+    connection slots (T_a, T_ab, E), through three orders at the base point.
+    """
+    n = dim.n
+    M = dim.m if m_family is None else m_family
+    zero_x = _e(n)
+    exp = SymbolExpansion(n)
+    _curvature_family(exp, R, contract(R), M)
+
+    # order -2M-1
     minus_2mi = _imag_const(Fraction(-2 * M))
     for a in range(1, n + 1):
         if not conn.t_a[a - 1].is_zero():
@@ -387,22 +394,9 @@ def lemma1_symbols(
                 exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, minus_2mi, (t,), "tab"))
 
     # order -2M-2
-    mm1_3 = Fraction(M * (M + 1), 3)
     mm1 = Fraction(M * (M + 1))
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            ric = contr.ric(a, b)
-            if ric:
-                exp.add(
-                    SymbolTerm(
-                        zero_x,
-                        _e(n, a, b),
-                        -2 * M - 4,
-                        ScalarPoly.const(mm1_3 * ric),
-                        (),
-                        "ric",
-                    )
-                )
             ta, tb = conn.t_a[a - 1], conn.t_a[b - 1]
             if not ta.is_zero() and not tb.is_zero():
                 exp.add(
@@ -473,108 +467,35 @@ def lemma2_symbols(
     contr = contract(R)
     zero_x = _e(n)
     exp = SymbolExpansion(n)
+    _curvature_family(exp, R, contr, M)
 
-    # top order -2M
-    for a in range(1, n + 1):
-        exp.add(SymbolTerm(zero_x, _e(n, a, a), -2 * M - 2, _ONE, (), "delta"))
-    mthird = Fraction(M, 3)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for j in range(1, n + 1):
-                for k in range(1, n + 1):
-                    r = R.get(a, j, b, k)
-                    if r:
-                        exp.add(
-                            SymbolTerm(
-                                _e(n, j, k),
-                                _e(n, a, b),
-                                -2 * M - 2,
-                                ScalarPoly.const(-mthird * r),
-                                (),
-                                "rxx",
-                            )
-                        )
-
-    # order -2M-1: Ricci slope plus the curvature contractions coming from
-    # the connection form, one c-family and one chat-family
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            ric = contr.ric(a, b)
-            if ric:
-                exp.add(
-                    SymbolTerm(
-                        _e(n, b),
-                        _e(n, a),
-                        -2 * M - 2,
-                        _imag_const(Fraction(-2 * M, 3) * ric),
-                        (),
-                        "ric",
-                    )
-                )
-            cc = curv_cc(R, a, b, cache)
-            if not cc.is_zero():
-                exp.add(
-                    SymbolTerm(
-                        _e(n, b),
-                        _e(n, a),
-                        -2 * M - 2,
-                        _imag_const(Fraction(M, 4)),
-                        (cc,),
-                        "cc",
-                    )
-                )
-            hh = curv_hh(R, a, b, cache)
-            if not hh.is_zero():
-                exp.add(
-                    SymbolTerm(
-                        _e(n, b),
-                        _e(n, a),
-                        -2 * M - 2,
-                        _imag_const(Fraction(-M, 4)),
-                        (hh,),
-                        "hchc",
-                    )
-                )
-
-    # order -2M-2
-    mm1_3 = Fraction(M * (M + 1), 3)
+    # orders -2M-1 and -2M-2: the curvature contractions coming from the
+    # connection form, one c-family and one chat-family
     mm1_4 = Fraction(M * (M + 1), 4)
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            ric = contr.ric(a, b)
-            if ric:
-                exp.add(
-                    SymbolTerm(
-                        zero_x,
-                        _e(n, a, b),
-                        -2 * M - 4,
-                        ScalarPoly.const(mm1_3 * ric),
-                        (),
-                        "ric",
-                    )
-                )
             cc = curv_cc(R, a, b, cache)
             if not cc.is_zero():
                 exp.add(
                     SymbolTerm(
-                        zero_x,
-                        _e(n, a, b),
-                        -2 * M - 4,
-                        ScalarPoly.const(-mm1_4),
-                        (cc,),
-                        "cc",
+                        _e(n, b), _e(n, a), -2 * M - 2, _imag_const(Fraction(M, 4)), (cc,), "cc"
+                    )
+                )
+                exp.add(
+                    SymbolTerm(
+                        zero_x, _e(n, a, b), -2 * M - 4, ScalarPoly.const(-mm1_4), (cc,), "cc"
                     )
                 )
             hh = curv_hh(R, a, b, cache)
             if not hh.is_zero():
                 exp.add(
                     SymbolTerm(
-                        zero_x,
-                        _e(n, a, b),
-                        -2 * M - 4,
-                        ScalarPoly.const(mm1_4),
-                        (hh,),
-                        "hchc",
+                        _e(n, b), _e(n, a), -2 * M - 2, _imag_const(Fraction(-M, 4)), (hh,), "hchc"
+                    )
+                )
+                exp.add(
+                    SymbolTerm(
+                        zero_x, _e(n, a, b), -2 * M - 4, ScalarPoly.const(mm1_4), (hh,), "hchc"
                     )
                 )
     f = f_matrix(R, cache)

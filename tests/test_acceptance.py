@@ -36,7 +36,7 @@ from wres.sphere import vol_multiplier
 from wres.symbols import SymbolTerm, lemma1_symbols, lemma2_symbols, standard_connection
 
 SEED_COUNT = 20
-DIMS = (4, 6)
+DIMS = (2, 4, 6, 8)
 
 
 @pytest.fixture(scope="module")
@@ -252,11 +252,13 @@ def test_criterion_9_einstein_functional(sweep):
 
 def test_criterion_10_runtime(sweep):
     """Twenty-seed sweeps stay inside the stated wall-time budgets."""
-    t4, t6 = sweep[4][1], sweep[6][1]
+    t4, t6, t8 = sweep[4][1], sweep[6][1], sweep[8][1]
     assert t4 < 30.0, f"dim 4 sweep took {t4:.1f}s"
     assert t6 < 300.0, f"dim 6 sweep took {t6:.1f}s"
+    assert t8 < 120.0, f"dim 8 sweep took {t8:.1f}s"
     print(
-        f"ACCEPTANCE criterion 10: PASS (dim 4: {t4:.1f}s < 30s, dim 6: {t6:.1f}s < 300s)"
+        f"ACCEPTANCE criterion 10: PASS (dim 4: {t4:.1f}s < 30s, dim 6: {t6:.1f}s < 300s,"
+        f" dim 8: {t8:.1f}s < 120s)"
     )
 
 

@@ -72,6 +72,20 @@ class TestVerifyCommand:
         assert result.exit_code == 2
         assert "antisymmetry" in result.output
 
+    def test_zero_denominator_in_curvature_file_is_usage_error(self, runner, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"n": 4, "entries": [[1, 2, 1, 2, 1, 0]]}))
+        result = runner.invoke(
+            main, ["verify", "--dim", "4", "--curvature", str(path)]
+        )
+        assert result.exit_code == 2
+        assert "zero denominator" in result.output
+
+    def test_dimension_8_is_supported(self, runner):
+        result = runner.invoke(main, ["verify", "--dim", "8", "--seeds", "1"])
+        assert result.exit_code == 0, result.output
+        assert "all identities hold" in result.output
+
     def test_missing_curvature_file_is_usage_error(self, runner):
         result = runner.invoke(
             main, ["verify", "--dim", "4", "--curvature", "nope.json"]

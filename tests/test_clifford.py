@@ -1,5 +1,6 @@
 """Matrix realizations of the three Clifford actions and their relations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from wres.clifford import (
     vector_clifford,
     weighted_sum,
 )
-from wres.scalars import ScalarPoly
+from wres.scalars import GaussianRational, ScalarPoly
 
 
 def scaled_identity(n, poly):
@@ -47,6 +48,11 @@ class TestBasics:
         assert e2[2] == 1 and e2[1] == 0
         assert not e2.is_zero()
         assert FrameVector(2, (0, 0)).is_zero()
+
+    def test_frame_vector_rejects_floats(self):
+        with pytest.raises(TypeError):
+            FrameVector(2, (0.1, 1))
+        assert FrameVector(2, ("1/10", 1))[1] == Fraction(1, 10)
 
     def test_inner_product(self):
         u = rational_vector(4, ("1/2", 0, 3, 0))
@@ -265,3 +271,116 @@ class TestProductCache:
         assert cache.chain_trace((a, b), n) == val
         triple = cache.chain_trace((a, b, CliffordOp.identity(n)), n)
         assert triple == val
+
+
+# ---------------------------------------------------------------------------
+# sign-rule oracle: the blade algebra against plain matrices
+# ---------------------------------------------------------------------------
+
+
+def wedge_sign(s, bit):
+    return -1 if bin(s & (bit - 1)).count("1") % 2 else 1
+
+
+def plain_ext(n, j):
+    bit = 1 << (j - 1)
+    rows = [dict() for _ in range(1 << n)]
+    for s in range(1 << n):
+        if not s & bit:
+            rows[s | bit][s] = ScalarPoly.const(wedge_sign(s, bit))
+    return rows
+
+
+def plain_int(n, j):
+    bit = 1 << (j - 1)
+    rows = [dict() for _ in range(1 << n)]
+    for s in range(1 << n):
+        if s & bit:
+            rows[s ^ bit][s] = ScalarPoly.const(wedge_sign(s, bit))
+    return rows
+
+
+def plain_combine(a, b, sign):
+    out = []
+    for ra, rb in zip(a, b):
+        row = dict(ra)
+        for j, v in rb.items():
+            row[j] = row.get(j, ScalarPoly.zero()) + v.scale(sign)
+        out.append({j: v for j, v in row.items() if v})
+    return out
+
+
+def matmul(a, b):
+    out = []
+    for ra in a:
+        acc = {}
+        for k, x in ra.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, ScalarPoly.zero()) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def mtrace(a):
+    acc = ScalarPoly.zero()
+    for i, row in enumerate(a):
+        acc = acc + row.get(i, ScalarPoly.zero())
+    return acc
+
+
+def random_element(n, rng, blades):
+    """Sparse Cl(n,n) element: random c/chat blades, polynomial coefficients."""
+    out = {}
+    for _ in range(blades):
+        mask = rng.randrange(1 << (2 * n))
+        terms = {
+            (rng.randint(0, 2), rng.randint(0, 2)): GaussianRational(
+                Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                Fraction(rng.choice((0, 0, rng.randint(-3, 3))), rng.randint(1, 3)),
+            )
+            for _ in range(rng.randint(1, 3))
+        }
+        poly = ScalarPoly(terms)
+        if poly:
+            out[mask] = poly
+    return CliffordOp(n, out)
+
+
+class TestSignRuleOracle:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_generators_are_ext_minus_and_plus_int(self, n):
+        for j in range(1, n + 1):
+            ext, cont = plain_ext(n, j), plain_int(n, j)
+            assert c_op(n, j).rows == plain_combine(ext, cont, -1)
+            assert hatc_op(n, j).rows == plain_combine(ext, cont, 1)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_products_and_traces_match_matrices(self, n):
+        rng = random.Random(1000 + n)
+        cache = ProductCache()
+        for trial in range(3):
+            # rotate the largest factor through each chain position
+            sizes = [2, 3, 6]
+            sizes = sizes[trial:] + sizes[:trial]
+            x, y, z = (random_element(n, rng, k) for k in sizes)
+            xy = matmul(x.rows, y.rows)
+            assert (x * y).rows == xy
+            assert trace_product(x, y) == mtrace(xy)
+            xyz = matmul(xy, z.rows)
+            assert trace_product(x, y, z) == mtrace(xyz)
+            assert cache.chain_trace((x, y, z), n) == mtrace(xyz)
+            # longer chains fold their head into a product first
+            assert cache.chain_trace((x, y, z, x), n) == mtrace(matmul(xyz, x.rows))
+
+    def test_entry_reads_the_matrix_view(self):
+        n = 4
+        x = random_element(n, random.Random(7), 6)
+        rows = x.rows
+        for i in range(1 << n):
+            for j in range(1 << n):
+                assert x.entry(i, j) == rows[i].get(j, ScalarPoly.zero())
+
+    def test_trace_is_scaled_scalar_part(self):
+        n = 4
+        x = random_element(n, random.Random(8), 8)
+        assert x.trace() == mtrace(x.rows)

@@ -174,6 +174,10 @@ class TestSerialization:
         with pytest.raises(ValueError):
             RiemannTensor.from_json({"n": 2, "entries": [[1, 2, 1, 2, 1, 1]]})
 
+    def test_from_json_rejects_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            RiemannTensor.from_json({"n": 2, "entries": [[1, 2, 1, 2, 1, 0]]})
+
 
 def test_flat_einstein_vanishes():
     t = flat(6)

@@ -1,0 +1,31 @@
+"""Golden outputs: the CLI's JSON reports must not change by a byte.
+
+The files under tests/data were written by the matrix-based Clifford
+engine (2^n x 2^n matrices over ScalarPoly), before operators became
+Cl(n,n) blade maps.  Any change in representation, caching or
+evaluation order must reproduce them exactly.
+"""
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from wres.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+CASES = (
+    ("verify-d2.json", ["verify", "--dim", "2", "--seeds", "5", "--json"]),
+    ("verify-d4.json", ["verify", "--dim", "4", "--seeds", "5", "--json"]),
+    ("verify-d6.json", ["verify", "--dim", "6", "--seeds", "2", "--json"]),
+    ("parts-d4.json", ["parts", "--dim", "4", "--seed", "2", "--json"]),
+    ("parts-d6.json", ["parts", "--dim", "6", "--seed", "1", "--json"]),
+)
+
+
+@pytest.mark.parametrize("name,args", CASES, ids=[c[0] for c in CASES])
+def test_json_report_is_byte_identical(name, args):
+    result = CliRunner().invoke(main, args, env={"WRES_SEED_BASE": "0"})
+    assert result.exit_code == 0, result.output
+    assert result.output == (DATA / name).read_text()
