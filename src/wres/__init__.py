@@ -7,112 +7,32 @@ intermediate and assembled density against its closed form as a
 polynomial identity in the two coupling parameters.
 """
 
-from .clifford import (
-    CliffordOp,
-    Dimension,
-    FrameVector,
-    ProductCache,
-    anticommutator,
-    c_op,
-    hatc_op,
-    inner,
-    tildec_op,
-    trace_product,
-    vector_clifford,
-)
-from .curvature import (
-    CurvatureContractions,
-    RiemannTensor,
-    constant_curvature,
-    contract,
-    einstein_bilinear,
-    flat,
-    random_riemann,
-    random_vector,
-    ricci_bilinear,
-)
+from .clifford import Dimension, FrameVector, ProductCache
+from .curvature import RiemannTensor
 from .residue import (
-    Analysis,
-    FunctionalDensity,
+    ASSEMBLED_IDS,
+    CHECK_IDS,
     PART_IDS,
-    PartReport,
     TOTAL_IDS,
     ZERO_PART_IDS,
-    analyze,
-    compute_part,
+    Analysis,
+    FunctionalDensity,
     derive_inputs,
-    einstein_functional,
-    integrate_density,
-    metric_functional,
-    verify_all,
-)
-from .scalars import GaussianRational, ScalarPoly
-from .sphere import monomial_integral, sphere_volume, vol_multiplier
-from .symbols import (
-    ConnectionData,
-    SymbolExpansion,
-    SymbolTerm,
-    compose,
-    compose_block,
-    d_x,
-    d_xi,
-    lemma1_symbols,
-    lemma2_symbols,
-    standard_connection,
-    symbol_product_PQ,
-    uv_symbol,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "ASSEMBLED_IDS",
     "Analysis",
-    "CliffordOp",
-    "ConnectionData",
-    "CurvatureContractions",
+    "CHECK_IDS",
     "Dimension",
     "FrameVector",
     "FunctionalDensity",
-    "GaussianRational",
     "PART_IDS",
-    "PartReport",
     "ProductCache",
     "RiemannTensor",
-    "ScalarPoly",
-    "SymbolExpansion",
-    "SymbolTerm",
     "TOTAL_IDS",
     "ZERO_PART_IDS",
-    "analyze",
-    "anticommutator",
-    "c_op",
-    "compose",
-    "compose_block",
-    "compute_part",
-    "constant_curvature",
-    "contract",
-    "d_x",
-    "d_xi",
     "derive_inputs",
-    "einstein_bilinear",
-    "einstein_functional",
-    "flat",
-    "hatc_op",
-    "inner",
-    "integrate_density",
-    "lemma1_symbols",
-    "lemma2_symbols",
-    "metric_functional",
-    "monomial_integral",
-    "random_riemann",
-    "random_vector",
-    "ricci_bilinear",
-    "sphere_volume",
-    "standard_connection",
-    "symbol_product_PQ",
-    "tildec_op",
-    "trace_product",
-    "uv_symbol",
-    "vector_clifford",
-    "vol_multiplier",
 ]

@@ -1,10 +1,11 @@
 """Command line interface for the residue verification engine.
 
 Commands: verify (seeded sweep of every identity), parts (one
-configuration, one table row per check), einstein (the assembled
-Einstein-functional density for explicit inputs).  Invoked bare, the
-tool runs verify with dim 4 and ten seeds.  Exit status 0 means every
-comparison matched, 1 flags a mismatch, 2 a usage error.
+configuration, one table row per part and assembled density), einstein
+(the assembled Einstein-functional density for explicit inputs).
+Invoked bare, the tool runs verify with dim 4 and ten seeds.  verify
+and parts exit 0 when Analysis.mismatches() is empty on every input, 1
+when it names a failing check, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import click
 
 from .clifford import Dimension, FrameVector
 from .curvature import RiemannTensor, constant_curvature, flat
-from .residue import Analysis, PART_IDS, derive_inputs, verify_all
+from .residue import ASSEMBLED_IDS, PART_IDS, Analysis, derive_inputs, verify_all
 from .sphere import sphere_volume
 
 _SUPPORTED_DIMS = (2, 4, 6, 8)
@@ -115,40 +116,27 @@ def verify(dim, seed_count, curvature, u_raw, v_raw, as_json, out):
     source, label = _resolve_curvature(curvature, dim)
     u = _parse_vector(u_raw, dim, "u")
     v = _parse_vector(v_raw, dim, "v")
-    reports = verify_all(d, seeds, source, u, v)
-
-    ok = all(
-        all(p["match"] for p in rep["parts"])
-        and rep["zabdt_match"]
-        and rep["zpdt_match"]
-        and rep["metric_match"]
-        and rep["einstein_match"]
-        for rep in reports
-    )
+    results = verify_all(d, seeds, source, u, v)
+    misses = {seed: analysis.mismatches() for seed, analysis in results}
+    ok = not any(misses.values())
     if as_json:
-        _emit(_render_json(reports), out)
+        _emit(_render_json([analysis.report_dict(seed) for seed, analysis in results]), out)
     else:
         lines = [f"verify dim={dim} curvature={label} seeds={seeds[0]}..{seeds[-1]}"]
-        for rep in reports:
-            misses = [p["id"] for p in rep["parts"] if not p["match"]]
-            for key in ("zabdt", "zpdt", "metric", "einstein"):
-                if not rep[f"{key}_match"]:
-                    misses.append(key)
-            if misses:
-                lines.append(f"seed={rep['seed']}: MISMATCH in {', '.join(misses)}")
-                for p in rep["parts"]:
-                    if not p["match"]:
+        for seed, analysis in results:
+            if misses[seed]:
+                lines.append(f"seed={seed}: MISMATCH in {', '.join(misses[seed])}")
+                # a real:<id> miss also fails <id>, which is shown
+                for cid in misses[seed]:
+                    if cid in analysis.computed:
                         lines.append(
-                            f"  {p['id']}: computed {p['computed']} expected {p['expected']}"
+                            f"  {cid}: computed {analysis.computed[cid].text()}"
+                            f" expected {analysis.expected[cid].text()}"
                         )
             else:
-                lines.append(
-                    f"seed={rep['seed']}: {len(rep['parts'])} parts ok, "
-                    "zabdt ok, zpdt ok, metric ok, einstein ok"
-                )
-        lines.append(
-            "all identities hold" if ok else "MISMATCHES FOUND"
-        )
+                ids_ok = ", ".join(f"{key} ok" for key in ASSEMBLED_IDS)
+                lines.append(f"seed={seed}: {len(PART_IDS)} parts ok, {ids_ok}")
+        lines.append("all identities hold" if ok else "MISMATCHES FOUND")
         _emit("\n".join(lines) + "\n", out)
     raise SystemExit(0 if ok else 1)
 
@@ -171,28 +159,24 @@ def parts(dim, seed, curvature, u_raw, v_raw, as_json, out):
     u = _parse_vector(u_raw, dim, "u") or u
     v = _parse_vector(v_raw, dim, "v") or v
     analysis = Analysis(d, R, u, v)
-    rep = analysis.report_dict(seed)
-    ok = analysis.all_match()
+    misses = analysis.mismatches()
     if as_json:
-        _emit(_render_json(rep), out)
+        _emit(_render_json(analysis.report_dict(seed)), out)
     else:
-        width = max(len(pid) for pid in (*PART_IDS, "einstein"))
+        width = max(len(key) for key in PART_IDS + ASSEMBLED_IDS)
         lines = [f"parts dim={dim} seed={seed} curvature={label}"]
-        for p in rep["parts"]:
-            status = "ok" if p["match"] else "MISMATCH"
-            lines.append(
-                f"  {p['id']:<{width}}  {status:<8}  computed = {p['computed']}"
-            )
-            if not p["match"]:
-                lines.append(f"  {'':<{width}}  {'':<8}  expected = {p['expected']}")
-        for key in ("zabdt", "zpdt", "metric", "einstein"):
-            status = "ok" if rep[f"{key}_match"] else "MISMATCH"
+        for key in PART_IDS + ASSEMBLED_IDS:
+            status = "MISMATCH" if key in misses else "ok"
             lines.append(
                 f"  {key:<{width}}  {status:<8}  computed = {analysis.computed[key].text()}"
             )
-        lines.append("all checks hold" if ok else "MISMATCHES FOUND")
+            if key in misses:
+                lines.append(
+                    f"  {'':<{width}}  {'':<8}  expected = {analysis.expected[key].text()}"
+                )
+        lines.append(f"MISMATCHES FOUND: {', '.join(misses)}" if misses else "all checks hold")
         _emit("\n".join(lines) + "\n", out)
-    raise SystemExit(0 if ok else 1)
+    raise SystemExit(1 if misses else 0)
 
 
 @main.command()

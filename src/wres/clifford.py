@@ -231,8 +231,9 @@ class CliffordOp:
         return CliffordOp(self.n, {k: -v for k, v in self.blades.items()})
 
     def scale(self, c) -> "CliffordOp":
+        """c times the operator; c is a ScalarPoly or an exact rational."""
         if not isinstance(c, ScalarPoly):
-            c = Fraction(c)
+            c = _frac(c)
         if not c:
             return CliffordOp.zero(self.n)
         if isinstance(c, ScalarPoly):
@@ -286,16 +287,6 @@ class CliffordOp:
     def entry(self, i: int, j: int) -> ScalarPoly:
         return self.rows[i].get(j, _ZERO)
 
-    def evaluate_params(self, a0, b0) -> list:
-        """Dense numeric matrix of GaussianRational at a parameter point."""
-        out = []
-        for r in self.rows:
-            row = [GaussianRational(0)] * (1 << self.n)
-            for j, v in r.items():
-                row[j] = v.evaluate(a0, b0)
-            out.append(row)
-        return out
-
     def __repr__(self) -> str:
         return f"CliffordOp(n={self.n}, blades={self.nnz()})"
 
@@ -342,23 +333,6 @@ def trace_product(a: CliffordOp, b: CliffordOp, c: CliffordOp | None = None) -> 
 
 def anticommutator(a: CliffordOp, b: CliffordOp) -> CliffordOp:
     return a * b + b * a
-
-
-def weighted_sum(n: int, pieces) -> CliffordOp:
-    """Sum of coeff * op over (coeff, op) pairs, accumulated in place.
-
-    coeff may be a rational or a ScalarPoly.
-    """
-    out: dict = {}
-    for coeff, op in pieces:
-        poly = isinstance(coeff, ScalarPoly)
-        if not poly:
-            coeff = Fraction(coeff)
-        if not coeff:
-            continue
-        for mask, v in op.blades.items():
-            _put(out, mask, v * coeff if poly else v.scale(coeff))
-    return CliffordOp(n, out)
 
 
 def _generator(n: int, j: int, offset: int) -> CliffordOp:
@@ -410,52 +384,25 @@ def vector_clifford(kind: str, u: FrameVector) -> CliffordOp:
     kind is one of "ext", "int", "c", "hatc", "tildec".
     """
     gen = _KINDS[kind]
-    return weighted_sum(
-        u.n, ((u[j], gen(u.n, j)) for j in range(1, u.n + 1))
-    )
-
-
-@lru_cache(maxsize=None)
-def pair_cc(n: int, s: int, t: int) -> CliffordOp:
-    """c(e_s) c(e_t): one signed blade."""
-    return c_op(n, s) * c_op(n, t)
-
-
-@lru_cache(maxsize=None)
-def pair_hh(n: int, s: int, t: int) -> CliffordOp:
-    """chat(e_s) chat(e_t): one signed blade."""
-    return hatc_op(n, s) * hatc_op(n, t)
-
-
-@lru_cache(maxsize=None)
-def quad_hhcc(n: int, i: int, j: int, k: int, l: int) -> CliffordOp:
-    """chat(e_i) chat(e_j) c(e_k) c(e_l): one signed blade."""
-    return pair_hh(n, i, j) * pair_cc(n, k, l)
+    out = CliffordOp.zero(u.n)
+    for j in range(1, u.n + 1):
+        out = out + gen(u.n, j).scale(u[j])
+    return out
 
 
 class ProductCache:
-    """Memos for operator products, chain traces, and named builds.
+    """Memos for chain traces and named builds.
 
     All keys use object identity; the cache holds references to the
     keyed operands so the ids stay valid for its lifetime.  Meant to
     live for one verification run.
     """
 
-    __slots__ = ("_store", "_traces", "_named")
+    __slots__ = ("_traces", "_named")
 
     def __init__(self):
-        self._store: dict = {}
         self._traces: dict = {}
         self._named: dict = {}
-
-    def mul(self, a: CliffordOp, b: CliffordOp) -> CliffordOp:
-        key = (id(a), id(b))
-        hit = self._store.get(key)
-        if hit is not None:
-            return hit[2]
-        prod = a * b
-        self._store[key] = (a, b, prod)
-        return prod
 
     def chain_trace(self, ops: tuple, n: int) -> ScalarPoly:
         """Trace of the product of a chain, memoized on the chain identity.
@@ -463,7 +410,8 @@ class ProductCache:
         Composition reuses the same coefficients across many terms
         (derivative branches, index sums, tag filters), so chain traces
         repeat heavily.  Chains of up to three factors are read off the
-        scalar part directly; longer ones fold their head first.
+        scalar part directly; longer ones, which the engine never makes,
+        fold their head first.
         """
         if not ops:
             return ScalarPoly.const(1 << n)
@@ -473,7 +421,7 @@ class ProductCache:
             return hit[1]
         seq = list(ops)
         while len(seq) > 3:
-            seq[0:2] = [self.mul(seq[0], seq[1])]
+            seq[0:2] = [seq[0] * seq[1]]
         val = trace_product(*seq) if len(seq) > 1 else seq[0].trace()
         self._traces[key] = (ops, val)
         return val

@@ -11,16 +11,8 @@ slot against each remaining slot:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-
-@dataclass(frozen=True)
-class SphereValue:
-    """Integral of a monomial over S^{n-1}, as a multiple of Vol(S^{n-1})."""
-
-    vol_multiplier: Fraction
 
 
 @lru_cache(maxsize=None)
@@ -47,10 +39,6 @@ def vol_multiplier(n: int, exponents: tuple) -> Fraction:
         return Fraction(0)
     sig = tuple(sorted(e for e in exponents if e))
     return _reduce(n, sig)
-
-
-def monomial_integral(n: int, exponents: tuple) -> SphereValue:
-    return SphereValue(vol_multiplier(n, exponents))
 
 
 def sphere_volume(n: int) -> float:

@@ -6,10 +6,11 @@ A symbol is a finite sum of terms
 
 where scalar is a ScalarPoly, the monomials live on R^n, and the ops
 chain multiplies out to one Clifford-algebra coefficient.  The chain is
-kept unevaluated so that shared factors are materialized once through a
-ProductCache.  Homogeneity order of a term is |beta| + p; composition
-pairs xi-derivatives on the left factor with x-derivatives on the right
-factor and evaluates everything at the base point x = 0.
+kept unevaluated: its trace is read off without building the product
+and memoized per chain in a ProductCache.  Homogeneity order of a term
+is |beta| + p; composition pairs xi-derivatives on the left factor with
+x-derivatives on the right factor and evaluates everything at the base
+point x = 0.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from .clifford import (
     Dimension,
     FrameVector,
     ProductCache,
-    pair_cc,
-    pair_hh,
-    quad_hhcc,
+    _blade_sign,
+    c_op,
+    hatc_op,
     tildec_op,
     vector_clifford,
-    weighted_sum,
 )
 from .curvature import RiemannTensor, contract
 from .scalars import GaussianRational, ScalarPoly
@@ -53,15 +53,11 @@ class SymbolTerm:
     def order(self) -> int:
         return sum(self.xi_mono) + self.norm_power
 
-    def materialize(self, cache: ProductCache | None = None) -> CliffordOp:
-        """Coefficient matrix scalar * op_1 ... op_k, identity chain included."""
-        n = len(self.x_mono)
-        ops = self.ops
-        if not ops:
-            return CliffordOp.identity(n).scale(self.scalar)
-        acc = ops[0]
-        for nxt in ops[1:]:
-            acc = cache.mul(acc, nxt) if cache is not None else acc * nxt
+    def materialize(self) -> CliffordOp:
+        """Coefficient scalar * op_1 ... op_k, identity chain included."""
+        acc = CliffordOp.identity(len(self.x_mono)) if not self.ops else self.ops[0]
+        for nxt in self.ops[1:]:
+            acc = acc * nxt
         return acc.scale(self.scalar)
 
     def __repr__(self) -> str:
@@ -141,25 +137,27 @@ class SymbolExpansion:
     def orders(self) -> list:
         return sorted(o for o, terms in self._orders.items() if terms)
 
-    def merged(self, cache: ProductCache | None = None) -> dict:
+    def merged(self, cache: ProductCache) -> dict:
         """Canonical form: (order, x, xi, norm) -> materialized coefficient.
 
         Entries whose coefficient sums to zero are removed, so two
         expansions are the same symbol iff their merged maps are equal.
+        cache is unused; the parameter stays because bench/ calls
+        merged(cache).
         """
         out: dict = {}
         for order, terms in self._orders.items():
             for t in terms:
                 key = (order, t.x_mono, t.xi_mono, t.norm_power)
-                mat = t.materialize(cache)
+                mat = t.materialize()
                 cur = out.get(key)
                 out[key] = mat if cur is None else cur + mat
         return {k: v for k, v in out.items() if not v.is_zero()}
 
-    def dump(self, cache: ProductCache | None = None) -> str:
+    def dump(self) -> str:
         """Debug rendering with stable ordering and content-hashed matrices."""
         lines = []
-        merged = self.merged(cache)
+        merged = self.merged(None)
         for key in sorted(merged):
             order, x, xi, p = key
             rows = merged[key].rows
@@ -177,54 +175,56 @@ class SymbolExpansion:
 # ---------------------------------------------------------------------------
 
 
+def _signed_blade(n: int, *gens: CliffordOp) -> tuple:
+    """(mask, sign) with the product of the single-blade gens equal to
+    sign * blade(mask)."""
+    mask, sign = 0, 1
+    for g in gens:
+        (b,) = g.blades
+        sign *= _blade_sign(n, mask, b)
+        mask ^= b
+    return mask, sign
+
+
 def antisym_pair_matrix(n: int, weight, kind: str) -> CliffordOp:
     """sum_{s,t} w(s,t) k(e_s) k(e_t) for a weight antisymmetric in (s,t).
 
     Diagonal products collapse against the antisymmetry, so the sum is
-    2 sum_{s<t} w(s,t) k(e_s) k(e_t).
+    2 sum_{s<t} w(s,t) k(e_s) k(e_t), one signed blade per pair.
     """
-    pair = pair_cc if kind == "c" else pair_hh
-    return weighted_sum(
-        n,
-        (
-            (2 * weight(s, t), pair(n, s, t))
-            for s in range(1, n + 1)
-            for t in range(s + 1, n + 1)
-        ),
-    )
+    gen = c_op if kind == "c" else hatc_op
+    out = {}
+    for s in range(1, n + 1):
+        for t in range(s + 1, n + 1):
+            w = weight(s, t)
+            if w:
+                mask, sign = _signed_blade(n, gen(n, s), gen(n, t))
+                out[mask] = ScalarPoly.const(2 * sign * w)
+    return CliffordOp(n, out)
 
 
-def _memo(cache: ProductCache | None, key: tuple, keep, build) -> CliffordOp:
-    if cache is None:
-        return build()
-    return cache.named(key, keep, build)
-
-
-def curv_cc(R: RiemannTensor, a: int, b: int, cache: ProductCache | None = None) -> CliffordOp:
+def curv_cc(R: RiemannTensor, a: int, b: int, cache: ProductCache) -> CliffordOp:
     """sum_{s,t} R_{bats} c(e_s) c(e_t)."""
-    return _memo(
-        cache,
+    return cache.named(
         ("curv_cc", id(R), a, b),
         R,
         lambda: antisym_pair_matrix(R.n, lambda s, t: R.get(b, a, t, s), "c"),
     )
 
 
-def curv_hh(R: RiemannTensor, a: int, b: int, cache: ProductCache | None = None) -> CliffordOp:
+def curv_hh(R: RiemannTensor, a: int, b: int, cache: ProductCache) -> CliffordOp:
     """sum_{s,t} R_{bats} chat(e_s) chat(e_t)."""
-    return _memo(
-        cache,
+    return cache.named(
         ("curv_hh", id(R), a, b),
         R,
         lambda: antisym_pair_matrix(R.n, lambda s, t: R.get(b, a, t, s), "hatc"),
     )
 
 
-def omega_cc(R: RiemannTensor, l: int, p: int, cache: ProductCache | None = None) -> CliffordOp:
+def omega_cc(R: RiemannTensor, l: int, p: int, cache: ProductCache) -> CliffordOp:
     """sum_{s,t} (1/2) R_{lpst} c(e_s) c(e_t), the x_l Taylor slope of the
     connection-form contraction along e_p."""
-    return _memo(
-        cache,
+    return cache.named(
         ("omega_cc", id(R), l, p),
         R,
         lambda: antisym_pair_matrix(
@@ -233,9 +233,8 @@ def omega_cc(R: RiemannTensor, l: int, p: int, cache: ProductCache | None = None
     )
 
 
-def omega_hh(R: RiemannTensor, l: int, p: int, cache: ProductCache | None = None) -> CliffordOp:
-    return _memo(
-        cache,
+def omega_hh(R: RiemannTensor, l: int, p: int, cache: ProductCache) -> CliffordOp:
+    return cache.named(
         ("omega_hh", id(R), l, p),
         R,
         lambda: antisym_pair_matrix(
@@ -244,24 +243,25 @@ def omega_hh(R: RiemannTensor, l: int, p: int, cache: ProductCache | None = None
     )
 
 
-def f_matrix(R: RiemannTensor, cache: ProductCache | None = None) -> CliffordOp:
-    """sum_{ijkl} R_{ijkl} chat_i chat_j c_k c_l via the pair antisymmetries."""
+def f_matrix(R: RiemannTensor, cache: ProductCache) -> CliffordOp:
+    """sum_{ijkl} R_{ijkl} chat_i chat_j c_k c_l via the pair antisymmetries:
+    4 sum_{i<j, k<l}, one signed blade per index quadruple."""
     n = R.n
-    return _memo(
-        cache,
-        ("f_matrix", id(R)),
-        R,
-        lambda: weighted_sum(
-            n,
-            (
-                (4 * R.get(i, j, k, l), quad_hhcc(n, i, j, k, l))
-                for i in range(1, n + 1)
-                for j in range(i + 1, n + 1)
-                for k in range(1, n + 1)
-                for l in range(k + 1, n + 1)
-            ),
-        ),
-    )
+    pairs = [(s, t) for s in range(1, n + 1) for t in range(s + 1, n + 1)]
+
+    def build() -> CliffordOp:
+        out = {}
+        for i, j in pairs:
+            for k, l in pairs:
+                r = R.get(i, j, k, l)
+                if r:
+                    mask, sign = _signed_blade(
+                        n, hatc_op(n, i), hatc_op(n, j), c_op(n, k), c_op(n, l)
+                    )
+                    out[mask] = ScalarPoly.const(4 * sign * r)
+        return CliffordOp(n, out)
+
+    return cache.named(("f_matrix", id(R)), R, build)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +282,7 @@ class ConnectionData:
         return self.t_ab[(a, a)]
 
 
-def standard_connection(
-    dim: Dimension, R: RiemannTensor, cache: ProductCache | None = None
-) -> ConnectionData:
+def standard_connection(dim: Dimension, R: RiemannTensor, cache: ProductCache) -> ConnectionData:
     """Connection data of the square of the flat-coefficient Hodge operator.
 
     T_a = 0, T_ab = -(1/8) sum R_{bats} c_s c_t + (1/8) sum R_{bats}
@@ -448,7 +446,7 @@ def lemma2_symbols(
     R: RiemannTensor,
     m: int,
     exponent: int,
-    cache: ProductCache | None = None,
+    cache: ProductCache,
 ) -> SymbolExpansion:
     """Concrete negative-order symbols of the Hodge Laplacian power.
 
@@ -520,11 +518,7 @@ def lemma2_symbols(
 
 
 def symbols_PQ(
-    dim: Dimension,
-    R: RiemannTensor,
-    w: FrameVector,
-    role: str = "P",
-    cache: ProductCache | None = None,
+    dim: Dimension, R: RiemannTensor, w: FrameVector, cache: ProductCache
 ) -> SymbolExpansion:
     """Symbols of one first-order factor ctilde(w) * (Hodge operator).
 
@@ -533,16 +527,9 @@ def symbols_PQ(
     chat-family with weight +1/4.  The coefficient vector w is constant,
     so no other x-dependence appears.
     """
-    if role not in ("P", "Q"):
-        raise ValueError(f"role must be 'P' or 'Q', got {role!r}")
     n = dim.n
     cw = vector_clifford("tildec", w)
-    w_p = []
-    for p in range(1, n + 1):
-        prod = (
-            cache.mul(cw, tildec_op(n, p)) if cache is not None else cw * tildec_op(n, p)
-        )
-        w_p.append(prod)
+    w_p = [cw * tildec_op(n, p) for p in range(1, n + 1)]
     exp = SymbolExpansion(n)
     i_unit = ScalarPoly.imag_unit()
     zero_x = _e(n)
@@ -569,12 +556,10 @@ def symbols_PQ(
     return exp
 
 
-def uv_symbol(dim: Dimension, u: FrameVector, v: FrameVector, cache=None) -> SymbolExpansion:
+def uv_symbol(dim: Dimension, u: FrameVector, v: FrameVector) -> SymbolExpansion:
     """Order-zero symbol of the endomorphism ctilde(u) ctilde(v)."""
     n = dim.n
-    cu = vector_clifford("tildec", u)
-    cv = vector_clifford("tildec", v)
-    prod = cache.mul(cu, cv) if cache is not None else cu * cv
+    prod = vector_clifford("tildec", u) * vector_clifford("tildec", v)
     exp = SymbolExpansion(n)
     exp.add(SymbolTerm(_e(n), _e(n), 0, _ONE, (prod,), ""))
     return exp
@@ -677,13 +662,13 @@ def symbol_product_PQ(
     R: RiemannTensor,
     u: FrameVector,
     v: FrameVector,
-    cache: ProductCache | None = None,
+    cache: ProductCache,
 ) -> SymbolExpansion:
     """Symbols of the product of the two first-order factors at the base
     point, through orders 2, 1, 0.  The order-1 bucket comes out empty:
     every candidate term carries a positive x power."""
-    P = symbols_PQ(dim, R, u, "P", cache)
-    Q = symbols_PQ(dim, R, v, "Q", cache)
+    P = symbols_PQ(dim, R, u, cache)
+    Q = symbols_PQ(dim, R, v, cache)
     exp = SymbolExpansion(dim.n)
     for target in (2, 1, 0):
         for oa in (1, 0):

@@ -28,7 +28,6 @@ from wres.residue import (
     FunctionalDensity,
     ZERO_PART_IDS,
     derive_inputs,
-    einstein_functional,
     integrate_density,
 )
 from wres.scalars import ScalarPoly
@@ -107,7 +106,7 @@ def test_criterion_2_trace_and_volume_bookkeeping():
     """integrate(||xi||^{-2m} id) = 2^{2m} Vol, n = 4 and n = 6."""
     for n, want in ((4, 16), (6, 64)):
         term = SymbolTerm((0,) * n, (0,) * n, -n, ScalarPoly.one())
-        got = integrate_density([term], Dimension(n))
+        got = integrate_density([term], Dimension(n), ProductCache())
         assert got == FunctionalDensity(ScalarPoly.const(want), 0)
     print("ACCEPTANCE criterion 2: PASS (trace unit 16 Vol and 64 Vol exact)")
 
@@ -235,18 +234,13 @@ def test_criterion_9_einstein_functional(sweep):
                 -m + 2,
             )
             assert a.computed["einstein"] == want, n
-    dim4 = Dimension(4)
-    for seed in range(SEED_COUNT):
-        R, u, v = derive_inputs(4, seed)
-        assert einstein_functional(dim4, R, v, u) == einstein_functional(dim4, R, u, v)
-    for seed in range(3):
-        R, u, v = derive_inputs(6, seed)
-        assert einstein_functional(Dimension(6), R, v, u) == einstein_functional(
-            Dimension(6), R, u, v
-        )
+    for n, count in ((4, SEED_COUNT), (6, 3)):
+        for a in sweep[n][0][:count]:
+            swapped = Analysis(Dimension(n), a.R, a.v, a.u)
+            assert swapped.computed["einstein"] == a.computed["einstein"], n
     for n in DIMS:
         u, v = random_vector(n, 201), random_vector(n, 202)
-        assert einstein_functional(Dimension(n), flat(n), u, v).is_zero()
+        assert Analysis(Dimension(n), flat(n), u, v).computed["einstein"].is_zero()
     print("ACCEPTANCE criterion 9: PASS (Einstein closed form, symmetry, flat zero)")
 
 

@@ -5,8 +5,11 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import wres.residue
 from wres.cli import main
 from wres.curvature import constant_curvature, random_riemann
+from wres.residue import Analysis, FunctionalDensity
+from wres.scalars import ScalarPoly
 
 
 @pytest.fixture
@@ -165,6 +168,40 @@ class TestPartsCommand:
         rep = json.loads(result.output)
         assert rep["seed"] == 1
         assert len(rep["parts"]) == 18
+
+
+class TestFailingChecks:
+    def test_non_real_density_exits_one_and_is_named(self, runner, monkeypatch):
+        real = wres.residue.integrate_density
+        i_unit = FunctionalDensity(ScalarPoly.imag_unit(), 0)
+        monkeypatch.setattr(
+            wres.residue,
+            "integrate_density",
+            lambda terms, dim, cache: real(terms, dim, cache) + i_unit,
+        )
+        for args in (["verify", "--dim", "2", "--seeds", "1"], ["parts", "--dim", "2"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1, args
+            assert isinstance(result.exception, SystemExit)
+            assert "real:" in result.output
+
+    def test_totals_gate_verify_and_parts(self, runner, monkeypatch):
+        fill = Analysis._fill_expected
+
+        def wrong_total(self):
+            fill(self)
+            self.expected["I-3"] = self.expected["I-3"] + self.expected["I-6"]
+
+        monkeypatch.setattr(Analysis, "_fill_expected", wrong_total)
+        result = runner.invoke(main, ["verify", "--dim", "4", "--seeds", "1"])
+        assert result.exit_code == 1
+        assert "MISMATCH in I-3\n" in result.output
+        result = runner.invoke(main, ["verify", "--dim", "4", "--seeds", "1", "--json"])
+        assert result.exit_code == 1
+        assert all(p["match"] for p in json.loads(result.output)[0]["parts"])
+        result = runner.invoke(main, ["parts", "--dim", "4"])
+        assert result.exit_code == 1
+        assert "MISMATCHES FOUND: I-3" in result.output
 
 
 class TestEinsteinCommand:

@@ -1,11 +1,13 @@
 """Densities, part table, and the assembled functionals."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from wres.clifford import Dimension, FrameVector, ProductCache, inner, tildec_op
 from wres.curvature import (
+    RiemannTensor,
     constant_curvature,
     contract,
     flat,
@@ -13,17 +15,17 @@ from wres.curvature import (
     random_vector,
     ricci_bilinear,
 )
+import wres.residue
 from wres.residue import (
+    ASSEMBLED_IDS,
+    CHECK_IDS,
     PART_IDS,
     TOTAL_IDS,
     ZERO_PART_IDS,
     Analysis,
     FunctionalDensity,
-    compute_part,
     derive_inputs,
-    einstein_functional,
     integrate_density,
-    metric_functional,
     verify_all,
 )
 from wres.scalars import ScalarPoly
@@ -37,6 +39,10 @@ def mono(n, *idx):
     for j in idx:
         out[j - 1] += 1
     return tuple(out)
+
+
+def density_of(key, dim, R, u, v):
+    return Analysis(dim, R, u, v).computed[key]
 
 
 class TestFunctionalDensity:
@@ -83,27 +89,27 @@ class TestIntegration:
         # ||xi||^{-2m} times the identity integrates to 2^{2m} Vol
         for n in (4, 6):
             term = SymbolTerm(mono(n), mono(n), -n, ONE)
-            got = integrate_density([term], Dimension(n))
+            got = integrate_density([term], Dimension(n), ProductCache())
             assert got == FunctionalDensity(ScalarPoly.const(1 << n), 0)
 
     def test_odd_monomials_drop(self):
         n = 4
         term = SymbolTerm(mono(n), mono(n, 1, 2), -6, ONE)
-        assert integrate_density([term], Dimension(n)).is_zero()
+        assert integrate_density([term], Dimension(n), ProductCache()).is_zero()
 
     def test_weighted_pair_trace(self):
         # xi_1^2 ||xi||^{-6} ctilde(e1)^2 integrates to (1/4)(-16 a0 b0)
         n = 4
         op = tildec_op(n, 1)
         term = SymbolTerm(mono(n), mono(n, 1, 1), -6, ONE, (op, op))
-        got = integrate_density([term], Dimension(n))
+        got = integrate_density([term], Dimension(n), ProductCache())
         assert got == FunctionalDensity(ScalarPoly.monomial(1, 1, -4), 0)
 
     def test_residual_x_dependence_rejected(self):
         n = 4
         term = SymbolTerm(mono(n, 2), mono(n), -4, ONE)
         with pytest.raises(ValueError, match="x-dependence"):
-            integrate_density([term], Dimension(n))
+            integrate_density([term], Dimension(n), ProductCache())
 
 
 class TestPartTable:
@@ -112,6 +118,9 @@ class TestPartTable:
         assert len(ZERO_PART_IDS) == 10
         assert set(ZERO_PART_IDS) < set(PART_IDS)
         assert len(TOTAL_IDS) == 7
+        # I-2, I-5 and I-6 are parts and totals at once
+        assert len(CHECK_IDS) == 18 + 4 + len(ASSEMBLED_IDS)
+        assert set(CHECK_IDS) == set(PART_IDS) | set(TOTAL_IDS) | set(ASSEMBLED_IDS)
 
     def test_constant_curvature_anchor_values(self):
         # closed forms specialized to Ric = 3 delta, s = 12, u = v = e1
@@ -145,14 +154,47 @@ class TestPartTable:
 
     def test_compute_part_single(self):
         R, u, v = derive_inputs(4, 1)
-        rep = compute_part("I-6", Dimension(4), R, u, v)
-        assert rep.match
-        assert rep.part_id == "I-6"
+        analysis = Analysis(Dimension(4), R, u, v)
+        assert analysis.computed["I-6"] == analysis.expected["I-6"]
+        assert "I-6" in CHECK_IDS and "I-6" not in analysis.mismatches()
 
     def test_compute_part_unknown_id(self):
         R, u, v = derive_inputs(4, 1)
         with pytest.raises(KeyError):
-            compute_part("I-9", Dimension(4), R, u, v)
+            Analysis(Dimension(4), R, u, v).computed["I-9"]
+
+    def test_checks_follow_the_table(self):
+        R, u, v = derive_inputs(4, 3)
+        analysis = Analysis(Dimension(4), R, u, v)
+        table = analysis.checks()
+        assert [cid for cid, _, _ in table] == list(CHECK_IDS)
+        for cid, computed, expected in table:
+            assert computed is analysis.computed[cid]
+            assert expected is analysis.expected[cid]
+        assert analysis.mismatches() == []
+        assert analysis.all_match()
+
+    def test_a_wrong_total_is_a_mismatch(self):
+        # totals are not in the JSON report, but they still gate
+        R, u, v = derive_inputs(4, 3)
+        analysis = Analysis(Dimension(4), R, u, v)
+        analysis.expected["I-3"] = -analysis.expected["I-3"]
+        assert analysis.mismatches() == ["I-3"]
+        assert not analysis.all_match()
+
+    def test_non_real_density_is_a_failing_check(self, monkeypatch):
+        real = wres.residue.integrate_density
+        i_unit = FunctionalDensity(ScalarPoly.imag_unit(), 0)
+        monkeypatch.setattr(
+            wres.residue,
+            "integrate_density",
+            lambda terms, dim, cache: real(terms, dim, cache) + i_unit,
+        )
+        R, u, v = derive_inputs(2, 0)
+        analysis = Analysis(Dimension(2), R, u, v)
+        assert not analysis.all_match()
+        assert "real:I-1-A" in analysis.mismatches()
+        assert "real:einstein" in analysis.mismatches()
 
     def test_report_dict_schema(self):
         R, u, v = derive_inputs(4, 2)
@@ -172,7 +214,7 @@ class TestMetricFunctional:
         R = random_riemann(4, 3)
         u = FrameVector(4, (1, 0, Fraction(1, 2), 0))
         v = FrameVector(4, (2, 1, 0, 0))
-        d = metric_functional(dim, R, u, v)
+        d = density_of("metric", dim, R, u, v)
         g = inner(u, v)
         assert d.poly == ScalarPoly.monomial(1, 1, -16 * g)
         assert d.prefactor_exp == -2
@@ -183,7 +225,7 @@ class TestMetricFunctional:
     def test_orthogonal_arguments_vanish(self):
         dim = Dimension(4)
         R = random_riemann(4, 4)
-        d = metric_functional(dim, R, FrameVector.basis(4, 1), FrameVector.basis(4, 2))
+        d = density_of("metric", dim, R, FrameVector.basis(4, 1), FrameVector.basis(4, 2))
         assert d.is_zero()
 
     def test_bilinearity_in_first_slot(self):
@@ -193,21 +235,21 @@ class TestMetricFunctional:
         u2 = FrameVector.basis(4, 3)
         v = random_vector(4, 31)
         u12 = FrameVector(4, tuple(a + b for a, b in zip(u1.components, u2.components)))
-        assert metric_functional(dim, R, u12, v) == metric_functional(
-            dim, R, u1, v
-        ) + metric_functional(dim, R, u2, v)
+        assert density_of("metric", dim, R, u12, v) == density_of(
+            "metric", dim, R, u1, v
+        ) + density_of("metric", dim, R, u2, v)
 
 
 class TestEinsteinFunctional:
     def test_flat_curvature_gives_zero(self):
         dim = Dimension(4)
-        d = einstein_functional(dim, flat(4), random_vector(4, 1), random_vector(4, 2))
+        d = density_of("einstein", dim, flat(4), random_vector(4, 1), random_vector(4, 2))
         assert d.is_zero()
 
     def test_constant_curvature_closed_value(self):
         dim = Dimension(4)
         e1 = FrameVector.basis(4, 1)
-        d = einstein_functional(dim, constant_curvature(4), e1, e1).normalized()
+        d = density_of("einstein", dim, constant_curvature(4), e1, e1).normalized()
         assert d.poly == ScalarPoly.const(8)
         assert d.prefactor_exp == 0
 
@@ -216,7 +258,7 @@ class TestEinsteinFunctional:
         R = random_riemann(4, 6)
         u = random_vector(4, 41)
         v = random_vector(4, 42)
-        assert einstein_functional(dim, R, u, v) == einstein_functional(dim, R, v, u)
+        assert density_of("einstein", dim, R, u, v) == density_of("einstein", dim, R, v, u)
 
     def test_matches_einstein_bilinear_shape(self):
         # density = 2^{2m} (s g / 12 - Ric / 6) * (a0 b0)^{-m+2}
@@ -229,31 +271,103 @@ class TestEinsteinFunctional:
             1, 6
         ) * ricci_bilinear(contr, u, v)
         want = FunctionalDensity(ScalarPoly.const(16 * val), 0)
-        assert einstein_functional(dim, R, u, v) == want
+        assert density_of("einstein", dim, R, u, v) == want
+
+
+def cayley_rotation(n, seed):
+    """Rational orthogonal Q = (I - A)(I + A)^-1 from a random rational skew A."""
+    rng = random.Random(seed)
+    A = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            A[i][j] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+            A[j][i] = -A[i][j]
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    minus = [[eye[i][j] - A[i][j] for j in range(n)] for i in range(n)]
+    # Gauss-Jordan on [I + A | I]; I + A is invertible for skew A
+    aug = [[eye[i][j] + A[i][j] for j in range(n)] + eye[i][:] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        lead = aug[col][col]
+        aug[col] = [x / lead for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    inv = [row[n:] for row in aug]
+    return [[sum(minus[i][k] * inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def rotate(Q, R, u, v):
+    """(R, u, v) seen in the frame e'_a = sum_i Q_ai e_i."""
+    n = R.n
+    t = {
+        (i, j, k, l): R.get(i + 1, j + 1, k + 1, l + 1)
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        for l in range(n)
+    }
+    # contract one slot at a time: R'_abcd = Q_ai Q_bj Q_ck Q_dl R_ijkl
+    for slot in range(4):
+        t = {
+            idx: sum(
+                Q[idx[slot]][i] * t[idx[:slot] + (i,) + idx[slot + 1 :]] for i in range(n)
+            )
+            for idx in t
+        }
+    entries = {tuple(a + 1 for a in idx): x for idx, x in t.items()}
+
+    def vec(w):
+        return FrameVector(n, tuple(sum(Q[a][i] * w[i + 1] for i in range(n)) for a in range(n)))
+
+    return RiemannTensor(n, entries, validate=True), vec(u), vec(v)
+
+
+class TestFrameInvariance:
+    # every density is a scalar of (R, u, v): a rotated frame must give
+    # the same values, with no closed form involved
+    @pytest.mark.parametrize("n,seed", [(4, 0), (4, 1), (4, 2), (6, 0)])
+    def test_densities_do_not_see_the_frame(self, n, seed):
+        Q = cayley_rotation(n, 50 + seed)
+        eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        assert [[sum(Q[i][k] * Q[j][k] for k in range(n)) for j in range(n)] for i in range(n)] == eye
+        assert Q != eye
+        R, u, v = derive_inputs(n, seed)
+        base = Analysis(Dimension(n), R, u, v).computed
+        turned = Analysis(Dimension(n), *rotate(Q, R, u, v)).computed
+        assert turned.keys() == base.keys()
+        for key in base:
+            assert turned[key] == base[key], key
+
+
+def reports(*args, **kwargs):
+    return [a.report_dict(seed) for seed, a in verify_all(*args, **kwargs)]
 
 
 class TestVerifyAll:
     def test_reports_match_and_are_deterministic(self):
         dim = Dimension(4)
-        first = verify_all(dim, range(2))
-        second = verify_all(dim, range(2))
+        first = reports(dim, range(2))
+        second = reports(dim, range(2))
         assert first == second
         assert [r["seed"] for r in first] == [0, 1]
         for rep in first:
             assert all(p["match"] for p in rep["parts"])
+        assert all(a.all_match() for _, a in verify_all(dim, range(2)))
 
     def test_constant_curvature_source(self):
-        reports = verify_all(Dimension(4), [0], "constant")
-        assert reports[0]["zabdt_match"]
+        assert reports(Dimension(4), [0], "constant")[0]["zabdt_match"]
 
     def test_explicit_tensor_and_pinned_vectors(self):
         R = constant_curvature(4)
         e1 = FrameVector.basis(4, 1)
-        reports = verify_all(Dimension(4), [3], R, u=e1, v=e1)
-        assert reports[0]["einstein_match"]
+        first = reports(Dimension(4), [3], R, u=e1, v=e1)
+        assert first[0]["einstein_match"]
         # pinned vectors make the report independent of the seed
-        again = verify_all(Dimension(4), [9], R, u=e1, v=e1)
-        assert reports[0]["parts"] == again[0]["parts"]
+        again = reports(Dimension(4), [9], R, u=e1, v=e1)
+        assert first[0]["parts"] == again[0]["parts"]
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError):
@@ -261,7 +375,6 @@ class TestVerifyAll:
 
     def test_two_dimensional_case_collapses(self):
         # in dimension 2 every Einstein-shaped combination vanishes
-        reports = verify_all(Dimension(2), range(2))
-        for rep in reports:
+        for rep in reports(Dimension(2), range(2)):
             assert all(p["match"] for p in rep["parts"])
             assert rep["einstein_match"]

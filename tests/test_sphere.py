@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from wres.sphere import monomial_integral, sphere_volume, vol_multiplier
+from wres.sphere import sphere_volume, vol_multiplier
 
 
 def double_factorial(k: int) -> int:
@@ -60,8 +60,6 @@ class TestSmallValues:
         with pytest.raises(ValueError):
             vol_multiplier(4, (-2, 0, 0, 0))
 
-    def test_monomial_integral_wrapper(self):
-        assert monomial_integral(4, (2, 0, 0, 0)).vol_multiplier == Fraction(1, 4)
 
 
 class TestOracleAgreement:

@@ -9,8 +9,8 @@ from wres.clifford import (
     Dimension,
     FrameVector,
     ProductCache,
-    pair_cc,
-    pair_hh,
+    c_op,
+    hatc_op,
     tildec_op,
     vector_clifford,
 )
@@ -21,8 +21,11 @@ from wres.symbols import (
     SymbolTerm,
     compose,
     compose_block,
+    curv_cc,
+    curv_hh,
     d_x,
     d_xi,
+    f_matrix,
     lemma1_symbols,
     lemma2_symbols,
     omega_cc,
@@ -92,35 +95,34 @@ class TestExpansionPlumbing:
         exp = SymbolExpansion(4)
         exp.add(SymbolTerm(mono(4), mono(4, 1), -2, ONE))
         exp.add(SymbolTerm(mono(4), mono(4, 1), -2, ScalarPoly.const(-1)))
-        assert exp.merged() == {}
+        assert exp.merged(ProductCache()) == {}
 
     def test_materialize_folds_chain_through_cache(self):
         n = 4
-        cache = ProductCache()
         a, b = tildec_op(n, 1), tildec_op(n, 2)
         t = SymbolTerm(mono(n), mono(n), 0, ScalarPoly.const(Fraction(1, 2)), (a, b))
-        assert t.materialize(cache) == (a * b).scale(Fraction(1, 2))
+        assert t.materialize() == (a * b).scale(Fraction(1, 2))
 
     def test_dump_is_stable_across_reconstruction(self):
         dim = Dimension(4)
         R = random_riemann(4, 5)
-        one = lemma2_symbols(dim, R, 2, -4).dump()
-        two = lemma2_symbols(dim, R, 2, -4).dump()
+        one = lemma2_symbols(dim, R, 2, -4, ProductCache()).dump()
+        two = lemma2_symbols(dim, R, 2, -4, ProductCache()).dump()
         assert one == two
-        other = lemma2_symbols(dim, random_riemann(4, 6), 2, -4).dump()
+        other = lemma2_symbols(dim, random_riemann(4, 6), 2, -4, ProductCache()).dump()
         assert one != other
 
 
 class TestInversePowerSymbols:
     def test_flat_curvature_leaves_only_the_top_delta_family(self):
         dim = Dimension(4)
-        exp = lemma2_symbols(dim, flat(4), 2, -4)
+        exp = lemma2_symbols(dim, flat(4), 2, -4, ProductCache())
         assert exp.orders() == [-4]
         assert all(t.tag == "delta" for t in exp.terms_at(-4))
 
     def test_unsupported_exponent_rejected(self):
         with pytest.raises(ValueError):
-            lemma2_symbols(Dimension(4), flat(4), 2, -3)
+            lemma2_symbols(Dimension(4), flat(4), 2, -3, ProductCache())
 
     @pytest.mark.parametrize("seed", range(3))
     def test_concrete_symbols_equal_generic_transcription(self, seed):
@@ -146,7 +148,7 @@ class TestInversePowerSymbols:
 
     def test_orders_present_with_curvature(self):
         dim = Dimension(4)
-        exp = lemma2_symbols(dim, constant_curvature(4), 2, -4)
+        exp = lemma2_symbols(dim, constant_curvature(4), 2, -4, ProductCache())
         assert exp.orders() == [-6, -5, -4]
 
 
@@ -155,7 +157,7 @@ class TestFirstOrderFactorSymbols:
         dim = Dimension(4)
         R = flat(4)
         u = FrameVector(4, (1, 0, Fraction(1, 2), 0))
-        exp = symbols_PQ(dim, R, u)
+        exp = symbols_PQ(dim, R, u, ProductCache())
         terms = exp.terms_at(1)
         assert len(terms) == 4
         cu = vector_clifford("tildec", u)
@@ -167,12 +169,8 @@ class TestFirstOrderFactorSymbols:
 
     def test_flat_factor_has_no_order_zero(self):
         dim = Dimension(4)
-        exp = symbols_PQ(dim, flat(4), FrameVector.basis(4, 1))
+        exp = symbols_PQ(dim, flat(4), FrameVector.basis(4, 1), ProductCache())
         assert exp.terms_at(0) == []
-
-    def test_role_validation(self):
-        with pytest.raises(ValueError):
-            symbols_PQ(Dimension(4), flat(4), FrameVector.basis(4, 1), role="R")
 
     def test_omega_slope_matches_unrestricted_double_sum(self):
         n = 4
@@ -183,19 +181,47 @@ class TestFirstOrderFactorSymbols:
                 for t in range(1, n + 1):
                     w = Fraction(1, 2) * R.get(l, p, s, t)
                     if w:
-                        direct = direct + pair_cc(n, s, t).scale(w)
-            assert omega_cc(R, l, p) == direct
+                        direct = direct + (c_op(n, s) * c_op(n, t)).scale(w)
+            assert omega_cc(R, l, p, ProductCache()) == direct
+
+    @pytest.mark.parametrize("seed", [2, 9])
+    def test_coefficient_blades_match_unrestricted_products(self, seed):
+        # the builders write signed blades directly; rebuild each one as
+        # an unrestricted index sum of generator products
+        n = 4
+        R = random_riemann(n, seed)
+        cache = ProductCache()
+        idx = range(1, n + 1)
+        for a in idx:
+            for b in idx:
+                cc, hh = CliffordOp.zero(n), CliffordOp.zero(n)
+                for s in idx:
+                    for t in idx:
+                        w = R.get(b, a, t, s)
+                        cc = cc + (c_op(n, s) * c_op(n, t)).scale(w)
+                        hh = hh + (hatc_op(n, s) * hatc_op(n, t)).scale(w)
+                assert curv_cc(R, a, b, cache) == cc
+                assert curv_hh(R, a, b, cache) == hh
+        f = CliffordOp.zero(n)
+        for i in idx:
+            for j in idx:
+                for k in idx:
+                    for l in idx:
+                        quad = hatc_op(n, i) * hatc_op(n, j) * c_op(n, k) * c_op(n, l)
+                        f = f + quad.scale(R.get(i, j, k, l))
+        assert not f.is_zero()
+        assert f_matrix(R, cache) == f
 
 
 class TestComposition:
     def test_identity_symbol_is_right_neutral(self):
         dim = Dimension(2)
         R = random_riemann(2, 1)
-        A = lemma2_symbols(dim, R, 1, -2)
+        A = lemma2_symbols(dim, R, 1, -2, ProductCache())
         ident = SymbolExpansion(2)
         ident.add(SymbolTerm(mono(2), mono(2), 0, ONE))
         for order in A.orders():
-            got = compose(A, ident, order).merged()
+            got = compose(A, ident, order).merged(ProductCache())
             # x-carrying terms of A die at the base point
             want = {}
             for t in A.terms_at(order):
@@ -210,13 +236,13 @@ class TestComposition:
 
     def test_more_than_two_derivatives_rejected(self):
         dim = Dimension(2)
-        A = lemma2_symbols(dim, flat(2), 1, -2)
+        A = lemma2_symbols(dim, flat(2), 1, -2, ProductCache())
         with pytest.raises(ValueError):
             compose_block(A, -2, A, -2, 3)
 
     def test_negative_derivative_count_is_empty(self):
         dim = Dimension(2)
-        A = lemma2_symbols(dim, flat(2), 1, -2)
+        A = lemma2_symbols(dim, flat(2), 1, -2, ProductCache())
         assert compose_block(A, -2, A, -2, -1) == []
 
 
@@ -246,7 +272,7 @@ class TestProductOfFactors:
         dim = Dimension(4)
         R = random_riemann(4, 4)
         exp = symbol_product_PQ(
-            dim, R, FrameVector.basis(4, 1), FrameVector.basis(4, 2)
+            dim, R, FrameVector.basis(4, 1), FrameVector.basis(4, 2), ProductCache()
         )
         assert exp.terms_at(1) == []
 
@@ -272,10 +298,10 @@ class TestProductOfFactors:
                         r = R.get(j, p, s, t)
                         if not r:
                             continue
-                        direct = direct + (UV * pair_cc(n, s, t)).scale(
+                        direct = direct + (UV * c_op(n, s) * c_op(n, t)).scale(
                             Fraction(-1, 8) * r
                         )
-                        direct = direct + (UV * pair_hh(n, s, t)).scale(
+                        direct = direct + (UV * hatc_op(n, s) * hatc_op(n, t)).scale(
                             Fraction(1, 8) * r
                         )
         key = (0, mono(n), mono(n), 0)
@@ -284,7 +310,9 @@ class TestProductOfFactors:
     def test_order_zero_tags_split_cc_and_hchc(self):
         dim = Dimension(4)
         R = constant_curvature(4)
-        exp = symbol_product_PQ(dim, R, FrameVector.basis(4, 1), FrameVector.basis(4, 1))
+        exp = symbol_product_PQ(
+            dim, R, FrameVector.basis(4, 1), FrameVector.basis(4, 1), ProductCache()
+        )
         tags = {t.tag for t in exp.terms_at(0)}
         assert tags == {"cc", "hchc"}
 
