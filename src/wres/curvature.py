@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .clifford import FrameVector, inner
+from .scalars import _frac
 
 
 class RiemannTensor:
@@ -21,10 +22,12 @@ class RiemannTensor:
     __slots__ = ("n", "entries")
 
     def __init__(self, n: int, entries: dict, validate: bool = True):
+        """Entries are coerced exactly; a float raises TypeError."""
         if n < 2:
             raise ValueError("dimension must be >= 2")
         self.n = n
-        self.entries = {k: v for k, v in entries.items() if v}
+        exact = {k: _frac(v) for k, v in entries.items()}
+        self.entries = {k: v for k, v in exact.items() if v}
         if validate:
             self.validate()
 

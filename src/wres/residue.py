@@ -22,7 +22,7 @@ from .curvature import (
     random_vector,
     ricci_bilinear,
 )
-from .scalars import ScalarPoly
+from .scalars import ScalarPoly, _frac
 from .sphere import vol_multiplier
 from .symbols import (
     compose,
@@ -96,7 +96,7 @@ class FunctionalDensity:
         return self.poly.text()
 
     def evaluate(self, a0, b0):
-        a0, b0 = Fraction(a0), Fraction(b0)
+        a0, b0 = _frac(a0), _frac(b0)
         return self.poly.evaluate(a0, b0) * (a0 * b0) ** self.prefactor_exp
 
     def __repr__(self) -> str:
@@ -174,10 +174,38 @@ ASSEMBLED_IDS = ("zabdt", "zpdt", "metric", "einstein")
 # parts and totals and are checked once
 CHECK_IDS = tuple(dict.fromkeys(PART_IDS + TOTAL_IDS + ASSEMBLED_IDS))
 
-_SUBPART_TAGS = {
-    "I-3": (("A", "ric"), ("B", "cc"), ("C", "hchc"), ("D", "f"), ("E", "s")),
-    "I-4": (("A", "ric"), ("B", "cc"), ("C", "hchc")),
-    "II": (("1", "ric"), ("2", "cc"), ("3", "hchc"), ("4", "f"), ("5", "s")),
+# composition blocks of PQ against B1: id -> (order of PQ, order of B1
+# above -2m).  Block (oa, ob) takes k = oa + ob derivatives and lands on
+# order -2m; the six blocks are every order -2m pairing of PQ and B1.
+_BLOCKS = {
+    "I-1": (0, 0),
+    "I-2": (1, -1),
+    "I-3": (2, -2),
+    "I-4": (2, -1),
+    "I-5": (1, 0),
+    "I-6": (2, 0),
+}
+
+# tagged sub-parts: block id -> ((part id, sign, tag), ...).  The
+# chat-chat family of the first block is displayed without its minus
+# sign, so I-1-B reports its negative and I-1 = A - B.
+_SUBPARTS = {
+    "I-1": (("I-1-A", 1, "cc"), ("I-1-B", -1, "hchc")),
+    "I-3": (
+        ("I-3-A", 1, "ric"),
+        ("I-3-B", 1, "cc"),
+        ("I-3-C", 1, "hchc"),
+        ("I-3-D", 1, "f"),
+        ("I-3-E", 1, "s"),
+    ),
+    "I-4": (("I-4-A", 1, "ric"), ("I-4-B", 1, "cc"), ("I-4-C", 1, "hchc")),
+    "II": (
+        ("II-1", 1, "ric"),
+        ("II-2", 1, "cc"),
+        ("II-3", 1, "hchc"),
+        ("II-4", 1, "f"),
+        ("II-5", 1, "s"),
+    ),
 }
 
 
@@ -201,52 +229,33 @@ class Analysis:
 
     def _run(self) -> None:
         dim, R, u, v = self.dim, self.R, self.u, self.v
-        n, m = dim.n, dim.m
+        m = dim.m
         cache = ProductCache()
         PQ = symbol_product_PQ(dim, R, u, v, cache)
         B1 = lemma2_symbols(dim, R, m, -2 * m, cache)
-        blocks = {
-            "I-1": compose_block(PQ, 0, B1, -2 * m, 0),
-            "I-2": compose_block(PQ, 1, B1, -2 * m - 1, 0),
-            "I-3": compose_block(PQ, 2, B1, -2 * m - 2, 0),
-            "I-4": compose_block(PQ, 2, B1, -2 * m - 1, 1),
-            "I-5": compose_block(PQ, 1, B1, -2 * m, 1),
-            "I-6": compose_block(PQ, 2, B1, -2 * m, 2),
-        }
         UV = uv_symbol(dim, u, v)
         B2 = lemma2_symbols(dim, R, m, -2 * m + 2, cache)
-        blocks["II"] = [
-            t
-            for oa in (0,)
-            for ob in B2.orders()
-            if oa + ob + 2 * m >= 0
-            for t in compose_block(UV, oa, B2, ob, oa + ob + 2 * m)
-        ]
+        blocks = {
+            bid: compose_block(PQ, oa, B1, -2 * m + ob, oa + ob)
+            for bid, (oa, ob) in _BLOCKS.items()
+        }
+        blocks["II"] = compose(UV, B2, -2 * m).terms_at(-2 * m)
 
+        # each block is integrated once per tag; its total is the sum of
+        # the tag densities and its sub-parts are read from the same map
         comp = self.computed
-        for pid in TOTAL_IDS:
-            comp[pid] = integrate_density(blocks[pid], dim, cache)
+        zero = FunctionalDensity(ScalarPoly.zero(), 0)
+        for bid, terms in blocks.items():
+            by_tag: dict = {}
+            for t in terms:
+                by_tag.setdefault(t.tag, []).append(t)
+            tagged = {tag: integrate_density(ts, dim, cache) for tag, ts in by_tag.items()}
+            comp[bid] = sum(tagged.values(), zero)
+            for pid, sign, tag in _SUBPARTS.get(bid, ()):
+                d = tagged.get(tag, zero)
+                comp[pid] = d if sign > 0 else -d
 
-        # tagged sub-parts; the chat-chat family of the first block is
-        # displayed without its minus sign, so report its negative and
-        # keep total = A - B
-        i1_cc = integrate_density(
-            [t for t in blocks["I-1"] if t.tag == "cc"], dim, cache
-        )
-        i1_hh = integrate_density(
-            [t for t in blocks["I-1"] if t.tag == "hchc"], dim, cache
-        )
-        comp["I-1-A"] = i1_cc
-        comp["I-1-B"] = -i1_hh
-        for total_id, pairs in _SUBPART_TAGS.items():
-            for suffix, tag in pairs:
-                comp[f"{total_id}-{suffix}"] = integrate_density(
-                    [t for t in blocks[total_id] if t.tag == tag], dim, cache
-                )
-
-        comp["zabdt"] = (
-            comp["I-1"] + comp["I-2"] + comp["I-3"] + comp["I-4"] + comp["I-5"] + comp["I-6"]
-        )
+        comp["zabdt"] = sum((comp[bid] for bid in _BLOCKS), zero)
         comp["zpdt"] = comp["II"]
 
         metric_raw = integrate_density(compose(UV, B1, -2 * m).terms_at(-2 * m), dim, cache)

@@ -102,23 +102,6 @@ def d_xi(term: SymbolTerm, j: int) -> list:
     return out
 
 
-def d_x(term: SymbolTerm, j: int) -> list:
-    """Derivative in x_j; coefficients and xi data are x-independent."""
-    e = term.x_mono[j - 1]
-    if not e:
-        return []
-    return [
-        SymbolTerm(
-            _bump(term.x_mono, j - 1, -1),
-            term.xi_mono,
-            term.norm_power,
-            term.scalar.scale(e),
-            term.ops,
-            term.tag,
-        )
-    ]
-
-
 class SymbolExpansion:
     """Finite collection of symbol terms, bucketed by homogeneity order."""
 
@@ -221,28 +204,6 @@ def curv_hh(R: RiemannTensor, a: int, b: int, cache: ProductCache) -> CliffordOp
     )
 
 
-def omega_cc(R: RiemannTensor, l: int, p: int, cache: ProductCache) -> CliffordOp:
-    """sum_{s,t} (1/2) R_{lpst} c(e_s) c(e_t), the x_l Taylor slope of the
-    connection-form contraction along e_p."""
-    return cache.named(
-        ("omega_cc", id(R), l, p),
-        R,
-        lambda: antisym_pair_matrix(
-            R.n, lambda s, t: Fraction(1, 2) * R.get(l, p, s, t), "c"
-        ),
-    )
-
-
-def omega_hh(R: RiemannTensor, l: int, p: int, cache: ProductCache) -> CliffordOp:
-    return cache.named(
-        ("omega_hh", id(R), l, p),
-        R,
-        lambda: antisym_pair_matrix(
-            R.n, lambda s, t: Fraction(1, 2) * R.get(l, p, s, t), "hatc"
-        ),
-    )
-
-
 def f_matrix(R: RiemannTensor, cache: ProductCache) -> CliffordOp:
     """sum_{ijkl} R_{ijkl} chat_i chat_j c_k c_l via the pair antisymmetries:
     4 sum_{i<j, k<l}, one signed blade per index quadruple."""
@@ -271,15 +232,16 @@ def f_matrix(R: RiemannTensor, cache: ProductCache) -> CliffordOp:
 
 @dataclass
 class ConnectionData:
-    """Endomorphism slots (T_a, T_ab, E) of a generalized Laplacian."""
+    """Endomorphism slots (T_ab, E) of a generalized Laplacian.
+
+    The first-order slot T_a vanishes for the Hodge square at the base
+    point (see standard_connection), so it is not stored and the generic
+    expansion carries no T_a terms.
+    """
 
     n: int
-    t_a: tuple
     t_ab: dict
     e: CliffordOp
-
-    def t_aa(self, a: int) -> CliffordOp:
-        return self.t_ab[(a, a)]
 
 
 def standard_connection(dim: Dimension, R: RiemannTensor, cache: ProductCache) -> ConnectionData:
@@ -289,8 +251,6 @@ def standard_connection(dim: Dimension, R: RiemannTensor, cache: ProductCache) -
     chat_s chat_t, E = (1/8) sum R_{ijkl} chat_i chat_j c_k c_l + s/4.
     """
     n = dim.n
-    zero = CliffordOp.zero(n)
-    t_a = tuple(zero for _ in range(n))
     t_ab = {}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
@@ -301,7 +261,7 @@ def standard_connection(dim: Dimension, R: RiemannTensor, cache: ProductCache) -
     e = f_matrix(R, cache).scale(Fraction(1, 8)) + CliffordOp.identity(n).scale(
         ScalarPoly.const(Fraction(s, 4))
     )
-    return ConnectionData(n, t_a, t_ab, e)
+    return ConnectionData(n, t_ab, e)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +329,7 @@ def lemma1_symbols(
     m_family: int | None = None,
 ) -> SymbolExpansion:
     """Generic negative-order symbols of the -M power of a Laplacian with
-    connection slots (T_a, T_ab, E), through three orders at the base point.
+    connection slots (T_ab, E), through three orders at the base point.
     """
     n = dim.n
     M = dim.m if m_family is None else m_family
@@ -377,57 +337,17 @@ def lemma1_symbols(
     exp = SymbolExpansion(n)
     _curvature_family(exp, R, contract(R), M)
 
-    # order -2M-1
+    # orders -2M-1 and -2M-2
     minus_2mi = _imag_const(Fraction(-2 * M))
+    two_mm1 = ScalarPoly.const(2 * M * (M + 1))
     for a in range(1, n + 1):
-        if not conn.t_a[a - 1].is_zero():
-            exp.add(
-                SymbolTerm(
-                    zero_x, _e(n, a), -2 * M - 2, minus_2mi, (conn.t_a[a - 1],), "ta"
-                )
-            )
         for b in range(1, n + 1):
             t = conn.t_ab[(a, b)]
             if not t.is_zero():
                 exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, minus_2mi, (t,), "tab"))
-
-    # order -2M-2
-    mm1 = Fraction(M * (M + 1))
+                exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, two_mm1, (t,), "tab"))
     for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            ta, tb = conn.t_a[a - 1], conn.t_a[b - 1]
-            if not ta.is_zero() and not tb.is_zero():
-                exp.add(
-                    SymbolTerm(
-                        zero_x,
-                        _e(n, a, b),
-                        -2 * M - 4,
-                        ScalarPoly.const(-2 * mm1),
-                        (ta, tb),
-                        "tata",
-                    )
-                )
-            t = conn.t_ab[(a, b)]
-            if not t.is_zero():
-                exp.add(
-                    SymbolTerm(
-                        zero_x,
-                        _e(n, a, b),
-                        -2 * M - 4,
-                        ScalarPoly.const(2 * mm1),
-                        (t,),
-                        "tab",
-                    )
-                )
-    for a in range(1, n + 1):
-        ta = conn.t_a[a - 1]
-        if not ta.is_zero():
-            exp.add(
-                SymbolTerm(
-                    zero_x, zero_x, -2 * M - 2, ScalarPoly.const(M), (ta, ta), "tata"
-                )
-            )
-        taa = conn.t_aa(a)
+        taa = conn.t_ab[(a, a)]
         if not taa.is_zero():
             exp.add(
                 SymbolTerm(
@@ -523,9 +443,11 @@ def symbols_PQ(
     """Symbols of one first-order factor ctilde(w) * (Hodge operator).
 
     Order 1 is i ctilde(w) ctilde(xi); order 0 carries the x-linear
-    connection-form contributions, a c-family with weight -1/4 and a
-    chat-family with weight +1/4.  The coefficient vector w is constant,
-    so no other x-dependence appears.
+    connection-form contributions.  The x_l slope of the connection form
+    along e_p is half the curvature bivector curv_cc(R, l, p) (and
+    curv_hh), so the c-family has weight -1/8 and the chat-family +1/8.
+    The coefficient vector w is constant, so no other x-dependence
+    appears.
     """
     n = dim.n
     cw = vector_clifford("tildec", w)
@@ -535,24 +457,15 @@ def symbols_PQ(
     zero_x = _e(n)
     for f in range(1, n + 1):
         exp.add(SymbolTerm(zero_x, _e(n, f), 0, i_unit, (w_p[f - 1],), ""))
-    quarter = ScalarPoly.const(Fraction(1, 4))
-    neg_quarter = ScalarPoly.const(Fraction(-1, 4))
+    eighth = ScalarPoly.const(Fraction(1, 8))
     for l in range(1, n + 1):
         for p in range(1, n + 1):
-            oc = omega_cc(R, l, p, cache)
-            if not oc.is_zero():
-                exp.add(
-                    SymbolTerm(
-                        _e(n, l), zero_x, 0, neg_quarter, (w_p[p - 1], oc), "cc"
-                    )
-                )
-            oh = omega_hh(R, l, p, cache)
-            if not oh.is_zero():
-                exp.add(
-                    SymbolTerm(
-                        _e(n, l), zero_x, 0, quarter, (w_p[p - 1], oh), "hchc"
-                    )
-                )
+            cc = curv_cc(R, l, p, cache)
+            if not cc.is_zero():
+                exp.add(SymbolTerm(_e(n, l), zero_x, 0, -eighth, (w_p[p - 1], cc), "cc"))
+            hh = curv_hh(R, l, p, cache)
+            if not hh.is_zero():
+                exp.add(SymbolTerm(_e(n, l), zero_x, 0, eighth, (w_p[p - 1], hh), "hchc"))
     return exp
 
 
@@ -671,11 +584,6 @@ def symbol_product_PQ(
     Q = symbols_PQ(dim, R, v, cache)
     exp = SymbolExpansion(dim.n)
     for target in (2, 1, 0):
-        for oa in (1, 0):
-            for ob in (1, 0):
-                k = oa + ob - target
-                if k < 0:
-                    continue
-                for term in compose_block(P, oa, Q, ob, k):
-                    exp.add(term)
+        for term in compose(P, Q, target).terms_at(target):
+            exp.add(term)
     return exp

@@ -18,6 +18,16 @@ from wres.curvature import (
 
 
 class TestValidation:
+    def test_float_entries_rejected(self):
+        # a float fails where the tensor is built, not deep in an Analysis
+        entries = {(1, 2, 1, 2): 0.5, (2, 1, 2, 1): 0.5, (1, 2, 2, 1): -0.5, (2, 1, 1, 2): -0.5}
+        with pytest.raises(TypeError):
+            RiemannTensor(4, entries)
+        with pytest.raises(TypeError):
+            RiemannTensor(4, {(1, 2, 1, 2): 0.0}, validate=False)
+        exact = {k: Fraction(str(v)) for k, v in entries.items()}
+        assert RiemannTensor(4, exact).get(1, 2, 1, 2) == Fraction(1, 2)
+
     def test_index_range(self):
         with pytest.raises(ValueError, match="out of range"):
             RiemannTensor(4, {(1, 2, 5, 1): Fraction(1)})

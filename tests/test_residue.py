@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from wres.clifford import Dimension, FrameVector, ProductCache, inner, tildec_op
 from wres.curvature import (
@@ -17,6 +19,7 @@ from wres.curvature import (
 )
 import wres.residue
 from wres.residue import (
+    _BLOCKS,
     ASSEMBLED_IDS,
     CHECK_IDS,
     PART_IDS,
@@ -29,7 +32,14 @@ from wres.residue import (
     verify_all,
 )
 from wres.scalars import ScalarPoly
-from wres.symbols import SymbolTerm
+from wres.symbols import (
+    SymbolTerm,
+    compose,
+    compose_block,
+    lemma2_symbols,
+    symbol_product_PQ,
+    uv_symbol,
+)
 
 ONE = ScalarPoly.one()
 
@@ -83,6 +93,13 @@ class TestFunctionalDensity:
         assert d.evaluate(Fraction(1, 2), 3) == 8
         assert d.evaluate(1, 1) == 8
 
+    def test_evaluate_rejects_floats(self):
+        d = FunctionalDensity(ScalarPoly.a0(), 1)
+        with pytest.raises(TypeError):
+            d.evaluate(0.1, 1)
+        with pytest.raises(TypeError):
+            d.evaluate(1, 0.5)
+
 
 class TestIntegration:
     def test_flat_top_symbol_gives_trace_unit(self):
@@ -110,6 +127,49 @@ class TestIntegration:
         term = SymbolTerm(mono(n, 2), mono(n), -4, ONE)
         with pytest.raises(ValueError, match="x-dependence"):
             integrate_density([term], Dimension(n), ProductCache())
+
+
+def composed_terms(n, seed):
+    """The order -2m terms of PQ o B1 per block, of UV o B2, and of UV o B1."""
+    dim = Dimension(n)
+    m = dim.m
+    R, u, v = derive_inputs(n, seed)
+    cache = ProductCache()
+    PQ = symbol_product_PQ(dim, R, u, v, cache)
+    B1 = lemma2_symbols(dim, R, m, -2 * m, cache)
+    UV = uv_symbol(dim, u, v)
+    B2 = lemma2_symbols(dim, R, m, -2 * m + 2, cache)
+    blocks = [compose_block(PQ, oa, B1, -2 * m + ob, oa + ob) for oa, ob in _BLOCKS.values()]
+    return (
+        blocks,
+        compose(PQ, B1, -2 * m).terms_at(-2 * m),
+        compose(UV, B2, -2 * m).terms_at(-2 * m),
+        compose(UV, B1, -2 * m).terms_at(-2 * m),
+    )
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_blocks_partition_the_composition(self, n):
+        blocks, whole, _, _ = composed_terms(n, 1)
+        assert len(set(_BLOCKS.values())) == len(_BLOCKS) == 6
+        assert all(t.order() == -n for b in blocks for t in b)
+        assert sum(len(b) for b in blocks) == len(whole)
+
+    def test_each_composed_term_is_integrated_once(self, monkeypatch):
+        n = 4
+        blocks, _, second, metric = composed_terms(n, 1)
+        seen = []
+        real = wres.residue.integrate_density
+
+        def spy(terms, dim, cache):
+            seen.extend(terms)
+            return real(terms, dim, cache)
+
+        monkeypatch.setattr(wres.residue, "integrate_density", spy)
+        assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
+        assert len({id(t) for t in seen}) == len(seen)
+        assert len(seen) == sum(len(b) for b in blocks) + len(second) + len(metric)
 
 
 class TestPartTable:
@@ -340,6 +400,76 @@ class TestFrameInvariance:
         assert turned.keys() == base.keys()
         for key in base:
             assert turned[key] == base[key], key
+
+
+def scaled(d, q):
+    return FunctionalDensity(d.poly.scale(q), d.prefactor_exp)
+
+
+def densities(R, u, v):
+    return Analysis(Dimension(R.n), R, u, v).computed
+
+
+def tensor_sum(R1, R2, q=1):
+    keys = set(R1.entries) | set(R2.entries)
+    return RiemannTensor(R1.n, {k: R1.get(*k) + q * R2.get(*k) for k in keys}, validate=False)
+
+
+def vector_sum(u1, u2, q=1):
+    return FrameVector(u1.n, tuple(a + q * b for a, b in zip(u1.components, u2.components)))
+
+
+seeds = st.integers(0, 10**6)
+ratios = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+vectors4 = st.tuples(*[ratios] * 4).map(lambda c: FrameVector(4, c))
+# each example runs three or four whole Analysis; shrinking a failure
+# would take minutes, so it is reported as first found
+metamorphic = settings(
+    max_examples=5, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+)
+
+
+class TestMetamorphic:
+    # every density is affine in R (metric is the one R-independent term)
+    # and bilinear in (u, v); checked exactly, with no closed form
+    @metamorphic
+    @given(seeds, seeds)
+    def test_affine_additivity_in_R(self, s1, s2):
+        R1, u, v = derive_inputs(4, s1)
+        R2 = random_riemann(4, s2)
+        zero = densities(flat(4), u, v)
+        one, two = densities(R1, u, v), densities(R2, u, v)
+        both = densities(tensor_sum(R1, R2), u, v)
+        for cid in CHECK_IDS:
+            assert both[cid] + zero[cid] == one[cid] + two[cid], cid
+
+    @metamorphic
+    @given(seeds, ratios)
+    def test_homogeneity_in_R(self, seed, q):
+        R, u, v = derive_inputs(4, seed)
+        zero = densities(flat(4), u, v)
+        base = densities(R, u, v)
+        big = densities(tensor_sum(flat(4), R, q), u, v)
+        for cid in CHECK_IDS:
+            assert big[cid] - zero[cid] == scaled(base[cid] - zero[cid], q), cid
+
+    @metamorphic
+    @given(seeds, vectors4)
+    def test_additivity_in_u(self, seed, u2):
+        R, u1, v = derive_inputs(4, seed)
+        one, two = densities(R, u1, v), densities(R, u2, v)
+        both = densities(R, vector_sum(u1, u2), v)
+        for cid in CHECK_IDS:
+            assert both[cid] == one[cid] + two[cid], cid
+
+    @metamorphic
+    @given(seeds, ratios)
+    def test_homogeneity_in_v(self, seed, q):
+        R, u, v = derive_inputs(4, seed)
+        base = densities(R, u, v)
+        big = densities(R, u, vector_sum(FrameVector(4, (0,) * 4), v, q))
+        for cid in CHECK_IDS:
+            assert big[cid] == scaled(base[cid], q), cid
 
 
 def reports(*args, **kwargs):

@@ -23,12 +23,10 @@ from wres.symbols import (
     compose_block,
     curv_cc,
     curv_hh,
-    d_x,
     d_xi,
     f_matrix,
     lemma1_symbols,
     lemma2_symbols,
-    omega_cc,
     standard_connection,
     symbol_product_PQ,
     symbols_PQ,
@@ -70,15 +68,6 @@ class TestDerivatives:
         n = 4
         t = SymbolTerm(mono(n), mono(n, 2), 0, ONE)
         assert d_xi(t, 1) == []
-
-    def test_x_derivative(self):
-        n = 4
-        t = SymbolTerm(mono(n, 3, 3), mono(n), -2, ONE)
-        out = d_x(t, 3)
-        assert len(out) == 1
-        assert out[0].x_mono == mono(n, 3)
-        assert out[0].scalar == ScalarPoly.const(2)
-        assert d_x(t, 1) == []
 
     def test_order_is_xi_degree_plus_norm_power(self):
         t = SymbolTerm(mono(4), mono(4, 1, 2), -6, ONE)
@@ -173,6 +162,8 @@ class TestFirstOrderFactorSymbols:
         assert exp.terms_at(0) == []
 
     def test_omega_slope_matches_unrestricted_double_sum(self):
+        # the x_l slope of the connection form along e_p is half the
+        # curvature bivector curv_cc(R, l, p)
         n = 4
         R = random_riemann(n, 2)
         for l, p in ((1, 2), (3, 1)):
@@ -182,7 +173,7 @@ class TestFirstOrderFactorSymbols:
                     w = Fraction(1, 2) * R.get(l, p, s, t)
                     if w:
                         direct = direct + (c_op(n, s) * c_op(n, t)).scale(w)
-            assert omega_cc(R, l, p, ProductCache()) == direct
+            assert curv_cc(R, l, p, ProductCache()).scale(Fraction(1, 2)) == direct
 
     @pytest.mark.parametrize("seed", [2, 9])
     def test_coefficient_blades_match_unrestricted_products(self, seed):
