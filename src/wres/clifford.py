@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .scalars import GaussianRational, ScalarPoly, _frac
+from .scalars import GaussianRational, ScalarPoly, _coerce_coeff, _frac
 
 _ZERO = ScalarPoly.zero()
 
@@ -42,10 +42,6 @@ class Dimension:
     @property
     def m(self) -> int:
         return self.n // 2
-
-    @property
-    def matrix_size(self) -> int:
-        return 1 << self.n
 
 
 @dataclass(frozen=True)
@@ -231,9 +227,10 @@ class CliffordOp:
         return CliffordOp(self.n, {k: -v for k, v in self.blades.items()})
 
     def scale(self, c) -> "CliffordOp":
-        """c times the operator; c is a ScalarPoly or an exact rational."""
+        """c times the operator; c is a ScalarPoly, a GaussianRational or
+        an exact rational (a float raises TypeError)."""
         if not isinstance(c, ScalarPoly):
-            c = _frac(c)
+            c = _coerce_coeff(c)
         if not c:
             return CliffordOp.zero(self.n)
         if isinstance(c, ScalarPoly):
@@ -393,9 +390,10 @@ def vector_clifford(kind: str, u: FrameVector) -> CliffordOp:
 class ProductCache:
     """Memos for chain traces and named builds.
 
-    All keys use object identity; the cache holds references to the
-    keyed operands so the ids stay valid for its lifetime.  Meant to
-    live for one verification run.
+    Chain keys are the ids of the operators; the cache holds the chain
+    so the ids stay valid for its lifetime.  Named keys hold their
+    operands (RiemannTensor hashes by identity).  Meant to live for one
+    verification run.
     """
 
     __slots__ = ("_traces", "_named")
@@ -405,13 +403,12 @@ class ProductCache:
         self._named: dict = {}
 
     def chain_trace(self, ops: tuple, n: int) -> ScalarPoly:
-        """Trace of the product of a chain, memoized on the chain identity.
+        """Trace of the product of a chain of at most three factors,
+        memoized on the chain identity.
 
-        Composition reuses the same coefficients across many terms
-        (derivative branches, index sums, tag filters), so chain traces
-        repeat heavily.  Chains of up to three factors are read off the
-        scalar part directly; longer ones, which the engine never makes,
-        fold their head first.
+        The same chain recurs across blocks and tags, so its trace is
+        read off the scalar part once.  The engine builds no longer
+        chain: PQ's three-factor terms meet only B1's factor-free terms.
         """
         if not ops:
             return ScalarPoly.const(1 << n)
@@ -419,17 +416,13 @@ class ProductCache:
         hit = self._traces.get(key)
         if hit is not None:
             return hit[1]
-        seq = list(ops)
-        while len(seq) > 3:
-            seq[0:2] = [seq[0] * seq[1]]
-        val = trace_product(*seq) if len(seq) > 1 else seq[0].trace()
+        val = trace_product(*ops) if len(ops) > 1 else ops[0].trace()
         self._traces[key] = (ops, val)
         return val
 
-    def named(self, key: tuple, keep, build):
-        """Memo for a named build; keep is retained so id keys stay valid."""
+    def named(self, key: tuple, build):
+        """Memo for a named build."""
         hit = self._named.get(key)
         if hit is None:
-            hit = (keep, build())
-            self._named[key] = hit
-        return hit[1]
+            hit = self._named[key] = build()
+        return hit

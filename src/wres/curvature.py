@@ -12,8 +12,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import FrameVector, inner
+from .clifford import FrameVector
 from .scalars import _frac
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class RiemannTensor:
@@ -89,13 +93,19 @@ class RiemannTensor:
 
     @classmethod
     def from_json(cls, data: dict) -> "RiemannTensor":
-        n = int(data["n"])
+        """Accepts JSON integers only, so no value is truncated: a float
+        or a boolean raises ValueError naming n or the offending row."""
+        n = data["n"]
+        if not _is_int(n):
+            raise ValueError(f"n must be an integer, got {n!r}")
         entries = {}
         for row in data["entries"]:
+            if not (isinstance(row, list) and len(row) == 6 and all(map(_is_int, row))):
+                raise ValueError(f"entry {row!r} is not six integers")
             i, j, k, l, num, den = row
-            if not int(den):
+            if not den:
                 raise ValueError(f"zero denominator in entry {row}")
-            entries[(int(i), int(j), int(k), int(l))] = Fraction(int(num), int(den))
+            entries[(i, j, k, l)] = Fraction(num, den)
         return cls(n, entries, validate=True)
 
     def __repr__(self) -> str:
@@ -198,12 +208,6 @@ def ricci_bilinear(contr: CurvatureContractions, u: FrameVector, v: FrameVector)
         ),
         Fraction(0),
     )
-
-
-def einstein_bilinear(t: RiemannTensor, u: FrameVector, v: FrameVector) -> Fraction:
-    """G(u, v) = Ric(u, v) - (1/2) s g(u, v) with g the frame pairing."""
-    contr = contract(t)
-    return ricci_bilinear(contr, u, v) - Fraction(1, 2) * contr.scalar * inner(u, v)
 
 
 def random_vector(n: int, seed: int) -> FrameVector:

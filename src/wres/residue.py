@@ -107,12 +107,15 @@ def integrate_density(terms, dim: Dimension, cache: ProductCache) -> FunctionalD
     """Trace the terms and integrate the xi monomials over the unit cosphere.
 
     On the cosphere the norm factor is 1, so only the xi monomial
-    matters; odd monomials vanish and are skipped before tracing.
-    Raises on residual x-dependence: integrands must already be
-    evaluated at the base point.
+    matters; odd monomials vanish and are skipped before tracing.  The
+    scalars are constants, so each distinct chain gets one weight, the
+    sum of scalar * cosphere integral over its terms, and its trace is
+    scaled once; a chain whose weight cancels is not traced.  Raises on
+    residual x-dependence: integrands must already be evaluated at the
+    base point.
     """
     n = dim.n
-    acc = ScalarPoly.zero()
+    weights: dict = {}
     for t in terms:
         if any(t.x_mono):
             raise ValueError("residual x-dependence in cosphere integrand")
@@ -121,10 +124,14 @@ def integrate_density(terms, dim: Dimension, cache: ProductCache) -> FunctionalD
         vm = vol_multiplier(n, t.xi_mono)
         if not vm:
             continue
-        tr = cache.chain_trace(t.ops, n)
-        if not tr:
-            continue
-        acc = acc + (t.scalar * tr).scale(vm)
+        key = tuple(map(id, t.ops))
+        hit = weights.get(key)
+        w = t.scalar * vm
+        weights[key] = (t.ops, w) if hit is None else (t.ops, hit[1] + w)
+    acc = ScalarPoly.zero()
+    for ops, w in weights.values():
+        if w:
+            acc = acc + cache.chain_trace(ops, n).scale(w)
     return FunctionalDensity(acc, 0)
 
 

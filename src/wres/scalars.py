@@ -272,14 +272,5 @@ class ScalarPoly:
             for (da, db), c in self._sorted_items()
         ]
 
-    @classmethod
-    def from_json(cls, data: list) -> "ScalarPoly":
-        terms = {}
-        for da, db, rn, rd, inum, iden in data:
-            terms[(int(da), int(db))] = GaussianRational(
-                Fraction(rn, rd), Fraction(inum, iden)
-            )
-        return cls(terms)
-
     def __repr__(self) -> str:
         return f"ScalarPoly({self.text()})"

@@ -4,13 +4,15 @@ A symbol is a finite sum of terms
 
     scalar * x^alpha xi^beta ||xi||^p (x) op_1 op_2 ... op_k
 
-where scalar is a ScalarPoly, the monomials live on R^n, and the ops
-chain multiplies out to one Clifford-algebra coefficient.  The chain is
-kept unevaluated: its trace is read off without building the product
-and memoized per chain in a ProductCache.  Homogeneity order of a term
-is |beta| + p; composition pairs xi-derivatives on the left factor with
-x-derivatives on the right factor and evaluates everything at the base
-point x = 0.
+where scalar is a GaussianRational constant, the monomials live on
+R^n, and the ops chain multiplies out to one Clifford-algebra
+coefficient.  The parameters a0, b0 enter only through ctilde =
+a0*ext - b0*int, so they live in the Clifford coefficients and never in
+a scalar.  The chain is kept unevaluated: its trace is read off without
+building the product and memoized per chain in a ProductCache.
+Homogeneity order of a term is |beta| + p; composition pairs
+xi-derivatives on the left factor with x-derivatives on the right
+factor and evaluates everything at the base point x = 0.
 """
 
 from __future__ import annotations
@@ -32,13 +34,15 @@ from .clifford import (
     vector_clifford,
 )
 from .curvature import RiemannTensor, contract
-from .scalars import GaussianRational, ScalarPoly
+from .scalars import GaussianRational, ScalarPoly, _coerce_coeff
 
-_ONE = ScalarPoly.one()
+_ONE = GaussianRational(1)
 
 
 class SymbolTerm:
-    """One additive term of an operator-valued symbol."""
+    """One additive term of an operator-valued symbol; the scalar is
+    coerced to a GaussianRational, so a ScalarPoly or a float raises
+    TypeError."""
 
     __slots__ = ("x_mono", "xi_mono", "norm_power", "scalar", "ops", "tag")
 
@@ -46,7 +50,7 @@ class SymbolTerm:
         self.x_mono = x_mono
         self.xi_mono = xi_mono
         self.norm_power = norm_power
-        self.scalar = scalar
+        self.scalar = _coerce_coeff(scalar)
         self.ops = ops
         self.tag = tag
 
@@ -63,7 +67,7 @@ class SymbolTerm:
     def __repr__(self) -> str:
         return (
             f"SymbolTerm(x={self.x_mono}, xi={self.xi_mono}, "
-            f"norm={self.norm_power}, scalar={self.scalar.text()}, "
+            f"norm={self.norm_power}, scalar={self.scalar}, "
             f"ops={len(self.ops)}, tag={self.tag!r})"
         )
 
@@ -82,7 +86,7 @@ def d_xi(term: SymbolTerm, j: int) -> list:
                 term.x_mono,
                 _bump(term.xi_mono, j - 1, -1),
                 term.norm_power,
-                term.scalar.scale(e),
+                term.scalar * e,
                 term.ops,
                 term.tag,
             )
@@ -94,7 +98,7 @@ def d_xi(term: SymbolTerm, j: int) -> list:
                 term.x_mono,
                 _bump(term.xi_mono, j - 1, +1),
                 p - 2,
-                term.scalar.scale(p),
+                term.scalar * p,
                 term.ops,
                 term.tag,
             )
@@ -189,8 +193,7 @@ def antisym_pair_matrix(n: int, weight, kind: str) -> CliffordOp:
 def curv_cc(R: RiemannTensor, a: int, b: int, cache: ProductCache) -> CliffordOp:
     """sum_{s,t} R_{bats} c(e_s) c(e_t)."""
     return cache.named(
-        ("curv_cc", id(R), a, b),
-        R,
+        ("curv_cc", R, a, b),
         lambda: antisym_pair_matrix(R.n, lambda s, t: R.get(b, a, t, s), "c"),
     )
 
@@ -198,8 +201,7 @@ def curv_cc(R: RiemannTensor, a: int, b: int, cache: ProductCache) -> CliffordOp
 def curv_hh(R: RiemannTensor, a: int, b: int, cache: ProductCache) -> CliffordOp:
     """sum_{s,t} R_{bats} chat(e_s) chat(e_t)."""
     return cache.named(
-        ("curv_hh", id(R), a, b),
-        R,
+        ("curv_hh", R, a, b),
         lambda: antisym_pair_matrix(R.n, lambda s, t: R.get(b, a, t, s), "hatc"),
     )
 
@@ -222,7 +224,7 @@ def f_matrix(R: RiemannTensor, cache: ProductCache) -> CliffordOp:
                     out[mask] = ScalarPoly.const(4 * sign * r)
         return CliffordOp(n, out)
 
-    return cache.named(("f_matrix", id(R)), R, build)
+    return cache.named(("f_matrix", R), build)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +260,7 @@ def standard_connection(dim: Dimension, R: RiemannTensor, cache: ProductCache) -
                 R, a, b, cache
             ).scale(Fraction(1, 8))
     s = contract(R).scalar
-    e = f_matrix(R, cache).scale(Fraction(1, 8)) + CliffordOp.identity(n).scale(
-        ScalarPoly.const(Fraction(s, 4))
-    )
+    e = f_matrix(R, cache).scale(Fraction(1, 8)) + CliffordOp.identity(n).scale(Fraction(s, 4))
     return ConnectionData(n, t_ab, e)
 
 
@@ -274,10 +274,6 @@ def _e(n: int, *idx: int) -> tuple:
     for j in idx:
         mono[j - 1] += 1
     return tuple(mono)
-
-
-def _imag_const(q: Fraction) -> ScalarPoly:
-    return ScalarPoly({(0, 0): GaussianRational(0, q)})
 
 
 def _curvature_family(exp: SymbolExpansion, R: RiemannTensor, contr, M: int) -> None:
@@ -296,30 +292,16 @@ def _curvature_family(exp: SymbolExpansion, R: RiemannTensor, contr, M: int) -> 
                 for k in range(1, n + 1):
                     r = R.get(a, j, b, k)
                     if r:
-                        exp.add(
-                            SymbolTerm(
-                                _e(n, j, k),
-                                _e(n, a, b),
-                                top,
-                                ScalarPoly.const(-mthird * r),
-                                (),
-                                "rxx",
-                            )
-                        )
+                        exp.add(SymbolTerm(_e(n, j, k), _e(n, a, b), top, -mthird * r, (), "rxx"))
     slope = Fraction(-2 * M, 3)
     mm1_3 = Fraction(M * (M + 1), 3)
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             ric = contr.ric(a, b)
             if ric:
-                exp.add(
-                    SymbolTerm(_e(n, b), _e(n, a), top, _imag_const(slope * ric), (), "ric")
-                )
-                exp.add(
-                    SymbolTerm(
-                        zero_x, _e(n, a, b), top - 2, ScalarPoly.const(mm1_3 * ric), (), "ric"
-                    )
-                )
+                i_slope = GaussianRational(0, slope * ric)
+                exp.add(SymbolTerm(_e(n, b), _e(n, a), top, i_slope, (), "ric"))
+                exp.add(SymbolTerm(zero_x, _e(n, a, b), top - 2, mm1_3 * ric, (), "ric"))
 
 
 def lemma1_symbols(
@@ -338,8 +320,8 @@ def lemma1_symbols(
     _curvature_family(exp, R, contract(R), M)
 
     # orders -2M-1 and -2M-2
-    minus_2mi = _imag_const(Fraction(-2 * M))
-    two_mm1 = ScalarPoly.const(2 * M * (M + 1))
+    minus_2mi = GaussianRational(0, -2 * M)
+    two_mm1 = 2 * M * (M + 1)
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             t = conn.t_ab[(a, b)]
@@ -349,15 +331,9 @@ def lemma1_symbols(
     for a in range(1, n + 1):
         taa = conn.t_ab[(a, a)]
         if not taa.is_zero():
-            exp.add(
-                SymbolTerm(
-                    zero_x, zero_x, -2 * M - 2, ScalarPoly.const(-M), (taa,), "tab"
-                )
-            )
+            exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, -M, (taa,), "tab"))
     if not conn.e.is_zero():
-        exp.add(
-            SymbolTerm(zero_x, zero_x, -2 * M - 2, ScalarPoly.const(-M), (conn.e,), "e")
-        )
+        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, -M, (conn.e,), "e"))
     return exp
 
 
@@ -389,51 +365,24 @@ def lemma2_symbols(
 
     # orders -2M-1 and -2M-2: the curvature contractions coming from the
     # connection form, one c-family and one chat-family
+    i_m4 = GaussianRational(0, Fraction(M, 4))
     mm1_4 = Fraction(M * (M + 1), 4)
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             cc = curv_cc(R, a, b, cache)
             if not cc.is_zero():
-                exp.add(
-                    SymbolTerm(
-                        _e(n, b), _e(n, a), -2 * M - 2, _imag_const(Fraction(M, 4)), (cc,), "cc"
-                    )
-                )
-                exp.add(
-                    SymbolTerm(
-                        zero_x, _e(n, a, b), -2 * M - 4, ScalarPoly.const(-mm1_4), (cc,), "cc"
-                    )
-                )
+                exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, i_m4, (cc,), "cc"))
+                exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, -mm1_4, (cc,), "cc"))
             hh = curv_hh(R, a, b, cache)
             if not hh.is_zero():
-                exp.add(
-                    SymbolTerm(
-                        _e(n, b), _e(n, a), -2 * M - 2, _imag_const(Fraction(-M, 4)), (hh,), "hchc"
-                    )
-                )
-                exp.add(
-                    SymbolTerm(
-                        zero_x, _e(n, a, b), -2 * M - 4, ScalarPoly.const(mm1_4), (hh,), "hchc"
-                    )
-                )
+                exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, -i_m4, (hh,), "hchc"))
+                exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, mm1_4, (hh,), "hchc"))
     f = f_matrix(R, cache)
     if not f.is_zero():
-        exp.add(
-            SymbolTerm(
-                zero_x, zero_x, -2 * M - 2, ScalarPoly.const(Fraction(-M, 8)), (f,), "f"
-            )
-        )
+        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, Fraction(-M, 8), (f,), "f"))
     if contr.scalar and M:
-        exp.add(
-            SymbolTerm(
-                zero_x,
-                zero_x,
-                -2 * M - 2,
-                ScalarPoly.const(Fraction(-M, 4) * contr.scalar),
-                (),
-                "s",
-            )
-        )
+        s_coeff = Fraction(-M, 4) * contr.scalar
+        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, s_coeff, (), "s"))
     return exp
 
 
@@ -453,11 +402,11 @@ def symbols_PQ(
     cw = vector_clifford("tildec", w)
     w_p = [cw * tildec_op(n, p) for p in range(1, n + 1)]
     exp = SymbolExpansion(n)
-    i_unit = ScalarPoly.imag_unit()
+    i_unit = GaussianRational(0, 1)
     zero_x = _e(n)
     for f in range(1, n + 1):
         exp.add(SymbolTerm(zero_x, _e(n, f), 0, i_unit, (w_p[f - 1],), ""))
-    eighth = ScalarPoly.const(Fraction(1, 8))
+    eighth = Fraction(1, 8)
     for l in range(1, n + 1):
         for p in range(1, n + 1):
             cc = curv_cc(R, l, p, cache)
@@ -482,11 +431,7 @@ def uv_symbol(dim: Dimension, u: FrameVector, v: FrameVector) -> SymbolExpansion
 # composition
 # ---------------------------------------------------------------------------
 
-_MINUS_I_POW = (
-    ScalarPoly.one(),
-    ScalarPoly({(0, 0): GaussianRational(0, -1)}),
-    ScalarPoly.const(-1),
-)
+_MINUS_I_POW = (_ONE, GaussianRational(0, -1), GaussianRational(-1))
 
 
 def compose_block(
@@ -497,7 +442,7 @@ def compose_block(
     Only multi-indices alpha of weight k act; the base-point evaluation
     keeps exactly the B terms whose x monomial equals alpha, and their
     alpha! cancels the 1/alpha! of the composition formula, leaving the
-    flat factor (-i)^k.
+    flat factor (-i)^k.  For k = 0 the one multi-index is empty.
     """
     if k < 0:
         return []
@@ -507,25 +452,16 @@ def compose_block(
     aterms = [t for t in A.terms_at(oa) if not any(t.x_mono)]
     if not aterms:
         return []
-    bterms = B.terms_at(ob)
-    out = []
-    if k == 0:
-        for ta in aterms:
-            for tb in bterms:
-                if any(tb.x_mono):
-                    continue
-                out.append(_product_term(n, ta, tb, _ONE))
-        return out
     bgroup: dict = {}
-    for tb in bterms:
+    for tb in B.terms_at(ob):
         if sum(tb.x_mono) == k:
             bgroup.setdefault(tb.x_mono, []).append(tb)
     if not bgroup:
         return []
     coeff = _MINUS_I_POW[k]
+    out = []
     for combo in combinations_with_replacement(range(1, n + 1), k):
-        alpha = _e(n, *combo)
-        blist = bgroup.get(alpha)
+        blist = bgroup.get(_e(n, *combo))
         if not blist:
             continue
         derived = aterms
@@ -542,16 +478,14 @@ def compose_block(
     return out
 
 
-def _product_term(n: int, ta: SymbolTerm, tb: SymbolTerm, coeff: ScalarPoly) -> SymbolTerm:
-    xi = tuple(a + b for a, b in zip(ta.xi_mono, tb.xi_mono))
-    scalar = ta.scalar * tb.scalar
-    if coeff is not _ONE:
-        scalar = scalar * coeff
+def _product_term(
+    n: int, ta: SymbolTerm, tb: SymbolTerm, coeff: GaussianRational
+) -> SymbolTerm:
     return SymbolTerm(
         _e(n),
-        xi,
+        tuple(a + b for a, b in zip(ta.xi_mono, tb.xi_mono)),
         ta.norm_power + tb.norm_power,
-        scalar,
+        ta.scalar * tb.scalar * coeff,
         ta.ops + tb.ops,
         ta.tag or tb.tag,
     )

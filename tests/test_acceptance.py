@@ -30,7 +30,7 @@ from wres.residue import (
     derive_inputs,
     integrate_density,
 )
-from wres.scalars import ScalarPoly
+from wres.scalars import GaussianRational, ScalarPoly
 from wres.sphere import vol_multiplier
 from wres.symbols import SymbolTerm, lemma1_symbols, lemma2_symbols, standard_connection
 
@@ -105,7 +105,7 @@ def test_criterion_1_clifford_relation_suite():
 def test_criterion_2_trace_and_volume_bookkeeping():
     """integrate(||xi||^{-2m} id) = 2^{2m} Vol, n = 4 and n = 6."""
     for n, want in ((4, 16), (6, 64)):
-        term = SymbolTerm((0,) * n, (0,) * n, -n, ScalarPoly.one())
+        term = SymbolTerm((0,) * n, (0,) * n, -n, GaussianRational(1))
         got = integrate_density([term], Dimension(n), ProductCache())
         assert got == FunctionalDensity(ScalarPoly.const(want), 0)
     print("ACCEPTANCE criterion 2: PASS (trace unit 16 Vol and 64 Vol exact)")

@@ -84,6 +84,30 @@ class TestVerifyCommand:
         assert result.exit_code == 2
         assert "zero denominator" in result.output
 
+    @pytest.mark.parametrize(
+        "spoil,fragment",
+        [
+            # a truncating reader would read 1.5 as 1 and pass every check
+            (lambda d: [row.__setitem__(4, row[4] * 1.5) for row in d["entries"]], "six integers"),
+            (lambda d: d["entries"][0].__setitem__(4, True), "six integers"),
+            (lambda d: d.__setitem__("n", 4.9), "n must be an integer"),
+        ],
+        ids=["float-numerators", "bool-numerator", "float-n"],
+    )
+    def test_non_integer_in_curvature_file_is_usage_error(self, runner, tmp_path, spoil, fragment):
+        data = constant_curvature(4).to_json()
+        spoil(data)
+        path = tmp_path / "inexact.json"
+        path.write_text(json.dumps(data))
+        for args in (
+            ["verify", "--dim", "4", "--seeds", "1"],
+            ["einstein", "--dim", "4", "--u", "1,0,0,0", "--v", "1,0,0,0"],
+        ):
+            result = runner.invoke(main, args + ["--curvature", str(path)])
+            assert result.exit_code == 2, result.output
+            assert "invalid curvature file" in result.output
+            assert fragment in result.output
+
     def test_dimension_8_is_supported(self, runner):
         result = runner.invoke(main, ["verify", "--dim", "8", "--seeds", "1"])
         assert result.exit_code == 0, result.output

@@ -1,5 +1,6 @@
 """Curvature tensors: symmetries, contractions, serialization, seeding."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,17 @@ from wres.curvature import (
     RiemannTensor,
     constant_curvature,
     contract,
-    einstein_bilinear,
     flat,
     random_riemann,
     random_vector,
     ricci_bilinear,
 )
+
+
+def einstein_bilinear(t, u, v):
+    """G(u, v) = Ric(u, v) - (1/2) s g(u, v) with g the frame pairing."""
+    contr = contract(t)
+    return ricci_bilinear(contr, u, v) - Fraction(1, 2) * contr.scalar * inner(u, v)
 
 
 class TestValidation:
@@ -187,6 +193,22 @@ class TestSerialization:
     def test_from_json_rejects_zero_denominator(self):
         with pytest.raises(ValueError, match="zero denominator"):
             RiemannTensor.from_json({"n": 2, "entries": [[1, 2, 1, 2, 1, 0]]})
+
+    @pytest.mark.parametrize(
+        "field,value", [("num", 1.5), ("num", True), ("den", 2.0), ("index", 1.0), ("index", False)]
+    )
+    def test_from_json_rejects_non_integer_entries(self, field, value):
+        data = constant_curvature(2).to_json()
+        row = data["entries"][0]
+        row[{"num": 4, "den": 5, "index": 0}[field]] = value
+        with pytest.raises(ValueError, match=re.escape(repr(row))):
+            RiemannTensor.from_json(data)
+
+    @pytest.mark.parametrize("n", [4.9, 4.0, True, "4"])
+    def test_from_json_rejects_non_integer_dimension(self, n):
+        data = dict(constant_curvature(4).to_json(), n=n)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            RiemannTensor.from_json(data)
 
 
 def test_flat_einstein_vanishes():

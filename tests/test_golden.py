@@ -1,9 +1,11 @@
 """Golden outputs: the CLI's JSON reports must not change by a byte.
 
-The files under tests/data were written by the matrix-based Clifford
-engine (2^n x 2^n matrices over ScalarPoly), before operators became
-Cl(n,n) blade maps.  Any change in representation, caching or
-evaluation order must reproduce them exactly.
+The dim 2, 4 and 6 files under tests/data were written by the
+matrix-based Clifford engine (2^n x 2^n matrices over ScalarPoly),
+before operators became Cl(n,n) blade maps; verify-d8.json was written
+by the blade engine while symbol scalars were still polynomials.  Any
+change in representation, caching or evaluation order must reproduce
+them exactly.
 """
 
 from pathlib import Path
@@ -19,6 +21,7 @@ CASES = (
     ("verify-d2.json", ["verify", "--dim", "2", "--seeds", "5", "--json"]),
     ("verify-d4.json", ["verify", "--dim", "4", "--seeds", "5", "--json"]),
     ("verify-d6.json", ["verify", "--dim", "6", "--seeds", "2", "--json"]),
+    ("verify-d8.json", ["verify", "--dim", "8", "--seeds", "1", "--json"]),
     ("parts-d4.json", ["parts", "--dim", "4", "--seed", "2", "--json"]),
     ("parts-d6.json", ["parts", "--dim", "6", "--seed", "1", "--json"]),
 )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from wres.clifford import Dimension, FrameVector, ProductCache, inner, tildec_op
+from wres.clifford import Dimension, FrameVector, ProductCache, inner, tildec_op, trace_product
 from wres.curvature import (
     RiemannTensor,
     constant_curvature,
@@ -31,7 +31,8 @@ from wres.residue import (
     integrate_density,
     verify_all,
 )
-from wres.scalars import ScalarPoly
+from wres.scalars import GaussianRational, ScalarPoly
+from wres.sphere import vol_multiplier
 from wres.symbols import (
     SymbolTerm,
     compose,
@@ -41,7 +42,7 @@ from wres.symbols import (
     uv_symbol,
 )
 
-ONE = ScalarPoly.one()
+ONE = GaussianRational(1)
 
 
 def mono(n, *idx):
@@ -121,6 +122,58 @@ class TestIntegration:
         term = SymbolTerm(mono(n), mono(n, 1, 1), -6, ONE, (op, op))
         got = integrate_density([term], Dimension(n), ProductCache())
         assert got == FunctionalDensity(ScalarPoly.monomial(1, 1, -4), 0)
+
+    def test_one_trace_per_distinct_chain(self, monkeypatch):
+        n = 4
+        a, b = tildec_op(n, 1), tildec_op(n, 2)
+        three = GaussianRational(3)
+        terms = [
+            SymbolTerm(mono(n), mono(n, 1, 1), -6, ONE, (a, a)),
+            SymbolTerm(mono(n), mono(n, 2, 2), -6, three, (a, a)),
+            SymbolTerm(mono(n), mono(n), -4, GaussianRational(0, 1), (a, b)),
+            SymbolTerm(mono(n), mono(n, 1, 2), -6, ONE, (b, a)),  # odd: never traced
+            # one chain, opposite scalars: weight zero, never traced
+            SymbolTerm(mono(n), mono(n, 3, 3), -6, three, (b, b)),
+            SymbolTerm(mono(n), mono(n, 3, 3), -6, -three, (b, b)),
+        ]
+        calls = []
+        real = ProductCache.chain_trace
+
+        def spy(self, ops, n):
+            calls.append(tuple(map(id, ops)))
+            return real(self, ops, n)
+
+        monkeypatch.setattr(ProductCache, "chain_trace", spy)
+        got = integrate_density(terms, Dimension(n), ProductCache())
+        assert sorted(calls) == sorted([(id(a), id(a)), (id(a), id(b))])
+        # per term, as scalar * integral * trace
+        want = ScalarPoly.zero()
+        for t in terms:
+            if not any(e % 2 for e in t.xi_mono):
+                tr = trace_product(*t.ops)
+                want = want + tr.scale(t.scalar * vol_multiplier(n, t.xi_mono))
+        assert got == FunctionalDensity(want, 0)
+        assert integrate_density(terms[-2:], Dimension(n), ProductCache()).is_zero()
+
+    def test_composed_blocks_trace_each_chain_once(self, monkeypatch):
+        n = 4
+        blocks, _, _, _ = composed_terms(n, 1)
+        calls = []
+        real = ProductCache.chain_trace
+
+        def spy(self, ops, n):
+            calls.append(tuple(map(id, ops)))
+            return real(self, ops, n)
+
+        monkeypatch.setattr(ProductCache, "chain_trace", spy)
+        traced = 0
+        for terms in blocks:
+            calls.clear()
+            integrate_density(terms, Dimension(n), ProductCache())
+            even = {tuple(map(id, t.ops)) for t in terms if not any(e % 2 for e in t.xi_mono)}
+            assert len(calls) == len(set(calls)) and set(calls) <= even
+            traced += len(calls)
+        assert traced
 
     def test_residual_x_dependence_rejected(self):
         n = 4

@@ -15,7 +15,7 @@ from wres.clifford import (
     vector_clifford,
 )
 from wres.curvature import constant_curvature, flat, random_riemann
-from wres.scalars import ScalarPoly
+from wres.scalars import GaussianRational, ScalarPoly
 from wres.symbols import (
     SymbolExpansion,
     SymbolTerm,
@@ -33,7 +33,7 @@ from wres.symbols import (
     uv_symbol,
 )
 
-ONE = ScalarPoly.one()
+ONE = GaussianRational(1)
 
 
 def mono(n, *idx):
@@ -50,7 +50,7 @@ class TestDerivatives:
         out = d_xi(t, 1)
         assert len(out) == 1
         assert out[0].xi_mono == mono(n, 1, 2)
-        assert out[0].scalar == ScalarPoly.const(2)
+        assert out[0].scalar == GaussianRational(2)
 
     def test_xi_derivative_hits_norm_factor(self):
         # d/dxi_1 (xi_1 |xi|^-2) = |xi|^-2 - 2 xi_1^2 |xi|^-4
@@ -62,7 +62,7 @@ class TestDerivatives:
         assert plain.xi_mono == mono(n) and plain.norm_power == -2
         assert plain.scalar == ONE
         assert normside.xi_mono == mono(n, 1, 1) and normside.norm_power == -4
-        assert normside.scalar == ScalarPoly.const(-2)
+        assert normside.scalar == GaussianRational(-2)
 
     def test_xi_derivative_in_absent_variable(self):
         n = 4
@@ -77,19 +77,44 @@ class TestDerivatives:
 class TestExpansionPlumbing:
     def test_zero_scalar_terms_are_dropped(self):
         exp = SymbolExpansion(4)
-        exp.add(SymbolTerm(mono(4), mono(4), 0, ScalarPoly.zero()))
+        exp.add(SymbolTerm(mono(4), mono(4), 0, GaussianRational(0)))
         assert exp.orders() == []
+
+    @pytest.mark.parametrize("scalar", [ScalarPoly.one(), ScalarPoly.a0(), 0.5, 1.0])
+    def test_scalar_must_be_a_gaussian_rational(self, scalar):
+        with pytest.raises(TypeError):
+            SymbolTerm(mono(4), mono(4), 0, scalar)
+
+    def test_exact_scalars_are_coerced(self):
+        t = SymbolTerm(mono(4), mono(4), 0, Fraction(-1, 3))
+        assert type(t.scalar) is GaussianRational and t.scalar == Fraction(-1, 3)
+
+    def test_every_family_writes_constant_scalars(self):
+        dim = Dimension(4)
+        R = random_riemann(4, 3)
+        u, v = FrameVector(4, (1, 2, 0, -1)), FrameVector(4, (0, 1, 3, 1))
+        cache = ProductCache()
+        families = [
+            lemma1_symbols(dim, R, standard_connection(dim, R, cache)),
+            lemma2_symbols(dim, R, 2, -4, cache),
+            lemma2_symbols(dim, R, 2, -2, cache),
+            symbols_PQ(dim, R, u, cache),
+            symbol_product_PQ(dim, R, u, v, cache),
+            uv_symbol(dim, u, v),
+        ]
+        terms = [t for exp in families for o in exp.orders() for t in exp.terms_at(o)]
+        assert terms and all(type(t.scalar) is GaussianRational for t in terms)
 
     def test_merged_cancels_opposite_terms(self):
         exp = SymbolExpansion(4)
         exp.add(SymbolTerm(mono(4), mono(4, 1), -2, ONE))
-        exp.add(SymbolTerm(mono(4), mono(4, 1), -2, ScalarPoly.const(-1)))
+        exp.add(SymbolTerm(mono(4), mono(4, 1), -2, GaussianRational(-1)))
         assert exp.merged(ProductCache()) == {}
 
     def test_materialize_folds_chain_through_cache(self):
         n = 4
         a, b = tildec_op(n, 1), tildec_op(n, 2)
-        t = SymbolTerm(mono(n), mono(n), 0, ScalarPoly.const(Fraction(1, 2)), (a, b))
+        t = SymbolTerm(mono(n), mono(n), 0, GaussianRational(Fraction(1, 2)), (a, b))
         assert t.materialize() == (a * b).scale(Fraction(1, 2))
 
     def test_dump_is_stable_across_reconstruction(self):
@@ -151,7 +176,7 @@ class TestFirstOrderFactorSymbols:
         assert len(terms) == 4
         cu = vector_clifford("tildec", u)
         for t in terms:
-            assert t.scalar == ScalarPoly.imag_unit()
+            assert t.scalar == GaussianRational(0, 1)
             f = t.xi_mono.index(1) + 1
             assert len(t.ops) == 1
             assert t.ops[0] == cu * tildec_op(4, f)
