@@ -22,7 +22,7 @@ from .curvature import RiemannTensor, constant_curvature, flat
 from .residue import ASSEMBLED_IDS, PART_IDS, Analysis, derive_inputs, verify_all
 from .sphere import sphere_volume
 
-_SUPPORTED_DIMS = (2, 4, 6, 8)
+_SUPPORTED_DIMS = (2, 4, 6, 8, 10, 12)
 
 
 def _check_dim(ctx, param, value: int) -> int:
@@ -99,7 +99,7 @@ def main(ctx):
 
 
 @main.command()
-@click.option("--dim", type=int, default=4, callback=_check_dim, help="Even dimension (2, 4, 6, or 8).")
+@click.option("--dim", type=int, default=4, callback=_check_dim, help="Even dimension (2, 4, 6, 8, 10 or 12).")
 @click.option("--seeds", "seed_count", type=int, default=10, help="Number of consecutive seeds.")
 @click.option("--curvature", default="random", help="random, constant, flat, or a JSON file path.")
 @click.option("--u", "u_raw", default=None, help="Comma-separated rational components, e.g. 1/2,0,3,0.")

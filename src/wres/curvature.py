@@ -55,34 +55,31 @@ class RiemannTensor:
             if len(idx) != 4 or any(not 1 <= a <= n for a in idx):
                 self._index_error(idx)
         # each property is scanned on its own pass so the reported
-        # violation names the most specific broken symmetry
-        quads = [
-            (i, j, k, l)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            for k in range(1, n + 1)
-            for l in range(1, n + 1)
-        ]
-        for i, j, k, l in quads:
-            if self.get(i, j, k, l) != -self.get(j, i, k, l):
-                raise ValueError(
-                    f"first-pair antisymmetry violated at {(i, j, k, l)}"
-                )
-        for i, j, k, l in quads:
-            if self.get(i, j, k, l) != -self.get(i, j, l, k):
-                raise ValueError(
-                    f"second-pair antisymmetry violated at {(i, j, k, l)}"
-                )
-        for i, j, k, l in quads:
-            if self.get(i, j, k, l) != self.get(k, l, i, j):
-                raise ValueError(
-                    f"pair-exchange symmetry violated at {(i, j, k, l)}"
-                )
-        for i, j, k, l in quads:
-            if self.get(i, j, k, l) + self.get(i, k, l, j) + self.get(i, l, j, k) != 0:
-                raise ValueError(
-                    f"first Bianchi identity violated at {(i, j, k, l)}"
-                )
+        # violation names the most specific broken symmetry.  A quad can
+        # break one only if it or a partner it is compared with is an
+        # entry, so the passes scan those quads in index order.
+        quads = sorted(
+            {
+                q
+                for i, j, k, l in self.entries
+                for q in ((i, j, k, l), (j, i, k, l), (i, j, l, k))
+                + ((k, l, i, j), (i, k, l, j), (i, l, j, k))
+            }
+        )
+        g = self.get
+        defects = (
+            ("first-pair antisymmetry", lambda i, j, k, l: g(i, j, k, l) + g(j, i, k, l)),
+            ("second-pair antisymmetry", lambda i, j, k, l: g(i, j, k, l) + g(i, j, l, k)),
+            ("pair-exchange symmetry", lambda i, j, k, l: g(i, j, k, l) - g(k, l, i, j)),
+            (
+                "first Bianchi identity",
+                lambda i, j, k, l: g(i, j, k, l) + g(i, k, l, j) + g(i, l, j, k),
+            ),
+        )
+        for name, defect in defects:
+            for q in quads:
+                if defect(*q):
+                    raise ValueError(f"{name} violated at {q}")
 
     def to_json(self) -> dict:
         entries = [

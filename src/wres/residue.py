@@ -12,6 +12,7 @@ multiples of Vol(S^{n-1}) times tr[id] and are never floated.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .clifford import Dimension, FrameVector, ProductCache, inner
 from .curvature import (
@@ -25,8 +26,8 @@ from .curvature import (
 from .scalars import ScalarPoly, _frac
 from .sphere import vol_multiplier
 from .symbols import (
-    compose,
-    compose_block,
+    blocks_at,
+    composition_pairs,
     lemma2_symbols,
     symbol_product_PQ,
     uv_symbol,
@@ -103,36 +104,63 @@ class FunctionalDensity:
         return f"FunctionalDensity({self.text()})"
 
 
+def _add_weight(chains: dict, ops: tuple, w) -> None:
+    """Add w to the weight of the chain ops in {chain ids: (ops, weight)}."""
+    key = tuple(map(id, ops))
+    hit = chains.get(key)
+    chains[key] = (ops, w) if hit is None else (ops, hit[1] + w)
+
+
+def trace_weights(chains: dict, dim: Dimension, cache: ProductCache) -> FunctionalDensity:
+    """Sum of weight * trace over {chain ids: (ops, weight)}: each chain
+    is traced once, and a chain whose weight cancels is not traced."""
+    acc = ScalarPoly.zero()
+    for ops, w in chains.values():
+        if w:
+            acc = acc + cache.chain_trace(ops, dim.n).scale(w)
+    return FunctionalDensity(acc, 0)
+
+
 def integrate_density(terms, dim: Dimension, cache: ProductCache) -> FunctionalDensity:
     """Trace the terms and integrate the xi monomials over the unit cosphere.
 
     On the cosphere the norm factor is 1, so only the xi monomial
-    matters; odd monomials vanish and are skipped before tracing.  The
-    scalars are constants, so each distinct chain gets one weight, the
-    sum of scalar * cosphere integral over its terms, and its trace is
-    scaled once; a chain whose weight cancels is not traced.  Raises on
-    residual x-dependence: integrands must already be evaluated at the
-    base point.
+    matters; odd monomials vanish and are skipped before tracing.  Each
+    distinct chain gets one weight, the sum of scalar * cosphere
+    integral over its terms.  Raises on residual x-dependence:
+    integrands must already be evaluated at the base point.
     """
-    n = dim.n
-    weights: dict = {}
+    chains: dict = {}
     for t in terms:
         if any(t.x_mono):
             raise ValueError("residual x-dependence in cosphere integrand")
-        if any(e % 2 for e in t.xi_mono):
-            continue
-        vm = vol_multiplier(n, t.xi_mono)
-        if not vm:
-            continue
-        key = tuple(map(id, t.ops))
-        hit = weights.get(key)
-        w = t.scalar * vm
-        weights[key] = (t.ops, w) if hit is None else (t.ops, hit[1] + w)
-    acc = ScalarPoly.zero()
-    for ops, w in weights.values():
-        if w:
-            acc = acc + cache.chain_trace(ops, n).scale(w)
-    return FunctionalDensity(acc, 0)
+        if not any(e % 2 for e in t.xi_mono):
+            _add_weight(chains, t.ops, t.scalar * vol_multiplier(dim.n, t.xi_mono))
+    return trace_weights(chains, dim, cache)
+
+
+def composed_weights(blocks, n: int) -> dict:
+    """{tag: {chain ids: (ops, weight)}} of the cosphere-integrated terms
+    of the blocks (A, oa, B, ob, k), without building any product term.
+
+    The product of a pair from composition_pairs integrates to
+    ta.scalar * tb.scalar * vol_multiplier(n, ta.xi + tb.xi) on the
+    chain ta.ops + tb.ops.  Parity is decided on the summed xi exponents
+    first: an odd monomial integrates to zero, so its pair costs no
+    arithmetic at all.
+    """
+    weights: dict = {}
+    for A, oa, B, ob, k in blocks:
+        for ta, tb in composition_pairs(A, oa, B, ob, k):
+            xi = tuple(map(add, ta.xi_mono, tb.xi_mono))
+            if any(e % 2 for e in xi):
+                continue
+            _add_weight(
+                weights.setdefault(ta.tag or tb.tag, {}),
+                ta.ops + tb.ops,
+                ta.scalar * tb.scalar * vol_multiplier(n, xi),
+            )
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +270,19 @@ class Analysis:
         B1 = lemma2_symbols(dim, R, m, -2 * m, cache)
         UV = uv_symbol(dim, u, v)
         B2 = lemma2_symbols(dim, R, m, -2 * m + 2, cache)
-        blocks = {
-            bid: compose_block(PQ, oa, B1, -2 * m + ob, oa + ob)
-            for bid, (oa, ob) in _BLOCKS.items()
-        }
-        blocks["II"] = compose(UV, B2, -2 * m).terms_at(-2 * m)
+        blocks = {bid: [(PQ, oa, B1, -2 * m + ob, oa + ob)] for bid, (oa, ob) in _BLOCKS.items()}
+        blocks["II"] = blocks_at(UV, B2, -2 * m)
+        blocks["metric"] = blocks_at(UV, B1, -2 * m)
 
         # each block is integrated once per tag; its total is the sum of
         # the tag densities and its sub-parts are read from the same map
         comp = self.computed
         zero = FunctionalDensity(ScalarPoly.zero(), 0)
-        for bid, terms in blocks.items():
-            by_tag: dict = {}
-            for t in terms:
-                by_tag.setdefault(t.tag, []).append(t)
-            tagged = {tag: integrate_density(ts, dim, cache) for tag, ts in by_tag.items()}
+        for bid, spec in blocks.items():
+            tagged = {
+                tag: trace_weights(chains, dim, cache)
+                for tag, chains in composed_weights(spec, dim.n).items()
+            }
             comp[bid] = sum(tagged.values(), zero)
             for pid, sign, tag in _SUBPARTS.get(bid, ()):
                 d = tagged.get(tag, zero)
@@ -264,9 +290,7 @@ class Analysis:
 
         comp["zabdt"] = sum((comp[bid] for bid in _BLOCKS), zero)
         comp["zpdt"] = comp["II"]
-
-        metric_raw = integrate_density(compose(UV, B1, -2 * m).terms_at(-2 * m), dim, cache)
-        comp["metric"] = FunctionalDensity(metric_raw.poly, -m)
+        comp["metric"] = FunctionalDensity(comp["metric"].poly, -m)
         comp["einstein"] = FunctionalDensity(comp["zabdt"].poly, -m) + FunctionalDensity(
             comp["zpdt"].poly, -m + 1
         )

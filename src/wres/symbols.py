@@ -17,10 +17,10 @@ factor and evaluates everything at the base point x = 0.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 
 from .clifford import (
     CliffordOp,
@@ -141,21 +141,6 @@ class SymbolExpansion:
                 out[key] = mat if cur is None else cur + mat
         return {k: v for k, v in out.items() if not v.is_zero()}
 
-    def dump(self) -> str:
-        """Debug rendering with stable ordering and content-hashed matrices."""
-        lines = []
-        merged = self.merged(None)
-        for key in sorted(merged):
-            order, x, xi, p = key
-            rows = merged[key].rows
-            digest = hashlib.sha256(
-                repr(
-                    [(i, j, row[j].text()) for i, row in enumerate(rows) for j in sorted(row)]
-                ).encode()
-            ).hexdigest()[:12]
-            lines.append(f"order={order} x^{x} xi^{xi} |xi|^{p} (x) [{digest}]")
-        return "\n".join(lines)
-
 
 # ---------------------------------------------------------------------------
 # curvature-contraction coefficient matrices
@@ -208,20 +193,17 @@ def curv_hh(R: RiemannTensor, a: int, b: int, cache: ProductCache) -> CliffordOp
 
 def f_matrix(R: RiemannTensor, cache: ProductCache) -> CliffordOp:
     """sum_{ijkl} R_{ijkl} chat_i chat_j c_k c_l via the pair antisymmetries:
-    4 sum_{i<j, k<l}, one signed blade per index quadruple."""
+    4 sum_{i<j, k<l}, one signed blade per nonzero entry."""
     n = R.n
-    pairs = [(s, t) for s in range(1, n + 1) for t in range(s + 1, n + 1)]
 
     def build() -> CliffordOp:
         out = {}
-        for i, j in pairs:
-            for k, l in pairs:
-                r = R.get(i, j, k, l)
-                if r:
-                    mask, sign = _signed_blade(
-                        n, hatc_op(n, i), hatc_op(n, j), c_op(n, k), c_op(n, l)
-                    )
-                    out[mask] = ScalarPoly.const(4 * sign * r)
+        for (i, j, k, l), r in R.entries.items():
+            if i < j and k < l:
+                mask, sign = _signed_blade(
+                    n, hatc_op(n, i), hatc_op(n, j), c_op(n, k), c_op(n, l)
+                )
+                out[mask] = ScalarPoly.const(4 * sign * r)
         return CliffordOp(n, out)
 
     return cache.named(("f_matrix", R), build)
@@ -286,13 +268,8 @@ def _curvature_family(exp: SymbolExpansion, R: RiemannTensor, contr, M: int) -> 
     for a in range(1, n + 1):
         exp.add(SymbolTerm(zero_x, _e(n, a, a), top, _ONE, (), "delta"))
     mthird = Fraction(M, 3)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for j in range(1, n + 1):
-                for k in range(1, n + 1):
-                    r = R.get(a, j, b, k)
-                    if r:
-                        exp.add(SymbolTerm(_e(n, j, k), _e(n, a, b), top, -mthird * r, (), "rxx"))
+    for (a, j, b, k), r in R.entries.items():
+        exp.add(SymbolTerm(_e(n, j, k), _e(n, a, b), top, -mthird * r, (), "rxx"))
     slope = Fraction(-2 * M, 3)
     mm1_3 = Fraction(M * (M + 1), 3)
     for a in range(1, n + 1):
@@ -434,74 +411,73 @@ def uv_symbol(dim: Dimension, u: FrameVector, v: FrameVector) -> SymbolExpansion
 _MINUS_I_POW = (_ONE, GaussianRational(0, -1), GaussianRational(-1))
 
 
-def compose_block(
-    A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int
-) -> list:
-    """Terms of (-i)^k/k! sum_alpha d_xi^alpha[A_oa] d_x^alpha[B_ob] at x=0.
+def composition_pairs(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int):
+    """Yield the factor pairs (ta, tb) of (-i)^k/k! sum_alpha
+    d_xi^alpha[A_oa] d_x^alpha[B_ob] at x = 0; each product
+    ta.scalar * tb.scalar xi^(ta.xi + tb.xi) (x) ta.ops + tb.ops is one term.
 
     Only multi-indices alpha of weight k act; the base-point evaluation
     keeps exactly the B terms whose x monomial equals alpha, and their
     alpha! cancels the 1/alpha! of the composition formula, leaving the
-    flat factor (-i)^k.  For k = 0 the one multi-index is empty.
+    flat factor (-i)^k, which ta carries.  For k = 0 the one multi-index
+    is empty.
     """
     if k < 0:
-        return []
+        return
     if k > 2:
         raise ValueError("stored symbol data only supports two derivatives")
     n = A.n
     aterms = [t for t in A.terms_at(oa) if not any(t.x_mono)]
-    if not aterms:
-        return []
     bgroup: dict = {}
     for tb in B.terms_at(ob):
         if sum(tb.x_mono) == k:
             bgroup.setdefault(tb.x_mono, []).append(tb)
-    if not bgroup:
-        return []
-    coeff = _MINUS_I_POW[k]
-    out = []
+    if not aterms or not bgroup:
+        return
+    if k:
+        # xi-derivatives are linear, so (-i)^k goes on before them
+        c = _MINUS_I_POW[k]
+        aterms = [
+            SymbolTerm(t.x_mono, t.xi_mono, t.norm_power, t.scalar * c, t.ops, t.tag)
+            for t in aterms
+        ]
     for combo in combinations_with_replacement(range(1, n + 1), k):
         blist = bgroup.get(_e(n, *combo))
         if not blist:
             continue
         derived = aterms
         for j in combo:
-            nxt = []
-            for t in derived:
-                nxt.extend(d_xi(t, j))
-            derived = nxt
-            if not derived:
-                break
+            derived = [d for t in derived for d in d_xi(t, j)]
         for ta in derived:
             for tb in blist:
-                out.append(_product_term(n, ta, tb, coeff))
-    return out
+                yield ta, tb
 
 
-def _product_term(
-    n: int, ta: SymbolTerm, tb: SymbolTerm, coeff: GaussianRational
-) -> SymbolTerm:
-    return SymbolTerm(
-        _e(n),
-        tuple(a + b for a, b in zip(ta.xi_mono, tb.xi_mono)),
-        ta.norm_power + tb.norm_power,
-        ta.scalar * tb.scalar * coeff,
-        ta.ops + tb.ops,
-        ta.tag or tb.tag,
-    )
+def blocks_at(A: SymbolExpansion, B: SymbolExpansion, order: int) -> list:
+    """Every block (A, oa, B, ob, k) of A o B that lands on the given
+    order, with k = oa + ob - order derivatives."""
+    return [
+        (A, oa, B, ob, oa + ob - order)
+        for oa in A.orders()
+        for ob in B.orders()
+        if oa + ob >= order
+    ]
 
 
-def compose(A: SymbolExpansion, B: SymbolExpansion, target_order: int) -> SymbolExpansion:
-    """All composition contributions of the given total order at x = 0."""
-    exp = SymbolExpansion(A.n)
-    for oa in A.orders():
-        for ob in B.orders():
-            k = oa + ob - target_order
-            if k < 0:
-                continue
-            for term in compose_block(A, oa, B, ob, k):
-                exp.add(term)
-    return exp
+def compose_block(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int) -> list:
+    """The terms of composition_pairs(A, oa, B, ob, k), one per pair."""
+    zero_x = _e(A.n)
+    return [
+        SymbolTerm(
+            zero_x,
+            tuple(map(add, ta.xi_mono, tb.xi_mono)),
+            ta.norm_power + tb.norm_power,
+            ta.scalar * tb.scalar,
+            ta.ops + tb.ops,
+            ta.tag or tb.tag,
+        )
+        for ta, tb in composition_pairs(A, oa, B, ob, k)
+    ]
 
 
 def symbol_product_PQ(
@@ -518,6 +494,7 @@ def symbol_product_PQ(
     Q = symbols_PQ(dim, R, v, cache)
     exp = SymbolExpansion(dim.n)
     for target in (2, 1, 0):
-        for term in compose(P, Q, target).terms_at(target):
-            exp.add(term)
+        for block in blocks_at(P, Q, target):
+            for term in compose_block(*block):
+                exp.add(term)
     return exp

@@ -196,12 +196,12 @@ class TestPartsCommand:
 
 class TestFailingChecks:
     def test_non_real_density_exits_one_and_is_named(self, runner, monkeypatch):
-        real = wres.residue.integrate_density
+        real = wres.residue.trace_weights
         i_unit = FunctionalDensity(ScalarPoly.imag_unit(), 0)
         monkeypatch.setattr(
             wres.residue,
-            "integrate_density",
-            lambda terms, dim, cache: real(terms, dim, cache) + i_unit,
+            "trace_weights",
+            lambda chains, dim, cache: real(chains, dim, cache) + i_unit,
         )
         for args in (["verify", "--dim", "2", "--seeds", "1"], ["parts", "--dim", "2"]):
             result = runner.invoke(main, args)

@@ -3,9 +3,12 @@
 The dim 2, 4 and 6 files under tests/data were written by the
 matrix-based Clifford engine (2^n x 2^n matrices over ScalarPoly),
 before operators became Cl(n,n) blade maps; verify-d8.json was written
-by the blade engine while symbol scalars were still polynomials.  Any
-change in representation, caching or evaluation order must reproduce
-them exactly.
+by the blade engine while symbol scalars were still polynomials;
+verify-d10.json and verify-d12.json were written by the engine that
+still built every composed term before integrating it, with only the
+CLI's dimension list widened, just before composition and cosphere
+integration were fused.  Any change in representation, caching or
+evaluation order must reproduce them exactly.
 """
 
 from pathlib import Path
@@ -22,6 +25,8 @@ CASES = (
     ("verify-d4.json", ["verify", "--dim", "4", "--seeds", "5", "--json"]),
     ("verify-d6.json", ["verify", "--dim", "6", "--seeds", "2", "--json"]),
     ("verify-d8.json", ["verify", "--dim", "8", "--seeds", "1", "--json"]),
+    ("verify-d10.json", ["verify", "--dim", "10", "--seeds", "1", "--json"]),
+    ("verify-d12.json", ["verify", "--dim", "12", "--seeds", "1", "--json"]),
     ("parts-d4.json", ["parts", "--dim", "4", "--seed", "2", "--json"]),
     ("parts-d6.json", ["parts", "--dim", "6", "--seed", "1", "--json"]),
 )

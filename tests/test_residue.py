@@ -27,15 +27,17 @@ from wres.residue import (
     ZERO_PART_IDS,
     Analysis,
     FunctionalDensity,
+    composed_weights,
     derive_inputs,
     integrate_density,
+    trace_weights,
     verify_all,
 )
 from wres.scalars import GaussianRational, ScalarPoly
 from wres.sphere import vol_multiplier
 from wres.symbols import (
     SymbolTerm,
-    compose,
+    blocks_at,
     compose_block,
     lemma2_symbols,
     symbol_product_PQ,
@@ -157,7 +159,6 @@ class TestIntegration:
 
     def test_composed_blocks_trace_each_chain_once(self, monkeypatch):
         n = 4
-        blocks, _, _, _ = composed_terms(n, 1)
         calls = []
         real = ProductCache.chain_trace
 
@@ -167,12 +168,13 @@ class TestIntegration:
 
         monkeypatch.setattr(ProductCache, "chain_trace", spy)
         traced = 0
-        for terms in blocks:
-            calls.clear()
-            integrate_density(terms, Dimension(n), ProductCache())
-            even = {tuple(map(id, t.ops)) for t in terms if not any(e % 2 for e in t.xi_mono)}
-            assert len(calls) == len(set(calls)) and set(calls) <= even
-            traced += len(calls)
+        for spec in block_specs(n, 1).values():
+            even = {key for tag, key in nonzero(term_weights(spec, n))}
+            for chains in composed_weights(spec, n).values():
+                calls.clear()
+                trace_weights(chains, Dimension(n), ProductCache())
+                assert len(calls) == len(set(calls)) and set(calls) <= even
+                traced += len(calls)
         assert traced
 
     def test_residual_x_dependence_rejected(self):
@@ -182,47 +184,131 @@ class TestIntegration:
             integrate_density([term], Dimension(n), ProductCache())
 
 
-def composed_terms(n, seed):
-    """The order -2m terms of PQ o B1 per block, of UV o B2, and of UV o B1."""
+def symbol_set(n, seed):
+    """PQ, B1, UV and B2 of the seeded input, built as Analysis builds them."""
     dim = Dimension(n)
     m = dim.m
     R, u, v = derive_inputs(n, seed)
     cache = ProductCache()
-    PQ = symbol_product_PQ(dim, R, u, v, cache)
-    B1 = lemma2_symbols(dim, R, m, -2 * m, cache)
-    UV = uv_symbol(dim, u, v)
-    B2 = lemma2_symbols(dim, R, m, -2 * m + 2, cache)
-    blocks = [compose_block(PQ, oa, B1, -2 * m + ob, oa + ob) for oa, ob in _BLOCKS.values()]
     return (
-        blocks,
-        compose(PQ, B1, -2 * m).terms_at(-2 * m),
-        compose(UV, B2, -2 * m).terms_at(-2 * m),
-        compose(UV, B1, -2 * m).terms_at(-2 * m),
+        symbol_product_PQ(dim, R, u, v, cache),
+        lemma2_symbols(dim, R, m, -2 * m, cache),
+        uv_symbol(dim, u, v),
+        lemma2_symbols(dim, R, m, -2 * m + 2, cache),
     )
+
+
+def block_specs(n, seed):
+    """The blocks of every composed density: the six of PQ o B1, II and the metric."""
+    PQ, B1, UV, B2 = symbol_set(n, seed)
+    specs = {bid: [(PQ, oa, B1, -n + ob, oa + ob)] for bid, (oa, ob) in _BLOCKS.items()}
+    specs["II"] = blocks_at(UV, B2, -n)
+    specs["metric"] = blocks_at(UV, B1, -n)
+    return specs
+
+
+def term_weights(spec, n):
+    """{tag: {chain ids: (ops, weight)}} summed over every built product
+    term, odd ones included: their cosphere integral is zero."""
+    out = {}
+    for A, oa, B, ob, k in spec:
+        for t in compose_block(A, oa, B, ob, k):
+            assert t.order() == -n and not any(t.x_mono)
+            chains = out.setdefault(t.tag, {})
+            key = tuple(map(id, t.ops))
+            w = t.scalar * vol_multiplier(n, t.xi_mono)
+            chains[key] = (t.ops, chains[key][1] + w if key in chains else w)
+    return out
+
+
+def nonzero(weights):
+    """{(tag, chain ids): weight} of the uncancelled weights."""
+    return {
+        (tag, key): w for tag, chains in weights.items() for key, (_, w) in chains.items() if w
+    }
 
 
 class TestBlocks:
     @pytest.mark.parametrize("n", [4, 6])
     def test_blocks_partition_the_composition(self, n):
-        blocks, whole, _, _ = composed_terms(n, 1)
+        PQ, B1, _, _ = symbol_set(n, 1)
         assert len(set(_BLOCKS.values())) == len(_BLOCKS) == 6
-        assert all(t.order() == -n for b in blocks for t in b)
-        assert sum(len(b) for b in blocks) == len(whole)
+        summed = {}
+        for oa, ob in _BLOCKS.values():
+            for key, w in nonzero(composed_weights([(PQ, oa, B1, -n + ob, oa + ob)], n)).items():
+                summed[key] = summed[key] + w if key in summed else w
+        # every order -n pairing of PQ and B1, composed term by term
+        want = nonzero(term_weights(blocks_at(PQ, B1, -n), n))
+        assert want and {k: w for k, w in summed.items() if w} == want
 
-    def test_each_composed_term_is_integrated_once(self, monkeypatch):
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_fused_weights_equal_term_by_term_weights(self, n):
+        specs = block_specs(n, 1)
+        assert set(specs) == set(_BLOCKS) | {"II", "metric"}
+        for bid, spec in specs.items():
+            assert nonzero(composed_weights(spec, n)) == nonzero(term_weights(spec, n)), bid
+
+    def test_odd_pairs_build_nothing(self, monkeypatch):
+        # Odd pairs come out of the walker poisoned: any product of their
+        # scalars (a term or a weight) and any chain made from their ops
+        # raises, so none can be built, weighted or traced.
+        real = wres.residue.composition_pairs
+        odd = []
+
+        def poisoned(t):
+            out = object.__new__(SymbolTerm)
+            out.x_mono, out.xi_mono, out.norm_power = t.x_mono, t.xi_mono, t.norm_power
+            out.scalar, out.ops, out.tag = _Poison(), _PoisonOps(t.ops), t.tag
+            return out
+
+        def walker(*args):
+            for ta, tb in real(*args):
+                if any((a + b) % 2 for a, b in zip(ta.xi_mono, tb.xi_mono)):
+                    odd.append(1)
+                    yield poisoned(ta), poisoned(tb)
+                else:
+                    yield ta, tb
+
+        monkeypatch.setattr(wres.residue, "composition_pairs", walker)
+        for n in (2, 4):
+            assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
+        assert odd
+
+    def test_each_chain_is_traced_once(self, monkeypatch):
         n = 4
-        blocks, _, second, metric = composed_terms(n, 1)
-        seen = []
-        real = wres.residue.integrate_density
+        traced, weighted = [], []
+        real_trace, real_chain = wres.residue.trace_weights, ProductCache.chain_trace
 
-        def spy(terms, dim, cache):
-            seen.extend(terms)
-            return real(terms, dim, cache)
+        def chain_spy(self, ops, n):
+            traced[-1].append(tuple(map(id, ops)))
+            return real_chain(self, ops, n)
 
-        monkeypatch.setattr(wres.residue, "integrate_density", spy)
+        def trace_spy(chains, dim, cache):
+            traced.append([])
+            weighted.append([key for key, (_, w) in chains.items() if w])
+            return real_trace(chains, dim, cache)
+
+        monkeypatch.setattr(ProductCache, "chain_trace", chain_spy)
+        monkeypatch.setattr(wres.residue, "trace_weights", trace_spy)
         assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
-        assert len({id(t) for t in seen}) == len(seen)
-        assert len(seen) == sum(len(b) for b in blocks) + len(second) + len(metric)
+        # each weighted chain of each (density, tag) is traced exactly once
+        assert traced == weighted
+        want = sum(len(nonzero(term_weights(spec, n))) for spec in block_specs(n, 1).values())
+        assert sum(map(len, traced)) == want
+
+
+class _Poison:
+    def _raise(self, *args):
+        raise AssertionError("an odd pair reached scalar arithmetic")
+
+    __mul__ = __rmul__ = __add__ = __radd__ = __bool__ = _raise
+
+
+class _PoisonOps(tuple):
+    def _raise(self, *args):
+        raise AssertionError("an odd pair reached chain building")
+
+    __add__ = __radd__ = _raise
 
 
 class TestPartTable:
@@ -296,12 +382,12 @@ class TestPartTable:
         assert not analysis.all_match()
 
     def test_non_real_density_is_a_failing_check(self, monkeypatch):
-        real = wres.residue.integrate_density
+        real = wres.residue.trace_weights
         i_unit = FunctionalDensity(ScalarPoly.imag_unit(), 0)
         monkeypatch.setattr(
             wres.residue,
-            "integrate_density",
-            lambda terms, dim, cache: real(terms, dim, cache) + i_unit,
+            "trace_weights",
+            lambda chains, dim, cache: real(chains, dim, cache) + i_unit,
         )
         R, u, v = derive_inputs(2, 0)
         analysis = Analysis(Dimension(2), R, u, v)
