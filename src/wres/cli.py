@@ -11,6 +11,7 @@ when it names a failing check, 2 on a usage error.
 from __future__ import annotations
 
 import json
+import math
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -215,8 +216,17 @@ def einstein(dim, curvature, u_raw, v_raw, eval_point, as_json, out, seed):
             a0, b0 = (Fraction(x) for x in eval_point)
         except (ValueError, ZeroDivisionError) as exc:
             raise click.UsageError(f"--eval: {exc}")
-        gr = density.evaluate(a0, b0)
-        value = float(gr.re) * sphere_volume(dim)
+        try:
+            value = float(density.evaluate(a0, b0).re) * sphere_volume(dim)
+        except ZeroDivisionError:
+            raise click.UsageError(
+                f"--eval: the density carries (a0*b0)^{density.prefactor_exp},"
+                " which is undefined at a0*b0 = 0"
+            )
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise click.UsageError("--eval: the value is too large for a float")
         payload["eval"] = {"a0": str(a0), "b0": str(b0), "value": value}
     if as_json:
         _emit(_render_json(payload), out)

@@ -183,16 +183,14 @@ class CurvatureContractions:
 
 
 def contract(t: RiemannTensor) -> CurvatureContractions:
+    """ricci[a][b] sums the entries (a, p, b, q) of t with p == q."""
     n = t.n
-    ricci = tuple(
-        tuple(
-            sum((t.get(a, p, b, p) for p in range(1, n + 1)), Fraction(0))
-            for b in range(1, n + 1)
-        )
-        for a in range(1, n + 1)
-    )
+    ricci = [[Fraction(0)] * n for _ in range(n)]
+    for (a, p, b, q), r in t.entries.items():
+        if p == q:
+            ricci[a - 1][b - 1] += r
     scalar = sum((ricci[a][a] for a in range(n)), Fraction(0))
-    return CurvatureContractions(n, ricci, scalar)
+    return CurvatureContractions(n, tuple(map(tuple, ricci)), scalar)
 
 
 def ricci_bilinear(contr: CurvatureContractions, u: FrameVector, v: FrameVector) -> Fraction:

@@ -27,9 +27,6 @@ from .clifford import (
     Dimension,
     FrameVector,
     ProductCache,
-    _blade_sign,
-    c_op,
-    hatc_op,
     tildec_op,
     vector_clifford,
 )
@@ -143,70 +140,46 @@ class SymbolExpansion:
 
 
 # ---------------------------------------------------------------------------
-# curvature-contraction coefficient matrices
+# curvature coefficients
 # ---------------------------------------------------------------------------
 
 
-def _signed_blade(n: int, *gens: CliffordOp) -> tuple:
-    """(mask, sign) with the product of the single-blade gens equal to
-    sign * blade(mask)."""
-    mask, sign = 0, 1
-    for g in gens:
-        (b,) = g.blades
-        sign *= _blade_sign(n, mask, b)
-        mask ^= b
-    return mask, sign
+def curvature_ops(R: RiemannTensor, cache: ProductCache) -> tuple:
+    """(bivectors, f): every curvature coefficient, built in one pass
+    over the nonzero entries of R.
 
-
-def antisym_pair_matrix(n: int, weight, kind: str) -> CliffordOp:
-    """sum_{s,t} w(s,t) k(e_s) k(e_t) for a weight antisymmetric in (s,t).
-
-    Diagonal products collapse against the antisymmetry, so the sum is
-    2 sum_{s<t} w(s,t) k(e_s) k(e_t), one signed blade per pair.
+    bivectors maps (a, b) to (cc, hh), with cc = sum_{s,t} R_{bats}
+    c_s c_t and hh = sum_{s,t} R_{bats} chat_s chat_t; a pair whose sums
+    vanish is absent (cc and hh carry the same weights on distinct
+    blades, so they vanish together).  f = sum_{ijkl} R_{ijkl} chat_i
+    chat_j c_k c_l.  Both sums collapse against the pair antisymmetries:
+    entry (i, j, k, l) with l < k is the term s = l < t = k of the (j, i)
+    pair, weight 2 R_{ijkl}, and with i < j, k < l it is one term of f,
+    weight 4 R_{ijkl}.  Every product is already its blade with sign +1:
+    the factors of c_s c_t and chat_s chat_t come in increasing bit
+    order, and chat_i chat_j c_k c_l = c_k c_l chat_i chat_j since each
+    c passes two chats.
     """
-    gen = c_op if kind == "c" else hatc_op
-    out = {}
-    for s in range(1, n + 1):
-        for t in range(s + 1, n + 1):
-            w = weight(s, t)
-            if w:
-                mask, sign = _signed_blade(n, gen(n, s), gen(n, t))
-                out[mask] = ScalarPoly.const(2 * sign * w)
-    return CliffordOp(n, out)
 
-
-def curv_cc(R: RiemannTensor, a: int, b: int, cache: ProductCache) -> CliffordOp:
-    """sum_{s,t} R_{bats} c(e_s) c(e_t)."""
-    return cache.named(
-        ("curv_cc", R, a, b),
-        lambda: antisym_pair_matrix(R.n, lambda s, t: R.get(b, a, t, s), "c"),
-    )
-
-
-def curv_hh(R: RiemannTensor, a: int, b: int, cache: ProductCache) -> CliffordOp:
-    """sum_{s,t} R_{bats} chat(e_s) chat(e_t)."""
-    return cache.named(
-        ("curv_hh", R, a, b),
-        lambda: antisym_pair_matrix(R.n, lambda s, t: R.get(b, a, t, s), "hatc"),
-    )
-
-
-def f_matrix(R: RiemannTensor, cache: ProductCache) -> CliffordOp:
-    """sum_{ijkl} R_{ijkl} chat_i chat_j c_k c_l via the pair antisymmetries:
-    4 sum_{i<j, k<l}, one signed blade per nonzero entry."""
-    n = R.n
-
-    def build() -> CliffordOp:
-        out = {}
+    def build() -> tuple:
+        n = R.n
+        pairs: dict = {}
+        f = {}
         for (i, j, k, l), r in R.entries.items():
+            if l < k:
+                cc, hh = pairs.setdefault((j, i), ({}, {}))
+                st = 1 << (l - 1) | 1 << (k - 1)
+                cc[st] = hh[st << n] = ScalarPoly.const(2 * r)
             if i < j and k < l:
-                mask, sign = _signed_blade(
-                    n, hatc_op(n, i), hatc_op(n, j), c_op(n, k), c_op(n, l)
-                )
-                out[mask] = ScalarPoly.const(4 * sign * r)
-        return CliffordOp(n, out)
+                kl = 1 << (k - 1) | 1 << (l - 1)
+                ij = 1 << (i - 1) | 1 << (j - 1)
+                f[kl | ij << n] = ScalarPoly.const(4 * r)
+        bivectors = {
+            ab: (CliffordOp(n, cc), CliffordOp(n, hh)) for ab, (cc, hh) in pairs.items()
+        }
+        return bivectors, CliffordOp(n, f)
 
-    return cache.named(("f_matrix", R), build)
+    return cache.named(("curvature_ops", R), build)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +193,8 @@ class ConnectionData:
 
     The first-order slot T_a vanishes for the Hodge square at the base
     point (see standard_connection), so it is not stored and the generic
-    expansion carries no T_a terms.
+    expansion carries no T_a terms.  t_ab maps (a, b) to T_ab; a missing
+    pair is T_ab = 0.
     """
 
     n: int
@@ -235,14 +209,13 @@ def standard_connection(dim: Dimension, R: RiemannTensor, cache: ProductCache) -
     chat_s chat_t, E = (1/8) sum R_{ijkl} chat_i chat_j c_k c_l + s/4.
     """
     n = dim.n
-    t_ab = {}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            t_ab[(a, b)] = curv_cc(R, a, b, cache).scale(Fraction(-1, 8)) + curv_hh(
-                R, a, b, cache
-            ).scale(Fraction(1, 8))
+    bivectors, f = curvature_ops(R, cache)
+    t_ab = {
+        ab: cc.scale(Fraction(-1, 8)) + hh.scale(Fraction(1, 8))
+        for ab, (cc, hh) in bivectors.items()
+    }
     s = contract(R).scalar
-    e = f_matrix(R, cache).scale(Fraction(1, 8)) + CliffordOp.identity(n).scale(Fraction(s, 4))
+    e = f.scale(Fraction(1, 8)) + CliffordOp.identity(n).scale(Fraction(s, 4))
     return ConnectionData(n, t_ab, e)
 
 
@@ -299,16 +272,12 @@ def lemma1_symbols(
     # orders -2M-1 and -2M-2
     minus_2mi = GaussianRational(0, -2 * M)
     two_mm1 = 2 * M * (M + 1)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            t = conn.t_ab[(a, b)]
-            if not t.is_zero():
-                exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, minus_2mi, (t,), "tab"))
-                exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, two_mm1, (t,), "tab"))
-    for a in range(1, n + 1):
-        taa = conn.t_ab[(a, a)]
-        if not taa.is_zero():
-            exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, -M, (taa,), "tab"))
+    for (a, b), t in conn.t_ab.items():
+        if not t.is_zero():
+            exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, minus_2mi, (t,), "tab"))
+            exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, two_mm1, (t,), "tab"))
+            if a == b:
+                exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, -M, (t,), "tab"))
     if not conn.e.is_zero():
         exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, -M, (conn.e,), "e"))
     return exp
@@ -344,17 +313,12 @@ def lemma2_symbols(
     # connection form, one c-family and one chat-family
     i_m4 = GaussianRational(0, Fraction(M, 4))
     mm1_4 = Fraction(M * (M + 1), 4)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            cc = curv_cc(R, a, b, cache)
-            if not cc.is_zero():
-                exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, i_m4, (cc,), "cc"))
-                exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, -mm1_4, (cc,), "cc"))
-            hh = curv_hh(R, a, b, cache)
-            if not hh.is_zero():
-                exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, -i_m4, (hh,), "hchc"))
-                exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, mm1_4, (hh,), "hchc"))
-    f = f_matrix(R, cache)
+    bivectors, f = curvature_ops(R, cache)
+    for (a, b), (cc, hh) in bivectors.items():
+        exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, i_m4, (cc,), "cc"))
+        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, -mm1_4, (cc,), "cc"))
+        exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, -i_m4, (hh,), "hchc"))
+        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, mm1_4, (hh,), "hchc"))
     if not f.is_zero():
         exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, Fraction(-M, 8), (f,), "f"))
     if contr.scalar and M:
@@ -370,10 +334,10 @@ def symbols_PQ(
 
     Order 1 is i ctilde(w) ctilde(xi); order 0 carries the x-linear
     connection-form contributions.  The x_l slope of the connection form
-    along e_p is half the curvature bivector curv_cc(R, l, p) (and
-    curv_hh), so the c-family has weight -1/8 and the chat-family +1/8.
-    The coefficient vector w is constant, so no other x-dependence
-    appears.
+    along e_p is half the (l, p) curvature bivectors cc and hh of
+    curvature_ops, so the c-family has weight -1/8 and the chat-family
+    +1/8.  The coefficient vector w is constant, so no other
+    x-dependence appears.
     """
     n = dim.n
     cw = vector_clifford("tildec", w)
@@ -384,14 +348,9 @@ def symbols_PQ(
     for f in range(1, n + 1):
         exp.add(SymbolTerm(zero_x, _e(n, f), 0, i_unit, (w_p[f - 1],), ""))
     eighth = Fraction(1, 8)
-    for l in range(1, n + 1):
-        for p in range(1, n + 1):
-            cc = curv_cc(R, l, p, cache)
-            if not cc.is_zero():
-                exp.add(SymbolTerm(_e(n, l), zero_x, 0, -eighth, (w_p[p - 1], cc), "cc"))
-            hh = curv_hh(R, l, p, cache)
-            if not hh.is_zero():
-                exp.add(SymbolTerm(_e(n, l), zero_x, 0, eighth, (w_p[p - 1], hh), "hchc"))
+    for (l, p), (cc, hh) in curvature_ops(R, cache)[0].items():
+        exp.add(SymbolTerm(_e(n, l), zero_x, 0, -eighth, (w_p[p - 1], cc), "cc"))
+        exp.add(SymbolTerm(_e(n, l), zero_x, 0, eighth, (w_p[p - 1], hh), "hchc"))
     return exp
 
 

@@ -2,7 +2,8 @@
 
 Criteria 5 through 11 share one module-scoped sweep of twenty seeded
 runs per dimension so the heavy computation happens exactly once; its
-wall time doubles as the runtime criterion measurement.
+wall time doubles as the runtime criterion measurement.  The a0 <-> b0
+exchange check reads the same sweep.
 """
 
 import time
@@ -24,6 +25,7 @@ from wres.clifford import (
 )
 from wres.curvature import contract, flat, random_riemann, random_vector, ricci_bilinear
 from wres.residue import (
+    CHECK_IDS,
     Analysis,
     FunctionalDensity,
     ZERO_PART_IDS,
@@ -263,3 +265,17 @@ def test_criterion_11_reality(sweep):
             for key, val in a.computed.items():
                 assert val.is_real(), (n, key)
     print("ACCEPTANCE criterion 11: PASS (all densities real on every run)")
+
+
+def test_a0_b0_exchange_symmetry(sweep):
+    """Every checked density is unchanged when a0 and b0 are swapped.
+
+    Conjugation by chat_1 ... chat_n fixes each c_j and flips each
+    chat_j, so it maps ctilde(a0, b0) to ctilde(b0, a0) and leaves
+    every trace alone; no closed form is needed.
+    """
+    for n in DIMS:
+        for a in sweep[n][0]:
+            for cid in CHECK_IDS:
+                terms = a.computed[cid].poly.terms
+                assert {(db, da): c for (da, db), c in terms.items()} == terms, (n, cid)

@@ -264,6 +264,28 @@ class TestEinsteinCommand:
         # 8 * Vol(S^3) = 16 pi^2
         assert "157.9136704174297" in result.output
 
+    @pytest.mark.parametrize(
+        "a0,reason",
+        [("0", "undefined at a0*b0 = 0"), (f"1/{10**400}", "too large for a float")],
+    )
+    def test_unevaluable_point_is_usage_error(self, runner, a0, reason):
+        # at dim 6 the density carries (a0*b0)^-1
+        e1 = "1,0,0,0,0,0"
+        result = runner.invoke(
+            main, ["einstein", "--dim", "6", "--u", e1, "--v", e1, "--eval", a0, "1"]
+        )
+        assert result.exit_code == 2
+        assert "--eval" in result.output and reason in result.output
+        assert "Traceback" not in result.output
+
+    def test_eval_at_zero_with_zero_prefactor_exponent(self, runner):
+        e1 = "1,0,0,0"
+        result = runner.invoke(
+            main, ["einstein", "--dim", "4", "--u", e1, "--v", e1, "--eval", "0", "1"]
+        )
+        assert result.exit_code == 0
+        assert "value at a0=0, b0=1: 157.91367041742973" in result.output
+
     def test_json_output(self, runner):
         result = runner.invoke(
             main,

@@ -162,6 +162,16 @@ class TestRandomTensors:
         )
         assert ricci_bilinear(contr, u, v) == direct
 
+    @pytest.mark.parametrize("n,seed", [(5, 4), (6, 1)])
+    def test_ricci_matches_unrestricted_index_sum(self, n, seed):
+        t = random_riemann(n, seed)
+        contr = contract(t)
+        idx = range(1, n + 1)
+        for a in idx:
+            for b in idx:
+                assert contr.ric(a, b) == sum(t.get(a, p, b, p) for p in idx)
+        assert contr.scalar == sum(contr.ric(a, a) for a in idx)
+
     def test_ricci_is_symmetric(self):
         contr = contract(random_riemann(6, 5))
         for a in range(1, 7):

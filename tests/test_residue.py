@@ -407,6 +407,24 @@ class TestPartTable:
             assert rep[key] is True
 
 
+def planar(n):
+    """Unit 2-plane curvature: R_1212 = 1 and its symmetric entries."""
+    return RiemannTensor(n, {(1, 2, 1, 2): 1, (2, 1, 2, 1): 1, (1, 2, 2, 1): -1, (2, 1, 1, 2): -1})
+
+
+class TestPlanarProbes:
+    # each density is a s g(u, v) + b Ric(u, v) with a, b depending
+    # only on m; planar curvature has s = 2, and Ric(e_1, e_1) = 1,
+    # Ric(e_3, e_3) = 0, so the two probes pin both coefficients of
+    # every closed form at m = n / 2
+    @pytest.mark.parametrize("n", range(4, 26, 2))
+    def test_closed_forms_hold_to_m_12(self, n):
+        R = planar(n)
+        for j in (1, 3):
+            e = FrameVector.basis(n, j)
+            assert Analysis(Dimension(n), R, e, e).all_match(), (n, j)
+
+
 class TestMetricFunctional:
     def test_raw_form_and_normalization(self):
         dim = Dimension(4)

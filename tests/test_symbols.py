@@ -15,17 +15,16 @@ from wres.clifford import (
     tildec_op,
     vector_clifford,
 )
-from wres.curvature import constant_curvature, flat, random_riemann
+from wres.curvature import RiemannTensor, constant_curvature, flat, random_riemann
+from wres.residue import Analysis, derive_inputs
 from wres.scalars import GaussianRational, ScalarPoly
 from wres.symbols import (
     SymbolExpansion,
     SymbolTerm,
     blocks_at,
     compose_block,
-    curv_cc,
-    curv_hh,
+    curvature_ops,
     d_xi,
-    f_matrix,
     lemma1_symbols,
     lemma2_symbols,
     standard_connection,
@@ -42,6 +41,11 @@ def mono(n, *idx):
     for j in idx:
         out[j - 1] += 1
     return tuple(out)
+
+
+def planar(n):
+    """Unit 2-plane curvature: R_1212 = 1 and its symmetric entries."""
+    return RiemannTensor(n, {(1, 2, 1, 2): 1, (2, 1, 2, 1): 1, (1, 2, 2, 1): -1, (2, 1, 1, 2): -1})
 
 
 def compose(A, B, target_order):
@@ -212,9 +216,10 @@ class TestFirstOrderFactorSymbols:
 
     def test_omega_slope_matches_unrestricted_double_sum(self):
         # the x_l slope of the connection form along e_p is half the
-        # curvature bivector curv_cc(R, l, p)
+        # (l, p) curvature bivector cc of the table
         n = 4
         R = random_riemann(n, 2)
+        bivectors, _ = curvature_ops(R, ProductCache())
         for l, p in ((1, 2), (3, 1)):
             direct = CliffordOp.zero(n)
             for s in range(1, n + 1):
@@ -222,35 +227,69 @@ class TestFirstOrderFactorSymbols:
                     w = Fraction(1, 2) * R.get(l, p, s, t)
                     if w:
                         direct = direct + (c_op(n, s) * c_op(n, t)).scale(w)
-            assert curv_cc(R, l, p, ProductCache()).scale(Fraction(1, 2)) == direct
+            assert bivectors[(l, p)][0].scale(Fraction(1, 2)) == direct
 
     @pytest.mark.parametrize("seed", [2, 9])
     def test_coefficient_blades_match_unrestricted_products(self, seed):
-        # the builders write signed blades directly; rebuild each one as
-        # an unrestricted index sum of generator products
-        n = 4
-        R = random_riemann(n, seed)
+        assert_table_matches_products(random_riemann(4, seed))
+
+
+def assert_table_matches_products(R):
+    """The table writes signed blades directly; rebuild each one as an
+    unrestricted index sum of generator products.  A pair is absent
+    exactly when its sums vanish."""
+    n = R.n
+    bivectors, f_op = curvature_ops(R, ProductCache())
+    idx = range(1, n + 1)
+    for a in idx:
+        for b in idx:
+            cc, hh = CliffordOp.zero(n), CliffordOp.zero(n)
+            for s in idx:
+                for t in idx:
+                    w = R.get(b, a, t, s)
+                    cc = cc + (c_op(n, s) * c_op(n, t)).scale(w)
+                    hh = hh + (hatc_op(n, s) * hatc_op(n, t)).scale(w)
+            assert cc.is_zero() == hh.is_zero()
+            if cc.is_zero():
+                assert (a, b) not in bivectors
+            else:
+                assert bivectors[(a, b)] == (cc, hh)
+    f = CliffordOp.zero(n)
+    for i in idx:
+        for j in idx:
+            for k in idx:
+                for l in idx:
+                    quad = hatc_op(n, i) * hatc_op(n, j) * c_op(n, k) * c_op(n, l)
+                    f = f + quad.scale(R.get(i, j, k, l))
+    assert not f.is_zero()
+    assert f_op == f
+
+
+class TestCurvatureTable:
+    def test_sparse_table_holds_only_the_nonzero_pairs(self):
+        R = planar(4)
+        assert_table_matches_products(R)
+        assert set(curvature_ops(R, ProductCache())[0]) == {(1, 2), (2, 1)}
+
+    def test_table_is_built_once_per_tensor(self):
+        R = random_riemann(4, 1)
         cache = ProductCache()
-        idx = range(1, n + 1)
-        for a in idx:
-            for b in idx:
-                cc, hh = CliffordOp.zero(n), CliffordOp.zero(n)
-                for s in idx:
-                    for t in idx:
-                        w = R.get(b, a, t, s)
-                        cc = cc + (c_op(n, s) * c_op(n, t)).scale(w)
-                        hh = hh + (hatc_op(n, s) * hatc_op(n, t)).scale(w)
-                assert curv_cc(R, a, b, cache) == cc
-                assert curv_hh(R, a, b, cache) == hh
-        f = CliffordOp.zero(n)
-        for i in idx:
-            for j in idx:
-                for k in idx:
-                    for l in idx:
-                        quad = hatc_op(n, i) * hatc_op(n, j) * c_op(n, k) * c_op(n, l)
-                        f = f + quad.scale(R.get(i, j, k, l))
-        assert not f.is_zero()
-        assert f_matrix(R, cache) == f
+        assert curvature_ops(R, cache) is curvature_ops(R, cache)
+        assert curvature_ops(random_riemann(4, 1), cache) is not curvature_ops(R, cache)
+
+    def test_no_consumer_reads_single_entries(self, monkeypatch):
+        # every curvature coefficient comes from the table's pass over
+        # R.entries, so R.get is never called once R is built
+        inputs = [derive_inputs(4, 1), derive_inputs(6, 1)]
+
+        def refuse(*args):
+            raise AssertionError("RiemannTensor.get called")
+
+        monkeypatch.setattr(RiemannTensor, "get", refuse)
+        for R, u, v in inputs:
+            dim = Dimension(R.n)
+            assert Analysis(dim, R, u, v).all_match()
+            lemma1_symbols(dim, R, standard_connection(dim, R, ProductCache()))
 
 
 class TestComposition:
