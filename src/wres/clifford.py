@@ -7,14 +7,17 @@ contraction pick up the sign (-1)^{#{k in S : k < j}}.
 The operators c(e_j) = ext - int and chat(e_j) = ext + int satisfy
 c_j^2 = -1, chat_j^2 = +1 and anticommute pairwise, so they generate
 End(Lambda R^n) = Cl(n,n) (Lawson-Michelsohn, Spin Geometry, ch. I).  An
-operator is stored as {blade: ScalarPoly}, a blade being a bitmask over
-the 2n generators: bit j-1 for c_j, bit n+j-1 for chat_j, factors in
-increasing bit order.  Blade products follow the bitmap sign rules
-(Dorst-Fontijne-Mann, Geometric Algebra for Computer Science, ch. 19):
+operator is stored as one denominator and, per blade, the integer
+numerators of its coefficient, a polynomial in a0, b0.  A blade is a
+bitmask over the 2n generators: bit j-1 for c_j, bit n+j-1 for chat_j,
+factors in increasing bit order.  Blade products follow the bitmap sign
+rules (Dorst-Fontijne-Mann, Geometric Algebra for Computer Science, ch. 19):
 the blade of a product is the XOR of the masks, its sign the reordering
 sign times the metric sign.  Every blade but the scalar one is
-traceless, so tr X = 2^n * (scalar part of X).  The 2^n x 2^n matrix is
-only a derived view (rows, entry) for checks.
+traceless, so tr X = 2^n * (scalar part of X).  Sums, products and
+traces run on Python ints; a ScalarPoly is made only where a value is
+read out: a trace, or the 2^n x 2^n matrix view (rows, entry) for
+checks.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
-from .scalars import GaussianRational, ScalarPoly, _coerce_coeff, _frac
+from .scalars import GaussianRational, ScalarPoly, _frac
 
 _ZERO = ScalarPoly.zero()
 
@@ -117,18 +120,23 @@ def _blade_action(n: int, mask: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# integer trace kernels
+# integer coefficients
 # ---------------------------------------------------------------------------
 #
-# The trace kernels multiply coefficients over a common denominator per
-# operator, so their inner loops run on ints, not Fractions.  A monomial
-# a0^da b0^db is packed as da << 8 | db, so the product of two
-# monomials is the sum of their packed degrees.
+# A coefficient is a polynomial in a0, b0 over the Gaussian rationals.
+# An operator keeps one denominator and, per blade, a sorted tuple of
+# integer terms (packed degree, re, im).  The monomial a0^da b0^db is
+# packed as da << 8 | db, so the product of two monomials is the sum of
+# their packed degrees.  Stored degrees stay below 64: a product of
+# three coefficients then never carries from b0's byte into a0's, and a
+# product that reaches 64 is caught before it is stored.
+
+_DEG_GUARD = 0xC0C0  # set in a packed degree iff da or db is 64 or more
 
 
-def _imac(acc: dict, sign: int, p, q) -> None:
+def _imac(acc: dict, sign: int, p, q) -> dict:
     """acc[deg] += sign * p * q over [re, im] int slots; p and q are
-    sequences of (packed degree, re, im)."""
+    sequences of (packed degree, re, im).  Returns acc."""
     for k1, r1, i1 in p:
         if sign < 0:
             r1, i1 = -r1, -i1
@@ -144,121 +152,167 @@ def _imac(acc: dict, sign: int, p, q) -> None:
             else:
                 slot[0] += re
                 slot[1] += im
+    return acc
 
 
 def _slot_terms(acc: dict) -> tuple:
     return tuple((k, re, im) for k, (re, im) in acc.items() if re or im)
 
 
-def _int_poly(acc: dict, num: int, den: int) -> ScalarPoly:
-    """ScalarPoly of (num / den) * slots."""
+def _poly(terms, num: int, den: int) -> ScalarPoly:
+    """ScalarPoly of (num / den) * terms; terms hold no zero."""
     res = ScalarPoly.__new__(ScalarPoly)
     res.terms = {
         (k >> 8, k & 255): GaussianRational._make(
             Fraction(re * num, den), Fraction(im * num, den)
         )
-        for k, re, im in _slot_terms(acc)
+        for k, re, im in terms
     }
     return res
 
 
-def _put(out: dict, mask: int, p: ScalarPoly) -> None:
-    """out[mask] += p, keeping the zero-purge invariant."""
-    cur = out.get(mask)
-    s = p if cur is None else cur + p
-    if s:
-        out[mask] = s
-    elif cur is not None:
-        del out[mask]
+def _den(polys) -> int:
+    """Least common denominator of the coefficients of polys."""
+    coeffs = [c for p in polys for c in p.terms.values()]
+    return lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
+
+
+def _int_terms(p: ScalarPoly, den: int) -> tuple:
+    """Terms (packed degree, re, im) of den * p; den must clear p's
+    denominators."""
+    terms = []
+    for (da, db), c in p.terms.items():
+        if not (0 <= da < 64 and 0 <= db < 64):
+            raise ValueError(f"a0/b0 degree ({da}, {db}) outside 0..63")
+        re = c.re.numerator * (den // c.re.denominator)
+        im = c.im.numerator * (den // c.im.denominator)
+        terms.append((da << 8 | db, re, im))
+    return tuple(terms)
+
+
+def _canonical(den: int, acc: dict) -> tuple:
+    """(den, blades) of {blade: {packed degree: (re, im)}} / den in
+    canonical form: zero terms and empty blades dropped, terms sorted,
+    the denominator reduced against every numerator."""
+    blades = {}
+    g = den
+    for mask, slots in acc.items():
+        terms = sorted((k, re, im) for k, (re, im) in slots.items() if re or im)
+        if terms:
+            for k, re, im in terms:
+                if k & _DEG_GUARD:
+                    raise ValueError("a0/b0 degree 64 or more in a Clifford coefficient")
+                g = gcd(g, re, im)
+            blades[mask] = tuple(terms)
+    if g > 1:
+        den //= g
+        blades = {
+            mask: tuple((k, re // g, im // g) for k, re, im in terms)
+            for mask, terms in blades.items()
+        }
+    return den, blades
+
+
+_ONE_TERMS = ((0, 1, 0),)
 
 
 class CliffordOp:
-    """Element of Cl(n,n) acting on Lambda R^n: {blade mask: ScalarPoly}.
+    """Element of Cl(n,n) acting on Lambda R^n.
 
-    The zero-purge invariant (no zero polynomials stored) and the
-    faithfulness of the action make dict comparison coincide with
-    operator equality.  Instances are treated as immutable.
+    Stored as one positive denominator den and {blade mask: ((packed
+    degree, re, im), ...)} integer numerators.  The form is canonical:
+    no zero term or empty blade, terms sorted by degree, den coprime to
+    the numerators.  With the faithfulness of the action, equal
+    operators compare equal however they were built.  Instances are
+    treated as immutable.
     """
 
-    __slots__ = ("n", "blades", "_ints")
+    __slots__ = ("n", "den", "blades")
 
     def __init__(self, n: int, blades: dict | None = None):
+        """blades maps a blade mask to its ScalarPoly coefficient; every
+        a0 and b0 degree must lie in 0..63."""
+        blades = blades or {}
+        den = _den(blades.values())
+        acc = {
+            mask: {k: (re, im) for k, re, im in _int_terms(p, den)} for mask, p in blades.items()
+        }
         self.n = n
-        self.blades = {} if blades is None else blades
-        self._ints = None
+        self.den, self.blades = _canonical(den, acc)
 
-    def int_form(self) -> tuple:
-        """(den, {blade: ((packed degree, re, im), ...)}) with den times
-        every coefficient integral; built once, for the trace kernels."""
-        if self._ints is None:
-            coeffs = [c for v in self.blades.values() for c in v.terms.values()]
-            den = lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
-            self._ints = den, {
-                mask: tuple(
-                    (da << 8 | db, int(c.re * den), int(c.im * den))
-                    for (da, db), c in v.terms.items()
-                )
-                for mask, v in self.blades.items()
-            }
-        return self._ints
+    @classmethod
+    def _make(cls, n: int, den: int, blades: dict) -> "CliffordOp":
+        op = cls.__new__(cls)
+        op.n, op.den, op.blades = n, den, blades
+        return op
+
+    @classmethod
+    def from_numerators(cls, n: int, den: int, numerators: dict) -> "CliffordOp":
+        """Operator with the real constant coefficient numerators[mask] / den
+        on each blade mask; den is a positive integer."""
+        acc = {mask: {0: (num, 0)} for mask, num in numerators.items()}
+        return cls._make(n, *_canonical(den, acc))
 
     @classmethod
     def identity(cls, n: int) -> "CliffordOp":
-        return cls(n, {0: ScalarPoly.one()})
+        return cls._make(n, 1, {0: _ONE_TERMS})
 
     @classmethod
     def zero(cls, n: int) -> "CliffordOp":
-        return cls(n)
+        return cls._make(n, 1, {})
 
     # ---- algebra ----
 
     def __add__(self, other: "CliffordOp") -> "CliffordOp":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        out = dict(self.blades)
-        for mask, v in other.blades.items():
-            _put(out, mask, v)
-        return CliffordOp(self.n, out)
+        den = lcm(self.den, other.den)
+        acc: dict = {}
+        for op in (self, other):
+            factor = ((0, den // op.den, 0),)
+            for mask, terms in op.blades.items():
+                _imac(acc.setdefault(mask, {}), 1, terms, factor)
+        return CliffordOp._make(self.n, *_canonical(den, acc))
 
     def __sub__(self, other: "CliffordOp") -> "CliffordOp":
-        return self + (-other)
+        return self + other.scale(-1)
 
     def __neg__(self) -> "CliffordOp":
-        return CliffordOp(self.n, {k: -v for k, v in self.blades.items()})
+        return self.scale(-1)
 
     def scale(self, c) -> "CliffordOp":
         """c times the operator; c is a ScalarPoly, a GaussianRational or
         an exact rational (a float raises TypeError)."""
         if not isinstance(c, ScalarPoly):
-            c = _coerce_coeff(c)
-        if not c:
-            return CliffordOp.zero(self.n)
-        if isinstance(c, ScalarPoly):
-            return CliffordOp(self.n, {k: v * c for k, v in self.blades.items()})
-        return CliffordOp(self.n, {k: v.scale(c) for k, v in self.blades.items()})
+            c = ScalarPoly.const(c)
+        cden = _den((c,))
+        cterms = _int_terms(c, cden)
+        acc = {mask: _imac({}, 1, terms, cterms) for mask, terms in self.blades.items()}
+        return CliffordOp._make(self.n, *_canonical(self.den * cden, acc))
 
     def __mul__(self, other: "CliffordOp") -> "CliffordOp":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         n = self.n
-        out: dict = {}
+        acc: dict = {}
         for a, x in self.blades.items():
             for b, y in other.blades.items():
-                p = x * y
-                _put(out, a ^ b, p if _blade_sign(n, a, b) > 0 else -p)
-        return CliffordOp(n, out)
+                slots = acc.get(a ^ b)
+                if slots is None:
+                    slots = acc[a ^ b] = {}
+                _imac(slots, _blade_sign(n, a, b), x, y)
+        return CliffordOp._make(n, *_canonical(self.den * other.den, acc))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CliffordOp):
-            return self.n == other.n and self.blades == other.blades
+            return self.n == other.n and self.den == other.den and self.blades == other.blades
         return NotImplemented
 
     def is_zero(self) -> bool:
         return not self.blades
 
     def trace(self) -> ScalarPoly:
-        scalar = self.blades.get(0)
-        return _ZERO if scalar is None else scalar.scale(1 << self.n)
+        return _poly(self.blades.get(0, ()), 1 << self.n, self.den)
 
     def nnz(self) -> int:
         """Number of stored blades."""
@@ -271,7 +325,8 @@ class CliffordOp:
         """2^n zero-purged row dicts {column: ScalarPoly} of the matrix."""
         n = self.n
         rows: list = [dict() for _ in range(1 << n)]
-        for mask, v in self.blades.items():
+        for mask, terms in self.blades.items():
+            v = _poly(terms, 1, self.den)
             x, signs = _blade_action(n, mask)
             neg = -v
             for s, sign in enumerate(signs):
@@ -302,18 +357,18 @@ def trace_product(a: CliffordOp, b: CliffordOp, c: CliffordOp | None = None) -> 
         raise ValueError("dimension mismatch")
     acc: dict = {}
     if c is None:
-        (dx, xb), (dy, yb) = a.int_form(), b.int_form()
+        xb, yb = a.blades, b.blades
         if len(xb) > len(yb):
             xb, yb = yb, xb
         for mask, xt in xb.items():
             yt = yb.get(mask)
             if yt is not None:
                 _imac(acc, _blade_sign(n, mask, mask), xt, yt)
-        return _int_poly(acc, 1 << n, dx * dy)
+        return _poly(_slot_terms(acc), 1 << n, a.den * b.den)
     # tr(abc) = tr(bca) = tr(cab): put the largest factor last
     sizes = [len(op.blades) for op in ops]
     big = sizes.index(max(sizes))
-    (dx, xb), (dy, yb), (dz, zb) = (op.int_form() for op in ops[big + 1 :] + ops[: big + 1])
+    xb, yb, zb = (op.blades for op in ops[big + 1 :] + ops[: big + 1])
     partial: dict = {}
     for ma, xt in xb.items():
         for mb, yt in yb.items():
@@ -325,7 +380,7 @@ def trace_product(a: CliffordOp, b: CliffordOp, c: CliffordOp | None = None) -> 
                 _imac(slots, _blade_sign(n, ma, mb), xt, yt)
     for mc, slots in partial.items():
         _imac(acc, _blade_sign(n, mc, mc), _slot_terms(slots), zb[mc])
-    return _int_poly(acc, 1 << n, dx * dy * dz)
+    return _poly(_slot_terms(acc), 1 << n, a.den * b.den * c.den)
 
 
 def anticommutator(a: CliffordOp, b: CliffordOp) -> CliffordOp:
@@ -335,7 +390,7 @@ def anticommutator(a: CliffordOp, b: CliffordOp) -> CliffordOp:
 def _generator(n: int, j: int, offset: int) -> CliffordOp:
     if not 1 <= j <= n:
         raise ValueError(f"frame index {j} out of range for n={n}")
-    return CliffordOp(n, {1 << (offset + j - 1): ScalarPoly.one()})
+    return CliffordOp._make(n, 1, {1 << (offset + j - 1): _ONE_TERMS})
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,7 @@ from .scalars import ScalarPoly, _frac
 from .sphere import vol_multiplier
 from .symbols import (
     blocks_at,
-    composition_pairs,
+    even_pairs,
     lemma2_symbols,
     symbol_product_PQ,
     uv_symbol,
@@ -143,18 +143,15 @@ def composed_weights(blocks, n: int) -> dict:
     """{tag: {chain ids: (ops, weight)}} of the cosphere-integrated terms
     of the blocks (A, oa, B, ob, k), without building any product term.
 
-    The product of a pair from composition_pairs integrates to
+    The product of a factor pair (ta, tb) integrates to
     ta.scalar * tb.scalar * vol_multiplier(n, ta.xi + tb.xi) on the
-    chain ta.ops + tb.ops.  Parity is decided on the summed xi exponents
-    first: an odd monomial integrates to zero, so its pair costs no
-    arithmetic at all.
+    chain ta.ops + tb.ops.  An odd monomial integrates to zero, so only
+    the even pairs are enumerated (even_pairs).
     """
     weights: dict = {}
     for A, oa, B, ob, k in blocks:
-        for ta, tb in composition_pairs(A, oa, B, ob, k):
+        for ta, tb in even_pairs(A, oa, B, ob, k):
             xi = tuple(map(add, ta.xi_mono, tb.xi_mono))
-            if any(e % 2 for e in xi):
-                continue
             _add_weight(
                 weights.setdefault(ta.tag or tb.tag, {}),
                 ta.ops + tb.ops,

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from operator import add
 
 from .clifford import (
@@ -31,7 +32,7 @@ from .clifford import (
     vector_clifford,
 )
 from .curvature import RiemannTensor, contract
-from .scalars import GaussianRational, ScalarPoly, _coerce_coeff
+from .scalars import GaussianRational, _coerce_coeff
 
 _ONE = GaussianRational(1)
 
@@ -158,26 +159,28 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> tuple:
     weight 4 R_{ijkl}.  Every product is already its blade with sign +1:
     the factors of c_s c_t and chat_s chat_t come in increasing bit
     order, and chat_i chat_j c_k c_l = c_k c_l chat_i chat_j since each
-    c passes two chats.
+    c passes two chats.  The numerators are written over the lcm of
+    R's denominators.
     """
 
     def build() -> tuple:
         n = R.n
+        den = lcm(*(r.denominator for r in R.entries.values()))
         pairs: dict = {}
         f = {}
         for (i, j, k, l), r in R.entries.items():
+            num = r.numerator * (den // r.denominator)
             if l < k:
                 cc, hh = pairs.setdefault((j, i), ({}, {}))
                 st = 1 << (l - 1) | 1 << (k - 1)
-                cc[st] = hh[st << n] = ScalarPoly.const(2 * r)
+                cc[st] = hh[st << n] = 2 * num
             if i < j and k < l:
                 kl = 1 << (k - 1) | 1 << (l - 1)
                 ij = 1 << (i - 1) | 1 << (j - 1)
-                f[kl | ij << n] = ScalarPoly.const(4 * r)
-        bivectors = {
-            ab: (CliffordOp(n, cc), CliffordOp(n, hh)) for ab, (cc, hh) in pairs.items()
-        }
-        return bivectors, CliffordOp(n, f)
+                f[kl | ij << n] = 4 * num
+        op = CliffordOp.from_numerators
+        bivectors = {ab: (op(n, den, cc), op(n, den, hh)) for ab, (cc, hh) in pairs.items()}
+        return bivectors, op(n, den, f)
 
     return cache.named(("curvature_ops", R), build)
 
@@ -240,9 +243,15 @@ def _curvature_family(exp: SymbolExpansion, R: RiemannTensor, contr, M: int) -> 
     top = -2 * M - 2
     for a in range(1, n + 1):
         exp.add(SymbolTerm(zero_x, _e(n, a, a), top, _ONE, (), "delta"))
-    mthird = Fraction(M, 3)
+    # x_j x_k xi_a xi_b is symmetric in (j, k) and in (a, b): entries
+    # sharing a monomial are summed into one term
+    rxx: dict = {}
     for (a, j, b, k), r in R.entries.items():
-        exp.add(SymbolTerm(_e(n, j, k), _e(n, a, b), top, -mthird * r, (), "rxx"))
+        key = (_e(n, j, k), _e(n, a, b))
+        rxx[key] = rxx.get(key, 0) + r
+    mthird = Fraction(M, 3)
+    for (x, xi), r in rxx.items():
+        exp.add(SymbolTerm(x, xi, top, -mthird * r, (), "rxx"))
     slope = Fraction(-2 * M, 3)
     mm1_3 = Fraction(M * (M + 1), 3)
     for a in range(1, n + 1):
@@ -370,16 +379,15 @@ def uv_symbol(dim: Dimension, u: FrameVector, v: FrameVector) -> SymbolExpansion
 _MINUS_I_POW = (_ONE, GaussianRational(0, -1), GaussianRational(-1))
 
 
-def composition_pairs(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int):
-    """Yield the factor pairs (ta, tb) of (-i)^k/k! sum_alpha
-    d_xi^alpha[A_oa] d_x^alpha[B_ob] at x = 0; each product
-    ta.scalar * tb.scalar xi^(ta.xi + tb.xi) (x) ta.ops + tb.ops is one term.
+def _factor_lists(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int):
+    """Yield (derived A terms, B terms) per multi-index alpha of weight k:
+    the A terms of order oa, free of x, times (-i)^k and differentiated
+    by d_xi^alpha, and the B terms of order ob whose x monomial is alpha.
 
-    Only multi-indices alpha of weight k act; the base-point evaluation
-    keeps exactly the B terms whose x monomial equals alpha, and their
-    alpha! cancels the 1/alpha! of the composition formula, leaving the
-    flat factor (-i)^k, which ta carries.  For k = 0 the one multi-index
-    is empty.
+    The base-point evaluation keeps exactly the B terms whose x monomial
+    equals alpha, and their alpha! cancels the 1/alpha! of the
+    composition formula, leaving the flat factor (-i)^k.  For k = 0 the
+    one multi-index is empty.
     """
     if k < 0:
         return
@@ -407,8 +415,29 @@ def composition_pairs(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, 
         derived = aterms
         for j in combo:
             derived = [d for t in derived for d in d_xi(t, j)]
+        yield derived, blist
+
+
+def _odd_mask(mono: tuple) -> int:
+    """Bitmask of the variables with an odd exponent."""
+    return sum(1 << j for j, e in enumerate(mono) if e & 1)
+
+
+def even_pairs(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int):
+    """Yield the factor pairs (ta, tb) of the block whose summed xi
+    monomial is even in every variable; no other pair is enumerated.
+    Each product ta.scalar * tb.scalar xi^(ta.xi + tb.xi) (x) ta.ops +
+    tb.ops is one term, and ta carries the flat factor (-i)^k.
+
+    ta.xi + tb.xi is even exactly when both have the same odd-exponent
+    mask, so each derived A term meets only the B terms of its mask.
+    """
+    for derived, blist in _factor_lists(A, oa, B, ob, k):
+        by_mask: dict = {}
+        for tb in blist:
+            by_mask.setdefault(_odd_mask(tb.xi_mono), []).append(tb)
         for ta in derived:
-            for tb in blist:
+            for tb in by_mask.get(_odd_mask(ta.xi_mono), ()):
                 yield ta, tb
 
 
@@ -424,7 +453,12 @@ def blocks_at(A: SymbolExpansion, B: SymbolExpansion, order: int) -> list:
 
 
 def compose_block(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int) -> list:
-    """The terms of composition_pairs(A, oa, B, ob, k), one per pair."""
+    """The terms of (-i)^k/k! sum_alpha d_xi^alpha[A_oa] d_x^alpha[B_ob]
+    at x = 0, one per factor pair.
+
+    Odd terms are kept: a product symbol is differentiated in xi again
+    when it is composed further, which can make them even.
+    """
     zero_x = _e(A.n)
     return [
         SymbolTerm(
@@ -435,7 +469,9 @@ def compose_block(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: i
             ta.ops + tb.ops,
             ta.tag or tb.tag,
         )
-        for ta, tb in composition_pairs(A, oa, B, ob, k)
+        for derived, blist in _factor_lists(A, oa, B, ob, k)
+        for ta in derived
+        for tb in blist
     ]
 
 

@@ -20,7 +20,9 @@ from wres.clifford import (
     trace_product,
     vector_clifford,
 )
+from wres.curvature import random_riemann
 from wres.scalars import GaussianRational, ScalarPoly
+from wres.symbols import curvature_ops
 
 
 def scaled_identity(n, poly):
@@ -376,3 +378,71 @@ class TestSignRuleOracle:
         n = 4
         x = random_element(n, random.Random(8), 8)
         assert x.trace() == mtrace(x.rows)
+
+
+class TestIntegerStorage:
+    """One denominator and integer numerators per operator, against the
+    matrix oracle; random_element mixes denominators and imaginary parts."""
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_sum_and_difference_match_matrices(self, n):
+        rng = random.Random(2000 + n)
+        for _ in range(4):
+            x, y = random_element(n, rng, 5), random_element(n, rng, 5)
+            assert (x + y).rows == plain_combine(x.rows, y.rows, 1)
+            assert (x - y).rows == plain_combine(x.rows, y.rows, -1)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_scale_matches_matrices(self, n):
+        x = random_element(n, random.Random(3000 + n), 6)
+        poly = ScalarPoly(
+            {(1, 0): GaussianRational(2, Fraction(1, 3)), (0, 2): GaussianRational(Fraction(-1, 5))}
+        )
+        for c in (Fraction(-3, 7), GaussianRational(Fraction(1, 2), Fraction(-2, 3)), poly):
+            p = c if isinstance(c, ScalarPoly) else ScalarPoly.const(c)
+            want = [{j: v * p for j, v in row.items() if v * p} for row in x.rows]
+            assert x.scale(c).rows == want
+
+    def test_equality_does_not_depend_on_the_build_path(self):
+        rng = random.Random(4000)
+        n = 4
+        for _ in range(4):
+            x, y = random_element(n, rng, 6), random_element(n, rng, 6)
+            assert x.scale(3).scale(Fraction(1, 3)) == x
+            assert x.scale(GaussianRational(0, 2)).scale(GaussianRational(0, Fraction(-1, 2))) == x
+            assert (x + y) - y == x
+            assert x + x == x.scale(2)
+            assert (x - x).is_zero() and x - x == CliffordOp.zero(n)
+            assert x * CliffordOp.identity(n) == x
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_curvature_ops_equal_public_construction(self, n):
+        R = random_riemann(n, 3)
+        cc, hh, f = {}, {}, {}
+        for (i, j, k, l), r in R.entries.items():
+            if l < k:
+                st = 1 << (l - 1) | 1 << (k - 1)
+                cc.setdefault((j, i), {})[st] = ScalarPoly.const(2 * r)
+                hh.setdefault((j, i), {})[st << n] = ScalarPoly.const(2 * r)
+            if i < j and k < l:
+                mask = 1 << (k - 1) | 1 << (l - 1) | (1 << (i - 1) | 1 << (j - 1)) << n
+                f[mask] = ScalarPoly.const(4 * r)
+        bivectors, f_op = curvature_ops(R, ProductCache())
+        assert set(bivectors) == set(cc)
+        for ab, (cc_op, hh_op) in bivectors.items():
+            assert cc_op == CliffordOp(n, cc[ab])
+            assert hh_op == CliffordOp(n, hh[ab])
+        assert f_op == CliffordOp(n, f)
+
+    def test_degrees_stay_below_64(self):
+        n = 2
+        with pytest.raises(ValueError):
+            CliffordOp(n, {0: ScalarPoly.monomial(64, 0)})
+        with pytest.raises(ValueError):
+            CliffordOp(n, {0: ScalarPoly.monomial(0, -1)})
+        x = CliffordOp(n, {0: ScalarPoly.monomial(32, 1)})
+        with pytest.raises(ValueError):
+            x * x
+        # a trace of three degree-63 factors does not carry into a0
+        y = CliffordOp(n, {0: ScalarPoly.monomial(1, 63)})
+        assert trace_product(y, y, y) == ScalarPoly.monomial(3, 189, 1 << n)

@@ -1,6 +1,7 @@
 """Densities, part table, and the assembled functionals."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,7 @@ from wres.symbols import (
     SymbolTerm,
     blocks_at,
     compose_block,
+    even_pairs,
     lemma2_symbols,
     symbol_product_PQ,
     uv_symbol,
@@ -249,30 +251,53 @@ class TestBlocks:
             assert nonzero(composed_weights(spec, n)) == nonzero(term_weights(spec, n)), bid
 
     def test_odd_pairs_build_nothing(self, monkeypatch):
-        # Odd pairs come out of the walker poisoned: any product of their
-        # scalars (a term or a weight) and any chain made from their ops
-        # raises, so none can be built, weighted or traced.
-        real = wres.residue.composition_pairs
-        odd = []
+        # The weight walker enumerates no odd pair, so none reaches the
+        # weight arithmetic: every pair it hands out is even, and its
+        # products are exactly the even terms compose_block builds from
+        # every pair, so none is lost.
+        def even(ta, tb):
+            return not any((a + b) % 2 for a, b in zip(ta.xi_mono, tb.xi_mono))
 
-        def poisoned(t):
-            out = object.__new__(SymbolTerm)
-            out.x_mono, out.xi_mono, out.norm_power = t.x_mono, t.xi_mono, t.norm_power
-            out.scalar, out.ops, out.tag = _Poison(), _PoisonOps(t.ops), t.tag
-            return out
+        def key(xi, norm, scalar, ops, tag):
+            return xi, norm, scalar, tuple(map(id, ops)), tag
+
+        odd = 0
+        for n in (2, 4, 6):
+            for spec in block_specs(n, 1).values():
+                for block in spec:
+                    terms = compose_block(*block)
+                    odd += sum(any(e % 2 for e in t.xi_mono) for t in terms)
+                    want = Counter(
+                        key(t.xi_mono, t.norm_power, t.scalar, t.ops, t.tag)
+                        for t in terms
+                        if not any(e % 2 for e in t.xi_mono)
+                    )
+                    got = Counter(
+                        key(
+                            tuple(a + b for a, b in zip(ta.xi_mono, tb.xi_mono)),
+                            ta.norm_power + tb.norm_power,
+                            ta.scalar * tb.scalar,
+                            ta.ops + tb.ops,
+                            ta.tag or tb.tag,
+                        )
+                        for ta, tb in even_pairs(*block)
+                    )
+                    assert got == want
+        assert odd
+
+        real, handed = wres.residue.even_pairs, []
 
         def walker(*args):
             for ta, tb in real(*args):
-                if any((a + b) % 2 for a, b in zip(ta.xi_mono, tb.xi_mono)):
-                    odd.append(1)
-                    yield poisoned(ta), poisoned(tb)
-                else:
-                    yield ta, tb
+                if not even(ta, tb):
+                    raise AssertionError("an odd pair reached the weight arithmetic")
+                handed.append(1)
+                yield ta, tb
 
-        monkeypatch.setattr(wres.residue, "composition_pairs", walker)
+        monkeypatch.setattr(wres.residue, "even_pairs", walker)
         for n in (2, 4):
             assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
-        assert odd
+        assert handed
 
     def test_each_chain_is_traced_once(self, monkeypatch):
         n = 4
@@ -295,13 +320,6 @@ class TestBlocks:
         assert traced == weighted
         want = sum(len(nonzero(term_weights(spec, n))) for spec in block_specs(n, 1).values())
         assert sum(map(len, traced)) == want
-
-
-class _Poison:
-    def _raise(self, *args):
-        raise AssertionError("an odd pair reached scalar arithmetic")
-
-    __mul__ = __rmul__ = __add__ = __radd__ = __bool__ = _raise
 
 
 class _PoisonOps(tuple):

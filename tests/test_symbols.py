@@ -292,6 +292,31 @@ class TestCurvatureTable:
             lemma1_symbols(dim, R, standard_connection(dim, R, ProductCache()))
 
 
+class TestRxxTerms:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_one_term_per_monomial(self, n):
+        # the rxx terms sum the R entries that share x_j x_k xi_a xi_b
+        dim = Dimension(n)
+        R = random_riemann(n, 1)
+        cache = ProductCache()
+        expansions = (
+            (dim.m, lemma2_symbols(dim, R, dim.m, -n, cache)),
+            (dim.m - 1, lemma2_symbols(dim, R, dim.m, -n + 2, cache)),
+            (dim.m, lemma1_symbols(dim, R, standard_connection(dim, R, cache))),
+        )
+        for M, exp in expansions:
+            terms = [t for o in exp.orders() for t in exp.terms_at(o) if t.tag == "rxx"]
+            keys = [(t.x_mono, t.xi_mono) for t in terms]
+            assert len(keys) == len(set(keys))
+            sums = {}
+            for (a, j, b, k), r in R.entries.items():
+                key = (mono(n, j, k), mono(n, a, b))
+                sums[key] = sums.get(key, 0) + r
+            want = {key: GaussianRational(Fraction(-M, 3) * r) for key, r in sums.items() if r}
+            assert want and {key: t.scalar for key, t in zip(keys, terms)} == want
+            assert len(terms) < len(R.entries)
+
+
 class TestComposition:
     def test_identity_symbol_is_right_neutral(self):
         dim = Dimension(2)
