@@ -232,7 +232,7 @@ def einstein(dim, curvature, u_raw, v_raw, eval_point, as_json, out, seed):
         _emit(_render_json(payload), out)
     else:
         core_txt = density.poly.text()
-        if len(density.poly.terms) > 1:
+        if len(density.poly.nums) > 1:
             core_txt = f"({core_txt})"
         lines = [
             f"einstein functional density (dim={dim}, curvature={label})",

@@ -14,10 +14,11 @@ factors in increasing bit order.  Blade products follow the bitmap sign
 rules (Dorst-Fontijne-Mann, Geometric Algebra for Computer Science, ch. 19):
 the blade of a product is the XOR of the masks, its sign the reordering
 sign times the metric sign.  Every blade but the scalar one is
-traceless, so tr X = 2^n * (scalar part of X).  Sums, products and
-traces run on Python ints; a ScalarPoly is made only where a value is
-read out: a trace, or the 2^n x 2^n matrix view (rows, entry) for
-checks.
+traceless, so tr X = 2^n * (scalar part of X).  The numerators are in
+the one integer form that ScalarPoly also stores (scalars.py): sums,
+products and traces run on that module's kernel, and a trace or an
+entry of the 2^n x 2^n matrix view (rows, entry) for checks is a
+ScalarPoly without any conversion.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
-from .scalars import GaussianRational, ScalarPoly, _frac
+from .scalars import ScalarPoly, _canonical, _frac, _imac, _ints, _ONE_TERMS, _slot_terms
 
 _ZERO = ScalarPoly.zero()
 
@@ -119,124 +120,24 @@ def _blade_action(n: int, mask: int) -> tuple:
     return x, tuple(signs)
 
 
-# ---------------------------------------------------------------------------
-# integer coefficients
-# ---------------------------------------------------------------------------
-#
-# A coefficient is a polynomial in a0, b0 over the Gaussian rationals.
-# An operator keeps one denominator and, per blade, a sorted tuple of
-# integer terms (packed degree, re, im).  The monomial a0^da b0^db is
-# packed as da << 8 | db, so the product of two monomials is the sum of
-# their packed degrees.  Stored degrees stay below 64: a product of
-# three coefficients then never carries from b0's byte into a0's, and a
-# product that reaches 64 is caught before it is stored.
-
-_DEG_GUARD = 0xC0C0  # set in a packed degree iff da or db is 64 or more
-
-
-def _imac(acc: dict, sign: int, p, q) -> dict:
-    """acc[deg] += sign * p * q over [re, im] int slots; p and q are
-    sequences of (packed degree, re, im).  Returns acc."""
-    for k1, r1, i1 in p:
-        if sign < 0:
-            r1, i1 = -r1, -i1
-        for k2, r2, i2 in q:
-            key = k1 + k2
-            slot = acc.get(key)
-            if i1 or i2:
-                re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
-            else:
-                re, im = r1 * r2, 0
-            if slot is None:
-                acc[key] = [re, im]
-            else:
-                slot[0] += re
-                slot[1] += im
-    return acc
-
-
-def _slot_terms(acc: dict) -> tuple:
-    return tuple((k, re, im) for k, (re, im) in acc.items() if re or im)
-
-
-def _poly(terms, num: int, den: int) -> ScalarPoly:
-    """ScalarPoly of (num / den) * terms; terms hold no zero."""
-    res = ScalarPoly.__new__(ScalarPoly)
-    res.terms = {
-        (k >> 8, k & 255): GaussianRational._make(
-            Fraction(re * num, den), Fraction(im * num, den)
-        )
-        for k, re, im in terms
-    }
-    return res
-
-
-def _den(polys) -> int:
-    """Least common denominator of the coefficients of polys."""
-    coeffs = [c for p in polys for c in p.terms.values()]
-    return lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
-
-
-def _int_terms(p: ScalarPoly, den: int) -> tuple:
-    """Terms (packed degree, re, im) of den * p; den must clear p's
-    denominators."""
-    terms = []
-    for (da, db), c in p.terms.items():
-        if not (0 <= da < 64 and 0 <= db < 64):
-            raise ValueError(f"a0/b0 degree ({da}, {db}) outside 0..63")
-        re = c.re.numerator * (den // c.re.denominator)
-        im = c.im.numerator * (den // c.im.denominator)
-        terms.append((da << 8 | db, re, im))
-    return tuple(terms)
-
-
-def _canonical(den: int, acc: dict) -> tuple:
-    """(den, blades) of {blade: {packed degree: (re, im)}} / den in
-    canonical form: zero terms and empty blades dropped, terms sorted,
-    the denominator reduced against every numerator."""
-    blades = {}
-    g = den
-    for mask, slots in acc.items():
-        terms = sorted((k, re, im) for k, (re, im) in slots.items() if re or im)
-        if terms:
-            for k, re, im in terms:
-                if k & _DEG_GUARD:
-                    raise ValueError("a0/b0 degree 64 or more in a Clifford coefficient")
-                g = gcd(g, re, im)
-            blades[mask] = tuple(terms)
-    if g > 1:
-        den //= g
-        blades = {
-            mask: tuple((k, re // g, im // g) for k, re, im in terms)
-            for mask, terms in blades.items()
-        }
-    return den, blades
-
-
-_ONE_TERMS = ((0, 1, 0),)
-
-
 class CliffordOp:
     """Element of Cl(n,n) acting on Lambda R^n.
 
     Stored as one positive denominator den and {blade mask: ((packed
-    degree, re, im), ...)} integer numerators.  The form is canonical:
-    no zero term or empty blade, terms sorted by degree, den coprime to
-    the numerators.  With the faithfulness of the action, equal
-    operators compare equal however they were built.  Instances are
-    treated as immutable.
+    degree, re, im), ...)} integer numerators, the terms of ScalarPoly's
+    integer form.  The form is canonical: no zero term or empty blade,
+    terms sorted by degree, den coprime to the numerators.  With the
+    faithfulness of the action, equal operators compare equal however
+    they were built.  Instances are treated as immutable.
     """
 
     __slots__ = ("n", "den", "blades")
 
     def __init__(self, n: int, blades: dict | None = None):
-        """blades maps a blade mask to its ScalarPoly coefficient; every
-        a0 and b0 degree must lie in 0..63."""
+        """blades maps a blade mask to its ScalarPoly coefficient."""
         blades = blades or {}
-        den = _den(blades.values())
-        acc = {
-            mask: {k: (re, im) for k, re, im in _int_terms(p, den)} for mask, p in blades.items()
-        }
+        den = lcm(*(p.den for p in blades.values()))
+        acc = {mask: _imac({}, den // p.den, p.nums, _ONE_TERMS) for mask, p in blades.items()}
         self.n = n
         self.den, self.blades = _canonical(den, acc)
 
@@ -269,9 +170,8 @@ class CliffordOp:
         den = lcm(self.den, other.den)
         acc: dict = {}
         for op in (self, other):
-            factor = ((0, den // op.den, 0),)
             for mask, terms in op.blades.items():
-                _imac(acc.setdefault(mask, {}), 1, terms, factor)
+                _imac(acc.setdefault(mask, {}), den // op.den, terms, _ONE_TERMS)
         return CliffordOp._make(self.n, *_canonical(den, acc))
 
     def __sub__(self, other: "CliffordOp") -> "CliffordOp":
@@ -283,12 +183,13 @@ class CliffordOp:
     def scale(self, c) -> "CliffordOp":
         """c times the operator; c is a ScalarPoly, a GaussianRational or
         an exact rational (a float raises TypeError)."""
-        if not isinstance(c, ScalarPoly):
-            c = ScalarPoly.const(c)
-        cden = _den((c,))
-        cterms = _int_terms(c, cden)
-        acc = {mask: _imac({}, 1, terms, cterms) for mask, terms in self.blades.items()}
-        return CliffordOp._make(self.n, *_canonical(self.den * cden, acc))
+        if isinstance(c, ScalarPoly):
+            den, factor = c.den, c.nums
+        else:
+            den, re, im = _ints(c)
+            factor = ((0, re, im),)
+        acc = {mask: _imac({}, 1, terms, factor) for mask, terms in self.blades.items()}
+        return CliffordOp._make(self.n, *_canonical(self.den * den, acc))
 
     def __mul__(self, other: "CliffordOp") -> "CliffordOp":
         if self.n != other.n:
@@ -312,7 +213,8 @@ class CliffordOp:
         return not self.blades
 
     def trace(self) -> ScalarPoly:
-        return _poly(self.blades.get(0, ()), 1 << self.n, self.den)
+        scalar = self.blades.get(0, ())
+        return ScalarPoly._from_slots(self.den, _imac({}, 1 << self.n, scalar, _ONE_TERMS))
 
     def nnz(self) -> int:
         """Number of stored blades."""
@@ -326,7 +228,7 @@ class CliffordOp:
         n = self.n
         rows: list = [dict() for _ in range(1 << n)]
         for mask, terms in self.blades.items():
-            v = _poly(terms, 1, self.den)
+            v = ScalarPoly._from_slots(self.den, _imac({}, 1, terms, _ONE_TERMS))
             x, signs = _blade_action(n, mask)
             neg = -v
             for s, sign in enumerate(signs):
@@ -356,6 +258,7 @@ def trace_product(a: CliffordOp, b: CliffordOp, c: CliffordOp | None = None) -> 
     if any(op.n != n for op in ops):
         raise ValueError("dimension mismatch")
     acc: dict = {}
+    unit = 1 << n
     if c is None:
         xb, yb = a.blades, b.blades
         if len(xb) > len(yb):
@@ -363,8 +266,8 @@ def trace_product(a: CliffordOp, b: CliffordOp, c: CliffordOp | None = None) -> 
         for mask, xt in xb.items():
             yt = yb.get(mask)
             if yt is not None:
-                _imac(acc, _blade_sign(n, mask, mask), xt, yt)
-        return _poly(_slot_terms(acc), 1 << n, a.den * b.den)
+                _imac(acc, unit * _blade_sign(n, mask, mask), xt, yt)
+        return ScalarPoly._from_slots(a.den * b.den, acc)
     # tr(abc) = tr(bca) = tr(cab): put the largest factor last
     sizes = [len(op.blades) for op in ops]
     big = sizes.index(max(sizes))
@@ -379,8 +282,8 @@ def trace_product(a: CliffordOp, b: CliffordOp, c: CliffordOp | None = None) -> 
                     slots = partial[mc] = {}
                 _imac(slots, _blade_sign(n, ma, mb), xt, yt)
     for mc, slots in partial.items():
-        _imac(acc, _blade_sign(n, mc, mc), _slot_terms(slots), zb[mc])
-    return _poly(_slot_terms(acc), 1 << n, a.den * b.den * c.den)
+        _imac(acc, unit * _blade_sign(n, mc, mc), _slot_terms(slots), zb[mc])
+    return ScalarPoly._from_slots(a.den * b.den * c.den, acc)
 
 
 def anticommutator(a: CliffordOp, b: CliffordOp) -> CliffordOp:

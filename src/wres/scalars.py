@@ -4,11 +4,18 @@ Every quantity the engine produces is a polynomial in the two real
 parameters a0, b0 with complex rational coefficients.  No floats enter
 any computation; numeric evaluation happens only at the very end, on
 user request.
+
+Such a polynomial has one stored form, shared by ScalarPoly and the
+blade coefficients of clifford.CliffordOp: one positive denominator and
+a sorted tuple of integer terms (packed degree, re, im).  The kernel
+below (_imac, _slot_terms, _canonical) does their arithmetic on Python
+ints; a GaussianRational is made only where a coefficient is read out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _frac(x) -> Fraction:
@@ -90,32 +97,127 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-_GR_ZERO = GaussianRational(0)
-_GR_ONE = GaussianRational(1)
-_GR_I = GaussianRational(0, 1)
-
-
 def _coerce_coeff(c) -> GaussianRational:
     if isinstance(c, GaussianRational):
         return c
     return GaussianRational(_frac(c))
 
 
+def _ints(c) -> tuple:
+    """(den, re, im) with c = (re + im*i) / den and den > 0 least; c is a
+    GaussianRational or an exact rational (a float raises TypeError)."""
+    c = _coerce_coeff(c)
+    den = lcm(c.re.denominator, c.im.denominator)
+    re, im = c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
+    return den, re, im
+
+
+def _ratio(num: int, den: int) -> Fraction:
+    return Fraction(num, den) if num else _F0
+
+
+# ---------------------------------------------------------------------------
+# integer polynomial form
+# ---------------------------------------------------------------------------
+#
+# The monomial a0^da b0^db is packed as da << 16 | db, so the product of
+# two monomials is the sum of their packed degrees.  Every stored degree
+# lies in 0 .. 2^14 - 1: a product of three stored polynomials then stays
+# below 2^16 in each field, never carries from b0's field into a0's, and
+# is refused by _canonical if it reaches 2^14.
+
+_DEG_BITS = 16
+_DEG_BOUND = 1 << 14
+_DEG_GUARD = 0xC000C000  # set in a packed degree iff da or db is 2^14 or more
+_ONE_TERMS = ((0, 1, 0),)
+
+
+def _pack(da: int, db: int) -> int:
+    if not (0 <= da < _DEG_BOUND and 0 <= db < _DEG_BOUND):
+        raise ValueError(f"a0/b0 degree ({da}, {db}) outside 0..{_DEG_BOUND - 1}")
+    return da << _DEG_BITS | db
+
+
+def _unpack(k: int) -> tuple:
+    return k >> _DEG_BITS, k & 0xFFFF
+
+
+def _imac(acc: dict, factor: int, p, q) -> dict:
+    """acc[deg] += factor * p * q over [re, im] int slots; p and q are
+    sequences of (packed degree, re, im).  Returns acc."""
+    for k1, r1, i1 in p:
+        if factor != 1:
+            r1, i1 = factor * r1, factor * i1
+        for k2, r2, i2 in q:
+            key = k1 + k2
+            slot = acc.get(key)
+            if i1 or i2:
+                re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
+            else:
+                re, im = r1 * r2, 0
+            if slot is None:
+                acc[key] = [re, im]
+            else:
+                slot[0] += re
+                slot[1] += im
+    return acc
+
+
+def _slot_terms(acc: dict) -> tuple:
+    return tuple((k, re, im) for k, (re, im) in acc.items() if re or im)
+
+
+def _canonical(den: int, acc: dict) -> tuple:
+    """(den, {key: terms}) of {key: {packed degree: (re, im)}} / den in
+    canonical form: zero terms and empty keys dropped, terms sorted, the
+    denominator reduced against every numerator, degrees checked."""
+    out = {}
+    g = den
+    for key, slots in acc.items():
+        terms = sorted((k, re, im) for k, (re, im) in slots.items() if re or im)
+        if terms:
+            for k, re, im in terms:
+                if k & _DEG_GUARD:
+                    raise ValueError(f"a0/b0 degree {_unpack(k)} outside 0..{_DEG_BOUND - 1}")
+                g = gcd(g, re, im)
+            out[key] = tuple(terms)
+    if g > 1:
+        den //= g
+        out = {
+            key: tuple((k, re // g, im // g) for k, re, im in terms) for key, terms in out.items()
+        }
+    return den, out
+
+
 class ScalarPoly:
     """Polynomial in a0, b0 over Gaussian rationals.
 
-    Stored as a map (deg_a0, deg_b0) -> coefficient with zero
-    coefficients purged, so equality of maps is equality of
-    polynomials.  Instances are treated as immutable.
+    Stored in the integer form: one positive denominator den and a
+    sorted tuple nums of (packed degree, re, im) with no zero term and
+    den coprime to the numerators, so equal polynomials are stored
+    alike.  terms reads the coefficients out as GaussianRationals.
+    Instances are treated as immutable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums")
 
     def __init__(self, terms: dict | None = None):
-        if terms:
-            self.terms = {k: v for k, v in terms.items() if v}
-        else:
-            self.terms = {}
+        """terms maps (deg_a0, deg_b0) to a GaussianRational or an exact
+        rational; a float raises TypeError and a degree outside
+        0 .. 2^14 - 1 raises ValueError."""
+        coeffs = {_pack(da, db): _ints(c) for (da, db), c in (terms or {}).items()}
+        den = lcm(*(d for d, _, _ in coeffs.values()))
+        slots = {k: (re * (den // d), im * (den // d)) for k, (d, re, im) in coeffs.items()}
+        self.den, out = _canonical(den, {0: slots})
+        self.nums = out.get(0, ())
+
+    @classmethod
+    def _from_slots(cls, den: int, slots: dict) -> "ScalarPoly":
+        """The polynomial {packed degree: (re, im)} / den, made canonical."""
+        p = cls.__new__(cls)
+        p.den, out = _canonical(den, {0: slots})
+        p.nums = out.get(0, ())
+        return p
 
     # ---- constructors ----
 
@@ -125,7 +227,7 @@ class ScalarPoly:
 
     @classmethod
     def const(cls, c) -> "ScalarPoly":
-        return cls({(0, 0): _coerce_coeff(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def one(cls) -> "ScalarPoly":
@@ -133,11 +235,11 @@ class ScalarPoly:
 
     @classmethod
     def imag_unit(cls) -> "ScalarPoly":
-        return cls({(0, 0): _GR_I})
+        return cls.const(GaussianRational(0, 1))
 
     @classmethod
     def monomial(cls, deg_a0: int, deg_b0: int, coeff=1) -> "ScalarPoly":
-        return cls({(deg_a0, deg_b0): _coerce_coeff(coeff)})
+        return cls({(deg_a0, deg_b0): coeff})
 
     @classmethod
     def a0(cls) -> "ScalarPoly":
@@ -150,100 +252,85 @@ class ScalarPoly:
     # ---- ring operations ----
 
     def __add__(self, other: "ScalarPoly") -> "ScalarPoly":
-        if not other.terms:
+        if not other.nums:
             return self
-        if not self.terms:
+        if not self.nums:
             return other
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            cur = out.get(k)
-            s = v if cur is None else cur + v
-            if s:
-                out[k] = s
-            elif cur is not None:
-                del out[k]
-        res = ScalarPoly.__new__(ScalarPoly)
-        res.terms = out
-        return res
+        den = lcm(self.den, other.den)
+        acc = _imac({}, den // self.den, self.nums, _ONE_TERMS)
+        return ScalarPoly._from_slots(den, _imac(acc, den // other.den, other.nums, _ONE_TERMS))
 
     def __sub__(self, other: "ScalarPoly") -> "ScalarPoly":
         return self + (-other)
 
     def __neg__(self) -> "ScalarPoly":
-        res = ScalarPoly.__new__(ScalarPoly)
-        res.terms = {k: -v for k, v in self.terms.items()}
-        return res
+        return ScalarPoly._from_slots(self.den, _imac({}, -1, self.nums, _ONE_TERMS))
 
     def __mul__(self, other):
         if not isinstance(other, ScalarPoly):
             return self.scale(other)
-        out: dict = {}
-        for (da1, db1), c1 in self.terms.items():
-            for (da2, db2), c2 in other.terms.items():
-                k = (da1 + da2, db1 + db2)
-                p = c1 * c2
-                cur = out.get(k)
-                s = p if cur is None else cur + p
-                if s:
-                    out[k] = s
-                elif cur is not None:
-                    del out[k]
-        res = ScalarPoly.__new__(ScalarPoly)
-        res.terms = out
-        return res
+        return ScalarPoly._from_slots(self.den * other.den, _imac({}, 1, self.nums, other.nums))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "ScalarPoly":
-        c = _coerce_coeff(c)
-        if not c:
-            return ScalarPoly.zero()
-        res = ScalarPoly.__new__(ScalarPoly)
-        res.terms = {k: v * c for k, v in self.terms.items()}
-        return res
+        """c times the polynomial; c is a GaussianRational or an exact
+        rational (a float raises TypeError)."""
+        den, re, im = _ints(c)
+        return ScalarPoly._from_slots(self.den * den, _imac({}, 1, self.nums, ((0, re, im),)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ScalarPoly):
-            return self.terms == other.terms
+            return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, self.nums))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     # ---- queries ----
 
+    @property
+    def terms(self) -> dict:
+        """{(deg_a0, deg_b0): GaussianRational} of the nonzero coefficients,
+        a fresh dict read out of the integer form."""
+        den = self.den
+        return {
+            _unpack(k): GaussianRational._make(_ratio(re, den), _ratio(im, den))
+            for k, re, im in self.nums
+        }
+
     def is_real(self) -> bool:
-        return all(v.is_real for v in self.terms.values())
+        return not any(im for _, _, im in self.nums)
 
     def evaluate(self, a0, b0) -> GaussianRational:
         a0 = _frac(a0)
         b0 = _frac(b0)
-        acc = _GR_ZERO
-        for (da, db), c in self.terms.items():
-            acc = acc + c * (a0**da * b0**db)
-        return acc
+        re = im = _F0
+        for k, r, i in self.nums:
+            da, db = _unpack(k)
+            m = a0**da * b0**db
+            re += r * m
+            im += i * m
+        return GaussianRational._make(re / self.den, im / self.den)
 
     def min_ab_power(self) -> int:
         """Largest k with (a0*b0)^k dividing the polynomial; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return min(min(da, db) for (da, db) in self.terms)
+        return min((min(_unpack(k)) for k, _, _ in self.nums), default=0)
 
     def shift_ab(self, k: int) -> "ScalarPoly":
         """Multiply by (a0*b0)^k; k may be negative if the power divides."""
-        if k == 0 or not self.terms:
+        if k == 0 or not self.nums:
             return self
-        out = {}
-        for (da, db), c in self.terms.items():
-            if da + k < 0 or db + k < 0:
-                raise ValueError("(a0*b0) power does not divide this polynomial")
-            out[(da + k, db + k)] = c
-        res = ScalarPoly.__new__(ScalarPoly)
-        res.terms = out
-        return res
+        if k < -self.min_ab_power():
+            raise ValueError("(a0*b0) power does not divide this polynomial")
+        slots = {}
+        for d, re, im in self.nums:
+            da, db = _unpack(d)
+            slots[_pack(da + k, db + k)] = (re, im)
+        return ScalarPoly._from_slots(self.den, slots)
 
     # ---- canonical renderings ----
 

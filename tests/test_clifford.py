@@ -434,15 +434,21 @@ class TestIntegerStorage:
             assert hh_op == CliffordOp(n, hh[ab])
         assert f_op == CliffordOp(n, f)
 
-    def test_degrees_stay_below_64(self):
-        n = 2
+    def test_degrees_stay_below_the_bound(self):
+        """Every stored degree lies in 0 .. 2^14 - 1, and a product of
+        three stored coefficients fits 16-bit degree fields."""
+        n, bound = 2, 1 << 14
         with pytest.raises(ValueError):
-            CliffordOp(n, {0: ScalarPoly.monomial(64, 0)})
+            CliffordOp(n, {0: ScalarPoly.monomial(bound, 0)})
         with pytest.raises(ValueError):
             CliffordOp(n, {0: ScalarPoly.monomial(0, -1)})
-        x = CliffordOp(n, {0: ScalarPoly.monomial(32, 1)})
+        x = CliffordOp(n, {0: ScalarPoly.monomial(bound // 2, 1)})
         with pytest.raises(ValueError):
             x * x
-        # a trace of three degree-63 factors does not carry into a0
-        y = CliffordOp(n, {0: ScalarPoly.monomial(1, 63)})
-        assert trace_product(y, y, y) == ScalarPoly.monomial(3, 189, 1 << n)
+        # three factors at the largest stored degree trace without carrying
+        # into a0: the trace is refused, and it names the exact degree
+        y = CliffordOp(n, {0: ScalarPoly.monomial(1, bound - 1)})
+        with pytest.raises(ValueError, match=rf"\(3, {3 * (bound - 1)}\)"):
+            trace_product(y, y, y)
+        z = CliffordOp(n, {0: ScalarPoly.monomial((bound - 1) // 3, (bound - 1) // 3)})
+        assert trace_product(z, z, z) == ScalarPoly.monomial(bound - 1, bound - 1, 1 << n)

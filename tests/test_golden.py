@@ -1,4 +1,4 @@
-"""Golden outputs: the CLI's JSON reports must not change by a byte.
+"""Golden outputs: the CLI's reports must not change by a byte.
 
 The dim 2, 4 and 6 files under tests/data were written by the
 matrix-based Clifford engine (2^n x 2^n matrices over ScalarPoly),
@@ -7,7 +7,11 @@ by the blade engine while symbol scalars were still polynomials;
 verify-d10.json and verify-d12.json were written by the engine that
 still built every composed term before integrating it, with only the
 CLI's dimension list widened, just before composition and cosphere
-integration were fused.  Any change in representation, caching or
+integration were fused.  The einstein-d4/d6 files (the --json report
+and the text form, each with --eval) were written by the engine that
+kept ScalarPoly coefficients as a dict of GaussianRationals, just
+before ScalarPoly moved to the integer numerator form of the Clifford
+coefficients.  Any change in representation, caching or
 evaluation order must reproduce them exactly.
 """
 
@@ -29,6 +33,19 @@ CASES = (
     ("verify-d12.json", ["verify", "--dim", "12", "--seeds", "1", "--json"]),
     ("parts-d4.json", ["parts", "--dim", "4", "--seed", "2", "--json"]),
     ("parts-d6.json", ["parts", "--dim", "6", "--seed", "1", "--json"]),
+)
+
+
+def _einstein(dim: int, u: str) -> list:
+    return ["einstein", "--dim", str(dim), "--curvature", "random", "--seed", "3",
+            "--u", u, "--v", u, "--eval", "2/3", "5"]
+
+
+CASES += (
+    ("einstein-d4.json", _einstein(4, "1/2,-3,2/7,1") + ["--json"]),
+    ("einstein-d4.txt", _einstein(4, "1/2,-3,2/7,1")),
+    ("einstein-d6.json", _einstein(6, "1/2,-3,2/7,1,1,1") + ["--json"]),
+    ("einstein-d6.txt", _einstein(6, "1/2,-3,2/7,1,1,1")),
 )
 
 

@@ -1,4 +1,5 @@
-"""Ring axioms and canonical renderings of the exact scalar layer."""
+"""Ring axioms, a schoolbook reference and canonical renderings of the
+exact scalar layer."""
 
 from fractions import Fraction
 
@@ -10,9 +11,50 @@ from wres.scalars import GaussianRational, ScalarPoly
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 coeffs = st.builds(GaussianRational, fracs, fracs)
-polys = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=4
-).map(ScalarPoly)
+coeff_maps = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=4)
+polys = coeff_maps.map(ScalarPoly)
+
+BOUND = 1 << 14  # every stored a0/b0 degree lies in 0 .. BOUND - 1
+_ZERO = GaussianRational(0)
+
+
+# ---- schoolbook reference over {(deg_a0, deg_b0): GaussianRational} ----
+
+
+def _purged(p: dict) -> dict:
+    return {k: v for k, v in p.items() if v}
+
+
+def ref_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for k, v in q.items():
+        out[k] = out.get(k, _ZERO) + v
+    return _purged(out)
+
+
+def ref_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            k = (a1 + a2, b1 + b2)
+            out[k] = out.get(k, _ZERO) + c1 * c2
+    return _purged(out)
+
+
+def ref_scale(p: dict, c: GaussianRational) -> dict:
+    return _purged({k: v * c for k, v in p.items()})
+
+
+def ref_shift_ab(p: dict, k: int) -> dict:
+    return {(da + k, db + k): v for (da, db), v in p.items()}
+
+
+def ref_min_ab_power(p: dict) -> int:
+    return min((min(k) for k in p), default=0)
+
+
+def ref_is_real(p: dict) -> bool:
+    return all(v.im == 0 for v in p.values())
 
 
 class TestGaussianRational:
@@ -49,6 +91,86 @@ class TestGaussianRational:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             GaussianRational(0.5)
+
+
+class TestScalarPolyReference:
+    """The integer kernel against the schoolbook reference above."""
+
+    @given(coeff_maps, coeff_maps, coeffs, st.integers(-3, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_matches_schoolbook(self, dp, dq, c, k):
+        p, q = ScalarPoly(dp), ScalarPoly(dq)
+        dp, dq = _purged(dp), _purged(dq)
+        assert p.terms == dp
+        want = {
+            "add": (p + q, ref_add(dp, dq)),
+            "sub": (p - q, ref_add(dp, ref_scale(dq, GaussianRational(-1)))),
+            "mul": (p * q, ref_mul(dp, dq)),
+            "scale": (p.scale(c), ref_scale(dp, c)),
+        }
+        for name, (got, ref) in want.items():
+            assert got.terms == ref, name
+            assert got == ScalarPoly(ref), name
+        assert p.min_ab_power() == ref_min_ab_power(dp)
+        assert p.is_real() == ref_is_real(dp)
+        if dp and k < -ref_min_ab_power(dp):
+            with pytest.raises(ValueError):
+                p.shift_ab(k)
+        else:
+            assert p.shift_ab(k).terms == ref_shift_ab(dp, k)
+
+
+class TestScalarPolyConstructor:
+    def test_float_coefficient_is_refused(self):
+        with pytest.raises(TypeError):
+            ScalarPoly({(1, 0): 0.5})
+
+    def test_int_coefficient_is_coerced(self):
+        p = ScalarPoly({(0, 0): 3})
+        assert p.is_real()
+        assert p == ScalarPoly.const(GaussianRational(3))
+        assert p.terms == {(0, 0): GaussianRational(3)}
+
+
+class TestDegreeBound:
+    """The ScalarPoly side of the one degree bound shared with the
+    Clifford coefficients."""
+
+    def test_degree_at_the_bound_is_refused(self):
+        ScalarPoly.monomial(BOUND - 1, BOUND - 1)
+        for da, db in ((BOUND, 0), (0, BOUND)):
+            with pytest.raises(ValueError):
+                ScalarPoly.monomial(da, db)
+
+    def test_negative_degree_is_refused(self):
+        for degree in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                ScalarPoly({degree: 1})
+
+    def test_product_reaching_the_bound_is_refused(self):
+        x = ScalarPoly.monomial(BOUND // 2, 1)
+        with pytest.raises(ValueError):
+            x * x
+        y = ScalarPoly.monomial(1, BOUND // 2)
+        with pytest.raises(ValueError):
+            y * y
+
+    def test_shift_reaching_the_bound_is_refused(self):
+        p = ScalarPoly.monomial(BOUND - 2, 0)
+        assert p.shift_ab(1) == ScalarPoly.monomial(BOUND - 1, 1)
+        with pytest.raises(ValueError):
+            p.shift_ab(2)
+        for k in (BOUND, 1 << 16, 1 << 40):
+            with pytest.raises(ValueError):
+                ScalarPoly.one().shift_ab(k)
+
+    def test_three_factors_at_the_largest_degree_do_not_carry(self):
+        top = BOUND - 1
+        p = ScalarPoly.monomial(top // 3, top // 3, GaussianRational(1, 1))
+        assert p * p * p == ScalarPoly.monomial(top, top, GaussianRational(-2, 2))
+        q = ScalarPoly.monomial(1, top)
+        with pytest.raises(ValueError, match=rf"\(2, {2 * top}\)"):
+            q * q
 
 
 class TestScalarPolyRing:
