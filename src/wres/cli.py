@@ -86,7 +86,10 @@ def _render_json(obj) -> str:
 
 def _emit(body: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(body)
+        try:
+            Path(out).write_text(body)
+        except OSError as exc:
+            raise click.UsageError(f"--out {out!r} cannot be written: {exc.strerror}")
     else:
         click.echo(body, nl=False)
 

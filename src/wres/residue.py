@@ -104,13 +104,6 @@ class FunctionalDensity:
         return f"FunctionalDensity({self.text()})"
 
 
-def _add_weight(chains: dict, ops: tuple, w) -> None:
-    """Add w to the weight of the chain ops in {chain ids: (ops, weight)}."""
-    key = tuple(map(id, ops))
-    hit = chains.get(key)
-    chains[key] = (ops, w) if hit is None else (ops, hit[1] + w)
-
-
 def trace_weights(chains: dict, dim: Dimension, cache: ProductCache) -> FunctionalDensity:
     """Sum of weight * trace over {chain ids: (ops, weight)}: each chain
     is traced once, and a chain whose weight cancels is not traced."""
@@ -119,24 +112,6 @@ def trace_weights(chains: dict, dim: Dimension, cache: ProductCache) -> Function
         if w:
             acc = acc + cache.chain_trace(ops, dim.n).scale(w)
     return FunctionalDensity(acc, 0)
-
-
-def integrate_density(terms, dim: Dimension, cache: ProductCache) -> FunctionalDensity:
-    """Trace the terms and integrate the xi monomials over the unit cosphere.
-
-    On the cosphere the norm factor is 1, so only the xi monomial
-    matters; odd monomials vanish and are skipped before tracing.  Each
-    distinct chain gets one weight, the sum of scalar * cosphere
-    integral over its terms.  Raises on residual x-dependence:
-    integrands must already be evaluated at the base point.
-    """
-    chains: dict = {}
-    for t in terms:
-        if any(t.x_mono):
-            raise ValueError("residual x-dependence in cosphere integrand")
-        if not any(e % 2 for e in t.xi_mono):
-            _add_weight(chains, t.ops, t.scalar * vol_multiplier(dim.n, t.xi_mono))
-    return trace_weights(chains, dim, cache)
 
 
 def composed_weights(blocks, n: int) -> dict:
@@ -151,12 +126,12 @@ def composed_weights(blocks, n: int) -> dict:
     weights: dict = {}
     for A, oa, B, ob, k in blocks:
         for ta, tb in even_pairs(A, oa, B, ob, k):
-            xi = tuple(map(add, ta.xi_mono, tb.xi_mono))
-            _add_weight(
-                weights.setdefault(ta.tag or tb.tag, {}),
-                ta.ops + tb.ops,
-                ta.scalar * tb.scalar * vol_multiplier(n, xi),
-            )
+            chains = weights.setdefault(ta.tag or tb.tag, {})
+            ops = ta.ops + tb.ops
+            key = tuple(map(id, ops))
+            w = ta.scalar * tb.scalar * vol_multiplier(n, tuple(map(add, ta.xi_mono, tb.xi_mono)))
+            hit = chains.get(key)
+            chains[key] = (ops, w) if hit is None else (ops, hit[1] + w)
     return weights
 
 

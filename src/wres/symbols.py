@@ -22,7 +22,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
 from operator import add
+from typing import NamedTuple
 
+from . import curvature
 from .clifford import (
     CliffordOp,
     Dimension,
@@ -31,7 +33,7 @@ from .clifford import (
     tildec_op,
     vector_clifford,
 )
-from .curvature import RiemannTensor, contract
+from .curvature import RiemannTensor
 from .scalars import GaussianRational, _coerce_coeff
 
 _ONE = GaussianRational(1)
@@ -68,6 +70,13 @@ class SymbolTerm:
             f"norm={self.norm_power}, scalar={self.scalar}, "
             f"ops={len(self.ops)}, tag={self.tag!r})"
         )
+
+
+def _e(n: int, *idx: int) -> tuple:
+    mono = [0] * n
+    for j in idx:
+        mono[j - 1] += 1
+    return tuple(mono)
 
 
 def _bump(mono: tuple, idx0: int, delta: int) -> tuple:
@@ -145,9 +154,20 @@ class SymbolExpansion:
 # ---------------------------------------------------------------------------
 
 
-def curvature_ops(R: RiemannTensor, cache: ProductCache) -> tuple:
-    """(bivectors, f): every curvature coefficient, built in one pass
-    over the nonzero entries of R.
+class CurvatureRecord(NamedTuple):
+    """Every curvature datum the symbol families read (see curvature_ops)."""
+
+    bivectors: dict
+    f: CliffordOp
+    rxx: dict
+    den: int
+    ricci: dict
+    s: Fraction
+
+
+def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
+    """The curvature record of R, built once per tensor and cache: the
+    one place where the symbol families read R.
 
     bivectors maps (a, b) to (cc, hh), with cc = sum_{s,t} R_{bats}
     c_s c_t and hh = sum_{s,t} R_{bats} chat_s chat_t; a pair whose sums
@@ -159,17 +179,24 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> tuple:
     weight 4 R_{ijkl}.  Every product is already its blade with sign +1:
     the factors of c_s c_t and chat_s chat_t come in increasing bit
     order, and chat_i chat_j c_k c_l = c_k c_l chat_i chat_j since each
-    c passes two chats.  The numerators are written over the lcm of
-    R's denominators.
+    c passes two chats.  rxx maps (x_j x_k, xi_a xi_b) to sum R_{ajbk}
+    over the entries sharing that monomial (nonzero sums only).  The
+    numerators of all three are written over den, the lcm of R's
+    denominators, and built in one pass over the nonzero entries.
+    ricci holds the nonzero Ricci entries {(a, b): Ric_ab} in row-major
+    order and s the scalar curvature, both from curvature.contract.
     """
 
-    def build() -> tuple:
+    def build() -> CurvatureRecord:
         n = R.n
         den = lcm(*(r.denominator for r in R.entries.values()))
         pairs: dict = {}
         f = {}
+        rxx: dict = {}
         for (i, j, k, l), r in R.entries.items():
             num = r.numerator * (den // r.denominator)
+            key = (_e(n, j, l), _e(n, i, k))
+            rxx[key] = rxx.get(key, 0) + num
             if l < k:
                 cc, hh = pairs.setdefault((j, i), ({}, {}))
                 st = 1 << (l - 1) | 1 << (k - 1)
@@ -180,7 +207,16 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> tuple:
                 f[kl | ij << n] = 4 * num
         op = CliffordOp.from_numerators
         bivectors = {ab: (op(n, den, cc), op(n, den, hh)) for ab, (cc, hh) in pairs.items()}
-        return bivectors, op(n, den, f)
+        contr = curvature.contract(R)
+        ricci = {
+            (a, b): ric
+            for a, row in enumerate(contr.ricci, 1)
+            for b, ric in enumerate(row, 1)
+            if ric
+        }
+        return CurvatureRecord(
+            bivectors, op(n, den, f), {k: v for k, v in rxx.items() if v}, den, ricci, contr.scalar
+        )
 
     return cache.named(("curvature_ops", R), build)
 
@@ -212,13 +248,12 @@ def standard_connection(dim: Dimension, R: RiemannTensor, cache: ProductCache) -
     chat_s chat_t, E = (1/8) sum R_{ijkl} chat_i chat_j c_k c_l + s/4.
     """
     n = dim.n
-    bivectors, f = curvature_ops(R, cache)
+    rec = curvature_ops(R, cache)
     t_ab = {
         ab: cc.scale(Fraction(-1, 8)) + hh.scale(Fraction(1, 8))
-        for ab, (cc, hh) in bivectors.items()
+        for ab, (cc, hh) in rec.bivectors.items()
     }
-    s = contract(R).scalar
-    e = f.scale(Fraction(1, 8)) + CliffordOp.identity(n).scale(Fraction(s, 4))
+    e = rec.f.scale(Fraction(1, 8)) + CliffordOp.identity(n).scale(Fraction(rec.s, 4))
     return ConnectionData(n, t_ab, e)
 
 
@@ -227,40 +262,22 @@ def standard_connection(dim: Dimension, R: RiemannTensor, cache: ProductCache) -
 # ---------------------------------------------------------------------------
 
 
-def _e(n: int, *idx: int) -> tuple:
-    mono = [0] * n
-    for j in idx:
-        mono[j - 1] += 1
-    return tuple(mono)
-
-
-def _curvature_family(exp: SymbolExpansion, R: RiemannTensor, contr, M: int) -> None:
+def _curvature_family(exp: SymbolExpansion, rec: CurvatureRecord, M: int) -> None:
     """Terms both inverse-power families share: the flat top symbol, its
-    normal-coordinate correction, and the Ricci terms of the two lower
-    orders."""
+    normal-coordinate correction (one rxx term per monomial), and the
+    Ricci terms of the two lower orders; M scales the record."""
     n = exp.n
     zero_x = _e(n)
     top = -2 * M - 2
     for a in range(1, n + 1):
         exp.add(SymbolTerm(zero_x, _e(n, a, a), top, _ONE, (), "delta"))
-    # x_j x_k xi_a xi_b is symmetric in (j, k) and in (a, b): entries
-    # sharing a monomial are summed into one term
-    rxx: dict = {}
-    for (a, j, b, k), r in R.entries.items():
-        key = (_e(n, j, k), _e(n, a, b))
-        rxx[key] = rxx.get(key, 0) + r
-    mthird = Fraction(M, 3)
-    for (x, xi), r in rxx.items():
-        exp.add(SymbolTerm(x, xi, top, -mthird * r, (), "rxx"))
+    for (x, xi), num in rec.rxx.items():
+        exp.add(SymbolTerm(x, xi, top, Fraction(-M * num, 3 * rec.den), (), "rxx"))
     slope = Fraction(-2 * M, 3)
     mm1_3 = Fraction(M * (M + 1), 3)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            ric = contr.ric(a, b)
-            if ric:
-                i_slope = GaussianRational(0, slope * ric)
-                exp.add(SymbolTerm(_e(n, b), _e(n, a), top, i_slope, (), "ric"))
-                exp.add(SymbolTerm(zero_x, _e(n, a, b), top - 2, mm1_3 * ric, (), "ric"))
+    for (a, b), ric in rec.ricci.items():
+        exp.add(SymbolTerm(_e(n, b), _e(n, a), top, GaussianRational(0, slope * ric), (), "ric"))
+        exp.add(SymbolTerm(zero_x, _e(n, a, b), top - 2, mm1_3 * ric, (), "ric"))
 
 
 def lemma1_symbols(
@@ -276,7 +293,7 @@ def lemma1_symbols(
     M = dim.m if m_family is None else m_family
     zero_x = _e(n)
     exp = SymbolExpansion(n)
-    _curvature_family(exp, R, contract(R), M)
+    _curvature_family(exp, curvature_ops(R, ProductCache()), M)
 
     # orders -2M-1 and -2M-2
     minus_2mi = GaussianRational(0, -2 * M)
@@ -313,25 +330,24 @@ def lemma2_symbols(
         M = m - 1
     else:
         raise ValueError(f"unsupported symbol exponent {exponent} for m={m}")
-    contr = contract(R)
+    rec = curvature_ops(R, cache)
     zero_x = _e(n)
     exp = SymbolExpansion(n)
-    _curvature_family(exp, R, contr, M)
+    _curvature_family(exp, rec, M)
 
     # orders -2M-1 and -2M-2: the curvature contractions coming from the
     # connection form, one c-family and one chat-family
     i_m4 = GaussianRational(0, Fraction(M, 4))
     mm1_4 = Fraction(M * (M + 1), 4)
-    bivectors, f = curvature_ops(R, cache)
-    for (a, b), (cc, hh) in bivectors.items():
+    for (a, b), (cc, hh) in rec.bivectors.items():
         exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, i_m4, (cc,), "cc"))
         exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, -mm1_4, (cc,), "cc"))
         exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, -i_m4, (hh,), "hchc"))
         exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, mm1_4, (hh,), "hchc"))
-    if not f.is_zero():
-        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, Fraction(-M, 8), (f,), "f"))
-    if contr.scalar and M:
-        s_coeff = Fraction(-M, 4) * contr.scalar
+    if not rec.f.is_zero():
+        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, Fraction(-M, 8), (rec.f,), "f"))
+    if rec.s and M:
+        s_coeff = Fraction(-M, 4) * rec.s
         exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, s_coeff, (), "s"))
     return exp
 
@@ -357,7 +373,7 @@ def symbols_PQ(
     for f in range(1, n + 1):
         exp.add(SymbolTerm(zero_x, _e(n, f), 0, i_unit, (w_p[f - 1],), ""))
     eighth = Fraction(1, 8)
-    for (l, p), (cc, hh) in curvature_ops(R, cache)[0].items():
+    for (l, p), (cc, hh) in curvature_ops(R, cache).bivectors.items():
         exp.add(SymbolTerm(_e(n, l), zero_x, 0, -eighth, (w_p[p - 1], cc), "cc"))
         exp.add(SymbolTerm(_e(n, l), zero_x, 0, eighth, (w_p[p - 1], hh), "hchc"))
     return exp

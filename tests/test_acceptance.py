@@ -29,12 +29,19 @@ from wres.residue import (
     Analysis,
     FunctionalDensity,
     ZERO_PART_IDS,
+    composed_weights,
     derive_inputs,
-    integrate_density,
+    trace_weights,
 )
 from wres.scalars import GaussianRational, ScalarPoly
 from wres.sphere import vol_multiplier
-from wres.symbols import SymbolTerm, lemma1_symbols, lemma2_symbols, standard_connection
+from wres.symbols import (
+    SymbolExpansion,
+    SymbolTerm,
+    lemma1_symbols,
+    lemma2_symbols,
+    standard_connection,
+)
 
 SEED_COUNT = 20
 DIMS = (2, 4, 6, 8)
@@ -107,8 +114,13 @@ def test_criterion_1_clifford_relation_suite():
 def test_criterion_2_trace_and_volume_bookkeeping():
     """integrate(||xi||^{-2m} id) = 2^{2m} Vol, n = 4 and n = 6."""
     for n, want in ((4, 16), (6, 64)):
-        term = SymbolTerm((0,) * n, (0,) * n, -n, GaussianRational(1))
-        got = integrate_density([term], Dimension(n), ProductCache())
+        # a k = 0 block of the identity against the unit symbol, as the
+        # engine composes, integrates and traces every density
+        ident, unit = SymbolExpansion(n), SymbolExpansion(n)
+        ident.add(SymbolTerm((0,) * n, (0,) * n, 0, GaussianRational(1)))
+        unit.add(SymbolTerm((0,) * n, (0,) * n, -n, GaussianRational(1)))
+        chains = composed_weights([(ident, 0, unit, -n, 0)], n)[""]
+        got = trace_weights(chains, Dimension(n), ProductCache())
         assert got == FunctionalDensity(ScalarPoly.const(want), 0)
     print("ACCEPTANCE criterion 2: PASS (trace unit 16 Vol and 64 Vol exact)")
 

@@ -176,6 +176,24 @@ class TestVerifyCommand:
         assert "seeds=0..9" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--dim", "2", "--seeds", "1"],
+        ["parts", "--dim", "2"],
+        ["einstein", "--dim", "2", "--u", "1,0", "--v", "0,1"],
+    ],
+    ids=["verify", "parts", "einstein"],
+)
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_out_is_usage_error(runner, tmp_path, args, target):
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "x.json"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "--out" in result.output
+
+
 class TestPartsCommand:
     def test_table_rows(self, runner):
         result = runner.invoke(main, ["parts", "--dim", "4", "--seed", "2"])

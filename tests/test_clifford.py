@@ -427,7 +427,8 @@ class TestIntegerStorage:
             if i < j and k < l:
                 mask = 1 << (k - 1) | 1 << (l - 1) | (1 << (i - 1) | 1 << (j - 1)) << n
                 f[mask] = ScalarPoly.const(4 * r)
-        bivectors, f_op = curvature_ops(R, ProductCache())
+        rec = curvature_ops(R, ProductCache())
+        bivectors, f_op = rec.bivectors, rec.f
         assert set(bivectors) == set(cc)
         for ab, (cc_op, hh_op) in bivectors.items():
             assert cc_op == CliffordOp(n, cc[ab])

@@ -30,13 +30,13 @@ from wres.residue import (
     FunctionalDensity,
     composed_weights,
     derive_inputs,
-    integrate_density,
     trace_weights,
     verify_all,
 )
 from wres.scalars import GaussianRational, ScalarPoly
 from wres.sphere import vol_multiplier
 from wres.symbols import (
+    SymbolExpansion,
     SymbolTerm,
     blocks_at,
     compose_block,
@@ -58,6 +58,19 @@ def mono(n, *idx):
 
 def density_of(key, dim, R, u, v):
     return Analysis(dim, R, u, v).computed[key]
+
+
+def integrate(terms, n):
+    """Cosphere integral of untagged base-point terms of one order, on
+    the engine's path: one k = 0 block against the identity symbol, then
+    trace_weights."""
+    ident, B = SymbolExpansion(n), SymbolExpansion(n)
+    ident.add(SymbolTerm(mono(n), mono(n), 0, ONE))
+    for t in terms:
+        B.add(t)
+    (order,) = B.orders()
+    chains = composed_weights([(ident, 0, B, order, 0)], n).get("", {})
+    return trace_weights(chains, Dimension(n), ProductCache())
 
 
 class TestFunctionalDensity:
@@ -110,21 +123,19 @@ class TestIntegration:
     def test_flat_top_symbol_gives_trace_unit(self):
         # ||xi||^{-2m} times the identity integrates to 2^{2m} Vol
         for n in (4, 6):
-            term = SymbolTerm(mono(n), mono(n), -n, ONE)
-            got = integrate_density([term], Dimension(n), ProductCache())
+            got = integrate([SymbolTerm(mono(n), mono(n), -n, ONE)], n)
             assert got == FunctionalDensity(ScalarPoly.const(1 << n), 0)
 
     def test_odd_monomials_drop(self):
         n = 4
         term = SymbolTerm(mono(n), mono(n, 1, 2), -6, ONE)
-        assert integrate_density([term], Dimension(n), ProductCache()).is_zero()
+        assert integrate([term], n).is_zero()
 
     def test_weighted_pair_trace(self):
         # xi_1^2 ||xi||^{-6} ctilde(e1)^2 integrates to (1/4)(-16 a0 b0)
         n = 4
         op = tildec_op(n, 1)
-        term = SymbolTerm(mono(n), mono(n, 1, 1), -6, ONE, (op, op))
-        got = integrate_density([term], Dimension(n), ProductCache())
+        got = integrate([SymbolTerm(mono(n), mono(n, 1, 1), -6, ONE, (op, op))], n)
         assert got == FunctionalDensity(ScalarPoly.monomial(1, 1, -4), 0)
 
     def test_one_trace_per_distinct_chain(self, monkeypatch):
@@ -148,7 +159,7 @@ class TestIntegration:
             return real(self, ops, n)
 
         monkeypatch.setattr(ProductCache, "chain_trace", spy)
-        got = integrate_density(terms, Dimension(n), ProductCache())
+        got = integrate(terms, n)
         assert sorted(calls) == sorted([(id(a), id(a)), (id(a), id(b))])
         # per term, as scalar * integral * trace
         want = ScalarPoly.zero()
@@ -157,7 +168,28 @@ class TestIntegration:
                 tr = trace_product(*t.ops)
                 want = want + tr.scale(t.scalar * vol_multiplier(n, t.xi_mono))
         assert got == FunctionalDensity(want, 0)
-        assert integrate_density(terms[-2:], Dimension(n), ProductCache()).is_zero()
+        assert integrate(terms[-2:], n).is_zero()
+
+    def test_cancelled_weight_is_not_traced(self, monkeypatch):
+        n = 4
+        a, b = tildec_op(n, 1), tildec_op(n, 2)
+        three = GaussianRational(3)
+        chains = {
+            (id(a), id(a)): ((a, a), three),
+            (id(b), id(b)): ((b, b), three - three),
+            (id(a), id(b)): ((a, b), three + -three),
+        }
+        calls = []
+        real = ProductCache.chain_trace
+
+        def spy(self, ops, n):
+            calls.append(tuple(map(id, ops)))
+            return real(self, ops, n)
+
+        monkeypatch.setattr(ProductCache, "chain_trace", spy)
+        got = trace_weights(chains, Dimension(n), ProductCache())
+        assert calls == [(id(a), id(a))]
+        assert got == FunctionalDensity(trace_product(a, a).scale(three), 0)
 
     def test_composed_blocks_trace_each_chain_once(self, monkeypatch):
         n = 4
@@ -178,12 +210,6 @@ class TestIntegration:
                 assert len(calls) == len(set(calls)) and set(calls) <= even
                 traced += len(calls)
         assert traced
-
-    def test_residual_x_dependence_rejected(self):
-        n = 4
-        term = SymbolTerm(mono(n, 2), mono(n), -4, ONE)
-        with pytest.raises(ValueError, match="x-dependence"):
-            integrate_density([term], Dimension(n), ProductCache())
 
 
 def symbol_set(n, seed):

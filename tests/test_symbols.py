@@ -219,7 +219,7 @@ class TestFirstOrderFactorSymbols:
         # (l, p) curvature bivector cc of the table
         n = 4
         R = random_riemann(n, 2)
-        bivectors, _ = curvature_ops(R, ProductCache())
+        bivectors = curvature_ops(R, ProductCache()).bivectors
         for l, p in ((1, 2), (3, 1)):
             direct = CliffordOp.zero(n)
             for s in range(1, n + 1):
@@ -239,7 +239,8 @@ def assert_table_matches_products(R):
     unrestricted index sum of generator products.  A pair is absent
     exactly when its sums vanish."""
     n = R.n
-    bivectors, f_op = curvature_ops(R, ProductCache())
+    rec = curvature_ops(R, ProductCache())
+    bivectors, f_op = rec.bivectors, rec.f
     idx = range(1, n + 1)
     for a in idx:
         for b in idx:
@@ -276,6 +277,34 @@ class TestCurvatureTable:
         cache = ProductCache()
         assert curvature_ops(R, cache) is curvature_ops(R, cache)
         assert curvature_ops(random_riemann(4, 1), cache) is not curvature_ops(R, cache)
+
+    def test_one_record_per_analysis(self, monkeypatch):
+        # B1, B2 and the first-order factors all read one record: R's
+        # entries are walked by its pass, by the contract inside it and
+        # by the closed forms' contract, and by nothing else
+        class CountingEntries(dict):
+            passes = 0
+
+            def items(self):
+                self.passes += 1
+                return super().items()
+
+        builds = []
+        real = ProductCache.named
+
+        def spy(self, key, build):
+            def counted():
+                builds.append(key[0])
+                return build()
+
+            return real(self, key, counted)
+
+        monkeypatch.setattr(ProductCache, "named", spy)
+        R, u, v = derive_inputs(6, 1)
+        R.entries = CountingEntries(R.entries)
+        assert Analysis(Dimension(6), R, u, v).all_match()
+        assert builds == ["curvature_ops"]
+        assert R.entries.passes <= 3
 
     def test_no_consumer_reads_single_entries(self, monkeypatch):
         # every curvature coefficient comes from the table's pass over
