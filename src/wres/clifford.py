@@ -181,8 +181,8 @@ class CliffordOp:
         return self.scale(-1)
 
     def scale(self, c) -> "CliffordOp":
-        """c times the operator; c is a ScalarPoly, a GaussianRational or
-        an exact rational (a float raises TypeError)."""
+        """c times the operator; c is a ScalarPoly or an exact constant
+        that ScalarPoly.const takes (a float raises TypeError)."""
         if isinstance(c, ScalarPoly):
             den, factor = c.den, c.nums
         else:

@@ -98,7 +98,7 @@ class FunctionalDensity:
 
     def evaluate(self, a0, b0):
         a0, b0 = _frac(a0), _frac(b0)
-        return self.poly.evaluate(a0, b0) * (a0 * b0) ** self.prefactor_exp
+        return self.poly.scale((a0 * b0) ** self.prefactor_exp).evaluate(a0, b0)
 
     def __repr__(self) -> str:
         return f"FunctionalDensity({self.text()})"
@@ -110,13 +110,14 @@ def trace_weights(chains: dict, dim: Dimension, cache: ProductCache) -> Function
     acc = ScalarPoly.zero()
     for ops, w in chains.values():
         if w:
-            acc = acc + cache.chain_trace(ops, dim.n).scale(w)
+            acc = acc + cache.chain_trace(ops, dim.n) * w
     return FunctionalDensity(acc, 0)
 
 
 def composed_weights(blocks, n: int) -> dict:
     """{tag: {chain ids: (ops, weight)}} of the cosphere-integrated terms
-    of the blocks (A, oa, B, ob, k), without building any product term.
+    of the blocks (A, oa, B, ob, k), without building any product term;
+    each weight is a constant ScalarPoly.
 
     The product of a factor pair (ta, tb) integrates to
     ta.scalar * tb.scalar * vol_multiplier(n, ta.xi + tb.xi) on the
@@ -129,7 +130,8 @@ def composed_weights(blocks, n: int) -> dict:
             chains = weights.setdefault(ta.tag or tb.tag, {})
             ops = ta.ops + tb.ops
             key = tuple(map(id, ops))
-            w = ta.scalar * tb.scalar * vol_multiplier(n, tuple(map(add, ta.xi_mono, tb.xi_mono)))
+            vol = vol_multiplier(n, tuple(map(add, ta.xi_mono, tb.xi_mono)))
+            w = (ta.scalar * tb.scalar).scale(vol)
             hit = chains.get(key)
             chains[key] = (ops, w) if hit is None else (ops, hit[1] + w)
     return weights

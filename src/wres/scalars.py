@@ -1,15 +1,18 @@
-"""Exact scalar arithmetic: Gaussian rationals and polynomials in two parameters.
+"""Exact scalar arithmetic: polynomials in two parameters over the Gaussian rationals.
 
 Every quantity the engine produces is a polynomial in the two real
-parameters a0, b0 with complex rational coefficients.  No floats enter
-any computation; numeric evaluation happens only at the very end, on
-user request.
+parameters a0, b0 with complex rational coefficients; an exact constant
+is such a polynomial whose only term has degree (0, 0).  No floats
+enter any computation; numeric evaluation happens only at the very
+end, on user request.
 
 Such a polynomial has one stored form, shared by ScalarPoly and the
 blade coefficients of clifford.CliffordOp: one positive denominator and
 a sorted tuple of integer terms (packed degree, re, im).  The kernel
-below (_imac, _slot_terms, _canonical) does their arithmetic on Python
-ints; a GaussianRational is made only where a coefficient is read out.
+below (_imac, _slot_terms, _canonical) is the only complex-rational
+arithmetic.  GaussianRational has none: it is the value a coefficient
+is read out as (terms, evaluate) and one of the exact inputs the
+constructors accept.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ _F0 = Fraction(0)
 
 
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts: a
+    read-out value and constructor input, without arithmetic."""
 
     __slots__ = ("re", "im")
 
@@ -47,27 +51,6 @@ class GaussianRational:
         g.im = im
         return g
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational._make(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational._make(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational._make(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            if self.im or other.im:
-                return GaussianRational._make(
-                    self.re * other.re - self.im * other.im,
-                    self.re * other.im + self.im * other.re,
-                )
-            return GaussianRational._make(self.re * other.re, _F0)
-        return GaussianRational(self.re * other, self.im * other)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
@@ -81,10 +64,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
@@ -97,19 +76,17 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-def _coerce_coeff(c) -> GaussianRational:
-    if isinstance(c, GaussianRational):
-        return c
-    return GaussianRational(_frac(c))
-
-
 def _ints(c) -> tuple:
     """(den, re, im) with c = (re + im*i) / den and den > 0 least; c is a
     GaussianRational or an exact rational (a float raises TypeError)."""
-    c = _coerce_coeff(c)
-    den = lcm(c.re.denominator, c.im.denominator)
-    re, im = c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
-    return den, re, im
+    if isinstance(c, int):
+        return 1, c, 0
+    if isinstance(c, GaussianRational):
+        re, im = c.re, c.im
+        den = lcm(re.denominator, im.denominator)
+        return den, re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+    c = _frac(c)
+    return c.denominator, c.numerator, 0
 
 
 def _ratio(num: int, den: int) -> Fraction:
@@ -227,7 +204,10 @@ class ScalarPoly:
 
     @classmethod
     def const(cls, c) -> "ScalarPoly":
-        return cls({(0, 0): c})
+        """The constant c, a GaussianRational or an exact rational (a
+        float raises TypeError)."""
+        den, re, im = _ints(c)
+        return cls._from_slots(den, {0: (re, im)})
 
     @classmethod
     def one(cls) -> "ScalarPoly":

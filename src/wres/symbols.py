@@ -4,15 +4,16 @@ A symbol is a finite sum of terms
 
     scalar * x^alpha xi^beta ||xi||^p (x) op_1 op_2 ... op_k
 
-where scalar is a GaussianRational constant, the monomials live on
-R^n, and the ops chain multiplies out to one Clifford-algebra
-coefficient.  The parameters a0, b0 enter only through ctilde =
-a0*ext - b0*int, so they live in the Clifford coefficients and never in
-a scalar.  The chain is kept unevaluated: its trace is read off without
-building the product and memoized per chain in a ProductCache.
-Homogeneity order of a term is |beta| + p; composition pairs
-xi-derivatives on the left factor with x-derivatives on the right
-factor and evaluates everything at the base point x = 0.
+where scalar is an exact constant (a ScalarPoly whose only term has
+degree (0, 0)), the monomials live on R^n, and the ops chain multiplies
+out to one Clifford-algebra coefficient.  The parameters a0, b0 enter
+only through ctilde = a0*ext - b0*int, so they live in the Clifford
+coefficients and never in a scalar.  The chain is kept unevaluated:
+its trace is read off without building the product and memoized per
+chain in a ProductCache.  Homogeneity order of a term is |beta| + p;
+composition pairs xi-derivatives on the left factor with
+x-derivatives on the right factor and evaluates everything at the base
+point x = 0.
 """
 
 from __future__ import annotations
@@ -34,14 +35,16 @@ from .clifford import (
     vector_clifford,
 )
 from .curvature import RiemannTensor
-from .scalars import GaussianRational, _coerce_coeff
+from .scalars import ScalarPoly
 
-_ONE = GaussianRational(1)
+_ONE = ScalarPoly.one()
+_I = ScalarPoly.imag_unit()
 
 
 class SymbolTerm:
-    """One additive term of an operator-valued symbol; the scalar is
-    coerced to a GaussianRational, so a ScalarPoly or a float raises
+    """One additive term of an operator-valued symbol; the scalar is a
+    constant ScalarPoly, and an exact rational or Gaussian rational is
+    coerced to one, so a float or a ScalarPoly in a0, b0 raises
     TypeError."""
 
     __slots__ = ("x_mono", "xi_mono", "norm_power", "scalar", "ops", "tag")
@@ -50,7 +53,11 @@ class SymbolTerm:
         self.x_mono = x_mono
         self.xi_mono = xi_mono
         self.norm_power = norm_power
-        self.scalar = _coerce_coeff(scalar)
+        if not isinstance(scalar, ScalarPoly):
+            scalar = ScalarPoly.const(scalar)
+        elif any(k for k, _, _ in scalar.nums):
+            raise TypeError(f"symbol scalar {scalar.text()} depends on a0, b0")
+        self.scalar = scalar
         self.ops = ops
         self.tag = tag
 
@@ -93,7 +100,7 @@ def d_xi(term: SymbolTerm, j: int) -> list:
                 term.x_mono,
                 _bump(term.xi_mono, j - 1, -1),
                 term.norm_power,
-                term.scalar * e,
+                term.scalar.scale(e),
                 term.ops,
                 term.tag,
             )
@@ -105,7 +112,7 @@ def d_xi(term: SymbolTerm, j: int) -> list:
                 term.x_mono,
                 _bump(term.xi_mono, j - 1, +1),
                 p - 2,
-                term.scalar * p,
+                term.scalar.scale(p),
                 term.ops,
                 term.tag,
             )
@@ -276,7 +283,7 @@ def _curvature_family(exp: SymbolExpansion, rec: CurvatureRecord, M: int) -> Non
     slope = Fraction(-2 * M, 3)
     mm1_3 = Fraction(M * (M + 1), 3)
     for (a, b), ric in rec.ricci.items():
-        exp.add(SymbolTerm(_e(n, b), _e(n, a), top, GaussianRational(0, slope * ric), (), "ric"))
+        exp.add(SymbolTerm(_e(n, b), _e(n, a), top, _I.scale(slope * ric), (), "ric"))
         exp.add(SymbolTerm(zero_x, _e(n, a, b), top - 2, mm1_3 * ric, (), "ric"))
 
 
@@ -296,7 +303,7 @@ def lemma1_symbols(
     _curvature_family(exp, curvature_ops(R, ProductCache()), M)
 
     # orders -2M-1 and -2M-2
-    minus_2mi = GaussianRational(0, -2 * M)
+    minus_2mi = _I.scale(-2 * M)
     two_mm1 = 2 * M * (M + 1)
     for (a, b), t in conn.t_ab.items():
         if not t.is_zero():
@@ -337,7 +344,7 @@ def lemma2_symbols(
 
     # orders -2M-1 and -2M-2: the curvature contractions coming from the
     # connection form, one c-family and one chat-family
-    i_m4 = GaussianRational(0, Fraction(M, 4))
+    i_m4 = _I.scale(Fraction(M, 4))
     mm1_4 = Fraction(M * (M + 1), 4)
     for (a, b), (cc, hh) in rec.bivectors.items():
         exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, i_m4, (cc,), "cc"))
@@ -368,10 +375,9 @@ def symbols_PQ(
     cw = vector_clifford("tildec", w)
     w_p = [cw * tildec_op(n, p) for p in range(1, n + 1)]
     exp = SymbolExpansion(n)
-    i_unit = GaussianRational(0, 1)
     zero_x = _e(n)
     for f in range(1, n + 1):
-        exp.add(SymbolTerm(zero_x, _e(n, f), 0, i_unit, (w_p[f - 1],), ""))
+        exp.add(SymbolTerm(zero_x, _e(n, f), 0, _I, (w_p[f - 1],), ""))
     eighth = Fraction(1, 8)
     for (l, p), (cc, hh) in curvature_ops(R, cache).bivectors.items():
         exp.add(SymbolTerm(_e(n, l), zero_x, 0, -eighth, (w_p[p - 1], cc), "cc"))
@@ -392,7 +398,7 @@ def uv_symbol(dim: Dimension, u: FrameVector, v: FrameVector) -> SymbolExpansion
 # composition
 # ---------------------------------------------------------------------------
 
-_MINUS_I_POW = (_ONE, GaussianRational(0, -1), GaussianRational(-1))
+_MINUS_I_POW = (_ONE, -_I, -_ONE)
 
 
 def _factor_lists(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int):

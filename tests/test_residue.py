@@ -46,7 +46,7 @@ from wres.symbols import (
     uv_symbol,
 )
 
-ONE = GaussianRational(1)
+ONE = ScalarPoly.one()
 
 
 def mono(n, *idx):
@@ -141,11 +141,11 @@ class TestIntegration:
     def test_one_trace_per_distinct_chain(self, monkeypatch):
         n = 4
         a, b = tildec_op(n, 1), tildec_op(n, 2)
-        three = GaussianRational(3)
+        three = ScalarPoly.const(3)
         terms = [
             SymbolTerm(mono(n), mono(n, 1, 1), -6, ONE, (a, a)),
             SymbolTerm(mono(n), mono(n, 2, 2), -6, three, (a, a)),
-            SymbolTerm(mono(n), mono(n), -4, GaussianRational(0, 1), (a, b)),
+            SymbolTerm(mono(n), mono(n), -4, ScalarPoly.imag_unit(), (a, b)),
             SymbolTerm(mono(n), mono(n, 1, 2), -6, ONE, (b, a)),  # odd: never traced
             # one chain, opposite scalars: weight zero, never traced
             SymbolTerm(mono(n), mono(n, 3, 3), -6, three, (b, b)),
@@ -166,14 +166,14 @@ class TestIntegration:
         for t in terms:
             if not any(e % 2 for e in t.xi_mono):
                 tr = trace_product(*t.ops)
-                want = want + tr.scale(t.scalar * vol_multiplier(n, t.xi_mono))
+                want = want + tr * t.scalar.scale(vol_multiplier(n, t.xi_mono))
         assert got == FunctionalDensity(want, 0)
         assert integrate(terms[-2:], n).is_zero()
 
     def test_cancelled_weight_is_not_traced(self, monkeypatch):
         n = 4
         a, b = tildec_op(n, 1), tildec_op(n, 2)
-        three = GaussianRational(3)
+        three = ScalarPoly.const(3)
         chains = {
             (id(a), id(a)): ((a, a), three),
             (id(b), id(b)): ((b, b), three - three),
@@ -189,7 +189,7 @@ class TestIntegration:
         monkeypatch.setattr(ProductCache, "chain_trace", spy)
         got = trace_weights(chains, Dimension(n), ProductCache())
         assert calls == [(id(a), id(a))]
-        assert got == FunctionalDensity(trace_product(a, a).scale(three), 0)
+        assert got == FunctionalDensity(trace_product(a, a) * three, 0)
 
     def test_composed_blocks_trace_each_chain_once(self, monkeypatch):
         n = 4
@@ -346,6 +346,26 @@ class TestBlocks:
         assert traced == weighted
         want = sum(len(nonzero(term_weights(spec, n))) for spec in block_specs(n, 1).values())
         assert sum(map(len, traced)) == want
+
+    def test_analysis_builds_no_gaussian_rational(self, monkeypatch):
+        # every exact constant is a ScalarPoly: a GaussianRational is only
+        # read out of a finished density, never built by the pipeline
+        built = []
+        real_init, real_make = GaussianRational.__init__, GaussianRational._make.__func__
+
+        def init_spy(self, *args):
+            built.append(args)
+            real_init(self, *args)
+
+        def make_spy(cls, *args):
+            built.append(args)
+            return real_make(cls, *args)
+
+        monkeypatch.setattr(GaussianRational, "__init__", init_spy)
+        monkeypatch.setattr(GaussianRational, "_make", classmethod(make_spy))
+        for n in (4, 6):
+            assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
+        assert built == []
 
 
 class _PoisonOps(tuple):

@@ -33,7 +33,7 @@ from wres.symbols import (
     uv_symbol,
 )
 
-ONE = GaussianRational(1)
+ONE = ScalarPoly.one()
 
 
 def mono(n, *idx):
@@ -78,7 +78,7 @@ class TestDerivatives:
         out = d_xi(t, 1)
         assert len(out) == 1
         assert out[0].xi_mono == mono(n, 1, 2)
-        assert out[0].scalar == GaussianRational(2)
+        assert out[0].scalar == ScalarPoly.const(2)
 
     def test_xi_derivative_hits_norm_factor(self):
         # d/dxi_1 (xi_1 |xi|^-2) = |xi|^-2 - 2 xi_1^2 |xi|^-4
@@ -90,7 +90,7 @@ class TestDerivatives:
         assert plain.xi_mono == mono(n) and plain.norm_power == -2
         assert plain.scalar == ONE
         assert normside.xi_mono == mono(n, 1, 1) and normside.norm_power == -4
-        assert normside.scalar == GaussianRational(-2)
+        assert normside.scalar == ScalarPoly.const(-2)
 
     def test_xi_derivative_in_absent_variable(self):
         n = 4
@@ -108,14 +108,18 @@ class TestExpansionPlumbing:
         exp.add(SymbolTerm(mono(4), mono(4), 0, GaussianRational(0)))
         assert exp.orders() == []
 
-    @pytest.mark.parametrize("scalar", [ScalarPoly.one(), ScalarPoly.a0(), 0.5, 1.0])
-    def test_scalar_must_be_a_gaussian_rational(self, scalar):
+    @pytest.mark.parametrize(
+        "scalar", [ScalarPoly.one() + ScalarPoly.b0(), ScalarPoly.a0(), 0.5, 1.0]
+    )
+    def test_scalar_must_be_a_constant(self, scalar):
         with pytest.raises(TypeError):
             SymbolTerm(mono(4), mono(4), 0, scalar)
 
     def test_exact_scalars_are_coerced(self):
-        t = SymbolTerm(mono(4), mono(4), 0, Fraction(-1, 3))
-        assert type(t.scalar) is GaussianRational and t.scalar == Fraction(-1, 3)
+        want = ScalarPoly.const(Fraction(-1, 3))
+        for scalar in (Fraction(-1, 3), GaussianRational(Fraction(-1, 3)), want):
+            t = SymbolTerm(mono(4), mono(4), 0, scalar)
+            assert type(t.scalar) is ScalarPoly and t.scalar == want
 
     def test_every_family_writes_constant_scalars(self):
         dim = Dimension(4)
@@ -131,7 +135,9 @@ class TestExpansionPlumbing:
             uv_symbol(dim, u, v),
         ]
         terms = [t for exp in families for o in exp.orders() for t in exp.terms_at(o)]
-        assert terms and all(type(t.scalar) is GaussianRational for t in terms)
+        assert terms and all(
+            type(t.scalar) is ScalarPoly and t.scalar.terms.keys() == {(0, 0)} for t in terms
+        )
 
     def test_merged_cancels_opposite_terms(self):
         exp = SymbolExpansion(4)
@@ -204,7 +210,7 @@ class TestFirstOrderFactorSymbols:
         assert len(terms) == 4
         cu = vector_clifford("tildec", u)
         for t in terms:
-            assert t.scalar == GaussianRational(0, 1)
+            assert t.scalar == ScalarPoly.imag_unit()
             f = t.xi_mono.index(1) + 1
             assert len(t.ops) == 1
             assert t.ops[0] == cu * tildec_op(4, f)
@@ -341,7 +347,7 @@ class TestRxxTerms:
             for (a, j, b, k), r in R.entries.items():
                 key = (mono(n, j, k), mono(n, a, b))
                 sums[key] = sums.get(key, 0) + r
-            want = {key: GaussianRational(Fraction(-M, 3) * r) for key, r in sums.items() if r}
+            want = {key: ScalarPoly.const(Fraction(-M, 3) * r) for key, r in sums.items() if r}
             assert want and {key: t.scalar for key, t in zip(keys, terms)} == want
             assert len(terms) < len(R.entries)
 
