@@ -12,6 +12,7 @@ multiples of Vol(S^{n-1}) times tr[id] and are never floated.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 
 from .clifford import Dimension, FrameVector, ProductCache, inner
@@ -23,7 +24,7 @@ from .curvature import (
     random_vector,
     ricci_bilinear,
 )
-from .scalars import ScalarPoly, _frac
+from .scalars import ScalarPoly, _frac, _imac
 from .sphere import vol_multiplier
 from .symbols import (
     blocks_at,
@@ -104,36 +105,51 @@ class FunctionalDensity:
         return f"FunctionalDensity({self.text()})"
 
 
-def trace_weights(chains: dict, dim: Dimension, cache: ProductCache) -> FunctionalDensity:
-    """Sum of weight * trace over {chain ids: (ops, weight)}: each chain
-    is traced once, and a chain whose weight cancels is not traced."""
-    acc = ScalarPoly.zero()
-    for ops, w in chains.values():
-        if w:
-            acc = acc + cache.chain_trace(ops, dim.n) * w
-    return FunctionalDensity(acc, 0)
+def trace_weights(den: int, chains: dict, dim: Dimension, cache: ProductCache) -> FunctionalDensity:
+    """Sum of (re + im*i) / den * trace over one tag's {chain ids: (ops,
+    [re, im])} (composed_weights).  Each chain whose numerator does not
+    cancel is traced once (cached); the traces, over the lcm of their
+    denominators, are multiplied by the integer numerators into one slot
+    dict, which is made canonical once."""
+    traced = [(cache.chain_trace(ops, dim.n), w) for ops, w in chains.values() if w[0] or w[1]]
+    tden = lcm(*(t.den for t, _ in traced))
+    acc: dict = {}
+    for t, (re, im) in traced:
+        _imac(acc, tden // t.den, ((0, re, im),), t.nums)
+    return FunctionalDensity(ScalarPoly._from_slots(den * tden, acc), 0)
 
 
 def composed_weights(blocks, n: int) -> dict:
-    """{tag: {chain ids: (ops, weight)}} of the cosphere-integrated terms
-    of the blocks (A, oa, B, ob, k), without building any product term;
-    each weight is a constant ScalarPoly.
+    """{tag: [den, {chain ids: (ops, [re, im])}]} of the cosphere-integrated
+    terms of the blocks (A, oa, B, ob, k), without building any product
+    term: each chain weighs (re + im*i) / den, integer numerators over
+    one unreduced denominator per tag (a cancelled weight is [0, 0]).
 
-    The product of a factor pair (ta, tb) integrates to
-    ta.scalar * tb.scalar * vol_multiplier(n, ta.xi + tb.xi) on the
-    chain ta.ops + tb.ops.  An odd monomial integrates to zero, so only
-    the even pairs are enumerated (even_pairs).
+    A factor pair (ta, tb) integrates to ta.scalar * tb.scalar *
+    vol_multiplier(n, ta.xi + tb.xi) on the chain ta.ops + tb.ops: both
+    scalars are constants, so this is an integer over ta.den * tb.den *
+    vol_den.  A tag's denominator is the lcm of its pairs', and its
+    numerators are rescaled when a pair's denominator does not divide
+    it.  Odd monomials integrate to zero, so only the even pairs are
+    enumerated (even_pairs).
     """
     weights: dict = {}
     for A, oa, B, ob, k in blocks:
         for ta, tb in even_pairs(A, oa, B, ob, k):
-            chains = weights.setdefault(ta.tag or tb.tag, {})
+            ((_, ra, ia),), ((_, rb, ib),) = ta.scalar.nums, tb.scalar.nums
+            vnum, vden = vol_multiplier(n, tuple(map(add, ta.xi_mono, tb.xi_mono)))
+            den = ta.scalar.den * tb.scalar.den * vden
+            acc = weights.setdefault(ta.tag or tb.tag, [den, {}])
+            if acc[0] % den:
+                f = den // gcd(acc[0], den)
+                acc[0] *= f
+                for _, w in acc[1].values():
+                    w[0], w[1] = w[0] * f, w[1] * f
+            f = acc[0] // den * vnum
             ops = ta.ops + tb.ops
-            key = tuple(map(id, ops))
-            vol = vol_multiplier(n, tuple(map(add, ta.xi_mono, tb.xi_mono)))
-            w = (ta.scalar * tb.scalar).scale(vol)
-            hit = chains.get(key)
-            chains[key] = (ops, w) if hit is None else (ops, hit[1] + w)
+            w = acc[1].setdefault(tuple(map(id, ops)), (ops, [0, 0]))[1]
+            w[0] += (ra * rb - ia * ib) * f
+            w[1] += (ra * ib + ia * rb) * f
     return weights
 
 
@@ -254,8 +270,8 @@ class Analysis:
         zero = FunctionalDensity(ScalarPoly.zero(), 0)
         for bid, spec in blocks.items():
             tagged = {
-                tag: trace_weights(chains, dim, cache)
-                for tag, chains in composed_weights(spec, dim.n).items()
+                tag: trace_weights(den, chains, dim, cache)
+                for tag, (den, chains) in composed_weights(spec, dim.n).items()
             }
             comp[bid] = sum(tagged.values(), zero)
             for pid, sign, tag in _SUBPARTS.get(bid, ()):
@@ -291,31 +307,20 @@ class Analysis:
         zero = FunctionalDensity(ScalarPoly.zero(), 0)
         half_comb = Fraction(1, 4) * sg - Fraction(1, 2) * ric
         exp = self.expected
+        exp.update(dict.fromkeys(ZERO_PART_IDS, zero))
         exp["I-1-A"] = density(ab * sum_sq, Fraction(1, 4) * half_comb)
         exp["I-1-B"] = density(ab * diff_sq, Fraction(1, 4) * half_comb)
         exp["I-1"] = density(absq, half_comb)
-        exp["I-2"] = zero
         exp["I-3-A"] = density(absq, Fraction(m, 6) * sg - Fraction(1, 3) * ric)
-        exp["I-3-B"] = zero
-        exp["I-3-C"] = zero
-        exp["I-3-D"] = zero
         exp["I-3-E"] = density(absq, Fraction(1 - m, 4) * sg)
         exp["I-3"] = density(absq, Fraction(3 - m, 12) * sg - Fraction(1, 3) * ric)
         exp["I-4-A"] = density(absq, Fraction(4, 3) * ric - Fraction(2, 3) * sg)
-        exp["I-4-B"] = zero
-        exp["I-4-C"] = zero
         exp["I-4"] = exp["I-4-A"]
-        exp["I-5"] = zero
         exp["I-6"] = density(absq, Fraction(1, 3) * sg - Fraction(2, 3) * ric)
         exp["II-1"] = density(ab, Fraction(-(m - 1), 6) * sg)
-        exp["II-2"] = zero
-        exp["II-3"] = zero
-        exp["II-4"] = zero
         exp["II-5"] = density(ab, Fraction(m - 1, 4) * sg)
         exp["II"] = density(ab, Fraction(m - 1, 12) * sg)
-        exp["zabdt"] = density(
-            absq, Fraction(2 - m, 12) * sg - Fraction(1, 6) * ric
-        )
+        exp["zabdt"] = density(absq, Fraction(2 - m, 12) * sg - Fraction(1, 6) * ric)
         exp["zpdt"] = exp["II"]
         exp["metric"] = density(ScalarPoly.one(), -g, -m + 1)
         exp["einstein"] = density(

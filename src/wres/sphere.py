@@ -1,44 +1,37 @@
 """Monomial integrals over the unit cosphere S^{n-1}, exact up to the volume.
 
-Values are reported as rational multiples of Vol(S^{n-1}); the volume
-itself (2 pi^m / Gamma(m)) stays symbolic so every identity remains a
-statement about exact rationals.  The recursion pairs the first index
-slot against each remaining slot:
+Values are reported as integer pairs (num, den), the rational multiple
+num/den of Vol(S^{n-1}); the volume itself (2 pi^m / Gamma(m)) stays
+symbolic so every identity remains a statement about exact integers.
+An odd monomial integrates to zero; an even one has the closed form
 
-    I^{g1...gd} = (d - 2 + n)^{-1} sum_{j>=2} delta^{g1 gj} I^{...without 1,j}
+    integral(prod xi_a^{alpha_a}) / Vol(S^{n-1})
+        = prod_a (alpha_a - 1)!! / (n (n+2) ... (n + |alpha| - 2))
+
+(Folland, "How to integrate a polynomial over a sphere", Amer. Math.
+Monthly 108, 2001), so a degree-2k weight has the denominator
+n (n+2) ... (n+2k-2) whatever the monomial.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 
 @lru_cache(maxsize=None)
-def _reduce(n: int, sig: tuple) -> Fraction:
-    # sig: sorted tuple of positive even exponents (zeros stripped)
-    if not sig:
-        return Fraction(1)
-    d = sum(sig)
-    e = sig[0]
-    # pairing the first slot of the leading variable with one of its
-    # e-1 remaining slots; cross-variable pairings vanish since the
-    # delta never matches
-    rest = tuple(sorted(s for s in ((e - 2,) + sig[1:]) if s))
-    return Fraction(e - 1, d - 2 + n) * _reduce(n, rest)
-
-
-def vol_multiplier(n: int, exponents: tuple) -> Fraction:
-    """Rational r with integral(prod xi_a^{alpha_a}) = r * Vol(S^{n-1})."""
+def vol_multiplier(n: int, exponents: tuple) -> tuple:
+    """Integers (num, den) with integral(prod xi_a^{alpha_a}) = num/den *
+    Vol(S^{n-1}): num = prod (alpha_a - 1)!! and den = n (n+2) ... (n +
+    |alpha| - 2), not reduced; (0, 1) for an odd monomial."""
     if len(exponents) != n:
         raise ValueError("exponent tuple length must equal the dimension")
     if any(e < 0 for e in exponents):
         raise ValueError("exponents must be nonnegative")
     if any(e % 2 for e in exponents):
-        return Fraction(0)
-    sig = tuple(sorted(e for e in exponents if e))
-    return _reduce(n, sig)
+        return 0, 1
+    num = math.prod(math.prod(range(e - 1, 0, -2)) for e in exponents)
+    return num, math.prod(range(n, n + sum(exponents) - 1, 2))
 
 
 def sphere_volume(n: int) -> float:

@@ -240,12 +240,13 @@ class ConnectionData:
     The first-order slot T_a vanishes for the Hodge square at the base
     point (see standard_connection), so it is not stored and the generic
     expansion carries no T_a terms.  t_ab maps (a, b) to T_ab; a missing
-    pair is T_ab = 0.
+    pair is T_ab = 0.  rec is the curvature record they were read from.
     """
 
     n: int
     t_ab: dict
     e: CliffordOp
+    rec: CurvatureRecord
 
 
 def standard_connection(dim: Dimension, R: RiemannTensor, cache: ProductCache) -> ConnectionData:
@@ -261,7 +262,7 @@ def standard_connection(dim: Dimension, R: RiemannTensor, cache: ProductCache) -
         for ab, (cc, hh) in rec.bivectors.items()
     }
     e = rec.f.scale(Fraction(1, 8)) + CliffordOp.identity(n).scale(Fraction(rec.s, 4))
-    return ConnectionData(n, t_ab, e)
+    return ConnectionData(n, t_ab, e, rec)
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +295,14 @@ def lemma1_symbols(
     m_family: int | None = None,
 ) -> SymbolExpansion:
     """Generic negative-order symbols of the -M power of a Laplacian with
-    connection slots (T_ab, E), through three orders at the base point.
+    connection slots (T_ab, E), through three orders at the base point;
+    the curvature terms read conn.rec, the record of R conn was built from.
     """
     n = dim.n
     M = dim.m if m_family is None else m_family
     zero_x = _e(n)
     exp = SymbolExpansion(n)
-    _curvature_family(exp, curvature_ops(R, ProductCache()), M)
+    _curvature_family(exp, conn.rec, M)
 
     # orders -2M-1 and -2M-2
     minus_2mi = _I.scale(-2 * M)

@@ -119,14 +119,14 @@ def test_criterion_2_trace_and_volume_bookkeeping():
         ident, unit = SymbolExpansion(n), SymbolExpansion(n)
         ident.add(SymbolTerm((0,) * n, (0,) * n, 0, GaussianRational(1)))
         unit.add(SymbolTerm((0,) * n, (0,) * n, -n, GaussianRational(1)))
-        chains = composed_weights([(ident, 0, unit, -n, 0)], n)[""]
-        got = trace_weights(chains, Dimension(n), ProductCache())
+        den, chains = composed_weights([(ident, 0, unit, -n, 0)], n)[""]
+        got = trace_weights(den, chains, Dimension(n), ProductCache())
         assert got == FunctionalDensity(ScalarPoly.const(want), 0)
     print("ACCEPTANCE criterion 2: PASS (trace unit 16 Vol and 64 Vol exact)")
 
 
 def test_criterion_3_sphere_recursion_vs_oracle():
-    """Recursion equals the double-factorial formula, degree <= 6, n in {4, 6}."""
+    """The integer weights equal the double-factorial formula, degree <= 6, n in {4, 6}."""
 
     def oracle(n, exponents):
         if any(e % 2 for e in exponents):
@@ -145,8 +145,8 @@ def test_criterion_3_sphere_recursion_vs_oracle():
     for n in (4, 6):
         for exponents in product(range(0, 7), repeat=n):
             if sum(exponents) <= 6:
-                assert vol_multiplier(n, exponents) == oracle(n, exponents)
-    print("ACCEPTANCE criterion 3: PASS (sphere recursion matches oracle exactly)")
+                assert Fraction(*vol_multiplier(n, exponents)) == oracle(n, exponents)
+    print("ACCEPTANCE criterion 3: PASS (sphere weights match oracle exactly)")
 
 
 def test_criterion_4_symbol_family_consistency():

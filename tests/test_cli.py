@@ -219,7 +219,7 @@ class TestFailingChecks:
         monkeypatch.setattr(
             wres.residue,
             "trace_weights",
-            lambda chains, dim, cache: real(chains, dim, cache) + i_unit,
+            lambda den, chains, dim, cache: real(den, chains, dim, cache) + i_unit,
         )
         for args in (["verify", "--dim", "2", "--seeds", "1"], ["parts", "--dim", "2"]):
             result = runner.invoke(main, args)

@@ -19,6 +19,7 @@ from wres.curvature import (
     ricci_bilinear,
 )
 import wres.residue
+import wres.sphere
 from wres.residue import (
     _BLOCKS,
     ASSEMBLED_IDS,
@@ -69,8 +70,8 @@ def integrate(terms, n):
     for t in terms:
         B.add(t)
     (order,) = B.orders()
-    chains = composed_weights([(ident, 0, B, order, 0)], n).get("", {})
-    return trace_weights(chains, Dimension(n), ProductCache())
+    den, chains = composed_weights([(ident, 0, B, order, 0)], n).get("", (1, {}))
+    return trace_weights(den, chains, Dimension(n), ProductCache())
 
 
 class TestFunctionalDensity:
@@ -166,7 +167,7 @@ class TestIntegration:
         for t in terms:
             if not any(e % 2 for e in t.xi_mono):
                 tr = trace_product(*t.ops)
-                want = want + tr * t.scalar.scale(vol_multiplier(n, t.xi_mono))
+                want = want + tr * t.scalar.scale(Fraction(*vol_multiplier(n, t.xi_mono)))
         assert got == FunctionalDensity(want, 0)
         assert integrate(terms[-2:], n).is_zero()
 
@@ -174,10 +175,11 @@ class TestIntegration:
         n = 4
         a, b = tildec_op(n, 1), tildec_op(n, 2)
         three = ScalarPoly.const(3)
+        # weights 3, 3 - 3 and 3 + (-3), as numerators over den 2
         chains = {
-            (id(a), id(a)): ((a, a), three),
-            (id(b), id(b)): ((b, b), three - three),
-            (id(a), id(b)): ((a, b), three + -three),
+            (id(a), id(a)): ((a, a), [6, 0]),
+            (id(b), id(b)): ((b, b), [6 - 6, 0]),
+            (id(a), id(b)): ((a, b), [6 + -6, 0]),
         }
         calls = []
         real = ProductCache.chain_trace
@@ -187,7 +189,7 @@ class TestIntegration:
             return real(self, ops, n)
 
         monkeypatch.setattr(ProductCache, "chain_trace", spy)
-        got = trace_weights(chains, Dimension(n), ProductCache())
+        got = trace_weights(2, chains, Dimension(n), ProductCache())
         assert calls == [(id(a), id(a))]
         assert got == FunctionalDensity(trace_product(a, a) * three, 0)
 
@@ -203,10 +205,10 @@ class TestIntegration:
         monkeypatch.setattr(ProductCache, "chain_trace", spy)
         traced = 0
         for spec in block_specs(n, 1).values():
-            even = {key for tag, key in nonzero(term_weights(spec, n))}
-            for chains in composed_weights(spec, n).values():
+            even = {key for tag, key in term_weights(spec, n)}
+            for den, chains in composed_weights(spec, n).values():
                 calls.clear()
-                trace_weights(chains, Dimension(n), ProductCache())
+                trace_weights(den, chains, Dimension(n), ProductCache())
                 assert len(calls) == len(set(calls)) and set(calls) <= even
                 traced += len(calls)
         assert traced
@@ -236,23 +238,27 @@ def block_specs(n, seed):
 
 
 def term_weights(spec, n):
-    """{tag: {chain ids: (ops, weight)}} summed over every built product
-    term, odd ones included: their cosphere integral is zero."""
+    """{(tag, chain ids): weight} summed over every built product term,
+    odd ones included (their cosphere integral is zero), as constant
+    ScalarPolys in Fraction arithmetic; cancelled weights are dropped."""
     out = {}
     for A, oa, B, ob, k in spec:
         for t in compose_block(A, oa, B, ob, k):
             assert t.order() == -n and not any(t.x_mono)
-            chains = out.setdefault(t.tag, {})
-            key = tuple(map(id, t.ops))
-            w = t.scalar * vol_multiplier(n, t.xi_mono)
-            chains[key] = (t.ops, chains[key][1] + w if key in chains else w)
-    return out
+            key = (t.tag, tuple(map(id, t.ops)))
+            w = t.scalar.scale(Fraction(*vol_multiplier(n, t.xi_mono)))
+            out[key] = out[key] + w if key in out else w
+    return {key: w for key, w in out.items() if w}
 
 
 def nonzero(weights):
-    """{(tag, chain ids): weight} of the uncancelled weights."""
+    """{(tag, chain ids): weight} of the uncancelled weights of
+    composed_weights, each (re + im*i) / den read out as a constant."""
     return {
-        (tag, key): w for tag, chains in weights.items() for key, (_, w) in chains.items() if w
+        (tag, key): ScalarPoly.const(GaussianRational(Fraction(re, den), Fraction(im, den)))
+        for tag, (den, chains) in weights.items()
+        for key, (_, (re, im)) in chains.items()
+        if re or im
     }
 
 
@@ -266,7 +272,7 @@ class TestBlocks:
             for key, w in nonzero(composed_weights([(PQ, oa, B1, -n + ob, oa + ob)], n)).items():
                 summed[key] = summed[key] + w if key in summed else w
         # every order -n pairing of PQ and B1, composed term by term
-        want = nonzero(term_weights(blocks_at(PQ, B1, -n), n))
+        want = term_weights(blocks_at(PQ, B1, -n), n)
         assert want and {k: w for k, w in summed.items() if w} == want
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -274,7 +280,7 @@ class TestBlocks:
         specs = block_specs(n, 1)
         assert set(specs) == set(_BLOCKS) | {"II", "metric"}
         for bid, spec in specs.items():
-            assert nonzero(composed_weights(spec, n)) == nonzero(term_weights(spec, n)), bid
+            assert nonzero(composed_weights(spec, n)) == term_weights(spec, n), bid
 
     def test_odd_pairs_build_nothing(self, monkeypatch):
         # The weight walker enumerates no odd pair, so none reaches the
@@ -334,17 +340,17 @@ class TestBlocks:
             traced[-1].append(tuple(map(id, ops)))
             return real_chain(self, ops, n)
 
-        def trace_spy(chains, dim, cache):
+        def trace_spy(den, chains, dim, cache):
             traced.append([])
-            weighted.append([key for key, (_, w) in chains.items() if w])
-            return real_trace(chains, dim, cache)
+            weighted.append([key for key, (_, (re, im)) in chains.items() if re or im])
+            return real_trace(den, chains, dim, cache)
 
         monkeypatch.setattr(ProductCache, "chain_trace", chain_spy)
         monkeypatch.setattr(wres.residue, "trace_weights", trace_spy)
         assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
         # each weighted chain of each (density, tag) is traced exactly once
         assert traced == weighted
-        want = sum(len(nonzero(term_weights(spec, n))) for spec in block_specs(n, 1).values())
+        want = sum(len(term_weights(spec, n)) for spec in block_specs(n, 1).values())
         assert sum(map(len, traced)) == want
 
     def test_analysis_builds_no_gaussian_rational(self, monkeypatch):
@@ -363,6 +369,40 @@ class TestBlocks:
 
         monkeypatch.setattr(GaussianRational, "__init__", init_spy)
         monkeypatch.setattr(GaussianRational, "_make", classmethod(make_spy))
+        for n in (4, 6):
+            assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
+        assert built == []
+
+
+    def test_weight_path_builds_no_fraction(self, monkeypatch):
+        # composition, cosphere weights and traces are integer arithmetic:
+        # no Fraction is built under composed_weights or trace_weights.
+        # The sphere memos start cold, so a weight cached by an earlier
+        # run cannot hide a Fraction built on its first use.
+        for fn in vars(wres.sphere).values():
+            getattr(fn, "cache_clear", lambda: None)()
+        depth, built = [0], []
+
+        def inside(fn):
+            def run(*args):
+                depth[0] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    depth[0] -= 1
+
+            return run
+
+        real_new = Fraction.__new__
+
+        def new_spy(cls, *args, **kwargs):
+            if depth[0]:
+                built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        for name in ("composed_weights", "trace_weights"):
+            monkeypatch.setattr(wres.residue, name, inside(getattr(wres.residue, name)))
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(new_spy))
         for n in (4, 6):
             assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
         assert built == []
@@ -451,7 +491,7 @@ class TestPartTable:
         monkeypatch.setattr(
             wres.residue,
             "trace_weights",
-            lambda chains, dim, cache: real(chains, dim, cache) + i_unit,
+            lambda den, chains, dim, cache: real(den, chains, dim, cache) + i_unit,
         )
         R, u, v = derive_inputs(2, 0)
         analysis = Analysis(Dimension(2), R, u, v)

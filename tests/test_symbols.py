@@ -312,6 +312,29 @@ class TestCurvatureTable:
         assert builds == ["curvature_ops"]
         assert R.entries.passes <= 3
 
+    def test_one_record_for_the_symbol_families(self, monkeypatch):
+        # criterion 4 builds the connection, the concrete family and the
+        # generic family on one cache; the generic family reads the
+        # record the connection was built from, so it is built once
+        builds = []
+        real = ProductCache.named
+
+        def spy(self, key, build):
+            def counted():
+                builds.append(key[0])
+                return build()
+
+            return real(self, key, counted)
+
+        monkeypatch.setattr(ProductCache, "named", spy)
+        dim, R, cache = Dimension(6), random_riemann(6, 1), ProductCache()
+        conn = standard_connection(dim, R, cache)
+        direct = lemma2_symbols(dim, R, dim.m, -2 * dim.m, cache)
+        generic = lemma1_symbols(dim, R, conn)
+        assert builds == ["curvature_ops"]
+        assert conn.rec is curvature_ops(R, cache)
+        assert direct.merged(cache) == generic.merged(cache)
+
     def test_no_consumer_reads_single_entries(self, monkeypatch):
         # every curvature coefficient comes from the table's pass over
         # R.entries, so R.get is never called once R is built
