@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .scalars import ScalarPoly, _canonical, _frac, _imac, _ints, _ONE_TERMS, _slot_terms
+from .scalars import ScalarPoly, _canonical, _frac, _imac, _ints, _ONE_TERMS, _pack, _slot_terms
 
 _ZERO = ScalarPoly.zero()
 
@@ -324,10 +324,10 @@ def int_op(n: int, j: int) -> CliffordOp:
 def tildec_op(n: int, j: int) -> CliffordOp:
     """ctilde(e_j) = a0*ext - b0*int = ((a0+b0) c + (a0-b0) chat) / 2,
     the nonminimal deformation of c."""
-    half = Fraction(1, 2)
-    return c_op(n, j).scale((ScalarPoly.a0() + ScalarPoly.b0()).scale(half)) + hatc_op(
-        n, j
-    ).scale((ScalarPoly.a0() - ScalarPoly.b0()).scale(half))
+    a0, b0 = _pack(1, 0), _pack(0, 1)
+    half_sum = ScalarPoly._from_slots(2, {a0: (1, 0), b0: (1, 0)})
+    half_diff = ScalarPoly._from_slots(2, {a0: (1, 0), b0: (-1, 0)})
+    return c_op(n, j).scale(half_sum) + hatc_op(n, j).scale(half_diff)
 
 
 _KINDS = {"ext": ext_op, "int": int_op, "c": c_op, "hatc": hatc_op, "tildec": tildec_op}

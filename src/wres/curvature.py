@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .clifford import FrameVector
 from .scalars import _frac
@@ -127,46 +128,27 @@ def constant_curvature(n: int) -> RiemannTensor:
 def random_riemann(n: int, seed: int) -> RiemannTensor:
     """Deterministic random tensor with exact symmetries.
 
-    Draws small rationals, antisymmetrizes both pairs, symmetrizes
-    pair exchange, then removes the cyclic part.  The cyclic sum of a
-    tensor with those three symmetries is totally antisymmetric, so the
-    subtraction enforces the first Bianchi identity without breaking
-    the others.
+    Draws small rationals p/q (q in 1..4) in index order, each written
+    as an integer over 12 = lcm(1..4), and projects them in one pass.
+    t(ijkl) sums the eight signed D4 images of a draw (antisymmetric in
+    each pair, symmetric under pair exchange), and
+    (2 t(ijkl) - t(iklj) - t(iljk)) / 288 removes its cyclic part, which
+    with those three symmetries is totally antisymmetric; so the entry
+    also satisfies the first Bianchi identity.  288 = 12 * 8 * 3: the
+    draw's denominator, the D4 average and the cyclic projection.
     """
     rng = random.Random(seed)
-    r = range(1, n + 1)
-    raw = {}
-    for i in r:
-        for j in r:
-            for k in r:
-                for l in r:
-                    raw[(i, j, k, l)] = Fraction(
-                        rng.randint(-9, 9), rng.randint(1, 4)
-                    )
-
-    def anti_first(t):
-        return {
-            (i, j, k, l): (t[(i, j, k, l)] - t[(j, i, k, l)]) / 2
-            for (i, j, k, l) in t
-        }
-
-    def anti_second(t):
-        return {
-            (i, j, k, l): (t[(i, j, k, l)] - t[(i, j, l, k)]) / 2
-            for (i, j, k, l) in t
-        }
-
-    def sym_pairs(t):
-        return {
-            (i, j, k, l): (t[(i, j, k, l)] + t[(k, l, i, j)]) / 2
-            for (i, j, k, l) in t
-        }
-
-    t = sym_pairs(anti_second(anti_first(raw)))
-    out = {}
-    for (i, j, k, l), v in t.items():
-        cyc = v + t[(i, k, l, j)] + t[(i, l, j, k)]
-        out[(i, j, k, l)] = v - cyc / 3
+    idx = list(product(range(1, n + 1), repeat=4))
+    raw = {q: rng.randint(-9, 9) * (12 // rng.randint(1, 4)) for q in idx}
+    t = {
+        (i, j, k, l): raw[i, j, k, l] - raw[j, i, k, l] - raw[i, j, l, k] + raw[j, i, l, k]
+        + raw[k, l, i, j] - raw[l, k, i, j] - raw[k, l, j, i] + raw[l, k, j, i]
+        for i, j, k, l in idx
+    }
+    out = {
+        (i, j, k, l): Fraction(2 * t[i, j, k, l] - t[i, k, l, j] - t[i, l, j, k], 288)
+        for i, j, k, l in idx
+    }
     return RiemannTensor(n, out, validate=False)
 
 

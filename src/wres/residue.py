@@ -125,20 +125,20 @@ def composed_weights(blocks, n: int) -> dict:
     term: each chain weighs (re + im*i) / den, integer numerators over
     one unreduced denominator per tag (a cancelled weight is [0, 0]).
 
-    A factor pair (ta, tb) integrates to ta.scalar * tb.scalar *
-    vol_multiplier(n, ta.xi + tb.xi) on the chain ta.ops + tb.ops: both
-    scalars are constants, so this is an integer over ta.den * tb.den *
-    vol_den.  A tag's denominator is the lcm of its pairs', and its
-    numerators are rescaled when a pair's denominator does not divide
-    it.  Odd monomials integrate to zero, so only the even pairs are
+    A factor pair (ta, tb) integrates to the product of the two term
+    weights (re + im*i) / den and vol_multiplier(n, ta.xi + tb.xi) on
+    the chain ta.ops + tb.ops: an integer over ta.den * tb.den *
+    vol_den, read straight from the terms' integer numerators.  A tag's
+    denominator is the lcm of its pairs', and its numerators are
+    rescaled when a pair's denominator does not divide it.  Odd monomials integrate to zero, so only the even pairs are
     enumerated (even_pairs).
     """
     weights: dict = {}
     for A, oa, B, ob, k in blocks:
         for ta, tb in even_pairs(A, oa, B, ob, k):
-            ((_, ra, ia),), ((_, rb, ib),) = ta.scalar.nums, tb.scalar.nums
+            ra, ia, rb, ib = ta.re, ta.im, tb.re, tb.im
             vnum, vden = vol_multiplier(n, tuple(map(add, ta.xi_mono, tb.xi_mono)))
-            den = ta.scalar.den * tb.scalar.den * vden
+            den = ta.den * tb.den * vden
             acc = weights.setdefault(ta.tag or tb.tag, [den, {}])
             if acc[0] % den:
                 f = den // gcd(acc[0], den)

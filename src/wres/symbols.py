@@ -2,15 +2,17 @@
 
 A symbol is a finite sum of terms
 
-    scalar * x^alpha xi^beta ||xi||^p (x) op_1 op_2 ... op_k
+    (re + im*i) / den * x^alpha xi^beta ||xi||^p (x) op_1 op_2 ... op_k
 
-where scalar is an exact constant (a ScalarPoly whose only term has
-degree (0, 0)), the monomials live on R^n, and the ops chain multiplies
-out to one Clifford-algebra coefficient.  The parameters a0, b0 enter
-only through ctilde = a0*ext - b0*int, so they live in the Clifford
-coefficients and never in a scalar.  The chain is kept unevaluated:
-its trace is read off without building the product and memoized per
-chain in a ProductCache.  Homogeneity order of a term is |beta| + p;
+where the weight is an exact constant held as integers (den > 0, not
+necessarily reduced), the monomials live on R^n, and the ops chain
+multiplies out to one Clifford-algebra coefficient.  The weights of the
+curvature families are small-denominator multiples of the integer
+numerators of the curvature record, written over its denominator.  The
+parameters a0, b0 enter only through ctilde = a0*ext - b0*int, so they
+live in the Clifford coefficients and never in a weight.  The chain is
+kept unevaluated: its trace is read off without building the product
+and memoized per chain in a ProductCache.  Homogeneity order of a term is |beta| + p;
 composition pairs xi-derivatives on the left factor with
 x-derivatives on the right factor and evaluates everything at the base
 point x = 0.
@@ -25,7 +27,6 @@ from math import lcm
 from operator import add
 from typing import NamedTuple
 
-from . import curvature
 from .clifford import (
     CliffordOp,
     Dimension,
@@ -37,29 +38,41 @@ from .clifford import (
 from .curvature import RiemannTensor
 from .scalars import ScalarPoly
 
-_ONE = ScalarPoly.one()
-_I = ScalarPoly.imag_unit()
-
 
 class SymbolTerm:
-    """One additive term of an operator-valued symbol; the scalar is a
-    constant ScalarPoly, and an exact rational or Gaussian rational is
-    coerced to one, so a float or a ScalarPoly in a0, b0 raises
-    TypeError."""
+    """One additive term of an operator-valued symbol, weighted by the
+    constant (re + im*i) / den with integer re, im and den > 0.
 
-    __slots__ = ("x_mono", "xi_mono", "norm_power", "scalar", "ops", "tag")
+    The constructor takes the weight as one exact constant: a rational,
+    a Gaussian rational or a constant ScalarPoly (a float or a ScalarPoly
+    in a0, b0 raises TypeError).  _make takes the three integers.
+    """
+
+    __slots__ = ("x_mono", "xi_mono", "norm_power", "den", "re", "im", "ops", "tag")
 
     def __init__(self, x_mono, xi_mono, norm_power, scalar, ops=(), tag=""):
-        self.x_mono = x_mono
-        self.xi_mono = xi_mono
-        self.norm_power = norm_power
         if not isinstance(scalar, ScalarPoly):
             scalar = ScalarPoly.const(scalar)
         elif any(k for k, _, _ in scalar.nums):
             raise TypeError(f"symbol scalar {scalar.text()} depends on a0, b0")
-        self.scalar = scalar
-        self.ops = ops
-        self.tag = tag
+        ((_, re, im),) = scalar.nums or ((0, 0, 0),)
+        self._set(x_mono, xi_mono, norm_power, scalar.den, re, im, ops, tag)
+
+    def _set(self, x_mono, xi_mono, norm_power, den, re, im, ops, tag):
+        self.x_mono, self.xi_mono, self.norm_power = x_mono, xi_mono, norm_power
+        self.den, self.re, self.im = den, re, im
+        self.ops, self.tag = ops, tag
+
+    @classmethod
+    def _make(cls, x_mono, xi_mono, norm_power, den, re, im, ops=(), tag="") -> "SymbolTerm":
+        t = cls.__new__(cls)
+        t._set(x_mono, xi_mono, norm_power, den, re, im, ops, tag)
+        return t
+
+    @property
+    def scalar(self) -> ScalarPoly:
+        """The weight as a constant ScalarPoly (a read-only view)."""
+        return ScalarPoly._from_slots(self.den, {0: (self.re, self.im)})
 
     def order(self) -> int:
         return sum(self.xi_mono) + self.norm_power
@@ -92,31 +105,12 @@ def _bump(mono: tuple, idx0: int, delta: int) -> tuple:
 
 def d_xi(term: SymbolTerm, j: int) -> list:
     """Derivative in xi_j; the norm factor contributes p xi_j ||xi||^{p-2}."""
+    t = term
     out = []
-    e = term.xi_mono[j - 1]
-    if e:
-        out.append(
-            SymbolTerm(
-                term.x_mono,
-                _bump(term.xi_mono, j - 1, -1),
-                term.norm_power,
-                term.scalar.scale(e),
-                term.ops,
-                term.tag,
-            )
-        )
-    p = term.norm_power
-    if p:
-        out.append(
-            SymbolTerm(
-                term.x_mono,
-                _bump(term.xi_mono, j - 1, +1),
-                p - 2,
-                term.scalar.scale(p),
-                term.ops,
-                term.tag,
-            )
-        )
+    for c, step, p in ((t.xi_mono[j - 1], -1, t.norm_power), (t.norm_power, 1, t.norm_power - 2)):
+        if c:
+            xi = _bump(t.xi_mono, j - 1, step)
+            out.append(SymbolTerm._make(t.x_mono, xi, p, t.den, c * t.re, c * t.im, t.ops, t.tag))
     return out
 
 
@@ -128,7 +122,7 @@ class SymbolExpansion:
         self._orders: dict = {}
 
     def add(self, term: SymbolTerm) -> None:
-        if not term.scalar:
+        if not (term.re or term.im):
             return
         self._orders.setdefault(term.order(), []).append(term)
 
@@ -169,7 +163,7 @@ class CurvatureRecord(NamedTuple):
     rxx: dict
     den: int
     ricci: dict
-    s: Fraction
+    s: int
 
 
 def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
@@ -189,9 +183,11 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
     c passes two chats.  rxx maps (x_j x_k, xi_a xi_b) to sum R_{ajbk}
     over the entries sharing that monomial (nonzero sums only).  The
     numerators of all three are written over den, the lcm of R's
-    denominators, and built in one pass over the nonzero entries.
-    ricci holds the nonzero Ricci entries {(a, b): Ric_ab} in row-major
-    order and s the scalar curvature, both from curvature.contract.
+    denominators.  ricci maps (a, b) to the numerator of Ric_ab =
+    sum_p R_{apbp} (entry (i, j, k, l) with j == l adds to (i, k)),
+    nonzero entries only, in row-major order, and s is the numerator of
+    the scalar curvature, both over den.  All of it is read in one pass
+    over the nonzero entries.
     """
 
     def build() -> CurvatureRecord:
@@ -200,10 +196,13 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
         pairs: dict = {}
         f = {}
         rxx: dict = {}
+        ricci: dict = {}
         for (i, j, k, l), r in R.entries.items():
             num = r.numerator * (den // r.denominator)
             key = (_e(n, j, l), _e(n, i, k))
             rxx[key] = rxx.get(key, 0) + num
+            if j == l:
+                ricci[i, k] = ricci.get((i, k), 0) + num
             if l < k:
                 cc, hh = pairs.setdefault((j, i), ({}, {}))
                 st = 1 << (l - 1) | 1 << (k - 1)
@@ -214,16 +213,10 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
                 f[kl | ij << n] = 4 * num
         op = CliffordOp.from_numerators
         bivectors = {ab: (op(n, den, cc), op(n, den, hh)) for ab, (cc, hh) in pairs.items()}
-        contr = curvature.contract(R)
-        ricci = {
-            (a, b): ric
-            for a, row in enumerate(contr.ricci, 1)
-            for b, ric in enumerate(row, 1)
-            if ric
-        }
-        return CurvatureRecord(
-            bivectors, op(n, den, f), {k: v for k, v in rxx.items() if v}, den, ricci, contr.scalar
-        )
+        s = sum(ric for (a, b), ric in ricci.items() if a == b)
+        ricci = {ab: ric for ab, ric in sorted(ricci.items()) if ric}
+        rxx = {k: v for k, v in rxx.items() if v}
+        return CurvatureRecord(bivectors, op(n, den, f), rxx, den, ricci, s)
 
     return cache.named(("curvature_ops", R), build)
 
@@ -261,7 +254,7 @@ def standard_connection(dim: Dimension, R: RiemannTensor, cache: ProductCache) -
         ab: cc.scale(Fraction(-1, 8)) + hh.scale(Fraction(1, 8))
         for ab, (cc, hh) in rec.bivectors.items()
     }
-    e = rec.f.scale(Fraction(1, 8)) + CliffordOp.identity(n).scale(Fraction(rec.s, 4))
+    e = rec.f.scale(Fraction(1, 8)) + CliffordOp.from_numerators(n, 4 * rec.den, {0: rec.s})
     return ConnectionData(n, t_ab, e, rec)
 
 
@@ -272,20 +265,21 @@ def standard_connection(dim: Dimension, R: RiemannTensor, cache: ProductCache) -
 
 def _curvature_family(exp: SymbolExpansion, rec: CurvatureRecord, M: int) -> None:
     """Terms both inverse-power families share: the flat top symbol, its
-    normal-coordinate correction (one rxx term per monomial), and the
-    Ricci terms of the two lower orders; M scales the record."""
+    normal-coordinate correction -M/3 rxx (one term per monomial), and
+    the Ricci terms -2iM/3 Ric and M(M+1)/3 Ric of the two lower orders;
+    the record's numerators go over 3 * rec.den."""
     n = exp.n
     zero_x = _e(n)
     top = -2 * M - 2
+    den = 3 * rec.den
+    term = SymbolTerm._make
     for a in range(1, n + 1):
-        exp.add(SymbolTerm(zero_x, _e(n, a, a), top, _ONE, (), "delta"))
+        exp.add(term(zero_x, _e(n, a, a), top, 1, 1, 0, (), "delta"))
     for (x, xi), num in rec.rxx.items():
-        exp.add(SymbolTerm(x, xi, top, Fraction(-M * num, 3 * rec.den), (), "rxx"))
-    slope = Fraction(-2 * M, 3)
-    mm1_3 = Fraction(M * (M + 1), 3)
+        exp.add(term(x, xi, top, den, -M * num, 0, (), "rxx"))
     for (a, b), ric in rec.ricci.items():
-        exp.add(SymbolTerm(_e(n, b), _e(n, a), top, _I.scale(slope * ric), (), "ric"))
-        exp.add(SymbolTerm(zero_x, _e(n, a, b), top - 2, mm1_3 * ric, (), "ric"))
+        exp.add(term(_e(n, b), _e(n, a), top, den, 0, -2 * M * ric, (), "ric"))
+        exp.add(term(zero_x, _e(n, a, b), top - 2, den, M * (M + 1) * ric, 0, (), "ric"))
 
 
 def lemma1_symbols(
@@ -305,16 +299,16 @@ def lemma1_symbols(
     _curvature_family(exp, conn.rec, M)
 
     # orders -2M-1 and -2M-2
-    minus_2mi = _I.scale(-2 * M)
     two_mm1 = 2 * M * (M + 1)
+    term = SymbolTerm._make
     for (a, b), t in conn.t_ab.items():
         if not t.is_zero():
-            exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, minus_2mi, (t,), "tab"))
-            exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, two_mm1, (t,), "tab"))
+            exp.add(term(_e(n, b), _e(n, a), -2 * M - 2, 1, 0, -2 * M, (t,), "tab"))
+            exp.add(term(zero_x, _e(n, a, b), -2 * M - 4, 1, two_mm1, 0, (t,), "tab"))
             if a == b:
-                exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, -M, (t,), "tab"))
+                exp.add(term(zero_x, zero_x, -2 * M - 2, 1, -M, 0, (t,), "tab"))
     if not conn.e.is_zero():
-        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, -M, (conn.e,), "e"))
+        exp.add(term(zero_x, zero_x, -2 * M - 2, 1, -M, 0, (conn.e,), "e"))
     return exp
 
 
@@ -345,19 +339,19 @@ def lemma2_symbols(
     _curvature_family(exp, rec, M)
 
     # orders -2M-1 and -2M-2: the curvature contractions coming from the
-    # connection form, one c-family and one chat-family
-    i_m4 = _I.scale(Fraction(M, 4))
-    mm1_4 = Fraction(M * (M + 1), 4)
+    # connection form, iM/4 and -M(M+1)/4 on the c-family and the
+    # opposite weights on the chat-family
+    mm1 = M * (M + 1)
+    term = SymbolTerm._make
     for (a, b), (cc, hh) in rec.bivectors.items():
-        exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, i_m4, (cc,), "cc"))
-        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, -mm1_4, (cc,), "cc"))
-        exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, -i_m4, (hh,), "hchc"))
-        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, mm1_4, (hh,), "hchc"))
+        exp.add(term(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, M, (cc,), "cc"))
+        exp.add(term(zero_x, _e(n, a, b), -2 * M - 4, 4, -mm1, 0, (cc,), "cc"))
+        exp.add(term(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, -M, (hh,), "hchc"))
+        exp.add(term(zero_x, _e(n, a, b), -2 * M - 4, 4, mm1, 0, (hh,), "hchc"))
     if not rec.f.is_zero():
-        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, Fraction(-M, 8), (rec.f,), "f"))
+        exp.add(term(zero_x, zero_x, -2 * M - 2, 8, -M, 0, (rec.f,), "f"))
     if rec.s and M:
-        s_coeff = Fraction(-M, 4) * rec.s
-        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, s_coeff, (), "s"))
+        exp.add(term(zero_x, zero_x, -2 * M - 2, 4 * rec.den, -M * rec.s, 0, (), "s"))
     return exp
 
 
@@ -378,12 +372,12 @@ def symbols_PQ(
     w_p = [cw * tildec_op(n, p) for p in range(1, n + 1)]
     exp = SymbolExpansion(n)
     zero_x = _e(n)
+    term = SymbolTerm._make
     for f in range(1, n + 1):
-        exp.add(SymbolTerm(zero_x, _e(n, f), 0, _I, (w_p[f - 1],), ""))
-    eighth = Fraction(1, 8)
+        exp.add(term(zero_x, _e(n, f), 0, 1, 0, 1, (w_p[f - 1],), ""))
     for (l, p), (cc, hh) in curvature_ops(R, cache).bivectors.items():
-        exp.add(SymbolTerm(_e(n, l), zero_x, 0, -eighth, (w_p[p - 1], cc), "cc"))
-        exp.add(SymbolTerm(_e(n, l), zero_x, 0, eighth, (w_p[p - 1], hh), "hchc"))
+        exp.add(term(_e(n, l), zero_x, 0, 8, -1, 0, (w_p[p - 1], cc), "cc"))
+        exp.add(term(_e(n, l), zero_x, 0, 8, 1, 0, (w_p[p - 1], hh), "hchc"))
     return exp
 
 
@@ -392,16 +386,13 @@ def uv_symbol(dim: Dimension, u: FrameVector, v: FrameVector) -> SymbolExpansion
     n = dim.n
     prod = vector_clifford("tildec", u) * vector_clifford("tildec", v)
     exp = SymbolExpansion(n)
-    exp.add(SymbolTerm(_e(n), _e(n), 0, _ONE, (prod,), ""))
+    exp.add(SymbolTerm._make(_e(n), _e(n), 0, 1, 1, 0, (prod,), ""))
     return exp
 
 
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
-
-_MINUS_I_POW = (_ONE, -_I, -_ONE)
-
 
 def _factor_lists(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int):
     """Yield (derived A terms, B terms) per multi-index alpha of weight k:
@@ -426,11 +417,14 @@ def _factor_lists(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: i
     if not aterms or not bgroup:
         return
     if k:
-        # xi-derivatives are linear, so (-i)^k goes on before them
-        c = _MINUS_I_POW[k]
+        # xi-derivatives are linear, so (-i)^k goes on before them:
+        # (re + im*i) * (-i) = im - re*i, once per derivative
+        re_im = [(t.re, t.im) for t in aterms]
+        for _ in range(k):
+            re_im = [(im, -re) for re, im in re_im]
         aterms = [
-            SymbolTerm(t.x_mono, t.xi_mono, t.norm_power, t.scalar * c, t.ops, t.tag)
-            for t in aterms
+            SymbolTerm._make(t.x_mono, t.xi_mono, t.norm_power, t.den, re, im, t.ops, t.tag)
+            for t, (re, im) in zip(aterms, re_im)
         ]
     for combo in combinations_with_replacement(range(1, n + 1), k):
         blist = bgroup.get(_e(n, *combo))
@@ -450,7 +444,7 @@ def _odd_mask(mono: tuple) -> int:
 def even_pairs(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int):
     """Yield the factor pairs (ta, tb) of the block whose summed xi
     monomial is even in every variable; no other pair is enumerated.
-    Each product ta.scalar * tb.scalar xi^(ta.xi + tb.xi) (x) ta.ops +
+    Each product of the two weights times xi^(ta.xi + tb.xi) (x) ta.ops +
     tb.ops is one term, and ta carries the flat factor (-i)^k.
 
     ta.xi + tb.xi is even exactly when both have the same odd-exponent
@@ -485,11 +479,13 @@ def compose_block(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: i
     """
     zero_x = _e(A.n)
     return [
-        SymbolTerm(
+        SymbolTerm._make(
             zero_x,
             tuple(map(add, ta.xi_mono, tb.xi_mono)),
             ta.norm_power + tb.norm_power,
-            ta.scalar * tb.scalar,
+            ta.den * tb.den,
+            ta.re * tb.re - ta.im * tb.im,
+            ta.re * tb.im + ta.im * tb.re,
             ta.ops + tb.ops,
             ta.tag or tb.tag,
         )

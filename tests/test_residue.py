@@ -18,6 +18,7 @@ from wres.curvature import (
     random_vector,
     ricci_bilinear,
 )
+import wres.clifford
 import wres.residue
 import wres.sphere
 from wres.residue import (
@@ -375,12 +376,14 @@ class TestBlocks:
 
 
     def test_weight_path_builds_no_fraction(self, monkeypatch):
-        # composition, cosphere weights and traces are integer arithmetic:
-        # no Fraction is built under composed_weights or trace_weights.
-        # The sphere memos start cold, so a weight cached by an earlier
-        # run cannot hide a Fraction built on its first use.
-        for fn in vars(wres.sphere).values():
-            getattr(fn, "cache_clear", lambda: None)()
+        # symbol building, composition, cosphere weights and traces are
+        # integer arithmetic: no Fraction is built under the symbol
+        # families, composed_weights or trace_weights.  The sphere and
+        # Clifford memos start cold, so a weight or generator cached by
+        # an earlier run cannot hide a Fraction built on its first use.
+        for module in (wres.sphere, wres.clifford):
+            for fn in vars(module).values():
+                getattr(fn, "cache_clear", lambda: None)()
         depth, built = [0], []
 
         def inside(fn):
@@ -400,7 +403,13 @@ class TestBlocks:
                 built.append(args)
             return real_new(cls, *args, **kwargs)
 
-        for name in ("composed_weights", "trace_weights"):
+        for name in (
+            "symbol_product_PQ",
+            "lemma2_symbols",
+            "uv_symbol",
+            "composed_weights",
+            "trace_weights",
+        ):
             monkeypatch.setattr(wres.residue, name, inside(getattr(wres.residue, name)))
         monkeypatch.setattr(Fraction, "__new__", staticmethod(new_spy))
         for n in (4, 6):
