@@ -17,7 +17,7 @@ sign times the metric sign.  Every blade but the scalar one is
 traceless, so tr X = 2^n * (scalar part of X).  The numerators are in
 the one integer form that ScalarPoly also stores (scalars.py): sums,
 products and traces run on that module's kernel, and a trace or an
-entry of the 2^n x 2^n matrix view (rows, entry) for checks is a
+entry of the 2^n x 2^n matrix view (rows) for checks is a
 ScalarPoly without any conversion.
 """
 
@@ -29,9 +29,6 @@ from functools import lru_cache
 from math import lcm
 
 from .scalars import ScalarPoly, _canonical, _frac, _imac, _ints, _ONE_TERMS, _pack, _slot_terms
-
-_ZERO = ScalarPoly.zero()
-
 
 @dataclass(frozen=True)
 class Dimension:
@@ -128,18 +125,11 @@ class CliffordOp:
     integer form.  The form is canonical: no zero term or empty blade,
     terms sorted by degree, den coprime to the numerators.  With the
     faithfulness of the action, equal operators compare equal however
-    they were built.  Instances are treated as immutable.
+    they were built.  Instances are built by from_numerators, identity,
+    zero, the generators and the algebra, and are treated as immutable.
     """
 
     __slots__ = ("n", "den", "blades")
-
-    def __init__(self, n: int, blades: dict | None = None):
-        """blades maps a blade mask to its ScalarPoly coefficient."""
-        blades = blades or {}
-        den = lcm(*(p.den for p in blades.values()))
-        acc = {mask: _imac({}, den // p.den, p.nums, _ONE_TERMS) for mask, p in blades.items()}
-        self.n = n
-        self.den, self.blades = _canonical(den, acc)
 
     @classmethod
     def _make(cls, n: int, den: int, blades: dict) -> "CliffordOp":
@@ -216,10 +206,6 @@ class CliffordOp:
         scalar = self.blades.get(0, ())
         return ScalarPoly._from_slots(self.den, _imac({}, 1 << self.n, scalar, _ONE_TERMS))
 
-    def nnz(self) -> int:
-        """Number of stored blades."""
-        return len(self.blades)
-
     # ---- matrix view, for checks ----
 
     @property
@@ -238,11 +224,8 @@ class CliffordOp:
                 row[s] = p if cur is None else cur + p
         return [{j: v for j, v in row.items() if v} for row in rows]
 
-    def entry(self, i: int, j: int) -> ScalarPoly:
-        return self.rows[i].get(j, _ZERO)
-
     def __repr__(self) -> str:
-        return f"CliffordOp(n={self.n}, blades={self.nnz()})"
+        return f"CliffordOp(n={self.n}, blades={len(self.blades)})"
 
 
 def trace_product(a: CliffordOp, b: CliffordOp, c: CliffordOp | None = None) -> ScalarPoly:

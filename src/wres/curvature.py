@@ -42,9 +42,6 @@ class RiemannTensor:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def _index_error(self, idx):
-        raise ValueError(f"index tuple {idx} out of range 1..{self.n}")
-
     def validate(self) -> None:
         """Check index ranges and all four algebraic symmetries exactly.
 
@@ -54,7 +51,7 @@ class RiemannTensor:
         n = self.n
         for idx in self.entries:
             if len(idx) != 4 or any(not 1 <= a <= n for a in idx):
-                self._index_error(idx)
+                raise ValueError(f"index tuple {idx} out of range 1..{n}")
         # each property is scanned on its own pass so the reported
         # violation names the most specific broken symmetry.  A quad can
         # break one only if it or a partner it is compared with is an
@@ -92,7 +89,8 @@ class RiemannTensor:
     @classmethod
     def from_json(cls, data: dict) -> "RiemannTensor":
         """Accepts JSON integers only, so no value is truncated: a float
-        or a boolean raises ValueError naming n or the offending row."""
+        or a boolean raises ValueError naming n or the offending row, as
+        does a repeated (i, j, k, l)."""
         n = data["n"]
         if not _is_int(n):
             raise ValueError(f"n must be an integer, got {n!r}")
@@ -103,6 +101,8 @@ class RiemannTensor:
             i, j, k, l, num, den = row
             if not den:
                 raise ValueError(f"zero denominator in entry {row}")
+            if (i, j, k, l) in entries:
+                raise ValueError(f"entry {row} repeats index ({i}, {j}, {k}, {l})")
             entries[(i, j, k, l)] = Fraction(num, den)
         return cls(n, entries, validate=True)
 

@@ -82,10 +82,6 @@ class FunctionalDensity:
             return a.poly == b.poly and a.prefactor_exp == b.prefactor_exp
         return NotImplemented
 
-    def __hash__(self):
-        a = self.normalized()
-        return hash((a.poly, a.prefactor_exp))
-
     def is_real(self) -> bool:
         return self.poly.is_real()
 

@@ -214,10 +214,6 @@ class ScalarPoly:
         return cls.const(1)
 
     @classmethod
-    def imag_unit(cls) -> "ScalarPoly":
-        return cls.const(GaussianRational(0, 1))
-
-    @classmethod
     def monomial(cls, deg_a0: int, deg_b0: int, coeff=1) -> "ScalarPoly":
         return cls({(deg_a0, deg_b0): coeff})
 

@@ -39,35 +39,22 @@ from .curvature import RiemannTensor
 from .scalars import ScalarPoly
 
 
-class SymbolTerm:
+class SymbolTerm(NamedTuple):
     """One additive term of an operator-valued symbol, weighted by the
     constant (re + im*i) / den with integer re, im and den > 0.
 
-    The constructor takes the weight as one exact constant: a rational,
-    a Gaussian rational or a constant ScalarPoly (a float or a ScalarPoly
-    in a0, b0 raises TypeError).  _make takes the three integers.
+    Built only from integers, and never hashed or value-compared: the
+    ops chain holds CliffordOps, which are unhashable.
     """
 
-    __slots__ = ("x_mono", "xi_mono", "norm_power", "den", "re", "im", "ops", "tag")
-
-    def __init__(self, x_mono, xi_mono, norm_power, scalar, ops=(), tag=""):
-        if not isinstance(scalar, ScalarPoly):
-            scalar = ScalarPoly.const(scalar)
-        elif any(k for k, _, _ in scalar.nums):
-            raise TypeError(f"symbol scalar {scalar.text()} depends on a0, b0")
-        ((_, re, im),) = scalar.nums or ((0, 0, 0),)
-        self._set(x_mono, xi_mono, norm_power, scalar.den, re, im, ops, tag)
-
-    def _set(self, x_mono, xi_mono, norm_power, den, re, im, ops, tag):
-        self.x_mono, self.xi_mono, self.norm_power = x_mono, xi_mono, norm_power
-        self.den, self.re, self.im = den, re, im
-        self.ops, self.tag = ops, tag
-
-    @classmethod
-    def _make(cls, x_mono, xi_mono, norm_power, den, re, im, ops=(), tag="") -> "SymbolTerm":
-        t = cls.__new__(cls)
-        t._set(x_mono, xi_mono, norm_power, den, re, im, ops, tag)
-        return t
+    x_mono: tuple
+    xi_mono: tuple
+    norm_power: int
+    den: int
+    re: int
+    im: int
+    ops: tuple = ()
+    tag: str = ""
 
     @property
     def scalar(self) -> ScalarPoly:
@@ -84,13 +71,6 @@ class SymbolTerm:
             acc = acc * nxt
         return acc.scale(self.scalar)
 
-    def __repr__(self) -> str:
-        return (
-            f"SymbolTerm(x={self.x_mono}, xi={self.xi_mono}, "
-            f"norm={self.norm_power}, scalar={self.scalar}, "
-            f"ops={len(self.ops)}, tag={self.tag!r})"
-        )
-
 
 def _e(n: int, *idx: int) -> tuple:
     mono = [0] * n
@@ -103,14 +83,13 @@ def _bump(mono: tuple, idx0: int, delta: int) -> tuple:
     return mono[:idx0] + (mono[idx0] + delta,) + mono[idx0 + 1 :]
 
 
-def d_xi(term: SymbolTerm, j: int) -> list:
+def d_xi(t: SymbolTerm, j: int) -> list:
     """Derivative in xi_j; the norm factor contributes p xi_j ||xi||^{p-2}."""
-    t = term
     out = []
     for c, step, p in ((t.xi_mono[j - 1], -1, t.norm_power), (t.norm_power, 1, t.norm_power - 2)):
         if c:
             xi = _bump(t.xi_mono, j - 1, step)
-            out.append(SymbolTerm._make(t.x_mono, xi, p, t.den, c * t.re, c * t.im, t.ops, t.tag))
+            out.append(t._replace(xi_mono=xi, norm_power=p, re=c * t.re, im=c * t.im))
     return out
 
 
@@ -267,19 +246,24 @@ def _curvature_family(exp: SymbolExpansion, rec: CurvatureRecord, M: int) -> Non
     """Terms both inverse-power families share: the flat top symbol, its
     normal-coordinate correction -M/3 rxx (one term per monomial), and
     the Ricci terms -2iM/3 Ric and M(M+1)/3 Ric of the two lower orders;
-    the record's numerators go over 3 * rec.den."""
+    the record's numerators go over 3 * rec.den.
+
+    The top symbol is the one term |xi|^(-2M) rather than the n terms
+    xi_a^2 |xi|^(-2M-2) of the metric contraction: the two agree on the
+    cosphere, and an inverse power is only ever the right factor of a
+    composition, where it is matched by its x monomial and never
+    differentiated in xi, so it is only ever read on the cosphere.
+    """
     n = exp.n
     zero_x = _e(n)
     top = -2 * M - 2
     den = 3 * rec.den
-    term = SymbolTerm._make
-    for a in range(1, n + 1):
-        exp.add(term(zero_x, _e(n, a, a), top, 1, 1, 0, (), "delta"))
+    exp.add(SymbolTerm(zero_x, zero_x, -2 * M, 1, 1, 0, (), "delta"))
     for (x, xi), num in rec.rxx.items():
-        exp.add(term(x, xi, top, den, -M * num, 0, (), "rxx"))
+        exp.add(SymbolTerm(x, xi, top, den, -M * num, 0, (), "rxx"))
     for (a, b), ric in rec.ricci.items():
-        exp.add(term(_e(n, b), _e(n, a), top, den, 0, -2 * M * ric, (), "ric"))
-        exp.add(term(zero_x, _e(n, a, b), top - 2, den, M * (M + 1) * ric, 0, (), "ric"))
+        exp.add(SymbolTerm(_e(n, b), _e(n, a), top, den, 0, -2 * M * ric, (), "ric"))
+        exp.add(SymbolTerm(zero_x, _e(n, a, b), top - 2, den, M * (M + 1) * ric, 0, (), "ric"))
 
 
 def lemma1_symbols(
@@ -300,15 +284,14 @@ def lemma1_symbols(
 
     # orders -2M-1 and -2M-2
     two_mm1 = 2 * M * (M + 1)
-    term = SymbolTerm._make
     for (a, b), t in conn.t_ab.items():
         if not t.is_zero():
-            exp.add(term(_e(n, b), _e(n, a), -2 * M - 2, 1, 0, -2 * M, (t,), "tab"))
-            exp.add(term(zero_x, _e(n, a, b), -2 * M - 4, 1, two_mm1, 0, (t,), "tab"))
+            exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 1, 0, -2 * M, (t,), "tab"))
+            exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 1, two_mm1, 0, (t,), "tab"))
             if a == b:
-                exp.add(term(zero_x, zero_x, -2 * M - 2, 1, -M, 0, (t,), "tab"))
+                exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 1, -M, 0, (t,), "tab"))
     if not conn.e.is_zero():
-        exp.add(term(zero_x, zero_x, -2 * M - 2, 1, -M, 0, (conn.e,), "e"))
+        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 1, -M, 0, (conn.e,), "e"))
     return exp
 
 
@@ -342,16 +325,15 @@ def lemma2_symbols(
     # connection form, iM/4 and -M(M+1)/4 on the c-family and the
     # opposite weights on the chat-family
     mm1 = M * (M + 1)
-    term = SymbolTerm._make
     for (a, b), (cc, hh) in rec.bivectors.items():
-        exp.add(term(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, M, (cc,), "cc"))
-        exp.add(term(zero_x, _e(n, a, b), -2 * M - 4, 4, -mm1, 0, (cc,), "cc"))
-        exp.add(term(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, -M, (hh,), "hchc"))
-        exp.add(term(zero_x, _e(n, a, b), -2 * M - 4, 4, mm1, 0, (hh,), "hchc"))
+        exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, M, (cc,), "cc"))
+        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 4, -mm1, 0, (cc,), "cc"))
+        exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, -M, (hh,), "hchc"))
+        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 4, mm1, 0, (hh,), "hchc"))
     if not rec.f.is_zero():
-        exp.add(term(zero_x, zero_x, -2 * M - 2, 8, -M, 0, (rec.f,), "f"))
+        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 8, -M, 0, (rec.f,), "f"))
     if rec.s and M:
-        exp.add(term(zero_x, zero_x, -2 * M - 2, 4 * rec.den, -M * rec.s, 0, (), "s"))
+        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 4 * rec.den, -M * rec.s, 0, (), "s"))
     return exp
 
 
@@ -372,12 +354,11 @@ def symbols_PQ(
     w_p = [cw * tildec_op(n, p) for p in range(1, n + 1)]
     exp = SymbolExpansion(n)
     zero_x = _e(n)
-    term = SymbolTerm._make
     for f in range(1, n + 1):
-        exp.add(term(zero_x, _e(n, f), 0, 1, 0, 1, (w_p[f - 1],), ""))
+        exp.add(SymbolTerm(zero_x, _e(n, f), 0, 1, 0, 1, (w_p[f - 1],), ""))
     for (l, p), (cc, hh) in curvature_ops(R, cache).bivectors.items():
-        exp.add(term(_e(n, l), zero_x, 0, 8, -1, 0, (w_p[p - 1], cc), "cc"))
-        exp.add(term(_e(n, l), zero_x, 0, 8, 1, 0, (w_p[p - 1], hh), "hchc"))
+        exp.add(SymbolTerm(_e(n, l), zero_x, 0, 8, -1, 0, (w_p[p - 1], cc), "cc"))
+        exp.add(SymbolTerm(_e(n, l), zero_x, 0, 8, 1, 0, (w_p[p - 1], hh), "hchc"))
     return exp
 
 
@@ -386,7 +367,7 @@ def uv_symbol(dim: Dimension, u: FrameVector, v: FrameVector) -> SymbolExpansion
     n = dim.n
     prod = vector_clifford("tildec", u) * vector_clifford("tildec", v)
     exp = SymbolExpansion(n)
-    exp.add(SymbolTerm._make(_e(n), _e(n), 0, 1, 1, 0, (prod,), ""))
+    exp.add(SymbolTerm(_e(n), _e(n), 0, 1, 1, 0, (prod,), ""))
     return exp
 
 
@@ -396,8 +377,11 @@ def uv_symbol(dim: Dimension, u: FrameVector, v: FrameVector) -> SymbolExpansion
 
 def _factor_lists(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int):
     """Yield (derived A terms, B terms) per multi-index alpha of weight k:
-    the A terms of order oa, free of x, times (-i)^k and differentiated
-    by d_xi^alpha, and the B terms of order ob whose x monomial is alpha.
+    the A terms of order oa, free of x, times (-i)^k (re, im -> im, -re
+    once per derivative) and differentiated by d_xi^alpha, and the B
+    terms of order ob whose x monomial is alpha.  Only A is ever
+    differentiated in xi; B, the inverse power whenever one is composed,
+    is matched by its x monomial alone.
 
     The base-point evaluation keeps exactly the B terms whose x monomial
     equals alpha, and their alpha! cancels the 1/alpha! of the
@@ -416,16 +400,9 @@ def _factor_lists(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: i
             bgroup.setdefault(tb.x_mono, []).append(tb)
     if not aterms or not bgroup:
         return
-    if k:
-        # xi-derivatives are linear, so (-i)^k goes on before them:
-        # (re + im*i) * (-i) = im - re*i, once per derivative
-        re_im = [(t.re, t.im) for t in aterms]
-        for _ in range(k):
-            re_im = [(im, -re) for re, im in re_im]
-        aterms = [
-            SymbolTerm._make(t.x_mono, t.xi_mono, t.norm_power, t.den, re, im, t.ops, t.tag)
-            for t, (re, im) in zip(aterms, re_im)
-        ]
+    # xi-derivatives are linear, so (-i)^k goes on before them
+    for _ in range(k):
+        aterms = [t._replace(re=t.im, im=-t.re) for t in aterms]
     for combo in combinations_with_replacement(range(1, n + 1), k):
         blist = bgroup.get(_e(n, *combo))
         if not blist:
@@ -479,7 +456,7 @@ def compose_block(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: i
     """
     zero_x = _e(A.n)
     return [
-        SymbolTerm._make(
+        SymbolTerm(
             zero_x,
             tuple(map(add, ta.xi_mono, tb.xi_mono)),
             ta.norm_power + tb.norm_power,

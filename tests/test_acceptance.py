@@ -33,7 +33,7 @@ from wres.residue import (
     derive_inputs,
     trace_weights,
 )
-from wres.scalars import GaussianRational, ScalarPoly
+from wres.scalars import ScalarPoly
 from wres.sphere import vol_multiplier
 from wres.symbols import (
     SymbolExpansion,
@@ -117,8 +117,8 @@ def test_criterion_2_trace_and_volume_bookkeeping():
         # a k = 0 block of the identity against the unit symbol, as the
         # engine composes, integrates and traces every density
         ident, unit = SymbolExpansion(n), SymbolExpansion(n)
-        ident.add(SymbolTerm((0,) * n, (0,) * n, 0, GaussianRational(1)))
-        unit.add(SymbolTerm((0,) * n, (0,) * n, -n, GaussianRational(1)))
+        ident.add(SymbolTerm((0,) * n, (0,) * n, 0, 1, 1, 0))
+        unit.add(SymbolTerm((0,) * n, (0,) * n, -n, 1, 1, 0))
         den, chains = composed_weights([(ident, 0, unit, -n, 0)], n)[""]
         got = trace_weights(den, chains, Dimension(n), ProductCache())
         assert got == FunctionalDensity(ScalarPoly.const(want), 0)

@@ -9,7 +9,7 @@ import wres.residue
 from wres.cli import main
 from wres.curvature import constant_curvature, random_riemann
 from wres.residue import Analysis, FunctionalDensity
-from wres.scalars import ScalarPoly
+from wres.scalars import GaussianRational, ScalarPoly
 
 
 @pytest.fixture
@@ -83,6 +83,21 @@ class TestVerifyCommand:
         )
         assert result.exit_code == 2
         assert "zero denominator" in result.output
+
+    def test_repeated_row_in_curvature_file_is_usage_error(self, runner, tmp_path):
+        # R_1212 listed with value 1 and again with 5: no value silently wins
+        rows = [[1, 2, 1, 2, 1, 1], [2, 1, 2, 1, 1, 1], [1, 2, 2, 1, -1, 1], [2, 1, 1, 2, -1, 1]]
+        repeated = [row[:4] + [5 * row[4], 1] for row in rows]
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps({"n": 4, "entries": rows + repeated}))
+        for args in (
+            ["verify", "--dim", "4", "--seeds", "1"],
+            ["einstein", "--dim", "4", "--u", "1,0,0,0", "--v", "1,0,0,0"],
+        ):
+            result = runner.invoke(main, args + ["--curvature", str(path)])
+            assert result.exit_code == 2, result.output
+            assert "invalid curvature file" in result.output
+            assert "entry [1, 2, 1, 2, 5, 1] repeats index (1, 2, 1, 2)" in result.output
 
     @pytest.mark.parametrize(
         "spoil,fragment",
@@ -215,7 +230,7 @@ class TestPartsCommand:
 class TestFailingChecks:
     def test_non_real_density_exits_one_and_is_named(self, runner, monkeypatch):
         real = wres.residue.trace_weights
-        i_unit = FunctionalDensity(ScalarPoly.imag_unit(), 0)
+        i_unit = FunctionalDensity(ScalarPoly.const(GaussianRational(0, 1)), 0)
         monkeypatch.setattr(
             wres.residue,
             "trace_weights",

@@ -29,6 +29,14 @@ def scaled_identity(n, poly):
     return CliffordOp.identity(n).scale(poly)
 
 
+def op_of(n, blades):
+    """The operator sum of poly * blade(mask) over {mask: ScalarPoly}."""
+    out = CliffordOp.zero(n)
+    for mask, poly in blades.items():
+        out = out + CliffordOp.from_numerators(n, 1, {mask: 1}).scale(poly)
+    return out
+
+
 def rational_vector(n, seq):
     return FrameVector(n, tuple(Fraction(s) for s in seq))
 
@@ -80,21 +88,21 @@ class TestBasics:
 class TestExteriorInterior:
     def test_ext_signs_n2(self):
         # basis masks: 0 = 1, 1 = e1*, 2 = e2*, 3 = e1*^e2*
-        e1 = ext_op(2, 1)
-        assert e1.entry(1, 0) == ScalarPoly.one()
-        assert e1.entry(3, 2) == ScalarPoly.one()
-        e2 = ext_op(2, 2)
-        assert e2.entry(2, 0) == ScalarPoly.one()
+        e1 = ext_op(2, 1).rows
+        assert e1[1][0] == ScalarPoly.one()
+        assert e1[3][2] == ScalarPoly.one()
+        e2 = ext_op(2, 2).rows
+        assert e2[2][0] == ScalarPoly.one()
         # inserting e2* past e1* crosses one factor
-        assert e2.entry(3, 1) == ScalarPoly.const(-1)
+        assert e2[3][1] == ScalarPoly.const(-1)
 
     def test_int_is_adjoint_of_ext(self):
         for n in (2, 4):
             for j in range(1, n + 1):
-                e, i = ext_op(n, j), int_op(n, j)
+                e, i = ext_op(n, j).rows, int_op(n, j).rows
                 for r in range(1 << n):
-                    for cdx, val in e.rows[r].items():
-                        assert i.entry(cdx, r) == val
+                    for cdx, val in e[r].items():
+                        assert i[cdx].get(r, ScalarPoly.zero()) == val
 
     def test_ext_squares_to_zero_int_squares_to_zero(self):
         for n in (2, 4):
@@ -324,8 +332,8 @@ def mtrace(a):
     return acc
 
 
-def random_element(n, rng, blades):
-    """Sparse Cl(n,n) element: random c/chat blades, polynomial coefficients."""
+def random_blades(n, rng, blades):
+    """{mask: ScalarPoly}: random c/chat blades, polynomial coefficients."""
     out = {}
     for _ in range(blades):
         mask = rng.randrange(1 << (2 * n))
@@ -339,7 +347,12 @@ def random_element(n, rng, blades):
         poly = ScalarPoly(terms)
         if poly:
             out[mask] = poly
-    return CliffordOp(n, out)
+    return out
+
+
+def random_element(n, rng, blades):
+    """Sparse Cl(n,n) element with random_blades' blades and coefficients."""
+    return op_of(n, random_blades(n, rng, blades))
 
 
 class TestSignRuleOracle:
@@ -367,12 +380,24 @@ class TestSignRuleOracle:
             assert cache.chain_trace((x, y, z), n) == mtrace(xyz)
 
     def test_entry_reads_the_matrix_view(self):
+        # every entry, zeros included, against the sum of coefficient
+        # times the product of the blade's generator matrices
         n = 4
-        x = random_element(n, random.Random(7), 6)
-        rows = x.rows
+        blades = random_blades(n, random.Random(7), 6)
+        rows = op_of(n, blades).rows
+        want = [dict() for _ in range(1 << n)]
+        for mask, poly in blades.items():
+            prod = [{s: ScalarPoly.one()} for s in range(1 << n)]
+            for g in range(2 * n):
+                if mask >> g & 1:
+                    j = g % n + 1
+                    gen = plain_combine(plain_ext(n, j), plain_int(n, j), 1 if g >= n else -1)
+                    prod = matmul(prod, gen)
+            want = plain_combine(want, [{j: v * poly for j, v in row.items()} for row in prod], 1)
         for i in range(1 << n):
+            assert all(rows[i].values())
             for j in range(1 << n):
-                assert x.entry(i, j) == rows[i].get(j, ScalarPoly.zero())
+                assert rows[i].get(j, ScalarPoly.zero()) == want[i].get(j, ScalarPoly.zero())
 
     def test_trace_is_scaled_scalar_part(self):
         n = 4
@@ -431,25 +456,25 @@ class TestIntegerStorage:
         bivectors, f_op = rec.bivectors, rec.f
         assert set(bivectors) == set(cc)
         for ab, (cc_op, hh_op) in bivectors.items():
-            assert cc_op == CliffordOp(n, cc[ab])
-            assert hh_op == CliffordOp(n, hh[ab])
-        assert f_op == CliffordOp(n, f)
+            assert cc_op == op_of(n, cc[ab])
+            assert hh_op == op_of(n, hh[ab])
+        assert f_op == op_of(n, f)
 
     def test_degrees_stay_below_the_bound(self):
         """Every stored degree lies in 0 .. 2^14 - 1, and a product of
         three stored coefficients fits 16-bit degree fields."""
         n, bound = 2, 1 << 14
         with pytest.raises(ValueError):
-            CliffordOp(n, {0: ScalarPoly.monomial(bound, 0)})
+            op_of(n, {0: ScalarPoly.monomial(bound, 0)})
         with pytest.raises(ValueError):
-            CliffordOp(n, {0: ScalarPoly.monomial(0, -1)})
-        x = CliffordOp(n, {0: ScalarPoly.monomial(bound // 2, 1)})
+            op_of(n, {0: ScalarPoly.monomial(0, -1)})
+        x = op_of(n, {0: ScalarPoly.monomial(bound // 2, 1)})
         with pytest.raises(ValueError):
             x * x
         # three factors at the largest stored degree trace without carrying
         # into a0: the trace is refused, and it names the exact degree
-        y = CliffordOp(n, {0: ScalarPoly.monomial(1, bound - 1)})
+        y = op_of(n, {0: ScalarPoly.monomial(1, bound - 1)})
         with pytest.raises(ValueError, match=rf"\(3, {3 * (bound - 1)}\)"):
             trace_product(y, y, y)
-        z = CliffordOp(n, {0: ScalarPoly.monomial((bound - 1) // 3, (bound - 1) // 3)})
+        z = op_of(n, {0: ScalarPoly.monomial((bound - 1) // 3, (bound - 1) // 3)})
         assert trace_product(z, z, z) == ScalarPoly.monomial(bound - 1, bound - 1, 1 << n)

@@ -230,6 +230,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="zero denominator"):
             RiemannTensor.from_json({"n": 2, "entries": [[1, 2, 1, 2, 1, 0]]})
 
+    def test_from_json_rejects_repeated_rows(self):
+        data = constant_curvature(2).to_json()
+        row = data["entries"][1][:4] + [3, 1]
+        data["entries"].append(row)
+        with pytest.raises(ValueError, match=re.escape(f"entry {row} repeats index")):
+            RiemannTensor.from_json(data)
+        # the same value twice is refused too: a repeated row is never read
+        data["entries"][-1] = list(data["entries"][1])
+        with pytest.raises(ValueError, match="repeats index"):
+            RiemannTensor.from_json(data)
+
     @pytest.mark.parametrize(
         "field,value", [("num", 1.5), ("num", True), ("den", 2.0), ("index", 1.0), ("index", False)]
     )

@@ -11,7 +11,10 @@ integration were fused.  The einstein-d4/d6 files (the --json report
 and the text form, each with --eval) were written by the engine that
 kept ScalarPoly coefficients as a dict of GaussianRationals, just
 before ScalarPoly moved to the integer numerator form of the Clifford
-coefficients.  Any change in representation, caching or
+coefficients.  The parts-d4/d6 text files (the only goldens that pin a
+density's nonzero (a0*b0) exponent in text form) were written by the
+engine whose top symbol was still n terms xi_a^2 |xi|^(-2M-2), just
+before it became the one term |xi|^(-2M).  Any change in representation, caching or
 evaluation order must reproduce them exactly.
 """
 
@@ -33,6 +36,8 @@ CASES = (
     ("verify-d12.json", ["verify", "--dim", "12", "--seeds", "1", "--json"]),
     ("parts-d4.json", ["parts", "--dim", "4", "--seed", "2", "--json"]),
     ("parts-d6.json", ["parts", "--dim", "6", "--seed", "1", "--json"]),
+    ("parts-d4.txt", ["parts", "--dim", "4", "--seed", "2"]),
+    ("parts-d6.txt", ["parts", "--dim", "6", "--seed", "1"]),
 )
 
 

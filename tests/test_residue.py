@@ -48,8 +48,6 @@ from wres.symbols import (
     uv_symbol,
 )
 
-ONE = ScalarPoly.one()
-
 
 def mono(n, *idx):
     out = [0] * n
@@ -67,7 +65,7 @@ def integrate(terms, n):
     the engine's path: one k = 0 block against the identity symbol, then
     trace_weights."""
     ident, B = SymbolExpansion(n), SymbolExpansion(n)
-    ident.add(SymbolTerm(mono(n), mono(n), 0, ONE))
+    ident.add(SymbolTerm(mono(n), mono(n), 0, 1, 1, 0))
     for t in terms:
         B.add(t)
     (order,) = B.orders()
@@ -125,33 +123,32 @@ class TestIntegration:
     def test_flat_top_symbol_gives_trace_unit(self):
         # ||xi||^{-2m} times the identity integrates to 2^{2m} Vol
         for n in (4, 6):
-            got = integrate([SymbolTerm(mono(n), mono(n), -n, ONE)], n)
+            got = integrate([SymbolTerm(mono(n), mono(n), -n, 1, 1, 0)], n)
             assert got == FunctionalDensity(ScalarPoly.const(1 << n), 0)
 
     def test_odd_monomials_drop(self):
         n = 4
-        term = SymbolTerm(mono(n), mono(n, 1, 2), -6, ONE)
+        term = SymbolTerm(mono(n), mono(n, 1, 2), -6, 1, 1, 0)
         assert integrate([term], n).is_zero()
 
     def test_weighted_pair_trace(self):
         # xi_1^2 ||xi||^{-6} ctilde(e1)^2 integrates to (1/4)(-16 a0 b0)
         n = 4
         op = tildec_op(n, 1)
-        got = integrate([SymbolTerm(mono(n), mono(n, 1, 1), -6, ONE, (op, op))], n)
+        got = integrate([SymbolTerm(mono(n), mono(n, 1, 1), -6, 1, 1, 0, (op, op))], n)
         assert got == FunctionalDensity(ScalarPoly.monomial(1, 1, -4), 0)
 
     def test_one_trace_per_distinct_chain(self, monkeypatch):
         n = 4
         a, b = tildec_op(n, 1), tildec_op(n, 2)
-        three = ScalarPoly.const(3)
         terms = [
-            SymbolTerm(mono(n), mono(n, 1, 1), -6, ONE, (a, a)),
-            SymbolTerm(mono(n), mono(n, 2, 2), -6, three, (a, a)),
-            SymbolTerm(mono(n), mono(n), -4, ScalarPoly.imag_unit(), (a, b)),
-            SymbolTerm(mono(n), mono(n, 1, 2), -6, ONE, (b, a)),  # odd: never traced
+            SymbolTerm(mono(n), mono(n, 1, 1), -6, 1, 1, 0, (a, a)),
+            SymbolTerm(mono(n), mono(n, 2, 2), -6, 1, 3, 0, (a, a)),
+            SymbolTerm(mono(n), mono(n), -4, 1, 0, 1, (a, b)),
+            SymbolTerm(mono(n), mono(n, 1, 2), -6, 1, 1, 0, (b, a)),  # odd: never traced
             # one chain, opposite scalars: weight zero, never traced
-            SymbolTerm(mono(n), mono(n, 3, 3), -6, three, (b, b)),
-            SymbolTerm(mono(n), mono(n, 3, 3), -6, -three, (b, b)),
+            SymbolTerm(mono(n), mono(n, 3, 3), -6, 1, 3, 0, (b, b)),
+            SymbolTerm(mono(n), mono(n, 3, 3), -6, 1, -3, 0, (b, b)),
         ]
         calls = []
         real = ProductCache.chain_trace
@@ -496,7 +493,7 @@ class TestPartTable:
 
     def test_non_real_density_is_a_failing_check(self, monkeypatch):
         real = wres.residue.trace_weights
-        i_unit = FunctionalDensity(ScalarPoly.imag_unit(), 0)
+        i_unit = FunctionalDensity(ScalarPoly.const(GaussianRational(0, 1)), 0)
         monkeypatch.setattr(
             wres.residue,
             "trace_weights",

@@ -215,7 +215,7 @@ class TestScalarPolyRing:
         assert p == ScalarPoly.monomial(1, 1, 2)
 
     def test_imag_unit_squares_to_minus_one(self):
-        i = ScalarPoly.imag_unit()
+        i = ScalarPoly.const(GaussianRational(0, 1))
         assert i * i == ScalarPoly.const(-1)
 
 
@@ -237,7 +237,7 @@ class TestScalarPolyQueries:
 
     def test_is_real(self):
         assert ScalarPoly.monomial(1, 1, Fraction(-1, 2)).is_real()
-        assert not ScalarPoly.imag_unit().is_real()
+        assert not ScalarPoly.const(GaussianRational(0, 1)).is_real()
 
 
 class TestRenderings:

@@ -16,7 +16,7 @@ from wres.clifford import (
     vector_clifford,
 )
 from wres.curvature import RiemannTensor, constant_curvature, contract, flat, random_riemann
-from wres.residue import Analysis, derive_inputs
+from wres.residue import Analysis, composed_weights, derive_inputs, trace_weights
 from wres.scalars import GaussianRational, ScalarPoly
 from wres.symbols import (
     SymbolExpansion,
@@ -74,7 +74,7 @@ def dump(exp):
 class TestDerivatives:
     def test_xi_derivative_of_plain_monomial(self):
         n = 4
-        t = SymbolTerm(mono(n), mono(n, 1, 1, 2), 0, ONE)
+        t = SymbolTerm(mono(n), mono(n, 1, 1, 2), 0, 1, 1, 0)
         out = d_xi(t, 1)
         assert len(out) == 1
         assert out[0].xi_mono == mono(n, 1, 2)
@@ -83,7 +83,7 @@ class TestDerivatives:
     def test_xi_derivative_hits_norm_factor(self):
         # d/dxi_1 (xi_1 |xi|^-2) = |xi|^-2 - 2 xi_1^2 |xi|^-4
         n = 4
-        t = SymbolTerm(mono(n), mono(n, 1), -2, ONE)
+        t = SymbolTerm(mono(n), mono(n, 1), -2, 1, 1, 0)
         out = d_xi(t, 1)
         assert len(out) == 2
         plain, normside = out
@@ -94,34 +94,23 @@ class TestDerivatives:
 
     def test_xi_derivative_in_absent_variable(self):
         n = 4
-        t = SymbolTerm(mono(n), mono(n, 2), 0, ONE)
+        t = SymbolTerm(mono(n), mono(n, 2), 0, 1, 1, 0)
         assert d_xi(t, 1) == []
 
     def test_order_is_xi_degree_plus_norm_power(self):
-        t = SymbolTerm(mono(4), mono(4, 1, 2), -6, ONE)
+        t = SymbolTerm(mono(4), mono(4, 1, 2), -6, 1, 1, 0)
         assert t.order() == -4
 
 
 class TestExpansionPlumbing:
     def test_zero_scalar_terms_are_dropped(self):
         exp = SymbolExpansion(4)
-        exp.add(SymbolTerm(mono(4), mono(4), 0, GaussianRational(0)))
+        exp.add(SymbolTerm(mono(4), mono(4), 0, 1, 0, 0))
         assert exp.orders() == []
 
-    @pytest.mark.parametrize(
-        "scalar", [ScalarPoly.one() + ScalarPoly.b0(), ScalarPoly.a0(), 0.5, 1.0]
-    )
-    def test_scalar_must_be_a_constant(self, scalar):
-        with pytest.raises(TypeError):
-            SymbolTerm(mono(4), mono(4), 0, scalar)
-
-    def test_exact_scalars_are_coerced(self):
-        want = ScalarPoly.const(Fraction(-1, 3))
-        for scalar in (Fraction(-1, 3), GaussianRational(Fraction(-1, 3)), want):
-            t = SymbolTerm(mono(4), mono(4), 0, scalar)
-            assert type(t.scalar) is ScalarPoly and t.scalar == want
-
-    def test_every_family_writes_constant_scalars(self):
+    def test_every_family_writes_integer_weights(self):
+        # SymbolTerm does not coerce its weight, so this is where the
+        # integer form (re + im*i) / den, den > 0, is held
         dim = Dimension(4)
         R = random_riemann(4, 3)
         u, v = FrameVector(4, (1, 2, 0, -1)), FrameVector(4, (0, 1, 3, 1))
@@ -135,20 +124,21 @@ class TestExpansionPlumbing:
             uv_symbol(dim, u, v),
         ]
         terms = [t for exp in families for o in exp.orders() for t in exp.terms_at(o)]
-        assert terms and all(
-            type(t.scalar) is ScalarPoly and t.scalar.terms.keys() == {(0, 0)} for t in terms
-        )
+        assert terms
+        for t in terms:
+            assert type(t.den) is int and type(t.re) is int and type(t.im) is int
+            assert t.den > 0
 
     def test_merged_cancels_opposite_terms(self):
         exp = SymbolExpansion(4)
-        exp.add(SymbolTerm(mono(4), mono(4, 1), -2, ONE))
-        exp.add(SymbolTerm(mono(4), mono(4, 1), -2, GaussianRational(-1)))
+        exp.add(SymbolTerm(mono(4), mono(4, 1), -2, 1, 1, 0))
+        exp.add(SymbolTerm(mono(4), mono(4, 1), -2, 1, -1, 0))
         assert exp.merged(ProductCache()) == {}
 
     def test_materialize_folds_chain_through_cache(self):
         n = 4
         a, b = tildec_op(n, 1), tildec_op(n, 2)
-        t = SymbolTerm(mono(n), mono(n), 0, GaussianRational(Fraction(1, 2)), (a, b))
+        t = SymbolTerm(mono(n), mono(n), 0, 2, 1, 0, (a, b))
         assert t.materialize() == (a * b).scale(Fraction(1, 2))
 
     def test_dump_is_stable_across_reconstruction(self):
@@ -166,7 +156,44 @@ class TestInversePowerSymbols:
         dim = Dimension(4)
         exp = lemma2_symbols(dim, flat(4), 2, -4, ProductCache())
         assert exp.orders() == [-4]
-        assert all(t.tag == "delta" for t in exp.terms_at(-4))
+        (t,) = exp.terms_at(-4)
+        assert t.tag == "delta" and t.x_mono == t.xi_mono == mono(4) and t.norm_power == -4
+        assert t.scalar == ONE and not t.ops
+
+    @pytest.mark.parametrize("n", [2, 4, 6], ids=["d2", "d4", "d6"])
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+    def test_one_term_top_symbol_traces_like_the_metric_contraction(self, n, reduced):
+        # the n-term top symbol sum_a xi_a^2 |xi|^(-2M-2), built here as
+        # the reference, gives every tag the engine's single-term density
+        dim, m = Dimension(n), n // 2
+        R, u, v = derive_inputs(n, 1)
+        cache = ProductCache()
+        exponent = -2 * m + 2 if reduced else -2 * m
+        M = -exponent // 2
+        B = lemma2_symbols(dim, R, m, exponent, cache)
+        reference = SymbolExpansion(n)
+        for o in B.orders():
+            for t in B.terms_at(o):
+                if t.tag != "delta":
+                    reference.add(t)
+        for a in range(1, n + 1):
+            reference.add(SymbolTerm(mono(n), mono(n, a, a), -2 * M - 2, 1, 1, 0, (), "delta"))
+        assert len(reference.terms_at(exponent)) == len(B.terms_at(exponent)) + n - 1
+
+        def traced(blocks):
+            return {
+                tag: trace_weights(den, chains, dim, cache)
+                for tag, (den, chains) in composed_weights(blocks, n).items()
+            }
+
+        # UV at every order of B (-2m included); PQ at the top order,
+        # where its order-0 terms meet the top symbol itself
+        UV, PQ = uv_symbol(dim, u, v), symbol_product_PQ(dim, R, u, v, cache)
+        for A, targets in ((UV, (exponent, exponent - 1, exponent - 2)), (PQ, (exponent,))):
+            for target in targets:
+                got = traced(blocks_at(A, B, target))
+                assert got == traced(blocks_at(A, reference, target))
+        assert not traced(blocks_at(UV, B, exponent))["delta"].is_zero()
 
     def test_unsupported_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -210,7 +237,7 @@ class TestFirstOrderFactorSymbols:
         assert len(terms) == 4
         cu = vector_clifford("tildec", u)
         for t in terms:
-            assert t.scalar == ScalarPoly.imag_unit()
+            assert t.scalar == ScalarPoly.const(GaussianRational(0, 1))
             f = t.xi_mono.index(1) + 1
             assert len(t.ops) == 1
             assert t.ops[0] == cu * tildec_op(4, f)
@@ -399,7 +426,7 @@ class TestComposition:
         R = random_riemann(2, 1)
         A = lemma2_symbols(dim, R, 1, -2, ProductCache())
         ident = SymbolExpansion(2)
-        ident.add(SymbolTerm(mono(2), mono(2), 0, ONE))
+        ident.add(SymbolTerm(mono(2), mono(2), 0, 1, 1, 0))
         for order in A.orders():
             got = compose(A, ident, order).merged(ProductCache())
             # x-carrying terms of A die at the base point
