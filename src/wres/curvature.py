@@ -90,7 +90,9 @@ class RiemannTensor:
     def from_json(cls, data: dict) -> "RiemannTensor":
         """Accepts JSON integers only, so no value is truncated: a float
         or a boolean raises ValueError naming n or the offending row, as
-        does a repeated (i, j, k, l)."""
+        does a repeated (i, j, k, l), or data of another shape."""
+        if not (isinstance(data, dict) and "n" in data and isinstance(data.get("entries"), list)):
+            raise ValueError('expected {"n": int, "entries": [[i, j, k, l, num, den], ...]}')
         n = data["n"]
         if not _is_int(n):
             raise ValueError(f"n must be an integer, got {n!r}")

@@ -21,10 +21,10 @@ point x = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
-from math import lcm
-from operator import add
+from math import gcd, lcm
+from operator import add, mul
 from typing import NamedTuple
 
 from .clifford import (
@@ -36,7 +36,7 @@ from .clifford import (
     vector_clifford,
 )
 from .curvature import RiemannTensor
-from .scalars import ScalarPoly
+from .scalars import ScalarPoly, _canonical, _imac
 
 
 class SymbolTerm(NamedTuple):
@@ -63,13 +63,6 @@ class SymbolTerm(NamedTuple):
 
     def order(self) -> int:
         return sum(self.xi_mono) + self.norm_power
-
-    def materialize(self) -> CliffordOp:
-        """Coefficient scalar * op_1 ... op_k, identity chain included."""
-        acc = CliffordOp.identity(len(self.x_mono)) if not self.ops else self.ops[0]
-        for nxt in self.ops[1:]:
-            acc = acc * nxt
-        return acc.scale(self.scalar)
 
 
 def _e(n: int, *idx: int) -> tuple:
@@ -112,21 +105,39 @@ class SymbolExpansion:
         return sorted(o for o, terms in self._orders.items() if terms)
 
     def merged(self, cache: ProductCache) -> dict:
-        """Canonical form: (order, x, xi, norm) -> materialized coefficient.
+        """Canonical form: (order, x, xi, norm) -> summed coefficient.
 
-        Entries whose coefficient sums to zero are removed, so two
-        expansions are the same symbol iff their merged maps are equal.
-        cache is unused; the parameter stays because bench/ calls
-        merged(cache).
+        Each key is summed in one integer pass over the lcm of its terms'
+        denominators (op-free terms on blade 0, each chain multiplied out
+        once) and reduced to canonical form once; keys that sum to zero
+        are removed, so two expansions are the same symbol iff their
+        merged maps are equal.  cache is unused but bench/ passes it.
         """
-        out: dict = {}
+        groups: dict = {}
         for order, terms in self._orders.items():
             for t in terms:
-                key = (order, t.x_mono, t.xi_mono, t.norm_power)
-                mat = t.materialize()
-                cur = out.get(key)
-                out[key] = mat if cur is None else cur + mat
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                groups.setdefault((order, t.x_mono, t.xi_mono, t.norm_power), []).append(t)
+        out: dict = {}
+        for key, terms in groups.items():
+            chains = [(t, reduce(mul, t.ops)) for t in terms if t.ops]
+            den = lcm(*(t.den for t in terms), *(t.den * op.den for t, op in chains))
+            re = sum(den // t.den * t.re for t in terms if not t.ops)
+            im = sum(den // t.den * t.im for t in terms if not t.ops)
+            if chains:
+                acc: dict = {0: {0: [re, im]}}
+                for t, op in chains:
+                    for mask, nums in op.blades.items():
+                        slots = acc.setdefault(mask, {})
+                        _imac(slots, den // (t.den * op.den), nums, ((0, t.re, t.im),))
+                den, blades = _canonical(den, acc)
+            elif re or im:
+                g = gcd(den, re, im)
+                den, blades = den // g, {0: ((0, re // g, im // g),)}
+            else:
+                continue
+            if blades:
+                out[key] = CliffordOp._make(self.n, den, blades)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +162,8 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
 
     bivectors maps (a, b) to (cc, hh), with cc = sum_{s,t} R_{bats}
     c_s c_t and hh = sum_{s,t} R_{bats} chat_s chat_t; a pair whose sums
-    vanish is absent (cc and hh carry the same weights on distinct
-    blades, so they vanish together).  f = sum_{ijkl} R_{ijkl} chat_i
+    vanish is absent.  hh is cc's canonical form, den and numerators,
+    with every blade mask shifted left by n (c_j to chat_j).  f = sum_{ijkl} R_{ijkl} chat_i
     chat_j c_k c_l.  Both sums collapse against the pair antisymmetries:
     entry (i, j, k, l) with l < k is the term s = l < t = k of the (j, i)
     pair, weight 2 R_{ijkl}, and with i < j, k < l it is one term of f,
@@ -183,15 +194,16 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
             if j == l:
                 ricci[i, k] = ricci.get((i, k), 0) + num
             if l < k:
-                cc, hh = pairs.setdefault((j, i), ({}, {}))
-                st = 1 << (l - 1) | 1 << (k - 1)
-                cc[st] = hh[st << n] = 2 * num
+                pairs.setdefault((j, i), {})[1 << (l - 1) | 1 << (k - 1)] = 2 * num
             if i < j and k < l:
                 kl = 1 << (k - 1) | 1 << (l - 1)
                 ij = 1 << (i - 1) | 1 << (j - 1)
                 f[kl | ij << n] = 4 * num
         op = CliffordOp.from_numerators
-        bivectors = {ab: (op(n, den, cc), op(n, den, hh)) for ab, (cc, hh) in pairs.items()}
+        bivectors = {}
+        for ab, nums in pairs.items():
+            cc = op(n, den, nums)
+            bivectors[ab] = cc, CliffordOp._make(n, cc.den, {m << n: t for m, t in cc.blades.items()})
         s = sum(ric for (a, b), ric in ricci.items() if a == b)
         ricci = {ab: ric for ab, ric in sorted(ricci.items()) if ric}
         rxx = {k: v for k, v in rxx.items() if v}
@@ -224,17 +236,23 @@ class ConnectionData:
 def standard_connection(dim: Dimension, R: RiemannTensor, cache: ProductCache) -> ConnectionData:
     """Connection data of the square of the flat-coefficient Hodge operator.
 
-    T_a = 0, T_ab = -(1/8) sum R_{bats} c_s c_t + (1/8) sum R_{bats}
-    chat_s chat_t, E = (1/8) sum R_{ijkl} chat_i chat_j c_k c_l + s/4.
+    T_a = 0, T_ab = (hh - cc)/8 and E = f/8 + s/4 for the record's cc, hh,
+    f and s, each one operator of integer numerators: T_ab over 8 cc.den,
+    E over 8 rec.den (f's numerators rescaled to rec.den, 2 s on blade 0).
     """
     n = dim.n
     rec = curvature_ops(R, cache)
     t_ab = {
-        ab: cc.scale(Fraction(-1, 8)) + hh.scale(Fraction(1, 8))
+        ab: CliffordOp.from_numerators(n, 8 * cc.den, {**_nums(cc, -1), **_nums(hh, 1)})
         for ab, (cc, hh) in rec.bivectors.items()
     }
-    e = rec.f.scale(Fraction(1, 8)) + CliffordOp.from_numerators(n, 4 * rec.den, {0: rec.s})
-    return ConnectionData(n, t_ab, e, rec)
+    e_nums = {**_nums(rec.f, rec.den // rec.f.den), 0: 2 * rec.s}
+    return ConnectionData(n, t_ab, CliffordOp.from_numerators(n, 8 * rec.den, e_nums), rec)
+
+
+def _nums(op: CliffordOp, factor: int) -> dict:
+    """factor times the numerator of each blade of a real constant op."""
+    return {mask: factor * re for mask, ((_, re, _),) in op.blades.items()}
 
 
 # ---------------------------------------------------------------------------

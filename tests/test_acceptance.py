@@ -151,7 +151,7 @@ def test_criterion_3_sphere_recursion_vs_oracle():
 
 def test_criterion_4_symbol_family_consistency():
     """Concrete inverse-power symbols equal the generic transcription, 10 seeds."""
-    for n in (4, 6):
+    for n in (2, 4, 6, 8):
         dim = Dimension(n)
         for seed in range(10):
             R = random_riemann(n, seed)
@@ -160,7 +160,7 @@ def test_criterion_4_symbol_family_consistency():
             direct = lemma2_symbols(dim, R, dim.m, -2 * dim.m, cache)
             generic = lemma1_symbols(dim, R, conn)
             assert direct.merged(cache) == generic.merged(cache)
-    print("ACCEPTANCE criterion 4: PASS (symbol families agree, 10 seeds, n in {4,6})")
+    print("ACCEPTANCE criterion 4: PASS (symbol families agree, 10 seeds, n in {2,4,6,8})")
 
 
 def test_criterion_5_zero_part_cancellations(sweep):

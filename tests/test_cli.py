@@ -123,6 +123,19 @@ class TestVerifyCommand:
             assert "invalid curvature file" in result.output
             assert fragment in result.output
 
+    @pytest.mark.parametrize(
+        "data",
+        [[4, []], "n=4", {"entries": []}, {"n": 4}, {"n": 4, "entries": 7}],
+        ids=["list", "string", "no-n", "no-entries", "entries-not-list"],
+    )
+    def test_malformed_curvature_file_names_the_shape(self, runner, tmp_path, data):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, ["verify", "--dim", "4", "--curvature", str(path)])
+        assert result.exit_code == 2, result.output
+        assert '{"n": int, "entries": [[i, j, k, l, num, den], ...]}' in result.output
+        assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
+
     def test_dimension_8_is_supported(self, runner):
         result = runner.invoke(main, ["verify", "--dim", "8", "--seeds", "1"])
         assert result.exit_code == 0, result.output

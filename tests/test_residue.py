@@ -21,6 +21,7 @@ from wres.curvature import (
 import wres.clifford
 import wres.residue
 import wres.sphere
+import wres.symbols
 from wres.residue import (
     _BLOCKS,
     ASSEMBLED_IDS,
@@ -375,9 +376,11 @@ class TestBlocks:
     def test_weight_path_builds_no_fraction(self, monkeypatch):
         # symbol building, composition, cosphere weights and traces are
         # integer arithmetic: no Fraction is built under the symbol
-        # families, composed_weights or trace_weights.  The sphere and
-        # Clifford memos start cold, so a weight or generator cached by
-        # an earlier run cannot hide a Fraction built on its first use.
+        # families, composed_weights or trace_weights, nor on criterion
+        # 4's path (standard_connection, lemma1_symbols, merged).  The
+        # sphere and Clifford memos start cold, so a weight or generator
+        # cached by an earlier run cannot hide a Fraction built on its
+        # first use.
         for module in (wres.sphere, wres.clifford):
             for fn in vars(module).values():
                 getattr(fn, "cache_clear", lambda: None)()
@@ -408,9 +411,17 @@ class TestBlocks:
             "trace_weights",
         ):
             monkeypatch.setattr(wres.residue, name, inside(getattr(wres.residue, name)))
+        for name in ("standard_connection", "lemma1_symbols", "lemma2_symbols"):
+            monkeypatch.setattr(wres.symbols, name, inside(getattr(wres.symbols, name)))
+        monkeypatch.setattr(SymbolExpansion, "merged", inside(SymbolExpansion.merged))
         monkeypatch.setattr(Fraction, "__new__", staticmethod(new_spy))
         for n in (4, 6):
-            assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
+            R, u, v = derive_inputs(n, 1)
+            dim, cache = Dimension(n), ProductCache()
+            assert Analysis(dim, R, u, v).all_match()
+            conn = wres.symbols.standard_connection(dim, R, cache)
+            direct = wres.symbols.lemma2_symbols(dim, R, dim.m, -n, cache)
+            assert direct.merged(cache) == wres.symbols.lemma1_symbols(dim, R, conn).merged(cache)
         assert built == []
 
 

@@ -1,10 +1,14 @@
 """Symbol families, derivatives, and composition against direct oracles."""
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import wres.clifford
+import wres.scalars
+import wres.symbols
 from wres.clifford import (
     CliffordOp,
     Dimension,
@@ -46,6 +50,27 @@ def mono(n, *idx):
 def planar(n):
     """Unit 2-plane curvature: R_1212 = 1 and its symmetric entries."""
     return RiemannTensor(n, {(1, 2, 1, 2): 1, (2, 1, 2, 1): 1, (1, 2, 2, 1): -1, (2, 1, 1, 2): -1})
+
+
+def materialize(t):
+    """Reference coefficient of one term: its weight times op_1 ... op_k,
+    identity chain included."""
+    acc = CliffordOp.identity(len(t.x_mono)) if not t.ops else t.ops[0]
+    for nxt in t.ops[1:]:
+        acc = acc * nxt
+    return acc.scale(t.scalar)
+
+
+def merged_reference(exp):
+    """merged() by its definition: per key, the sum of materialize over
+    the key's terms, with the keys that sum to zero dropped."""
+    out = {}
+    for order in exp.orders():
+        for t in exp.terms_at(order):
+            key = (order, t.x_mono, t.xi_mono, t.norm_power)
+            mat = materialize(t)
+            out[key] = mat if key not in out else out[key] + mat
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def compose(A, B, target_order):
@@ -139,7 +164,7 @@ class TestExpansionPlumbing:
         n = 4
         a, b = tildec_op(n, 1), tildec_op(n, 2)
         t = SymbolTerm(mono(n), mono(n), 0, 2, 1, 0, (a, b))
-        assert t.materialize() == (a * b).scale(Fraction(1, 2))
+        assert materialize(t) == (a * b).scale(Fraction(1, 2))
 
     def test_dump_is_stable_across_reconstruction(self):
         dim = Dimension(4)
@@ -149,6 +174,109 @@ class TestExpansionPlumbing:
         assert one == two
         other = dump(lemma2_symbols(dim, random_riemann(4, 6), 2, -4, ProductCache()))
         assert one != other
+
+
+def half_planar(n):
+    """R_1212 = 1/2: the record's f reduces below its denominator and s != 0."""
+    return RiemannTensor(
+        n, {(1, 2, 1, 2): "1/2", (2, 1, 2, 1): "1/2", (1, 2, 2, 1): "-1/2", (2, 1, 1, 2): "-1/2"}
+    )
+
+
+CURVATURES = [
+    (f"{kind}-d{n}", make(n))
+    for n in (2, 4, 6)
+    for kind, make in (
+        ("random", lambda n: random_riemann(n, 1)),
+        ("constant", constant_curvature),
+        ("flat", flat),
+    )
+]
+
+
+class TestMerged:
+    """merged() against its definition, merged_reference."""
+
+    @pytest.mark.parametrize("R", [R for _, R in CURVATURES], ids=[i for i, _ in CURVATURES])
+    def test_inverse_power_families_match_reference(self, R):
+        dim, cache = Dimension(R.n), ProductCache()
+        conn = standard_connection(dim, R, cache)
+        families = [
+            lemma1_symbols(dim, R, conn),
+            lemma1_symbols(dim, R, conn, m_family=dim.m - 1),
+            lemma2_symbols(dim, R, dim.m, -R.n, cache),
+            lemma2_symbols(dim, R, dim.m, -R.n + 2, cache),
+        ]
+        for exp in families:
+            assert exp.merged(cache) == merged_reference(exp)
+
+    @pytest.mark.parametrize("n", [2, 4], ids=["d2", "d4"])
+    def test_first_order_factors_match_reference(self, n):
+        # a factor's order-1 weights are imaginary; the product of two
+        # factors has three-op chains over 8 at order 0
+        dim, cache = Dimension(n), ProductCache()
+        R, u, v = derive_inputs(n, 1)
+        P, PQ = symbols_PQ(dim, R, u, cache), symbol_product_PQ(dim, R, u, v, cache)
+        assert all(t.im and not t.re for t in P.terms_at(1))
+        assert any(len(t.ops) == 3 and t.den == 8 for t in PQ.terms_at(0))
+        for exp in (P, PQ):
+            assert exp.merged(cache) == merged_reference(exp)
+
+    def test_mixed_keys_unequal_denominators_and_cancellation(self):
+        n = 4
+        c1, a, b = c_op(n, 1), tildec_op(n, 1), tildec_op(n, 2)
+        key = (mono(n), mono(n, 1), -2)
+        gone = (mono(n), mono(n, 2), -2)
+        exp = SymbolExpansion(n)
+        for t in (
+            # one key: no-op and chain terms over 3, 4, 5 and 7
+            SymbolTerm(*key, 3, 1, 2),
+            SymbolTerm(*key, 4, 0, 1, (a, b)),
+            SymbolTerm(*key, 5, -2, 0, (a,)),
+            SymbolTerm(*key, 7, 1, 0, (a, b, c1)),
+            # another: c1 c1 = -1 against the identity chain and a scalar
+            SymbolTerm(*gone, 1, 1, 0, (c1, c1)),
+            SymbolTerm(*gone, 2, 1, 0, ()),
+            SymbolTerm(*gone, 2, 1, 0, (CliffordOp.identity(n),)),
+        ):
+            exp.add(t)
+        got, want = exp.merged(None), merged_reference(exp)
+        assert got == want and set(got) == {(-1,) + key}
+
+    def test_merged_builds_one_canonical_form_per_chain_key(self, monkeypatch):
+        # the dim-6 concrete family sums each key in one integer pass:
+        # no per-term coefficient, scale or sum, and no-op keys reduce
+        # without _canonical
+        dim, R, cache = Dimension(6), random_riemann(6, 1), ProductCache()
+        exp = lemma2_symbols(dim, R, 3, -6, cache)
+        calls = Counter()
+
+        def counting(name, fn):
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return run
+
+        for module in (wres.scalars, wres.clifford, wres.symbols):
+            if hasattr(module, "_canonical"):
+                monkeypatch.setattr(module, "_canonical", counting("_canonical", module._canonical))
+        for name in ("scale", "__add__"):
+            monkeypatch.setattr(CliffordOp, name, counting(name, getattr(CliffordOp, name)))
+        real_slots = ScalarPoly._from_slots.__func__
+        monkeypatch.setattr(
+            ScalarPoly, "_from_slots", classmethod(counting("ScalarPoly", real_slots))
+        )
+        monkeypatch.setattr(
+            SymbolTerm, "materialize", counting("materialize", lambda t: None), raising=False
+        )
+        merged = exp.merged(cache)
+        chain_keys = {
+            (o, t.x_mono, t.xi_mono, t.norm_power) for o in exp.orders() for t in exp.terms_at(o) if t.ops
+        }
+        assert merged and chain_keys
+        assert calls["_canonical"] <= len(chain_keys)
+        assert calls["materialize"] == calls["scale"] == calls["__add__"] == calls["ScalarPoly"] == 0
 
 
 class TestInversePowerSymbols:
@@ -395,6 +523,56 @@ class TestCurvatureTable:
             lemma1_symbols(dim, R, standard_connection(dim, R, ProductCache()))
 
 
+def connection_reference(rec, n):
+    """(T_ab, E) built by scaling the record's operators:
+    T_ab = -cc/8 + hh/8 and E = f/8 + s/4."""
+    t_ab = {
+        ab: cc.scale(Fraction(-1, 8)) + hh.scale(Fraction(1, 8))
+        for ab, (cc, hh) in rec.bivectors.items()
+    }
+    e = rec.f.scale(Fraction(1, 8)) + CliffordOp.from_numerators(n, 4 * rec.den, {0: rec.s})
+    return t_ab, e
+
+
+RECORD_TENSORS = [
+    (f"random-d{n}-s{seed}", random_riemann(n, seed)) for n in (2, 4, 6) for seed in (1, 2)
+] + [
+    ("constant-d4", constant_curvature(4)),
+    ("constant-d6", constant_curvature(6)),
+    ("planar-d4", planar(4)),
+    ("half-planar-d4", half_planar(4)),
+    ("flat-d4", flat(4)),
+]
+
+
+class TestConnection:
+    @pytest.mark.parametrize("R", [R for _, R in RECORD_TENSORS], ids=[i for i, _ in RECORD_TENSORS])
+    def test_connection_equals_scaled_record(self, R):
+        cache = ProductCache()
+        conn = standard_connection(Dimension(R.n), R, cache)
+        assert (conn.t_ab, conn.e) == connection_reference(curvature_ops(R, cache), R.n)
+
+    def test_flat_connection_is_zero(self):
+        conn = standard_connection(Dimension(4), flat(4), ProductCache())
+        assert conn.t_ab == {} and conn.e.is_zero()
+
+    def test_endomorphism_over_the_record_denominator(self):
+        # f reduces to a smaller denominator than the record's, and s != 0
+        R = half_planar(4)
+        rec = curvature_ops(R, ProductCache())
+        assert rec.f.den != rec.den and rec.s
+        conn = standard_connection(Dimension(4), R, ProductCache())
+        assert conn.e == connection_reference(rec, 4)[1]
+        assert conn.e.blades[0] == ((0, 1, 0),) and conn.e.den == 4
+
+    @pytest.mark.parametrize("R", [R for _, R in RECORD_TENSORS], ids=[i for i, _ in RECORD_TENSORS])
+    def test_hh_is_cc_on_the_chat_blades(self, R):
+        n = R.n
+        for cc, hh in curvature_ops(R, ProductCache()).bivectors.values():
+            assert hh.den == cc.den
+            assert hh.blades == {m << n: t for m, t in cc.blades.items()}
+
+
 class TestRxxTerms:
     @pytest.mark.parametrize("n", [4, 6])
     def test_one_term_per_monomial(self, n):
@@ -435,7 +613,7 @@ class TestComposition:
                 if any(t.x_mono):
                     continue
                 key = (order, t.x_mono, t.xi_mono, t.norm_power)
-                mat = t.materialize()
+                mat = materialize(t)
                 cur = want.get(key)
                 want[key] = mat if cur is None else cur + mat
             want = {k: v for k, v in want.items() if not v.is_zero()}
