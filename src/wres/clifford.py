@@ -14,11 +14,15 @@ factors in increasing bit order.  Blade products follow the bitmap sign
 rules (Dorst-Fontijne-Mann, Geometric Algebra for Computer Science, ch. 19):
 the blade of a product is the XOR of the masks, its sign the reordering
 sign times the metric sign.  Every blade but the scalar one is
-traceless, so tr X = 2^n * (scalar part of X).  The numerators are in
-the one integer form that ScalarPoly also stores (scalars.py): sums,
-products and traces run on that module's kernel, and a trace or an
-entry of the 2^n x 2^n matrix view (rows) for checks is a
-ScalarPoly without any conversion.
+traceless, so tr X = 2^n * (scalar part of X), and a trace of a chain
+builds no product: tr(a b) is a signed dot product over the shared
+blades, and tr(a b c) the dot of c with a b formed only on c's blades,
+a partial product that chains sharing the prefix a b share
+(ProductCache).  The numerators are in the one integer form that
+ScalarPoly also stores (scalars.py): sums, products and traces run on
+that module's batched kernel, and a trace or an entry of the
+2^n x 2^n matrix view (rows) for checks is a ScalarPoly without any
+conversion.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .scalars import ScalarPoly, _canonical, _frac, _imac, _ints, _ONE_TERMS, _pack, _slot_terms
+from .scalars import (
+    ScalarPoly, _canonical, _frac, _imac_each, _ints, _ONE_TERMS, _pack, _slot_terms
+)
 
 @dataclass(frozen=True)
 class Dimension:
@@ -158,11 +164,12 @@ class CliffordOp:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         den = lcm(self.den, other.den)
-        acc: dict = {}
-        for op in (self, other):
-            for mask, terms in op.blades.items():
-                _imac(acc.setdefault(mask, {}), den // op.den, terms, _ONE_TERMS)
-        return CliffordOp._make(self.n, *_canonical(den, acc))
+        hits = (
+            (mask, den // op.den, terms, _ONE_TERMS)
+            for op in (self, other)
+            for mask, terms in op.blades.items()
+        )
+        return CliffordOp._make(self.n, *_canonical(den, _imac_each({}, hits)))
 
     def __sub__(self, other: "CliffordOp") -> "CliffordOp":
         return self + other.scale(-1)
@@ -178,21 +185,19 @@ class CliffordOp:
         else:
             den, re, im = _ints(c)
             factor = ((0, re, im),)
-        acc = {mask: _imac({}, 1, terms, factor) for mask, terms in self.blades.items()}
+        acc = _imac_each({}, ((mask, 1, terms, factor) for mask, terms in self.blades.items()))
         return CliffordOp._make(self.n, *_canonical(self.den * den, acc))
 
     def __mul__(self, other: "CliffordOp") -> "CliffordOp":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         n = self.n
-        acc: dict = {}
-        for a, x in self.blades.items():
-            for b, y in other.blades.items():
-                slots = acc.get(a ^ b)
-                if slots is None:
-                    slots = acc[a ^ b] = {}
-                _imac(slots, _blade_sign(n, a, b), x, y)
-        return CliffordOp._make(n, *_canonical(self.den * other.den, acc))
+        hits = (
+            (a ^ b, _blade_sign(n, a, b), x, y)
+            for a, x in self.blades.items()
+            for b, y in other.blades.items()
+        )
+        return CliffordOp._make(n, *_canonical(self.den * other.den, _imac_each({}, hits)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CliffordOp):
@@ -203,8 +208,7 @@ class CliffordOp:
         return not self.blades
 
     def trace(self) -> ScalarPoly:
-        scalar = self.blades.get(0, ())
-        return ScalarPoly._from_slots(self.den, _imac({}, 1 << self.n, scalar, _ONE_TERMS))
+        return ScalarPoly._from_slots(self.den, _dot(self.n, self.blades, {0: _ONE_TERMS}))
 
     # ---- matrix view, for checks ----
 
@@ -214,7 +218,7 @@ class CliffordOp:
         n = self.n
         rows: list = [dict() for _ in range(1 << n)]
         for mask, terms in self.blades.items():
-            v = ScalarPoly._from_slots(self.den, _imac({}, 1, terms, _ONE_TERMS))
+            v = ScalarPoly._from_slots(self.den, {k: (re, im) for k, re, im in terms})
             x, signs = _blade_action(n, mask)
             neg = -v
             for s, sign in enumerate(signs):
@@ -228,45 +232,46 @@ class CliffordOp:
         return f"CliffordOp(n={self.n}, blades={len(self.blades)})"
 
 
-def trace_product(a: CliffordOp, b: CliffordOp, c: CliffordOp | None = None) -> ScalarPoly:
+def _dot(n: int, xb: dict, yb: dict) -> dict:
+    """Slots of tr(x y) times the two denominators, for blade maps xb and
+    yb: 2^n times the signed dot product over the blades they share."""
+    if len(xb) > len(yb):
+        xb, yb = yb, xb
+    unit = 1 << n
+    hits = ((0, unit * _blade_sign(n, m, m), xt, yt) for m, xt in xb.items() if (yt := yb.get(m)))
+    return _imac_each({}, hits).get(0, {})
+
+
+def trace_product(
+    a: CliffordOp, b: CliffordOp, c: CliffordOp | None = None, prefix: tuple | None = None
+) -> ScalarPoly:
     """tr(a b), or tr(a b c), read off the scalar part; no product is built.
 
     tr(a b) is 2^n times a signed dot product over the blades a and b
-    share.  For three factors the chain is rotated so that the two with
-    the fewest blades are multiplied pairwise, and only the blades of
-    that product that the third factor carries are kept.
+    share.  tr(a b c) is the same dot of c with the prefix product a b,
+    formed only on the blades c carries.  prefix is (partial, covered):
+    partial holds the blades of a b on the masks in covered, the masks
+    read so far.  A ProductCache passes one per prefix, shared by its
+    last factors, and each fills only the masks not yet covered; without
+    one the partial product is used once.
     """
-    ops = (a, b) if c is None else (a, b, c)
     n = a.n
-    if any(op.n != n for op in ops):
+    if b.n != n or (c is not None and c.n != n):
         raise ValueError("dimension mismatch")
-    acc: dict = {}
-    unit = 1 << n
     if c is None:
-        xb, yb = a.blades, b.blades
-        if len(xb) > len(yb):
-            xb, yb = yb, xb
-        for mask, xt in xb.items():
-            yt = yb.get(mask)
-            if yt is not None:
-                _imac(acc, unit * _blade_sign(n, mask, mask), xt, yt)
-        return ScalarPoly._from_slots(a.den * b.den, acc)
-    # tr(abc) = tr(bca) = tr(cab): put the largest factor last
-    sizes = [len(op.blades) for op in ops]
-    big = sizes.index(max(sizes))
-    xb, yb, zb = (op.blades for op in ops[big + 1 :] + ops[: big + 1])
-    partial: dict = {}
-    for ma, xt in xb.items():
-        for mb, yt in yb.items():
-            mc = ma ^ mb
-            if mc in zb:
-                slots = partial.get(mc)
-                if slots is None:
-                    slots = partial[mc] = {}
-                _imac(slots, _blade_sign(n, ma, mb), xt, yt)
-    for mc, slots in partial.items():
-        _imac(acc, unit * _blade_sign(n, mc, mc), _slot_terms(slots), zb[mc])
-    return ScalarPoly._from_slots(a.den * b.den * c.den, acc)
+        return ScalarPoly._from_slots(a.den * b.den, _dot(n, a.blades, b.blades))
+    partial, covered = ({}, set()) if prefix is None else prefix
+    missing = c.blades.keys() - covered
+    if missing:
+        hits = (
+            (mc, _blade_sign(n, ma, mb), xt, yt)
+            for ma, xt in a.blades.items()
+            for mb, yt in b.blades.items()
+            if (mc := ma ^ mb) in missing
+        )
+        partial.update((mc, _slot_terms(slots)) for mc, slots in _imac_each({}, hits).items())
+        covered |= missing
+    return ScalarPoly._from_slots(a.den * b.den * c.den, _dot(n, partial, c.blades))
 
 
 def anticommutator(a: CliffordOp, b: CliffordOp) -> CliffordOp:
@@ -329,18 +334,21 @@ def vector_clifford(kind: str, u: FrameVector) -> CliffordOp:
 
 
 class ProductCache:
-    """Memos for chain traces and named builds.
+    """Memos for chain traces, prefix products and named builds.
 
     Chain keys are the ids of the operators; the cache holds the chain
-    so the ids stay valid for its lifetime.  Named keys hold their
-    operands (RiemannTensor hashes by identity).  Meant to live for one
-    verification run.
+    so the ids stay valid for its lifetime.  The partial product of a
+    three-factor chain's first two factors is memoised per (id a, id b),
+    holding a and b alike, and shared by every last factor
+    (trace_product).  Named keys hold their operands (RiemannTensor
+    hashes by identity).  Meant to live for one verification run.
     """
 
-    __slots__ = ("_traces", "_named")
+    __slots__ = ("_traces", "_prefixes", "_named")
 
     def __init__(self):
         self._traces: dict = {}
+        self._prefixes: dict = {}
         self._named: dict = {}
 
     def chain_trace(self, ops: tuple, n: int) -> ScalarPoly:
@@ -357,7 +365,10 @@ class ProductCache:
         hit = self._traces.get(key)
         if hit is not None:
             return hit[1]
-        val = trace_product(*ops) if len(ops) > 1 else ops[0].trace()
+        if len(ops) == 3:
+            val = trace_product(*ops, self._prefixes.setdefault(key[:2], (ops[:2], {}, set()))[1:])
+        else:
+            val = trace_product(*ops) if len(ops) > 1 else ops[0].trace()
         self._traces[key] = (ops, val)
         return val
 

@@ -12,6 +12,7 @@ multiples of Vol(S^{n-1}) times tr[id] and are never floated.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import add
 
@@ -24,7 +25,7 @@ from .curvature import (
     random_vector,
     ricci_bilinear,
 )
-from .scalars import ScalarPoly, _frac, _imac
+from .scalars import ScalarPoly, _frac, _imac_each
 from .sphere import vol_multiplier
 from .symbols import (
     blocks_at,
@@ -109,9 +110,8 @@ def trace_weights(den: int, chains: dict, dim: Dimension, cache: ProductCache) -
     dict, which is made canonical once."""
     traced = [(cache.chain_trace(ops, dim.n), w) for ops, w in chains.values() if w[0] or w[1]]
     tden = lcm(*(t.den for t, _ in traced))
-    acc: dict = {}
-    for t, (re, im) in traced:
-        _imac(acc, tden // t.den, ((0, re, im),), t.nums)
+    hits = ((0, tden // t.den, ((0, re, im),), t.nums) for t, (re, im) in traced)
+    acc = _imac_each({}, hits).get(0, {})
     return FunctionalDensity(ScalarPoly._from_slots(den * tden, acc), 0)
 
 
@@ -234,7 +234,8 @@ class Analysis:
     """All densities and comparisons for one (R, u, v) input.
 
     checks() is the one statement of what is compared; every verdict
-    (all_match, the report flags, the CLI exit codes) reads it.
+    (all_match, the report flags, the CLI exit codes) reads it through
+    match, which compares each pair once.
     """
 
     def __init__(self, dim: Dimension, R: RiemannTensor, u: FrameVector, v: FrameVector):
@@ -329,19 +330,24 @@ class Analysis:
         """(id, computed, expected) for every id of CHECK_IDS, in order."""
         return [(cid, self.computed[cid], self.expected[cid]) for cid in CHECK_IDS]
 
+    @cached_property
+    def match(self) -> dict:
+        """{id: computed == expected} for every id of CHECK_IDS, in order,
+        compared on first use."""
+        return {cid: c == e for cid, c, e in self.checks()}
+
     def mismatches(self) -> list:
         """Ids of the failing checks: each unequal pair, then real:<id>
         for each density with a nonzero imaginary part."""
-        table = self.checks()
-        return [cid for cid, c, e in table if c != e] + [
-            f"real:{cid}" for cid, c, _ in table if not c.is_real()
+        return [cid for cid, ok in self.match.items() if not ok] + [
+            f"real:{cid}" for cid in CHECK_IDS if not self.computed[cid].is_real()
         ]
 
     def all_match(self) -> bool:
         return not self.mismatches()
 
     def report_dict(self, seed) -> dict:
-        match = {cid: c == e for cid, c, e in self.checks()}
+        match = self.match
         report = {
             "dim": self.dim.n,
             "seed": seed,

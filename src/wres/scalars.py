@@ -9,10 +9,10 @@ end, on user request.
 Such a polynomial has one stored form, shared by ScalarPoly and the
 blade coefficients of clifford.CliffordOp: one positive denominator and
 a sorted tuple of integer terms (packed degree, re, im).  The kernel
-below (_imac, _slot_terms, _canonical) is the only complex-rational
-arithmetic.  GaussianRational has none: it is the value a coefficient
-is read out as (terms, evaluate) and one of the exact inputs the
-constructors accept.
+below (_imac_each, its one-hit form _imac, _slot_terms, _canonical) is
+the only complex-rational arithmetic.  GaussianRational has none: it
+is the value a coefficient is read out as (terms, evaluate) and one of
+the exact inputs the constructors accept.
 """
 
 from __future__ import annotations
@@ -119,25 +119,36 @@ def _unpack(k: int) -> tuple:
     return k >> _DEG_BITS, k & 0xFFFF
 
 
-def _imac(acc: dict, factor: int, p, q) -> dict:
-    """acc[deg] += factor * p * q over [re, im] int slots; p and q are
-    sequences of (packed degree, re, im).  Returns acc."""
-    for k1, r1, i1 in p:
-        if factor != 1:
-            r1, i1 = factor * r1, factor * i1
-        for k2, r2, i2 in q:
-            key = k1 + k2
-            slot = acc.get(key)
-            if i1 or i2:
-                re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
-            else:
-                re, im = r1 * r2, 0
-            if slot is None:
-                acc[key] = [re, im]
-            else:
-                slot[0] += re
-                slot[1] += im
+def _imac_each(acc: dict, hits) -> dict:
+    """acc[key][deg] += factor * p * q over [re, im] int slots, for each
+    (key, factor, p, q) of hits; p and q are sequences of (packed degree,
+    re, im).  One loop over all hits, without a call per hit.  Returns
+    acc."""
+    for key, factor, p, q in hits:
+        slots = acc.get(key)
+        if slots is None:
+            slots = acc[key] = {}
+        for k1, r1, i1 in p:
+            if factor != 1:
+                r1, i1 = factor * r1, factor * i1
+            for k2, r2, i2 in q:
+                deg = k1 + k2
+                slot = slots.get(deg)
+                if i1 or i2:
+                    re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
+                else:
+                    re, im = r1 * r2, 0
+                if slot is None:
+                    slots[deg] = [re, im]
+                else:
+                    slot[0] += re
+                    slot[1] += im
     return acc
+
+
+def _imac(acc: dict, factor: int, p, q) -> dict:
+    """acc[deg] += factor * p * q: _imac_each with one hit.  Returns acc."""
+    return _imac_each({0: acc}, ((0, factor, p, q),))[0]
 
 
 def _slot_terms(acc: dict) -> tuple:

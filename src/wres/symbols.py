@@ -36,7 +36,7 @@ from .clifford import (
     vector_clifford,
 )
 from .curvature import RiemannTensor
-from .scalars import ScalarPoly, _canonical, _imac
+from .scalars import _canonical, _imac_each
 
 
 class SymbolTerm(NamedTuple):
@@ -55,11 +55,6 @@ class SymbolTerm(NamedTuple):
     im: int
     ops: tuple = ()
     tag: str = ""
-
-    @property
-    def scalar(self) -> ScalarPoly:
-        """The weight as a constant ScalarPoly (a read-only view)."""
-        return ScalarPoly._from_slots(self.den, {0: (self.re, self.im)})
 
     def order(self) -> int:
         return sum(self.xi_mono) + self.norm_power
@@ -124,12 +119,9 @@ class SymbolExpansion:
             re = sum(den // t.den * t.re for t in terms if not t.ops)
             im = sum(den // t.den * t.im for t in terms if not t.ops)
             if chains:
-                acc: dict = {0: {0: [re, im]}}
-                for t, op in chains:
-                    for mask, nums in op.blades.items():
-                        slots = acc.setdefault(mask, {})
-                        _imac(slots, den // (t.den * op.den), nums, ((0, t.re, t.im),))
-                den, blades = _canonical(den, acc)
+                weights = [(den // (t.den * op.den), ((0, t.re, t.im),), op) for t, op in chains]
+                hits = ((m, f, nums, w) for f, w, op in weights for m, nums in op.blades.items())
+                den, blades = _canonical(den, _imac_each({0: {0: [re, im]}}, hits))
             elif re or im:
                 g = gcd(den, re, im)
                 den, blades = den // g, {0: ((0, re // g, im // g),)}

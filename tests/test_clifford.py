@@ -277,6 +277,61 @@ class TestProductCache:
         assert triple == val
 
 
+def gaussian_op(n, rng, masks):
+    """Operator with a seeded Gaussian-rational polynomial on each mask,
+    its imaginary part never zero."""
+    blades = {}
+    for mask in masks:
+        terms = {
+            (rng.randint(0, 1), rng.randint(0, 1)): GaussianRational(
+                Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3)),
+            )
+            for _ in range(rng.randint(1, 2))
+        }
+        blades[mask] = ScalarPoly(terms)
+    return op_of(n, blades)
+
+
+def bivector_masks(n, offset):
+    """The c-bivector blades (offset 0) or chat-bivector blades (offset n)."""
+    return [(1 << i | 1 << j) << offset for i in range(n) for j in range(i + 1, n)]
+
+
+class TestPrefixMemo:
+    """Three-factor chains that share a prefix share one partial product,
+    filled mask by mask as their last factors ask for blades."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_shared_prefix_traces_match_products(self, n):
+        rng = random.Random(5000 + n)
+        low = [m for m in range(1 << (2 * n)) if m.bit_count() <= 2]
+        a, b, b2 = (gaussian_op(n, rng, rng.sample(low, min(8, len(low)))) for _ in range(3))
+        cbiv, hbiv = bivector_masks(n, 0), bivector_masks(n, n)
+        lasts = [
+            gaussian_op(n, rng, cbiv),
+            gaussian_op(n, rng, cbiv),  # the same support again: nothing to fill
+            gaussian_op(n, rng, hbiv),  # disjoint from the first
+            gaussian_op(n, rng, cbiv[: len(cbiv) // 2 + 1] + hbiv[-1:] + [0]),  # overlapping
+            gaussian_op(n, rng, [c | h for c in cbiv for h in hbiv]),  # 225 blades at n = 6
+            CliffordOp.identity(n),
+        ]
+        assert len(lasts[4].blades) == len(cbiv) ** 2
+        # (a, b) and (a, b2) share a first factor, (b, a) is the prefix reversed
+        prefixes = ((a, b), (a, b2), (b, a))
+        for order in (lasts, lasts[::-1]):
+            cache = ProductCache()
+            traces = []
+            for c in order:
+                for x, y in prefixes:
+                    got = cache.chain_trace((x, y, c), n)
+                    assert got == (x * y * c).trace() == trace_product(x, y, c)
+                    assert cache.chain_trace((x, y, c), n) is got
+                    traces.append(got)
+            assert all(any(t for t in traces[i : i + 3]) for i in range(0, len(traces), 3))
+            assert not all(t.is_real() for t in traces)
+
+
 # ---------------------------------------------------------------------------
 # sign-rule oracle: the blade algebra against plain matrices
 # ---------------------------------------------------------------------------

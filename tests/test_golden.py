@@ -14,7 +14,14 @@ before ScalarPoly moved to the integer numerator form of the Clifford
 coefficients.  The parts-d4/d6 text files (the only goldens that pin a
 density's nonzero (a0*b0) exponent in text form) were written by the
 engine whose top symbol was still n terms xi_a^2 |xi|^(-2M-2), just
-before it became the one term |xi|^(-2M).  Any change in representation, caching or
+before it became the one term |xi|^(-2M).  verify-d6-constant.json
+(constant curvature, whose cc_ab are single blades) and
+verify-d4-file.json (the curvature file curvature-d4.json: the Bianchi
+projection of omega_12 (.) omega_34 plus R_1212) pin sparse curvature
+and the curvature-file path; they were written by the engine that
+still traced each three-factor chain on its own, just before chains
+sharing a two-factor prefix began to share one memoised partial
+product.  Any change in representation, caching or
 evaluation order must reproduce them exactly.
 """
 
@@ -38,6 +45,11 @@ CASES = (
     ("parts-d6.json", ["parts", "--dim", "6", "--seed", "1", "--json"]),
     ("parts-d4.txt", ["parts", "--dim", "4", "--seed", "2"]),
     ("parts-d6.txt", ["parts", "--dim", "6", "--seed", "1"]),
+    ("verify-d6-constant.json",
+     ["verify", "--dim", "6", "--seeds", "2", "--curvature", "constant", "--json"]),
+    ("verify-d4-file.json",
+     ["verify", "--dim", "4", "--seeds", "3", "--curvature", str(DATA / "curvature-d4.json"),
+      "--json"]),
 )
 
 

@@ -37,6 +37,8 @@ from wres.symbols import (
     uv_symbol,
 )
 
+from oracles import weight
+
 ONE = ScalarPoly.one()
 
 
@@ -58,7 +60,7 @@ def materialize(t):
     acc = CliffordOp.identity(len(t.x_mono)) if not t.ops else t.ops[0]
     for nxt in t.ops[1:]:
         acc = acc * nxt
-    return acc.scale(t.scalar)
+    return acc.scale(weight(t))
 
 
 def merged_reference(exp):
@@ -103,7 +105,7 @@ class TestDerivatives:
         out = d_xi(t, 1)
         assert len(out) == 1
         assert out[0].xi_mono == mono(n, 1, 2)
-        assert out[0].scalar == ScalarPoly.const(2)
+        assert weight(out[0]) == ScalarPoly.const(2)
 
     def test_xi_derivative_hits_norm_factor(self):
         # d/dxi_1 (xi_1 |xi|^-2) = |xi|^-2 - 2 xi_1^2 |xi|^-4
@@ -113,9 +115,9 @@ class TestDerivatives:
         assert len(out) == 2
         plain, normside = out
         assert plain.xi_mono == mono(n) and plain.norm_power == -2
-        assert plain.scalar == ONE
+        assert weight(plain) == ONE
         assert normside.xi_mono == mono(n, 1, 1) and normside.norm_power == -4
-        assert normside.scalar == ScalarPoly.const(-2)
+        assert weight(normside) == ScalarPoly.const(-2)
 
     def test_xi_derivative_in_absent_variable(self):
         n = 4
@@ -286,7 +288,7 @@ class TestInversePowerSymbols:
         assert exp.orders() == [-4]
         (t,) = exp.terms_at(-4)
         assert t.tag == "delta" and t.x_mono == t.xi_mono == mono(4) and t.norm_power == -4
-        assert t.scalar == ONE and not t.ops
+        assert weight(t) == ONE and not t.ops
 
     @pytest.mark.parametrize("n", [2, 4, 6], ids=["d2", "d4", "d6"])
     @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
@@ -365,7 +367,7 @@ class TestFirstOrderFactorSymbols:
         assert len(terms) == 4
         cu = vector_clifford("tildec", u)
         for t in terms:
-            assert t.scalar == ScalarPoly.const(GaussianRational(0, 1))
+            assert weight(t) == ScalarPoly.const(GaussianRational(0, 1))
             f = t.xi_mono.index(1) + 1
             assert len(t.ops) == 1
             assert t.ops[0] == cu * tildec_op(4, f)
@@ -594,7 +596,7 @@ class TestRxxTerms:
                 key = (mono(n, j, k), mono(n, a, b))
                 sums[key] = sums.get(key, 0) + r
             want = {key: ScalarPoly.const(Fraction(-M, 3) * r) for key, r in sums.items() if r}
-            assert want and {key: t.scalar for key, t in zip(keys, terms)} == want
+            assert want and {key: weight(t) for key, t in zip(keys, terms)} == want
             assert len(terms) < len(R.entries)
 
 
