@@ -5,8 +5,9 @@ here as an exact polynomial identity in a0, b0: the six composition
 blocks of the second-order product against the inverse Laplacian power,
 their tagged sub-parts, the two grouped sums, and the metric and
 Einstein functionals assembled from them.  A report compares each
-computed density against its closed form; densities are rational
-multiples of Vol(S^{n-1}) times tr[id] and are never floated.
+computed density against its closed form, a row of CLOSED_FORMS, the
+one statement of the closed forms; densities are rational multiples of
+Vol(S^{n-1}) times tr[id] and are never floated.
 """
 
 from __future__ import annotations
@@ -126,8 +127,9 @@ def composed_weights(blocks, n: int) -> dict:
     the chain ta.ops + tb.ops: an integer over ta.den * tb.den *
     vol_den, read straight from the terms' integer numerators.  A tag's
     denominator is the lcm of its pairs', and its numerators are
-    rescaled when a pair's denominator does not divide it.  Odd monomials integrate to zero, so only the even pairs are
-    enumerated (even_pairs).
+    rescaled when a pair's denominator does not divide it.  Odd
+    monomials integrate to zero, so only the even pairs are enumerated
+    (even_pairs).
     """
     weights: dict = {}
     for A, oa, B, ob, k in blocks:
@@ -154,46 +156,64 @@ def composed_weights(blocks, n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 PART_IDS = (
-    "I-1-A",
-    "I-1-B",
-    "I-2",
-    "I-3-A",
-    "I-3-B",
-    "I-3-C",
-    "I-3-D",
-    "I-3-E",
-    "I-4-A",
-    "I-4-B",
-    "I-4-C",
-    "I-5",
-    "I-6",
-    "II-1",
-    "II-2",
-    "II-3",
-    "II-4",
-    "II-5",
-)
-
-ZERO_PART_IDS = (
-    "I-2",
-    "I-3-B",
-    "I-3-C",
-    "I-3-D",
-    "I-4-B",
-    "I-4-C",
-    "I-5",
-    "II-2",
-    "II-3",
-    "II-4",
+    "I-1-A", "I-1-B", "I-2",
+    "I-3-A", "I-3-B", "I-3-C", "I-3-D", "I-3-E",
+    "I-4-A", "I-4-B", "I-4-C", "I-5", "I-6",
+    "II-1", "II-2", "II-3", "II-4", "II-5",
 )
 
 TOTAL_IDS = ("I-1", "I-2", "I-3", "I-4", "I-5", "I-6", "II")
 
 ASSEMBLED_IDS = ("zabdt", "zpdt", "metric", "einstein")
 
-# every compared density, in table order; I-2, I-5 and I-6 are both
-# parts and totals and are checked once
-CHECK_IDS = tuple(dict.fromkeys(PART_IDS + TOTAL_IDS + ASSEMBLED_IDS))
+# The closed forms, the one statement of what each density should be:
+# id -> (shape, e, G, S, C) is tr[id] * shape * (a0 b0)^e * (G g(u,v) +
+# S s g(u,v) + C Ric(u,v)) / 48, shape a key of _SHAPES and e, G, S, C
+# polynomials in m, each an integer pair (constant, slope).  A zero row
+# is a vanishing part.  Rows follow PART_IDS + TOTAL_IDS + ASSEMBLED_IDS;
+# I-2, I-5 and I-6 are both parts and totals and are checked once.
+_ZERO = ("1", (0, 0), (0, 0), (0, 0), (0, 0))
+CLOSED_FORMS = {
+    "I-1-A": ("ab(a+b)2", (0, 0), (0, 0), (3, 0), (-6, 0)),
+    "I-1-B": ("ab(a-b)2", (0, 0), (0, 0), (3, 0), (-6, 0)),
+    "I-2": _ZERO,
+    "I-3-A": ("ab2", (0, 0), (0, 0), (0, 8), (-16, 0)),
+    "I-3-B": _ZERO,
+    "I-3-C": _ZERO,
+    "I-3-D": _ZERO,
+    "I-3-E": ("ab2", (0, 0), (0, 0), (12, -12), (0, 0)),
+    "I-4-A": ("ab2", (0, 0), (0, 0), (-32, 0), (64, 0)),
+    "I-4-B": _ZERO,
+    "I-4-C": _ZERO,
+    "I-5": _ZERO,
+    "I-6": ("ab2", (0, 0), (0, 0), (16, 0), (-32, 0)),
+    "II-1": ("ab", (0, 0), (0, 0), (8, -8), (0, 0)),
+    "II-2": _ZERO,
+    "II-3": _ZERO,
+    "II-4": _ZERO,
+    "II-5": ("ab", (0, 0), (0, 0), (-12, 12), (0, 0)),
+    "I-1": ("ab2", (0, 0), (0, 0), (12, 0), (-24, 0)),
+    "I-3": ("ab2", (0, 0), (0, 0), (12, -4), (-16, 0)),
+    "I-4": ("ab2", (0, 0), (0, 0), (-32, 0), (64, 0)),
+    "II": ("ab", (0, 0), (0, 0), (-4, 4), (0, 0)),
+    "zabdt": ("ab2", (0, 0), (0, 0), (8, -4), (-8, 0)),
+    "zpdt": ("ab", (0, 0), (0, 0), (-4, 4), (0, 0)),
+    "metric": ("1", (1, -1), (-48, 0), (0, 0), (0, 0)),
+    "einstein": ("1", (2, -1), (0, 0), (4, 0), (-8, 0)),
+}
+
+_A0, _B0 = ScalarPoly.a0(), ScalarPoly.b0()
+_SHAPES = {
+    "1": ScalarPoly.one(),
+    "ab": _A0 * _B0,
+    "ab2": _A0 * _B0 * _A0 * _B0,
+    "ab(a+b)2": _A0 * _B0 * (_A0 + _B0) * (_A0 + _B0),
+    "ab(a-b)2": _A0 * _B0 * (_A0 - _B0) * (_A0 - _B0),
+}
+
+CHECK_IDS = tuple(CLOSED_FORMS)
+
+ZERO_PART_IDS = tuple(pid for pid in PART_IDS if not any(map(any, CLOSED_FORMS[pid][1:])))
 
 # composition blocks of PQ against B1: id -> (order of PQ, order of B1
 # above -2m).  Block (oa, ob) takes k = oa + ob derivatives and lands on
@@ -233,9 +253,11 @@ _SUBPARTS = {
 class Analysis:
     """All densities and comparisons for one (R, u, v) input.
 
-    checks() is the one statement of what is compared; every verdict
-    (all_match, the report flags, the CLI exit codes) reads it through
-    match, which compares each pair once.
+    The expected side is CLOSED_FORMS at this input's m, the one
+    statement of the closed forms.  checks() is the one statement of
+    what is compared; every verdict (all_match, the report flags, the
+    CLI exit codes) reads it through match, which compares each pair
+    once.
     """
 
     def __init__(self, dim: Dimension, R: RiemannTensor, u: FrameVector, v: FrameVector):
@@ -285,44 +307,21 @@ class Analysis:
         self._fill_expected()
 
     def _fill_expected(self) -> None:
-        dim, R, u, v = self.dim, self.R, self.u, self.v
-        m = dim.m
-        tr_id = Fraction(1 << dim.n)
-        contr = contract(R)
-        g = inner(u, v)
-        ric = ricci_bilinear(contr, u, v)
-        sg = contr.scalar * g
-
-        ab = ScalarPoly.monomial(1, 1)
-        absq = ScalarPoly.monomial(2, 2)
-        sum_sq = (ScalarPoly.a0() + ScalarPoly.b0()) * (ScalarPoly.a0() + ScalarPoly.b0())
-        diff_sq = (ScalarPoly.a0() - ScalarPoly.b0()) * (ScalarPoly.a0() - ScalarPoly.b0())
-
-        def density(shape: ScalarPoly, value: Fraction, exp: int = 0) -> FunctionalDensity:
-            return FunctionalDensity(shape.scale(value * tr_id), exp)
-
-        zero = FunctionalDensity(ScalarPoly.zero(), 0)
-        half_comb = Fraction(1, 4) * sg - Fraction(1, 2) * ric
-        exp = self.expected
-        exp.update(dict.fromkeys(ZERO_PART_IDS, zero))
-        exp["I-1-A"] = density(ab * sum_sq, Fraction(1, 4) * half_comb)
-        exp["I-1-B"] = density(ab * diff_sq, Fraction(1, 4) * half_comb)
-        exp["I-1"] = density(absq, half_comb)
-        exp["I-3-A"] = density(absq, Fraction(m, 6) * sg - Fraction(1, 3) * ric)
-        exp["I-3-E"] = density(absq, Fraction(1 - m, 4) * sg)
-        exp["I-3"] = density(absq, Fraction(3 - m, 12) * sg - Fraction(1, 3) * ric)
-        exp["I-4-A"] = density(absq, Fraction(4, 3) * ric - Fraction(2, 3) * sg)
-        exp["I-4"] = exp["I-4-A"]
-        exp["I-6"] = density(absq, Fraction(1, 3) * sg - Fraction(2, 3) * ric)
-        exp["II-1"] = density(ab, Fraction(-(m - 1), 6) * sg)
-        exp["II-5"] = density(ab, Fraction(m - 1, 4) * sg)
-        exp["II"] = density(ab, Fraction(m - 1, 12) * sg)
-        exp["zabdt"] = density(absq, Fraction(2 - m, 12) * sg - Fraction(1, 6) * ric)
-        exp["zpdt"] = exp["II"]
-        exp["metric"] = density(ScalarPoly.one(), -g, -m + 1)
-        exp["einstein"] = density(
-            ScalarPoly.one(), Fraction(1, 12) * sg - Fraction(1, 6) * ric, -m + 2
-        )
+        """expected[id]: each CLOSED_FORMS row at this m, on contract's values."""
+        m = self.dim.m
+        contr = contract(self.R)
+        g = inner(self.u, self.v)
+        unit = Fraction(1 << self.dim.n, 48)
+        basis = (g, contr.scalar * g, ricci_bilinear(contr, self.u, self.v))
+        done: dict = {}
+        for cid, row in CLOSED_FORMS.items():
+            density = done.get(row)
+            if density is None:
+                shape, (e0, e1), *coeffs = row
+                value = sum((c0 + c1 * m) * b for (c0, c1), b in zip(coeffs, basis) if c0 or c1)
+                density = FunctionalDensity(_SHAPES[shape].scale(value * unit), e0 + e1 * m)
+                done[row] = density
+            self.expected[cid] = density
 
     # -- checks --
 

@@ -155,11 +155,12 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
     bivectors maps (a, b) to (cc, hh), with cc = sum_{s,t} R_{bats}
     c_s c_t and hh = sum_{s,t} R_{bats} chat_s chat_t; a pair whose sums
     vanish is absent.  hh is cc's canonical form, den and numerators,
-    with every blade mask shifted left by n (c_j to chat_j).  f = sum_{ijkl} R_{ijkl} chat_i
-    chat_j c_k c_l.  Both sums collapse against the pair antisymmetries:
-    entry (i, j, k, l) with l < k is the term s = l < t = k of the (j, i)
-    pair, weight 2 R_{ijkl}, and with i < j, k < l it is one term of f,
-    weight 4 R_{ijkl}.  Every product is already its blade with sign +1:
+    with every blade mask shifted left by n (c_j to chat_j).
+    f = sum_{ijkl} R_{ijkl} chat_i chat_j c_k c_l.  Both sums collapse
+    against the pair antisymmetries: entry (i, j, k, l) with l < k is
+    the term s = l < t = k of the (j, i) pair, weight 2 R_{ijkl}, and
+    with i < j, k < l it is one term of f, weight 4 R_{ijkl}.  Every
+    product is already its blade with sign +1:
     the factors of c_s c_t and chat_s chat_t come in increasing bit
     order, and chat_i chat_j c_k c_l = c_k c_l chat_i chat_j since each
     c passes two chats.  rxx maps (x_j x_k, xi_a xi_b) to sum R_{ajbk}

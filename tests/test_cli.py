@@ -8,7 +8,7 @@ from click.testing import CliRunner
 import wres.residue
 from wres.cli import main
 from wres.curvature import constant_curvature, random_riemann
-from wres.residue import Analysis, FunctionalDensity
+from wres.residue import CLOSED_FORMS, Analysis, FunctionalDensity
 from wres.scalars import GaussianRational, ScalarPoly
 
 
@@ -272,6 +272,42 @@ class TestFailingChecks:
         result = runner.invoke(main, ["parts", "--dim", "4"])
         assert result.exit_code == 1
         assert "MISMATCHES FOUND: I-3" in result.output
+
+    def test_a_wrong_part_row_prints_its_expected_side(self, runner, monkeypatch):
+        # I-3-E's (1 - m)/4 s g written as (1 - m)/3
+        monkeypatch.setitem(CLOSED_FORMS, "I-3-E", ("ab2", (0, 0), (0, 0), (16, -16), (0, 0)))
+        result = runner.invoke(main, ["parts", "--dim", "4", "--seed", "2"])
+        assert result.exit_code == 1
+        assert "  I-3-E     MISMATCH  computed = a0^2*b0^2*(-605)\n" in result.output
+        assert "\n                      expected = a0^2*b0^2*(-2420/3)\n" in result.output
+        assert result.output.count("expected = ") == 1
+        assert result.output.endswith("MISMATCHES FOUND: I-3-E\n")
+
+    def test_a_wrong_total_row_gates_parts_and_verify(self, runner, monkeypatch):
+        # I-3's (3 - m)/12 s g written as (4 - m)/12; verify prints both sides
+        monkeypatch.setitem(CLOSED_FORMS, "I-3", ("ab2", (0, 0), (0, 0), (16, -4), (-16, 0)))
+        result = runner.invoke(main, ["parts", "--dim", "4", "--seed", "2"])
+        assert result.exit_code == 1
+        assert result.output.endswith("MISMATCHES FOUND: I-3\n")
+        result = runner.invoke(main, ["verify", "--dim", "4", "--seeds", "1"])
+        assert result.exit_code == 1
+        assert (
+            "seed=0: MISMATCH in I-3\n"
+            "  I-3: computed a0^2*b0^2*(24245/72) expected a0^2*b0^2*(43285/216)\n"
+        ) in result.output
+
+    def test_a_wrong_einstein_row_fails_the_einstein_command(self, runner, monkeypatch):
+        # Ric's -1/6 written as -1/8
+        monkeypatch.setitem(CLOSED_FORMS, "einstein", ("1", (2, -1), (0, 0), (4, 0), (-6, 0)))
+        u = "1/2,-3,2/7,1"
+        args = ["einstein", "--dim", "4", "--curvature", "random", "--seed", "3"]
+        args += ["--u", u, "--v", u]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "  matches closed form: NO\n" in result.output
+        result = runner.invoke(main, args + ["--json"])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["matches_closed_form"] is False
 
 
 class TestEinsteinCommand:
