@@ -3,9 +3,11 @@
 Commands: verify (seeded sweep of every identity), parts (one
 configuration, one table row per part and assembled density), einstein
 (the assembled Einstein-functional density for explicit inputs).
-Invoked bare, the tool runs verify with dim 4 and ten seeds.  verify
-and parts exit 0 when Analysis.mismatches() is empty on every input, 1
-when it names a failing check, 2 on a usage error.
+Invoked bare, the tool runs verify with dim 4 and ten seeds.  Every
+exit code reads the one check table, Analysis.match: verify and parts
+exit 0 when Analysis.mismatches() is empty on every input, 1 when it
+names a failing check, and einstein exits 1 when match["einstein"] is
+false; 2 is a usage error.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ def _parse_vector(raw: str | None, n: int, name: str) -> FrameVector | None:
 
 
 def _resolve_curvature(spec: str, n: int):
-    """Returns (tensor or "random", label)."""
+    """Returns (tensor, label); None for "random", drawn per seed."""
     if spec == "random":
-        return "random", "random"
+        return None, "random"
     if spec == "constant":
         return constant_curvature(n), "constant"
     if spec == "flat":
@@ -117,10 +119,10 @@ def verify(dim, seed_count, curvature, u_raw, v_raw, as_json, out):
     d = Dimension(dim)
     base = _seed_base()
     seeds = list(range(base, base + seed_count))
-    source, label = _resolve_curvature(curvature, dim)
+    R, label = _resolve_curvature(curvature, dim)
     u = _parse_vector(u_raw, dim, "u")
     v = _parse_vector(v_raw, dim, "v")
-    results = verify_all(d, seeds, source, u, v)
+    results = verify_all(d, seeds, R, u, v)
     misses = {seed: analysis.mismatches() for seed, analysis in results}
     ok = not any(misses.values())
     if as_json:
@@ -158,8 +160,8 @@ def parts(dim, seed, curvature, u_raw, v_raw, as_json, out):
     d = Dimension(dim)
     if seed is None:
         seed = _seed_base()
-    source, label = _resolve_curvature(curvature, dim)
-    R, u, v = derive_inputs(dim, seed, source)
+    R, label = _resolve_curvature(curvature, dim)
+    R, u, v = derive_inputs(dim, seed, R)
     u = _parse_vector(u_raw, dim, "u") or u
     v = _parse_vector(v_raw, dim, "v") or v
     analysis = Analysis(d, R, u, v)
@@ -169,7 +171,10 @@ def parts(dim, seed, curvature, u_raw, v_raw, as_json, out):
     else:
         width = max(len(key) for key in PART_IDS + ASSEMBLED_IDS)
         lines = [f"parts dim={dim} seed={seed} curvature={label}"]
-        for key in PART_IDS + ASSEMBLED_IDS:
+        # a failing block total has no table row, so it gets one after the table
+        keys = PART_IDS + ASSEMBLED_IDS
+        keys += tuple(key for key in misses if key in analysis.computed and key not in keys)
+        for key in keys:
             status = "MISMATCH" if key in misses else "ok"
             lines.append(
                 f"  {key:<{width}}  {status:<8}  computed = {analysis.computed[key].text()}"
@@ -197,13 +202,13 @@ def einstein(dim, curvature, u_raw, v_raw, eval_point, as_json, out, seed):
     d = Dimension(dim)
     if seed is None:
         seed = _seed_base()
-    source, label = _resolve_curvature(curvature, dim)
-    R = derive_inputs(dim, seed, source)[0]
+    R, label = _resolve_curvature(curvature, dim)
+    R = derive_inputs(dim, seed, R)[0]
     u = _parse_vector(u_raw, dim, "u")
     v = _parse_vector(v_raw, dim, "v")
     analysis = Analysis(d, R, u, v)
     density = analysis.computed["einstein"].normalized()
-    matches = analysis.computed["einstein"] == analysis.expected["einstein"]
+    matches = analysis.match["einstein"]
 
     payload = {
         "dim": dim,

@@ -18,11 +18,12 @@ traceless, so tr X = 2^n * (scalar part of X), and a trace of a chain
 builds no product: tr(a b) is a signed dot product over the shared
 blades, and tr(a b c) the dot of c with a b formed only on c's blades,
 a partial product that chains sharing the prefix a b share
-(ProductCache).  The numerators are in the one integer form that
-ScalarPoly also stores (scalars.py): sums, products and traces run on
-that module's batched kernel, and a trace or an entry of the
-2^n x 2^n matrix view (rows) for checks is a ScalarPoly without any
-conversion.
+(ProductCache.chain_trace, the one trace).  The nonminimal operator
+enters only through ctilde (tildec).  The numerators are in the one
+integer form that ScalarPoly also stores (scalars.py): sums, products
+and traces run on that module's batched kernel, and a trace or an entry
+of the 2^n x 2^n matrix view (rows) for checks is a ScalarPoly without
+any conversion.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 from .scalars import (
     ScalarPoly, _canonical, _frac, _imac_each, _ints, _ONE_TERMS, _pack, _slot_terms
@@ -49,6 +50,9 @@ class Dimension:
     @property
     def m(self) -> int:
         return self.n // 2
+
+
+_UNIT = (Fraction(0), Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -71,10 +75,8 @@ class FrameVector:
 
     @classmethod
     def basis(cls, n: int, j: int) -> "FrameVector":
-        return cls(n, tuple(Fraction(int(a == j)) for a in range(1, n + 1)))
-
-    def is_zero(self) -> bool:
-        return not any(self.components)
+        """e_j, built from shared Fractions: the symbol build makes none."""
+        return cls(n, tuple(_UNIT[a == j] for a in range(1, n + 1)))
 
 
 def inner(u: FrameVector, v: FrameVector) -> Fraction:
@@ -131,8 +133,8 @@ class CliffordOp:
     integer form.  The form is canonical: no zero term or empty blade,
     terms sorted by degree, den coprime to the numerators.  With the
     faithfulness of the action, equal operators compare equal however
-    they were built.  Instances are built by from_numerators, identity,
-    zero, the generators and the algebra, and are treated as immutable.
+    they were built.  Instances are built by from_numerators, tildec
+    and the algebra, and are treated as immutable.
     """
 
     __slots__ = ("n", "den", "blades")
@@ -149,14 +151,6 @@ class CliffordOp:
         on each blade mask; den is a positive integer."""
         acc = {mask: {0: (num, 0)} for mask, num in numerators.items()}
         return cls._make(n, *_canonical(den, acc))
-
-    @classmethod
-    def identity(cls, n: int) -> "CliffordOp":
-        return cls._make(n, 1, {0: _ONE_TERMS})
-
-    @classmethod
-    def zero(cls, n: int) -> "CliffordOp":
-        return cls._make(n, 1, {})
 
     # ---- algebra ----
 
@@ -207,9 +201,6 @@ class CliffordOp:
     def is_zero(self) -> bool:
         return not self.blades
 
-    def trace(self) -> ScalarPoly:
-        return ScalarPoly._from_slots(self.den, _dot(self.n, self.blades, {0: _ONE_TERMS}))
-
     # ---- matrix view, for checks ----
 
     @property
@@ -242,95 +233,19 @@ def _dot(n: int, xb: dict, yb: dict) -> dict:
     return _imac_each({}, hits).get(0, {})
 
 
-def trace_product(
-    a: CliffordOp, b: CliffordOp, c: CliffordOp | None = None, prefix: tuple | None = None
-) -> ScalarPoly:
-    """tr(a b), or tr(a b c), read off the scalar part; no product is built.
-
-    tr(a b) is 2^n times a signed dot product over the blades a and b
-    share.  tr(a b c) is the same dot of c with the prefix product a b,
-    formed only on the blades c carries.  prefix is (partial, covered):
-    partial holds the blades of a b on the masks in covered, the masks
-    read so far.  A ProductCache passes one per prefix, shared by its
-    last factors, and each fills only the masks not yet covered; without
-    one the partial product is used once.
-    """
-    n = a.n
-    if b.n != n or (c is not None and c.n != n):
-        raise ValueError("dimension mismatch")
-    if c is None:
-        return ScalarPoly._from_slots(a.den * b.den, _dot(n, a.blades, b.blades))
-    partial, covered = ({}, set()) if prefix is None else prefix
-    missing = c.blades.keys() - covered
-    if missing:
-        hits = (
-            (mc, _blade_sign(n, ma, mb), xt, yt)
-            for ma, xt in a.blades.items()
-            for mb, yt in b.blades.items()
-            if (mc := ma ^ mb) in missing
-        )
-        partial.update((mc, _slot_terms(slots)) for mc, slots in _imac_each({}, hits).items())
-        covered |= missing
-    return ScalarPoly._from_slots(a.den * b.den * c.den, _dot(n, partial, c.blades))
-
-
-def anticommutator(a: CliffordOp, b: CliffordOp) -> CliffordOp:
-    return a * b + b * a
-
-
-def _generator(n: int, j: int, offset: int) -> CliffordOp:
-    if not 1 <= j <= n:
-        raise ValueError(f"frame index {j} out of range for n={n}")
-    return CliffordOp._make(n, 1, {1 << (offset + j - 1): _ONE_TERMS})
-
-
-@lru_cache(maxsize=None)
-def c_op(n: int, j: int) -> CliffordOp:
-    """c(e_j) = ext - int, the blade of generator j; squares to -1."""
-    return _generator(n, j, 0)
-
-
-@lru_cache(maxsize=None)
-def hatc_op(n: int, j: int) -> CliffordOp:
-    """chat(e_j) = ext + int, the blade of generator n + j; squares to +1."""
-    return _generator(n, j, n)
-
-
-@lru_cache(maxsize=None)
-def ext_op(n: int, j: int) -> CliffordOp:
-    """Wedge by e_j* (indices 1-based): (c + chat) / 2."""
-    return (c_op(n, j) + hatc_op(n, j)).scale(Fraction(1, 2))
-
-
-@lru_cache(maxsize=None)
-def int_op(n: int, j: int) -> CliffordOp:
-    """Contraction by e_j, the adjoint of ext_op: (chat - c) / 2."""
-    return (hatc_op(n, j) - c_op(n, j)).scale(Fraction(1, 2))
-
-
-@lru_cache(maxsize=None)
-def tildec_op(n: int, j: int) -> CliffordOp:
-    """ctilde(e_j) = a0*ext - b0*int = ((a0+b0) c + (a0-b0) chat) / 2,
-    the nonminimal deformation of c."""
+def tildec(w: FrameVector) -> CliffordOp:
+    """ctilde(w) = a0 ext(w) - b0 int(w) = sum_j w_j ((a0+b0) c_j +
+    (a0-b0) chat_j) / 2, the nonminimal deformation of c, built in one
+    pass: w_j's numerator on c_j and chat_j over 2 lcm(w's denominators)."""
+    n = w.n
+    den = lcm(*(c.denominator for c in w.components))
     a0, b0 = _pack(1, 0), _pack(0, 1)
-    half_sum = ScalarPoly._from_slots(2, {a0: (1, 0), b0: (1, 0)})
-    half_diff = ScalarPoly._from_slots(2, {a0: (1, 0), b0: (-1, 0)})
-    return c_op(n, j).scale(half_sum) + hatc_op(n, j).scale(half_diff)
-
-
-_KINDS = {"ext": ext_op, "int": int_op, "c": c_op, "hatc": hatc_op, "tildec": tildec_op}
-
-
-def vector_clifford(kind: str, u: FrameVector) -> CliffordOp:
-    """Linear extension sum_j u_j * kind(e_j).
-
-    kind is one of "ext", "int", "c", "hatc", "tildec".
-    """
-    gen = _KINDS[kind]
-    out = CliffordOp.zero(u.n)
-    for j in range(1, u.n + 1):
-        out = out + gen(u.n, j).scale(u[j])
-    return out
+    acc = {}
+    for j, c in enumerate(w.components):
+        num = c.numerator * (den // c.denominator)
+        acc[1 << j] = {a0: (num, 0), b0: (num, 0)}
+        acc[1 << (n + j)] = {a0: (num, 0), b0: (-num, 0)}
+    return CliffordOp._make(n, *_canonical(2 * den, acc))
 
 
 class ProductCache:
@@ -338,10 +253,12 @@ class ProductCache:
 
     Chain keys are the ids of the operators; the cache holds the chain
     so the ids stay valid for its lifetime.  The partial product of a
-    three-factor chain's first two factors is memoised per (id a, id b),
-    holding a and b alike, and shared by every last factor
-    (trace_product).  Named keys hold their operands (RiemannTensor
-    hashes by identity).  Meant to live for one verification run.
+    three-factor chain's first two factors is memoised per (id a, id b)
+    as (chain, partial, covered): partial holds the blades of a b on the
+    masks in covered, the last factors' masks read so far, and every
+    last factor fills only the masks not yet covered (chain_trace).
+    Named keys hold their operands (RiemannTensor hashes by identity).
+    Meant to live for one verification run.
     """
 
     __slots__ = ("_traces", "_prefixes", "_named")
@@ -353,11 +270,14 @@ class ProductCache:
 
     def chain_trace(self, ops: tuple, n: int) -> ScalarPoly:
         """Trace of the product of a chain of at most three factors,
-        memoized on the chain identity.
+        memoized on the chain identity; the only trace the engine reads.
 
-        The same chain recurs across blocks and tags, so its trace is
-        read off the scalar part once.  The engine builds no longer
-        chain: PQ's three-factor terms meet only B1's factor-free terms.
+        No product is built: the trace is 2^n times the signed dot of
+        the last factor with the product of the others, formed only on
+        the last factor's blades.  The same chain recurs across blocks
+        and tags, so its trace is read once.  The engine builds no
+        longer chain: PQ's three-factor terms meet only B1's factor-free
+        terms.
         """
         if not ops:
             return ScalarPoly.const(1 << n)
@@ -365,10 +285,26 @@ class ProductCache:
         hit = self._traces.get(key)
         if hit is not None:
             return hit[1]
-        if len(ops) == 3:
-            val = trace_product(*ops, self._prefixes.setdefault(key[:2], (ops[:2], {}, set()))[1:])
+        if any(op.n != n for op in ops):
+            raise ValueError("dimension mismatch")
+        *head, last = ops
+        if len(head) < 2:
+            partial = head[0].blades if head else {0: _ONE_TERMS}
         else:
-            val = trace_product(*ops) if len(ops) > 1 else ops[0].trace()
+            a, b = head  # a longer chain fails to unpack
+            _, partial, covered = self._prefixes.setdefault(key[:2], (head, {}, set()))
+            missing = last.blades.keys() - covered
+            if missing:
+                hits = (
+                    (mc, _blade_sign(n, ma, mb), xt, yt)
+                    for ma, xt in a.blades.items()
+                    for mb, yt in b.blades.items()
+                    if (mc := ma ^ mb) in missing
+                )
+                partial.update((mc, _slot_terms(slots)) for mc, slots in _imac_each({}, hits).items())
+                covered |= missing
+        den = prod(op.den for op in ops)
+        val = ScalarPoly._from_slots(den, _dot(n, partial, last.blades))
         self._traces[key] = (ops, val)
         return val
 

@@ -39,9 +39,6 @@ class RiemannTensor:
     def get(self, i: int, j: int, k: int, l: int) -> Fraction:
         return self.entries.get((i, j, k, l), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def validate(self) -> None:
         """Check index ranges and all four algebraic symmetries exactly.
 

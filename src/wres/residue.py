@@ -20,7 +20,6 @@ from operator import add
 from .clifford import Dimension, FrameVector, ProductCache, inner
 from .curvature import (
     RiemannTensor,
-    constant_curvature,
     contract,
     random_riemann,
     random_vector,
@@ -86,9 +85,6 @@ class FunctionalDensity:
 
     def is_real(self) -> bool:
         return self.poly.is_real()
-
-    def is_zero(self) -> bool:
-        return not self.poly
 
     def text(self) -> str:
         if self.prefactor_exp:
@@ -370,39 +366,30 @@ class Analysis:
 # ---------------------------------------------------------------------------
 
 
-def derive_inputs(n: int, seed: int, curvature: "str | RiemannTensor" = "random") -> tuple:
+def derive_inputs(n: int, seed: int, R: RiemannTensor | None = None) -> tuple:
     """Deterministic (R, u, v) for one verification seed.
 
-    curvature "random" draws R from the seed; "constant" and an explicit
-    tensor fix R, while u and v still vary with the seed.
+    R is drawn from the seed unless given; u and v always vary with it.
     """
-    if isinstance(curvature, RiemannTensor):
-        R = curvature
-    elif curvature == "random":
+    if R is None:
         R = random_riemann(n, seed)
-    elif curvature == "constant":
-        R = constant_curvature(n)
-    else:
-        raise ValueError(f"unknown curvature source {curvature!r}")
     return R, random_vector(n, 1000003 * seed + 1), random_vector(n, 1000003 * seed + 2)
 
 
 def verify_all(
     dim: Dimension,
     seeds,
-    curvature: "str | RiemannTensor" = "random",
+    R: RiemannTensor | None = None,
     u: FrameVector | None = None,
     v: FrameVector | None = None,
 ) -> list:
     """Run the full check table for each seed; returns [(seed, Analysis)].
 
-    curvature is passed to derive_inputs; u and v, when given, pin the
-    vectors for every seed.
+    R, when given, fixes the tensor for every seed (derive_inputs); u
+    and v, when given, pin the vectors.
     """
     results = []
     for seed in seeds:
-        R, du, dv = derive_inputs(dim.n, seed, curvature)
-        uu = u if u is not None else du
-        vv = v if v is not None else dv
-        results.append((seed, Analysis(dim, R, uu, vv)))
+        R_s, u_s, v_s = derive_inputs(dim.n, seed, R)
+        results.append((seed, Analysis(dim, R_s, u or u_s, v or v_s)))
     return results

@@ -32,8 +32,7 @@ from .clifford import (
     Dimension,
     FrameVector,
     ProductCache,
-    tildec_op,
-    vector_clifford,
+    tildec,
 )
 from .curvature import RiemannTensor
 from .scalars import _canonical, _imac_each
@@ -361,8 +360,8 @@ def symbols_PQ(
     x-dependence appears.
     """
     n = dim.n
-    cw = vector_clifford("tildec", w)
-    w_p = [cw * tildec_op(n, p) for p in range(1, n + 1)]
+    cw = tildec(w)
+    w_p = [cw * tildec(FrameVector.basis(n, p)) for p in range(1, n + 1)]
     exp = SymbolExpansion(n)
     zero_x = _e(n)
     for f in range(1, n + 1):
@@ -376,7 +375,7 @@ def symbols_PQ(
 def uv_symbol(dim: Dimension, u: FrameVector, v: FrameVector) -> SymbolExpansion:
     """Order-zero symbol of the endomorphism ctilde(u) ctilde(v)."""
     n = dim.n
-    prod = vector_clifford("tildec", u) * vector_clifford("tildec", v)
+    prod = tildec(u) * tildec(v)
     exp = SymbolExpansion(n)
     exp.add(SymbolTerm(_e(n), _e(n), 0, 1, 1, 0, (prod,), ""))
     return exp

@@ -288,7 +288,12 @@ class TestFailingChecks:
         monkeypatch.setitem(CLOSED_FORMS, "I-3", ("ab2", (0, 0), (0, 0), (16, -4), (-16, 0)))
         result = runner.invoke(main, ["parts", "--dim", "4", "--seed", "2"])
         assert result.exit_code == 1
-        assert result.output.endswith("MISMATCHES FOUND: I-3\n")
+        # I-3 has no table row, so both sides follow the table
+        assert result.output.endswith(
+            "  I-3       MISMATCH  computed = a0^2*b0^2*(-9247/72)\n"
+            "                      expected = a0^2*b0^2*(5273/72)\n"
+            "MISMATCHES FOUND: I-3\n"
+        )
         result = runner.invoke(main, ["verify", "--dim", "4", "--seeds", "1"])
         assert result.exit_code == 1
         assert (

@@ -21,8 +21,15 @@ projection of omega_12 (.) omega_34 plus R_1212) pin sparse curvature
 and the curvature-file path; they were written by the engine that
 still traced each three-factor chain on its own, just before chains
 sharing a two-factor prefix began to share one memoised partial
-product.  Any change in representation, caching or
-evaluation order must reproduce them exactly.
+product.  verify-d4-flat-uv.json (flat curvature with pinned --u and
+--v over two seeds) and parts-d4-constant-uv.txt (constant curvature
+with pinned vectors, in text form) pin the paths by which the CLI hands
+a named curvature tensor and explicit vectors to the library; they were
+written by the engine that still dispatched curvature names inside
+derive_inputs and built ctilde generator by generator, just before
+derive_inputs came to take a tensor and ctilde to be built in one
+pass.  Any change in representation, caching or evaluation order must
+reproduce them exactly.
 """
 
 from pathlib import Path
@@ -50,6 +57,12 @@ CASES = (
     ("verify-d4-file.json",
      ["verify", "--dim", "4", "--seeds", "3", "--curvature", str(DATA / "curvature-d4.json"),
       "--json"]),
+    ("verify-d4-flat-uv.json",
+     ["verify", "--dim", "4", "--seeds", "2", "--curvature", "flat",
+      "--u", "1,0,-1/2,3", "--v", "2/3,1,0,-1", "--json"]),
+    ("parts-d4-constant-uv.txt",
+     ["parts", "--dim", "4", "--seed", "1", "--curvature", "constant",
+      "--u", "1,0,-1/2,3", "--v", "2/3,1,0,-1"]),
 )
 
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wres.clifford import CliffordOp
 from wres.scalars import GaussianRational, ScalarPoly
+
+from oracles import identity
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 coeffs = st.builds(GaussianRational, fracs, fracs)
@@ -128,7 +129,7 @@ class TestScalarPolyConstructor:
             lambda: ScalarPoly.const(0.5),
             lambda: ScalarPoly.one().scale(0.5),
             lambda: ScalarPoly.one() * 0.5,
-            lambda: CliffordOp.identity(2).scale(0.5),
+            lambda: identity(2).scale(0.5),
         ],
         ids=["const", "scale", "mul", "clifford-scale"],
     )

@@ -9,16 +9,7 @@ import pytest
 import wres.clifford
 import wres.scalars
 import wres.symbols
-from wres.clifford import (
-    CliffordOp,
-    Dimension,
-    FrameVector,
-    ProductCache,
-    c_op,
-    hatc_op,
-    tildec_op,
-    vector_clifford,
-)
+from wres.clifford import CliffordOp, Dimension, FrameVector, ProductCache
 from wres.curvature import RiemannTensor, constant_curvature, contract, flat, random_riemann
 from wres.residue import Analysis, composed_weights, derive_inputs, trace_weights
 from wres.scalars import GaussianRational, ScalarPoly
@@ -37,7 +28,7 @@ from wres.symbols import (
     uv_symbol,
 )
 
-from oracles import weight
+from oracles import c_op, hatc_op, identity, tildec_op, vector_clifford, weight, zero
 
 ONE = ScalarPoly.one()
 
@@ -57,7 +48,7 @@ def planar(n):
 def materialize(t):
     """Reference coefficient of one term: its weight times op_1 ... op_k,
     identity chain included."""
-    acc = CliffordOp.identity(len(t.x_mono)) if not t.ops else t.ops[0]
+    acc = identity(len(t.x_mono)) if not t.ops else t.ops[0]
     for nxt in t.ops[1:]:
         acc = acc * nxt
     return acc.scale(weight(t))
@@ -239,7 +230,7 @@ class TestMerged:
             # another: c1 c1 = -1 against the identity chain and a scalar
             SymbolTerm(*gone, 1, 1, 0, (c1, c1)),
             SymbolTerm(*gone, 2, 1, 0, ()),
-            SymbolTerm(*gone, 2, 1, 0, (CliffordOp.identity(n),)),
+            SymbolTerm(*gone, 2, 1, 0, (identity(n),)),
         ):
             exp.add(t)
         got, want = exp.merged(None), merged_reference(exp)
@@ -323,7 +314,7 @@ class TestInversePowerSymbols:
             for target in targets:
                 got = traced(blocks_at(A, B, target))
                 assert got == traced(blocks_at(A, reference, target))
-        assert not traced(blocks_at(UV, B, exponent))["delta"].is_zero()
+        assert traced(blocks_at(UV, B, exponent))["delta"].poly
 
     def test_unsupported_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -384,7 +375,7 @@ class TestFirstOrderFactorSymbols:
         R = random_riemann(n, 2)
         bivectors = curvature_ops(R, ProductCache()).bivectors
         for l, p in ((1, 2), (3, 1)):
-            direct = CliffordOp.zero(n)
+            direct = zero(n)
             for s in range(1, n + 1):
                 for t in range(1, n + 1):
                     w = Fraction(1, 2) * R.get(l, p, s, t)
@@ -407,7 +398,7 @@ def assert_table_matches_products(R):
     idx = range(1, n + 1)
     for a in idx:
         for b in idx:
-            cc, hh = CliffordOp.zero(n), CliffordOp.zero(n)
+            cc, hh = zero(n), zero(n)
             for s in idx:
                 for t in idx:
                     w = R.get(b, a, t, s)
@@ -418,7 +409,7 @@ def assert_table_matches_products(R):
                 assert (a, b) not in bivectors
             else:
                 assert bivectors[(a, b)] == (cc, hh)
-    f = CliffordOp.zero(n)
+    f = zero(n)
     for i in idx:
         for j in idx:
             for k in idx:
@@ -653,7 +644,7 @@ class TestProductOfFactors:
                 want = -(U[f - 1] * V[g - 1])
                 if g != f:
                     want = want - U[g - 1] * V[f - 1]
-                assert merged.get(key, CliffordOp.zero(n)) == want
+                assert merged.get(key, zero(n)) == want
 
     def test_order_one_bucket_is_empty(self):
         dim = Dimension(4)
@@ -676,7 +667,7 @@ class TestProductOfFactors:
         merged = exp.merged(cache)
         cu = vector_clifford("tildec", u)
         cv = vector_clifford("tildec", v)
-        direct = CliffordOp.zero(n)
+        direct = zero(n)
         for j in range(1, n + 1):
             for p in range(1, n + 1):
                 UV = cu * tildec_op(n, j) * cv * tildec_op(n, p)
