@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,6 +101,10 @@ def _emit(body: str, out: str | None) -> None:
 @click.pass_context
 def main(ctx):
     """Exact verification of spectral metric and Einstein functional identities."""
+    # an exact coefficient may have more digits than Python's default
+    # int-to-str limit (4300); early 3.10 releases have no limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     if ctx.invoked_subcommand is None:
         ctx.invoke(verify)
 

@@ -18,7 +18,10 @@ traceless, so tr X = 2^n * (scalar part of X), and a trace of a chain
 builds no product: tr(a b) is a signed dot product over the shared
 blades, and tr(a b c) the dot of c with a b formed only on c's blades,
 a partial product that chains sharing the prefix a b share
-(ProductCache.chain_trace, the one trace).  The nonminimal operator
+(ProductCache.chain_trace, the one trace).  A trace multiplies each
+blade's polynomial as one Kronecker-packed integer per total degree
+and unpacks once; operators keep the integer terms, since the gcd of a
+packed integer is not the gcd of its digits.  The nonminimal operator
 enters only through ctilde (tildec).  The numerators are in the one
 integer form that ScalarPoly also stores (scalars.py): sums, products
 and traces run on that module's batched kernel, and a trace or an entry
@@ -34,7 +37,8 @@ from functools import lru_cache
 from math import lcm, prod
 
 from .scalars import (
-    ScalarPoly, _canonical, _frac, _imac_each, _ints, _ONE_TERMS, _pack, _slot_terms
+    ScalarPoly, _canonical, _frac, _imac_each, _ints, _kron_mac, _kron_pack, _kron_slots,
+    _ONE_TERMS, _pack,
 )
 
 @dataclass(frozen=True)
@@ -223,16 +227,6 @@ class CliffordOp:
         return f"CliffordOp(n={self.n}, blades={len(self.blades)})"
 
 
-def _dot(n: int, xb: dict, yb: dict) -> dict:
-    """Slots of tr(x y) times the two denominators, for blade maps xb and
-    yb: 2^n times the signed dot product over the blades they share."""
-    if len(xb) > len(yb):
-        xb, yb = yb, xb
-    unit = 1 << n
-    hits = ((0, unit * _blade_sign(n, m, m), xt, yt) for m, xt in xb.items() if (yt := yb.get(m)))
-    return _imac_each({}, hits).get(0, {})
-
-
 def tildec(w: FrameVector) -> CliffordOp:
     """ctilde(w) = a0 ext(w) - b0 int(w) = sum_j w_j ((a0+b0) c_j +
     (a0-b0) chat_j) / 2, the nonminimal deformation of c, built in one
@@ -249,24 +243,57 @@ def tildec(w: FrameVector) -> CliffordOp:
 
 
 class ProductCache:
-    """Memos for chain traces, prefix products and named builds.
+    """Memos for chain traces, packed views, prefix products and named builds.
 
     Chain keys are the ids of the operators; the cache holds the chain
-    so the ids stay valid for its lifetime.  The partial product of a
-    three-factor chain's first two factors is memoised per (id a, id b)
-    as (chain, partial, covered): partial holds the blades of a b on the
-    masks in covered, the last factors' masks read so far, and every
-    last factor fills only the masks not yet covered (chain_trace).
-    Named keys hold their operands (RiemannTensor hashes by identity).
-    Meant to live for one verification run.
+    so the ids stay valid for its lifetime.  Traces run on Kronecker-
+    packed terms (scalars._kron_pack) at one digit width K per cache.
+    Each operator gets one view, keyed by id and holding the operator:
+    [op, L, packed], where packed maps each blade to its packed terms at
+    K and L is the largest L1 norm (sum of |re| + |im|) of one blade's
+    terms.  Over its denominator and before the factor 2^n, a
+    coefficient of tr(a b c) is at most |c.blades| |a.blades| L(a) L(b)
+    L(c), of tr(a b) at most |a.blades| L(a) L(b) and of tr(a) at most
+    |a.blades| L(a).  K exceeds that bound's bit length by 2, so every
+    digit reads back exactly; a chain that needs more widens K to twice
+    its need, and the views and prefix products are repacked.  The packed
+    partial product of a three-factor chain's first two factors is
+    memoised per (id a, id b) as (chain, partial, covered): partial holds
+    the blades of a b on the masks in covered, the last factors' masks
+    read so far, and every last factor fills only the masks not yet
+    covered (chain_trace).  Each computed trace is unpacked once into a
+    canonical ScalarPoly.  Named keys hold their operands (RiemannTensor
+    hashes by identity).  Meant to live for one verification run.
     """
 
-    __slots__ = ("_traces", "_prefixes", "_named")
+    __slots__ = ("_traces", "_views", "_width", "_prefixes", "_named")
 
     def __init__(self):
         self._traces: dict = {}
+        self._views: dict = {}
+        self._width = 0
         self._prefixes: dict = {}
         self._named: dict = {}
+
+    def _view(self, op: CliffordOp) -> list:
+        """[op, L, packed], the memoised view of op at the current width."""
+        view = self._views.get(id(op))
+        if view is None:
+            view = self._views[id(op)] = [op, *_kron_pack(op.blades, self._width)]
+        return view
+
+    def _widen(self, width: int) -> None:
+        """Repack the views and the prefix products at digit width `width`,
+        the products from their digits at the old width."""
+        old, self._width = self._width, width
+        for view in self._views.values():
+            if view[2] is not view[0].blades:  # else each term is its own packed term at any width
+                view[2] = _kron_pack(view[0].blades, width)[1]
+        for _, partial, _ in self._prefixes.values():
+            for mask, terms in partial.items():
+                digits = _kron_slots(terms, old, 1)
+                partial[mask] = sorted((k, re, im) for k, (re, im) in digits.items())
+            partial.update(_kron_pack(partial, width)[1])
 
     def chain_trace(self, ops: tuple, n: int) -> ScalarPoly:
         """Trace of the product of a chain of at most three factors,
@@ -274,10 +301,10 @@ class ProductCache:
 
         No product is built: the trace is 2^n times the signed dot of
         the last factor with the product of the others, formed only on
-        the last factor's blades.  The same chain recurs across blocks
-        and tags, so its trace is read once.  The engine builds no
-        longer chain: PQ's three-factor terms meet only B1's factor-free
-        terms.
+        the last factor's blades, on packed terms.  The same chain
+        recurs across blocks and tags, so its trace is read once.  The
+        engine builds no longer chain: PQ's three-factor terms meet only
+        B1's factor-free terms.
         """
         if not ops:
             return ScalarPoly.const(1 << n)
@@ -287,24 +314,38 @@ class ProductCache:
             return hit[1]
         if any(op.n != n for op in ops):
             raise ValueError("dimension mismatch")
-        *head, last = ops
+        *head, last = views = [self._view(op) for op in ops]
+        bound = len(ops[0].blades)  # on the trace's coefficients (class docstring)
+        if len(ops) == 3:
+            bound *= len(ops[2].blades)
+        for view in views:
+            bound *= view[1]
+        if bound.bit_length() + 2 > self._width:
+            self._widen(2 * (bound.bit_length() + 2))
+        width = self._width
+        blades = last[2]
         if len(head) < 2:
-            partial = head[0].blades if head else {0: _ONE_TERMS}
+            partial = head[0][2] if head else {0: _ONE_TERMS}
         else:
-            a, b = head  # a longer chain fails to unpack
-            _, partial, covered = self._prefixes.setdefault(key[:2], (head, {}, set()))
-            missing = last.blades.keys() - covered
+            a, b = (view[2] for view in head)  # a longer chain fails to unpack
+            _, partial, covered = self._prefixes.setdefault(key[:2], (ops[:2], {}, set()))
+            missing = blades.keys() - covered
             if missing:
                 hits = (
                     (mc, _blade_sign(n, ma, mb), xt, yt)
-                    for ma, xt in a.blades.items()
-                    for mb, yt in b.blades.items()
+                    for ma, xt in a.items()
+                    for mb, yt in b.items()
                     if (mc := ma ^ mb) in missing
                 )
-                partial.update((mc, _slot_terms(slots)) for mc, slots in _imac_each({}, hits).items())
+                filled = _kron_mac({}, hits, width)
+                partial.update((mc, list(entries.values())) for mc, entries in filled.items())
                 covered |= missing
+        if len(partial) > len(blades):
+            partial, blades = blades, partial
+        hits = ((0, _blade_sign(n, m, m), xt, yt) for m, xt in partial.items() if (yt := blades.get(m)))
+        packed = _kron_mac({}, hits, width).get(0, {})
         den = prod(op.den for op in ops)
-        val = ScalarPoly._from_slots(den, _dot(n, partial, last.blades))
+        val = ScalarPoly._from_slots(den, _kron_slots(packed.values(), width, 1 << n))
         self._traces[key] = (ops, val)
         return val
 

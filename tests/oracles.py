@@ -1,6 +1,9 @@
 """Readings and builders of engine values that only the tests need.
 
-The Clifford builders here are the generator-by-generator reference:
+projected_riemann is the benchmark's curvature construction
+(bench/workloads.make_riemann) with the draw of each raw entry left to
+the caller, for curvature files with wide coefficients.  The Clifford
+builders here are the generator-by-generator reference:
 each operator is a sum of single generators c_j (blade bit j-1) and
 chat_j (bit n+j-1) built with from_numerators and the algebra, and each
 ctilde is folded one generator at a time, independently of the engine's
@@ -8,11 +11,30 @@ one-pass clifford.tildec.  trace materialises nothing but the scalar
 part, against which ProductCache.chain_trace is checked.
 """
 
+import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 from wres.clifford import CliffordOp, FrameVector
 from wres.scalars import ScalarPoly, _pack
+
+
+def projected_riemann(n: int, seed: int, draw) -> dict:
+    """{(i, j, k, l): Fraction} with every algebraic symmetry: raw entries
+    draw(rng) in index order from random.Random(seed), antisymmetrised in
+    both pairs, symmetrised under pair exchange, the cyclic part
+    projected out."""
+    rng = random.Random(seed)
+    idx = list(itertools.product(range(1, n + 1), repeat=4))
+    t = {q: draw(rng) for q in idx}
+    t = {(i, j, k, l): (t[i, j, k, l] - t[j, i, k, l]) / 2 for i, j, k, l in idx}
+    t = {(i, j, k, l): (t[i, j, k, l] - t[i, j, l, k]) / 2 for i, j, k, l in idx}
+    t = {(i, j, k, l): (t[i, j, k, l] + t[k, l, i, j]) / 2 for i, j, k, l in idx}
+    return {
+        (i, j, k, l): t[i, j, k, l] - (t[i, j, k, l] + t[i, k, l, j] + t[i, l, j, k]) / 3
+        for i, j, k, l in idx
+    }
 
 
 def weight(t) -> ScalarPoly:

@@ -1,15 +1,19 @@
 """Command line behavior: exit codes, report formats, golden outputs."""
 
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 import wres.residue
 from wres.cli import main
-from wres.curvature import constant_curvature, random_riemann
+from wres.curvature import RiemannTensor, constant_curvature, random_riemann
 from wres.residue import CLOSED_FORMS, Analysis, FunctionalDensity
 from wres.scalars import GaussianRational, ScalarPoly
+
+from oracles import projected_riemann
 
 
 @pytest.fixture
@@ -65,6 +69,30 @@ class TestVerifyCommand:
             main, ["verify", "--dim", "4", "--seeds", "1", "--curvature", str(path)]
         )
         assert result.exit_code == 0
+
+    def test_densities_longer_than_the_int_str_limit(self, runner, tmp_path):
+        """Entries over denominators up to 10^12 give dim-6 density
+        coefficients of more than 4300 digits, Python's default int-to-str
+        limit; the report prints them all."""
+        draw = lambda rng: Fraction(rng.randint(-2**20, 2**20), rng.randint(1, 10**12))
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps(RiemannTensor(6, projected_riemann(6, 19, draw)).to_json()))
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if limit is not None:
+            sys.set_int_max_str_digits(4300)  # the default, as a fresh process has it
+        try:
+            result = runner.invoke(
+                main, ["verify", "--dim", "6", "--seeds", "1", "--curvature", str(path), "--json"]
+            )
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        assert result.exit_code == 0, result.output
+        (report,) = json.loads(result.output)
+        assert all(part["match"] for part in report["parts"])
+        assert all(v for key, v in report.items() if key.endswith("_match"))
+        longest = max(len(part["computed"]) for part in report["parts"])
+        assert longest > 4300
 
     def test_invalid_curvature_file_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "bad.json"

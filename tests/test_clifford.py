@@ -346,6 +346,87 @@ class TestPrefixMemo:
             assert not all(t.is_real() for t in traces)
 
 
+def chain_oracle(ops, n):
+    """tr of the materialised product of the chain, identity if empty."""
+    out = identity(n)
+    for op in ops:
+        out = out * op
+    return trace(out)
+
+
+def xor_span(n, rng, size):
+    """At least `size` blade masks closed under XOR, spanned by random
+    masks, so chains drawn from them have nonzero scalar parts."""
+    span = {0}
+    while len(span) < size:
+        g = rng.randrange(1, 1 << (2 * n))
+        span |= {m ^ g for m in span}
+    return sorted(span)
+
+
+def mixed_op(n, rng, masks, bits):
+    """Operator whose blades each carry a0*b0, b0^2 and a constant:
+    complex numerators of about `bits` bits with mixed signs, over small
+    denominators."""
+
+    def num():
+        return rng.choice((-1, 1)) * rng.randint(1 << bits, 1 << (bits + 1))
+
+    def coeff():
+        return GaussianRational(Fraction(num(), rng.randint(1, 7)), Fraction(num(), rng.randint(1, 7)))
+
+    return op_of(n, {m: ScalarPoly({(1, 1): coeff(), (0, 2): coeff(), (0, 0): coeff()}) for m in masks})
+
+
+class TestPackedTraces:
+    """chain_trace multiplies Kronecker-packed integers: every trace of a
+    chain of 0 to 3 factors equals the scalar part of the materialised
+    product, and one cache widens its digits as wider chains arrive."""
+
+    @staticmethod
+    def chains(ops):
+        a, b, c, d = ops
+        return [(), (a,), (c,), (a, b), (b, c), (a, b, c), (a, b, d), (b, a, d), (c, d, a)]
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_wide_numerators_widen_one_cache(self, n):
+        rng = random.Random(1900 + n)
+        span = xor_span(n, rng, 8)
+        narrow = [mixed_op(n, rng, rng.sample(span, 5), 2) for _ in range(4)]
+        wide = [mixed_op(n, rng, rng.sample(span, 5), 300 + 30 * i) for i in range(4)]
+        cache = ProductCache()
+        # narrow chains first; then the narrow prefixes meet wide last factors,
+        # so their partial products are repacked at the wider digits
+        chains = self.chains(narrow) + self.chains(wide) + [
+            (narrow[0], narrow[1], wide[2]), (narrow[1], narrow[0], wide[3]),
+            (wide[0], narrow[1], wide[1]), (narrow[2], wide[3], narrow[3]),
+        ]
+        traces = []
+        for ops in chains:
+            got = cache.chain_trace(ops, n)
+            assert got == chain_oracle(ops, n) == ProductCache().chain_trace(ops, n)
+            traces.append(got)
+        assert sum(map(bool, traces)) > len(traces) // 2
+        widest = max(max(abs(re), abs(im)).bit_length() for t in traces for _, re, im in t.nums)
+        assert widest > 3 * 300
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_non_homogeneous_complex_chains(self, n):
+        rng = random.Random(1950 + n)
+        span = xor_span(n, rng, 8)
+        ops = [mixed_op(n, rng, rng.sample(span, 6), 3) for _ in range(4)]
+        ops[3] = ops[3] + random_element(n, rng, 4)  # a0 and b0 degrees up to 2, some real
+        cache = ProductCache()
+        traces = []
+        for chain in self.chains(ops):
+            got = cache.chain_trace(chain, n)
+            assert got == chain_oracle(chain, n)
+            traces.append(got)
+        degrees = {sum(deg) for t in traces for deg in t.terms}
+        assert len(degrees) >= 4
+        assert not all(t.is_real() for t in traces)
+
+
 # ---------------------------------------------------------------------------
 # sign-rule oracle: the blade algebra against plain matrices
 # ---------------------------------------------------------------------------

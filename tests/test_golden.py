@@ -28,16 +28,26 @@ a named curvature tensor and explicit vectors to the library; they were
 written by the engine that still dispatched curvature names inside
 derive_inputs and built ctilde generator by generator, just before
 derive_inputs came to take a tensor and ctilde to be built in one
-pass.  Any change in representation, caching or evaluation order must
-reproduce them exactly.
+pass.  verify-d4-wide.json reads curvature-d4-wide.json, the projection
+of tests/oracles.projected_riemann over numerators of up to 2^90 and
+denominators 1 to 9 (seed 19), whose traces need digits far wider than
+64 bits; it was written by the engine that still traced chains term by
+term, just before traces moved to Kronecker-packed integers.  Any change
+in representation, caching or evaluation order must reproduce them
+exactly.
 """
 
+import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from wres.cli import main
+from wres.curvature import RiemannTensor
+
+from oracles import projected_riemann
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,6 +66,9 @@ CASES = (
      ["verify", "--dim", "6", "--seeds", "2", "--curvature", "constant", "--json"]),
     ("verify-d4-file.json",
      ["verify", "--dim", "4", "--seeds", "3", "--curvature", str(DATA / "curvature-d4.json"),
+      "--json"]),
+    ("verify-d4-wide.json",
+     ["verify", "--dim", "4", "--seeds", "2", "--curvature", str(DATA / "curvature-d4-wide.json"),
       "--json"]),
     ("verify-d4-flat-uv.json",
      ["verify", "--dim", "4", "--seeds", "2", "--curvature", "flat",
@@ -84,3 +97,9 @@ def test_json_report_is_byte_identical(name, args):
     result = CliRunner().invoke(main, args, env={"WRES_SEED_BASE": "0"})
     assert result.exit_code == 0, result.output
     assert result.output == (DATA / name).read_text()
+
+
+def test_the_wide_curvature_file_is_its_projection():
+    draw = lambda rng: Fraction(rng.randint(-2**90, 2**90), rng.randint(1, 9))
+    data = json.loads((DATA / "curvature-d4-wide.json").read_text())
+    assert RiemannTensor.from_json(data).entries == RiemannTensor(4, projected_riemann(4, 19, draw)).entries

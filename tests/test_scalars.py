@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wres.scalars import GaussianRational, ScalarPoly
+from wres.scalars import GaussianRational, ScalarPoly, _kron_mac, _kron_pack, _kron_slots
 
 from oracles import identity
 
@@ -183,6 +183,28 @@ class TestDegreeBound:
         q = ScalarPoly.monomial(1, top)
         with pytest.raises(ValueError, match=rf"\(2, {2 * top}\)"):
             q * q
+
+
+class TestKroneckerPacking:
+    """Packed terms multiply as the polynomials do and read back exactly
+    at a digit width above the product's L1 bound."""
+
+    @given(polys, polys)
+    @settings(deadline=None)
+    def test_packed_product_reads_back(self, p, q):
+        norms = [sum(abs(re) + abs(im) for _, re, im in x.nums) for x in (p, q)]
+        width = (norms[0] * norms[1]).bit_length() + 2
+        (norm_p, packed_p), (norm_q, packed_q) = (_kron_pack({0: x.nums}, width) for x in (p, q))
+        assert [norm_p, norm_q] == norms
+        acc = _kron_mac({}, ((0, 1, packed_p[0], packed_q[0]),), width).get(0, {})
+        assert ScalarPoly._from_slots(p.den * q.den, _kron_slots(acc.values(), width, 1)) == p * q
+
+    def test_monomials_pack_to_themselves(self):
+        m = ScalarPoly.monomial((BOUND - 1) // 3, (BOUND - 1) // 3, -7)
+        p = ScalarPoly({(1, 1): 2, (0, 2): 3, (0, 0): 5})  # degrees 2, 2 and 0
+        norm, packed = _kron_pack({0: m.nums, 1: p.nums}, 8)
+        assert norm == 10 and packed[0] is m.nums
+        assert sorted(packed[1]) == [(0, 5, 0), (2, 3 + (2 << 8), 0)]
 
 
 class TestScalarPolyRing:
