@@ -37,8 +37,8 @@ from functools import lru_cache
 from math import lcm, prod
 
 from .scalars import (
-    ScalarPoly, _canonical, _frac, _imac_each, _ints, _kron_mac, _kron_pack, _kron_slots,
-    _ONE_TERMS, _pack,
+    ScalarPoly, _canonical, _frac, _imac_each, _ints, _kron_mac, _kron_norm, _kron_pack,
+    _kron_slots, _ONE_TERMS, _pack,
 )
 
 @dataclass(frozen=True)
@@ -256,14 +256,17 @@ class ProductCache:
     L(c), of tr(a b) at most |a.blades| L(a) L(b) and of tr(a) at most
     |a.blades| L(a).  K exceeds that bound's bit length by 2, so every
     digit reads back exactly; a chain that needs more widens K to twice
-    its need, and the views and prefix products are repacked.  The packed
-    partial product of a three-factor chain's first two factors is
-    memoised per (id a, id b) as (chain, partial, covered): partial holds
-    the blades of a b on the masks in covered, the last factors' masks
-    read so far, and every last factor fills only the masks not yet
-    covered (chain_trace).  Each computed trace is unpacked once into a
-    canonical ScalarPoly.  Named keys hold their operands (RiemannTensor
-    hashes by identity).  Meant to live for one verification run.
+    its need, and the views and prefix products packed so far are
+    repacked.  The bound is read from the L of the chain's views before
+    any of them is packed, so a new view is packed once, at the width
+    its chain runs at.  The packed partial product of a three-factor
+    chain's first two factors is memoised per (id a, id b) as (chain,
+    partial, covered): partial holds the blades of a b on the masks in
+    covered, the last factors' masks read so far, and every last factor
+    fills only the masks not yet covered (chain_trace).  Each computed
+    trace is unpacked once into a canonical ScalarPoly.  Named keys hold
+    their operands (RiemannTensor hashes by identity).  Meant to live
+    for one verification run.
     """
 
     __slots__ = ("_traces", "_views", "_width", "_prefixes", "_named")
@@ -276,24 +279,26 @@ class ProductCache:
         self._named: dict = {}
 
     def _view(self, op: CliffordOp) -> list:
-        """[op, L, packed], the memoised view of op at the current width."""
+        """[op, L, packed], the memoised view of op; a new view is not yet
+        packed (packed is None) until its chain knows its width."""
         view = self._views.get(id(op))
         if view is None:
-            view = self._views[id(op)] = [op, *_kron_pack(op.blades, self._width)]
+            view = self._views[id(op)] = [op, _kron_norm(op.blades), None]
         return view
 
     def _widen(self, width: int) -> None:
-        """Repack the views and the prefix products at digit width `width`,
-        the products from their digits at the old width."""
+        """Repack the packed views and the prefix products at digit width
+        `width`, the products from their digits at the old width."""
         old, self._width = self._width, width
         for view in self._views.values():
-            if view[2] is not view[0].blades:  # else each term is its own packed term at any width
-                view[2] = _kron_pack(view[0].blades, width)[1]
+            # a view that is its op's blades has one packed term per term at any width
+            if view[2] is not None and view[2] is not view[0].blades:
+                view[2] = _kron_pack(view[0].blades, width)
         for _, partial, _ in self._prefixes.values():
             for mask, terms in partial.items():
                 digits = _kron_slots(terms, old, 1)
                 partial[mask] = sorted((k, re, im) for k, (re, im) in digits.items())
-            partial.update(_kron_pack(partial, width)[1])
+            partial.update(_kron_pack(partial, width))
 
     def chain_trace(self, ops: tuple, n: int) -> ScalarPoly:
         """Trace of the product of a chain of at most three factors,
@@ -323,6 +328,9 @@ class ProductCache:
         if bound.bit_length() + 2 > self._width:
             self._widen(2 * (bound.bit_length() + 2))
         width = self._width
+        for view in views:
+            if view[2] is None:
+                view[2] = _kron_pack(view[0].blades, width)
         blades = last[2]
         if len(head) < 2:
             partial = head[0][2] if head else {0: _ONE_TERMS}

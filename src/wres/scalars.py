@@ -11,13 +11,14 @@ blade coefficients of clifford.CliffordOp: one positive denominator and
 a sorted tuple of integer terms (packed degree, re, im).  The kernel
 below (_imac_each, its one-hit form _imac, _canonical) is the only
 complex-rational arithmetic, with its form for chain traces on
-Kronecker-packed terms (_kron_pack, _kron_mac, _kron_slots).
+Kronecker-packed terms (_kron_norm, _kron_pack, _kron_mac, _kron_slots).
 GaussianRational has none: it is the value a coefficient is read out as (terms, evaluate)
 and one of the exact inputs the constructors accept.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -33,6 +34,13 @@ def _frac(x) -> Fraction:
 
 
 _F0 = Fraction(0)
+
+
+def _text(q: Fraction) -> str:
+    """str(q), also past Python's int-to-str digit limit (4300 digits by
+    default): Decimal writes an exact integer's digits without it."""
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
 class GaussianRational:
@@ -70,11 +78,11 @@ class GaussianRational:
 
     def __str__(self) -> str:
         if not self.im:
-            return str(self.re)
+            return _text(self.re)
         if not self.re:
-            return f"{self.im}i"
+            return f"{_text(self.im)}i"
         sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        return f"{_text(self.re)}{sign}{_text(abs(self.im))}i"
 
 
 def _ints(c) -> tuple:
@@ -169,20 +177,21 @@ def _imac(acc: dict, factor: int, p, q) -> dict:
 _NEXT_DIGIT = (1 << _DEG_BITS) - 1  # one more a0, one less b0
 
 
-def _kron_pack(blades: dict, width: int) -> tuple:
-    """(L, packed) of {key: sorted terms}: packed maps each key to its
-    packed terms at digit width `width`, one per total degree (blades
-    itself if no key has two terms of one total degree), and L is the
-    largest L1 norm, sum of |re| + |im|, of one key's terms."""
-    norm, packed = 0, {}
+def _kron_norm(blades: dict) -> int:
+    """The largest L1 norm, sum of |re| + |im|, of one key's terms in
+    {key: terms}: what bounds the digits of a packed product."""
+    return max((sum(abs(re) + abs(im) for _, re, im in terms) for terms in blades.values()), default=0)
+
+
+def _kron_pack(blades: dict, width: int) -> dict:
+    """{key: sorted terms} packed at digit width `width`: each key maps to
+    its packed terms, one per total degree (blades itself if no key has
+    two terms of one total degree)."""
+    packed = {}
     for key, terms in blades.items():
-        if len(terms) == 1:
-            ((_, re, im),) = terms
-            l1 = abs(re) + abs(im)
-        else:
-            l1, entries = 0, {}
+        if len(terms) > 1:
+            entries = {}
             for k, re, im in terms:  # sorted: lo comes first
-                l1 += abs(re) + abs(im)
                 d = (k >> _DEG_BITS) + (k & 0xFFFF)
                 entry = entries.get(d)
                 if entry is None:
@@ -193,9 +202,7 @@ def _kron_pack(blades: dict, width: int) -> tuple:
                     entry[2] += im << shift
             if len(entries) < len(terms):
                 packed[key] = tuple(map(tuple, entries.values()))
-        if l1 > norm:
-            norm = l1
-    return norm, {**blades, **packed} if packed else blades
+    return {**blades, **packed} if packed else blades
 
 
 def _kron_mac(acc: dict, hits, width: int) -> dict:

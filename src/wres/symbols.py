@@ -21,7 +21,7 @@ point x = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import add, mul
@@ -59,24 +59,24 @@ class SymbolTerm(NamedTuple):
         return sum(self.xi_mono) + self.norm_power
 
 
+@lru_cache(maxsize=None)
 def _e(n: int, *idx: int) -> tuple:
+    """The monomial on R^n with one factor per index of idx (memoised)."""
     mono = [0] * n
     for j in idx:
         mono[j - 1] += 1
     return tuple(mono)
 
 
-def _bump(mono: tuple, idx0: int, delta: int) -> tuple:
-    return mono[:idx0] + (mono[idx0] + delta,) + mono[idx0 + 1 :]
-
-
 def d_xi(t: SymbolTerm, j: int) -> list:
     """Derivative in xi_j; the norm factor contributes p xi_j ||xi||^{p-2}."""
+    x, xi, p, den, re, im, ops, tag = t
+    c = xi[j - 1]
     out = []
-    for c, step, p in ((t.xi_mono[j - 1], -1, t.norm_power), (t.norm_power, 1, t.norm_power - 2)):
-        if c:
-            xi = _bump(t.xi_mono, j - 1, step)
-            out.append(t._replace(xi_mono=xi, norm_power=p, re=c * t.re, im=c * t.im))
+    if c:
+        out.append(SymbolTerm(x, xi[: j - 1] + (c - 1,) + xi[j:], p, den, c * re, c * im, ops, tag))
+    if p:
+        out.append(SymbolTerm(x, xi[: j - 1] + (c + 1,) + xi[j:], p - 2, den, p * re, p * im, ops, tag))
     return out
 
 
@@ -151,14 +151,17 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
     """The curvature record of R, built once per tensor and cache: the
     one place where the symbol families read R.
 
-    bivectors maps (a, b) to (cc, hh), with cc = sum_{s,t} R_{bats}
-    c_s c_t and hh = sum_{s,t} R_{bats} chat_s chat_t; a pair whose sums
-    vanish is absent.  hh is cc's canonical form, den and numerators,
-    with every blade mask shifted left by n (c_j to chat_j).
+    bivectors maps (a, b), a < b, to (cc, hh), with cc = sum_{s,t}
+    R_{bats} c_s c_t and hh = sum_{s,t} R_{bats} chat_s chat_t; a pair
+    whose sums vanish is absent.  The pair (b, a) is (-cc, -hh) by the
+    first-pair antisymmetry RiemannTensor.validate enforces, so it is
+    not stored: its terms carry the sign in their weights (_ordered_pairs).
+    hh is cc's canonical form, den and numerators, with every blade mask
+    shifted left by n (c_j to chat_j).
     f = sum_{ijkl} R_{ijkl} chat_i chat_j c_k c_l.  Both sums collapse
-    against the pair antisymmetries: entry (i, j, k, l) with l < k is
-    the term s = l < t = k of the (j, i) pair, weight 2 R_{ijkl}, and
-    with i < j, k < l it is one term of f, weight 4 R_{ijkl}.  Every
+    against the pair antisymmetries: entry (i, j, k, l) with j < i and
+    l < k is the term s = l < t = k of the (j, i) pair, weight 2 R_{ijkl},
+    and with i < j, k < l it is one term of f, weight 4 R_{ijkl}.  Every
     product is already its blade with sign +1:
     the factors of c_s c_t and chat_s chat_t come in increasing bit
     order, and chat_i chat_j c_k c_l = c_k c_l chat_i chat_j since each
@@ -185,7 +188,7 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
             rxx[key] = rxx.get(key, 0) + num
             if j == l:
                 ricci[i, k] = ricci.get((i, k), 0) + num
-            if l < k:
+            if j < i and l < k:
                 pairs.setdefault((j, i), {})[1 << (l - 1) | 1 << (k - 1)] = 2 * num
             if i < j and k < l:
                 kl = 1 << (k - 1) | 1 << (l - 1)
@@ -202,6 +205,14 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
         return CurvatureRecord(bivectors, op(n, den, f), rxx, den, ricci, s)
 
     return cache.named(("curvature_ops", R), build)
+
+
+def _ordered_pairs(rec: CurvatureRecord):
+    """(a, b, sign, cc, hh) for every ordered pair (a, b) of rec.bivectors:
+    its bivectors are sign * cc and sign * hh, sign = -1 when a > b."""
+    for (a, b), (cc, hh) in rec.bivectors.items():
+        yield a, b, 1, cc, hh
+        yield b, a, -1, cc, hh
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +240,15 @@ def standard_connection(dim: Dimension, R: RiemannTensor, cache: ProductCache) -
     """Connection data of the square of the flat-coefficient Hodge operator.
 
     T_a = 0, T_ab = (hh - cc)/8 and E = f/8 + s/4 for the record's cc, hh,
-    f and s, each one operator of integer numerators: T_ab over 8 cc.den,
+    f and s, each one operator of integer numerators, with T_ab for every
+    ordered pair (a, b) of the record (T_ba = -T_ab): T_ab over 8 cc.den,
     E over 8 rec.den (f's numerators rescaled to rec.den, 2 s on blade 0).
     """
     n = dim.n
     rec = curvature_ops(R, cache)
     t_ab = {
-        ab: CliffordOp.from_numerators(n, 8 * cc.den, {**_nums(cc, -1), **_nums(hh, 1)})
-        for ab, (cc, hh) in rec.bivectors.items()
+        (a, b): CliffordOp.from_numerators(n, 8 * cc.den, {**_nums(cc, -sign), **_nums(hh, sign)})
+        for a, b, sign, cc, hh in _ordered_pairs(rec)
     }
     e_nums = {**_nums(rec.f, rec.den // rec.f.den), 0: 2 * rec.s}
     return ConnectionData(n, t_ab, CliffordOp.from_numerators(n, 8 * rec.den, e_nums), rec)
@@ -333,13 +345,15 @@ def lemma2_symbols(
 
     # orders -2M-1 and -2M-2: the curvature contractions coming from the
     # connection form, iM/4 and -M(M+1)/4 on the c-family and the
-    # opposite weights on the chat-family
+    # opposite weights on the chat-family; the order -2M-4 terms of (a, b)
+    # and (b, a) share one chain with opposite weights, so they cancel
+    # before any trace
     mm1 = M * (M + 1)
-    for (a, b), (cc, hh) in rec.bivectors.items():
-        exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, M, (cc,), "cc"))
-        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 4, -mm1, 0, (cc,), "cc"))
-        exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, -M, (hh,), "hchc"))
-        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 4, mm1, 0, (hh,), "hchc"))
+    for a, b, sign, cc, hh in _ordered_pairs(rec):
+        exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, sign * M, (cc,), "cc"))
+        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 4, -sign * mm1, 0, (cc,), "cc"))
+        exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, -sign * M, (hh,), "hchc"))
+        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 4, sign * mm1, 0, (hh,), "hchc"))
     if not rec.f.is_zero():
         exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 8, -M, 0, (rec.f,), "f"))
     if rec.s and M:
@@ -366,9 +380,9 @@ def symbols_PQ(
     zero_x = _e(n)
     for f in range(1, n + 1):
         exp.add(SymbolTerm(zero_x, _e(n, f), 0, 1, 0, 1, (w_p[f - 1],), ""))
-    for (l, p), (cc, hh) in curvature_ops(R, cache).bivectors.items():
-        exp.add(SymbolTerm(_e(n, l), zero_x, 0, 8, -1, 0, (w_p[p - 1], cc), "cc"))
-        exp.add(SymbolTerm(_e(n, l), zero_x, 0, 8, 1, 0, (w_p[p - 1], hh), "hchc"))
+    for l, p, sign, cc, hh in _ordered_pairs(curvature_ops(R, cache)):
+        exp.add(SymbolTerm(_e(n, l), zero_x, 0, 8, -sign, 0, (w_p[p - 1], cc), "cc"))
+        exp.add(SymbolTerm(_e(n, l), zero_x, 0, 8, sign, 0, (w_p[p - 1], hh), "hchc"))
     return exp
 
 
@@ -396,7 +410,9 @@ def _factor_lists(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: i
     The base-point evaluation keeps exactly the B terms whose x monomial
     equals alpha, and their alpha! cancels the 1/alpha! of the
     composition formula, leaving the flat factor (-i)^k.  For k = 0 the
-    one multi-index is empty.
+    one multi-index is empty.  The derived A terms are memoised per
+    multi-index prefix, so the multi-indices that start with one index
+    share its first derivative.
     """
     if k < 0:
         return
@@ -413,18 +429,24 @@ def _factor_lists(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: i
     # xi-derivatives are linear, so (-i)^k goes on before them
     for _ in range(k):
         aterms = [t._replace(re=t.im, im=-t.re) for t in aterms]
+    memo = {(): aterms}
+
+    def derived(combo: tuple) -> list:
+        terms = memo.get(combo)
+        if terms is None:
+            terms = memo[combo] = [d for t in derived(combo[:-1]) for d in d_xi(t, combo[-1])]
+        return terms
+
     for combo in combinations_with_replacement(range(1, n + 1), k):
         blist = bgroup.get(_e(n, *combo))
-        if not blist:
-            continue
-        derived = aterms
-        for j in combo:
-            derived = [d for t in derived for d in d_xi(t, j)]
-        yield derived, blist
+        if blist:
+            yield derived(combo), blist
 
 
+@lru_cache(maxsize=None)
 def _odd_mask(mono: tuple) -> int:
-    """Bitmask of the variables with an odd exponent."""
+    """Bitmask of the variables with an odd exponent (memoised: the
+    composed xi monomials have degree at most 4)."""
     return sum(1 << j for j, e in enumerate(mono) if e & 1)
 
 

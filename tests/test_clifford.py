@@ -619,10 +619,13 @@ class TestIntegerStorage:
                 f[mask] = ScalarPoly.const(4 * r)
         rec = curvature_ops(R, ProductCache())
         bivectors, f_op = rec.bivectors, rec.f
-        assert set(bivectors) == set(cc)
-        for ab, (cc_op, hh_op) in bivectors.items():
-            assert cc_op == op_of(n, cc[ab])
-            assert hh_op == op_of(n, hh[ab])
+        # one operator per unordered pair; (b, a) is the negative of (a, b)
+        assert set(bivectors) == {(min(ab), max(ab)) for ab in cc}
+        for (a, b), nums in cc.items():
+            cc_op, hh_op = bivectors[min(a, b), max(a, b)]
+            sign = 1 if a < b else -1
+            assert cc_op.scale(sign) == op_of(n, nums)
+            assert hh_op.scale(sign) == op_of(n, hh[a, b])
         assert f_op == op_of(n, f)
 
     def test_degrees_stay_below_the_bound(self):

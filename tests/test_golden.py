@@ -32,7 +32,13 @@ pass.  verify-d4-wide.json reads curvature-d4-wide.json, the projection
 of tests/oracles.projected_riemann over numerators of up to 2^90 and
 denominators 1 to 9 (seed 19), whose traces need digits far wider than
 64 bits; it was written by the engine that still traced chains term by
-term, just before traces moved to Kronecker-packed integers.  Any change
+term, just before traces moved to Kronecker-packed integers.
+verify-d6-planes.json reads curvature-d6-planes.json, two orthogonal
+planes (R_1212 = 3/2 and R_3434 = -5/7 with all their symmetries), so
+only the index pairs (1, 2) and (3, 4) carry curvature bivectors; it was
+written by the engine that still stored both orders of every index pair
+as separate operators, just before the record kept one operator per
+unordered pair.  Any change
 in representation, caching or evaluation order must reproduce them
 exactly.
 """
@@ -69,6 +75,9 @@ CASES = (
       "--json"]),
     ("verify-d4-wide.json",
      ["verify", "--dim", "4", "--seeds", "2", "--curvature", str(DATA / "curvature-d4-wide.json"),
+      "--json"]),
+    ("verify-d6-planes.json",
+     ["verify", "--dim", "6", "--seeds", "2", "--curvature", str(DATA / "curvature-d6-planes.json"),
       "--json"]),
     ("verify-d4-flat-uv.json",
      ["verify", "--dim", "4", "--seeds", "2", "--curvature", "flat",

@@ -1,6 +1,7 @@
 """Densities, part table, and the assembled functionals."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -49,7 +50,7 @@ from wres.symbols import (
     uv_symbol,
 )
 
-from oracles import tildec_op, trace, weight
+from oracles import projected_riemann, tildec_op, trace, weight
 
 
 def mono(n, *idx):
@@ -789,6 +790,26 @@ class TestVerifyAll:
         # pinned vectors make the report independent of the seed
         again = reports(Dimension(4), [9], R, u=e1, v=e1)
         assert first[0]["parts"] == again[0]["parts"]
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+    def test_report_renders_past_the_int_str_limit(self):
+        """Entries over denominators up to 10^12 give dim-6 density
+        coefficients of more than 4300 digits, Python's default
+        int-to-str limit: report_dict writes them at that limit, leaves
+        the limit as it was, and reads as it does with no limit."""
+        draw = lambda rng: Fraction(rng.randint(-2**20, 2**20), rng.randint(1, 10**12))
+        ((_, analysis),) = verify_all(Dimension(6), [1], RiemannTensor(6, projected_riemann(6, 19, draw)))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default, as a fresh process has it
+        try:
+            report = analysis.report_dict(1)
+            assert sys.get_int_max_str_digits() == 4300
+            sys.set_int_max_str_digits(0)
+            assert analysis.report_dict(1) == report
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert analysis.all_match()
+        assert max(len(part["computed"]) for part in report["parts"]) > 4300
 
     def test_two_dimensional_case_collapses(self):
         # in dimension 2 every Einstein-shaped combination vanishes

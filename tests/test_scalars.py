@@ -1,13 +1,14 @@
 """Ring axioms, a schoolbook reference and canonical renderings of the
 exact scalar layer."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wres.scalars import GaussianRational, ScalarPoly, _kron_mac, _kron_pack, _kron_slots
+from wres.scalars import GaussianRational, ScalarPoly, _kron_mac, _kron_norm, _kron_pack, _kron_slots
 
 from oracles import identity
 
@@ -78,6 +79,20 @@ class TestGaussianRational:
         assert str(GaussianRational(0, 2)) == "2i"
         assert str(GaussianRational(Fraction(1, 2), 3)) == "1/2+3i"
         assert str(GaussianRational(1, -2)) == "1-2i"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+    def test_str_past_the_int_str_limit(self):
+        # every digit is written at Python's default limit of 4300
+        # digits, and the limit is left as it was
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            c = GaussianRational(Fraction(-(10**5000 + 1), 3), 10**4400)
+            assert str(c) == f"-1{'0' * 4999}1/3+1{'0' * 4400}i"
+            assert str(GaussianRational(0, Fraction(7, 10**4400))) == f"7/1{'0' * 4400}i"
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_truthiness_and_equality_with_rationals(self):
         assert not GaussianRational(0, 0)
@@ -194,16 +209,16 @@ class TestKroneckerPacking:
     def test_packed_product_reads_back(self, p, q):
         norms = [sum(abs(re) + abs(im) for _, re, im in x.nums) for x in (p, q)]
         width = (norms[0] * norms[1]).bit_length() + 2
-        (norm_p, packed_p), (norm_q, packed_q) = (_kron_pack({0: x.nums}, width) for x in (p, q))
-        assert [norm_p, norm_q] == norms
+        packed_p, packed_q = (_kron_pack({0: x.nums}, width) for x in (p, q))
+        assert [_kron_norm({0: x.nums}) for x in (p, q)] == norms
         acc = _kron_mac({}, ((0, 1, packed_p[0], packed_q[0]),), width).get(0, {})
         assert ScalarPoly._from_slots(p.den * q.den, _kron_slots(acc.values(), width, 1)) == p * q
 
     def test_monomials_pack_to_themselves(self):
         m = ScalarPoly.monomial((BOUND - 1) // 3, (BOUND - 1) // 3, -7)
         p = ScalarPoly({(1, 1): 2, (0, 2): 3, (0, 0): 5})  # degrees 2, 2 and 0
-        norm, packed = _kron_pack({0: m.nums, 1: p.nums}, 8)
-        assert norm == 10 and packed[0] is m.nums
+        packed = _kron_pack({0: m.nums, 1: p.nums}, 8)
+        assert _kron_norm({0: m.nums, 1: p.nums}) == 10 and packed[0] is m.nums
         assert sorted(packed[1]) == [(0, 5, 0), (2, 3 + (2 << 8), 0)]
 
 

@@ -3,6 +3,7 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -370,7 +371,8 @@ class TestFirstOrderFactorSymbols:
 
     def test_omega_slope_matches_unrestricted_double_sum(self):
         # the x_l slope of the connection form along e_p is half the
-        # (l, p) curvature bivector cc of the table
+        # (l, p) curvature bivector cc of the table: the table's (l, p)
+        # operator for l < p, its negative under (p, l) for l > p
         n = 4
         R = random_riemann(n, 2)
         bivectors = curvature_ops(R, ProductCache()).bivectors
@@ -381,34 +383,48 @@ class TestFirstOrderFactorSymbols:
                     w = Fraction(1, 2) * R.get(l, p, s, t)
                     if w:
                         direct = direct + (c_op(n, s) * c_op(n, t)).scale(w)
-            assert bivectors[(l, p)][0].scale(Fraction(1, 2)) == direct
+            sign = 1 if l < p else -1
+            assert bivectors[min(l, p), max(l, p)][0].scale(Fraction(sign, 2)) == direct
 
     @pytest.mark.parametrize("seed", [2, 9])
     def test_coefficient_blades_match_unrestricted_products(self, seed):
         assert_table_matches_products(random_riemann(4, seed))
 
 
+def bivector_sums(R, a, b):
+    """(cc_ab, hh_ab) as unrestricted index sums of generator products:
+    sum_{s,t} R_{bats} c_s c_t and sum_{s,t} R_{bats} chat_s chat_t."""
+    n = R.n
+    cc, hh = zero(n), zero(n)
+    for s in range(1, n + 1):
+        for t in range(1, n + 1):
+            w = R.get(b, a, t, s)
+            cc = cc + (c_op(n, s) * c_op(n, t)).scale(w)
+            hh = hh + (hatc_op(n, s) * hatc_op(n, t)).scale(w)
+    return cc, hh
+
+
 def assert_table_matches_products(R):
     """The table writes signed blades directly; rebuild each one as an
-    unrestricted index sum of generator products.  A pair is absent
-    exactly when its sums vanish."""
+    unrestricted index sum of generator products, for every ordered pair
+    (a, b): the table's (a, b) operators for a < b, their negatives under
+    (b, a) for a > b.  A pair is absent exactly when its sums vanish, and
+    only pairs a < b are stored."""
     n = R.n
     rec = curvature_ops(R, ProductCache())
     bivectors, f_op = rec.bivectors, rec.f
     idx = range(1, n + 1)
     for a in idx:
         for b in idx:
-            cc, hh = zero(n), zero(n)
-            for s in idx:
-                for t in idx:
-                    w = R.get(b, a, t, s)
-                    cc = cc + (c_op(n, s) * c_op(n, t)).scale(w)
-                    hh = hh + (hatc_op(n, s) * hatc_op(n, t)).scale(w)
+            cc, hh = bivector_sums(R, a, b)
             assert cc.is_zero() == hh.is_zero()
             if cc.is_zero():
-                assert (a, b) not in bivectors
-            else:
+                assert (a, b) not in bivectors and (b, a) not in bivectors
+            elif a < b:
                 assert bivectors[(a, b)] == (cc, hh)
+            else:
+                assert (a, b) not in bivectors
+                assert bivectors[(b, a)] == (-cc, -hh)
     f = zero(n)
     for i in idx:
         for j in idx:
@@ -424,7 +440,7 @@ class TestCurvatureTable:
     def test_sparse_table_holds_only_the_nonzero_pairs(self):
         R = planar(4)
         assert_table_matches_products(R)
-        assert set(curvature_ops(R, ProductCache())[0]) == {(1, 2), (2, 1)}
+        assert set(curvature_ops(R, ProductCache())[0]) == {(1, 2)}
 
     def test_table_is_built_once_per_tensor(self):
         R = random_riemann(4, 1)
@@ -501,6 +517,41 @@ class TestCurvatureTable:
         assert conn.rec is curvature_ops(R, cache)
         assert direct.merged(cache) == generic.merged(cache)
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_no_trace_is_the_negative_of_another(self, monkeypatch, n):
+        # cc_ba = -cc_ab: the record keeps one operator per unordered
+        # pair and the (b, a) terms carry the sign in their weights, so no
+        # two chains traced in one Analysis differ only in one factor,
+        # there an operator and its negative
+        computed: dict = {}
+        real = ProductCache.chain_trace
+
+        def spy(self, ops, dim):
+            computed.setdefault(tuple(map(id, ops)), ops)  # the chain memo's key
+            return real(self, ops, dim)
+
+        monkeypatch.setattr(ProductCache, "chain_trace", spy)
+        R, u, v = derive_inputs(n, 1)
+        assert Analysis(Dimension(n), R, u, v).all_match()
+
+        signed: dict = {}
+
+        def up_to_sign(op):
+            """(key, sign): op and -op share key and have opposite signs."""
+            if id(op) not in signed:
+                mine, theirs = (tuple(sorted(x.blades.items())) for x in (op, -op))
+                signed[id(op)] = (op.den, min(mine, theirs)), 1 if mine <= theirs else -1
+            return signed[id(op)]
+
+        groups: dict = {}
+        for ops in computed.values():
+            pairs = [up_to_sign(op) for op in ops]
+            groups.setdefault(tuple(key for key, _ in pairs), []).append([s for _, s in pairs])
+        assert sum(len(ops) == 3 for ops in computed.values()) > 20
+        for signs in groups.values():
+            for s1, s2 in combinations(signs, 2):
+                assert sum(x != y for x, y in zip(s1, s2)) != 1
+
     def test_no_consumer_reads_single_entries(self, monkeypatch):
         # every curvature coefficient comes from the table's pass over
         # R.entries, so R.get is never called once R is built
@@ -516,13 +567,18 @@ class TestCurvatureTable:
             lemma1_symbols(dim, R, standard_connection(dim, R, ProductCache()))
 
 
-def connection_reference(rec, n):
-    """(T_ab, E) built by scaling the record's operators:
-    T_ab = -cc/8 + hh/8 and E = f/8 + s/4."""
-    t_ab = {
-        ab: cc.scale(Fraction(-1, 8)) + hh.scale(Fraction(1, 8))
-        for ab, (cc, hh) in rec.bivectors.items()
-    }
+def connection_reference(rec, R):
+    """(T_ab, E) built by scaling operators: T_ab = -cc_ab/8 + hh_ab/8 for
+    every ordered pair (a, b), from the unrestricted sums of
+    bivector_sums (a pair whose sums vanish is absent), and E = f/8 + s/4
+    from the record."""
+    n = R.n
+    t_ab = {}
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            cc, hh = bivector_sums(R, a, b)
+            if not cc.is_zero():
+                t_ab[a, b] = cc.scale(Fraction(-1, 8)) + hh.scale(Fraction(1, 8))
     e = rec.f.scale(Fraction(1, 8)) + CliffordOp.from_numerators(n, 4 * rec.den, {0: rec.s})
     return t_ab, e
 
@@ -543,7 +599,7 @@ class TestConnection:
     def test_connection_equals_scaled_record(self, R):
         cache = ProductCache()
         conn = standard_connection(Dimension(R.n), R, cache)
-        assert (conn.t_ab, conn.e) == connection_reference(curvature_ops(R, cache), R.n)
+        assert (conn.t_ab, conn.e) == connection_reference(curvature_ops(R, cache), R)
 
     def test_flat_connection_is_zero(self):
         conn = standard_connection(Dimension(4), flat(4), ProductCache())
@@ -555,7 +611,7 @@ class TestConnection:
         rec = curvature_ops(R, ProductCache())
         assert rec.f.den != rec.den and rec.s
         conn = standard_connection(Dimension(4), R, ProductCache())
-        assert conn.e == connection_reference(rec, 4)[1]
+        assert conn.e == connection_reference(rec, R)[1]
         assert conn.e.blades[0] == ((0, 1, 0),) and conn.e.den == 4
 
     @pytest.mark.parametrize("R", [R for _, R in RECORD_TENSORS], ids=[i for i, _ in RECORD_TENSORS])
