@@ -18,15 +18,16 @@ traceless, so tr X = 2^n * (scalar part of X), and a trace of a chain
 builds no product: tr(a b) is a signed dot product over the shared
 blades, and tr(a b c) the dot of c with a b formed only on c's blades,
 a partial product that chains sharing the prefix a b share
-(ProductCache.chain_trace, the one trace).  A trace multiplies each
-blade's polynomial as one Kronecker-packed integer per total degree
-and unpacks once; operators keep the integer terms, since the gcd of a
-packed integer is not the gcd of its digits.  The nonminimal operator
-enters only through ctilde (tildec).  The numerators are in the one
-integer form that ScalarPoly also stores (scalars.py): sums, products
-and traces run on that module's batched kernel, and a trace or an entry
-of the 2^n x 2^n matrix view (rows) for checks is a ScalarPoly without
-any conversion.
+(ProductCache.chain_trace, the one trace).  A trace substitutes a0 =
+2^K, b0 = 1 within each total degree of every blade's polynomial
+(Kronecker packing), multiplies with the same kernel as the algebra
+and reads the digits back once; operators keep the integer terms,
+since the gcd of a packed integer is not the gcd of its digits.  The
+nonminimal operator enters only through ctilde (tildec).  The
+numerators are in the one integer form that ScalarPoly also stores
+(scalars.py): sums, products and traces run on that module's batched
+kernel, and a trace or an entry of the 2^n x 2^n matrix view (rows) for
+checks is a ScalarPoly without any conversion.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from functools import lru_cache
 from math import lcm, prod
 
 from .scalars import (
-    ScalarPoly, _canonical, _frac, _imac_each, _ints, _kron_mac, _kron_norm, _kron_pack,
-    _kron_slots, _ONE_TERMS, _pack,
+    ScalarPoly, _canonical, _frac, _imac_each, _ints, _kron_norm, _kron_pack, _kron_slots,
+    _ONE_TERMS, _pack,
 )
 
 @dataclass(frozen=True)
@@ -256,10 +257,10 @@ class ProductCache:
     L(c), of tr(a b) at most |a.blades| L(a) L(b) and of tr(a) at most
     |a.blades| L(a).  K exceeds that bound's bit length by 2, so every
     digit reads back exactly; a chain that needs more widens K to twice
-    its need, and the views and prefix products packed so far are
-    repacked.  The bound is read from the L of the chain's views before
-    any of them is packed, so a new view is packed once, at the width
-    its chain runs at.  The packed partial product of a three-factor
+    its need, which drops every packed view and prefix product, to be
+    packed again on first use.  The bound is read from the L of the
+    chain's views before any of them is packed, so a view is packed
+    once per width.  The packed partial product of a three-factor
     chain's first two factors is memoised per (id a, id b) as (chain,
     partial, covered): partial holds the blades of a b on the masks in
     covered, the last factors' masks read so far, and every last factor
@@ -287,18 +288,12 @@ class ProductCache:
         return view
 
     def _widen(self, width: int) -> None:
-        """Repack the packed views and the prefix products at digit width
-        `width`, the products from their digits at the old width."""
-        old, self._width = self._width, width
+        """Set the digit width to `width`; the views and the prefix
+        products are packed again on first use."""
+        self._width = width
         for view in self._views.values():
-            # a view that is its op's blades has one packed term per term at any width
-            if view[2] is not None and view[2] is not view[0].blades:
-                view[2] = _kron_pack(view[0].blades, width)
-        for _, partial, _ in self._prefixes.values():
-            for mask, terms in partial.items():
-                digits = _kron_slots(terms, old, 1)
-                partial[mask] = sorted((k, re, im) for k, (re, im) in digits.items())
-            partial.update(_kron_pack(partial, width))
+            view[2] = None
+        self._prefixes.clear()
 
     def chain_trace(self, ops: tuple, n: int) -> ScalarPoly:
         """Trace of the product of a chain of at most three factors,
@@ -345,15 +340,17 @@ class ProductCache:
                     for mb, yt in b.items()
                     if (mc := ma ^ mb) in missing
                 )
-                filled = _kron_mac({}, hits, width)
-                partial.update((mc, list(entries.values())) for mc, entries in filled.items())
+                filled = _imac_each({}, hits)
+                partial.update(
+                    (mc, [(d, re, im) for d, (re, im) in slots.items()]) for mc, slots in filled.items()
+                )
                 covered |= missing
         if len(partial) > len(blades):
             partial, blades = blades, partial
         hits = ((0, _blade_sign(n, m, m), xt, yt) for m, xt in partial.items() if (yt := blades.get(m)))
-        packed = _kron_mac({}, hits, width).get(0, {})
+        packed = _imac_each({}, hits).get(0, {})
         den = prod(op.den for op in ops)
-        val = ScalarPoly._from_slots(den, _kron_slots(packed.values(), width, 1 << n))
+        val = ScalarPoly._from_slots(den, _kron_slots(packed, width, 1 << n))
         self._traces[key] = (ops, val)
         return val
 

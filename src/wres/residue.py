@@ -328,7 +328,8 @@ class Analysis:
     @cached_property
     def match(self) -> dict:
         """{id: computed == expected} for every id of CHECK_IDS, in order,
-        compared on first use."""
+        compared once, on first use: an edit to computed or expected must
+        come before the first verdict (match, mismatches, all_match, report_dict)."""
         return {cid: c == e for cid, c, e in self.checks()}
 
     def mismatches(self) -> list:

@@ -10,10 +10,12 @@ Such a polynomial has one stored form, shared by ScalarPoly and the
 blade coefficients of clifford.CliffordOp: one positive denominator and
 a sorted tuple of integer terms (packed degree, re, im).  The kernel
 below (_imac_each, its one-hit form _imac, _canonical) is the only
-complex-rational arithmetic, with its form for chain traces on
-Kronecker-packed terms (_kron_norm, _kron_pack, _kron_mac, _kron_slots).
-GaussianRational has none: it is the value a coefficient is read out as (terms, evaluate)
-and one of the exact inputs the constructors accept.
+complex-rational arithmetic.  Chain traces run the same kernel on
+Kronecker-packed terms: _kron_pack substitutes a0 = 2^K, b0 = 1 within
+each total degree, and _kron_slots reads the digits back (_kron_norm
+bounds them).  GaussianRational has none: it is the value a coefficient
+is read out as (terms, evaluate) and one of the exact inputs the
+constructors accept.
 """
 
 from __future__ import annotations
@@ -164,15 +166,16 @@ def _imac(acc: dict, factor: int, p, q) -> dict:
 # Kronecker-packed terms, for chain traces
 # ---------------------------------------------------------------------------
 #
-# Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009): the terms
-# of total degree d = da + db of one polynomial become one packed term
-# (k, re, im).  k is the packed degree of its lowest a0 power lo, and re
-# = sum of c * 2^(K (da - lo)) over the real parts c, im likewise, so a
-# monomial packs to itself and one integer product multiplies two packed
-# terms.  Digits are balanced: the caller proves that every digit of its
-# result lies inside +-2^(K-2), so _kron_slots reads each back exactly.
-# A packed integer is never a stored form: its gcd is not the gcd of its
-# digits.
+# Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009) as a
+# change of variables: the terms of total degree d = da + db of one
+# polynomial become one packed term (d, re, im), their value at a0 =
+# 2^K, b0 = 1, so re = sum of c * 2^(K da) over the real parts c, im
+# likewise.  Total degrees add under products, so _imac_each multiplies
+# packed terms as it multiplies stored ones, and a b0 power packs to
+# itself.  Digits are balanced: the caller proves that every digit of
+# its result lies inside +-2^(K-2), so _kron_slots reads each back
+# exactly.  A packed integer is never a stored form: its gcd is not the
+# gcd of its digits.
 
 _NEXT_DIGIT = (1 << _DEG_BITS) - 1  # one more a0, one less b0
 
@@ -184,81 +187,41 @@ def _kron_norm(blades: dict) -> int:
 
 
 def _kron_pack(blades: dict, width: int) -> dict:
-    """{key: sorted terms} packed at digit width `width`: each key maps to
-    its packed terms, one per total degree (blades itself if no key has
-    two terms of one total degree)."""
+    """{key: sorted terms} at a0 = 2^width, b0 = 1: each key maps to one
+    packed term (d, re, im) per total degree d (blades itself if every
+    term is a b0 power, which packs to itself)."""
+    if all(terms[-1][0] <= 0xFFFF for terms in blades.values()):
+        return blades
     packed = {}
     for key, terms in blades.items():
-        if len(terms) > 1:
-            entries = {}
-            for k, re, im in terms:  # sorted: lo comes first
-                d = (k >> _DEG_BITS) + (k & 0xFFFF)
-                entry = entries.get(d)
-                if entry is None:
-                    entries[d] = [k, re, im]
-                else:
-                    shift = width * ((k - entry[0]) // _NEXT_DIGIT)
-                    entry[1] += re << shift
-                    entry[2] += im << shift
-            if len(entries) < len(terms):
-                packed[key] = tuple(map(tuple, entries.values()))
-    return {**blades, **packed} if packed else blades
+        slots = {}
+        for k, re, im in terms:
+            da = k >> _DEG_BITS
+            shift, d = width * da, da + (k & 0xFFFF)
+            r, i = slots.get(d, (0, 0))
+            slots[d] = r + (re << shift), i + (im << shift)
+        packed[key] = tuple((d, re, im) for d, (re, im) in slots.items())
+    return packed
 
 
-def _kron_mac(acc: dict, hits, width: int) -> dict:
-    """acc[key] += factor * x * y over packed terms, for each (key, factor,
-    x, y) of hits: _imac_each with one integer product (four if complex)
-    per pair of packed terms.  acc[key] maps each total degree to one
-    packed term [k, re, im], aligned at the lowest a0 power that reaches
-    it, so products of one degree sum into one integer.  Returns acc."""
-    for key, factor, x, y in hits:
-        entries = acc.get(key)
-        if entries is None:
-            entries = acc[key] = {}
-        for k1, r1, i1 in x:
-            if factor != 1:
-                r1, i1 = factor * r1, factor * i1
-            for k2, r2, i2 in y:
-                k = k1 + k2
-                if i1 or i2:
-                    re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
-                else:
-                    re, im = r1 * r2, 0
-                d = (k >> _DEG_BITS) + (k & 0xFFFF)
-                entry = entries.get(d)
-                if entry is None:
-                    entries[d] = [k, re, im]
-                elif entry[0] == k:
-                    entry[1] += re
-                    entry[2] += im
-                elif entry[0] < k:
-                    shift = width * ((k - entry[0]) // _NEXT_DIGIT)
-                    entry[1] += re << shift
-                    entry[2] += im << shift
-                else:
-                    shift = width * ((entry[0] - k) // _NEXT_DIGIT)
-                    entry[:] = k, (entry[1] << shift) + re, (entry[2] << shift) + im
-    return acc
-
-
-def _kron_slots(terms, width: int, factor: int) -> dict:
-    """{packed degree: [re, im]} slots of factor times the packed terms
-    (k, re, im), one per total degree: their balanced base-2^width
-    digits, one unpack."""
+def _kron_slots(slots: dict, width: int, factor: int) -> dict:
+    """{packed degree: [re, im]} slots of factor times the packed slots
+    {d: (re, im)}: their balanced base-2^width digits, the digit of
+    a0^da read back as the term of degree (da, d - da)."""
     half, mask = 1 << (width - 1), (1 << width) - 1
-    slots = {}
-    for k, re, im in terms:
+    out = {}
+    for k, (re, im) in slots.items():  # k = d is the packed degree of b0^d
         while re or im:
             t = re + half
             r, re = (t & mask) - half, t >> width
             if im:
                 t = im + half
                 i, im = (t & mask) - half, t >> width
-                slots[k] = [factor * r, factor * i]
+                out[k] = [factor * r, factor * i]
             elif r:
-                slots[k] = [factor * r, 0]
+                out[k] = [factor * r, 0]
             k += _NEXT_DIGIT
-    return slots
+    return out
 
 
 def _canonical(den: int, acc: dict) -> tuple:

@@ -304,14 +304,11 @@ def lemma1_symbols(
     exp = SymbolExpansion(n)
     _curvature_family(exp, conn.rec, M)
 
-    # orders -2M-1 and -2M-2
-    two_mm1 = 2 * M * (M + 1)
+    # order -2M-2; the order -2M-4 terms 2M(M+1) T_ab xi_a xi_b of (a, b)
+    # and (b, a) cancel, since T_ba = -T_ab, so none is written
     for (a, b), t in conn.t_ab.items():
         if not t.is_zero():
             exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 1, 0, -2 * M, (t,), "tab"))
-            exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 1, two_mm1, 0, (t,), "tab"))
-            if a == b:
-                exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 1, -M, 0, (t,), "tab"))
     if not conn.e.is_zero():
         exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 1, -M, 0, (conn.e,), "e"))
     return exp
@@ -343,17 +340,13 @@ def lemma2_symbols(
     exp = SymbolExpansion(n)
     _curvature_family(exp, rec, M)
 
-    # orders -2M-1 and -2M-2: the curvature contractions coming from the
-    # connection form, iM/4 and -M(M+1)/4 on the c-family and the
-    # opposite weights on the chat-family; the order -2M-4 terms of (a, b)
-    # and (b, a) share one chain with opposite weights, so they cancel
-    # before any trace
-    mm1 = M * (M + 1)
+    # order -2M-2: the curvature contractions coming from the connection
+    # form, iM/4 on the c-family and -iM/4 on the chat-family; their
+    # order -2M-4 terms -+M(M+1)/4 xi_a xi_b of (a, b) and (b, a) share
+    # one chain with opposite weights, so they cancel and none is written
     for a, b, sign, cc, hh in _ordered_pairs(rec):
         exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, sign * M, (cc,), "cc"))
-        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 4, -sign * mm1, 0, (cc,), "cc"))
         exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, -sign * M, (hh,), "hchc"))
-        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 4, sign * mm1, 0, (hh,), "hchc"))
     if not rec.f.is_zero():
         exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 8, -M, 0, (rec.f,), "f"))
     if rec.s and M:

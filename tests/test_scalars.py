@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wres.scalars import GaussianRational, ScalarPoly, _kron_mac, _kron_norm, _kron_pack, _kron_slots
+from wres.scalars import GaussianRational, ScalarPoly, _imac_each, _kron_norm, _kron_pack, _kron_slots
 
 from oracles import identity
 
@@ -201,25 +201,33 @@ class TestDegreeBound:
 
 
 class TestKroneckerPacking:
-    """Packed terms multiply as the polynomials do and read back exactly
-    at a digit width above the product's L1 bound."""
+    """Packed terms, a0 = 2^K and b0 = 1 within each total degree,
+    multiply through _imac_each as the polynomials do and read back
+    exactly at a digit width above the product's L1 bound."""
 
     @given(polys, polys)
     @settings(deadline=None)
     def test_packed_product_reads_back(self, p, q):
         norms = [sum(abs(re) + abs(im) for _, re, im in x.nums) for x in (p, q)]
         width = (norms[0] * norms[1]).bit_length() + 2
-        packed_p, packed_q = (_kron_pack({0: x.nums}, width) for x in (p, q))
+        packed_p, packed_q = (_kron_pack({0: x.nums} if x else {}, width).get(0, ()) for x in (p, q))
         assert [_kron_norm({0: x.nums}) for x in (p, q)] == norms
-        acc = _kron_mac({}, ((0, 1, packed_p[0], packed_q[0]),), width).get(0, {})
-        assert ScalarPoly._from_slots(p.den * q.den, _kron_slots(acc.values(), width, 1)) == p * q
+        acc = _imac_each({}, ((0, 1, packed_p, packed_q),)).get(0, {})
+        assert ScalarPoly._from_slots(p.den * q.den, _kron_slots(acc, width, 1)) == p * q
 
     def test_monomials_pack_to_themselves(self):
-        m = ScalarPoly.monomial((BOUND - 1) // 3, (BOUND - 1) // 3, -7)
+        """A b0 power packs to itself, and blades of b0 powers only come
+        back unchanged; any monomial packs to one term."""
+        top = (BOUND - 1) // 3
+        m = ScalarPoly.monomial(0, BOUND - 1, -7)
         p = ScalarPoly({(1, 1): 2, (0, 2): 3, (0, 0): 5})  # degrees 2, 2 and 0
+        blades = {0: m.nums, 1: ScalarPoly({(0, 0): 4, (0, 3): -1}).nums}
+        assert _kron_pack(blades, 8) is blades
         packed = _kron_pack({0: m.nums, 1: p.nums}, 8)
-        assert _kron_norm({0: m.nums, 1: p.nums}) == 10 and packed[0] is m.nums
+        assert _kron_norm({0: m.nums, 1: p.nums}) == 10 and packed[0] == m.nums
         assert sorted(packed[1]) == [(0, 5, 0), (2, 3 + (2 << 8), 0)]
+        q = ScalarPoly.monomial(top, top, GaussianRational(-7, 1))
+        assert _kron_pack({0: q.nums}, 8) == {0: ((2 * top, -7 << 8 * top, 1 << 8 * top),)}
 
 
 class TestScalarPolyRing:
