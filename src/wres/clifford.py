@@ -16,8 +16,7 @@ the blade of a product is the XOR of the masks, its sign the reordering
 sign times the metric sign.  Every blade but the scalar one is
 traceless, so tr X = 2^n * (scalar part of X), and a trace of a chain
 builds no product: tr(a b) is a signed dot product over the shared
-blades, and tr(a b c) the dot of c with a b formed only on c's blades,
-a partial product that chains sharing the prefix a b share
+blades, and tr(a b c) the dot of c with a b formed only on c's blades
 (ProductCache.chain_trace, the one trace).  A trace substitutes a0 =
 2^K, b0 = 1 within each total degree of every blade's polynomial
 (Kronecker packing), multiplies with the same kernel as the algebra
@@ -244,56 +243,44 @@ def tildec(w: FrameVector) -> CliffordOp:
 
 
 class ProductCache:
-    """Memos for chain traces, packed views, prefix products and named builds.
+    """Memos for chain traces, packed views and named builds.
 
     Chain keys are the ids of the operators; the cache holds the chain
     so the ids stay valid for its lifetime.  Traces run on Kronecker-
     packed terms (scalars._kron_pack) at one digit width K per cache.
     Each operator gets one view, keyed by id and holding the operator:
-    [op, L, packed], where packed maps each blade to its packed terms at
-    K and L is the largest L1 norm (sum of |re| + |im|) of one blade's
-    terms.  Over its denominator and before the factor 2^n, a
-    coefficient of tr(a b c) is at most |c.blades| |a.blades| L(a) L(b)
-    L(c), of tr(a b) at most |a.blades| L(a) L(b) and of tr(a) at most
-    |a.blades| L(a).  K exceeds that bound's bit length by 2, so every
-    digit reads back exactly; a chain that needs more widens K to twice
-    its need, which drops every packed view and prefix product, to be
-    packed again on first use.  The bound is read from the L of the
-    chain's views before any of them is packed, so a view is packed
-    once per width.  The packed partial product of a three-factor
-    chain's first two factors is memoised per (id a, id b) as (chain,
-    partial, covered): partial holds the blades of a b on the masks in
-    covered, the last factors' masks read so far, and every last factor
-    fills only the masks not yet covered (chain_trace).  Each computed
-    trace is unpacked once into a canonical ScalarPoly.  Named keys hold
-    their operands (RiemannTensor hashes by identity).  Meant to live
-    for one verification run.
+    [op, L, packed, width], where packed maps each blade to its packed
+    terms at the digit width `width` and L is the largest L1 norm (sum
+    of |re| + |im|) of one blade's terms.  Over its denominator and
+    before the factor 2^n, a coefficient of tr(a b c) is at most
+    |c.blades| |a.blades| L(a) L(b) L(c), of tr(a b) at most |a.blades|
+    L(a) L(b) and of tr(a) at most |a.blades| L(a).  K exceeds that
+    bound's bit length by 2, so every digit reads back exactly; a chain
+    that needs more raises K to twice its need, and a view packed at an
+    older width is packed again when a chain next reads it.  The bound
+    is read from the L of the chain's views before any of them is
+    packed, so a view is packed once per width.  Each computed trace is
+    unpacked once into a canonical ScalarPoly.  Named keys hold their
+    operands (RiemannTensor hashes by identity).  Meant to live for one
+    verification run.
     """
 
-    __slots__ = ("_traces", "_views", "_width", "_prefixes", "_named")
+    __slots__ = ("_traces", "_views", "_width", "_named")
 
     def __init__(self):
         self._traces: dict = {}
         self._views: dict = {}
         self._width = 0
-        self._prefixes: dict = {}
         self._named: dict = {}
 
     def _view(self, op: CliffordOp) -> list:
-        """[op, L, packed], the memoised view of op; a new view is not yet
-        packed (packed is None) until its chain knows its width."""
+        """[op, L, packed, width], the memoised view of op; packed holds
+        op's blades packed at width, and a new view is not yet packed
+        (packed None, width 0) until its chain knows its width."""
         view = self._views.get(id(op))
         if view is None:
-            view = self._views[id(op)] = [op, _kron_norm(op.blades), None]
+            view = self._views[id(op)] = [op, _kron_norm(op.blades), None, 0]
         return view
-
-    def _widen(self, width: int) -> None:
-        """Set the digit width to `width`; the views and the prefix
-        products are packed again on first use."""
-        self._width = width
-        for view in self._views.values():
-            view[2] = None
-        self._prefixes.clear()
 
     def chain_trace(self, ops: tuple, n: int) -> ScalarPoly:
         """Trace of the product of a chain of at most three factors,
@@ -321,30 +308,24 @@ class ProductCache:
         for view in views:
             bound *= view[1]
         if bound.bit_length() + 2 > self._width:
-            self._widen(2 * (bound.bit_length() + 2))
+            self._width = 2 * (bound.bit_length() + 2)
         width = self._width
         for view in views:
-            if view[2] is None:
-                view[2] = _kron_pack(view[0].blades, width)
+            if view[3] != width:
+                view[2], view[3] = _kron_pack(view[0].blades, width), width
         blades = last[2]
         if len(head) < 2:
             partial = head[0][2] if head else {0: _ONE_TERMS}
         else:
             a, b = (view[2] for view in head)  # a longer chain fails to unpack
-            _, partial, covered = self._prefixes.setdefault(key[:2], (ops[:2], {}, set()))
-            missing = blades.keys() - covered
-            if missing:
-                hits = (
-                    (mc, _blade_sign(n, ma, mb), xt, yt)
-                    for ma, xt in a.items()
-                    for mb, yt in b.items()
-                    if (mc := ma ^ mb) in missing
-                )
-                filled = _imac_each({}, hits)
-                partial.update(
-                    (mc, [(d, re, im) for d, (re, im) in slots.items()]) for mc, slots in filled.items()
-                )
-                covered |= missing
+            hits = (
+                (mc, _blade_sign(n, ma, mb), xt, yt)
+                for ma, xt in a.items()
+                for mb, yt in b.items()
+                if (mc := ma ^ mb) in blades
+            )
+            filled = _imac_each({}, hits)
+            partial = {mc: [(d, re, im) for d, (re, im) in slots.items()] for mc, slots in filled.items()}
         if len(partial) > len(blades):
             partial, blades = blades, partial
         hits = ((0, _blade_sign(n, m, m), xt, yt) for m, xt in partial.items() if (yt := blades.get(m)))

@@ -70,7 +70,7 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)

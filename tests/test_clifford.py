@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from wres import clifford
 from wres.clifford import CliffordOp, Dimension, FrameVector, ProductCache, inner, tildec
 from wres.curvature import random_riemann
+from wres.residue import Analysis, derive_inputs
 from wres.scalars import GaussianRational, ScalarPoly
 from wres.symbols import curvature_ops
 
@@ -313,8 +315,10 @@ def bivector_masks(n, offset):
 
 
 class TestPrefixMemo:
-    """Three-factor chains that share a prefix share one partial product,
-    filled mask by mask as their last factors ask for blades."""
+    """Three-factor chains that share their first two factors, in both
+    orders and against last factors of the same, disjoint and
+    overlapping blade supports, each trace to the materialised product,
+    whichever last factor comes first."""
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_shared_prefix_traces_match_products(self, n):
@@ -388,19 +392,23 @@ class TestPackedTraces:
         a, b, c, d = ops
         return [(), (a,), (c,), (a, b), (b, c), (a, b, c), (a, b, d), (b, a, d), (c, d, a)]
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_wide_numerators_widen_one_cache(self, n):
+    @classmethod
+    def widening_chains(cls, n):
         rng = random.Random(1900 + n)
         span = xor_span(n, rng, 8)
         narrow = [mixed_op(n, rng, rng.sample(span, 5), 2) for _ in range(4)]
         wide = [mixed_op(n, rng, rng.sample(span, 5), 300 + 30 * i) for i in range(4)]
-        cache = ProductCache()
         # narrow chains first; then the narrow prefixes meet wide last factors,
-        # so their partial products are repacked at the wider digits
-        chains = self.chains(narrow) + self.chains(wide) + [
+        # so their narrow views are packed again at the wider width
+        return cls.chains(narrow) + cls.chains(wide) + [
             (narrow[0], narrow[1], wide[2]), (narrow[1], narrow[0], wide[3]),
             (wide[0], narrow[1], wide[1]), (narrow[2], wide[3], narrow[3]),
         ]
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_wide_numerators_widen_one_cache(self, n):
+        chains = self.widening_chains(n)
+        cache = ProductCache()
         traces = []
         for ops in chains:
             got = cache.chain_trace(ops, n)
@@ -409,6 +417,31 @@ class TestPackedTraces:
         assert sum(map(bool, traces)) > len(traces) // 2
         widest = max(max(abs(re), abs(im)).bit_length() for t in traces for _, re, im in t.nums)
         assert widest > 3 * 300
+
+    def test_each_view_is_packed_once_per_width(self, monkeypatch):
+        packs = []
+
+        def spy(blades, width):
+            packs.append((blades, width))  # holds blades, so its id stays unique
+            return kron_pack(blades, width)
+
+        def packings(run):
+            packs.clear()
+            run()
+            keys = [(id(blades), width) for blades, width in packs]
+            assert keys and len(set(keys)) == len(keys)
+            return keys
+
+        kron_pack = clifford._kron_pack
+        monkeypatch.setattr(clifford, "_kron_pack", spy)
+        for n in (4, 6):
+            packings(lambda: Analysis(Dimension(n), *derive_inputs(n, 1)))
+        for n in (2, 4, 6):
+            cache = ProductCache()
+            keys = packings(lambda: [cache.chain_trace(ops, n) for ops in self.widening_chains(n)])
+            # the cache widened, and views packed narrow were packed again
+            assert len({width for _, width in keys}) > 1
+            assert len({blades for blades, _ in keys}) < len(keys)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_non_homogeneous_complex_chains(self, n):

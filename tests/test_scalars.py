@@ -100,6 +100,16 @@ class TestGaussianRational:
         assert GaussianRational(Fraction(7, 2)) == Fraction(7, 2)
         assert GaussianRational(1, 1) != 1
 
+    def test_hash_agrees_with_equality(self):
+        # a real value hashes as its rational, so sets and dicts merge them
+        for value in (3, 0, -7, Fraction(1, 2), Fraction(-9, 4)):
+            assert GaussianRational(value) == value
+            assert hash(GaussianRational(value)) == hash(value)
+            assert len({GaussianRational(value), value}) == 1
+        assert {GaussianRational(Fraction(1, 2)): "g"}[Fraction(1, 2)] == "g"
+        assert len({GaussianRational(3, 1), 3}) == 2
+        assert hash(GaussianRational(1, 2)) == hash(GaussianRational(Fraction(2, 2), Fraction(4, 2)))
+
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             GaussianRational(0.5)
