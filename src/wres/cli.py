@@ -74,7 +74,9 @@ def _resolve_curvature(spec: str, n: int):
     try:
         data = json.loads(path.read_text())
         tensor = RiemannTensor.from_json(data)
-    except (ValueError, KeyError, TypeError) as exc:
+    except OSError as exc:
+        raise click.UsageError(f"curvature file {spec!r} cannot be read: {exc.strerror or exc}")
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # too deep a nesting recurses
         raise click.UsageError(f"invalid curvature file {spec!r}: {exc}")
     if tensor.n != n:
         raise click.UsageError(

@@ -15,18 +15,18 @@ rules (Dorst-Fontijne-Mann, Geometric Algebra for Computer Science, ch. 19):
 the blade of a product is the XOR of the masks, its sign the reordering
 sign times the metric sign.  Every blade but the scalar one is
 traceless, so tr X = 2^n * (scalar part of X), and a trace of a chain
-builds no product: tr(a b) is a signed dot product over the shared
-blades, and tr(a b c) the dot of c with a b formed only on c's blades
-(ProductCache.chain_trace, the one trace).  A trace substitutes a0 =
-2^K, b0 = 1 within each total degree of every blade's polynomial
-(Kronecker packing), multiplies with the same kernel as the algebra
-and reads the digits back once; operators keep the integer terms,
+builds no product: tr(a b c) is a signed sum of a b c over the blade
+triples whose masks XOR to zero (ProductCache.chain_trace, the one
+trace).  A trace substitutes a0 = 2^K, b0 = 1 within each total degree
+of every blade's polynomial (Kronecker packing), so each factor is one
+integer per blade and total degree; it sums integer triple products
+and reads the digits back once.  Operators keep the integer terms,
 since the gcd of a packed integer is not the gcd of its digits.  The
 nonminimal operator enters only through ctilde (tildec).  The
 numerators are in the one integer form that ScalarPoly also stores
-(scalars.py): sums, products and traces run on that module's batched
-kernel, and a trace or an entry of the 2^n x 2^n matrix view (rows) for
-checks is a ScalarPoly without any conversion.
+(scalars.py): sums and products run on that module's batched kernel,
+and a trace or an entry of the 2^n x 2^n matrix view (rows) for checks
+is a ScalarPoly without any conversion.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import lcm, prod
 
 from .scalars import (
-    ScalarPoly, _canonical, _frac, _imac_each, _ints, _kron_norm, _kron_pack, _kron_slots,
+    ScalarPoly, _canonical, _frac, _imac_each, _ints, _kron_norm, _kron_parts, _kron_slots,
     _ONE_TERMS, _pack,
 )
 
@@ -104,6 +104,12 @@ def _blade_sign(n: int, a: int, b: int) -> int:
     # each shared c_j meets itself and squares to -1
     swaps += (a & b & ((1 << n) - 1)).bit_count()
     return -1 if swaps & 1 else 1
+
+
+@lru_cache(maxsize=None)
+def _trace_sign(n: int, a: int, b: int) -> int:
+    """The scalar part of blade(a) blade(b) blade(a ^ b)."""
+    return _blade_sign(n, a, b) * _blade_sign(n, a ^ b, a ^ b)
 
 
 @lru_cache(maxsize=None)
@@ -247,22 +253,23 @@ class ProductCache:
 
     Chain keys are the ids of the operators; the cache holds the chain
     so the ids stay valid for its lifetime.  Traces run on Kronecker-
-    packed terms (scalars._kron_pack) at one digit width K per cache.
-    Each operator gets one view, keyed by id and holding the operator:
-    [op, L, packed, width], where packed maps each blade to its packed
-    terms at the digit width `width` and L is the largest L1 norm (sum
-    of |re| + |im|) of one blade's terms.  Over its denominator and
-    before the factor 2^n, a coefficient of tr(a b c) is at most
-    |c.blades| |a.blades| L(a) L(b) L(c), of tr(a b) at most |a.blades|
-    L(a) L(b) and of tr(a) at most |a.blades| L(a).  K exceeds that
-    bound's bit length by 2, so every digit reads back exactly; a chain
-    that needs more raises K to twice its need, and a view packed at an
-    older width is packed again when a chain next reads it.  The bound
-    is read from the L of the chain's views before any of them is
-    packed, so a view is packed once per width.  Each computed trace is
-    unpacked once into a canonical ScalarPoly.  Named keys hold their
-    operands (RiemannTensor hashes by identity).  Meant to live for one
-    verification run.
+    packed integers (scalars._kron_parts) at one digit width K per
+    cache.  Each operator gets one view, keyed by id and holding the
+    operator: [op, L, parts, width, memo]; parts is the operator at
+    the digit width `width`, {total degree: {blade: (re, im)}}, L the
+    largest L1 norm (sum of |re| + |im|) of one blade's terms, and memo
+    what chains read off the parts, emptied when the view is packed
+    again.  Over its denominator and before the factor 2^n, a
+    coefficient of tr(a b c) is at most |c.blades| |a.blades| L(a) L(b)
+    L(c), of tr(a b) at most |a.blades| L(a) L(b) and of tr(a) at most
+    |a.blades| L(a).  K exceeds that bound's bit length by 2, so every
+    digit reads back exactly; a chain that needs more raises K to twice
+    its need, and a view packed at an older width is packed again when
+    a chain next reads it.  The bound is read from the L of the chain's
+    views before any of them is packed, so a view is packed once per
+    width.  Each computed trace is unpacked once into a canonical
+    ScalarPoly.  Named keys hold their operands (RiemannTensor hashes by
+    identity).  Meant to live for one verification run.
     """
 
     __slots__ = ("_traces", "_views", "_width", "_named")
@@ -274,25 +281,33 @@ class ProductCache:
         self._named: dict = {}
 
     def _view(self, op: CliffordOp) -> list:
-        """[op, L, packed, width], the memoised view of op; packed holds
-        op's blades packed at width, and a new view is not yet packed
-        (packed None, width 0) until its chain knows its width."""
+        """[op, L, parts, width, memo], the memoised view of op, not yet
+        packed (parts None, width 0) until its chain knows its width.
+        memo maps degree d to (shift, half values) as a last factor and
+        (d, shift) to its blades bucketed by half as a middle factor."""
         view = self._views.get(id(op))
         if view is None:
-            view = self._views[id(op)] = [op, _kron_norm(op.blades), None, 0]
+            view = self._views[id(op)] = [op, _kron_norm(op.blades), None, 0, None]
         return view
 
     def chain_trace(self, ops: tuple, n: int) -> ScalarPoly:
         """Trace of the product of a chain of at most three factors,
         memoized on the chain identity; the only trace the engine reads.
 
-        No product is built: the trace is 2^n times the signed dot of
-        the last factor with the product of the others, formed only on
-        the last factor's blades, on packed terms.  The same chain
-        recurs across blocks and tags, so its trace is read once.  The
-        engine builds no longer chain: PQ's three-factor terms meet only
-        B1's factor-free terms.
+        No product is built: the trace is 2^n times the sum of sign *
+        a b c over the blade triples with ma ^ mb ^ mc = 0, one integer
+        sum per combination of homogeneous parts, a shorter chain padded
+        in front with the identity.  The pairs (ma, mb) come from a join
+        on the half of c's masks (c or chat bits) with fewer distinct
+        values, not a walk of all a x b: b's blades are bucketed by it
+        (memoised on b's view), and each blade of a reads one bucket per
+        half value.  A chain recurs across blocks and tags, so its trace
+        is read once.  The engine builds no longer chain (PQ's
+        three-factor terms meet only B1's factor-free terms), and one
+        is refused before the cache changes.
         """
+        if len(ops) > 3:
+            raise ValueError(f"chain_trace traces at most three factors, got {len(ops)}")
         if not ops:
             return ScalarPoly.const(1 << n)
         key = tuple(map(id, ops))
@@ -301,7 +316,7 @@ class ProductCache:
             return hit[1]
         if any(op.n != n for op in ops):
             raise ValueError("dimension mismatch")
-        *head, last = views = [self._view(op) for op in ops]
+        views = [self._view(op) for op in ops]
         bound = len(ops[0].blades)  # on the trace's coefficients (class docstring)
         if len(ops) == 3:
             bound *= len(ops[2].blades)
@@ -312,26 +327,43 @@ class ProductCache:
         width = self._width
         for view in views:
             if view[3] != width:
-                view[2], view[3] = _kron_pack(view[0].blades, width), width
-        blades = last[2]
-        if len(head) < 2:
-            partial = head[0][2] if head else {0: _ONE_TERMS}
-        else:
-            a, b = (view[2] for view in head)  # a longer chain fails to unpack
-            hits = (
-                (mc, _blade_sign(n, ma, mb), xt, yt)
-                for ma, xt in a.items()
-                for mb, yt in b.items()
-                if (mc := ma ^ mb) in blades
-            )
-            filled = _imac_each({}, hits)
-            partial = {mc: [(d, re, im) for d, (re, im) in slots.items()] for mc, slots in filled.items()}
-        if len(partial) > len(blades):
-            partial, blades = blades, partial
-        hits = ((0, _blade_sign(n, m, m), xt, yt) for m, xt in partial.items() if (yt := blades.get(m)))
-        packed = _imac_each({}, hits).get(0, {})
+                view[2:] = _kron_parts(view[0].blades, width), width, {}
+        unit = [None, 1, {0: {0: (1, 0)}}, width, {}]
+        a, b, c = ([unit, unit] + views)[-3:]
+        low = (1 << n) - 1
+        acc = {}
+        for dc, cpart in c[2].items():
+            if dc not in c[4]:
+                lo, hi = {m & low for m in cpart}, {m >> n for m in cpart}
+                c[4][dc] = (0, lo) if len(lo) <= len(hi) else (n, hi)
+            shift, halves = c[4][dc]
+            for db, bpart in b[2].items():
+                buckets = b[4].get((db, shift))
+                if buckets is None:
+                    buckets = b[4][db, shift] = {}
+                    for mb, (br, bi) in bpart.items():
+                        buckets.setdefault(mb >> shift & low, []).append((mb, br, bi))
+                for da, apart in a[2].items():
+                    re = im = 0
+                    for ma, (ar, ai) in apart.items():
+                        ka = ma >> shift & low
+                        for h in halves:
+                            for mb, br, bi in buckets.get(ka ^ h, ()):
+                                cv = cpart.get(ma ^ mb)
+                                if cv is None:
+                                    continue
+                                cr, ci = cv
+                                s = _trace_sign(n, ma, mb)
+                                if ai or bi or ci:  # the engine's chains are all real
+                                    xr, xi = ar * br - ai * bi, ar * bi + ai * br
+                                    re += s * (xr * cr - xi * ci)
+                                    im += s * (xr * ci + xi * cr)
+                                else:
+                                    re += s * ar * br * cr
+                    r, i = acc.get(da + db + dc, (0, 0))
+                    acc[da + db + dc] = r + re, i + im
         den = prod(op.den for op in ops)
-        val = ScalarPoly._from_slots(den, _kron_slots(packed, width, 1 << n))
+        val = ScalarPoly._from_slots(den, _kron_slots(acc, width, 1 << n))
         self._traces[key] = (ops, val)
         return val
 

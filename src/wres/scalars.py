@@ -10,12 +10,13 @@ Such a polynomial has one stored form, shared by ScalarPoly and the
 blade coefficients of clifford.CliffordOp: one positive denominator and
 a sorted tuple of integer terms (packed degree, re, im).  The kernel
 below (_imac_each, its one-hit form _imac, _canonical) is the only
-complex-rational arithmetic.  Chain traces run the same kernel on
-Kronecker-packed terms: _kron_pack substitutes a0 = 2^K, b0 = 1 within
-each total degree, and _kron_slots reads the digits back (_kron_norm
-bounds them).  GaussianRational has none: it is the value a coefficient
-is read out as (terms, evaluate) and one of the exact inputs the
-constructors accept.
+complex-rational arithmetic.  Chain traces run on Kronecker-packed
+integers instead: _kron_parts substitutes a0 = 2^K, b0 = 1 within each
+total degree, splitting an operator into one homogeneous part per
+degree, and _kron_slots reads the digits of a traced sum back
+(_kron_norm bounds them).  GaussianRational has none: it is the value
+a coefficient is read out as (terms, evaluate) and one of the exact
+inputs the constructors accept.
 """
 
 from __future__ import annotations
@@ -163,19 +164,19 @@ def _imac(acc: dict, factor: int, p, q) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Kronecker-packed terms, for chain traces
+# Kronecker-packed integers, for chain traces
 # ---------------------------------------------------------------------------
 #
 # Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009) as a
 # change of variables: the terms of total degree d = da + db of one
-# polynomial become one packed term (d, re, im), their value at a0 =
-# 2^K, b0 = 1, so re = sum of c * 2^(K da) over the real parts c, im
-# likewise.  Total degrees add under products, so _imac_each multiplies
-# packed terms as it multiplies stored ones, and a b0 power packs to
-# itself.  Digits are balanced: the caller proves that every digit of
-# its result lies inside +-2^(K-2), so _kron_slots reads each back
-# exactly.  A packed integer is never a stored form: its gcd is not the
-# gcd of its digits.
+# polynomial become one packed integer pair (re, im), their value at
+# a0 = 2^K, b0 = 1, so re = sum of c * 2^(K da) over the real parts c,
+# im likewise.  Total degrees add under products, so the product of
+# packed parts of degrees d1 and d2 is the packed degree-(d1 + d2) part
+# of the product, and a b0 power packs to itself.  Digits are
+# balanced: the caller proves that every digit of its result lies
+# inside +-2^(K-2), so _kron_slots reads each back exactly.  A packed
+# integer is never a stored form: its gcd is not the gcd of its digits.
 
 _NEXT_DIGIT = (1 << _DEG_BITS) - 1  # one more a0, one less b0
 
@@ -183,25 +184,29 @@ _NEXT_DIGIT = (1 << _DEG_BITS) - 1  # one more a0, one less b0
 def _kron_norm(blades: dict) -> int:
     """The largest L1 norm, sum of |re| + |im|, of one key's terms in
     {key: terms}: what bounds the digits of a packed product."""
-    return max((sum(abs(re) + abs(im) for _, re, im in terms) for terms in blades.values()), default=0)
+    norm = 0
+    for terms in blades.values():
+        total = 0
+        for _, re, im in terms:
+            total += abs(re) + abs(im)
+        if total > norm:
+            norm = total
+    return norm
 
 
-def _kron_pack(blades: dict, width: int) -> dict:
-    """{key: sorted terms} at a0 = 2^width, b0 = 1: each key maps to one
-    packed term (d, re, im) per total degree d (blades itself if every
-    term is a b0 power, which packs to itself)."""
-    if all(terms[-1][0] <= 0xFFFF for terms in blades.values()):
-        return blades
-    packed = {}
+def _kron_parts(blades: dict, width: int) -> dict:
+    """{total degree d: {key: (re, im)}} of {key: terms} at a0 =
+    2^width, b0 = 1: each key's terms of total degree d summed into one
+    packed value, so an operator splits into one homogeneous part per
+    total degree it has."""
+    parts = {}
     for key, terms in blades.items():
-        slots = {}
         for k, re, im in terms:
             da = k >> _DEG_BITS
-            shift, d = width * da, da + (k & 0xFFFF)
-            r, i = slots.get(d, (0, 0))
-            slots[d] = r + (re << shift), i + (im << shift)
-        packed[key] = tuple((d, re, im) for d, (re, im) in slots.items())
-    return packed
+            part = parts.setdefault(da + (k & 0xFFFF), {})
+            r, i = part.get(key, (0, 0))
+            part[key] = r + (re << width * da), i + (im << width * da)
+    return parts
 
 
 def _kron_slots(slots: dict, width: int, factor: int) -> dict:

@@ -3,6 +3,7 @@
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -163,6 +164,27 @@ class TestVerifyCommand:
         assert result.exit_code == 2, result.output
         assert '{"n": int, "entries": [[i, j, k, l, num, den], ...]}' in result.output
         assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
+
+    def test_unreadable_curvature_file_is_usage_error(self, runner, tmp_path, monkeypatch):
+        path = tmp_path / "locked.json"
+        path.write_text(json.dumps(constant_curvature(4).to_json()))
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        result = runner.invoke(main, ["verify", "--dim", "4", "--curvature", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "cannot be read: Permission denied" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_too_deeply_nested_curvature_file_is_usage_error(self, runner, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        result = runner.invoke(main, ["verify", "--dim", "4", "--curvature", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "invalid curvature file" in result.output and "recursion" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_dimension_8_is_supported(self, runner):
         result = runner.invoke(main, ["verify", "--dim", "8", "--seeds", "1"])

@@ -292,6 +292,19 @@ class TestProductCache:
         triple = cache.chain_trace((a, b, identity(n)), n)
         assert triple == val
 
+    def test_longer_chain_is_refused_before_the_cache_changes(self):
+        n = 4
+        cache = ProductCache()
+        a, b = tildec_op(n, 1), tildec_op(n, 2)
+        cache.chain_trace((a, b, a), n)
+        width, views = cache._width, {k: list(v) for k, v in cache._views.items()}
+        wide = CliffordOp.from_numerators(n, 1, {0: 1 << 400, 3: -(1 << 400)})
+        with pytest.raises(ValueError, match="at most three factors"):
+            cache.chain_trace((wide, a, b, wide), n)
+        assert cache._width == width
+        assert cache._views.keys() == views.keys()
+        assert all(x is y for k, v in cache._views.items() for x, y in zip(v, views[k], strict=True))
+
 
 def gaussian_op(n, rng, masks):
     """Operator with a seeded Gaussian-rational polynomial on each mask,
@@ -423,7 +436,7 @@ class TestPackedTraces:
 
         def spy(blades, width):
             packs.append((blades, width))  # holds blades, so its id stays unique
-            return kron_pack(blades, width)
+            return kron_parts(blades, width)
 
         def packings(run):
             packs.clear()
@@ -432,8 +445,8 @@ class TestPackedTraces:
             assert keys and len(set(keys)) == len(keys)
             return keys
 
-        kron_pack = clifford._kron_pack
-        monkeypatch.setattr(clifford, "_kron_pack", spy)
+        kron_parts = clifford._kron_parts
+        monkeypatch.setattr(clifford, "_kron_parts", spy)
         for n in (4, 6):
             packings(lambda: Analysis(Dimension(n), *derive_inputs(n, 1)))
         for n in (2, 4, 6):
@@ -458,6 +471,66 @@ class TestPackedTraces:
         degrees = {sum(deg) for t in traces for deg in t.terms}
         assert len(degrees) >= 4
         assert not all(t.is_real() for t in traces)
+
+
+def graded_op(n, rng, masks):
+    """Operator whose blades each carry one to three total degrees, each
+    in one or two a0/b0 splits, with complex coefficients."""
+    blades = {}
+    for mask in masks:
+        terms = {}
+        for d in rng.sample(range(4), rng.randint(1, 3)):
+            for da in rng.sample(range(d + 1), min(d + 1, rng.randint(1, 2))):
+                re, im = rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(-9, 9)
+                terms[da, d - da] = GaussianRational(Fraction(re, rng.randint(1, 4)), Fraction(im, rng.randint(1, 4)))
+        blades[mask] = ScalarPoly(terms)
+    return op_of(n, blades)
+
+
+class TestHalfMaskJoin:
+    """The join finds every blade triple whatever half of the last
+    factor's masks it buckets on: each rotation of a three-factor chain,
+    and every shorter chain inside it, traces to the materialised
+    product, on operators with several homogeneous parts."""
+
+    @staticmethod
+    def half_counts(n, op):
+        low = (1 << n) - 1
+        return len({m & low for m in op.blades}), len({m >> n for m in op.blades})
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_every_rotation_and_sub_chain_matches_the_oracle(self, n):
+        rng = random.Random(2300 + n)
+        spread = rng.sample(range(1 << n), min(6, 1 << n))  # distinct half values
+        x, y = rng.randrange(1 << n), rng.randrange(1 << n)
+        last_masks = [
+            rng.sample(range(1 << (2 * n)), 6),
+            [h | h << n for h in spread],  # as many c halves as chat halves
+            [x | h << n for h in spread],  # one c half
+            [h | y << n for h in spread],  # one chat half
+        ]
+        a_masks = rng.sample(range(1 << (2 * n)), 6)
+        # every mask of every last factor closes at least one triple
+        b_masks = set(rng.sample(range(1 << (2 * n)), 6))
+        b_masks |= {rng.choice(a_masks) ^ mc for masks in last_masks for mc in masks}
+        a, b = graded_op(n, rng, a_masks), graded_op(n, rng, sorted(b_masks))
+        lasts = [graded_op(n, rng, masks) for masks in last_masks]
+        counts = [self.half_counts(n, c) for c in lasts]
+        assert counts[1][0] == counts[1][1] and counts[2][0] < counts[2][1] and counts[3][0] > counts[3][1]
+        odd = [m for m in range(1 << (2 * n)) if m.bit_count() % 2]  # no three XOR to zero
+        chains = [(a, b, c) for c in lasts] + [tuple(graded_op(n, rng, rng.sample(odd, 6)) for _ in range(3))]
+        cache = ProductCache()
+        traces = []
+        for chain in chains:
+            for rot in (chain, chain[1:] + chain[:1], chain[2:] + chain[:2]):
+                for sub in (rot, rot[:2], rot[1:], rot[:1]):
+                    got = cache.chain_trace(sub, n)
+                    assert got == chain_oracle(sub, n), (n, len(sub))
+                    traces.append(got)
+        assert all(cache.chain_trace(chain, n) for chain in chains[:-1])
+        assert not cache.chain_trace(chains[-1], n)
+        assert not all(t.is_real() for t in traces)
+        assert len({sum(deg) for t in traces for deg in t.terms}) >= 4
 
 
 # ---------------------------------------------------------------------------
