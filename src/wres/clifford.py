@@ -16,11 +16,12 @@ the blade of a product is the XOR of the masks, its sign the reordering
 sign times the metric sign.  Every blade but the scalar one is
 traceless, so tr X = 2^n * (scalar part of X), and a trace of a chain
 builds no product: tr(a b c) is a signed sum of a b c over the blade
-triples whose masks XOR to zero (ProductCache.chain_trace, the one
-trace).  A trace substitutes a0 = 2^K, b0 = 1 within each total degree
-of every blade's polynomial (Kronecker packing), so each factor is one
-integer per blade and total degree; it sums integer triple products
-and reads the digits back once.  Operators keep the integer terms,
+triples whose masks XOR to zero (trace_chains, the one trace, which
+traces a whole batch of chains).  A batch substitutes a0 = 2^K, b0 = 1
+within each total degree of every blade's polynomial (Kronecker
+packing) at one width K, so each operator is one integer per blade and
+total degree, packed once; it sums integer triple products and reads
+the digits back once per chain.  Operators keep the integer terms,
 since the gcd of a packed integer is not the gcd of its digits.  The
 nonminimal operator enters only through ctilde (tildec).  The
 numerators are in the one integer form that ScalarPoly also stores
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import lcm
 
 from .scalars import (
     ScalarPoly, _canonical, _frac, _imac_each, _ints, _kron_norm, _kron_parts, _kron_slots,
@@ -248,107 +249,63 @@ def tildec(w: FrameVector) -> CliffordOp:
     return CliffordOp._make(n, *_canonical(2 * den, acc))
 
 
-class ProductCache:
-    """Memos for chain traces, packed views and named builds.
+def trace_chains(chains: dict, n: int) -> dict:
+    """{key: trace of the product of chains[key]}, each chain a tuple of
+    at most three operators of dimension n; the engine's only trace.
+    Every chain is checked before anything is packed; the engine builds
+    no longer chain (PQ's three-factor terms meet only B1's factor-free
+    terms).
 
-    Chain keys are the ids of the operators; the cache holds the chain
-    so the ids stay valid for its lifetime.  Traces run on Kronecker-
-    packed integers (scalars._kron_parts) at one digit width K per
-    cache.  Each operator gets one view, keyed by id and holding the
-    operator: [op, L, parts, width, memo]; parts is the operator at
-    the digit width `width`, {total degree: {blade: (re, im)}}, L the
-    largest L1 norm (sum of |re| + |im|) of one blade's terms, and memo
-    what chains read off the parts, emptied when the view is packed
-    again.  Over its denominator and before the factor 2^n, a
-    coefficient of tr(a b c) is at most |c.blades| |a.blades| L(a) L(b)
-    L(c), of tr(a b) at most |a.blades| L(a) L(b) and of tr(a) at most
-    |a.blades| L(a).  K exceeds that bound's bit length by 2, so every
-    digit reads back exactly; a chain that needs more raises K to twice
-    its need, and a view packed at an older width is packed again when
-    a chain next reads it.  The bound is read from the L of the chain's
-    views before any of them is packed, so a view is packed once per
-    width.  Each computed trace is unpacked once into a canonical
-    ScalarPoly.  Named keys hold their operands (RiemannTensor hashes by
-    identity).  Meant to live for one verification run.
+    No product is built: a trace is 2^n times the sum of sign * a b c
+    over the blade triples with ma ^ mb ^ mc = 0, one integer sum per
+    combination of homogeneous parts, a shorter chain padded in front
+    with the identity.  The pairs (ma, mb) come from a join on the half
+    of c's masks (c or chat bits) with fewer distinct values, not a walk
+    of all a x b: b's blades are bucketed by it, and each blade of a
+    reads one bucket per half value.
+
+    Each distinct operator is packed once (scalars._kron_parts), at one
+    digit width K for the batch.  Over its denominator and before the
+    factor 2^n, a coefficient of tr(a b c) is at most |a.blades|
+    |c.blades| L(a) L(b) L(c), L the largest L1 norm (|re| + |im|) of
+    one blade's terms, since ma and mc fix mb.  K exceeds the bit length
+    of the batch's largest bound by 2, so every digit reads back exactly.
     """
-
-    __slots__ = ("_traces", "_views", "_width", "_named")
-
-    def __init__(self):
-        self._traces: dict = {}
-        self._views: dict = {}
-        self._width = 0
-        self._named: dict = {}
-
-    def _view(self, op: CliffordOp) -> list:
-        """[op, L, parts, width, memo], the memoised view of op, not yet
-        packed (parts None, width 0) until its chain knows its width.
-        memo maps degree d to (shift, half values) as a last factor and
-        (d, shift) to its blades bucketed by half as a middle factor."""
-        view = self._views.get(id(op))
-        if view is None:
-            view = self._views[id(op)] = [op, _kron_norm(op.blades), None, 0, None]
-        return view
-
-    def chain_trace(self, ops: tuple, n: int) -> ScalarPoly:
-        """Trace of the product of a chain of at most three factors,
-        memoized on the chain identity; the only trace the engine reads.
-
-        No product is built: the trace is 2^n times the sum of sign *
-        a b c over the blade triples with ma ^ mb ^ mc = 0, one integer
-        sum per combination of homogeneous parts, a shorter chain padded
-        in front with the identity.  The pairs (ma, mb) come from a join
-        on the half of c's masks (c or chat bits) with fewer distinct
-        values, not a walk of all a x b: b's blades are bucketed by it
-        (memoised on b's view), and each blade of a reads one bucket per
-        half value.  A chain recurs across blocks and tags, so its trace
-        is read once.  The engine builds no longer chain (PQ's
-        three-factor terms meet only B1's factor-free terms), and one
-        is refused before the cache changes.
-        """
+    for ops in chains.values():
         if len(ops) > 3:
-            raise ValueError(f"chain_trace traces at most three factors, got {len(ops)}")
-        if not ops:
-            return ScalarPoly.const(1 << n)
-        key = tuple(map(id, ops))
-        hit = self._traces.get(key)
-        if hit is not None:
-            return hit[1]
+            raise ValueError(f"trace_chains traces at most three factors, got {len(ops)}")
         if any(op.n != n for op in ops):
             raise ValueError("dimension mismatch")
-        views = [self._view(op) for op in ops]
-        bound = len(ops[0].blades)  # on the trace's coefficients (class docstring)
-        if len(ops) == 3:
-            bound *= len(ops[2].blades)
-        for view in views:
-            bound *= view[1]
-        if bound.bit_length() + 2 > self._width:
-            self._width = 2 * (bound.bit_length() + 2)
-        width = self._width
-        for view in views:
-            if view[3] != width:
-                view[2:] = _kron_parts(view[0].blades, width), width, {}
-        unit = [None, 1, {0: {0: (1, 0)}}, width, {}]
-        a, b, c = ([unit, unit] + views)[-3:]
-        low = (1 << n) - 1
+    one = CliffordOp._make(n, 1, {0: _ONE_TERMS})
+    padded = {key: (one,) * (3 - len(ops)) + ops for key, ops in chains.items()}
+    distinct = {id(op): op for ops in padded.values() for op in ops}
+    norm = {k: _kron_norm(op.blades) for k, op in distinct.items()}
+    bound = max((len(a.blades) * len(c.blades) * norm[id(a)] * norm[id(b)] * norm[id(c)]
+                 for a, b, c in padded.values()), default=0)
+    width = bound.bit_length() + 2
+    parts = {k: _kron_parts(op.blades, width) for k, op in distinct.items()}
+    low = (1 << n) - 1
+    halves, buckets, out = {}, {}, {}
+    for key, (a, b, c) in padded.items():
         acc = {}
-        for dc, cpart in c[2].items():
-            if dc not in c[4]:
+        for dc, cpart in parts[id(c)].items():
+            half = halves.get((id(c), dc))
+            if half is None:
                 lo, hi = {m & low for m in cpart}, {m >> n for m in cpart}
-                c[4][dc] = (0, lo) if len(lo) <= len(hi) else (n, hi)
-            shift, halves = c[4][dc]
-            for db, bpart in b[2].items():
-                buckets = b[4].get((db, shift))
-                if buckets is None:
-                    buckets = b[4][db, shift] = {}
+                half = halves[id(c), dc] = (0, lo) if len(lo) <= len(hi) else (n, hi)
+            shift, values = half
+            for db, bpart in parts[id(b)].items():
+                bucket = buckets.get((id(b), db, shift))
+                if bucket is None:
+                    bucket = buckets[id(b), db, shift] = {}
                     for mb, (br, bi) in bpart.items():
-                        buckets.setdefault(mb >> shift & low, []).append((mb, br, bi))
-                for da, apart in a[2].items():
+                        bucket.setdefault(mb >> shift & low, []).append((mb, br, bi))
+                for da, apart in parts[id(a)].items():
                     re = im = 0
                     for ma, (ar, ai) in apart.items():
                         ka = ma >> shift & low
-                        for h in halves:
-                            for mb, br, bi in buckets.get(ka ^ h, ()):
+                        for h in values:
+                            for mb, br, bi in bucket.get(ka ^ h, ()):
                                 cv = cpart.get(ma ^ mb)
                                 if cv is None:
                                     continue
@@ -362,10 +319,19 @@ class ProductCache:
                                     re += s * ar * br * cr
                     r, i = acc.get(da + db + dc, (0, 0))
                     acc[da + db + dc] = r + re, i + im
-        den = prod(op.den for op in ops)
-        val = ScalarPoly._from_slots(den, _kron_slots(acc, width, 1 << n))
-        self._traces[key] = (ops, val)
-        return val
+        out[key] = ScalarPoly._from_slots(a.den * b.den * c.den, _kron_slots(acc, width, 1 << n))
+    return out
+
+
+class ProductCache:
+    """Memo for named builds over one verification run: the curvature
+    record of each tensor (symbols.curvature_ops).  Named keys hold
+    their operands (RiemannTensor hashes by identity)."""
+
+    __slots__ = ("_named",)
+
+    def __init__(self):
+        self._named: dict = {}
 
     def named(self, key: tuple, build):
         """Memo for a named build."""

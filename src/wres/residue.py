@@ -17,7 +17,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import add
 
-from .clifford import Dimension, FrameVector, ProductCache, inner
+from .clifford import Dimension, FrameVector, ProductCache, inner, trace_chains
 from .curvature import (
     RiemannTensor,
     contract,
@@ -31,6 +31,7 @@ from .symbols import (
     blocks_at,
     even_pairs,
     lemma2_symbols,
+    pair_tag,
     symbol_product_PQ,
     uv_symbol,
 )
@@ -99,13 +100,14 @@ class FunctionalDensity:
         return f"FunctionalDensity({self.text()})"
 
 
-def trace_weights(den: int, chains: dict, dim: Dimension, cache: ProductCache) -> FunctionalDensity:
+def trace_weights(den: int, chains: dict, traces: dict) -> FunctionalDensity:
     """Sum of (re + im*i) / den * trace over one tag's {chain ids: (ops,
-    [re, im])} (composed_weights).  Each chain whose numerator does not
-    cancel is traced once (cached); the traces, over the lcm of their
+    [re, im])} (composed_weights), each trace read from traces
+    (clifford.trace_chains), which need only hold the chains whose
+    numerator does not cancel.  The traces, over the lcm of their
     denominators, are multiplied by the integer numerators into one slot
     dict, which is made canonical once."""
-    traced = [(cache.chain_trace(ops, dim.n), w) for ops, w in chains.values() if w[0] or w[1]]
+    traced = [(traces[key], w) for key, (_, w) in chains.items() if w[0] or w[1]]
     tden = lcm(*(t.den for t, _ in traced))
     hits = ((0, tden // t.den, ((0, re, im),), t.nums) for t, (re, im) in traced)
     acc = _imac_each({}, hits).get(0, {})
@@ -133,7 +135,7 @@ def composed_weights(blocks, n: int) -> dict:
             ra, ia, rb, ib = ta.re, ta.im, tb.re, tb.im
             vnum, vden = vol_multiplier(n, tuple(map(add, ta.xi_mono, tb.xi_mono)))
             den = ta.den * tb.den * vden
-            acc = weights.setdefault(ta.tag or tb.tag, [den, {}])
+            acc = weights.setdefault(pair_tag(ta, tb), [den, {}])
             if acc[0] % den:
                 f = den // gcd(acc[0], den)
                 acc[0] *= f
@@ -145,6 +147,27 @@ def composed_weights(blocks, n: int) -> dict:
             w[0] += (ra * rb - ia * ib) * f
             w[1] += (ra * ib + ia * rb) * f
     return weights
+
+
+def integrate_blocks(blocks: dict, n: int) -> dict:
+    """{id: {tag: density}} of {id: [(A, oa, B, ob, k), ...]}: every
+    block is composed into weights first (composed_weights), then the
+    chains whose weight does not cancel are traced in one batch
+    (trace_chains), each once, and trace_weights reads the batch per
+    tag."""
+    weights = {bid: composed_weights(spec, n) for bid, spec in blocks.items()}
+    chains = {
+        key: ops
+        for tags in weights.values()
+        for _, tagged in tags.values()
+        for key, (ops, w) in tagged.items()
+        if w[0] or w[1]
+    }
+    traces = trace_chains(chains, n)
+    return {
+        bid: {tag: trace_weights(den, tagged, traces) for tag, (den, tagged) in tags.items()}
+        for bid, tags in weights.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +306,7 @@ class Analysis:
         # the tag densities and its sub-parts are read from the same map
         comp = self.computed
         zero = FunctionalDensity(ScalarPoly.zero(), 0)
-        for bid, spec in blocks.items():
-            tagged = {
-                tag: trace_weights(den, chains, dim, cache)
-                for tag, (den, chains) in composed_weights(spec, dim.n).items()
-            }
+        for bid, tagged in integrate_blocks(blocks, dim.n).items():
             comp[bid] = sum(tagged.values(), zero)
             for pid, sign, tag in _SUBPARTS.get(bid, ()):
                 d = tagged.get(tag, zero)

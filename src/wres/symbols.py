@@ -11,9 +11,9 @@ curvature families are small-denominator multiples of the integer
 numerators of the curvature record, written over its denominator.  The
 parameters a0, b0 enter only through ctilde = a0*ext - b0*int, so they
 live in the Clifford coefficients and never in a weight.  The chain is
-kept unevaluated: its trace is read off without building the product
-and memoized per chain in a ProductCache.  Homogeneity order of a term is |beta| + p;
-composition pairs xi-derivatives on the left factor with
+kept unevaluated: its trace is read off without building the product,
+once per chain (clifford.trace_chains).  Homogeneity order of a term is
+|beta| + p; composition pairs xi-derivatives on the left factor with
 x-derivatives on the right factor and evaluates everything at the base
 point x = 0.
 """
@@ -461,6 +461,18 @@ def even_pairs(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int)
                 yield ta, tb
 
 
+_CURVATURE_TAGS = frozenset(("rxx", "ric", "cc", "hchc", "f", "s"))
+
+
+def pair_tag(ta: SymbolTerm, tb: SymbolTerm) -> str:
+    """The tag of a factor pair's product: ta's, or else tb's.  Every
+    density is linear in R, so a pair of two curvature-tagged factors
+    is refused rather than filed under one of its tags."""
+    if ta.tag in _CURVATURE_TAGS and tb.tag in _CURVATURE_TAGS:
+        raise ValueError(f"a factor pair carries two curvature tags, {ta.tag} and {tb.tag}")
+    return ta.tag or tb.tag
+
+
 def blocks_at(A: SymbolExpansion, B: SymbolExpansion, order: int) -> list:
     """Every block (A, oa, B, ob, k) of A o B that lands on the given
     order, with k = oa + ob - order derivatives."""
@@ -489,7 +501,7 @@ def compose_block(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: i
             ta.re * tb.re - ta.im * tb.im,
             ta.re * tb.im + ta.im * tb.re,
             ta.ops + tb.ops,
-            ta.tag or tb.tag,
+            pair_tag(ta, tb),
         )
         for derived, blist in _factor_lists(A, oa, B, ob, k)
         for ta in derived

@@ -8,7 +8,8 @@ each operator is a sum of single generators c_j (blade bit j-1) and
 chat_j (bit n+j-1) built with from_numerators and the algebra, and each
 ctilde is folded one generator at a time, independently of the engine's
 one-pass clifford.tildec.  trace materialises nothing but the scalar
-part, against which ProductCache.chain_trace is checked.
+part, against which clifford.trace_chains is checked; trace_one runs
+that engine trace on a batch of one chain.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from wres.clifford import CliffordOp, FrameVector
+from wres.clifford import CliffordOp, FrameVector, trace_chains
 from wres.scalars import ScalarPoly, _pack
 
 
@@ -55,6 +56,11 @@ def trace(op: CliffordOp) -> ScalarPoly:
     unit = 1 << op.n
     scalar = op.blades.get(0, ())
     return ScalarPoly._from_slots(op.den, {k: (unit * re, unit * im) for k, re, im in scalar})
+
+
+def trace_one(ops: tuple, n: int) -> ScalarPoly:
+    """The engine's trace of one chain, traced as a batch of one."""
+    return trace_chains({0: ops}, n)[0]
 
 
 def anticommutator(a: CliffordOp, b: CliffordOp) -> CliffordOp:

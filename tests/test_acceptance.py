@@ -19,9 +19,8 @@ from wres.residue import (
     Analysis,
     FunctionalDensity,
     ZERO_PART_IDS,
-    composed_weights,
     derive_inputs,
-    trace_weights,
+    integrate_blocks,
 )
 from wres.scalars import ScalarPoly
 from wres.sphere import vol_multiplier
@@ -111,8 +110,7 @@ def test_criterion_2_trace_and_volume_bookkeeping():
         ident, unit = SymbolExpansion(n), SymbolExpansion(n)
         ident.add(SymbolTerm((0,) * n, (0,) * n, 0, 1, 1, 0))
         unit.add(SymbolTerm((0,) * n, (0,) * n, -n, 1, 1, 0))
-        den, chains = composed_weights([(ident, 0, unit, -n, 0)], n)[""]
-        got = trace_weights(den, chains, Dimension(n), ProductCache())
+        got = integrate_blocks({"": [(ident, 0, unit, -n, 0)]}, n)[""][""]
         assert got == FunctionalDensity(ScalarPoly.const(want), 0)
     print("ACCEPTANCE criterion 2: PASS (trace unit 16 Vol and 64 Vol exact)")
 

@@ -297,7 +297,7 @@ class TestFailingChecks:
         monkeypatch.setattr(
             wres.residue,
             "trace_weights",
-            lambda den, chains, dim, cache: real(den, chains, dim, cache) + i_unit,
+            lambda den, chains, traces: real(den, chains, traces) + i_unit,
         )
         for args in (["verify", "--dim", "2", "--seeds", "1"], ["parts", "--dim", "2"]):
             result = runner.invoke(main, args)

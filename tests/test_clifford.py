@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import wres.residue
 from wres import clifford
-from wres.clifford import CliffordOp, Dimension, FrameVector, ProductCache, inner, tildec
+from wres.clifford import CliffordOp, Dimension, FrameVector, ProductCache, inner, tildec, trace_chains
 from wres.curvature import random_riemann
 from wres.residue import Analysis, derive_inputs
 from wres.scalars import GaussianRational, ScalarPoly
@@ -21,6 +22,7 @@ from oracles import (
     int_op,
     tildec_op,
     trace,
+    trace_one,
     vector_clifford,
     zero,
 )
@@ -259,7 +261,7 @@ class TestTraces:
         n = 4
         a = vector_clifford("tildec", rational_vector(n, (1, -1, 2, 0)))
         b = vector_clifford("c", rational_vector(n, ("1/3", 0, 1, 5)))
-        assert ProductCache().chain_trace((a, b), n) == trace(a * b)
+        assert trace_one((a, b), n) == trace(a * b)
 
 
 class TestMatrixAlgebra:
@@ -277,33 +279,40 @@ class TestMatrixAlgebra:
         with pytest.raises(ValueError):
             c_op(2, 1) + c_op(4, 1)
         with pytest.raises(ValueError):
-            ProductCache().chain_trace((c_op(2, 1), c_op(4, 1)), 2)
+            trace_one((c_op(2, 1), c_op(4, 1)), 2)
 
 
-class TestProductCache:
-    def test_chain_trace_values_and_memo(self):
-        cache = ProductCache()
+class TestTraceChains:
+    def test_empty_short_and_padded_chains(self):
         n = 4
-        assert cache.chain_trace((), n) == ScalarPoly.const(16)
         a, b = tildec_op(n, 1), tildec_op(n, 1)
-        val = cache.chain_trace((a, b), n)
-        assert val == ScalarPoly.monomial(1, 1, -16)
-        assert cache.chain_trace((a, b), n) == val
-        triple = cache.chain_trace((a, b, identity(n)), n)
-        assert triple == val
+        got = trace_chains({"": (), "ab": (a, b), "ab1": (a, b, identity(n))}, n)
+        assert got[""] == ScalarPoly.const(16)
+        assert got["ab"] == got["ab1"] == ScalarPoly.monomial(1, 1, -16)
+        assert trace_chains({}, n) == {}
 
-    def test_longer_chain_is_refused_before_the_cache_changes(self):
+    def test_a_bad_chain_is_refused_before_any_pack(self, monkeypatch):
+        # a longer chain or an operator of another dimension, first or
+        # last in the batch, raises before any operator is packed
+        packs = []
+
+        def spy(blades, width):
+            packs.append(width)
+            return kron_parts(blades, width)
+
+        kron_parts = clifford._kron_parts
+        monkeypatch.setattr(clifford, "_kron_parts", spy)
         n = 4
-        cache = ProductCache()
         a, b = tildec_op(n, 1), tildec_op(n, 2)
-        cache.chain_trace((a, b, a), n)
-        width, views = cache._width, {k: list(v) for k, v in cache._views.items()}
         wide = CliffordOp.from_numerators(n, 1, {0: 1 << 400, 3: -(1 << 400)})
-        with pytest.raises(ValueError, match="at most three factors"):
-            cache.chain_trace((wide, a, b, wide), n)
-        assert cache._width == width
-        assert cache._views.keys() == views.keys()
-        assert all(x is y for k, v in cache._views.items() for x, y in zip(v, views[k], strict=True))
+        good = {"aba": (a, b, a), "b": (b,)}
+        refused = (((wide, a, b, wide), "at most three factors"), ((a, c_op(2, 1)), "dimension mismatch"))
+        for bad, match in refused:
+            for batch in ({"bad": bad, **good}, {**good, "bad": bad}):
+                with pytest.raises(ValueError, match=match):
+                    trace_chains(batch, n)
+        assert packs == []
+        assert trace_chains(good, n) and packs
 
 
 def gaussian_op(n, rng, masks):
@@ -351,14 +360,10 @@ class TestPrefixMemo:
         # (a, b) and (a, b2) share a first factor, (b, a) is the prefix reversed
         prefixes = ((a, b), (a, b2), (b, a))
         for order in (lasts, lasts[::-1]):
-            cache = ProductCache()
-            traces = []
-            for c in order:
-                for x, y in prefixes:
-                    got = cache.chain_trace((x, y, c), n)
-                    assert got == trace(x * y * c) == ProductCache().chain_trace((x, y, c), n)
-                    assert cache.chain_trace((x, y, c), n) is got
-                    traces.append(got)
+            chains = {(i, j): (x, y, c) for i, c in enumerate(order) for j, (x, y) in enumerate(prefixes)}
+            traces = list(trace_chains(chains, n).values())
+            for got, (x, y, c) in zip(traces, chains.values(), strict=True):
+                assert got == trace(x * y * c) == trace_one((x, y, c), n)
             assert all(any(t for t in traces[i : i + 3]) for i in range(0, len(traces), 3))
             assert not all(t.is_real() for t in traces)
 
@@ -396,9 +401,10 @@ def mixed_op(n, rng, masks, bits):
 
 
 class TestPackedTraces:
-    """chain_trace multiplies Kronecker-packed integers: every trace of a
+    """trace_chains multiplies Kronecker-packed integers: every trace of a
     chain of 0 to 3 factors equals the scalar part of the materialised
-    product, and one cache widens its digits as wider chains arrive."""
+    product, and a batch packs each of its operators once, at the one
+    width its widest chain needs."""
 
     @staticmethod
     def chains(ops):
@@ -406,55 +412,57 @@ class TestPackedTraces:
         return [(), (a,), (c,), (a, b), (b, c), (a, b, c), (a, b, d), (b, a, d), (c, d, a)]
 
     @classmethod
-    def widening_chains(cls, n):
+    def mixed_chains(cls, n):
         rng = random.Random(1900 + n)
         span = xor_span(n, rng, 8)
         narrow = [mixed_op(n, rng, rng.sample(span, 5), 2) for _ in range(4)]
         wide = [mixed_op(n, rng, rng.sample(span, 5), 300 + 30 * i) for i in range(4)]
-        # narrow chains first; then the narrow prefixes meet wide last factors,
-        # so their narrow views are packed again at the wider width
+        # narrow chains, wide chains and chains that mix narrow and wide factors
         return cls.chains(narrow) + cls.chains(wide) + [
             (narrow[0], narrow[1], wide[2]), (narrow[1], narrow[0], wide[3]),
             (wide[0], narrow[1], wide[1]), (narrow[2], wide[3], narrow[3]),
         ]
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_wide_numerators_widen_one_cache(self, n):
-        chains = self.widening_chains(n)
-        cache = ProductCache()
-        traces = []
-        for ops in chains:
-            got = cache.chain_trace(ops, n)
-            assert got == chain_oracle(ops, n) == ProductCache().chain_trace(ops, n)
-            traces.append(got)
-        assert sum(map(bool, traces)) > len(traces) // 2
-        widest = max(max(abs(re), abs(im)).bit_length() for t in traces for _, re, im in t.nums)
-        assert widest > 3 * 300
-
-    def test_each_view_is_packed_once_per_width(self, monkeypatch):
-        packs = []
+    def test_one_batch_packs_each_op_once_at_one_width(self, monkeypatch):
+        packs, batches = [], []
 
         def spy(blades, width):
             packs.append((blades, width))  # holds blades, so its id stays unique
             return kron_parts(blades, width)
 
-        def packings(run):
-            packs.clear()
-            run()
-            keys = [(id(blades), width) for blades, width in packs]
-            assert keys and len(set(keys)) == len(keys)
-            return keys
+        def batch_spy(chains, n):
+            batches.append(chains)
+            return real_trace(chains, n)
 
-        kron_parts = clifford._kron_parts
+        def packings(run):
+            """run's traces; run makes one batch, which packs every
+            distinct operator of it once (and the identity that pads its
+            shorter chains), all at one width."""
+            packs.clear()
+            batches.clear()
+            got = run()
+            (batch,) = batches
+            packed = [id(blades) for blades, _ in packs]
+            distinct = {id(op.blades) for ops in batch.values() for op in ops}
+            assert len(set(packed)) == len(packed) and distinct <= set(packed)
+            assert len(packed) <= len(distinct) + 1
+            assert len({width for _, width in packs}) == 1
+            return got
+
+        kron_parts, real_trace = clifford._kron_parts, clifford.trace_chains
         monkeypatch.setattr(clifford, "_kron_parts", spy)
+        monkeypatch.setattr(clifford, "trace_chains", batch_spy)
+        monkeypatch.setattr(wres.residue, "trace_chains", batch_spy)
         for n in (4, 6):
-            packings(lambda: Analysis(Dimension(n), *derive_inputs(n, 1)))
+            assert packings(lambda: Analysis(Dimension(n), *derive_inputs(n, 1))).all_match()
         for n in (2, 4, 6):
-            cache = ProductCache()
-            keys = packings(lambda: [cache.chain_trace(ops, n) for ops in self.widening_chains(n)])
-            # the cache widened, and views packed narrow were packed again
-            assert len({width for _, width in keys}) > 1
-            assert len({blades for blades, _ in keys}) < len(keys)
+            chains = self.mixed_chains(n)
+            traces = packings(lambda: clifford.trace_chains(dict(enumerate(chains)), n))
+            for i, ops in enumerate(chains):
+                assert traces[i] == chain_oracle(ops, n)
+            assert sum(map(bool, traces.values())) > len(traces) // 2
+            widest = max(max(abs(re), abs(im)).bit_length() for t in traces.values() for _, re, im in t.nums)
+            assert widest > 3 * 300
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_non_homogeneous_complex_chains(self, n):
@@ -462,12 +470,10 @@ class TestPackedTraces:
         span = xor_span(n, rng, 8)
         ops = [mixed_op(n, rng, rng.sample(span, 6), 3) for _ in range(4)]
         ops[3] = ops[3] + random_element(n, rng, 4)  # a0 and b0 degrees up to 2, some real
-        cache = ProductCache()
-        traces = []
-        for chain in self.chains(ops):
-            got = cache.chain_trace(chain, n)
+        chains = self.chains(ops)
+        traces = list(trace_chains(dict(enumerate(chains)), n).values())
+        for got, chain in zip(traces, chains, strict=True):
             assert got == chain_oracle(chain, n)
-            traces.append(got)
         degrees = {sum(deg) for t in traces for deg in t.terms}
         assert len(degrees) >= 4
         assert not all(t.is_real() for t in traces)
@@ -519,16 +525,18 @@ class TestHalfMaskJoin:
         assert counts[1][0] == counts[1][1] and counts[2][0] < counts[2][1] and counts[3][0] > counts[3][1]
         odd = [m for m in range(1 << (2 * n)) if m.bit_count() % 2]  # no three XOR to zero
         chains = [(a, b, c) for c in lasts] + [tuple(graded_op(n, rng, rng.sample(odd, 6)) for _ in range(3))]
-        cache = ProductCache()
-        traces = []
-        for chain in chains:
-            for rot in (chain, chain[1:] + chain[:1], chain[2:] + chain[:2]):
-                for sub in (rot, rot[:2], rot[1:], rot[:1]):
-                    got = cache.chain_trace(sub, n)
-                    assert got == chain_oracle(sub, n), (n, len(sub))
-                    traces.append(got)
-        assert all(cache.chain_trace(chain, n) for chain in chains[:-1])
-        assert not cache.chain_trace(chains[-1], n)
+        subs = {
+            (i, r, j): sub
+            for i, chain in enumerate(chains)
+            for r, rot in enumerate((chain, chain[1:] + chain[:1], chain[2:] + chain[:2]))
+            for j, sub in enumerate((rot, rot[:2], rot[1:], rot[:1]))
+        }
+        got = trace_chains(subs, n)
+        for key, sub in subs.items():
+            assert got[key] == chain_oracle(sub, n), (n, len(sub))
+        traces = list(got.values())
+        assert all(got[i, 0, 0] for i in range(len(chains) - 1))
+        assert not got[len(chains) - 1, 0, 0]
         assert not all(t.is_real() for t in traces)
         assert len({sum(deg) for t in traces for deg in t.terms}) >= 4
 
@@ -637,7 +645,7 @@ class TestSignRuleOracle:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_products_and_traces_match_matrices(self, n):
         rng = random.Random(1000 + n)
-        cache = ProductCache()
+        batch, want = {}, {}
         for trial in range(3):
             # rotate the largest factor through each chain position
             sizes = [2, 3, 6]
@@ -645,10 +653,13 @@ class TestSignRuleOracle:
             x, y, z = (random_element(n, rng, k) for k in sizes)
             xy = matmul(x.rows, y.rows)
             assert (x * y).rows == xy
-            assert ProductCache().chain_trace((x, y), n) == mtrace(xy)
+            assert trace_one((x, y), n) == mtrace(xy)
             xyz = matmul(xy, z.rows)
-            assert ProductCache().chain_trace((x, y, z), n) == mtrace(xyz)
-            assert cache.chain_trace((x, y, z), n) == mtrace(xyz)
+            assert trace_one((x, y, z), n) == mtrace(xyz)
+            batch[trial, 2], batch[trial, 3] = (x, y), (x, y, z)
+            want[trial, 2], want[trial, 3] = mtrace(xy), mtrace(xyz)
+        # the three trials' chains, also traced as one batch
+        assert trace_chains(batch, n) == want
 
     def test_entry_reads_the_matrix_view(self):
         # every entry, zeros included, against the sum of coefficient
@@ -749,6 +760,6 @@ class TestIntegerStorage:
         # into a0: the trace is refused, and it names the exact degree
         y = op_of(n, {0: ScalarPoly.monomial(1, bound - 1)})
         with pytest.raises(ValueError, match=rf"\(3, {3 * (bound - 1)}\)"):
-            ProductCache().chain_trace((y, y, y), n)
+            trace_one((y, y, y), n)
         z = op_of(n, {0: ScalarPoly.monomial((bound - 1) // 3, (bound - 1) // 3)})
-        assert ProductCache().chain_trace((z, z, z), n) == ScalarPoly.monomial(bound - 1, bound - 1, 1 << n)
+        assert trace_one((z, z, z), n) == ScalarPoly.monomial(bound - 1, bound - 1, 1 << n)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from wres.clifford import Dimension, FrameVector, ProductCache, inner
+from wres.clifford import Dimension, FrameVector, ProductCache, inner, trace_chains
 from wres.curvature import (
     RiemannTensor,
     constant_curvature,
@@ -34,6 +34,7 @@ from wres.residue import (
     FunctionalDensity,
     composed_weights,
     derive_inputs,
+    integrate_blocks,
     trace_weights,
     verify_all,
 )
@@ -66,15 +67,15 @@ def density_of(key, dim, R, u, v):
 
 def integrate(terms, n):
     """Cosphere integral of untagged base-point terms of one order, on
-    the engine's path: one k = 0 block against the identity symbol, then
-    trace_weights."""
+    the engine's path: one k = 0 block against the identity symbol,
+    through integrate_blocks."""
     ident, B = SymbolExpansion(n), SymbolExpansion(n)
     ident.add(SymbolTerm(mono(n), mono(n), 0, 1, 1, 0))
     for t in terms:
         B.add(t)
     (order,) = B.orders()
-    den, chains = composed_weights([(ident, 0, B, order, 0)], n).get("", (1, {}))
-    return trace_weights(den, chains, Dimension(n), ProductCache())
+    tagged = integrate_blocks({"": [(ident, 0, B, order, 0)]}, n)[""]
+    return tagged.get("", FunctionalDensity(ScalarPoly.zero(), 0))
 
 
 class TestFunctionalDensity:
@@ -142,38 +143,7 @@ class TestIntegration:
         got = integrate([SymbolTerm(mono(n), mono(n, 1, 1), -6, 1, 1, 0, (op, op))], n)
         assert got == FunctionalDensity(ScalarPoly.monomial(1, 1, -4), 0)
 
-    def test_one_trace_per_distinct_chain(self, monkeypatch):
-        n = 4
-        a, b = tildec_op(n, 1), tildec_op(n, 2)
-        terms = [
-            SymbolTerm(mono(n), mono(n, 1, 1), -6, 1, 1, 0, (a, a)),
-            SymbolTerm(mono(n), mono(n, 2, 2), -6, 1, 3, 0, (a, a)),
-            SymbolTerm(mono(n), mono(n), -4, 1, 0, 1, (a, b)),
-            SymbolTerm(mono(n), mono(n, 1, 2), -6, 1, 1, 0, (b, a)),  # odd: never traced
-            # one chain, opposite scalars: weight zero, never traced
-            SymbolTerm(mono(n), mono(n, 3, 3), -6, 1, 3, 0, (b, b)),
-            SymbolTerm(mono(n), mono(n, 3, 3), -6, 1, -3, 0, (b, b)),
-        ]
-        calls = []
-        real = ProductCache.chain_trace
-
-        def spy(self, ops, n):
-            calls.append(tuple(map(id, ops)))
-            return real(self, ops, n)
-
-        monkeypatch.setattr(ProductCache, "chain_trace", spy)
-        got = integrate(terms, n)
-        assert sorted(calls) == sorted([(id(a), id(a)), (id(a), id(b))])
-        # per term, as scalar * integral * trace
-        want = ScalarPoly.zero()
-        for t in terms:
-            if not any(e % 2 for e in t.xi_mono):
-                tr = trace(t.ops[0] * t.ops[1])
-                want = want + tr * weight(t).scale(Fraction(*vol_multiplier(n, t.xi_mono)))
-        assert got == FunctionalDensity(want, 0)
-        assert not integrate(terms[-2:], n).poly
-
-    def test_cancelled_weight_is_not_traced(self, monkeypatch):
+    def test_cancelled_weight_is_not_traced(self):
         n = 4
         a, b = tildec_op(n, 1), tildec_op(n, 2)
         three = ScalarPoly.const(3)
@@ -183,37 +153,10 @@ class TestIntegration:
             (id(b), id(b)): ((b, b), [6 - 6, 0]),
             (id(a), id(b)): ((a, b), [6 + -6, 0]),
         }
-        calls = []
-        real = ProductCache.chain_trace
-
-        def spy(self, ops, n):
-            calls.append(tuple(map(id, ops)))
-            return real(self, ops, n)
-
-        monkeypatch.setattr(ProductCache, "chain_trace", spy)
-        got = trace_weights(2, chains, Dimension(n), ProductCache())
-        assert calls == [(id(a), id(a))]
+        # trace_weights reads no trace of a cancelled chain
+        traces = trace_chains({(id(a), id(a)): (a, a)}, n)
+        got = trace_weights(2, chains, traces)
         assert got == FunctionalDensity(trace(a * a) * three, 0)
-
-    def test_composed_blocks_trace_each_chain_once(self, monkeypatch):
-        n = 4
-        calls = []
-        real = ProductCache.chain_trace
-
-        def spy(self, ops, n):
-            calls.append(tuple(map(id, ops)))
-            return real(self, ops, n)
-
-        monkeypatch.setattr(ProductCache, "chain_trace", spy)
-        traced = 0
-        for spec in block_specs(n, 1).values():
-            even = {key for tag, key in term_weights(spec, n)}
-            for den, chains in composed_weights(spec, n).values():
-                calls.clear()
-                trace_weights(den, chains, Dimension(n), ProductCache())
-                assert len(calls) == len(set(calls)) and set(calls) <= even
-                traced += len(calls)
-        assert traced
 
 
 def symbol_set(n, seed):
@@ -334,26 +277,63 @@ class TestBlocks:
         assert handed
 
     def test_each_chain_is_traced_once(self, monkeypatch):
+        # one trace_chains batch per integration, keyed by the distinct
+        # chains whose weight does not cancel: a chain shared by several
+        # terms, tags or blocks is traced once, and an odd or cancelled
+        # one not at all
+        batches, composed = [], []
+        real_trace, real_weights = wres.residue.trace_chains, wres.residue.composed_weights
+
+        def trace_spy(chains, n):
+            batches.append(chains)
+            return real_trace(chains, n)
+
+        def weights_spy(blocks, n):
+            tags = real_weights(blocks, n)
+            # plant a chain whose weight cancelled in every block
+            tags.setdefault("", [1, {}])[1][tuple(map(id, planted))] = (planted, [0, 0])
+            composed.append(tags)
+            return tags
+
+        monkeypatch.setattr(wres.residue, "trace_chains", trace_spy)
+        monkeypatch.setattr(wres.residue, "composed_weights", weights_spy)
         n = 4
-        traced, weighted = [], []
-        real_trace, real_chain = wres.residue.trace_weights, ProductCache.chain_trace
+        a, b = tildec_op(n, 1), tildec_op(n, 2)
+        planted = (tildec_op(n, 3),)
+        terms = [
+            SymbolTerm(mono(n), mono(n, 1, 1), -6, 1, 1, 0, (a, a)),
+            SymbolTerm(mono(n), mono(n, 2, 2), -6, 1, 3, 0, (a, a)),
+            SymbolTerm(mono(n), mono(n), -4, 1, 0, 1, (a, b)),
+            SymbolTerm(mono(n), mono(n, 1, 2), -6, 1, 1, 0, (b, a)),  # odd: never traced
+            # one chain, opposite scalars: weight zero, never traced
+            SymbolTerm(mono(n), mono(n, 3, 3), -6, 1, 3, 0, (b, b)),
+            SymbolTerm(mono(n), mono(n, 3, 3), -6, 1, -3, 0, (b, b)),
+        ]
+        got = integrate(terms, n)
+        (batch,) = batches
+        assert set(batch) == {(id(a), id(a)), (id(a), id(b))}
+        # per term, as scalar * integral * trace
+        want = ScalarPoly.zero()
+        for t in terms:
+            if not any(e % 2 for e in t.xi_mono):
+                tr = trace(t.ops[0] * t.ops[1])
+                want = want + tr * weight(t).scale(Fraction(*vol_multiplier(n, t.xi_mono)))
+        assert got == FunctionalDensity(want, 0)
 
-        def chain_spy(self, ops, n):
-            traced[-1].append(tuple(map(id, ops)))
-            return real_chain(self, ops, n)
-
-        def trace_spy(den, chains, dim, cache):
-            traced.append([])
-            weighted.append([key for key, (_, (re, im)) in chains.items() if re or im])
-            return real_trace(den, chains, dim, cache)
-
-        monkeypatch.setattr(ProductCache, "chain_trace", chain_spy)
-        monkeypatch.setattr(wres.residue, "trace_weights", trace_spy)
+        batches.clear()
+        composed.clear()
         assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
-        # each weighted chain of each (density, tag) is traced exactly once
-        assert traced == weighted
-        want = sum(len(term_weights(spec, n)) for spec in block_specs(n, 1).values())
-        assert sum(map(len, traced)) == want
+        (batch,) = batches
+        weighted, cancelled = set(), set()
+        for tags in composed:
+            for _, chains in tags.values():
+                for key, (_, (re, im)) in chains.items():
+                    (weighted if re or im else cancelled).add(key)
+        assert set(batch) == weighted and tuple(map(id, planted)) in cancelled - weighted
+        # as many chains as the Fraction-arithmetic weights of the built
+        # product terms have, once each over every block and tag
+        specs = block_specs(n, 1).values()
+        assert len(batch) == len({key for spec in specs for _, key in term_weights(spec, n)})
 
     def test_analysis_builds_no_gaussian_rational(self, monkeypatch):
         # every exact constant is a ScalarPoly: a GaussianRational is only
@@ -379,8 +359,9 @@ class TestBlocks:
     def test_weight_path_builds_no_fraction(self, monkeypatch):
         # symbol building, composition, cosphere weights and traces are
         # integer arithmetic: no Fraction is built under the symbol
-        # families, composed_weights or trace_weights, nor on criterion
-        # 4's path (standard_connection, lemma1_symbols, merged).  The
+        # families, composed_weights, trace_chains or trace_weights, nor
+        # on criterion 4's path (standard_connection, lemma1_symbols,
+        # merged).  The
         # sphere and Clifford memos start cold, so a weight or generator
         # cached by an earlier run cannot hide a Fraction built on its
         # first use.
@@ -411,6 +392,7 @@ class TestBlocks:
             "lemma2_symbols",
             "uv_symbol",
             "composed_weights",
+            "trace_chains",
             "trace_weights",
         ):
             monkeypatch.setattr(wres.residue, name, inside(getattr(wres.residue, name)))
@@ -522,7 +504,7 @@ class TestPartTable:
         monkeypatch.setattr(
             wres.residue,
             "trace_weights",
-            lambda den, chains, dim, cache: real(den, chains, dim, cache) + i_unit,
+            lambda den, chains, traces: real(den, chains, traces) + i_unit,
         )
         R, u, v = derive_inputs(2, 0)
         analysis = Analysis(Dimension(2), R, u, v)

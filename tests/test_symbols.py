@@ -8,11 +8,12 @@ from itertools import combinations
 import pytest
 
 import wres.clifford
+import wres.residue
 import wres.scalars
 import wres.symbols
 from wres.clifford import CliffordOp, Dimension, FrameVector, ProductCache
 from wres.curvature import RiemannTensor, constant_curvature, contract, flat, random_riemann
-from wres.residue import Analysis, composed_weights, derive_inputs, trace_weights
+from wres.residue import Analysis, composed_weights, derive_inputs, integrate_blocks
 from wres.scalars import GaussianRational, ScalarPoly
 from wres.symbols import (
     SymbolExpansion,
@@ -303,10 +304,7 @@ class TestInversePowerSymbols:
         assert len(reference.terms_at(exponent)) == len(B.terms_at(exponent)) + n - 1
 
         def traced(blocks):
-            return {
-                tag: trace_weights(den, chains, dim, cache)
-                for tag, (den, chains) in composed_weights(blocks, n).items()
-            }
+            return integrate_blocks({"": blocks}, n)[""]
 
         # UV at every order of B (-2m included); PQ at the top order,
         # where its order-0 terms meet the top symbol itself
@@ -524,13 +522,13 @@ class TestCurvatureTable:
         # two chains traced in one Analysis differ only in one factor,
         # there an operator and its negative
         computed: dict = {}
-        real = ProductCache.chain_trace
+        real = wres.residue.trace_chains
 
-        def spy(self, ops, dim):
-            computed.setdefault(tuple(map(id, ops)), ops)  # the chain memo's key
-            return real(self, ops, dim)
+        def spy(chains, n):
+            computed.update(chains)  # keyed by the chain's ids
+            return real(chains, n)
 
-        monkeypatch.setattr(ProductCache, "chain_trace", spy)
+        monkeypatch.setattr(wres.residue, "trace_chains", spy)
         R, u, v = derive_inputs(n, 1)
         assert Analysis(Dimension(n), R, u, v).all_match()
 
@@ -678,6 +676,36 @@ class TestComposition:
         dim = Dimension(2)
         A = lemma2_symbols(dim, flat(2), 1, -2, ProductCache())
         assert compose_block(A, -2, A, -2, -1) == []
+
+
+    @pytest.mark.parametrize("tag", ["rxx", "ric", "cc", "hchc", "f", "s"])
+    def test_a_pair_of_two_curvature_tags_is_refused(self, monkeypatch, tag):
+        # every density is linear in R, so a factor pair whose factors
+        # both carry a curvature tag is refused by both compositions;
+        # "" and "delta" are not curvature tags
+        n = 4
+        B = lemma2_symbols(Dimension(n), random_riemann(n, 1), 2, -4, ProductCache())
+        assert {t.tag for t in B.terms_at(-6) if not any(t.x_mono)} == {"ric", "f", "s"}
+        for a_tag in ("", "delta", tag):
+            A = SymbolExpansion(n)
+            A.add(SymbolTerm(mono(n), mono(n), 0, 1, 1, 0, (tildec_op(n, 1),), a_tag))
+            for compose_pairs in (compose_block, lambda *block: composed_weights([block], n)):
+                if a_tag == tag:
+                    with pytest.raises(ValueError, match="two curvature tags"):
+                        compose_pairs(A, 0, B, -6, 0)
+                else:
+                    assert compose_pairs(A, 0, B, -6, 0)
+        # planted in the engine: the uv symbol meets B2's curvature terms
+        real = wres.residue.uv_symbol
+
+        def planted(dim, u, v):
+            exp = real(dim, u, v)
+            exp.add(SymbolTerm(mono(dim.n), mono(dim.n), 0, 1, 1, 0, (), tag))
+            return exp
+
+        monkeypatch.setattr(wres.residue, "uv_symbol", planted)
+        with pytest.raises(ValueError, match="two curvature tags"):
+            Analysis(Dimension(n), *derive_inputs(n, 1))
 
 
 class TestProductOfFactors:
