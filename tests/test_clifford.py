@@ -423,7 +423,12 @@ class TestPackedTraces:
             (wide[0], narrow[1], wide[1]), (narrow[2], wide[3], narrow[3]),
         ]
 
-    def test_one_batch_packs_each_op_once_at_one_width(self, monkeypatch):
+    @staticmethod
+    def spied(monkeypatch):
+        """Spy on every pack and every trace_chains batch; return a
+        function that runs a callable and checks that it made one batch,
+        which packed every distinct operator of it once (and the identity
+        that pads its shorter chains), all at one width."""
         packs, batches = [], []
 
         def spy(blades, width):
@@ -435,9 +440,6 @@ class TestPackedTraces:
             return real_trace(chains, n)
 
         def packings(run):
-            """run's traces; run makes one batch, which packs every
-            distinct operator of it once (and the identity that pads its
-            shorter chains), all at one width."""
             packs.clear()
             batches.clear()
             got = run()
@@ -453,16 +455,31 @@ class TestPackedTraces:
         monkeypatch.setattr(clifford, "_kron_parts", spy)
         monkeypatch.setattr(clifford, "trace_chains", batch_spy)
         monkeypatch.setattr(wres.residue, "trace_chains", batch_spy)
+        return packings
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_wide_numerators_widen_one_cache(self, n, monkeypatch):
+        # narrow chains, 300-bit chains and chains mixing both in one
+        # batch: its one width covers the widest, and each trace is the
+        # materialised product's
+        packings = self.spied(monkeypatch)
+        chains = self.mixed_chains(n)
+        traces = packings(lambda: clifford.trace_chains(dict(enumerate(chains)), n))
+        for i, ops in enumerate(chains):
+            assert traces[i] == chain_oracle(ops, n)
+        assert sum(map(bool, traces.values())) > len(traces) // 2
+        widest = max(max(abs(re), abs(im)).bit_length() for t in traces.values() for _, re, im in t.nums)
+        assert widest > 3 * 300
+
+    def test_each_view_is_packed_once_per_width(self, monkeypatch):
+        # an Analysis traces in one batch, so each operator is packed
+        # once, at the batch's one width, and never packed again
+        packings = self.spied(monkeypatch)
         for n in (4, 6):
             assert packings(lambda: Analysis(Dimension(n), *derive_inputs(n, 1))).all_match()
         for n in (2, 4, 6):
             chains = self.mixed_chains(n)
-            traces = packings(lambda: clifford.trace_chains(dict(enumerate(chains)), n))
-            for i, ops in enumerate(chains):
-                assert traces[i] == chain_oracle(ops, n)
-            assert sum(map(bool, traces.values())) > len(traces) // 2
-            widest = max(max(abs(re), abs(im)).bit_length() for t in traces.values() for _, re, im in t.nums)
-            assert widest > 3 * 300
+            assert len(packings(lambda: clifford.trace_chains(dict(enumerate(chains)), n))) == len(chains)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_non_homogeneous_complex_chains(self, n):

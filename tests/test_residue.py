@@ -124,6 +124,18 @@ class TestFunctionalDensity:
             d.evaluate(1, 0.5)
 
 
+def spy_batches(monkeypatch):
+    """The list each trace_chains batch of wres.residue is appended to."""
+    batches, real = [], wres.residue.trace_chains
+
+    def spy(chains, n):
+        batches.append(chains)
+        return real(chains, n)
+
+    monkeypatch.setattr(wres.residue, "trace_chains", spy)
+    return batches
+
+
 class TestIntegration:
     def test_flat_top_symbol_gives_trace_unit(self):
         # ||xi||^{-2m} times the identity integrates to 2^{2m} Vol
@@ -142,6 +154,45 @@ class TestIntegration:
         op = tildec_op(n, 1)
         got = integrate([SymbolTerm(mono(n), mono(n, 1, 1), -6, 1, 1, 0, (op, op))], n)
         assert got == FunctionalDensity(ScalarPoly.monomial(1, 1, -4), 0)
+
+    def test_one_trace_per_distinct_chain(self, monkeypatch):
+        # one trace_chains batch per integration, keyed by the distinct
+        # chains whose weight does not cancel: a chain shared by several
+        # terms is traced once, and an odd or cancelled one not at all
+        batches = spy_batches(monkeypatch)
+        n = 4
+        a, b = tildec_op(n, 1), tildec_op(n, 2)
+        terms = [
+            SymbolTerm(mono(n), mono(n, 1, 1), -6, 1, 1, 0, (a, a)),
+            SymbolTerm(mono(n), mono(n, 2, 2), -6, 1, 3, 0, (a, a)),
+            SymbolTerm(mono(n), mono(n), -4, 1, 0, 1, (a, b)),
+            SymbolTerm(mono(n), mono(n, 1, 2), -6, 1, 1, 0, (b, a)),  # odd: never traced
+            # one chain, opposite scalars: weight zero, never traced
+            SymbolTerm(mono(n), mono(n, 3, 3), -6, 1, 3, 0, (b, b)),
+            SymbolTerm(mono(n), mono(n, 3, 3), -6, 1, -3, 0, (b, b)),
+        ]
+        got = integrate(terms, n)
+        (batch,) = batches
+        assert set(batch) == {(id(a), id(a)), (id(a), id(b))}
+        # per term, as scalar * integral * trace
+        want = ScalarPoly.zero()
+        for t in terms:
+            if not any(e % 2 for e in t.xi_mono):
+                tr = trace(t.ops[0] * t.ops[1])
+                want = want + tr * weight(t).scale(Fraction(*vol_multiplier(n, t.xi_mono)))
+        assert got == FunctionalDensity(want, 0)
+        assert not integrate(terms[-2:], n).poly
+
+    def test_composed_blocks_trace_each_chain_once(self, monkeypatch):
+        # an Analysis traces in one batch: as many chains as the
+        # Fraction-arithmetic weights of the built product terms have,
+        # once each over every block and tag
+        batches = spy_batches(monkeypatch)
+        n = 4
+        assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
+        (batch,) = batches
+        specs = block_specs(n, 1).values()
+        assert len(batch) == len({key for spec in specs for _, key in term_weights(spec, n)})
 
     def test_cancelled_weight_is_not_traced(self):
         n = 4
@@ -277,16 +328,11 @@ class TestBlocks:
         assert handed
 
     def test_each_chain_is_traced_once(self, monkeypatch):
-        # one trace_chains batch per integration, keyed by the distinct
+        # an Analysis makes one trace_chains call, keyed by the distinct
         # chains whose weight does not cancel: a chain shared by several
-        # terms, tags or blocks is traced once, and an odd or cancelled
-        # one not at all
-        batches, composed = [], []
-        real_trace, real_weights = wres.residue.trace_chains, wres.residue.composed_weights
-
-        def trace_spy(chains, n):
-            batches.append(chains)
-            return real_trace(chains, n)
+        # blocks or tags is traced once, and a cancelled one not at all
+        batches, composed = spy_batches(monkeypatch), []
+        real_weights = wres.residue.composed_weights
 
         def weights_spy(blocks, n):
             tags = real_weights(blocks, n)
@@ -295,33 +341,9 @@ class TestBlocks:
             composed.append(tags)
             return tags
 
-        monkeypatch.setattr(wres.residue, "trace_chains", trace_spy)
         monkeypatch.setattr(wres.residue, "composed_weights", weights_spy)
         n = 4
-        a, b = tildec_op(n, 1), tildec_op(n, 2)
         planted = (tildec_op(n, 3),)
-        terms = [
-            SymbolTerm(mono(n), mono(n, 1, 1), -6, 1, 1, 0, (a, a)),
-            SymbolTerm(mono(n), mono(n, 2, 2), -6, 1, 3, 0, (a, a)),
-            SymbolTerm(mono(n), mono(n), -4, 1, 0, 1, (a, b)),
-            SymbolTerm(mono(n), mono(n, 1, 2), -6, 1, 1, 0, (b, a)),  # odd: never traced
-            # one chain, opposite scalars: weight zero, never traced
-            SymbolTerm(mono(n), mono(n, 3, 3), -6, 1, 3, 0, (b, b)),
-            SymbolTerm(mono(n), mono(n, 3, 3), -6, 1, -3, 0, (b, b)),
-        ]
-        got = integrate(terms, n)
-        (batch,) = batches
-        assert set(batch) == {(id(a), id(a)), (id(a), id(b))}
-        # per term, as scalar * integral * trace
-        want = ScalarPoly.zero()
-        for t in terms:
-            if not any(e % 2 for e in t.xi_mono):
-                tr = trace(t.ops[0] * t.ops[1])
-                want = want + tr * weight(t).scale(Fraction(*vol_multiplier(n, t.xi_mono)))
-        assert got == FunctionalDensity(want, 0)
-
-        batches.clear()
-        composed.clear()
         assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
         (batch,) = batches
         weighted, cancelled = set(), set()
@@ -330,10 +352,6 @@ class TestBlocks:
                 for key, (_, (re, im)) in chains.items():
                     (weighted if re or im else cancelled).add(key)
         assert set(batch) == weighted and tuple(map(id, planted)) in cancelled - weighted
-        # as many chains as the Fraction-arithmetic weights of the built
-        # product terms have, once each over every block and tag
-        specs = block_specs(n, 1).values()
-        assert len(batch) == len({key for spec in specs for _, key in term_weights(spec, n)})
 
     def test_analysis_builds_no_gaussian_rational(self, monkeypatch):
         # every exact constant is a ScalarPoly: a GaussianRational is only
