@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .scalars import (
     ScalarPoly, _canonical, _frac, _imac_each, _ints, _kron_norm, _kron_parts, _kron_slots,
@@ -159,9 +159,11 @@ class CliffordOp:
     @classmethod
     def from_numerators(cls, n: int, den: int, numerators: dict) -> "CliffordOp":
         """Operator with the real constant coefficient numerators[mask] / den
-        on each blade mask; den is a positive integer."""
-        acc = {mask: {0: (num, 0)} for mask, num in numerators.items()}
-        return cls._make(n, *_canonical(den, acc))
+        on each blade mask; den is a positive integer.  Degree-0 real
+        terms need no _canonical pass: one gcd reduces them."""
+        g = gcd(den, *numerators.values())
+        blades = {mask: ((0, num // g, 0),) for mask, num in numerators.items() if num}
+        return cls._make(n, den // g, blades)
 
     # ---- algebra ----
 

@@ -10,13 +10,15 @@ Such a polynomial has one stored form, shared by ScalarPoly and the
 blade coefficients of clifford.CliffordOp: one positive denominator and
 a sorted tuple of integer terms (packed degree, re, im).  The kernel
 below (_imac_each, its one-hit form _imac, _canonical) is the only
-complex-rational arithmetic.  Chain traces run on Kronecker-packed
-integers instead: _kron_parts substitutes a0 = 2^K, b0 = 1 within each
-total degree, splitting an operator into one homogeneous part per
-degree, and _kron_slots reads the digits of a traced sum back
-(_kron_norm bounds them).  GaussianRational has none: it is the value
-a coefficient is read out as (terms, evaluate) and one of the exact
-inputs the constructors accept.
+complex-rational arithmetic.  _canonical reduces first, checking degrees
+and folding the gcd in one pass, then builds each term once; a real
+constant (clifford's from_numerators) needs no pass, only one gcd.
+Chain traces run on Kronecker-packed integers instead: _kron_parts
+substitutes a0 = 2^K, b0 = 1 within each total degree, splitting an
+operator into one homogeneous part per degree, and _kron_slots reads
+the digits of a traced sum back (_kron_norm bounds them).
+GaussianRational has none: it is the value a coefficient is read out as
+(terms, evaluate) and one of the exact inputs the constructors accept.
 """
 
 from __future__ import annotations
@@ -232,23 +234,26 @@ def _kron_slots(slots: dict, width: int, factor: int) -> dict:
 def _canonical(den: int, acc: dict) -> tuple:
     """(den, {key: terms}) of {key: {packed degree: (re, im)}} / den in
     canonical form: zero terms and empty keys dropped, terms sorted, the
-    denominator reduced against every numerator, degrees checked."""
-    out = {}
+    denominator reduced against every numerator, degrees checked.  The
+    first pass checks degrees and folds the gcd until it reaches 1; the
+    second builds each key's terms once, already divided."""
     g = den
-    for key, slots in acc.items():
-        terms = sorted((k, re, im) for k, (re, im) in slots.items() if re or im)
-        if terms:
-            for k, re, im in terms:
+    for slots in acc.values():
+        for k, (re, im) in slots.items():
+            if re or im:
                 if k & _DEG_GUARD:
                     raise ValueError(f"a0/b0 degree {_unpack(k)} outside 0..{_DEG_BOUND - 1}")
-                g = gcd(g, re, im)
+                if g != 1:
+                    g = gcd(g, re, im)
+    out = {}
+    for key, slots in acc.items():
+        if len(slots) == 1:
+            ((k, (re, im)),) = slots.items()
+            if re or im:
+                out[key] = ((k, re // g, im // g),)
+        elif terms := sorted([(k, re // g, im // g) for k, (re, im) in slots.items() if re or im]):
             out[key] = tuple(terms)
-    if g > 1:
-        den //= g
-        out = {
-            key: tuple((k, re // g, im // g) for k, re, im in terms) for key, terms in out.items()
-        }
-    return den, out
+    return den // g, out
 
 
 class ScalarPoly:
@@ -400,7 +405,7 @@ class ScalarPoly:
 
     def text(self) -> str:
         """Canonical text form: terms sorted by (deg_a0, deg_b0) descending."""
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for (da, db), c in self._sorted_items():

@@ -101,11 +101,12 @@ class SymbolExpansion:
     def merged(self, cache: ProductCache) -> dict:
         """Canonical form: (order, x, xi, norm) -> summed coefficient.
 
-        Each key is summed in one integer pass over the lcm of its terms'
-        denominators (op-free terms on blade 0, each chain multiplied out
-        once) and reduced to canonical form once; keys that sum to zero
-        are removed, so two expansions are the same symbol iff their
-        merged maps are equal.  cache is unused but bench/ passes it.
+        Each key is summed in one loop over its terms, over the running
+        lcm of their denominators (op-free terms on blade 0, each chain
+        multiplied out once), and reduced to canonical form once; keys
+        that sum to zero are removed, so two expansions are the same
+        symbol iff their merged maps are equal.  cache is unused but
+        bench/ passes it.
         """
         groups: dict = {}
         for order, terms in self._orders.items():
@@ -113,13 +114,19 @@ class SymbolExpansion:
                 groups.setdefault((order, t.x_mono, t.xi_mono, t.norm_power), []).append(t)
         out: dict = {}
         for key, terms in groups.items():
-            chains = [(t, reduce(mul, t.ops)) for t in terms if t.ops]
-            den = lcm(*(t.den for t in terms), *(t.den * op.den for t, op in chains))
-            re = sum(den // t.den * t.re for t in terms if not t.ops)
-            im = sum(den // t.den * t.im for t in terms if not t.ops)
+            den, re, im, chains = 1, 0, 0, []
+            for t in terms:
+                op = reduce(mul, t.ops) if t.ops else None
+                d = t.den * op.den if op else t.den
+                if den % d:  # den becomes lcm(den, d), the sum so far rescaled
+                    f = d // gcd(den, d)
+                    den, re, im = den * f, re * f, im * f
+                if op:
+                    chains.append((d, ((0, t.re, t.im),), op))
+                else:
+                    re, im = re + den // d * t.re, im + den // d * t.im
             if chains:
-                weights = [(den // (t.den * op.den), ((0, t.re, t.im),), op) for t, op in chains]
-                hits = ((m, f, nums, w) for f, w, op in weights for m, nums in op.blades.items())
+                hits = ((m, den // d, p, w) for d, w, op in chains for m, p in op.blades.items())
                 den, blades = _canonical(den, _imac_each({0: {0: [re, im]}}, hits))
             elif re or im:
                 g = gcd(den, re, im)

@@ -3,12 +3,16 @@ exact scalar layer."""
 
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wres.scalars import GaussianRational, ScalarPoly, _kron_norm, _kron_parts, _kron_slots
+from wres.clifford import CliffordOp
+from wres.scalars import (
+    GaussianRational, ScalarPoly, _canonical, _kron_norm, _kron_parts, _kron_slots, _pack,
+)
 
 from oracles import identity
 
@@ -71,6 +75,33 @@ def ref_min_ab_power(p: dict) -> int:
 
 def ref_is_real(p: dict) -> bool:
     return all(im == 0 for _, im in p.values())
+
+
+def ref_canonical(den: int, acc: dict) -> tuple:
+    """_canonical by its definition: each nonzero slot's value as a
+    Fraction pair, the least positive denominator that clears them all
+    (1 if none), and each key's terms over it, sorted by degree."""
+    values = {
+        key: {k: (Fraction(re, den), Fraction(im, den)) for k, (re, im) in s.items() if re or im}
+        for key, s in acc.items()
+    }
+    values = {key: v for key, v in values.items() if v}
+    d = lcm(1, *(x.denominator for v in values.values() for pair in v.values() for x in pair))
+    return d, {
+        key: tuple((k, int(re * d), int(im * d)) for k, (re, im) in sorted(v.items()))
+        for key, v in values.items()
+    }
+
+
+# {key: {packed degree: [re, im]}} in drawn (so unsorted) degree order, with
+# zero slots, one-slot keys and empty keys among them
+degrees = st.builds(_pack, st.integers(0, 4), st.integers(0, 4))
+slot_lists = st.lists(
+    st.tuples(degrees, st.lists(st.integers(-6, 6), min_size=2, max_size=2)),
+    max_size=4,
+    unique_by=lambda kv: kv[0],
+)
+accs = st.dictionaries(st.integers(0, 7), slot_lists.map(dict), max_size=4)
 
 
 class TestGaussianRational:
@@ -141,6 +172,47 @@ class TestScalarPolyReference:
                 p.shift_ab(k)
         else:
             assert pairs(p.shift_ab(k).terms) == ref_shift_ab(dp, k)
+
+
+class TestCanonical:
+    """The canonical-form kernel against its definition, ref_canonical."""
+
+    @given(st.integers(1, 36), accs, st.integers(1, 6))
+    @example(1, {0: {_pack(2, 0): [3, 0], _pack(0, 1): [0, -2]}, 5: {0: [4, 4]}}, 1)
+    @example(12, {0: {_pack(1, 1): [6, 0]}, 1: {0: [0, 0]}, 2: {}}, 5)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_schoolbook(self, den, acc, factor):
+        want = ref_canonical(den, acc)
+        assert _canonical(den, acc) == want
+        # a factor shared by den and every numerator reduces away
+        shared = {
+            key: {k: [factor * re, factor * im] for k, (re, im) in slots.items()}
+            for key, slots in acc.items()
+        }
+        assert _canonical(factor * den, shared) == want
+
+    @pytest.mark.parametrize("degree", [(BOUND, 0), (3, 3 * (BOUND - 1)), ((1 << 16) - 1, 7)])
+    def test_a_slot_at_a_guard_degree_is_refused_by_name(self, degree):
+        da, db = degree
+        acc = {0: {0: [1, 0]}, 3: {_pack(1, 1): (2, 0), da << 16 | db: (0, 5)}}
+        with pytest.raises(ValueError, match=rf"\({da}, {db}\)"):
+            _canonical(4, acc)
+
+    @given(
+        st.integers(1, 36),
+        st.dictionaries(st.integers(0, 15), st.integers(-12, 12), max_size=6),
+        st.integers(1, 6),
+    )
+    @example(8, {0: 0, 3: 0}, 1)
+    @example(6, {}, 1)
+    @settings(max_examples=100, deadline=None)
+    def test_from_numerators_is_the_canonical_route(self, den, nums, factor):
+        nums = {mask: factor * num for mask, num in nums.items()}
+        got = CliffordOp.from_numerators(4, factor * den, nums)
+        want = _canonical(factor * den, {mask: {0: (num, 0)} for mask, num in nums.items()})
+        assert (got.den, got.blades) == want
+        if not any(nums.values()):
+            assert (got.den, got.blades) == (1, {})
 
 
 class TestScalarPolyConstructor:

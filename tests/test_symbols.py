@@ -241,9 +241,9 @@ class TestMerged:
     def test_merged_builds_one_canonical_form_per_chain_key(self, monkeypatch):
         # the dim-6 concrete family sums each key in one integer pass:
         # no per-term coefficient, scale or sum, and no-op keys reduce
-        # without _canonical
+        # without _canonical; the curvature record and the connection
+        # are real constants, built without any _canonical pass
         dim, R, cache = Dimension(6), random_riemann(6, 1), ProductCache()
-        exp = lemma2_symbols(dim, R, 3, -6, cache)
         calls = Counter()
 
         def counting(name, fn):
@@ -265,12 +265,17 @@ class TestMerged:
         monkeypatch.setattr(
             SymbolTerm, "materialize", counting("materialize", lambda t: None), raising=False
         )
+        conn = standard_connection(dim, R, cache)
+        assert conn.rec is curvature_ops(R, cache) and conn.rec.bivectors and conn.t_ab
+        assert calls["_canonical"] == 0
+        exp = lemma2_symbols(dim, R, 3, -6, cache)
+        calls.clear()
         merged = exp.merged(cache)
         chain_keys = {
             (o, t.x_mono, t.xi_mono, t.norm_power) for o in exp.orders() for t in exp.terms_at(o) if t.ops
         }
         assert merged and chain_keys
-        assert calls["_canonical"] <= len(chain_keys)
+        assert calls["_canonical"] == len(chain_keys)
         assert calls["materialize"] == calls["scale"] == calls["__add__"] == calls["ScalarPoly"] == 0
 
 
