@@ -27,13 +27,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import NamedTuple
 
-from .clifford import (
-    CliffordOp,
-    Dimension,
-    FrameVector,
-    ProductCache,
-    tildec,
-)
+from .clifford import CliffordOp, Dimension, FrameVector, ProductCache, tildec
 from .curvature import RiemannTensor
 from .scalars import _canonical, _imac_each
 
@@ -272,10 +266,13 @@ def _nums(op: CliffordOp, factor: int) -> dict:
 
 
 def _curvature_family(exp: SymbolExpansion, rec: CurvatureRecord, M: int) -> None:
-    """Terms both inverse-power families share: the flat top symbol, its
+    """The curvature terms of the upper two orders that the full inverse
+    power shares with the generic family: the flat top symbol, its
     normal-coordinate correction -M/3 rxx (one term per monomial), and
-    the Ricci terms -2iM/3 Ric and M(M+1)/3 Ric of the two lower orders;
-    the record's numerators go over 3 * rec.den.
+    the x-linear Ricci terms -2iM/3 Ric of order -2M-1; the record's
+    numerators go over 3 * rec.den.  Each family writes its own x-free
+    Ricci terms M(M+1)/3 Ric of order -2M-2, so criterion 4 compares two
+    transcriptions of them.
 
     The top symbol is the one term |xi|^(-2M) rather than the n terms
     xi_a^2 |xi|^(-2M-2) of the metric contraction: the two agree on the
@@ -284,15 +281,13 @@ def _curvature_family(exp: SymbolExpansion, rec: CurvatureRecord, M: int) -> Non
     differentiated in xi, so it is only ever read on the cosphere.
     """
     n = exp.n
-    zero_x = _e(n)
     top = -2 * M - 2
     den = 3 * rec.den
-    exp.add(SymbolTerm(zero_x, zero_x, -2 * M, 1, 1, 0, (), "delta"))
+    exp.add(SymbolTerm(_e(n), _e(n), -2 * M, 1, 1, 0, (), "delta"))
     for (x, xi), num in rec.rxx.items():
         exp.add(SymbolTerm(x, xi, top, den, -M * num, 0, (), "rxx"))
     for (a, b), ric in rec.ricci.items():
         exp.add(SymbolTerm(_e(n, b), _e(n, a), top, den, 0, -2 * M * ric, (), "ric"))
-        exp.add(SymbolTerm(zero_x, _e(n, a, b), top - 2, den, M * (M + 1) * ric, 0, (), "ric"))
 
 
 def lemma1_symbols(
@@ -307,11 +302,13 @@ def lemma1_symbols(
     """
     n = dim.n
     M = dim.m if m_family is None else m_family
-    zero_x = _e(n)
+    rec, zero_x = conn.rec, _e(n)
     exp = SymbolExpansion(n)
-    _curvature_family(exp, conn.rec, M)
+    _curvature_family(exp, rec, M)
+    for (a, b), ric in rec.ricci.items():
+        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 3 * rec.den, M * (M + 1) * ric, 0, (), "ric"))
 
-    # order -2M-2; the order -2M-4 terms 2M(M+1) T_ab xi_a xi_b of (a, b)
+    # order -2M-1; the order -2M-2 terms 2M(M+1) T_ab xi_a xi_b of (a, b)
     # and (b, a) cancel, since T_ba = -T_ab, so none is written
     for (a, b), t in conn.t_ab.items():
         if not t.is_zero():
@@ -322,42 +319,48 @@ def lemma1_symbols(
 
 
 def lemma2_symbols(
-    dim: Dimension,
-    R: RiemannTensor,
-    m: int,
-    exponent: int,
-    cache: ProductCache,
+    dim: Dimension, R: RiemannTensor, m: int, exponent: int, cache: ProductCache
 ) -> SymbolExpansion:
     """Concrete negative-order symbols of the Hodge Laplacian power.
 
     exponent selects the power: -2m for the full inverse used against the
-    second-order product, -2m+2 for the reduced power multiplied by the
-    zero-order factor.  The three stored orders are exponent, exponent-1,
-    exponent-2.
+    second-order product, stored at orders -2m, -2m-1 and -2m-2, and
+    -2m+2 for the reduced power, stored at order -2m alone.  The reduced
+    power is only ever the right factor of ctilde(u) ctilde(v), which is
+    free of x and xi, so only its x-free terms of order -2m form pairs
+    (k = 0); its upper orders and x-linear terms are not built.
     """
     n = dim.n
-    if exponent == -2 * m:
-        M = m
-    elif exponent == -2 * m + 2:
-        M = m - 1
-    else:
+    if exponent not in (-2 * m, -2 * m + 2):
         raise ValueError(f"unsupported symbol exponent {exponent} for m={m}")
+    M = -exponent // 2
     rec = curvature_ops(R, cache)
     zero_x = _e(n)
     exp = SymbolExpansion(n)
-    _curvature_family(exp, rec, M)
-
-    # order -2M-2: the curvature contractions coming from the connection
-    # form, iM/4 on the c-family and -iM/4 on the chat-family; their
-    # order -2M-4 terms -+M(M+1)/4 xi_a xi_b of (a, b) and (b, a) share
-    # one chain with opposite weights, so they cancel and none is written
-    for a, b, sign, cc, hh in _ordered_pairs(rec):
-        exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, sign * M, (cc,), "cc"))
-        exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, -sign * M, (hh,), "hchc"))
+    if M == m:
+        _curvature_family(exp, rec, M)
+        # order -2M-1: the connection-form contractions, iM/4 on the
+        # c-family and -iM/4 on the chat-family; their order -2M-2 terms
+        # -+M(M+1)/4 xi_a xi_b of (a, b) and (b, a) share one chain with
+        # opposite weights, so they cancel and none is written
+        for a, b, sign, cc, hh in _ordered_pairs(rec):
+            exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, sign * M, (cc,), "cc"))
+            exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, -sign * M, (hh,), "hchc"))
+    for (a, b), ric in rec.ricci.items():
+        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 3 * rec.den, M * (M + 1) * ric, 0, (), "ric"))
     if not rec.f.is_zero():
         exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 8, -M, 0, (rec.f,), "f"))
     if rec.s and M:
         exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 4 * rec.den, -M * rec.s, 0, (), "s"))
+    return exp
+
+
+def principal_symbol(dim: Dimension, w: FrameVector) -> SymbolExpansion:
+    """Order 1 of ctilde(w) * (Hodge operator): i ctilde(w) ctilde(xi), free of x."""
+    n, cw = dim.n, tildec(w)
+    exp = SymbolExpansion(n)
+    for f in range(1, n + 1):
+        exp.add(SymbolTerm(_e(n), _e(n, f), 0, 1, 0, 1, (cw * tildec(FrameVector.basis(n, f)),), ""))
     return exp
 
 
@@ -366,7 +369,7 @@ def symbols_PQ(
 ) -> SymbolExpansion:
     """Symbols of one first-order factor ctilde(w) * (Hodge operator).
 
-    Order 1 is i ctilde(w) ctilde(xi); order 0 carries the x-linear
+    Order 1 is principal_symbol; order 0 carries the x-linear
     connection-form contributions.  The x_l slope of the connection form
     along e_p is half the (l, p) curvature bivectors cc and hh of
     curvature_ops, so the c-family has weight -1/8 and the chat-family
@@ -374,15 +377,11 @@ def symbols_PQ(
     x-dependence appears.
     """
     n = dim.n
-    cw = tildec(w)
-    w_p = [cw * tildec(FrameVector.basis(n, p)) for p in range(1, n + 1)]
-    exp = SymbolExpansion(n)
-    zero_x = _e(n)
-    for f in range(1, n + 1):
-        exp.add(SymbolTerm(zero_x, _e(n, f), 0, 1, 0, 1, (w_p[f - 1],), ""))
+    exp = principal_symbol(dim, w)
+    w_p = [t.ops[0] for t in exp.terms_at(1)]  # ctilde(w) ctilde(e_p), p = 1..n
     for l, p, sign, cc, hh in _ordered_pairs(curvature_ops(R, cache)):
-        exp.add(SymbolTerm(_e(n, l), zero_x, 0, 8, -sign, 0, (w_p[p - 1], cc), "cc"))
-        exp.add(SymbolTerm(_e(n, l), zero_x, 0, 8, sign, 0, (w_p[p - 1], hh), "hchc"))
+        exp.add(SymbolTerm(_e(n, l), _e(n), 0, 8, -sign, 0, (w_p[p - 1], cc), "cc"))
+        exp.add(SymbolTerm(_e(n, l), _e(n), 0, 8, sign, 0, (w_p[p - 1], hh), "hchc"))
     return exp
 
 
@@ -517,16 +516,15 @@ def compose_block(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: i
 
 
 def symbol_product_PQ(
-    dim: Dimension,
-    R: RiemannTensor,
-    u: FrameVector,
-    v: FrameVector,
-    cache: ProductCache,
+    dim: Dimension, R: RiemannTensor, u: FrameVector, v: FrameVector, cache: ProductCache
 ) -> SymbolExpansion:
     """Symbols of the product of the two first-order factors at the base
-    point, through orders 2, 1, 0.  The order-1 bucket comes out empty:
-    every candidate term carries a positive x power."""
-    P = symbols_PQ(dim, R, u, cache)
+    point, through orders 2, 1, 0.  P, the left factor, is read only at
+    the base point, so it is principal_symbol(u), without the x-linear
+    terms of symbols_PQ.  The order-1 bucket comes out empty: its blocks
+    read Q's order-1 terms of x degree 1 and order-0 terms of x degree 0,
+    and v is constant, so Q has neither."""
+    P = principal_symbol(dim, u)
     Q = symbols_PQ(dim, R, v, cache)
     exp = SymbolExpansion(dim.n)
     for target in (2, 1, 0):

@@ -289,15 +289,15 @@ class TestInversePowerSymbols:
         assert weight(t) == ONE and not t.ops
 
     @pytest.mark.parametrize("n", [2, 4, 6], ids=["d2", "d4", "d6"])
-    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
-    def test_one_term_top_symbol_traces_like_the_metric_contraction(self, n, reduced):
+    def test_one_term_top_symbol_traces_like_the_metric_contraction(self, n):
         # the n-term top symbol sum_a xi_a^2 |xi|^(-2M-2), built here as
-        # the reference, gives every tag the engine's single-term density
+        # the reference, gives every tag the engine's single-term density;
+        # only the full inverse power has a top symbol (the reduced power
+        # is built at its lowest order alone)
         dim, m = Dimension(n), n // 2
         R, u, v = derive_inputs(n, 1)
         cache = ProductCache()
-        exponent = -2 * m + 2 if reduced else -2 * m
-        M = -exponent // 2
+        exponent = -2 * m
         B = lemma2_symbols(dim, R, m, exponent, cache)
         reference = SymbolExpansion(n)
         for o in B.orders():
@@ -305,7 +305,7 @@ class TestInversePowerSymbols:
                 if t.tag != "delta":
                     reference.add(t)
         for a in range(1, n + 1):
-            reference.add(SymbolTerm(mono(n), mono(n, a, a), -2 * M - 2, 1, 1, 0, (), "delta"))
+            reference.add(SymbolTerm(mono(n), mono(n, a, a), -2 * m - 2, 1, 1, 0, (), "delta"))
         assert len(reference.terms_at(exponent)) == len(B.terms_at(exponent)) + n - 1
 
         def traced(blocks):
@@ -342,9 +342,14 @@ class TestInversePowerSymbols:
         R = random_riemann(4, seed)
         cache = ProductCache()
         conn = standard_connection(dim, R, cache)
+        # the reduced power is built at order -2m alone, the one order
+        # its x- and xi-free left factor reads; there it equals the
+        # generic M = m - 1 family
         direct = lemma2_symbols(dim, R, dim.m, -2 * dim.m + 2, cache)
         generic = lemma1_symbols(dim, R, conn, m_family=dim.m - 1)
-        assert direct.merged(cache) == generic.merged(cache)
+        assert direct.orders() == [-2 * dim.m]
+        want = {key: c for key, c in generic.merged(cache).items() if key[0] == -2 * dim.m}
+        assert want and direct.merged(cache) == want
 
     def test_orders_present_with_curvature(self):
         dim = Dimension(4)
@@ -634,8 +639,8 @@ class TestRxxTerms:
         cache = ProductCache()
         expansions = (
             (dim.m, lemma2_symbols(dim, R, dim.m, -n, cache)),
-            (dim.m - 1, lemma2_symbols(dim, R, dim.m, -n + 2, cache)),
             (dim.m, lemma1_symbols(dim, R, standard_connection(dim, R, cache))),
+            (dim.m - 1, lemma1_symbols(dim, R, standard_connection(dim, R, cache), m_family=dim.m - 1)),
         )
         for M, exp in expansions:
             terms = [t for o in exp.orders() for t in exp.terms_at(o) if t.tag == "rxx"]
