@@ -43,6 +43,15 @@ def _seed_base() -> int:
         raise click.UsageError(f"WRES_SEED_BASE must be an integer, got {raw!r}")
 
 
+def _rational(raw: str, name: str) -> Fraction:
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise click.UsageError(f"--{name}: zero denominator in {raw!r}")
+    except ValueError as exc:
+        raise click.UsageError(f"--{name}: {exc}")
+
+
 def _parse_vector(raw: str | None, n: int, name: str) -> FrameVector | None:
     if raw is None:
         return None
@@ -51,11 +60,7 @@ def _parse_vector(raw: str | None, n: int, name: str) -> FrameVector | None:
         raise click.UsageError(
             f"--{name} needs {n} comma-separated rationals, got {len(parts)}"
         )
-    try:
-        comps = tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"--{name}: {exc}")
-    return FrameVector(n, comps)
+    return FrameVector(n, tuple(_rational(p, name) for p in parts))
 
 
 def _resolve_curvature(spec: str, n: int):
@@ -227,10 +232,7 @@ def einstein(dim, curvature, u_raw, v_raw, eval_point, as_json, out, seed):
     }
     value = None
     if eval_point:
-        try:
-            a0, b0 = (Fraction(x) for x in eval_point)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise click.UsageError(f"--eval: {exc}")
+        a0, b0 = (_rational(x, "eval") for x in eval_point)
         try:
             value = float(density.evaluate(a0, b0).re) * sphere_volume(dim)
         except ZeroDivisionError:

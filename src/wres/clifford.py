@@ -23,11 +23,12 @@ packing) at one width K, so each operator is one integer per blade and
 total degree, packed once; it sums integer triple products and reads
 the digits back once per chain.  Operators keep the integer terms,
 since the gcd of a packed integer is not the gcd of its digits.  The
-nonminimal operator enters only through ctilde (tildec).  The
-numerators are in the one integer form that ScalarPoly also stores
-(scalars.py): sums and products run on that module's batched kernel,
-and a trace or an entry of the 2^n x 2^n matrix view (rows) for checks
-is a ScalarPoly without any conversion.
+nonminimal operator enters only through pairs ctilde(w) ctilde(x)
+(tildec_pair), each written from g(w, x) and w ^ x.  The numerators
+are in the one integer form that ScalarPoly also stores (scalars.py):
+sums and products run on that module's batched kernel, and a trace or
+an entry of the 2^n x 2^n matrix view (rows) for checks is a ScalarPoly
+without any conversion.
 """
 
 from __future__ import annotations
@@ -144,8 +145,8 @@ class CliffordOp:
     integer form.  The form is canonical: no zero term or empty blade,
     terms sorted by degree, den coprime to the numerators.  With the
     faithfulness of the action, equal operators compare equal however
-    they were built.  Instances are built by from_numerators, tildec
-    and the algebra, and are treated as immutable.
+    they were built.  Instances are built by from_numerators,
+    tildec_pair and the algebra, and are treated as immutable.
     """
 
     __slots__ = ("n", "den", "blades")
@@ -236,19 +237,32 @@ class CliffordOp:
         return f"CliffordOp(n={self.n}, blades={len(self.blades)})"
 
 
-def tildec(w: FrameVector) -> CliffordOp:
-    """ctilde(w) = a0 ext(w) - b0 int(w) = sum_j w_j ((a0+b0) c_j +
-    (a0-b0) chat_j) / 2, the nonminimal deformation of c, built in one
-    pass: w_j's numerator on c_j and chat_j over 2 lcm(w's denominators)."""
+def tildec_pair(w: FrameVector, x: FrameVector) -> CliffordOp:
+    """ctilde(w) ctilde(x), ctilde = a0 ext - b0 int = ((a0+b0) c + (a0-b0)
+    chat) / 2, from g(w, x) and w ^ x (a product of vectors is their inner
+    product plus their wedge): with om_jk = w_j x_k - w_k x_j, -a0 b0 g(w, x)
+    + sum_{j<k} om_jk ((a0+b0)^2 c_j c_k + (a0-b0)^2 chat_j chat_k) / 4 +
+    (a0^2 - b0^2) sum_{j != k} om_jk c_j chat_k / 4.  One pass: numerators over
+    4 lcm(w's denominators) lcm(x's denominators), one gcd, terms built sorted."""
     n = w.n
-    den = lcm(*(c.denominator for c in w.components))
-    a0, b0 = _pack(1, 0), _pack(0, 1)
-    acc = {}
-    for j, c in enumerate(w.components):
-        num = c.numerator * (den // c.denominator)
-        acc[1 << j] = {a0: (num, 0), b0: (num, 0)}
-        acc[1 << (n + j)] = {a0: (num, 0), b0: (-num, 0)}
-    return CliffordOp._make(n, *_canonical(2 * den, acc))
+    if x.n != n:
+        raise ValueError("dimension mismatch")
+    lw, lx = (lcm(*(c.denominator for c in v.components)) for v in (w, x))
+    W = [c.numerator * (lw // c.denominator) for c in w.components]
+    X = [c.numerator * (lx // c.denominator) for c in x.components]
+    om = [(j, k, W[j] * X[k] - W[k] * X[j]) for j in range(n) for k in range(j + 1, n)]
+    scalar, den = 4 * sum(a * b for a, b in zip(W, X)), 4 * lw * lx
+    g = gcd(den, scalar, *(o for _, _, o in om))
+    aa, ab, bb = _pack(2, 0), _pack(1, 1), _pack(0, 2)
+    blades = {0: ((ab, -scalar // g, 0),)} if scalar else {}
+    for j, k, o in om:
+        if o:
+            o //= g
+            blades[1 << j | 1 << k] = ((bb, o, 0), (ab, 2 * o, 0), (aa, o, 0))
+            blades[1 << n + j | 1 << n + k] = ((bb, o, 0), (ab, -2 * o, 0), (aa, o, 0))
+            blades[1 << j | 1 << n + k] = ((bb, -o, 0), (aa, o, 0))
+            blades[1 << k | 1 << n + j] = ((bb, o, 0), (aa, -o, 0))
+    return CliffordOp._make(n, den // g, blades)
 
 
 def trace_chains(chains: dict, n: int) -> dict:

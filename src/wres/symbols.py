@@ -27,7 +27,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import NamedTuple
 
-from .clifford import CliffordOp, Dimension, FrameVector, ProductCache, tildec
+from .clifford import CliffordOp, Dimension, FrameVector, ProductCache, tildec_pair
 from .curvature import RiemannTensor
 from .scalars import _canonical, _imac_each
 
@@ -231,7 +231,6 @@ class ConnectionData:
     pair is T_ab = 0.  rec is the curvature record they were read from.
     """
 
-    n: int
     t_ab: dict
     e: CliffordOp
     rec: CurvatureRecord
@@ -252,7 +251,7 @@ def standard_connection(dim: Dimension, R: RiemannTensor, cache: ProductCache) -
         for a, b, sign, cc, hh in _ordered_pairs(rec)
     }
     e_nums = {**_nums(rec.f, rec.den // rec.f.den), 0: 2 * rec.s}
-    return ConnectionData(n, t_ab, CliffordOp.from_numerators(n, 8 * rec.den, e_nums), rec)
+    return ConnectionData(t_ab, CliffordOp.from_numerators(n, 8 * rec.den, e_nums), rec)
 
 
 def _nums(op: CliffordOp, factor: int) -> dict:
@@ -357,10 +356,10 @@ def lemma2_symbols(
 
 def principal_symbol(dim: Dimension, w: FrameVector) -> SymbolExpansion:
     """Order 1 of ctilde(w) * (Hodge operator): i ctilde(w) ctilde(xi), free of x."""
-    n, cw = dim.n, tildec(w)
+    n = dim.n
     exp = SymbolExpansion(n)
     for f in range(1, n + 1):
-        exp.add(SymbolTerm(_e(n), _e(n, f), 0, 1, 0, 1, (cw * tildec(FrameVector.basis(n, f)),), ""))
+        exp.add(SymbolTerm(_e(n), _e(n, f), 0, 1, 0, 1, (tildec_pair(w, FrameVector.basis(n, f)),), ""))
     return exp
 
 
@@ -388,9 +387,8 @@ def symbols_PQ(
 def uv_symbol(dim: Dimension, u: FrameVector, v: FrameVector) -> SymbolExpansion:
     """Order-zero symbol of the endomorphism ctilde(u) ctilde(v)."""
     n = dim.n
-    prod = tildec(u) * tildec(v)
     exp = SymbolExpansion(n)
-    exp.add(SymbolTerm(_e(n), _e(n), 0, 1, 1, 0, (prod,), ""))
+    exp.add(SymbolTerm(_e(n), _e(n), 0, 1, 1, 0, (tildec_pair(u, v),), ""))
     return exp
 
 

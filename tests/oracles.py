@@ -7,9 +7,9 @@ builders here are the generator-by-generator reference:
 each operator is a sum of single generators c_j (blade bit j-1) and
 chat_j (bit n+j-1) built with from_numerators and the algebra, and each
 ctilde is folded one generator at a time, independently of the engine's
-one-pass clifford.tildec.  trace materialises nothing but the scalar
-part, against which clifford.trace_chains is checked; trace_one runs
-that engine trace on a batch of one chain.
+one-pass pairs clifford.tildec_pair.  trace materialises nothing but the
+scalar part, against which clifford.trace_chains is checked; trace_one
+runs that engine trace on a batch of one chain.
 """
 
 import itertools

@@ -12,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from wres.clifford import Dimension, ProductCache, inner, tildec
+from wres.clifford import Dimension, ProductCache, inner, tildec_pair
 from wres.curvature import contract, flat, random_riemann, random_vector, ricci_bilinear
 from wres.residue import (
     CHECK_IDS,
@@ -93,10 +93,12 @@ def test_criterion_1_clifford_relation_suite():
         x = random_vector(n, 101)
         y = random_vector(n, 102)
         g = inner(x, y)
-        tx = tildec(x)
+        tx = vector_clifford("tildec", x)
         assert anticommutator(tx, vector_clifford("c", y)) == ident(sum_ab.scale(-g))
-        assert anticommutator(tx, tildec(y)) == ident(ab2.scale(-g))
+        assert anticommutator(tx, vector_clifford("tildec", y)) == ident(ab2.scale(-g))
         assert anticommutator(tx, vector_clifford("hatc", y)) == ident(diff_ab.scale(g))
+        # and on the engine's one-pass pairs
+        assert tildec_pair(x, y) + tildec_pair(y, x) == ident(ab2.scale(-g))
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     print(f"ACCEPTANCE criterion 1: PASS (nine relation families exact, {elapsed:.2f}s)")

@@ -415,6 +415,22 @@ class TestEinsteinCommand:
         assert "--eval" in result.output and reason in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "option,bad,args",
+        [
+            ("--u", "1/0", ["--u", "1/0,1,1,1", "--v", "1,1,1,1"]),
+            ("--v", "0/0", ["--u", "1,1,1,1", "--v", "1,1,0/0,1"]),
+            ("--eval", "1/0", ["--u", "1,1,1,1", "--v", "1,1,1,1", "--eval", "1/0", "2"]),
+            ("--eval", "3/0", ["--u", "1,1,1,1", "--v", "1,1,1,1", "--eval", "1", "3/0"]),
+        ],
+    )
+    def test_zero_denominator_is_usage_error(self, runner, option, bad, args):
+        # the message names the option and the text, as for a curvature file
+        result = runner.invoke(main, ["einstein", "--dim", "4", *args])
+        assert result.exit_code == 2
+        assert f"{option}: zero denominator in '{bad}'" in result.output
+        assert "Fraction(" not in result.output and "Traceback" not in result.output
+
     def test_eval_at_zero_with_zero_prefactor_exponent(self, runner):
         e1 = "1,0,0,0"
         result = runner.invoke(

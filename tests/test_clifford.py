@@ -7,7 +7,7 @@ import pytest
 
 import wres.residue
 from wres import clifford
-from wres.clifford import CliffordOp, Dimension, FrameVector, ProductCache, inner, tildec, trace_chains
+from wres.clifford import CliffordOp, Dimension, FrameVector, ProductCache, inner, tildec_pair, trace_chains
 from wres.curvature import random_riemann
 from wres.residue import Analysis, derive_inputs
 from wres.scalars import GaussianRational, ScalarPoly
@@ -177,18 +177,20 @@ class TestDeformedRelations:
         x = rational_vector(n, ("1/2", -1, 0, "2/3"))
         y = rational_vector(n, (3, "1/5", -2, 1))
         g = inner(x, y)
-        tx = tildec(x)
+        tx = vector_clifford("tildec", x)
         cy = vector_clifford("c", y)
         hy = vector_clifford("hatc", y)
-        ty = tildec(y)
+        ty = vector_clifford("tildec", y)
         assert anticommutator(tx, cy) == scaled_identity(n, -self.sum_poly.scale(g))
         assert anticommutator(tx, ty) == scaled_identity(n, -self.ab2.scale(g))
         assert anticommutator(tx, hy) == scaled_identity(n, self.diff_poly.scale(g))
 
-    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_tildec_matches_the_generator_fold(self, n):
-        # the engine's one-pass build against the fold of n scaled
-        # generators, zero components and basis vectors included
+        # the engine's one-pass pair against the product of two folds of
+        # n scaled generators: every vector against the basis vectors (as
+        # principal_symbol builds them), itself, its negative and three
+        # random partners; zero components and the zero vector included
         rng = random.Random(7000 + n)
         vectors = [FrameVector.basis(n, j) for j in range(1, n + 1)]
         vectors += [
@@ -196,9 +198,34 @@ class TestDeformedRelations:
             for _ in range(20)
         ]
         vectors.append(rational_vector(n, [0] * n))
+        fold = {}
         for w in vectors:
-            got, want = tildec(w), vector_clifford("tildec", w)
-            assert (got.den, got.blades) == (want.den, want.blades)
+            partners = vectors[:n] + [w, rational_vector(n, [-c for c in w.components])]
+            partners += rng.sample(vectors, 3)
+            for x in partners:
+                for v in (w, x):
+                    if v not in fold:
+                        fold[v] = vector_clifford("tildec", v)
+                got, want = tildec_pair(w, x), fold[w] * fold[x]
+                assert (got.den, got.blades) == (want.den, want.blades)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_tildec_pair_anticommutator_is_the_metric(self, n):
+        # ctilde(x) ctilde(y) + ctilde(y) ctilde(x) = -2 a0 b0 g(x, y)
+        rng = random.Random(7100 + n)
+        vectors = [FrameVector.basis(n, 1), rational_vector(n, [0] * n)]
+        vectors += [
+            rational_vector(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)])
+            for _ in range(6)
+        ]
+        for x in vectors:
+            for y in vectors:
+                want = scaled_identity(n, -self.ab2.scale(inner(x, y)))
+                assert tildec_pair(x, y) + tildec_pair(y, x) == want
+
+    def test_tildec_pair_rejects_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            tildec_pair(FrameVector.basis(4, 1), FrameVector.basis(2, 1))
 
     def test_tildec_specializes_to_c_at_unit_parameters(self):
         n = 4
@@ -650,14 +677,25 @@ class TestSignRuleOracle:
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_tildec_is_a0_ext_minus_b0_int(self, n):
+        # the reference ctilde against a0 ext - b0 int as plain matrices,
+        # and the engine's pair against the product of two of them
         rng = random.Random(6000 + n)
-        w = rational_vector(n, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)])
-        want = [dict() for _ in range(1 << n)]
-        for j in range(1, n + 1):
-            a0, b0 = ScalarPoly.a0().scale(w[j]), ScalarPoly.b0().scale(w[j])
-            want = plain_combine(want, plain_scale(plain_ext(n, j), a0), 1)
-            want = plain_combine(want, plain_scale(plain_int(n, j), b0), -1)
-        assert tildec(w).rows == want
+        w, x = (
+            rational_vector(n, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)])
+            for _ in range(2)
+        )
+
+        def plain_tildec(v):
+            out = [dict() for _ in range(1 << n)]
+            for j in range(1, n + 1):
+                a0, b0 = ScalarPoly.a0().scale(v[j]), ScalarPoly.b0().scale(v[j])
+                out = plain_combine(out, plain_scale(plain_ext(n, j), a0), 1)
+                out = plain_combine(out, plain_scale(plain_int(n, j), b0), -1)
+            return out
+
+        want = plain_tildec(w)
+        assert vector_clifford("tildec", w).rows == want
+        assert tildec_pair(w, x).rows == matmul(want, plain_tildec(x))
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_products_and_traces_match_matrices(self, n):
