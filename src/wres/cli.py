@@ -23,7 +23,7 @@ import click
 
 from .clifford import Dimension, FrameVector
 from .curvature import RiemannTensor, constant_curvature, flat
-from .residue import ASSEMBLED_IDS, PART_IDS, Analysis, derive_inputs, verify_all
+from .residue import ASSEMBLED_IDS, PART_IDS, verify_all
 from .sphere import sphere_volume
 
 _SUPPORTED_DIMS = (2, 4, 6, 8, 10, 12)
@@ -73,8 +73,9 @@ def _resolve_curvature(spec: str, n: int):
         return flat(n), "flat"
     path = Path(spec)
     if not path.is_file():
+        reason = "is not a file" if path.exists() else "not found"
         raise click.UsageError(
-            f"--curvature must be 'random', 'constant', 'flat', or a JSON file; {spec!r} not found"
+            f"--curvature must be 'random', 'constant', 'flat', or a JSON file; {spec!r} {reason}"
         )
     try:
         data = json.loads(path.read_text())
@@ -173,10 +174,9 @@ def parts(dim, seed, curvature, u_raw, v_raw, as_json, out):
     if seed is None:
         seed = _seed_base()
     R, label = _resolve_curvature(curvature, dim)
-    R, u, v = derive_inputs(dim, seed, R)
-    u = _parse_vector(u_raw, dim, "u") or u
-    v = _parse_vector(v_raw, dim, "v") or v
-    analysis = Analysis(d, R, u, v)
+    u = _parse_vector(u_raw, dim, "u")
+    v = _parse_vector(v_raw, dim, "v")
+    ((_, analysis),) = verify_all(d, [seed], R, u, v)
     misses = analysis.mismatches()
     if as_json:
         _emit(_render_json(analysis.report_dict(seed)), out)
@@ -215,10 +215,9 @@ def einstein(dim, curvature, u_raw, v_raw, eval_point, as_json, out, seed):
     if seed is None:
         seed = _seed_base()
     R, label = _resolve_curvature(curvature, dim)
-    R = derive_inputs(dim, seed, R)[0]
     u = _parse_vector(u_raw, dim, "u")
     v = _parse_vector(v_raw, dim, "v")
-    analysis = Analysis(d, R, u, v)
+    ((_, analysis),) = verify_all(d, [seed], R, u, v)
     density = analysis.computed["einstein"].normalized()
     matches = analysis.match["einstein"]
 

@@ -17,18 +17,20 @@ sign times the metric sign.  Every blade but the scalar one is
 traceless, so tr X = 2^n * (scalar part of X), and a trace of a chain
 builds no product: tr(a b c) is a signed sum of a b c over the blade
 triples whose masks XOR to zero (trace_chains, the one trace, which
-traces a whole batch of chains).  A batch substitutes a0 = 2^K, b0 = 1
-within each total degree of every blade's polynomial (Kronecker
-packing) at one width K, so each operator is one integer per blade and
-total degree, packed once; it sums integer triple products and reads
-the digits back once per chain.  Operators keep the integer terms,
-since the gcd of a packed integer is not the gcd of its digits.  The
-nonminimal operator enters only through pairs ctilde(w) ctilde(x)
-(tildec_pair), each written from g(w, x) and w ^ x.  The numerators
-are in the one integer form that ScalarPoly also stores (scalars.py):
-sums and products run on that module's batched kernel, and a trace or
-an entry of the 2^n x 2^n matrix view (rows) for checks is a ScalarPoly
-without any conversion.
+traces a whole batch of chains).  Traced operators are real: the
+operator a0 d + b0 delta acts on real forms, and the symbol calculus
+keeps its i in the symbol weights.  A batch substitutes a0 = 2^K,
+b0 = 1 within each total degree of every blade's polynomial (Kronecker
+packing) at one width K, so each operator is one real integer per
+blade and total degree, packed once; it sums signed integer triple
+products and reads the digits back once per chain.  Operators keep
+the integer terms, since the gcd of a packed integer is not the gcd of
+its digits.  The nonminimal operator enters only through pairs
+ctilde(w) ctilde(x) (tildec_pair), each written from g(w, x) and w ^ x.
+The numerators are in the one integer form that ScalarPoly also stores
+(scalars.py): sums and products run on that module's batched kernel,
+and a trace or an entry of the 2^n x 2^n matrix view (rows) for checks
+is a ScalarPoly without any conversion.
 """
 
 from __future__ import annotations
@@ -281,11 +283,14 @@ def trace_chains(chains: dict, n: int) -> dict:
     reads one bucket per half value.
 
     Each distinct operator is packed once (scalars._kron_parts), at one
-    digit width K for the batch.  Over its denominator and before the
-    factor 2^n, a coefficient of tr(a b c) is at most |a.blades|
-    |c.blades| L(a) L(b) L(c), L the largest L1 norm (|re| + |im|) of
-    one blade's terms, since ma and mc fix mb.  K exceeds the bit length
-    of the batch's largest bound by 2, so every digit reads back exactly.
+    digit width K for the batch, one integer per blade and total degree.
+    Traced operators are real (the symbol weights carry every i), and an
+    imaginary numerator anywhere in the batch raises ValueError before
+    anything is packed.  Over its denominator and before the factor 2^n,
+    a coefficient of tr(a b c) is at most |a.blades| |c.blades| L(a)
+    L(b) L(c), L the largest L1 norm (sum of |re|) of one blade's terms,
+    since ma and mc fix mb.  K exceeds the bit length of the batch's
+    largest bound by 2, so every digit reads back exactly.
     """
     for ops in chains.values():
         if len(ops) > 3:
@@ -314,27 +319,19 @@ def trace_chains(chains: dict, n: int) -> dict:
                 bucket = buckets.get((id(b), db, shift))
                 if bucket is None:
                     bucket = buckets[id(b), db, shift] = {}
-                    for mb, (br, bi) in bpart.items():
-                        bucket.setdefault(mb >> shift & low, []).append((mb, br, bi))
+                    for mb, br in bpart.items():
+                        bucket.setdefault(mb >> shift & low, []).append((mb, br))
                 for da, apart in parts[id(a)].items():
-                    re = im = 0
-                    for ma, (ar, ai) in apart.items():
+                    total = 0
+                    for ma, ar in apart.items():
                         ka = ma >> shift & low
                         for h in values:
-                            for mb, br, bi in bucket.get(ka ^ h, ()):
-                                cv = cpart.get(ma ^ mb)
-                                if cv is None:
-                                    continue
-                                cr, ci = cv
-                                s = _trace_sign(n, ma, mb)
-                                if ai or bi or ci:  # the engine's chains are all real
-                                    xr, xi = ar * br - ai * bi, ar * bi + ai * br
-                                    re += s * (xr * cr - xi * ci)
-                                    im += s * (xr * ci + xi * cr)
-                                else:
-                                    re += s * ar * br * cr
-                    r, i = acc.get(da + db + dc, (0, 0))
-                    acc[da + db + dc] = r + re, i + im
+                            for mb, br in bucket.get(ka ^ h, ()):
+                                cr = cpart.get(ma ^ mb)
+                                if cr is not None:
+                                    total += _trace_sign(n, ma, mb) * ar * br * cr
+                    d = da + db + dc
+                    acc[d] = acc.get(d, 0) + total
         out[key] = ScalarPoly._from_slots(a.den * b.den * c.den, _kron_slots(acc, width, 1 << n))
     return out
 

@@ -13,10 +13,11 @@ below (_imac_each, its one-hit form _imac, _canonical) is the only
 complex-rational arithmetic.  _canonical reduces first, checking degrees
 and folding the gcd in one pass, then builds each term once; a real
 constant (clifford's from_numerators) needs no pass, only one gcd.
-Chain traces run on Kronecker-packed integers instead: _kron_parts
+Chain traces run on Kronecker-packed real integers instead: _kron_parts
 substitutes a0 = 2^K, b0 = 1 within each total degree, splitting an
-operator into one homogeneous part per degree, and _kron_slots reads
-the digits of a traced sum back (_kron_norm bounds them).
+operator into one homogeneous part per degree, one integer per blade,
+and _kron_slots reads the digits of a traced sum back as real terms
+(_kron_norm bounds them and refuses an imaginary numerator).
 GaussianRational has none: it is the value a coefficient is read out as
 (terms, evaluate) and one of the exact inputs the constructors accept.
 """
@@ -170,63 +171,63 @@ def _imac(acc: dict, factor: int, p, q) -> dict:
 # ---------------------------------------------------------------------------
 #
 # Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009) as a
-# change of variables: the terms of total degree d = da + db of one
-# polynomial become one packed integer pair (re, im), their value at
-# a0 = 2^K, b0 = 1, so re = sum of c * 2^(K da) over the real parts c,
-# im likewise.  Total degrees add under products, so the product of
-# packed parts of degrees d1 and d2 is the packed degree-(d1 + d2) part
-# of the product, and a b0 power packs to itself.  Digits are
-# balanced: the caller proves that every digit of its result lies
-# inside +-2^(K-2), so _kron_slots reads each back exactly.  A packed
-# integer is never a stored form: its gcd is not the gcd of its digits.
+# change of variables: the terms of total degree d = da + db of one real
+# polynomial become one packed integer, their value at a0 = 2^K, b0 = 1,
+# the sum of c * 2^(K da) over their numerators c.  Total degrees add
+# under products, so the product of packed parts of degrees d1 and d2 is
+# the packed degree-(d1 + d2) part of the product, and a b0 power packs
+# to itself.  Only real polynomials are packed: a traced operator is a
+# real polynomial in a0, b0, and the symbol calculus keeps its i in the
+# SymbolTerm weights.  Digits are balanced: the caller proves that every
+# digit of its result lies inside +-2^(K-2), so _kron_slots reads each
+# back exactly.  A packed integer is never a stored form: its gcd is not
+# the gcd of its digits.
 
 _NEXT_DIGIT = (1 << _DEG_BITS) - 1  # one more a0, one less b0
 
 
 def _kron_norm(blades: dict) -> int:
-    """The largest L1 norm, sum of |re| + |im|, of one key's terms in
-    {key: terms}: what bounds the digits of a packed product."""
+    """The largest L1 norm, sum of |re|, of one key's terms in {key:
+    terms}: what bounds the digits of a packed product.  A nonzero
+    imaginary numerator raises ValueError: only real terms are packed."""
     norm = 0
-    for terms in blades.values():
+    for key, terms in blades.items():
         total = 0
         for _, re, im in terms:
-            total += abs(re) + abs(im)
+            if im:
+                raise ValueError(f"a traced operator must be real; blade {key} has an imaginary part")
+            total += abs(re)
         if total > norm:
             norm = total
     return norm
 
 
 def _kron_parts(blades: dict, width: int) -> dict:
-    """{total degree d: {key: (re, im)}} of {key: terms} at a0 =
+    """{total degree d: {key: packed}} of the real {key: terms} at a0 =
     2^width, b0 = 1: each key's terms of total degree d summed into one
-    packed value, so an operator splits into one homogeneous part per
+    packed integer, so an operator splits into one homogeneous part per
     total degree it has."""
     parts = {}
     for key, terms in blades.items():
-        for k, re, im in terms:
+        for k, re, _ in terms:
             da = k >> _DEG_BITS
             part = parts.setdefault(da + (k & 0xFFFF), {})
-            r, i = part.get(key, (0, 0))
-            part[key] = r + (re << width * da), i + (im << width * da)
+            part[key] = part.get(key, 0) + (re << width * da)
     return parts
 
 
 def _kron_slots(slots: dict, width: int, factor: int) -> dict:
-    """{packed degree: [re, im]} slots of factor times the packed slots
-    {d: (re, im)}: their balanced base-2^width digits, the digit of
-    a0^da read back as the term of degree (da, d - da)."""
+    """{packed degree: (re, 0)} slots of factor times the packed sums
+    {d: packed}: their balanced base-2^width digits, the digit of a0^da
+    read back as the real term of degree (da, d - da)."""
     half, mask = 1 << (width - 1), (1 << width) - 1
     out = {}
-    for k, (re, im) in slots.items():  # k = d is the packed degree of b0^d
-        while re or im:
-            t = re + half
-            r, re = (t & mask) - half, t >> width
-            if im:
-                t = im + half
-                i, im = (t & mask) - half, t >> width
-                out[k] = [factor * r, factor * i]
-            elif r:
-                out[k] = [factor * r, 0]
+    for k, packed in slots.items():  # k = d is the packed degree of b0^d
+        while packed:
+            t = packed + half
+            r, packed = (t & mask) - half, t >> width
+            if r:
+                out[k] = (factor * r, 0)
             k += _NEXT_DIGIT
     return out
 

@@ -289,6 +289,13 @@ class TestPartsCommand:
         assert rep["seed"] == 1
         assert len(rep["parts"]) == 18
 
+    def test_a_directory_is_not_a_curvature_file(self, runner, tmp_path):
+        # a path that exists but is no file is named as such, not as missing
+        for path, reason in ((tmp_path, "is not a file"), (tmp_path / "nope.json", "not found")):
+            result = runner.invoke(main, ["parts", "--dim", "4", "--curvature", str(path)])
+            assert result.exit_code == 2
+            assert f"{str(path)!r} {reason}" in result.output
+
 
 class TestFailingChecks:
     def test_non_real_density_exits_one_and_is_named(self, runner, monkeypatch):

@@ -319,8 +319,9 @@ class TestTraceChains:
         assert trace_chains({}, n) == {}
 
     def test_a_bad_chain_is_refused_before_any_pack(self, monkeypatch):
-        # a longer chain or an operator of another dimension, first or
-        # last in the batch, raises before any operator is packed
+        # a longer chain, an operator of another dimension or one with an
+        # imaginary numerator, first or last in the batch, raises before
+        # any operator is packed
         packs = []
 
         def spy(blades, width):
@@ -332,8 +333,15 @@ class TestTraceChains:
         n = 4
         a, b = tildec_op(n, 1), tildec_op(n, 2)
         wide = CliffordOp.from_numerators(n, 1, {0: 1 << 400, 3: -(1 << 400)})
+        # b with i a0^2 added on its c_2 blade: an imaginary last term
+        gaussian = b + c_op(n, 2).scale(ScalarPoly.monomial(2, 0, GaussianRational(0, 1)))
+        assert gaussian.blades[2][-1][1:] == (0, 2)
         good = {"aba": (a, b, a), "b": (b,)}
-        refused = (((wide, a, b, wide), "at most three factors"), ((a, c_op(2, 1)), "dimension mismatch"))
+        refused = (
+            ((wide, a, b, wide), "at most three factors"),
+            ((a, c_op(2, 1)), "dimension mismatch"),
+            ((wide, gaussian), "must be real"),
+        )
         for bad, match in refused:
             for batch in ({"bad": bad, **good}, {**good, "bad": bad}):
                 with pytest.raises(ValueError, match=match):
@@ -342,20 +350,25 @@ class TestTraceChains:
         assert trace_chains(good, n) and packs
 
 
-def gaussian_op(n, rng, masks):
-    """Operator with a seeded Gaussian-rational polynomial on each mask,
-    its imaginary part never zero."""
+def rational_op(n, rng, masks):
+    """Real operator with a seeded rational polynomial on each mask, its
+    coefficients never zero."""
     blades = {}
     for mask in masks:
         terms = {
-            (rng.randint(0, 1), rng.randint(0, 1)): GaussianRational(
-                Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
-                Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3)),
+            (rng.randint(0, 1), rng.randint(0, 1)): Fraction(
+                rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3)
             )
             for _ in range(rng.randint(1, 2))
         }
         blades[mask] = ScalarPoly(terms)
     return op_of(n, blades)
+
+
+def both_signs(traces):
+    """Whether the traces hold both positive and negative coefficients,
+    so the balanced digits read back on both sides of zero."""
+    return {re > 0 for t in traces for _, re, _ in t.nums} == {False, True}
 
 
 def bivector_masks(n, offset):
@@ -373,14 +386,14 @@ class TestPrefixMemo:
     def test_shared_prefix_traces_match_products(self, n):
         rng = random.Random(5000 + n)
         low = [m for m in range(1 << (2 * n)) if m.bit_count() <= 2]
-        a, b, b2 = (gaussian_op(n, rng, rng.sample(low, min(8, len(low)))) for _ in range(3))
+        a, b, b2 = (rational_op(n, rng, rng.sample(low, min(8, len(low)))) for _ in range(3))
         cbiv, hbiv = bivector_masks(n, 0), bivector_masks(n, n)
         lasts = [
-            gaussian_op(n, rng, cbiv),
-            gaussian_op(n, rng, cbiv),  # the same support again: nothing to fill
-            gaussian_op(n, rng, hbiv),  # disjoint from the first
-            gaussian_op(n, rng, cbiv[: len(cbiv) // 2 + 1] + hbiv[-1:] + [0]),  # overlapping
-            gaussian_op(n, rng, [c | h for c in cbiv for h in hbiv]),  # 225 blades at n = 6
+            rational_op(n, rng, cbiv),
+            rational_op(n, rng, cbiv),  # the same support again: nothing to fill
+            rational_op(n, rng, hbiv),  # disjoint from the first
+            rational_op(n, rng, cbiv[: len(cbiv) // 2 + 1] + hbiv[-1:] + [0]),  # overlapping
+            rational_op(n, rng, [c | h for c in cbiv for h in hbiv]),  # 225 blades at n = 6
             identity(n),
         ]
         assert len(lasts[4].blades) == len(cbiv) ** 2
@@ -392,7 +405,7 @@ class TestPrefixMemo:
             for got, (x, y, c) in zip(traces, chains.values(), strict=True):
                 assert got == trace(x * y * c) == trace_one((x, y, c), n)
             assert all(any(t for t in traces[i : i + 3]) for i in range(0, len(traces), 3))
-            assert not all(t.is_real() for t in traces)
+            assert both_signs(traces)
 
 
 def chain_oracle(ops, n):
@@ -414,15 +427,12 @@ def xor_span(n, rng, size):
 
 
 def mixed_op(n, rng, masks, bits):
-    """Operator whose blades each carry a0*b0, b0^2 and a constant:
-    complex numerators of about `bits` bits with mixed signs, over small
+    """Real operator whose blades each carry a0*b0, b0^2 and a constant:
+    numerators of about `bits` bits with mixed signs, over small
     denominators."""
 
-    def num():
-        return rng.choice((-1, 1)) * rng.randint(1 << bits, 1 << (bits + 1))
-
     def coeff():
-        return GaussianRational(Fraction(num(), rng.randint(1, 7)), Fraction(num(), rng.randint(1, 7)))
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1 << bits, 1 << (bits + 1)), rng.randint(1, 7))
 
     return op_of(n, {m: ScalarPoly({(1, 1): coeff(), (0, 2): coeff(), (0, 0): coeff()}) for m in masks})
 
@@ -509,30 +519,29 @@ class TestPackedTraces:
             assert len(packings(lambda: clifford.trace_chains(dict(enumerate(chains)), n))) == len(chains)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_non_homogeneous_complex_chains(self, n):
+    def test_non_homogeneous_chains(self, n):
         rng = random.Random(1950 + n)
         span = xor_span(n, rng, 8)
         ops = [mixed_op(n, rng, rng.sample(span, 6), 3) for _ in range(4)]
-        ops[3] = ops[3] + random_element(n, rng, 4)  # a0 and b0 degrees up to 2, some real
+        ops[3] = ops[3] + random_element(n, rng, 4, real=True)  # a0 and b0 degrees up to 2
         chains = self.chains(ops)
         traces = list(trace_chains(dict(enumerate(chains)), n).values())
         for got, chain in zip(traces, chains, strict=True):
             assert got == chain_oracle(chain, n)
         degrees = {sum(deg) for t in traces for deg in t.terms}
         assert len(degrees) >= 4
-        assert not all(t.is_real() for t in traces)
+        assert both_signs(traces)
 
 
 def graded_op(n, rng, masks):
-    """Operator whose blades each carry one to three total degrees, each
-    in one or two a0/b0 splits, with complex coefficients."""
+    """Real operator whose blades each carry one to three total degrees,
+    each in one or two a0/b0 splits."""
     blades = {}
     for mask in masks:
         terms = {}
         for d in rng.sample(range(4), rng.randint(1, 3)):
             for da in rng.sample(range(d + 1), min(d + 1, rng.randint(1, 2))):
-                re, im = rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(-9, 9)
-                terms[da, d - da] = GaussianRational(Fraction(re, rng.randint(1, 4)), Fraction(im, rng.randint(1, 4)))
+                terms[da, d - da] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
         blades[mask] = ScalarPoly(terms)
     return op_of(n, blades)
 
@@ -581,7 +590,7 @@ class TestHalfMaskJoin:
         traces = list(got.values())
         assert all(got[i, 0, 0] for i in range(len(chains) - 1))
         assert not got[len(chains) - 1, 0, 0]
-        assert not all(t.is_real() for t in traces)
+        assert both_signs(traces)
         assert len({sum(deg) for t in traces for deg in t.terms}) >= 4
 
 
@@ -644,15 +653,16 @@ def mtrace(a):
     return acc
 
 
-def random_blades(n, rng, blades):
-    """{mask: ScalarPoly}: random c/chat blades, polynomial coefficients."""
+def random_blades(n, rng, blades, real=False):
+    """{mask: ScalarPoly}: random c/chat blades, polynomial coefficients,
+    some with imaginary parts unless real."""
     out = {}
     for _ in range(blades):
         mask = rng.randrange(1 << (2 * n))
         terms = {
             (rng.randint(0, 2), rng.randint(0, 2)): GaussianRational(
                 Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
-                Fraction(rng.choice((0, 0, rng.randint(-3, 3))), rng.randint(1, 3)),
+                Fraction(0 if real else rng.choice((0, 0, rng.randint(-3, 3))), rng.randint(1, 3)),
             )
             for _ in range(rng.randint(1, 3))
         }
@@ -662,9 +672,9 @@ def random_blades(n, rng, blades):
     return out
 
 
-def random_element(n, rng, blades):
+def random_element(n, rng, blades, real=False):
     """Sparse Cl(n,n) element with random_blades' blades and coefficients."""
-    return op_of(n, random_blades(n, rng, blades))
+    return op_of(n, random_blades(n, rng, blades, real))
 
 
 class TestSignRuleOracle:
@@ -705,7 +715,7 @@ class TestSignRuleOracle:
             # rotate the largest factor through each chain position
             sizes = [2, 3, 6]
             sizes = sizes[trial:] + sizes[:trial]
-            x, y, z = (random_element(n, rng, k) for k in sizes)
+            x, y, z = (random_element(n, rng, k, real=True) for k in sizes)
             xy = matmul(x.rows, y.rows)
             assert (x * y).rows == xy
             assert trace_one((x, y), n) == mtrace(xy)

@@ -1,0 +1,90 @@
+"""Every density is linear in R, read off the structure of the pairs.
+
+A checked density is a sum over the factor pairs that its blocks
+integrate (even_pairs).  A factor carries a curvature tag when its
+weight or operator is built from R.  So a density is linear in R when
+each of its pairs carries exactly one curvature-tagged factor: the I
+and II blocks.  The metric block must not see R at all, so each of its
+pairs carries none.  The walk covers the blocks of one Analysis on
+derive_inputs(n, 1), whose random_riemann tensor draws every entry, and
+pins the pair count of each block, so an empty walk cannot pass.
+"""
+
+from collections import Counter
+
+import pytest
+
+import wres.residue
+from wres.clifford import Dimension
+from wres.residue import Analysis, derive_inputs
+from wres.symbols import _CURVATURE_TAGS, SymbolExpansion, even_pairs
+
+# block id -> number of even pairs, at dims 2, 4 and 6; I-2 and I-5
+# form none while u and v are constant, nor II at dim 2 (M = 0)
+PAIRS = {
+    2: {"I-1": 4, "I-3": 8, "I-4": 10, "I-6": 2, "metric": 1},
+    4: {"I-1": 24, "I-3": 48, "I-4": 76, "I-6": 36, "II": 6, "metric": 1},
+    6: {"I-1": 60, "I-3": 108, "I-4": 186, "I-6": 150, "II": 8, "metric": 1},
+}
+
+
+class _Captured(Exception):
+    """Raised once the blocks are captured: nothing is integrated."""
+
+
+def analysis_blocks(monkeypatch, n: int) -> dict:
+    """{block id: [(A, oa, B, ob, k), ...]} as one Analysis on
+    derive_inputs(n, 1) hands them to integrate_blocks."""
+    captured = {}
+
+    def integrate_blocks(blocks, dim_n):
+        captured.update(blocks)
+        raise _Captured
+
+    monkeypatch.setattr(wres.residue, "integrate_blocks", integrate_blocks)
+    with pytest.raises(_Captured):
+        Analysis(Dimension(n), *derive_inputs(n, 1))
+    return captured
+
+
+def curvature_counts(blocks: dict) -> dict:
+    """{block id: Counter {curvature-tagged factors of a pair: pairs}}
+    over the even pairs of every non-empty block."""
+    counts = {}
+    for bid, spec in blocks.items():
+        tally = Counter(
+            sum(t.tag in _CURVATURE_TAGS for t in pair)
+            for A, oa, B, ob, k in spec
+            for pair in even_pairs(A, oa, B, ob, k)
+        )
+        if tally:
+            counts[bid] = tally
+    return counts
+
+
+def certified(n: int) -> dict:
+    """The counts the certificate requires at dim n: every pair of an I
+    or II block with one curvature-tagged factor, the metric pair none."""
+    return {bid: Counter({0 if bid == "metric" else 1: pairs}) for bid, pairs in PAIRS[n].items()}
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_each_pair_carries_one_curvature_factor(monkeypatch, n):
+    assert curvature_counts(analysis_blocks(monkeypatch, n)) == certified(n)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_a_curvature_tag_on_the_top_term_fails(monkeypatch, n):
+    # the inverse powers' top term |xi|^(-2M) re-tagged as a Ricci term:
+    # I-1 pairs it with PQ's cc and hchc factors, the metric block with
+    # the uv symbol
+    real_add = SymbolExpansion.add
+
+    def add(exp, term):
+        real_add(exp, term._replace(tag="ric") if term.tag == "delta" else term)
+
+    monkeypatch.setattr(SymbolExpansion, "add", add)
+    counts = curvature_counts(analysis_blocks(monkeypatch, n))
+    assert counts != certified(n)
+    assert counts["I-1"] == Counter({2: PAIRS[n]["I-1"]})
+    assert counts["metric"] == Counter({1: 1})
