@@ -18,8 +18,8 @@ traceless, so tr X = 2^n * (scalar part of X), and a trace of a chain
 builds no product: tr(a b c) is a signed sum of a b c over the blade
 triples whose masks XOR to zero (trace_chains, the one trace, which
 traces a whole batch of chains).  Traced operators are real: the
-operator a0 d + b0 delta acts on real forms, and the symbol calculus
-keeps its i in the symbol weights.  A batch substitutes a0 = 2^K,
+operator a0 d + b0 delta acts on real forms, and a symbol weight's i
+follows from its term's order.  A batch substitutes a0 = 2^K,
 b0 = 1 within each total degree of every blade's polynomial (Kronecker
 packing) at one width K, so each operator is one real integer per
 blade and total degree, packed once; it sums signed integer triple
@@ -284,13 +284,14 @@ def trace_chains(chains: dict, n: int) -> dict:
 
     Each distinct operator is packed once (scalars._kron_parts), at one
     digit width K for the batch, one integer per blade and total degree.
-    Traced operators are real (the symbol weights carry every i), and an
-    imaginary numerator anywhere in the batch raises ValueError before
-    anything is packed.  Over its denominator and before the factor 2^n,
-    a coefficient of tr(a b c) is at most |a.blades| |c.blades| L(a)
-    L(b) L(c), L the largest L1 norm (sum of |re|) of one blade's terms,
-    since ma and mc fix mb.  K exceeds the bit length of the batch's
-    largest bound by 2, so every digit reads back exactly.
+    Traced operators are real (a symbol weight's i follows from its
+    term's order), and an imaginary numerator anywhere in the batch
+    raises ValueError before anything is packed.  Over its denominator
+    and before the factor 2^n, a coefficient of tr(a b c) is at most
+    |a.blades| |c.blades| L(a) L(b) L(c), L the largest L1 norm (sum of
+    |re|) of one blade's terms, since ma and mc fix mb.  K exceeds the
+    bit length of the batch's largest bound by 2, so every digit reads
+    back exactly.
     """
     for ops in chains.values():
         if len(ops) > 3:

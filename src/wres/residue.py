@@ -101,51 +101,45 @@ class FunctionalDensity:
 
 
 def trace_weights(den: int, chains: dict, traces: dict) -> FunctionalDensity:
-    """Sum of (re + im*i) / den * trace over one tag's {chain ids: (ops,
-    [re, im])} (composed_weights), each trace read from traces
-    (clifford.trace_chains), which need only hold the chains whose
-    numerator does not cancel.  The traces, over the lcm of their
-    denominators, are multiplied by the integer numerators into one slot
-    dict, which is made canonical once."""
-    traced = [(traces[key], w) for key, (_, w) in chains.items() if w[0] or w[1]]
+    """Sum of num / den * trace over one tag's {chain ids: (ops, num)}
+    (composed_weights), each trace read from traces (trace_chains), which
+    need only hold the uncancelled chains.  The traces, over the lcm of
+    their denominators, times the integer numerators go into one slot
+    dict, made canonical once."""
+    traced = [(traces[key], w) for key, (_, w) in chains.items() if w]
     tden = lcm(*(t.den for t, _ in traced))
-    hits = ((0, tden // t.den, ((0, re, im),), t.nums) for t, (re, im) in traced)
+    hits = ((0, tden // t.den, ((0, w, 0),), t.nums) for t, w in traced)
     acc = _imac_each({}, hits).get(0, {})
     return FunctionalDensity(ScalarPoly._from_slots(den * tden, acc), 0)
 
 
 def composed_weights(blocks, n: int) -> dict:
-    """{tag: [den, {chain ids: (ops, [re, im])}]} of the cosphere-integrated
+    """{tag: [den, {chain ids: (ops, num)}]} of the cosphere-integrated
     terms of the blocks (A, oa, B, ob, k), without building any product
-    term: each chain weighs (re + im*i) / den, integer numerators over
-    one unreduced denominator per tag (a cancelled weight is [0, 0]).
+    term: each chain weighs num / den, one integer per chain over one
+    unreduced denominator per tag (a cancelled weight is 0).
 
-    A factor pair (ta, tb) integrates to the product of the two term
-    weights (re + im*i) / den and vol_multiplier(n, ta.xi + tb.xi) on
-    the chain ta.ops + tb.ops: an integer over ta.den * tb.den *
-    vol_den, read straight from the terms' integer numerators.  A tag's
-    denominator is the lcm of its pairs', and its numerators are
-    rescaled when a pair's denominator does not divide it.  Odd
-    monomials integrate to zero, so only the even pairs are enumerated
-    (even_pairs).
+    A factor pair (ta, tb) integrates to ta.num * tb.num times
+    vol_multiplier(n, ta.xi + tb.xi) on the chain ta.ops + tb.ops, an
+    integer over ta.den * tb.den * vol_den.  Only even pairs integrate
+    to nonzero (even_pairs), and an even pair has even order, so the
+    weight is real.  A tag's denominator is the lcm of its pairs', its
+    numerators rescaled when a pair's denominator does not divide it.
     """
     weights: dict = {}
     for A, oa, B, ob, k in blocks:
         for ta, tb in even_pairs(A, oa, B, ob, k):
-            ra, ia, rb, ib = ta.re, ta.im, tb.re, tb.im
             vnum, vden = vol_multiplier(n, tuple(map(add, ta.xi_mono, tb.xi_mono)))
             den = ta.den * tb.den * vden
             acc = weights.setdefault(pair_tag(ta, tb), [den, {}])
             if acc[0] % den:
                 f = den // gcd(acc[0], den)
                 acc[0] *= f
-                for _, w in acc[1].values():
-                    w[0], w[1] = w[0] * f, w[1] * f
-            f = acc[0] // den * vnum
+                acc[1] = {key: (ops, w * f) for key, (ops, w) in acc[1].items()}
             ops = ta.ops + tb.ops
-            w = acc[1].setdefault(tuple(map(id, ops)), (ops, [0, 0]))[1]
-            w[0] += (ra * rb - ia * ib) * f
-            w[1] += (ra * ib + ia * rb) * f
+            key = tuple(map(id, ops))
+            w = ta.num * tb.num * (acc[0] // den * vnum)
+            acc[1][key] = (ops, acc[1][key][1] + w if key in acc[1] else w)
     return weights
 
 
@@ -161,7 +155,7 @@ def integrate_blocks(blocks: dict, n: int) -> dict:
         for tags in weights.values()
         for _, tagged in tags.values()
         for key, (ops, w) in tagged.items()
-        if w[0] or w[1]
+        if w
     }
     traces = trace_chains(chains, n)
     return {
@@ -280,6 +274,9 @@ class Analysis:
     """
 
     def __init__(self, dim: Dimension, R: RiemannTensor, u: FrameVector, v: FrameVector):
+        for name, arg in (("R", R), ("u", u), ("v", v)):
+            if arg.n != dim.n:
+                raise ValueError(f"{name} has dimension {arg.n}, but the analysis has dimension {dim.n}")
         self.dim = dim
         self.R = R
         self.u = u

@@ -177,11 +177,11 @@ def _imac(acc: dict, factor: int, p, q) -> dict:
 # under products, so the product of packed parts of degrees d1 and d2 is
 # the packed degree-(d1 + d2) part of the product, and a b0 power packs
 # to itself.  Only real polynomials are packed: a traced operator is a
-# real polynomial in a0, b0, and the symbol calculus keeps its i in the
-# SymbolTerm weights.  Digits are balanced: the caller proves that every
-# digit of its result lies inside +-2^(K-2), so _kron_slots reads each
-# back exactly.  A packed integer is never a stored form: its gcd is not
-# the gcd of its digits.
+# real polynomial in a0, b0, and a symbol weight's i follows from its
+# term's order (symbols.SymbolTerm).  Digits are balanced: the caller
+# proves every digit of its result inside +-2^(K-2), so _kron_slots reads
+# each back exactly.  A packed integer is never a stored form: its gcd
+# is not the gcd of its digits.
 
 _NEXT_DIGIT = (1 << _DEG_BITS) - 1  # one more a0, one less b0
 

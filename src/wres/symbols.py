@@ -2,20 +2,19 @@
 
 A symbol is a finite sum of terms
 
-    (re + im*i) / den * x^alpha xi^beta ||xi||^p (x) op_1 op_2 ... op_k
+    i^(d mod 2) num / den * x^alpha xi^beta ||xi||^p (x) op_1 op_2 ... op_k
 
-where the weight is an exact constant held as integers (den > 0, not
-necessarily reduced), the monomials live on R^n, and the ops chain
-multiplies out to one Clifford-algebra coefficient.  The weights of the
-curvature families are small-denominator multiples of the integer
-numerators of the curvature record, written over its denominator.  The
-parameters a0, b0 enter only through ctilde = a0*ext - b0*int, so they
-live in the Clifford coefficients and never in a weight.  The chain is
-kept unevaluated: its trace is read off without building the product,
-once per chain (clifford.trace_chains).  Homogeneity order of a term is
-|beta| + p; composition pairs xi-derivatives on the left factor with
-x-derivatives on the right factor and evaluates everything at the base
-point x = 0.
+of order d = |beta| + p, p even, with the weight held as two integers
+(den > 0, not necessarily reduced) and its i fixed by the order
+(SymbolTerm).  The weights of the curvature families are
+small-denominator multiples of the curvature record's integer
+numerators, over its denominator.  The parameters a0, b0 enter only
+through ctilde = a0*ext - b0*int, so they live in the Clifford
+coefficients and never in a weight.  The ops chain is kept unevaluated:
+its trace is read off once per chain without building the product
+(clifford.trace_chains).  Composition pairs xi-derivatives on the left
+factor with x-derivatives on the right factor and evaluates everything
+at the base point x = 0.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ from .scalars import _canonical, _imac_each
 
 
 class SymbolTerm(NamedTuple):
-    """One additive term of an operator-valued symbol, weighted by the
-    constant (re + im*i) / den with integer re, im and den > 0.
-
+    """One additive term of an operator-valued symbol, weighted by num /
+    den at an even order and i num / den at an odd one (integer num, den
+    > 0): a real operator's degree-d symbol lies in i^d times a real one.
     Built only from integers, and never hashed or value-compared: the
     ops chain holds CliffordOps, which are unhashable.
     """
@@ -44,8 +43,7 @@ class SymbolTerm(NamedTuple):
     xi_mono: tuple
     norm_power: int
     den: int
-    re: int
-    im: int
+    num: int
     ops: tuple = ()
     tag: str = ""
 
@@ -63,14 +61,14 @@ def _e(n: int, *idx: int) -> tuple:
 
 
 def d_xi(t: SymbolTerm, j: int) -> list:
-    """Derivative in xi_j; the norm factor contributes p xi_j ||xi||^{p-2}."""
-    x, xi, p, den, re, im, ops, tag = t
+    """Derivative of the numerator in xi_j; the norm factor contributes p xi_j ||xi||^{p-2}."""
+    x, xi, p, den, num, ops, tag = t
     c = xi[j - 1]
     out = []
     if c:
-        out.append(SymbolTerm(x, xi[: j - 1] + (c - 1,) + xi[j:], p, den, c * re, c * im, ops, tag))
+        out.append(SymbolTerm(x, xi[: j - 1] + (c - 1,) + xi[j:], p, den, c * num, ops, tag))
     if p:
-        out.append(SymbolTerm(x, xi[: j - 1] + (c + 1,) + xi[j:], p - 2, den, p * re, p * im, ops, tag))
+        out.append(SymbolTerm(x, xi[: j - 1] + (c + 1,) + xi[j:], p - 2, den, p * num, ops, tag))
     return out
 
 
@@ -82,7 +80,7 @@ class SymbolExpansion:
         self._orders: dict = {}
 
     def add(self, term: SymbolTerm) -> None:
-        if not (term.re or term.im):
+        if not term.num:
             return
         self._orders.setdefault(term.order(), []).append(term)
 
@@ -108,23 +106,25 @@ class SymbolExpansion:
                 groups.setdefault((order, t.x_mono, t.xi_mono, t.norm_power), []).append(t)
         out: dict = {}
         for key, terms in groups.items():
-            den, re, im, chains = 1, 0, 0, []
+            den, num, chains = 1, 0, []
             for t in terms:
                 op = reduce(mul, t.ops) if t.ops else None
                 d = t.den * op.den if op else t.den
                 if den % d:  # den becomes lcm(den, d), the sum so far rescaled
                     f = d // gcd(den, d)
-                    den, re, im = den * f, re * f, im * f
+                    den, num = den * f, num * f
                 if op:
-                    chains.append((d, ((0, t.re, t.im),), op))
+                    chains.append((d, t.num, op))
                 else:
-                    re, im = re + den // d * t.re, im + den // d * t.im
+                    num += den // d * t.num
+            odd = key[0] % 2  # the weights' i, back on at an odd order
             if chains:
-                hits = ((m, den // d, p, w) for d, w, op in chains for m, p in op.blades.items())
-                den, blades = _canonical(den, _imac_each({0: {0: [re, im]}}, hits))
-            elif re or im:
-                g = gcd(den, re, im)
-                den, blades = den // g, {0: ((0, re // g, im // g),)}
+                unit = ((0, 1 - odd, odd),)
+                hits = ((m, den // d * w, p, unit) for d, w, op in chains for m, p in op.blades.items())
+                den, blades = _canonical(den, _imac_each({0: {0: [(1 - odd) * num, odd * num]}}, hits))
+            elif num:
+                g = gcd(den, num)
+                den, blades = den // g, {0: ((0, (1 - odd) * num // g, odd * num // g),)}
             else:
                 continue
             if blades:
@@ -282,11 +282,11 @@ def _curvature_family(exp: SymbolExpansion, rec: CurvatureRecord, M: int) -> Non
     n = exp.n
     top = -2 * M - 2
     den = 3 * rec.den
-    exp.add(SymbolTerm(_e(n), _e(n), -2 * M, 1, 1, 0, (), "delta"))
+    exp.add(SymbolTerm(_e(n), _e(n), -2 * M, 1, 1, (), "delta"))
     for (x, xi), num in rec.rxx.items():
-        exp.add(SymbolTerm(x, xi, top, den, -M * num, 0, (), "rxx"))
+        exp.add(SymbolTerm(x, xi, top, den, -M * num, (), "rxx"))
     for (a, b), ric in rec.ricci.items():
-        exp.add(SymbolTerm(_e(n, b), _e(n, a), top, den, 0, -2 * M * ric, (), "ric"))
+        exp.add(SymbolTerm(_e(n, b), _e(n, a), top, den, -2 * M * ric, (), "ric"))
 
 
 def lemma1_symbols(
@@ -305,15 +305,15 @@ def lemma1_symbols(
     exp = SymbolExpansion(n)
     _curvature_family(exp, rec, M)
     for (a, b), ric in rec.ricci.items():
-        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 3 * rec.den, M * (M + 1) * ric, 0, (), "ric"))
+        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 3 * rec.den, M * (M + 1) * ric, (), "ric"))
 
     # order -2M-1; the order -2M-2 terms 2M(M+1) T_ab xi_a xi_b of (a, b)
     # and (b, a) cancel, since T_ba = -T_ab, so none is written
     for (a, b), t in conn.t_ab.items():
         if not t.is_zero():
-            exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 1, 0, -2 * M, (t,), "tab"))
+            exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 1, -2 * M, (t,), "tab"))
     if not conn.e.is_zero():
-        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 1, -M, 0, (conn.e,), "e"))
+        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 1, -M, (conn.e,), "e"))
     return exp
 
 
@@ -343,14 +343,14 @@ def lemma2_symbols(
         # -+M(M+1)/4 xi_a xi_b of (a, b) and (b, a) share one chain with
         # opposite weights, so they cancel and none is written
         for a, b, sign, cc, hh in _ordered_pairs(rec):
-            exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, sign * M, (cc,), "cc"))
-            exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, 0, -sign * M, (hh,), "hchc"))
+            exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, sign * M, (cc,), "cc"))
+            exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, -sign * M, (hh,), "hchc"))
     for (a, b), ric in rec.ricci.items():
-        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 3 * rec.den, M * (M + 1) * ric, 0, (), "ric"))
+        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 3 * rec.den, M * (M + 1) * ric, (), "ric"))
     if not rec.f.is_zero():
-        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 8, -M, 0, (rec.f,), "f"))
+        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 8, -M, (rec.f,), "f"))
     if rec.s and M:
-        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 4 * rec.den, -M * rec.s, 0, (), "s"))
+        exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 4 * rec.den, -M * rec.s, (), "s"))
     return exp
 
 
@@ -359,7 +359,7 @@ def principal_symbol(dim: Dimension, w: FrameVector) -> SymbolExpansion:
     n = dim.n
     exp = SymbolExpansion(n)
     for f in range(1, n + 1):
-        exp.add(SymbolTerm(_e(n), _e(n, f), 0, 1, 0, 1, (tildec_pair(w, FrameVector.basis(n, f)),), ""))
+        exp.add(SymbolTerm(_e(n), _e(n, f), 0, 1, 1, (tildec_pair(w, FrameVector.basis(n, f)),), ""))
     return exp
 
 
@@ -379,8 +379,8 @@ def symbols_PQ(
     exp = principal_symbol(dim, w)
     w_p = [t.ops[0] for t in exp.terms_at(1)]  # ctilde(w) ctilde(e_p), p = 1..n
     for l, p, sign, cc, hh in _ordered_pairs(curvature_ops(R, cache)):
-        exp.add(SymbolTerm(_e(n, l), _e(n), 0, 8, -sign, 0, (w_p[p - 1], cc), "cc"))
-        exp.add(SymbolTerm(_e(n, l), _e(n), 0, 8, sign, 0, (w_p[p - 1], hh), "hchc"))
+        exp.add(SymbolTerm(_e(n, l), _e(n), 0, 8, -sign, (w_p[p - 1], cc), "cc"))
+        exp.add(SymbolTerm(_e(n, l), _e(n), 0, 8, sign, (w_p[p - 1], hh), "hchc"))
     return exp
 
 
@@ -388,7 +388,7 @@ def uv_symbol(dim: Dimension, u: FrameVector, v: FrameVector) -> SymbolExpansion
     """Order-zero symbol of the endomorphism ctilde(u) ctilde(v)."""
     n = dim.n
     exp = SymbolExpansion(n)
-    exp.add(SymbolTerm(_e(n), _e(n), 0, 1, 1, 0, (tildec_pair(u, v),), ""))
+    exp.add(SymbolTerm(_e(n), _e(n), 0, 1, 1, (tildec_pair(u, v),), ""))
     return exp
 
 
@@ -398,16 +398,18 @@ def uv_symbol(dim: Dimension, u: FrameVector, v: FrameVector) -> SymbolExpansion
 
 def _factor_lists(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int):
     """Yield (derived A terms, B terms) per multi-index alpha of weight k:
-    the A terms of order oa, free of x, times (-i)^k (re, im -> im, -re
-    once per derivative) and differentiated by d_xi^alpha, and the B
-    terms of order ob whose x monomial is alpha.  Only A is ever
-    differentiated in xi; B, the inverse power whenever one is composed,
-    is matched by its x monomial alone.
+    the A terms of order oa, free of x, times the block's sign and
+    differentiated by d_xi^alpha, and the B terms of order ob whose x
+    monomial is alpha.  Only A is ever differentiated in xi; B, the
+    inverse power whenever one is composed, is matched by its x monomial
+    alone.
 
     The base-point evaluation keeps exactly the B terms whose x monomial
     equals alpha, and their alpha! cancels the 1/alpha! of the
-    composition formula, leaving the flat factor (-i)^k.  For k = 0 the
-    one multi-index is empty.  The derived A terms are memoised per
+    composition formula, leaving the flat factor (-i)^k.  The product's
+    phase i^(oa mod 2) (-i)^k i^(ob mod 2) is i^e, e = oa mod 2 + 3k + ob
+    mod 2: i^(order mod 2), times -1 when bit 1 of e is set.  For k = 0
+    the one multi-index is empty.  The derived A terms are memoised per
     multi-index prefix, so the multi-indices that start with one index
     share its first derivative.
     """
@@ -423,9 +425,9 @@ def _factor_lists(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: i
             bgroup.setdefault(tb.x_mono, []).append(tb)
     if not aterms or not bgroup:
         return
-    # xi-derivatives are linear, so (-i)^k goes on before them
-    for _ in range(k):
-        aterms = [t._replace(re=t.im, im=-t.re) for t in aterms]
+    # xi-derivatives are linear, so the sign goes on before them
+    if (oa % 2 + 3 * k + ob % 2) & 2:
+        aterms = [t._replace(num=-t.num) for t in aterms]
     memo = {(): aterms}
 
     def derived(combo: tuple) -> list:
@@ -450,11 +452,11 @@ def _odd_mask(mono: tuple) -> int:
 def even_pairs(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int):
     """Yield the factor pairs (ta, tb) of the block whose summed xi
     monomial is even in every variable; no other pair is enumerated.
-    Each product of the two weights times xi^(ta.xi + tb.xi) (x) ta.ops +
-    tb.ops is one term, and ta carries the flat factor (-i)^k.
-
-    ta.xi + tb.xi is even exactly when both have the same odd-exponent
-    mask, so each derived A term meets only the B terms of its mask.
+    Each is one term, of numerator ta.num * tb.num (ta carries the
+    block's sign, _factor_lists) on xi^(ta.xi + tb.xi) (x) ta.ops +
+    tb.ops.  ta.xi + tb.xi is even exactly when both have the same
+    odd-exponent mask, so each derived A term meets only the B terms of
+    its mask.
     """
     for derived, blist in _factor_lists(A, oa, B, ob, k):
         by_mask: dict = {}
@@ -490,7 +492,7 @@ def blocks_at(A: SymbolExpansion, B: SymbolExpansion, order: int) -> list:
 
 def compose_block(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int) -> list:
     """The terms of (-i)^k/k! sum_alpha d_xi^alpha[A_oa] d_x^alpha[B_ob]
-    at x = 0, one per factor pair.
+    at x = 0, one per factor pair, of numerator ta.num * tb.num.
 
     Odd terms are kept: a product symbol is differentiated in xi again
     when it is composed further, which can make them even.
@@ -502,8 +504,7 @@ def compose_block(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: i
             tuple(map(add, ta.xi_mono, tb.xi_mono)),
             ta.norm_power + tb.norm_power,
             ta.den * tb.den,
-            ta.re * tb.re - ta.im * tb.im,
-            ta.re * tb.im + ta.im * tb.re,
+            ta.num * tb.num,
             ta.ops + tb.ops,
             pair_tag(ta, tb),
         )

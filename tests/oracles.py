@@ -39,8 +39,9 @@ def projected_riemann(n: int, seed: int, draw) -> dict:
 
 
 def weight(t) -> ScalarPoly:
-    """A SymbolTerm's weight (re + im*i) / den as a constant ScalarPoly."""
-    return ScalarPoly._from_slots(t.den, {0: (t.re, t.im)})
+    """A SymbolTerm's weight as a constant ScalarPoly: num / den, times i
+    when the term's order is odd."""
+    return ScalarPoly._from_slots(t.den, {0: (0, t.num) if t.order() % 2 else (t.num, 0)})
 
 
 def identity(n: int) -> CliffordOp:

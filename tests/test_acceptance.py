@@ -110,8 +110,8 @@ def test_criterion_2_trace_and_volume_bookkeeping():
         # a k = 0 block of the identity against the unit symbol, as the
         # engine composes, integrates and traces every density
         ident, unit = SymbolExpansion(n), SymbolExpansion(n)
-        ident.add(SymbolTerm((0,) * n, (0,) * n, 0, 1, 1, 0))
-        unit.add(SymbolTerm((0,) * n, (0,) * n, -n, 1, 1, 0))
+        ident.add(SymbolTerm((0,) * n, (0,) * n, 0, 1, 1))
+        unit.add(SymbolTerm((0,) * n, (0,) * n, -n, 1, 1))
         got = integrate_blocks({"": [(ident, 0, unit, -n, 0)]}, n)[""][""]
         assert got == FunctionalDensity(ScalarPoly.const(want), 0)
     print("ACCEPTANCE criterion 2: PASS (trace unit 16 Vol and 64 Vol exact)")

@@ -54,7 +54,7 @@ class ReadMap:
 
         def add(exp, term):
             real_add(exp, term)
-            if term.re or term.im:
+            if term.num:
                 self.kept[id(exp)] = exp
                 cell = (id(exp), term.order(), sum(term.x_mono))
                 self.written.setdefault(cell, set()).add(term.tag)
@@ -156,7 +156,7 @@ def test_planted_ricci_term_is_reported(monkeypatch, n):
         if exponent == -2 * m:
             rec = curvature_ops(R, cache)
             for (a, b), ric in rec.ricci.items():
-                exp.add(SymbolTerm(_e(n), _e(n, a), -2 * m - 2, 3 * rec.den, 0, 5 * m * ric, (), "ric"))
+                exp.add(SymbolTerm(_e(n), _e(n, a), -2 * m - 2, 3 * rec.den, 5 * m * ric, (), "ric"))
         return exp
 
     monkeypatch.setattr(wres.residue, "lemma2_symbols", planted)

@@ -70,7 +70,7 @@ def integrate(terms, n):
     the engine's path: one k = 0 block against the identity symbol,
     through integrate_blocks."""
     ident, B = SymbolExpansion(n), SymbolExpansion(n)
-    ident.add(SymbolTerm(mono(n), mono(n), 0, 1, 1, 0))
+    ident.add(SymbolTerm(mono(n), mono(n), 0, 1, 1))
     for t in terms:
         B.add(t)
     (order,) = B.orders()
@@ -140,19 +140,19 @@ class TestIntegration:
     def test_flat_top_symbol_gives_trace_unit(self):
         # ||xi||^{-2m} times the identity integrates to 2^{2m} Vol
         for n in (4, 6):
-            got = integrate([SymbolTerm(mono(n), mono(n), -n, 1, 1, 0)], n)
+            got = integrate([SymbolTerm(mono(n), mono(n), -n, 1, 1)], n)
             assert got == FunctionalDensity(ScalarPoly.const(1 << n), 0)
 
     def test_odd_monomials_drop(self):
         n = 4
-        term = SymbolTerm(mono(n), mono(n, 1, 2), -6, 1, 1, 0)
+        term = SymbolTerm(mono(n), mono(n, 1, 2), -6, 1, 1)
         assert not integrate([term], n).poly
 
     def test_weighted_pair_trace(self):
         # xi_1^2 ||xi||^{-6} ctilde(e1)^2 integrates to (1/4)(-16 a0 b0)
         n = 4
         op = tildec_op(n, 1)
-        got = integrate([SymbolTerm(mono(n), mono(n, 1, 1), -6, 1, 1, 0, (op, op))], n)
+        got = integrate([SymbolTerm(mono(n), mono(n, 1, 1), -6, 1, 1, (op, op))], n)
         assert got == FunctionalDensity(ScalarPoly.monomial(1, 1, -4), 0)
 
     def test_one_trace_per_distinct_chain(self, monkeypatch):
@@ -163,13 +163,13 @@ class TestIntegration:
         n = 4
         a, b = tildec_op(n, 1), tildec_op(n, 2)
         terms = [
-            SymbolTerm(mono(n), mono(n, 1, 1), -6, 1, 1, 0, (a, a)),
-            SymbolTerm(mono(n), mono(n, 2, 2), -6, 1, 3, 0, (a, a)),
-            SymbolTerm(mono(n), mono(n), -4, 1, 0, 1, (a, b)),
-            SymbolTerm(mono(n), mono(n, 1, 2), -6, 1, 1, 0, (b, a)),  # odd: never traced
+            SymbolTerm(mono(n), mono(n, 1, 1), -6, 1, 1, (a, a)),
+            SymbolTerm(mono(n), mono(n, 2, 2), -6, 1, 3, (a, a)),
+            SymbolTerm(mono(n), mono(n), -4, 1, 1, (a, b)),
+            SymbolTerm(mono(n), mono(n, 1, 2), -6, 1, 1, (b, a)),  # odd: never traced
             # one chain, opposite scalars: weight zero, never traced
-            SymbolTerm(mono(n), mono(n, 3, 3), -6, 1, 3, 0, (b, b)),
-            SymbolTerm(mono(n), mono(n, 3, 3), -6, 1, -3, 0, (b, b)),
+            SymbolTerm(mono(n), mono(n, 3, 3), -6, 1, 3, (b, b)),
+            SymbolTerm(mono(n), mono(n, 3, 3), -6, 1, -3, (b, b)),
         ]
         got = integrate(terms, n)
         (batch,) = batches
@@ -200,9 +200,9 @@ class TestIntegration:
         three = ScalarPoly.const(3)
         # weights 3, 3 - 3 and 3 + (-3), as numerators over den 2
         chains = {
-            (id(a), id(a)): ((a, a), [6, 0]),
-            (id(b), id(b)): ((b, b), [6 - 6, 0]),
-            (id(a), id(b)): ((a, b), [6 + -6, 0]),
+            (id(a), id(a)): ((a, a), 6),
+            (id(b), id(b)): ((b, b), 6 - 6),
+            (id(a), id(b)): ((a, b), 6 + -6),
         }
         # trace_weights reads no trace of a cancelled chain
         traces = trace_chains({(id(a), id(a)): (a, a)}, n)
@@ -249,12 +249,12 @@ def term_weights(spec, n):
 
 def nonzero(weights):
     """{(tag, chain ids): weight} of the uncancelled weights of
-    composed_weights, each (re + im*i) / den read out as a constant."""
+    composed_weights, each num / den read out as a constant."""
     return {
-        (tag, key): ScalarPoly.const(GaussianRational(Fraction(re, den), Fraction(im, den)))
+        (tag, key): ScalarPoly.const(Fraction(num, den))
         for tag, (den, chains) in weights.items()
-        for key, (_, (re, im)) in chains.items()
-        if re or im
+        for key, (_, num) in chains.items()
+        if num
     }
 
 
@@ -296,7 +296,7 @@ class TestBlocks:
                     terms = compose_block(*block)
                     odd += sum(any(e % 2 for e in t.xi_mono) for t in terms)
                     want = Counter(
-                        key(t.xi_mono, t.norm_power, weight(t), t.ops, t.tag)
+                        key(t.xi_mono, t.norm_power, t.num, t.ops, t.tag)
                         for t in terms
                         if not any(e % 2 for e in t.xi_mono)
                     )
@@ -304,7 +304,7 @@ class TestBlocks:
                         key(
                             tuple(a + b for a, b in zip(ta.xi_mono, tb.xi_mono)),
                             ta.norm_power + tb.norm_power,
-                            weight(ta) * weight(tb),
+                            ta.num * tb.num,
                             ta.ops + tb.ops,
                             ta.tag or tb.tag,
                         )
@@ -337,7 +337,7 @@ class TestBlocks:
         def weights_spy(blocks, n):
             tags = real_weights(blocks, n)
             # plant a chain whose weight cancelled in every block
-            tags.setdefault("", [1, {}])[1][tuple(map(id, planted))] = (planted, [0, 0])
+            tags.setdefault("", [1, {}])[1][tuple(map(id, planted))] = (planted, 0)
             composed.append(tags)
             return tags
 
@@ -349,8 +349,8 @@ class TestBlocks:
         weighted, cancelled = set(), set()
         for tags in composed:
             for _, chains in tags.values():
-                for key, (_, (re, im)) in chains.items():
-                    (weighted if re or im else cancelled).add(key)
+                for key, (_, num) in chains.items():
+                    (weighted if num else cancelled).add(key)
         assert set(batch) == weighted and tuple(map(id, planted)) in cancelled - weighted
 
     def test_analysis_builds_no_gaussian_rational(self, monkeypatch):
@@ -766,6 +766,17 @@ class TestMetamorphic:
 
 def reports(*args, **kwargs):
     return [a.report_dict(seed) for seed, a in verify_all(*args, **kwargs)]
+
+
+class TestAnalysisInputs:
+    @pytest.mark.parametrize("name", ["R", "u", "v"])
+    def test_an_input_of_another_dimension_is_named(self, name):
+        # one dim-6 input among dim-4 ones fails up front, naming it,
+        # not deep in the symbol build
+        inputs = dict(zip("Ruv", derive_inputs(4, 1)))
+        inputs[name] = dict(zip("Ruv", derive_inputs(6, 1)))[name]
+        with pytest.raises(ValueError, match=f"^{name} has dimension 6, but the analysis has dimension 4$"):
+            Analysis(Dimension(4), inputs["R"], inputs["u"], inputs["v"])
 
 
 class TestVerifyAll:

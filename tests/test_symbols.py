@@ -1,9 +1,11 @@
 """Symbol families, derivatives, and composition against direct oracles."""
 
 import hashlib
+import itertools
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -94,7 +96,7 @@ def dump(exp):
 class TestDerivatives:
     def test_xi_derivative_of_plain_monomial(self):
         n = 4
-        t = SymbolTerm(mono(n), mono(n, 1, 1, 2), 0, 1, 1, 0)
+        t = SymbolTerm(mono(n), mono(n, 1, 1, 2), 0, 1, 1)
         out = d_xi(t, 1)
         assert len(out) == 1
         assert out[0].xi_mono == mono(n, 1, 2)
@@ -103,7 +105,7 @@ class TestDerivatives:
     def test_xi_derivative_hits_norm_factor(self):
         # d/dxi_1 (xi_1 |xi|^-2) = |xi|^-2 - 2 xi_1^2 |xi|^-4
         n = 4
-        t = SymbolTerm(mono(n), mono(n, 1), -2, 1, 1, 0)
+        t = SymbolTerm(mono(n), mono(n, 1), -2, 1, 1)
         out = d_xi(t, 1)
         assert len(out) == 2
         plain, normside = out
@@ -114,23 +116,23 @@ class TestDerivatives:
 
     def test_xi_derivative_in_absent_variable(self):
         n = 4
-        t = SymbolTerm(mono(n), mono(n, 2), 0, 1, 1, 0)
+        t = SymbolTerm(mono(n), mono(n, 2), 0, 1, 1)
         assert d_xi(t, 1) == []
 
     def test_order_is_xi_degree_plus_norm_power(self):
-        t = SymbolTerm(mono(4), mono(4, 1, 2), -6, 1, 1, 0)
+        t = SymbolTerm(mono(4), mono(4, 1, 2), -6, 1, 1)
         assert t.order() == -4
 
 
 class TestExpansionPlumbing:
     def test_zero_scalar_terms_are_dropped(self):
         exp = SymbolExpansion(4)
-        exp.add(SymbolTerm(mono(4), mono(4), 0, 1, 0, 0))
+        exp.add(SymbolTerm(mono(4), mono(4), 0, 1, 0))
         assert exp.orders() == []
 
     def test_every_family_writes_integer_weights(self):
         # SymbolTerm does not coerce its weight, so this is where the
-        # integer form (re + im*i) / den, den > 0, is held
+        # integer form num / den, den > 0, is held
         dim = Dimension(4)
         R = random_riemann(4, 3)
         u, v = FrameVector(4, (1, 2, 0, -1)), FrameVector(4, (0, 1, 3, 1))
@@ -146,19 +148,19 @@ class TestExpansionPlumbing:
         terms = [t for exp in families for o in exp.orders() for t in exp.terms_at(o)]
         assert terms
         for t in terms:
-            assert type(t.den) is int and type(t.re) is int and type(t.im) is int
+            assert type(t.den) is int and type(t.num) is int
             assert t.den > 0
 
     def test_merged_cancels_opposite_terms(self):
         exp = SymbolExpansion(4)
-        exp.add(SymbolTerm(mono(4), mono(4, 1), -2, 1, 1, 0))
-        exp.add(SymbolTerm(mono(4), mono(4, 1), -2, 1, -1, 0))
+        exp.add(SymbolTerm(mono(4), mono(4, 1), -2, 1, 1))
+        exp.add(SymbolTerm(mono(4), mono(4, 1), -2, 1, -1))
         assert exp.merged(ProductCache()) == {}
 
     def test_materialize_folds_chain_through_cache(self):
         n = 4
         a, b = tildec_op(n, 1), tildec_op(n, 2)
-        t = SymbolTerm(mono(n), mono(n), 0, 2, 1, 0, (a, b))
+        t = SymbolTerm(mono(n), mono(n), 0, 2, 1, (a, b))
         assert materialize(t) == (a * b).scale(Fraction(1, 2))
 
     def test_dump_is_stable_across_reconstruction(self):
@@ -212,7 +214,7 @@ class TestMerged:
         dim, cache = Dimension(n), ProductCache()
         R, u, v = derive_inputs(n, 1)
         P, PQ = symbols_PQ(dim, R, u, cache), symbol_product_PQ(dim, R, u, v, cache)
-        assert all(t.im and not t.re for t in P.terms_at(1))
+        assert all(t.num and not weight(t).is_real() for t in P.terms_at(1))
         assert any(len(t.ops) == 3 and t.den == 8 for t in PQ.terms_at(0))
         for exp in (P, PQ):
             assert exp.merged(cache) == merged_reference(exp)
@@ -225,14 +227,14 @@ class TestMerged:
         exp = SymbolExpansion(n)
         for t in (
             # one key: no-op and chain terms over 3, 4, 5 and 7
-            SymbolTerm(*key, 3, 1, 2),
-            SymbolTerm(*key, 4, 0, 1, (a, b)),
-            SymbolTerm(*key, 5, -2, 0, (a,)),
-            SymbolTerm(*key, 7, 1, 0, (a, b, c1)),
+            SymbolTerm(*key, 3, 2),
+            SymbolTerm(*key, 4, 1, (a, b)),
+            SymbolTerm(*key, 5, -2, (a,)),
+            SymbolTerm(*key, 7, 1, (a, b, c1)),
             # another: c1 c1 = -1 against the identity chain and a scalar
-            SymbolTerm(*gone, 1, 1, 0, (c1, c1)),
-            SymbolTerm(*gone, 2, 1, 0, ()),
-            SymbolTerm(*gone, 2, 1, 0, (identity(n),)),
+            SymbolTerm(*gone, 1, 1, (c1, c1)),
+            SymbolTerm(*gone, 2, 1, ()),
+            SymbolTerm(*gone, 2, 1, (identity(n),)),
         ):
             exp.add(t)
         got, want = exp.merged(None), merged_reference(exp)
@@ -305,7 +307,7 @@ class TestInversePowerSymbols:
                 if t.tag != "delta":
                     reference.add(t)
         for a in range(1, n + 1):
-            reference.add(SymbolTerm(mono(n), mono(n, a, a), -2 * m - 2, 1, 1, 0, (), "delta"))
+            reference.add(SymbolTerm(mono(n), mono(n, a, a), -2 * m - 2, 1, 1, (), "delta"))
         assert len(reference.terms_at(exponent)) == len(B.terms_at(exponent)) + n - 1
 
         def traced(blocks):
@@ -661,7 +663,7 @@ class TestComposition:
         R = random_riemann(2, 1)
         A = lemma2_symbols(dim, R, 1, -2, ProductCache())
         ident = SymbolExpansion(2)
-        ident.add(SymbolTerm(mono(2), mono(2), 0, 1, 1, 0))
+        ident.add(SymbolTerm(mono(2), mono(2), 0, 1, 1))
         for order in A.orders():
             got = compose(A, ident, order).merged(ProductCache())
             # x-carrying terms of A die at the base point
@@ -687,6 +689,43 @@ class TestComposition:
         A = lemma2_symbols(dim, flat(2), 1, -2, ProductCache())
         assert compose_block(A, -2, A, -2, -1) == []
 
+    def test_product_phase_matches_complex_arithmetic(self):
+        # A = 2/3 i^(oa mod 2) xi_1^(oa+2) |xi|^-2 against B = -5/7 i^(ob
+        # mod 2) x_1^k xi_1^b |xi|^(ob-b), b = ob mod 2: at x = 0 the
+        # block is (-i)^k d_xi_1^k[A] B, its derivative taken here by the
+        # product rule on t^a (t^2 + s)^-1, t = xi_1, s = xi_2^2, and its
+        # phase multiplied out with Python's 1j.  The sum of the product
+        # terms, each i^(order mod 2) num / den xi^beta |xi|^p, must equal
+        # it at a rational point.
+        n, (t, x2) = 2, (Fraction(1, 2), Fraction(2, 3))
+        s, norm2 = x2 * x2, t * t + x2 * x2
+
+        def dk(a, k):
+            """d^k/dt^k of t^a (t^2 + s)^-1, for k <= 2 and a >= 2, by Leibniz."""
+            g = [1 / norm2, -2 * t / norm2**2, (6 * t * t - 2 * s) / norm2**3]
+            ta = [t**a, a * t ** (a - 1), a * (a - 1) * t ** (a - 2)]
+            return sum(comb(k, j) * ta[j] * g[k - j] for j in range(k + 1))
+
+        def exact(phase: complex, value: Fraction) -> tuple:
+            return int(phase.real) * value, int(phase.imag) * value
+
+        for oa, ob, k in itertools.product(range(4), range(-5, -1), range(3)):
+            b = ob % 2
+            A, B = SymbolExpansion(n), SymbolExpansion(n)
+            A.add(SymbolTerm(mono(n), mono(n, *[1] * (oa + 2)), -2, 3, 2))
+            B.add(SymbolTerm(mono(n, *[1] * k), mono(n, *[1] * b), ob - b, 7, -5))
+            terms = compose_block(A, oa, B, ob, k)
+            assert terms and all(u.order() == oa + ob - k and not u.ops for u in terms)
+            got = [Fraction(0), Fraction(0)]
+            for u in terms:
+                value = Fraction(u.num, u.den) * t ** u.xi_mono[0] * x2 ** u.xi_mono[1]
+                value *= norm2 ** (u.norm_power // 2)
+                got = [g + e for g, e in zip(got, exact(1j ** (u.order() % 2), value))]
+            phase = 1j ** (oa % 2) * (-1j) ** k * 1j ** (ob % 2)
+            b_value = Fraction(-5, 7) * t**b * norm2 ** ((ob - b) // 2)
+            want = exact(phase, Fraction(2, 3) * dk(oa + 2, k) * b_value)
+            assert tuple(got) == want, (oa, ob, k)
+
 
     @pytest.mark.parametrize("tag", ["rxx", "ric", "cc", "hchc", "f", "s"])
     def test_a_pair_of_two_curvature_tags_is_refused(self, monkeypatch, tag):
@@ -698,7 +737,7 @@ class TestComposition:
         assert {t.tag for t in B.terms_at(-6) if not any(t.x_mono)} == {"ric", "f", "s"}
         for a_tag in ("", "delta", tag):
             A = SymbolExpansion(n)
-            A.add(SymbolTerm(mono(n), mono(n), 0, 1, 1, 0, (tildec_op(n, 1),), a_tag))
+            A.add(SymbolTerm(mono(n), mono(n), 0, 1, 1, (tildec_op(n, 1),), a_tag))
             for compose_pairs in (compose_block, lambda *block: composed_weights([block], n)):
                 if a_tag == tag:
                     with pytest.raises(ValueError, match="two curvature tags"):
@@ -710,7 +749,7 @@ class TestComposition:
 
         def planted(dim, u, v):
             exp = real(dim, u, v)
-            exp.add(SymbolTerm(mono(dim.n), mono(dim.n), 0, 1, 1, 0, (), tag))
+            exp.add(SymbolTerm(mono(dim.n), mono(dim.n), 0, 1, 1, (), tag))
             return exp
 
         monkeypatch.setattr(wres.residue, "uv_symbol", planted)
