@@ -59,6 +59,13 @@ class Dimension:
     def m(self) -> int:
         return self.n // 2
 
+    def check(self, owner: str, **args) -> None:
+        """Raise ValueError naming the first of args (tensors, vectors or
+        operators, each with an n) whose dimension is not this one."""
+        for name, arg in args.items():
+            if arg.n != self.n:
+                raise ValueError(f"{name} has dimension {arg.n}, but the {owner} has dimension {self.n}")
+
 
 _UNIT = (Fraction(0), Fraction(1))
 

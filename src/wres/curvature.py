@@ -27,7 +27,11 @@ class RiemannTensor:
     __slots__ = ("n", "entries")
 
     def __init__(self, n: int, entries: dict, validate: bool = True):
-        """Entries are coerced exactly; a float raises TypeError."""
+        """Entries are coerced exactly; a float raises TypeError.
+        validate=False skips the symmetry check, for tensors built with
+        their symmetries; such a tensor must still satisfy both pair
+        antisymmetries, since the curvature record reads only the
+        entries with i < j and k < l (symbols.curvature_ops)."""
         if n < 2:
             raise ValueError("dimension must be >= 2")
         self.n = n

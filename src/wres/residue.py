@@ -274,9 +274,7 @@ class Analysis:
     """
 
     def __init__(self, dim: Dimension, R: RiemannTensor, u: FrameVector, v: FrameVector):
-        for name, arg in (("R", R), ("u", u), ("v", v)):
-            if arg.n != dim.n:
-                raise ValueError(f"{name} has dimension {arg.n}, but the analysis has dimension {dim.n}")
+        dim.check("analysis", R=R, u=u, v=v)
         self.dim = dim
         self.R = R
         self.u = u

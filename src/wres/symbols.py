@@ -21,14 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 from operator import add, mul
 from typing import NamedTuple
 
 from .clifford import CliffordOp, Dimension, FrameVector, ProductCache, tildec_pair
 from .curvature import RiemannTensor
-from .scalars import _canonical, _imac_each
 
 
 class SymbolTerm(NamedTuple):
@@ -93,12 +92,18 @@ class SymbolExpansion:
     def merged(self, cache: ProductCache) -> dict:
         """Canonical form: (order, x, xi, norm) -> summed coefficient.
 
-        Each key is summed in one loop over its terms, over the running
-        lcm of their denominators (op-free terms on blade 0, each chain
-        multiplied out once), and reduced to canonical form once; keys
-        that sum to zero are removed, so two expansions are the same
-        symbol iff their merged maps are equal.  cache is unused but
-        bench/ passes it.
+        Each key is summed in one pass over its terms into {blade mask:
+        {packed degree: int}} over the lcm of their denominators (op-free
+        terms on blade 0, each chain multiplied out once), reduced by one
+        gcd, with the weights' i written back on odd-order keys as each
+        term is built; keys that sum to zero are removed, so two
+        expansions are the same symbol iff their merged maps are equal.
+        The ops are real (a symbol weight's i follows from its term's
+        order): an imaginary numerator raises ValueError.  The curvature
+        families are read from curvature_ops, so a tensor built with
+        validate=False must satisfy both pair antisymmetries for their
+        merged maps to be its symbols.  cache is unused but bench/
+        passes it.
         """
         groups: dict = {}
         for order, terms in self._orders.items():
@@ -118,17 +123,34 @@ class SymbolExpansion:
                 else:
                     num += den // d * t.num
             odd = key[0] % 2  # the weights' i, back on at an odd order
-            if chains:
-                unit = ((0, 1 - odd, odd),)
-                hits = ((m, den // d * w, p, unit) for d, w, op in chains for m, p in op.blades.items())
-                den, blades = _canonical(den, _imac_each({0: {0: [(1 - odd) * num, odd * num]}}, hits))
-            elif num:
-                g = gcd(den, num)
-                den, blades = den // g, {0: ((0, (1 - odd) * num // g, odd * num // g),)}
-            else:
+            if not chains:
+                if num:
+                    g = gcd(den, num)
+                    term = (0, 0, num // g) if odd else (0, num // g, 0)
+                    out[key] = CliffordOp._make(self.n, den // g, {0: (term,)})
                 continue
+            acc = {0: {0: num}}
+            for d, w, op in chains:
+                w *= den // d
+                for mask, op_terms in op.blades.items():
+                    slots = acc.get(mask)
+                    if slots is None:
+                        slots = acc[mask] = {}
+                    for k, re, im in op_terms:
+                        if im:
+                            raise ValueError(f"a merged op must be real; blade {mask} has an imaginary part")
+                        slots[k] = slots.get(k, 0) + w * re
+            g = gcd(den, *(v for slots in acc.values() for v in slots.values()))
+            blades = {}
+            for mask, slots in acc.items():
+                if len(slots) == 1:  # most blades: one degree, no sort
+                    ((k, v),) = slots.items()
+                    if v:
+                        blades[mask] = ((k, 0, v // g),) if odd else ((k, v // g, 0),)
+                elif built := [(k, v // g) for k, v in sorted(slots.items()) if v]:
+                    blades[mask] = tuple((k, 0, v) if odd else (k, v, 0) for k, v in built)
             if blades:
-                out[key] = CliffordOp._make(self.n, den, blades)
+                out[key] = CliffordOp._make(self.n, den // g, blades)
         return out
 
 
@@ -148,6 +170,32 @@ class CurvatureRecord(NamedTuple):
     s: int
 
 
+@lru_cache(maxsize=None)
+def _record_slots(n: int) -> tuple:
+    """(keys, groups) for curvature_ops on R^n (memoised per dimension).
+    keys lists the rxx keys (x monomial, xi monomial).  groups holds, per
+    pair (i, j) with i < j, one row per quad (i, j, k, l) with k < l:
+    (quad, the c mask of {k, l}, f's blade, the rxx key indices of the
+    images of sign +1, +1, -1, -1, the (Ricci index (a-1) n + b-1, sign)
+    pairs).  The images are the entry r = R_{ijkl} itself and its three
+    sign images, each read where an entry (a, b, c, d) is: on the key
+    (x_b x_d, xi_a xi_c), and on Ric_ac when b = d.  The build sums into
+    lists by these indices, so no tuple key is hashed per entry."""
+    index: dict = {}
+    groups = []
+    for i, j in combinations(range(1, n + 1), 2):
+        ij = 1 << (i - 1) | 1 << (j - 1)
+        rows = []
+        for k, l in combinations(range(1, n + 1), 2):
+            kl = 1 << (k - 1) | 1 << (l - 1)
+            images = ((i, j, k, l, 1), (j, i, l, k, 1), (j, i, k, l, -1), (i, j, l, k, -1))
+            rxx = tuple(index.setdefault((_e(n, b, d), _e(n, a, c)), len(index)) for a, b, c, d, _ in images)
+            ricci = tuple(((a - 1) * n + c - 1, sign) for a, b, c, d, sign in images if b == d)
+            rows.append(((i, j, k, l), kl, kl | ij << n, rxx, ricci))
+        groups.append(((i, j), tuple(rows)))
+    return tuple(index), tuple(groups)
+
+
 def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
     """The curvature record of R, built once per tensor and cache: the
     one place where the symbol families read R.
@@ -155,55 +203,62 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
     bivectors maps (a, b), a < b, to (cc, hh), with cc = sum_{s,t}
     R_{bats} c_s c_t and hh = sum_{s,t} R_{bats} chat_s chat_t; a pair
     whose sums vanish is absent.  The pair (b, a) is (-cc, -hh) by the
-    first-pair antisymmetry RiemannTensor.validate enforces, so it is
-    not stored: its terms carry the sign in their weights (_ordered_pairs).
-    hh is cc's canonical form, den and numerators, with every blade mask
-    shifted left by n (c_j to chat_j).
-    f = sum_{ijkl} R_{ijkl} chat_i chat_j c_k c_l.  Both sums collapse
-    against the pair antisymmetries: entry (i, j, k, l) with j < i and
-    l < k is the term s = l < t = k of the (j, i) pair, weight 2 R_{ijkl},
-    and with i < j, k < l it is one term of f, weight 4 R_{ijkl}.  Every
-    product is already its blade with sign +1:
-    the factors of c_s c_t and chat_s chat_t come in increasing bit
-    order, and chat_i chat_j c_k c_l = c_k c_l chat_i chat_j since each
-    c passes two chats.  rxx maps (x_j x_k, xi_a xi_b) to sum R_{ajbk}
-    over the entries sharing that monomial (nonzero sums only).  The
-    numerators of all three are written over den, the lcm of R's
-    denominators.  ricci maps (a, b) to the numerator of Ric_ab =
-    sum_p R_{apbp} (entry (i, j, k, l) with j == l adds to (i, k)),
-    nonzero entries only, in row-major order, and s is the numerator of
-    the scalar curvature, both over den.  All of it is read in one pass
-    over the nonzero entries.
+    first-pair antisymmetry, so it is not stored: its terms carry the
+    sign in their weights (_ordered_pairs).  hh is cc's canonical form,
+    den and numerators, with every blade mask shifted left by n (c_j to
+    chat_j).  f = sum_{ijkl} R_{ijkl} chat_i chat_j c_k c_l.  rxx maps
+    (x_j x_k, xi_a xi_b) to sum R_{ajbk} over the entries sharing that
+    monomial (nonzero sums only).  ricci maps (a, b) to the numerator of
+    Ric_ab = sum_p R_{apbp}, nonzero entries only, in row-major order,
+    and s is the numerator of the scalar curvature.  Every numerator is
+    written over den, the lcm of the read entries' denominators.
+
+    Only the entries r = R_{ijkl} with i < j and k < l are read, one per
+    independent component up to sign: the two pair antisymmetries give
+    R_{jikl} = R_{ijlk} = -r and R_{jilk} = r, and each of the four is
+    written to the rxx and Ricci slots where it would have been read
+    (_record_slots).  So a tensor built with validate=False must satisfy
+    both pair antisymmetries.  The entry r is the s = k < t = l term of
+    the (i, j) bivectors, weight 2r (from R_{jilk}, whose (s, t) = (k, l)
+    and (l, k) terms agree), and one term of f, weight 4r (the four
+    images share one blade).  Every product is already its blade with
+    sign +1: the factors of c_k c_l and chat_k chat_l come in increasing
+    bit order, and chat_i chat_j c_k c_l = c_k c_l chat_i chat_j since
+    each c passes two chats.
     """
 
     def build() -> CurvatureRecord:
         n = R.n
-        den = lcm(*(r.denominator for r in R.entries.values()))
-        pairs: dict = {}
-        f = {}
-        rxx: dict = {}
-        ricci: dict = {}
-        for (i, j, k, l), r in R.entries.items():
-            num = r.numerator * (den // r.denominator)
-            key = (_e(n, j, l), _e(n, i, k))
-            rxx[key] = rxx.get(key, 0) + num
-            if j == l:
-                ricci[i, k] = ricci.get((i, k), 0) + num
-            if j < i and l < k:
-                pairs.setdefault((j, i), {})[1 << (l - 1) | 1 << (k - 1)] = 2 * num
-            if i < j and k < l:
-                kl = 1 << (k - 1) | 1 << (l - 1)
-                ij = 1 << (i - 1) | 1 << (j - 1)
-                f[kl | ij << n] = 4 * num
+        keys, groups = _record_slots(n)
+        get = R.entries.get
+        read = [(ab, [(row, r) for row in rows if (r := get(row[0]))]) for ab, rows in groups]
+        den = lcm(*(r.denominator for _, hits in read for _, r in hits))
+        rxx, ricci = [0] * len(keys), [0] * (n * n)
         op = CliffordOp.from_numerators
-        bivectors = {}
-        for ab, nums in pairs.items():
-            cc = op(n, den, nums)
-            bivectors[ab] = cc, CliffordOp._make(n, cc.den, {m << n: t for m, t in cc.blades.items()})
-        s = sum(ric for (a, b), ric in ricci.items() if a == b)
-        ricci = {ab: ric for ab, ric in sorted(ricci.items()) if ric}
-        rxx = {k: v for k, v in rxx.items() if v}
-        return CurvatureRecord(bivectors, op(n, den, f), rxx, den, ricci, s)
+        bivectors, f = {}, {}
+        for ab, hits in read:
+            pair = {}
+            for (_, kl, fmask, (p1, p2, m1, m2), ric), r in hits:
+                num = r.numerator * (den // r.denominator)
+                rxx[p1] += num
+                rxx[p2] += num
+                rxx[m1] -= num
+                rxx[m2] -= num
+                for x, sign in ric:
+                    ricci[x] += sign * num
+                pair[kl] = 2 * num
+                f[fmask] = 4 * num
+            if pair:
+                cc = op(n, den, pair)
+                bivectors[ab] = cc, CliffordOp._make(n, cc.den, {m << n: t for m, t in cc.blades.items()})
+        return CurvatureRecord(
+            bivectors,
+            op(n, den, f),
+            {k: v for k, v in zip(keys, rxx) if v},
+            den,
+            {(x // n + 1, x % n + 1): v for x, v in enumerate(ricci) if v},
+            sum(ricci[:: n + 1]),
+        )
 
     return cache.named(("curvature_ops", R), build)
 
@@ -244,6 +299,7 @@ def standard_connection(dim: Dimension, R: RiemannTensor, cache: ProductCache) -
     ordered pair (a, b) of the record (T_ba = -T_ab): T_ab over 8 cc.den,
     E over 8 rec.den (f's numerators rescaled to rec.den, 2 s on blade 0).
     """
+    dim.check("connection", R=R)
     n = dim.n
     rec = curvature_ops(R, cache)
     t_ab = {
@@ -299,6 +355,7 @@ def lemma1_symbols(
     connection slots (T_ab, E), through three orders at the base point;
     the curvature terms read conn.rec, the record of R conn was built from.
     """
+    dim.check("symbol", R=R, conn=conn.e)
     n = dim.n
     M = dim.m if m_family is None else m_family
     rec, zero_x = conn.rec, _e(n)
@@ -329,6 +386,7 @@ def lemma2_symbols(
     free of x and xi, so only its x-free terms of order -2m form pairs
     (k = 0); its upper orders and x-linear terms are not built.
     """
+    dim.check("symbol", R=R)
     n = dim.n
     if exponent not in (-2 * m, -2 * m + 2):
         raise ValueError(f"unsupported symbol exponent {exponent} for m={m}")
@@ -356,6 +414,7 @@ def lemma2_symbols(
 
 def principal_symbol(dim: Dimension, w: FrameVector) -> SymbolExpansion:
     """Order 1 of ctilde(w) * (Hodge operator): i ctilde(w) ctilde(xi), free of x."""
+    dim.check("symbol", w=w)
     n = dim.n
     exp = SymbolExpansion(n)
     for f in range(1, n + 1):
@@ -375,6 +434,7 @@ def symbols_PQ(
     +1/8.  The coefficient vector w is constant, so no other
     x-dependence appears.
     """
+    dim.check("symbol", R=R, w=w)
     n = dim.n
     exp = principal_symbol(dim, w)
     w_p = [t.ops[0] for t in exp.terms_at(1)]  # ctilde(w) ctilde(e_p), p = 1..n
@@ -386,6 +446,7 @@ def symbols_PQ(
 
 def uv_symbol(dim: Dimension, u: FrameVector, v: FrameVector) -> SymbolExpansion:
     """Order-zero symbol of the endomorphism ctilde(u) ctilde(v)."""
+    dim.check("symbol", u=u, v=v)
     n = dim.n
     exp = SymbolExpansion(n)
     exp.add(SymbolTerm(_e(n), _e(n), 0, 1, 1, (tildec_pair(u, v),), ""))

@@ -38,6 +38,12 @@ def projected_riemann(n: int, seed: int, draw) -> dict:
     }
 
 
+def wide_draw(rng: random.Random) -> Fraction:
+    """A raw entry for projected_riemann with a numerator of up to 2^90
+    and a denominator 1 to 9: the curvature files with wide coefficients."""
+    return Fraction(rng.randint(-2**90, 2**90), rng.randint(1, 9))
+
+
 def weight(t) -> ScalarPoly:
     """A SymbolTerm's weight as a constant ScalarPoly: num / den, times i
     when the term's order is odd."""

@@ -38,13 +38,17 @@ planes (R_1212 = 3/2 and R_3434 = -5/7 with all their symmetries), so
 only the index pairs (1, 2) and (3, 4) carry curvature bivectors; it was
 written by the engine that still stored both orders of every index pair
 as separate operators, just before the record kept one operator per
-unordered pair.  Any change
+unordered pair.  verify-d6-wide.json reads curvature-d6-wide.json, the
+dim-6 projection of the same draw (projected_riemann(6, 19, draw)),
+whose record sums and chain traces run over numerators far wider than
+64 bits; both were written by the engine that still read all n^4
+entries of R for its curvature record, just before the record came to
+read only the entries with i < j and k < l.  Any change
 in representation, caching or evaluation order must reproduce them
 exactly.
 """
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -53,7 +57,7 @@ from click.testing import CliRunner
 from wres.cli import main
 from wres.curvature import RiemannTensor
 
-from oracles import projected_riemann
+from oracles import projected_riemann, wide_draw
 
 DATA = Path(__file__).parent / "data"
 
@@ -78,6 +82,9 @@ CASES = (
       "--json"]),
     ("verify-d6-planes.json",
      ["verify", "--dim", "6", "--seeds", "2", "--curvature", str(DATA / "curvature-d6-planes.json"),
+      "--json"]),
+    ("verify-d6-wide.json",
+     ["verify", "--dim", "6", "--seeds", "2", "--curvature", str(DATA / "curvature-d6-wide.json"),
       "--json"]),
     ("verify-d4-flat-uv.json",
      ["verify", "--dim", "4", "--seeds", "2", "--curvature", "flat",
@@ -108,7 +115,15 @@ def test_json_report_is_byte_identical(name, args):
     assert result.output == (DATA / name).read_text()
 
 
+def _is_its_projection(name: str, n: int) -> bool:
+    data = json.loads((DATA / name).read_text())
+    projection = RiemannTensor(n, projected_riemann(n, 19, wide_draw))
+    return RiemannTensor.from_json(data).entries == projection.entries
+
+
 def test_the_wide_curvature_file_is_its_projection():
-    draw = lambda rng: Fraction(rng.randint(-2**90, 2**90), rng.randint(1, 9))
-    data = json.loads((DATA / "curvature-d4-wide.json").read_text())
-    assert RiemannTensor.from_json(data).entries == RiemannTensor(4, projected_riemann(4, 19, draw)).entries
+    assert _is_its_projection("curvature-d4-wide.json", 4)
+
+
+def test_the_dim6_wide_curvature_file_is_its_projection():
+    assert _is_its_projection("curvature-d6-wide.json", 6)

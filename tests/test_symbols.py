@@ -4,8 +4,10 @@ import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import combinations
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 import pytest
 
@@ -13,6 +15,7 @@ import wres.clifford
 import wres.residue
 import wres.scalars
 import wres.symbols
+from wres.cli import _SUPPORTED_DIMS
 from wres.clifford import CliffordOp, Dimension, FrameVector, ProductCache
 from wres.curvature import RiemannTensor, constant_curvature, contract, flat, random_riemann
 from wres.residue import Analysis, composed_weights, derive_inputs, integrate_blocks
@@ -26,13 +29,16 @@ from wres.symbols import (
     d_xi,
     lemma1_symbols,
     lemma2_symbols,
+    principal_symbol,
     standard_connection,
     symbol_product_PQ,
     symbols_PQ,
     uv_symbol,
 )
 
-from oracles import c_op, hatc_op, identity, tildec_op, vector_clifford, weight, zero
+from oracles import (
+    c_op, hatc_op, identity, projected_riemann, tildec_op, vector_clifford, weight, wide_draw, zero,
+)
 
 ONE = ScalarPoly.one()
 
@@ -173,6 +179,45 @@ class TestExpansionPlumbing:
         assert one != other
 
 
+class TestDimensionChecks:
+    """Each public builder names the argument whose dimension is not its
+    own, in the message Analysis uses, before it reads any entry."""
+
+    def test_lemma2_symbols(self):
+        with pytest.raises(ValueError, match="^R has dimension 6, but the symbol has dimension 4$"):
+            lemma2_symbols(Dimension(4), random_riemann(6, 1), 2, -4, ProductCache())
+
+    def test_symbols_PQ(self):
+        dim, cache = Dimension(4), ProductCache()
+        with pytest.raises(ValueError, match="^R has dimension 6, but the symbol has dimension 4$"):
+            symbols_PQ(dim, random_riemann(6, 1), FrameVector.basis(4, 1), cache)
+        with pytest.raises(ValueError, match="^w has dimension 6, but the symbol has dimension 4$"):
+            symbols_PQ(dim, random_riemann(4, 1), FrameVector.basis(6, 1), cache)
+
+    def test_principal_symbol(self):
+        with pytest.raises(ValueError, match="^w has dimension 2, but the symbol has dimension 4$"):
+            principal_symbol(Dimension(4), FrameVector.basis(2, 1))
+
+    def test_uv_symbol(self):
+        dim, e4, e6 = Dimension(4), FrameVector.basis(4, 1), FrameVector.basis(6, 1)
+        with pytest.raises(ValueError, match="^u has dimension 6, but the symbol has dimension 4$"):
+            uv_symbol(dim, e6, e4)
+        with pytest.raises(ValueError, match="^v has dimension 6, but the symbol has dimension 4$"):
+            uv_symbol(dim, e4, e6)
+
+    def test_standard_connection(self):
+        with pytest.raises(ValueError, match="^R has dimension 6, but the connection has dimension 4$"):
+            standard_connection(Dimension(4), random_riemann(6, 1), ProductCache())
+
+    def test_lemma1_symbols(self):
+        R4, R6, cache = random_riemann(4, 1), random_riemann(6, 1), ProductCache()
+        conn6 = standard_connection(Dimension(6), R6, cache)
+        with pytest.raises(ValueError, match="^R has dimension 6, but the symbol has dimension 4$"):
+            lemma1_symbols(Dimension(4), R6, conn6)
+        with pytest.raises(ValueError, match="^conn has dimension 6, but the symbol has dimension 4$"):
+            lemma1_symbols(Dimension(4), R4, conn6)
+
+
 def half_planar(n):
     """R_1212 = 1/2: the record's f reduces below its denominator and s != 0."""
     return RiemannTensor(
@@ -182,11 +227,12 @@ def half_planar(n):
 
 CURVATURES = [
     (f"{kind}-d{n}", make(n))
-    for n in (2, 4, 6)
+    for n in (2, 4, 6, 8)
     for kind, make in (
         ("random", lambda n: random_riemann(n, 1)),
         ("constant", constant_curvature),
         ("flat", flat),
+        ("planar", planar),
     )
 ]
 
@@ -240,11 +286,12 @@ class TestMerged:
         got, want = exp.merged(None), merged_reference(exp)
         assert got == want and set(got) == {(-1,) + key}
 
-    def test_merged_builds_one_canonical_form_per_chain_key(self, monkeypatch):
-        # the dim-6 concrete family sums each key in one integer pass:
-        # no per-term coefficient, scale or sum, and no-op keys reduce
-        # without _canonical; the curvature record and the connection
-        # are real constants, built without any _canonical pass
+    def test_merged_sums_without_a_canonical_pass(self, monkeypatch):
+        # the dim-6 concrete family sums each key in one real-integer
+        # pass: no per-term coefficient, scale or sum, and neither the
+        # complex kernel nor a canonical-form pass, for chain keys and
+        # no-op keys alike; the curvature record and the connection are
+        # real constants, built without any _canonical pass either
         dim, R, cache = Dimension(6), random_riemann(6, 1), ProductCache()
         calls = Counter()
 
@@ -256,8 +303,9 @@ class TestMerged:
             return run
 
         for module in (wres.scalars, wres.clifford, wres.symbols):
-            if hasattr(module, "_canonical"):
-                monkeypatch.setattr(module, "_canonical", counting("_canonical", module._canonical))
+            for name in ("_canonical", "_imac_each"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         for name in ("scale", "__add__"):
             monkeypatch.setattr(CliffordOp, name, counting(name, getattr(CliffordOp, name)))
         real_slots = ScalarPoly._from_slots.__func__
@@ -276,9 +324,21 @@ class TestMerged:
         chain_keys = {
             (o, t.x_mono, t.xi_mono, t.norm_power) for o in exp.orders() for t in exp.terms_at(o) if t.ops
         }
-        assert merged and chain_keys
-        assert calls["_canonical"] == len(chain_keys)
-        assert calls["materialize"] == calls["scale"] == calls["__add__"] == calls["ScalarPoly"] == 0
+        assert merged and chain_keys and len(chain_keys) < len(merged)
+        assert not calls
+
+    def test_an_imaginary_op_is_refused(self):
+        # a symbol weight's i follows from its term's order, so an op
+        # with an imaginary numerator is refused, alone or in a chain,
+        # and a real key beside it does not hide it
+        n, i = 4, GaussianRational(0, 1)
+        c1, c2 = c_op(n, 1), c_op(n, 2)
+        for ops in ((c1.scale(i),), (c1.scale(i), c2), (c1, c2.scale(GaussianRational(1, 1)))):
+            exp = SymbolExpansion(n)
+            exp.add(SymbolTerm(mono(n), mono(n, 1), -2, 1, 1, (c2,)))
+            exp.add(SymbolTerm(mono(n), mono(n), -2, 3, 1, ops))
+            with pytest.raises(ValueError, match="must be real"):
+                exp.merged(None)
 
 
 class TestInversePowerSymbols:
@@ -446,6 +506,59 @@ def assert_table_matches_products(R):
     assert f_op == f
 
 
+def fractions(op, sign=1):
+    """{blade mask: sign * coefficient} of a real constant op."""
+    assert all(len(terms) == 1 and terms[0][0] == terms[0][2] == 0 for terms in op.blades.values())
+    return {mask: Fraction(sign * re, op.den) for mask, ((_, re, _),) in op.blades.items()}
+
+
+@lru_cache(maxsize=None)
+def generator_product(n, *gens):
+    """{mask: sign} of a product of generators, each (kind, index) with
+    kind c_op or hatc_op, multiplied out by the engine's algebra."""
+    return fractions(reduce(mul, (kind(n, j) for kind, j in gens)))
+
+
+def record_by_definition(R):
+    """(cc, hh, f, rxx, ricci) from all n^4 entries of R, as Fractions,
+    zero values dropped: cc[a, b] = sum_{s,t} R_{bats} c_s c_t and hh[a,
+    b] likewise with chat, for every ordered pair; f = sum R_{ijkl} chat_i
+    chat_j c_k c_l; rxx[x_j x_l, xi_i xi_k] = sum R_{ijkl}; ricci[a, b] =
+    sum_p R_{apbp}."""
+    n = R.n
+    cc, hh, f, rxx, ricci = {}, {}, {}, {}, {}
+
+    def add(acc, key, value):
+        acc[key] = acc.get(key, 0) + value
+
+    for (i, j, k, l), r in R.entries.items():
+        # R_{ijkl} is R_{bats} with (a, b, s, t) = (j, i, l, k)
+        for kind, out in ((c_op, cc), (hatc_op, hh)):
+            for mask, w in generator_product(n, (kind, l), (kind, k)).items():
+                add(out.setdefault((j, i), {}), mask, w * r)
+        for mask, w in generator_product(n, (hatc_op, i), (hatc_op, j), (c_op, k), (c_op, l)).items():
+            add(f, mask, w * r)
+        add(rxx, (mono(n, j, l), mono(n, i, k)), r)
+        if j == l:
+            add(ricci, (i, k), r)
+    nonzero = lambda acc: {key: v for key, v in acc.items() if v}
+    cc = {ab: nonzero(m) for ab, m in cc.items() if nonzero(m)}
+    hh = {ab: nonzero(m) for ab, m in hh.items() if nonzero(m)}
+    return cc, hh, nonzero(f), nonzero(rxx), nonzero(ricci)
+
+
+RECORD_DEFINITION_CASES = [
+    pytest.param(lambda n=n, make=make: make(n), id=f"{kind}-d{n}")
+    for n in (2, 4, 6, 8)
+    for kind, make in (
+        ("random", lambda n: random_riemann(n, 1)),
+        ("constant", constant_curvature),
+        ("planar", planar),
+        ("wide", lambda n: RiemannTensor(n, projected_riemann(n, 19, wide_draw))),
+    )
+]
+
+
 class TestCurvatureTable:
     def test_sparse_table_holds_only_the_nonzero_pairs(self):
         R = planar(4)
@@ -478,14 +591,20 @@ class TestCurvatureTable:
 
     def test_one_record_per_analysis(self, monkeypatch):
         # B1, B2 and the first-order factors all read one record: R's
-        # entries are walked by its pass and by the closed forms'
-        # contract, and by nothing else
+        # entries are looked up once per independent quad by its pass,
+        # walked once by the closed forms' contract, and read by nothing
+        # else
         class CountingEntries(dict):
             passes = 0
+            lookups: list = []
 
             def items(self):
                 self.passes += 1
                 return super().items()
+
+            def get(self, key, default=None):
+                self.lookups.append(key)
+                return super().get(key, default)
 
         builds = []
         real = ProductCache.named
@@ -502,7 +621,9 @@ class TestCurvatureTable:
         R.entries = CountingEntries(R.entries)
         assert Analysis(Dimension(6), R, u, v).all_match()
         assert builds == ["curvature_ops"]
-        assert R.entries.passes == 2
+        assert R.entries.passes == 1
+        assert len(R.entries.lookups) == len(set(R.entries.lookups)) == comb(6, 2) ** 2
+        assert all(i < j and k < l for i, j, k, l in R.entries.lookups)
 
     def test_one_record_for_the_symbol_families(self, monkeypatch):
         # criterion 4 builds the connection, the concrete family and the
@@ -575,6 +696,49 @@ class TestCurvatureTable:
             dim = Dimension(R.n)
             assert Analysis(dim, R, u, v).all_match()
             lemma1_symbols(dim, R, standard_connection(dim, R, ProductCache()))
+
+
+    @pytest.mark.parametrize("make", RECORD_DEFINITION_CASES)
+    def test_record_equals_its_definition_from_every_entry(self, make):
+        # every field against record_by_definition, which reads all n^4
+        # entries and builds each bivector and f from generator products
+        R = make()
+        rec = curvature_ops(R, ProductCache())
+        cc, hh, f, rxx, ricci = record_by_definition(R)
+        assert rec.den == lcm(*(r.denominator for r in R.entries.values()))
+        idx = range(1, R.n + 1)
+        for a in idx:
+            for b in idx:
+                if (a, b) not in cc:
+                    assert (min(a, b), max(a, b)) not in rec.bivectors
+                    continue
+                stored = rec.bivectors[min(a, b), max(a, b)]
+                sign = 1 if a < b else -1
+                assert [fractions(op, sign) for op in stored] == [cc[a, b], hh[a, b]]
+        assert fractions(rec.f) == f
+        assert {key: Fraction(v, rec.den) for key, v in rec.rxx.items()} == rxx
+        assert {ab: Fraction(v, rec.den) for ab, v in rec.ricci.items()} == ricci
+        assert list(rec.ricci) == sorted(rec.ricci) and all(rec.ricci.values())
+        assert Fraction(rec.s, rec.den) == sum(ricci.get((a, a), 0) for a in idx)
+        assert all(type(v) is int for v in (*rec.rxx.values(), *rec.ricci.values(), rec.s))
+
+    @pytest.mark.parametrize("make", RECORD_DEFINITION_CASES)
+    def test_record_reads_only_the_independent_entries(self, make):
+        # the entries with i < j and k < l fix the others up to sign, and
+        # the record reads no other: without them it is the same record
+        R = make()
+        kept = {(i, j, k, l): r for (i, j, k, l), r in R.entries.items() if i < j and k < l}
+        assert kept and len(kept) < len(R.entries)
+        assert curvature_ops(RiemannTensor(R.n, kept, validate=False), ProductCache()) == curvature_ops(
+            R, ProductCache()
+        )
+
+    @pytest.mark.parametrize("n", _SUPPORTED_DIMS)
+    def test_generated_tensors_satisfy_every_symmetry(self, n):
+        # the generators build with validate=False, and the record relies
+        # on their pair antisymmetries
+        for R in (flat(n), constant_curvature(n), random_riemann(n, 1)):
+            R.validate()
 
 
 def connection_reference(rec, R):
