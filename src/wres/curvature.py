@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from .clifford import FrameVector
 from .scalars import _frac
@@ -40,45 +42,42 @@ class RiemannTensor:
         if validate:
             self.validate()
 
-    def get(self, i: int, j: int, k: int, l: int) -> Fraction:
-        return self.entries.get((i, j, k, l), Fraction(0))
-
     def validate(self) -> None:
-        """Check index ranges and all four algebraic symmetries exactly.
+        """Check index ranges and all four algebraic symmetries exactly, on
+        integer numerators over the lcm of the entries' denominators.
 
-        Raises ValueError naming the violated symmetry and the offending
-        index tuple.
+        One scan per property, in this order, so the reported violation
+        names the most specific broken symmetry: first-pair and second-pair
+        antisymmetry, pair exchange, first Bianchi identity.  Each scan runs
+        over the sorted quads that are an entry or a partner one is compared
+        with (no other quad can break a property), and raises ValueError
+        naming the property and its first defective quad.
         """
         n = self.n
         for idx in self.entries:
             if len(idx) != 4 or any(not 1 <= a <= n for a in idx):
                 raise ValueError(f"index tuple {idx} out of range 1..{n}")
-        # each property is scanned on its own pass so the reported
-        # violation names the most specific broken symmetry.  A quad can
-        # break one only if it or a partner it is compared with is an
-        # entry, so the passes scan those quads in index order.
-        quads = sorted(
-            {
-                q
-                for i, j, k, l in self.entries
-                for q in ((i, j, k, l), (j, i, k, l), (i, j, l, k))
-                + ((k, l, i, j), (i, k, l, j), (i, l, j, k))
-            }
-        )
-        g = self.get
+        den = lcm(*(r.denominator for r in self.entries.values()))
+        g = {q: r.numerator * (den // r.denominator) for q, r in self.entries.items()}.get
+        quads = sorted({
+            q for i, j, k, l in self.entries
+            for q in ((i, j, k, l), (j, i, k, l), (i, j, l, k), (k, l, i, j), (i, k, l, j), (i, l, j, k))
+        })
         defects = (
-            ("first-pair antisymmetry", lambda i, j, k, l: g(i, j, k, l) + g(j, i, k, l)),
-            ("second-pair antisymmetry", lambda i, j, k, l: g(i, j, k, l) + g(i, j, l, k)),
-            ("pair-exchange symmetry", lambda i, j, k, l: g(i, j, k, l) - g(k, l, i, j)),
-            (
-                "first Bianchi identity",
-                lambda i, j, k, l: g(i, j, k, l) + g(i, k, l, j) + g(i, l, j, k),
-            ),
+            ("first-pair antisymmetry", (
+                (i, j, k, l) for i, j, k, l in quads if g((i, j, k, l), 0) + g((j, i, k, l), 0))),
+            ("second-pair antisymmetry", (
+                (i, j, k, l) for i, j, k, l in quads if g((i, j, k, l), 0) + g((i, j, l, k), 0))),
+            ("pair-exchange symmetry", (
+                (i, j, k, l) for i, j, k, l in quads if g((i, j, k, l), 0) - g((k, l, i, j), 0))),
+            ("first Bianchi identity", (
+                (i, j, k, l) for i, j, k, l in quads
+                if g((i, j, k, l), 0) + g((i, k, l, j), 0) + g((i, l, j, k), 0))),
         )
-        for name, defect in defects:
-            for q in quads:
-                if defect(*q):
-                    raise ValueError(f"{name} violated at {q}")
+        for name, scan in defects:
+            q = next(scan, None)
+            if q:
+                raise ValueError(f"{name} violated at {q}")
 
     def to_json(self) -> dict:
         entries = [
@@ -128,6 +127,20 @@ def constant_curvature(n: int) -> RiemannTensor:
     return RiemannTensor(n, entries, validate=False)
 
 
+@lru_cache(maxsize=None)
+def _image_index(n: int) -> tuple:
+    """The flat index ((i n + j) n + k) n + l, 0-based, of every quad's image
+    (q[a], q[b], q[c], q[d]), quads in flat order, per slot order (a, b, c, d)
+    that random_riemann reads: the other seven D4 images jikl, ijlk, jilk,
+    klij, lkij, klji, lkji (signs - - + + - - + in t), then iklj and iljk."""
+    quads = list(product(range(n), repeat=4))
+    return tuple(
+        [((q[a] * n + q[b]) * n + q[c]) * n + q[d] for q in quads]
+        for a, b, c, d in ((1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 0, 1),
+                           (2, 3, 1, 0), (3, 2, 1, 0), (0, 2, 3, 1), (0, 3, 1, 2))
+    )
+
+
 def random_riemann(n: int, seed: int) -> RiemannTensor:
     """Deterministic random tensor with exact symmetries.
 
@@ -138,21 +151,17 @@ def random_riemann(n: int, seed: int) -> RiemannTensor:
     (2 t(ijkl) - t(iklj) - t(iljk)) / 288 removes its cyclic part, which
     with those three symmetries is totally antisymmetric; so the entry
     also satisfies the first Bianchi identity.  288 = 12 * 8 * 3: the
-    draw's denominator, the D4 average and the cyclic projection.
+    draw's denominator, the D4 average and the cyclic projection.  Both
+    passes run over flat integer lists (_image_index).
     """
     rng = random.Random(seed)
-    idx = list(product(range(1, n + 1), repeat=4))
-    raw = {q: rng.randint(-9, 9) * (12 // rng.randint(1, 4)) for q in idx}
-    t = {
-        (i, j, k, l): raw[i, j, k, l] - raw[j, i, k, l] - raw[i, j, l, k] + raw[j, i, l, k]
-        + raw[k, l, i, j] - raw[l, k, i, j] - raw[k, l, j, i] + raw[l, k, j, i]
-        for i, j, k, l in idx
-    }
-    out = {
-        (i, j, k, l): Fraction(2 * t[i, j, k, l] - t[i, k, l, j] - t[i, l, j, k], 288)
-        for i, j, k, l in idx
-    }
-    return RiemannTensor(n, out, validate=False)
+    xs = range(n ** 4)
+    raw = [rng.randint(-9, 9) * (12 // rng.randint(1, 4)) for _ in xs]
+    *d4, iklj, iljk = _image_index(n)
+    t = [raw[x] - raw[a] - raw[b] + raw[c] + raw[d] - raw[e] - raw[f] + raw[g]
+         for x, a, b, c, d, e, f, g in zip(xs, *d4)]
+    out = zip(product(range(1, n + 1), repeat=4), (2 * t[x] - t[a] - t[b] for x, a, b in zip(xs, iklj, iljk)))
+    return RiemannTensor(n, {q: Fraction(v, 288) for q, v in out if v}, validate=False)
 
 
 @dataclass(frozen=True)

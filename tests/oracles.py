@@ -2,7 +2,9 @@
 
 projected_riemann is the benchmark's curvature construction
 (bench/workloads.make_riemann) with the draw of each raw entry left to
-the caller, for curvature files with wide coefficients.  The Clifford
+the caller, for curvature files with wide coefficients, and
+symmetry_violation is the Fraction scan against which
+RiemannTensor.validate's integer scan is checked.  The Clifford
 builders here are the generator-by-generator reference:
 each operator is a sum of single generators c_j (blade bit j-1) and
 chat_j (bit n+j-1) built with from_numerators and the algebra, and each
@@ -42,6 +44,47 @@ def wide_draw(rng: random.Random) -> Fraction:
     """A raw entry for projected_riemann with a numerator of up to 2^90
     and a denominator 1 to 9: the curvature files with wide coefficients."""
     return Fraction(rng.randint(-2**90, 2**90), rng.randint(1, 9))
+
+
+def entry(R, i: int, j: int, k: int, l: int) -> Fraction:
+    """R_ijkl of a RiemannTensor, Fraction(0) where it has no entry."""
+    return R.entries.get((i, j, k, l), Fraction(0))
+
+
+def symmetry_violation(n: int, entries: dict):
+    """The message RiemannTensor.validate raises on {(i, j, k, l): Fraction},
+    or None, found by a Fraction scan: each property on its own pass, over
+    the sorted quads that are an entry or a partner of one, with every
+    lookup a Fraction (a missed one Fraction(0))."""
+    for idx in entries:
+        if len(idx) != 4 or any(not 1 <= a <= n for a in idx):
+            return f"index tuple {idx} out of range 1..{n}"
+    quads = sorted(
+        {
+            q
+            for i, j, k, l in entries
+            for q in ((i, j, k, l), (j, i, k, l), (i, j, l, k))
+            + ((k, l, i, j), (i, k, l, j), (i, l, j, k))
+        }
+    )
+
+    def g(i, j, k, l):
+        return entries.get((i, j, k, l), Fraction(0))
+
+    defects = (
+        ("first-pair antisymmetry", lambda i, j, k, l: g(i, j, k, l) + g(j, i, k, l)),
+        ("second-pair antisymmetry", lambda i, j, k, l: g(i, j, k, l) + g(i, j, l, k)),
+        ("pair-exchange symmetry", lambda i, j, k, l: g(i, j, k, l) - g(k, l, i, j)),
+        (
+            "first Bianchi identity",
+            lambda i, j, k, l: g(i, j, k, l) + g(i, k, l, j) + g(i, l, j, k),
+        ),
+    )
+    for name, defect in defects:
+        for q in quads:
+            if defect(*q):
+                return f"{name} violated at {q}"
+    return None
 
 
 def weight(t) -> ScalarPoly:

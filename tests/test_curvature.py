@@ -1,9 +1,11 @@
 """Curvature tensors: symmetries, contractions, serialization, seeding."""
 
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,10 @@ from wres.curvature import (
     random_vector,
     ricci_bilinear,
 )
+
+from oracles import entry, projected_riemann, symmetry_violation, wide_draw
+
+DATA = Path(__file__).parent / "data"
 
 
 def einstein_bilinear(t, u, v):
@@ -34,7 +40,7 @@ class TestValidation:
         with pytest.raises(TypeError):
             RiemannTensor(4, {(1, 2, 1, 2): 0.0}, validate=False)
         exact = {k: Fraction(str(v)) for k, v in entries.items()}
-        assert RiemannTensor(4, exact).get(1, 2, 1, 2) == Fraction(1, 2)
+        assert entry(RiemannTensor(4, exact), 1, 2, 1, 2) == Fraction(1, 2)
 
     def test_index_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -92,6 +98,81 @@ class TestValidation:
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
             RiemannTensor(1, {})
+
+
+def engine_violation(n, entries):
+    """The message RiemannTensor(n, entries) raises, or None."""
+    try:
+        RiemannTensor(n, entries)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def golden_entries(path):
+    data = json.loads(path.read_text())
+    return data["n"], {(i, j, k, l): Fraction(num, den) for i, j, k, l, num, den in data["entries"]}
+
+
+SYMMETRIC_INPUTS = (
+    [(f"random-d{n}-seed{s}", lambda n=n, s=s: (n, random_riemann(n, s).entries)) for n in range(2, 9) for s in (0, 1)]
+    + [(f"flat-d{n}", lambda n=n: (n, flat(n).entries)) for n in range(2, 13)]
+    + [(f"constant-d{n}", lambda n=n: (n, constant_curvature(n).entries)) for n in range(2, 13)]
+    + [(p.name, lambda p=p: golden_entries(p)) for p in sorted(DATA.glob("curvature-*.json"))]
+    + [("wide-d6", lambda: (6, projected_riemann(6, 19, wide_draw)))]
+)
+
+PROPERTIES = (
+    "first-pair antisymmetry",
+    "second-pair antisymmetry",
+    "pair-exchange symmetry",
+    "first Bianchi identity",
+)
+
+
+def planted(n, prop, quad, d=Fraction(1, 7)):
+    """A dense tensor with d added where it breaks prop and, at quad (four
+    distinct indices), no property scanned before it: the entry alone,
+    the entry and its first-pair image, its four pair-antisymmetry
+    images, or those and their four pair exchanges."""
+    entries = dict(random_riemann(n, 1).entries)
+    i, j, k, l = quad
+    signed = [((i, j, k, l), d), ((j, i, k, l), -d), ((i, j, l, k), -d), ((j, i, l, k), d)]
+    images = {
+        PROPERTIES[0]: signed[:1],
+        PROPERTIES[1]: signed[:2],
+        PROPERTIES[2]: signed,
+        PROPERTIES[3]: signed + [((c, e, a, b), w) for (a, b, c, e), w in signed],
+    }[prop]
+    for q, w in images:
+        entries[q] = entries.get(q, 0) + w
+    return entries
+
+
+class TestValidationParity:
+    """The integer scan accepts what the Fraction reference accepts and
+    raises its exact message on everything else."""
+
+    @pytest.mark.parametrize("name,make", SYMMETRIC_INPUTS, ids=[name for name, _ in SYMMETRIC_INPUTS])
+    def test_symmetric_tensors_agree(self, name, make):
+        n, entries = make()
+        exact = {q: v for q, v in entries.items() if v}
+        assert symmetry_violation(n, exact) is None
+        assert engine_violation(n, entries) is None
+
+    @pytest.mark.parametrize("prop", PROPERTIES)
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_planted_defects_raise_the_reference_message(self, n, prop):
+        for quad in ((1, 2, 3, 4), (n, n - 2, n - 1, n - 3)):
+            entries = planted(n, prop, quad)
+            expected = symmetry_violation(n, {q: v for q, v in entries.items() if v})
+            assert expected is not None and expected.startswith(prop)
+            assert engine_violation(n, entries) == expected
+
+    def test_tiny_tensors_raise_the_reference_message(self):
+        entries = {(1, 2, 1, 2): Fraction(1), (2, 1, 2, 1): Fraction(1, 3), (1, 2, 5, 1): Fraction(2)}
+        for n in (2, 4, 5):
+            assert engine_violation(n, entries) == symmetry_violation(n, entries)
 
 
 class TestFixedTensors:
@@ -159,12 +240,12 @@ class TestRandomTensors:
         c = random_riemann(4, 8)
         assert a.entries != c.entries
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 10, 12])
     def test_projection_equals_three_pass_construction(self, n):
         # the reference draws the same rationals, antisymmetrizes both
         # pairs, symmetrizes pair exchange and subtracts a third of the
-        # cyclic sum, one Fraction dict per pass
-        for seed in range(5):
+        # cyclic sum, one Fraction dict per pass; n = 10 and 12 at one seed
+        for seed in range(5 if n <= 8 else 1):
             assert random_riemann(n, seed).entries == three_pass_riemann(n, seed)
 
     def test_random_vector_determinism_and_nonzero(self):
@@ -195,7 +276,7 @@ class TestRandomTensors:
         idx = range(1, n + 1)
         for a in idx:
             for b in idx:
-                assert contr.ric(a, b) == sum(t.get(a, p, b, p) for p in idx)
+                assert contr.ric(a, b) == sum(entry(t, a, p, b, p) for p in idx)
         assert contr.scalar == sum(contr.ric(a, a) for a in idx)
 
     def test_ricci_is_symmetric(self):

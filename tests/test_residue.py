@@ -51,7 +51,7 @@ from wres.symbols import (
     uv_symbol,
 )
 
-from oracles import projected_riemann, tildec_op, trace, weight
+from oracles import entry, projected_riemann, tildec_op, trace, weight
 
 
 def mono(n, *idx):
@@ -655,7 +655,7 @@ def rotate(Q, R, u, v):
     """(R, u, v) seen in the frame e'_a = sum_i Q_ai e_i."""
     n = R.n
     t = {
-        (i, j, k, l): R.get(i + 1, j + 1, k + 1, l + 1)
+        (i, j, k, l): entry(R, i + 1, j + 1, k + 1, l + 1)
         for i in range(n)
         for j in range(n)
         for k in range(n)
@@ -704,7 +704,7 @@ def densities(R, u, v):
 
 def tensor_sum(R1, R2, q=1):
     keys = set(R1.entries) | set(R2.entries)
-    return RiemannTensor(R1.n, {k: R1.get(*k) + q * R2.get(*k) for k in keys}, validate=False)
+    return RiemannTensor(R1.n, {k: entry(R1, *k) + q * entry(R2, *k) for k in keys}, validate=False)
 
 
 def vector_sum(u1, u2, q=1):

@@ -37,7 +37,7 @@ from wres.symbols import (
 )
 
 from oracles import (
-    c_op, hatc_op, identity, projected_riemann, tildec_op, vector_clifford, weight, wide_draw, zero,
+    c_op, entry, hatc_op, identity, projected_riemann, tildec_op, vector_clifford, weight, wide_draw, zero,
 )
 
 ONE = ScalarPoly.one()
@@ -450,7 +450,7 @@ class TestFirstOrderFactorSymbols:
             direct = zero(n)
             for s in range(1, n + 1):
                 for t in range(1, n + 1):
-                    w = Fraction(1, 2) * R.get(l, p, s, t)
+                    w = Fraction(1, 2) * entry(R, l, p, s, t)
                     if w:
                         direct = direct + (c_op(n, s) * c_op(n, t)).scale(w)
             sign = 1 if l < p else -1
@@ -468,7 +468,7 @@ def bivector_sums(R, a, b):
     cc, hh = zero(n), zero(n)
     for s in range(1, n + 1):
         for t in range(1, n + 1):
-            w = R.get(b, a, t, s)
+            w = entry(R, b, a, t, s)
             cc = cc + (c_op(n, s) * c_op(n, t)).scale(w)
             hh = hh + (hatc_op(n, s) * hatc_op(n, t)).scale(w)
     return cc, hh
@@ -501,7 +501,7 @@ def assert_table_matches_products(R):
             for k in idx:
                 for l in idx:
                     quad = hatc_op(n, i) * hatc_op(n, j) * c_op(n, k) * c_op(n, l)
-                    f = f + quad.scale(R.get(i, j, k, l))
+                    f = f + quad.scale(entry(R, i, j, k, l))
     assert not f.is_zero()
     assert f_op == f
 
@@ -683,19 +683,6 @@ class TestCurvatureTable:
             for s1, s2 in combinations(signs, 2):
                 assert sum(x != y for x, y in zip(s1, s2)) != 1
 
-    def test_no_consumer_reads_single_entries(self, monkeypatch):
-        # every curvature coefficient comes from the table's pass over
-        # R.entries, so R.get is never called once R is built
-        inputs = [derive_inputs(4, 1), derive_inputs(6, 1)]
-
-        def refuse(*args):
-            raise AssertionError("RiemannTensor.get called")
-
-        monkeypatch.setattr(RiemannTensor, "get", refuse)
-        for R, u, v in inputs:
-            dim = Dimension(R.n)
-            assert Analysis(dim, R, u, v).all_match()
-            lemma1_symbols(dim, R, standard_connection(dim, R, ProductCache()))
 
 
     @pytest.mark.parametrize("make", RECORD_DEFINITION_CASES)
@@ -970,7 +957,7 @@ class TestProductOfFactors:
                 UV = cu * tildec_op(n, j) * cv * tildec_op(n, p)
                 for s in range(1, n + 1):
                     for t in range(1, n + 1):
-                        r = R.get(j, p, s, t)
+                        r = entry(R, j, p, s, t)
                         if not r:
                             continue
                         direct = direct + (UV * c_op(n, s) * c_op(n, t)).scale(
