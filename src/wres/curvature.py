@@ -172,31 +172,29 @@ class CurvatureContractions:
     ricci: tuple
     scalar: Fraction
 
-    def ric(self, a: int, b: int) -> Fraction:
-        return self.ricci[a - 1][b - 1]
-
 
 def contract(t: RiemannTensor) -> CurvatureContractions:
-    """ricci[a][b] sums the entries (a, p, b, q) of t with p == q."""
-    n = t.n
-    ricci = [[Fraction(0)] * n for _ in range(n)]
-    for (a, p, b, q), r in t.entries.items():
-        if p == q:
-            ricci[a - 1][b - 1] += r
-    scalar = sum((ricci[a][a] for a in range(n)), Fraction(0))
-    return CurvatureContractions(n, tuple(map(tuple, ricci)), scalar)
+    """ricci[a][b] sums the entries (a, p, b, q) of t with p == q, on
+    integer numerators over the lcm of their denominators; scalar is the
+    trace of ricci."""
+    n, nums = t.n, [0] * (t.n * t.n)
+    hits = [((a - 1) * n + b - 1, r) for (a, p, b, q), r in t.entries.items() if p == q]
+    den = lcm(*(r.denominator for _, r in hits))
+    for x, r in hits:
+        nums[x] += r.numerator * (den // r.denominator)
+    ricci = tuple(tuple(Fraction(v, den) for v in nums[a : a + n]) for a in range(0, n * n, n))
+    return CurvatureContractions(n, ricci, Fraction(sum(nums[:: n + 1]), den))
 
 
 def ricci_bilinear(contr: CurvatureContractions, u: FrameVector, v: FrameVector) -> Fraction:
-    return sum(
-        (
-            u[a] * v[b] * contr.ric(a, b)
-            for a in range(1, contr.n + 1)
-            for b in range(1, contr.n + 1)
-            if u[a] and v[b]
-        ),
-        Fraction(0),
-    )
+    """Ric(u, v) = sum_ab u_a v_b Ric_ab, one integer sum with u, v and
+    Ric written over den, the lcm of all their denominators."""
+    n, values = contr.n, (*u.components, *v.components, *(r for row in contr.ricci for r in row))
+    den = lcm(*(x.denominator for x in values))
+    nums = [x.numerator * (den // x.denominator) for x in values]
+    us, vs, rs = nums[:n], nums[n : 2 * n], nums[2 * n :]
+    total = sum(x * y * rs[a * n + b] for a, x in enumerate(us) if x for b, y in enumerate(vs) if y)
+    return Fraction(total, den**3)
 
 
 def random_vector(n: int, seed: int) -> FrameVector:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import gcd, lcm
 from operator import add
 
@@ -28,6 +29,7 @@ from .curvature import (
 from .scalars import ScalarPoly, _frac, _imac_each
 from .sphere import vol_multiplier
 from .symbols import (
+    block_sign,
     blocks_at,
     even_pairs,
     lemma2_symbols,
@@ -119,27 +121,34 @@ def composed_weights(blocks, n: int) -> dict:
     term: each chain weighs num / den, one integer per chain over one
     unreduced denominator per tag (a cancelled weight is 0).
 
-    A factor pair (ta, tb) integrates to ta.num * tb.num times
-    vol_multiplier(n, ta.xi + tb.xi) on the chain ta.ops + tb.ops, an
-    integer over ta.den * tb.den * vol_den.  Only even pairs integrate
-    to nonzero (even_pairs), and an even pair has even order, so the
-    weight is real.  A tag's denominator is the lcm of its pairs', its
-    numerators rescaled when a pair's denominator does not divide it.
+    A factor pair (ta, tb) integrates to block_sign * ta.num * tb.num
+    times vol_multiplier(n, ta.xi + tb.xi) on the chain ta.ops + tb.ops,
+    an integer over ta.den * tb.den * vol_den.  Only even pairs
+    integrate to nonzero, each group of even_pairs a product of two
+    lists, and an even pair has even order, so the weight is real.  A
+    tag's denominator is the lcm of its pairs', its numerators rescaled
+    when a pair's denominator does not divide it.
     """
     weights: dict = {}
     for A, oa, B, ob, k in blocks:
-        for ta, tb in even_pairs(A, oa, B, ob, k):
-            vnum, vden = vol_multiplier(n, tuple(map(add, ta.xi_mono, tb.xi_mono)))
-            den = ta.den * tb.den * vden
-            acc = weights.setdefault(pair_tag(ta, tb), [den, {}])
-            if acc[0] % den:
-                f = den // gcd(acc[0], den)
-                acc[0] *= f
-                acc[1] = {key: (ops, w * f) for key, (ops, w) in acc[1].items()}
-            ops = ta.ops + tb.ops
-            key = tuple(map(id, ops))
-            w = ta.num * tb.num * (acc[0] // den * vnum)
-            acc[1][key] = (ops, acc[1][key][1] + w if key in acc[1] else w)
+        sign = block_sign(oa, ob, k)
+        for alist, blist in even_pairs(A, oa, B, ob, k):
+            for ta, tb in product(alist, blist):
+                vnum, vden = vol_multiplier(n, tuple(map(add, ta.xi_mono, tb.xi_mono)))
+                den = ta.den * tb.den * vden
+                tag = pair_tag(ta, tb)
+                acc = weights.get(tag)
+                if acc is None:
+                    acc = weights[tag] = [den, {}]
+                elif acc[0] % den:
+                    f = den // gcd(acc[0], den)
+                    acc[0] *= f
+                    acc[1] = {key: (ops, w * f) for key, (ops, w) in acc[1].items()}
+                ops = ta.ops + tb.ops
+                key = tuple(map(id, ops))
+                w = sign * ta.num * tb.num * (acc[0] // den * vnum)
+                chains = acc[1]
+                chains[key] = (ops, chains[key][1] + w if key in chains else w)
     return weights
 
 

@@ -291,7 +291,8 @@ class ScalarPoly:
 
     @classmethod
     def zero(cls) -> "ScalarPoly":
-        return cls()
+        """The zero polynomial, one shared instance."""
+        return _ZERO_POLY
 
     @classmethod
     def const(cls, c) -> "ScalarPoly":
@@ -428,3 +429,6 @@ class ScalarPoly:
 
     def __repr__(self) -> str:
         return f"ScalarPoly({self.text()})"
+
+
+_ZERO_POLY = ScalarPoly()

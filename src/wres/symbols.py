@@ -31,9 +31,10 @@ from .curvature import RiemannTensor
 
 
 class SymbolTerm(NamedTuple):
-    """One additive term of an operator-valued symbol, weighted by num /
-    den at an even order and i num / den at an odd one (integer num, den
-    > 0): a real operator's degree-d symbol lies in i^d times a real one.
+    """One additive term of an operator-valued symbol of order |xi| + p,
+    weighted by num / den at an even order and i num / den at an odd one
+    (integer num, den > 0): a real operator's degree-d symbol lies in i^d
+    times a real one.
     Built only from integers, and never hashed or value-compared: the
     ops chain holds CliffordOps, which are unhashable.
     """
@@ -45,9 +46,6 @@ class SymbolTerm(NamedTuple):
     num: int
     ops: tuple = ()
     tag: str = ""
-
-    def order(self) -> int:
-        return sum(self.xi_mono) + self.norm_power
 
 
 @lru_cache(maxsize=None)
@@ -71,17 +69,53 @@ def d_xi(t: SymbolTerm, j: int) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
+def _odd_mask(mono: tuple) -> int:
+    """Bitmask of the variables with an odd exponent (memoised: the
+    composed xi monomials have degree at most 4)."""
+    return sum(1 << j for j, e in enumerate(mono) if e & 1)
+
+
 class SymbolExpansion:
-    """Finite collection of symbol terms, bucketed by homogeneity order."""
+    """Finite collection of symbol terms, bucketed by homogeneity order.
+    Composition reads it through indexed and derived, memoised until the
+    next add, so the blocks of one Analysis share each of them."""
 
     def __init__(self, n: int):
         self.n = n
         self._orders: dict = {}
+        self._memo: dict = {}
 
     def add(self, term: SymbolTerm) -> None:
-        if not term.num:
-            return
-        self._orders.setdefault(term.order(), []).append(term)
+        """File a term of nonzero weight under its order, |xi| + p."""
+        if term.num:
+            self._orders.setdefault(sum(term.xi_mono) + term.norm_power, []).append(term)
+            self._memo.clear()
+
+    def indexed(self, order: int) -> dict:
+        """{x monomial: {odd xi mask: terms}} of the terms of one order."""
+        out = self._memo.get(order)
+        if out is None:
+            out = self._memo[order] = {}
+            for t in self.terms_at(order):
+                out.setdefault(t.x_mono, {}).setdefault(_odd_mask(t.xi_mono), []).append(t)
+        return out
+
+    def derived(self, order: int, alpha: tuple) -> dict:
+        """{odd xi mask: terms} of d_xi^alpha of the x-free terms of one
+        order, alpha a sorted multi-index, built on alpha[:-1]'s: d_xi_j
+        flips bit j-1 of a term's odd mask, so a group stays one group."""
+        out = self._memo.get((order, alpha))
+        if out is None:
+            if not alpha:
+                out = self.indexed(order).get(_e(self.n), {})
+            else:
+                j, out = alpha[-1], {}
+                for mask, terms in self.derived(order, alpha[:-1]).items():
+                    if terms := [d for t in terms for d in d_xi(t, j)]:
+                        out[mask ^ 1 << (j - 1)] = terms
+            self._memo[order, alpha] = out
+        return out
 
     def terms_at(self, order: int) -> list:
         return self._orders.get(order, [])
@@ -458,74 +492,48 @@ def uv_symbol(dim: Dimension, u: FrameVector, v: FrameVector) -> SymbolExpansion
 # ---------------------------------------------------------------------------
 
 def _factor_lists(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int):
-    """Yield (derived A terms, B terms) per multi-index alpha of weight k:
-    the A terms of order oa, free of x, times the block's sign and
-    differentiated by d_xi^alpha, and the B terms of order ob whose x
-    monomial is alpha.  Only A is ever differentiated in xi; B, the
-    inverse power whenever one is composed, is matched by its x monomial
-    alone.
+    """Yield (A terms, B terms), each {odd xi mask: terms}, per
+    multi-index alpha of weight k that B reads: A's x-free terms of
+    order oa differentiated by d_xi^alpha (A.derived) and B's terms of
+    order ob whose x monomial is alpha (B.indexed).  Only A is ever
+    differentiated in xi; B, the inverse power whenever one is composed,
+    is matched by its x monomial alone.
 
     The base-point evaluation keeps exactly the B terms whose x monomial
     equals alpha, and their alpha! cancels the 1/alpha! of the
-    composition formula, leaving the flat factor (-i)^k.  The product's
-    phase i^(oa mod 2) (-i)^k i^(ob mod 2) is i^e, e = oa mod 2 + 3k + ob
-    mod 2: i^(order mod 2), times -1 when bit 1 of e is set.  For k = 0
-    the one multi-index is empty.  The derived A terms are memoised per
-    multi-index prefix, so the multi-indices that start with one index
-    share its first derivative.
+    composition formula, leaving the flat factor (-i)^k, whose phase
+    block_sign carries.  For k = 0 the one multi-index is empty.
     """
     if k < 0:
         return
     if k > 2:
         raise ValueError("stored symbol data only supports two derivatives")
-    n = A.n
-    aterms = [t for t in A.terms_at(oa) if not any(t.x_mono)]
-    bgroup: dict = {}
-    for tb in B.terms_at(ob):
-        if sum(tb.x_mono) == k:
-            bgroup.setdefault(tb.x_mono, []).append(tb)
-    if not aterms or not bgroup:
-        return
-    # xi-derivatives are linear, so the sign goes on before them
-    if (oa % 2 + 3 * k + ob % 2) & 2:
-        aterms = [t._replace(num=-t.num) for t in aterms]
-    memo = {(): aterms}
-
-    def derived(combo: tuple) -> list:
-        terms = memo.get(combo)
-        if terms is None:
-            terms = memo[combo] = [d for t in derived(combo[:-1]) for d in d_xi(t, combo[-1])]
-        return terms
-
-    for combo in combinations_with_replacement(range(1, n + 1), k):
-        blist = bgroup.get(_e(n, *combo))
-        if blist:
-            yield derived(combo), blist
+    n, index = A.n, B.indexed(ob)
+    for alpha in combinations_with_replacement(range(1, n + 1), k) if index else ():
+        if (b := index.get(_e(n, *alpha))) and (a := A.derived(oa, alpha)):
+            yield a, b
 
 
-@lru_cache(maxsize=None)
-def _odd_mask(mono: tuple) -> int:
-    """Bitmask of the variables with an odd exponent (memoised: the
-    composed xi monomials have degree at most 4)."""
-    return sum(1 << j for j, e in enumerate(mono) if e & 1)
+def block_sign(oa: int, ob: int, k: int) -> int:
+    """The sign of a block's products: their phase i^(oa mod 2) (-i)^k
+    i^(ob mod 2) is i^e, e = oa mod 2 + 3k + ob mod 2, that is
+    i^(order mod 2), times -1 when bit 1 of e is set."""
+    return -1 if (oa % 2 + 3 * k + ob % 2) & 2 else 1
 
 
 def even_pairs(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int):
-    """Yield the factor pairs (ta, tb) of the block whose summed xi
-    monomial is even in every variable; no other pair is enumerated.
-    Each is one term, of numerator ta.num * tb.num (ta carries the
-    block's sign, _factor_lists) on xi^(ta.xi + tb.xi) (x) ta.ops +
-    tb.ops.  ta.xi + tb.xi is even exactly when both have the same
-    odd-exponent mask, so each derived A term meets only the B terms of
-    its mask.
+    """Yield the factor pairs of the block whose summed xi monomial is
+    even in every variable, grouped as (A terms, B terms): every pair
+    (ta, tb) of a group is even, and no other pair is enumerated.
+    ta.xi + tb.xi is even exactly when both have the same odd-exponent
+    mask, so a group is one mask of _factor_lists.  A pair is one term,
+    of numerator block_sign(oa, ob, k) * ta.num * tb.num on
+    xi^(ta.xi + tb.xi) (x) ta.ops + tb.ops.
     """
-    for derived, blist in _factor_lists(A, oa, B, ob, k):
-        by_mask: dict = {}
-        for tb in blist:
-            by_mask.setdefault(_odd_mask(tb.xi_mono), []).append(tb)
-        for ta in derived:
-            for tb in by_mask.get(_odd_mask(ta.xi_mono), ()):
-                yield ta, tb
+    for a, b in _factor_lists(A, oa, B, ob, k):
+        for mask, alist in a.items():
+            if blist := b.get(mask):
+                yield alist, blist
 
 
 _CURVATURE_TAGS = frozenset(("rxx", "ric", "cc", "hchc", "f", "s"))
@@ -553,24 +561,27 @@ def blocks_at(A: SymbolExpansion, B: SymbolExpansion, order: int) -> list:
 
 def compose_block(A: SymbolExpansion, oa: int, B: SymbolExpansion, ob: int, k: int) -> list:
     """The terms of (-i)^k/k! sum_alpha d_xi^alpha[A_oa] d_x^alpha[B_ob]
-    at x = 0, one per factor pair, of numerator ta.num * tb.num.
+    at x = 0, one per factor pair (_factor_lists), of numerator
+    block_sign(oa, ob, k) * ta.num * tb.num.
 
     Odd terms are kept: a product symbol is differentiated in xi again
     when it is composed further, which can make them even.
     """
-    zero_x = _e(A.n)
+    zero_x, sign = _e(A.n), block_sign(oa, ob, k)
     return [
         SymbolTerm(
             zero_x,
             tuple(map(add, ta.xi_mono, tb.xi_mono)),
             ta.norm_power + tb.norm_power,
             ta.den * tb.den,
-            ta.num * tb.num,
+            sign * ta.num * tb.num,
             ta.ops + tb.ops,
             pair_tag(ta, tb),
         )
-        for derived, blist in _factor_lists(A, oa, B, ob, k)
-        for ta in derived
+        for a, b in _factor_lists(A, oa, B, ob, k)
+        for alist in a.values()
+        for ta in alist
+        for blist in b.values()
         for tb in blist
     ]
 

@@ -4,7 +4,12 @@ projected_riemann is the benchmark's curvature construction
 (bench/workloads.make_riemann) with the draw of each raw entry left to
 the caller, for curvature files with wide coefficients, and
 symmetry_violation is the Fraction scan against which
-RiemannTensor.validate's integer scan is checked.  The Clifford
+RiemannTensor.validate's integer scan is checked, as contract is for
+curvature.contract's integer sums.  brute_compose composes a block
+term by term, each pair differentiated on its own with its phase
+multiplied out in complex arithmetic, and brute_weights integrates its
+even terms: the references for symbols.compose_block and
+residue.composed_weights.  The Clifford
 builders here are the generator-by-generator reference:
 each operator is a sum of single generators c_j (blade bit j-1) and
 chat_j (bit n+j-1) built with from_numerators and the algebra, and each
@@ -18,9 +23,13 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from wres.clifford import CliffordOp, FrameVector, trace_chains
+from wres.curvature import CurvatureContractions
 from wres.scalars import ScalarPoly, _pack
+from wres.sphere import vol_multiplier
+from wres.symbols import SymbolTerm
 
 
 def projected_riemann(n: int, seed: int, draw) -> dict:
@@ -87,10 +96,96 @@ def symmetry_violation(n: int, entries: dict):
     return None
 
 
+def contract(t) -> CurvatureContractions:
+    """curvature.contract in Fraction arithmetic: ricci[a][b] sums the
+    entries (a, p, b, q) of t with p == q one Fraction at a time."""
+    n = t.n
+    ricci = [[Fraction(0)] * n for _ in range(n)]
+    for (a, p, b, q), r in t.entries.items():
+        if p == q:
+            ricci[a - 1][b - 1] += r
+    scalar = sum((ricci[a][a] for a in range(n)), Fraction(0))
+    return CurvatureContractions(n, tuple(map(tuple, ricci)), scalar)
+
+
+def order(t) -> int:
+    """A SymbolTerm's order: its xi degree plus its norm power."""
+    return sum(t.xi_mono) + t.norm_power
+
+
 def weight(t) -> ScalarPoly:
     """A SymbolTerm's weight as a constant ScalarPoly: num / den, times i
     when the term's order is odd."""
-    return ScalarPoly._from_slots(t.den, {0: (0, t.num) if t.order() % 2 else (t.num, 0)})
+    return ScalarPoly._from_slots(t.den, {0: (0, t.num) if order(t) % 2 else (t.num, 0)})
+
+
+def _xi_derivative(xi: tuple, p: int, num: int, j: int) -> list:
+    """d/dxi_j of num xi^xi |xi|^p as [(xi, p, num)]: the monomial's
+    exponent comes down, and |xi|^p gives p xi_j |xi|^(p-2)."""
+    out = []
+    if xi[j - 1]:
+        out.append((xi[: j - 1] + (xi[j - 1] - 1,) + xi[j:], p, xi[j - 1] * num))
+    if p:
+        out.append((xi[: j - 1] + (xi[j - 1] + 1,) + xi[j:], p - 2, p * num))
+    return out
+
+
+def brute_compose(A, oa: int, B, ob: int, k: int) -> list:
+    """Every term of the block (-i)^k/alpha! d_xi^alpha[A_oa] d_x^alpha[B_ob]
+    at x = 0, built pair by pair: for each x-free term ta of A of order
+    oa and each term tb of B of order ob and x degree k, alpha is tb's x
+    monomial, ta is differentiated once per index of alpha, and
+    d_x^alpha x^alpha = alpha! cancels the 1/alpha!.  The phase i^(oa mod
+    2) (-i)^k i^(ob mod 2) over the product's own i^(order mod 2) is a
+    sign, found with Python's complex numbers."""
+    n = A.n
+    phase = 1j ** (oa % 2) * (-1j) ** k * 1j ** (ob % 2) / 1j ** ((oa + ob - k) % 2)
+    assert phase.imag == 0 and abs(phase.real) == 1
+    sign = int(phase.real)
+    out = []
+    for ta in A.terms_at(oa):
+        if any(ta.x_mono):
+            continue
+        for tb in B.terms_at(ob):
+            if sum(tb.x_mono) != k:
+                continue
+            derived = [(ta.xi_mono, ta.norm_power, ta.num)]
+            for j, e in enumerate(tb.x_mono, 1):
+                for _ in range(e):
+                    derived = [d for xi, p, num in derived for d in _xi_derivative(xi, p, num, j)]
+            for xi, p, num in derived:
+                out.append(SymbolTerm(
+                    (0,) * n,
+                    tuple(a + b for a, b in zip(xi, tb.xi_mono)),
+                    p + tb.norm_power,
+                    ta.den * tb.den,
+                    sign * num * tb.num,
+                    ta.ops + tb.ops,
+                    ta.tag or tb.tag,
+                ))
+    return out
+
+
+def brute_weights(blocks, n: int) -> dict:
+    """{tag: (den, {chain ids: num})} of the cosphere integrals of the
+    even terms of brute_compose over the blocks: each term weighs num /
+    den * vol_multiplier on its chain, and a tag's den is the lcm of its
+    terms' den * vol_den; a weight that cancels stays, as 0."""
+    even = [
+        (t, *vol_multiplier(n, t.xi_mono))
+        for block in blocks
+        for t in brute_compose(*block)
+        if not any(e % 2 for e in t.xi_mono)
+    ]
+    dens: dict = {}
+    for t, _, vden in even:
+        dens[t.tag] = lcm(dens.get(t.tag, 1), t.den * vden)
+    out: dict = {}
+    for t, vnum, vden in even:
+        chains = out.setdefault(t.tag, {})
+        key = tuple(map(id, t.ops))
+        chains[key] = chains.get(key, 0) + t.num * vnum * (dens[t.tag] // (t.den * vden))
+    return {tag: (dens[tag], chains) for tag, chains in out.items()}
 
 
 def identity(n: int) -> CliffordOp:

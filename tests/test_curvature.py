@@ -20,9 +20,15 @@ from wres.curvature import (
     ricci_bilinear,
 )
 
+import oracles
 from oracles import entry, projected_riemann, symmetry_violation, wide_draw
 
 DATA = Path(__file__).parent / "data"
+
+
+def ric(contr, a: int, b: int) -> Fraction:
+    """Ric_ab of a CurvatureContractions, 1-based."""
+    return contr.ricci[a - 1][b - 1]
 
 
 def einstein_bilinear(t, u, v):
@@ -188,7 +194,7 @@ class TestFixedTensors:
         contr = contract(t)
         for a in range(1, 5):
             for b in range(1, 5):
-                assert contr.ric(a, b) == (3 if a == b else 0)
+                assert ric(contr, a, b) == (3 if a == b else 0)
         assert contr.scalar == 12
 
     def test_constant_curvature_einstein_value(self):
@@ -261,7 +267,7 @@ class TestRandomTensors:
         v = random_vector(4, 22)
         direct = sum(
             (
-                u[a] * v[b] * contr.ric(a, b)
+                u[a] * v[b] * ric(contr, a, b)
                 for a in range(1, 5)
                 for b in range(1, 5)
             ),
@@ -276,14 +282,53 @@ class TestRandomTensors:
         idx = range(1, n + 1)
         for a in idx:
             for b in idx:
-                assert contr.ric(a, b) == sum(entry(t, a, p, b, p) for p in idx)
-        assert contr.scalar == sum(contr.ric(a, a) for a in idx)
+                assert ric(contr, a, b) == sum(entry(t, a, p, b, p) for p in idx)
+        assert contr.scalar == sum(ric(contr, a, a) for a in idx)
 
     def test_ricci_is_symmetric(self):
         contr = contract(random_riemann(6, 5))
         for a in range(1, 7):
             for b in range(1, 7):
-                assert contr.ric(a, b) == contr.ric(b, a)
+                assert ric(contr, a, b) == ric(contr, b, a)
+
+
+def wide_vector(n: int, rng: random.Random) -> FrameVector:
+    """A vector with about a third of its components zero and the rest
+    of numerators up to 2^70 over denominators up to 10^12."""
+    return FrameVector(n, tuple(
+        Fraction(rng.randint(-2**70, 2**70), rng.randint(1, 10**12)) if rng.random() < 0.7 else 0
+        for _ in range(n)
+    ))
+
+
+class TestContractionParity:
+    """contract and ricci_bilinear sum integer numerators over one
+    denominator; their Fraction references (oracles.contract, and the
+    direct sum of u_a v_b Ric_ab) must give the same Fractions."""
+
+    TENSORS = [
+        *(("file-" + p.stem, lambda p=p: RiemannTensor.from_json(json.loads(p.read_text())))
+          for p in sorted(DATA.glob("curvature-*.json"))),
+        *((f"random-d{n}", lambda n=n: random_riemann(n, 3)) for n in (2, 4, 6, 8)),
+        ("wide-d6", lambda: RiemannTensor(6, projected_riemann(6, 19, wide_draw))),
+        ("constant-d6", lambda: constant_curvature(6)),
+        ("flat-d4", lambda: flat(4)),
+    ]
+
+    @pytest.mark.parametrize("build", [b for _, b in TENSORS], ids=[name for name, _ in TENSORS])
+    def test_integer_sums_equal_fraction_sums(self, build):
+        t = build()
+        contr, ref = contract(t), oracles.contract(t)
+        assert contr == ref
+        assert all(type(r) is Fraction for row in contr.ricci for r in row) and type(contr.scalar) is Fraction
+        rng = random.Random(t.n)
+        vectors = [wide_vector(t.n, rng) for _ in range(6)]
+        vectors += [random_vector(t.n, 5), FrameVector.basis(t.n, 1), FrameVector(t.n, (0,) * t.n)]
+        idx = range(1, t.n + 1)
+        for u, v in itertools.product(vectors, repeat=2):
+            direct = sum((u[a] * v[b] * ric(ref, a, b) for a in idx for b in idx), Fraction(0))
+            got = ricci_bilinear(contr, u, v)
+            assert got == direct and type(got) is Fraction
 
 
 class TestSerialization:

@@ -16,6 +16,7 @@ cannot pass.
 """
 
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -53,6 +54,13 @@ def analysis_blocks(monkeypatch, n: int, inputs: tuple = ()) -> dict:
     return captured
 
 
+def pairs(A, oa, B, ob, k):
+    """The even pairs (ta, tb) of a block, one at a time, out of the
+    groups even_pairs hands out."""
+    for alist, blist in even_pairs(A, oa, B, ob, k):
+        yield from product(alist, blist)
+
+
 def curvature_counts(blocks: dict) -> dict:
     """{block id: Counter {curvature-tagged factors of a pair: pairs}}
     over the even pairs of every non-empty block."""
@@ -61,7 +69,7 @@ def curvature_counts(blocks: dict) -> dict:
         tally = Counter(
             sum(t.tag in _CURVATURE_TAGS for t in pair)
             for A, oa, B, ob, k in spec
-            for pair in even_pairs(A, oa, B, ob, k)
+            for pair in pairs(A, oa, B, ob, k)
         )
         if tally:
             counts[bid] = tally
@@ -122,7 +130,7 @@ def vector_counts(monkeypatch, n: int, plant=None) -> dict:
 
     counts = {}
     for bid, spec in blocks.items():
-        tally = Counter(count(pair) for A, oa, B, ob, k in spec for pair in even_pairs(A, oa, B, ob, k))
+        tally = Counter(count(pair) for A, oa, B, ob, k in spec for pair in pairs(A, oa, B, ob, k))
         if tally:
             counts[bid] = tally
     return counts

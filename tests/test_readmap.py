@@ -21,6 +21,8 @@ from wres.clifford import Dimension
 from wres.residue import _BLOCKS, _SUBPARTS, CHECK_IDS, Analysis, derive_inputs
 from wres.symbols import SymbolExpansion, SymbolTerm, _e, curvature_ops, pair_tag
 
+from oracles import order
+
 DIMS = (2, 4, 6, 8, 10, 12)
 
 # check id -> (the blocks it sums, the tag it reads or None for all)
@@ -56,7 +58,7 @@ class ReadMap:
             real_add(exp, term)
             if term.num:
                 self.kept[id(exp)] = exp
-                cell = (id(exp), term.order(), sum(term.x_mono))
+                cell = (id(exp), order(term), sum(term.x_mono))
                 self.written.setdefault(cell, set()).add(term.tag)
 
         monkeypatch.setattr(SymbolExpansion, "add", add)
@@ -80,10 +82,11 @@ class ReadMap:
         real_pairs = wres.residue.even_pairs
 
         def even_pairs(A, oa, B, ob, k):
-            for ta, tb in real_pairs(A, oa, B, ob, k):
+            for alist, blist in real_pairs(A, oa, B, ob, k):
                 self.read |= {(id(A), oa, 0), (id(B), ob, k)}
-                self.tags.setdefault((id(A), oa, id(B), ob, k), set()).add(pair_tag(ta, tb))
-                yield ta, tb
+                tags = self.tags.setdefault((id(A), oa, id(B), ob, k), set())
+                tags |= {pair_tag(ta, tb) for ta in alist for tb in blist}
+                yield alist, blist
 
         monkeypatch.setattr(wres.residue, "even_pairs", even_pairs)
 

@@ -4,6 +4,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -43,15 +44,28 @@ from wres.sphere import vol_multiplier
 from wres.symbols import (
     SymbolExpansion,
     SymbolTerm,
+    block_sign,
     blocks_at,
     compose_block,
     even_pairs,
     lemma2_symbols,
+    principal_symbol,
     symbol_product_PQ,
+    symbols_PQ,
     uv_symbol,
 )
 
-from oracles import entry, projected_riemann, tildec_op, trace, weight
+from oracles import (
+    brute_compose,
+    brute_weights,
+    entry,
+    order,
+    projected_riemann,
+    tildec_op,
+    trace,
+    weight,
+    wide_draw,
+)
 
 
 def mono(n, *idx):
@@ -210,11 +224,12 @@ class TestIntegration:
         assert got == FunctionalDensity(trace(a * a) * three, 0)
 
 
-def symbol_set(n, seed):
-    """PQ, B1, UV and B2 of the seeded input, built as Analysis builds them."""
+def symbol_set(n, seed, R=None):
+    """PQ, B1, UV and B2 of the seeded input, built as Analysis builds
+    them; R, when given, replaces the seed's tensor."""
     dim = Dimension(n)
     m = dim.m
-    R, u, v = derive_inputs(n, seed)
+    R, u, v = derive_inputs(n, seed, R)
     cache = ProductCache()
     return (
         symbol_product_PQ(dim, R, u, v, cache),
@@ -224,9 +239,9 @@ def symbol_set(n, seed):
     )
 
 
-def block_specs(n, seed):
+def block_specs(n, seed, R=None):
     """The blocks of every composed density: the six of PQ o B1, II and the metric."""
-    PQ, B1, UV, B2 = symbol_set(n, seed)
+    PQ, B1, UV, B2 = symbol_set(n, seed, R)
     specs = {bid: [(PQ, oa, B1, -n + ob, oa + ob)] for bid, (oa, ob) in _BLOCKS.items()}
     specs["II"] = blocks_at(UV, B2, -n)
     specs["metric"] = blocks_at(UV, B1, -n)
@@ -240,7 +255,7 @@ def term_weights(spec, n):
     out = {}
     for A, oa, B, ob, k in spec:
         for t in compose_block(A, oa, B, ob, k):
-            assert t.order() == -n and not any(t.x_mono)
+            assert order(t) == -n and not any(t.x_mono)
             key = (t.tag, tuple(map(id, t.ops)))
             w = weight(t).scale(Fraction(*vol_multiplier(n, t.xi_mono)))
             out[key] = out[key] + w if key in out else w
@@ -280,9 +295,10 @@ class TestBlocks:
 
     def test_odd_pairs_build_nothing(self, monkeypatch):
         # The weight walker enumerates no odd pair, so none reaches the
-        # weight arithmetic: every pair it hands out is even, and its
-        # products are exactly the even terms compose_block builds from
-        # every pair, so none is lost.
+        # weight arithmetic: every pair of every group it hands out is
+        # even, and their products, signed by the block, are exactly the
+        # even terms compose_block builds from every pair, so none is
+        # lost.
         def even(ta, tb):
             return not any((a + b) % 2 for a, b in zip(ta.xi_mono, tb.xi_mono))
 
@@ -300,15 +316,18 @@ class TestBlocks:
                         for t in terms
                         if not any(e % 2 for e in t.xi_mono)
                     )
+                    _, oa, _, ob, k = block
+                    sign = block_sign(oa, ob, k)
                     got = Counter(
                         key(
                             tuple(a + b for a, b in zip(ta.xi_mono, tb.xi_mono)),
                             ta.norm_power + tb.norm_power,
-                            ta.num * tb.num,
+                            sign * ta.num * tb.num,
                             ta.ops + tb.ops,
                             ta.tag or tb.tag,
                         )
-                        for ta, tb in even_pairs(*block)
+                        for alist, blist in even_pairs(*block)
+                        for ta, tb in product(alist, blist)
                     )
                     assert got == want
         assert odd
@@ -316,11 +335,11 @@ class TestBlocks:
         real, handed = wres.residue.even_pairs, []
 
         def walker(*args):
-            for ta, tb in real(*args):
-                if not even(ta, tb):
+            for alist, blist in real(*args):
+                if not all(even(ta, tb) for ta, tb in product(alist, blist)):
                     raise AssertionError("an odd pair reached the weight arithmetic")
                 handed.append(1)
-                yield ta, tb
+                yield alist, blist
 
         monkeypatch.setattr(wres.residue, "even_pairs", walker)
         for n in (2, 4):
@@ -426,6 +445,71 @@ class TestBlocks:
             direct = wres.symbols.lemma2_symbols(dim, R, dim.m, -n, cache)
             assert direct.merged(cache) == wres.symbols.lemma1_symbols(dim, R, conn).merged(cache)
         assert built == []
+
+
+def term_keys(terms):
+    """The multiset of product terms, each keyed by everything but its x monomial."""
+    return Counter((t.xi_mono, t.norm_power, t.den, t.num, tuple(map(id, t.ops)), t.tag) for t in terms)
+
+
+def chain_weights(weights):
+    """composed_weights as {tag: (den, {chain ids: num})}, brute_weights' shape."""
+    return {
+        tag: (den, {key: num for key, (_, num) in chains.items()})
+        for tag, (den, chains) in weights.items()
+    }
+
+
+TENSORS = {
+    "random": lambda n: random_riemann(n, 1),
+    "flat": flat,
+    "constant": constant_curvature,
+    "planar": lambda n: planar(n),
+    "wide": lambda n: RiemannTensor(n, projected_riemann(n, 19, wide_draw)),
+}
+
+
+class TestBruteForce:
+    """compose_block and composed_weights against a composer that builds
+    and differentiates every pair on its own (oracles.brute_compose), on
+    every block of an Analysis and of its product PQ."""
+
+    @pytest.mark.parametrize("kind", sorted(TENSORS))
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_blocks_equal_the_brute_force_composer(self, n, kind):
+        R = TENSORS[kind](n)
+        dim, cache = Dimension(n), ProductCache()
+        _, u, v = derive_inputs(n, 1)
+        P, Q = principal_symbol(dim, u), symbols_PQ(dim, R, v, cache)
+        specs = block_specs(n, 1, R)
+        specs["PQ"] = [block for target in (2, 1, 0) for block in blocks_at(P, Q, target)]
+        formed = 0
+        for bid, spec in specs.items():
+            for block in spec:
+                want = brute_compose(*block)
+                assert term_keys(compose_block(*block)) == term_keys(want), (bid, block[1::2])
+                formed += len(want)
+            assert chain_weights(composed_weights(spec, n)) == brute_weights(spec, n), bid
+        assert formed
+
+    def test_a_term_added_after_a_composition_is_seen(self):
+        # the derivative and x-monomial memos of an expansion are dropped
+        # by its next add: terms filed into cells that a composition has
+        # already read are composed by the next one
+        n = 4
+        PQ, B1, _, _ = symbol_set(n, 1)
+        blocks = [(PQ, 2, B1, -n - 1, 1), (PQ, 2, B1, -n, 2), (PQ, 0, B1, -n, 0)]
+        before = [(term_keys(compose_block(*b)), chain_weights(composed_weights([b], n))) for b in blocks]
+        PQ.add(SymbolTerm(mono(n), mono(n, 1, 3), 0, 5, 7, (tildec_op(n, 2),)))
+        PQ.add(SymbolTerm(mono(n), mono(n, 2, 2), -2, 1, 3, (tildec_op(n, 4),)))
+        B1.add(SymbolTerm(mono(n, 2, 4), mono(n, 1, 3), -n - 2, 3, -2))
+        B1.add(SymbolTerm(mono(n, 3), mono(n, 1), -n - 2, 3, 4))
+        for block, old in zip(blocks, before):
+            terms = term_keys(compose_block(*block))
+            weights = chain_weights(composed_weights([block], n))
+            assert (terms, weights) != old
+            assert terms == term_keys(brute_compose(*block))
+            assert weights == brute_weights([block], n)
 
 
 class _PoisonOps(tuple):

@@ -37,7 +37,8 @@ from wres.symbols import (
 )
 
 from oracles import (
-    c_op, entry, hatc_op, identity, projected_riemann, tildec_op, vector_clifford, weight, wide_draw, zero,
+    c_op, entry, hatc_op, identity, order, projected_riemann, tildec_op, vector_clifford, weight, wide_draw,
+    zero,
 )
 
 ONE = ScalarPoly.one()
@@ -126,8 +127,9 @@ class TestDerivatives:
         assert d_xi(t, 1) == []
 
     def test_order_is_xi_degree_plus_norm_power(self):
-        t = SymbolTerm(mono(4), mono(4, 1, 2), -6, 1, 1)
-        assert t.order() == -4
+        exp = SymbolExpansion(4)
+        exp.add(SymbolTerm(mono(4), mono(4, 1, 2), -6, 1, 1))
+        assert exp.orders() == [-4]
 
 
 class TestExpansionPlumbing:
@@ -585,7 +587,7 @@ class TestCurvatureTable:
         contr = contract(R)
         idx = range(1, R.n + 1)
         ricci = {(a, b): Fraction(rec.ricci.get((a, b), 0), rec.den) for a in idx for b in idx}
-        assert ricci == {(a, b): contr.ric(a, b) for a in idx for b in idx}
+        assert ricci == {(a, b): contr.ricci[a - 1][b - 1] for a in idx for b in idx}
         assert Fraction(rec.s, rec.den) == contr.scalar
         assert all(rec.ricci.values()) and list(rec.ricci) == sorted(rec.ricci)
 
@@ -866,12 +868,12 @@ class TestComposition:
             A.add(SymbolTerm(mono(n), mono(n, *[1] * (oa + 2)), -2, 3, 2))
             B.add(SymbolTerm(mono(n, *[1] * k), mono(n, *[1] * b), ob - b, 7, -5))
             terms = compose_block(A, oa, B, ob, k)
-            assert terms and all(u.order() == oa + ob - k and not u.ops for u in terms)
+            assert terms and all(order(u) == oa + ob - k and not u.ops for u in terms)
             got = [Fraction(0), Fraction(0)]
             for u in terms:
                 value = Fraction(u.num, u.den) * t ** u.xi_mono[0] * x2 ** u.xi_mono[1]
                 value *= norm2 ** (u.norm_power // 2)
-                got = [g + e for g, e in zip(got, exact(1j ** (u.order() % 2), value))]
+                got = [g + e for g, e in zip(got, exact(1j ** (order(u) % 2), value))]
             phase = 1j ** (oa % 2) * (-1j) ** k * 1j ** (ob % 2)
             b_value = Fraction(-5, 7) * t**b * norm2 ** ((ob - b) // 2)
             want = exact(phase, Fraction(2, 3) * dk(oa + 2, k) * b_value)
