@@ -131,7 +131,7 @@ def verify(dim, seed_count, curvature, u_raw, v_raw, as_json, out):
         raise click.UsageError("--seeds must be positive")
     d = Dimension(dim)
     base = _seed_base()
-    seeds = list(range(base, base + seed_count))
+    seeds = range(base, base + seed_count)
     R, label = _resolve_curvature(curvature, dim)
     u = _parse_vector(u_raw, dim, "u")
     v = _parse_vector(v_raw, dim, "v")

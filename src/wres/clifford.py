@@ -26,7 +26,8 @@ blade and total degree, packed once; it sums signed integer triple
 products and reads the digits back once per chain.  Operators keep
 the integer terms, since the gcd of a packed integer is not the gcd of
 its digits.  The nonminimal operator enters only through pairs
-ctilde(w) ctilde(x) (tildec_pair), each written from g(w, x) and w ^ x.
+ctilde(w) ctilde(x) (tildec_pair, or tildec_row for the frame partners
+e_f), each written from g(w, x) and w ^ x.
 The numerators are in the one integer form that ScalarPoly also stores
 (scalars.py): sums and products run on that module's batched kernel,
 and a trace or an entry of the 2^n x 2^n matrix view (rows) for checks
@@ -67,9 +68,6 @@ class Dimension:
                 raise ValueError(f"{name} has dimension {arg.n}, but the {owner} has dimension {self.n}")
 
 
-_UNIT = (Fraction(0), Fraction(1))
-
-
 @dataclass(frozen=True)
 class FrameVector:
     """Vector with exact rational components in the orthonormal frame."""
@@ -87,11 +85,6 @@ class FrameVector:
     def __getitem__(self, a: int) -> Fraction:
         """Component for frame index a, 1-based."""
         return self.components[a - 1]
-
-    @classmethod
-    def basis(cls, n: int, j: int) -> "FrameVector":
-        """e_j, built from shared Fractions: the symbol build makes none."""
-        return cls(n, tuple(_UNIT[a == j] for a in range(1, n + 1)))
 
 
 def inner(u: FrameVector, v: FrameVector) -> Fraction:
@@ -155,7 +148,7 @@ class CliffordOp:
     terms sorted by degree, den coprime to the numerators.  With the
     faithfulness of the action, equal operators compare equal however
     they were built.  Instances are built by from_numerators,
-    tildec_pair and the algebra, and are treated as immutable.
+    tildec_pair, tildec_row and the algebra, and are treated as immutable.
     """
 
     __slots__ = ("n", "den", "blades")
@@ -260,7 +253,23 @@ def tildec_pair(w: FrameVector, x: FrameVector) -> CliffordOp:
     W = [c.numerator * (lw // c.denominator) for c in w.components]
     X = [c.numerator * (lx // c.denominator) for c in x.components]
     om = [(j, k, W[j] * X[k] - W[k] * X[j]) for j in range(n) for k in range(j + 1, n)]
-    scalar, den = 4 * sum(a * b for a, b in zip(W, X)), 4 * lw * lx
+    return _pair_op(n, 4 * lw * lx, 4 * sum(a * b for a, b in zip(W, X)), om)
+
+
+def tildec_row(w: FrameVector) -> list:
+    """[ctilde(w) ctilde(e_f) for f = 1..n], each equal to tildec_pair(w,
+    e_f), reading w's numerators and lcm once: against e_f, g(w, e_f) =
+    w_f, and the only nonzero om are om_jf = w_j (j < f) and om_fk = -w_k
+    (k > f)."""
+    n, lw = w.n, lcm(*(c.denominator for c in w.components))
+    W = [c.numerator * (lw // c.denominator) for c in w.components]
+    om = [[(j, f, W[j]) for j in range(f)] + [(f, k, -W[k]) for k in range(f + 1, n)] for f in range(n)]
+    return [_pair_op(n, 4 * lw, 4 * W[f], om[f]) for f in range(n)]
+
+
+def _pair_op(n: int, den: int, scalar: int, om: list) -> CliffordOp:
+    """The op of tildec_pair from its numerators over den: 4 g(w, x) and
+    the (j, k, om_jk) of j < k."""
     g = gcd(den, scalar, *(o for _, _, o in om))
     aa, ab, bb = _pack(2, 0), _pack(1, 1), _pack(0, 2)
     blades = {0: ((ab, -scalar // g, 0),)} if scalar else {}

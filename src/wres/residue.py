@@ -12,7 +12,6 @@ Vol(S^{n-1}) times tr[id] and are never floated.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm
@@ -326,19 +325,26 @@ class Analysis:
         self._fill_expected()
 
     def _fill_expected(self) -> None:
-        """expected[id]: each CLOSED_FORMS row at this m, on contract's values."""
-        m = self.dim.m
+        """expected[id]: each CLOSED_FORMS row at this m, on contract's
+        values.  g(u,v), s g(u,v) and Ric(u,v) go over one denominator, with
+        tr[id] = 2^n and the 1/48 folded in, so a row is one integer
+        combination of their numerators times its shape's integer
+        numerators, made canonical once."""
+        m, n = self.dim.m, self.dim.n
         contr = contract(self.R)
         g = inner(self.u, self.v)
-        unit = Fraction(1 << self.dim.n, 48)
-        basis = (g, contr.scalar * g, ricci_bilinear(contr, self.u, self.v))
+        values = (g, contr.scalar * g, ricci_bilinear(contr, self.u, self.v))
+        den = lcm(*(x.denominator for x in values))
+        basis = [x.numerator * (den // x.denominator) << n for x in values]
         done: dict = {}
         for cid, row in CLOSED_FORMS.items():
             density = done.get(row)
             if density is None:
                 shape, (e0, e1), *coeffs = row
-                value = sum((c0 + c1 * m) * b for (c0, c1), b in zip(coeffs, basis) if c0 or c1)
-                density = FunctionalDensity(_SHAPES[shape].scale(value * unit), e0 + e1 * m)
+                value = sum((c0 + c1 * m) * b for (c0, c1), b in zip(coeffs, basis))
+                p = _SHAPES[shape]
+                slots = {k: (value * re, value * im) for k, re, im in p.nums}
+                density = FunctionalDensity(ScalarPoly._from_slots(48 * den * p.den, slots), e0 + e1 * m)
                 done[row] = density
             self.expected[cid] = density
 

@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import NamedTuple
 
-from .clifford import CliffordOp, Dimension, FrameVector, ProductCache, tildec_pair
+from .clifford import CliffordOp, Dimension, FrameVector, ProductCache, tildec_pair, tildec_row
 from .curvature import RiemannTensor
 
 
@@ -209,12 +209,14 @@ def _record_slots(n: int) -> tuple:
     """(keys, groups) for curvature_ops on R^n (memoised per dimension).
     keys lists the rxx keys (x monomial, xi monomial).  groups holds, per
     pair (i, j) with i < j, one row per quad (i, j, k, l) with k < l:
-    (quad, the c mask of {k, l}, f's blade, the rxx key indices of the
-    images of sign +1, +1, -1, -1, the (Ricci index (a-1) n + b-1, sign)
-    pairs).  The images are the entry r = R_{ijkl} itself and its three
-    sign images, each read where an entry (a, b, c, d) is: on the key
-    (x_b x_d, xi_a xi_c), and on Ric_ac when b = d.  The build sums into
-    lists by these indices, so no tuple key is hashed per entry."""
+    (quad, the c mask of {k, l}, f's blade, the (slot, sign) pairs the
+    entry is summed into).  The images are the entry r = R_{ijkl} itself
+    and its three sign images, of sign +1, +1, -1, -1, each read where an
+    entry (a, b, c, d) is: on Ric_ac when b = d, slot (a-1) n + c-1, and
+    on the rxx key (x_b x_d, xi_a^2) when a = c, slot n^2 plus its index
+    in keys.  An image with a != c has no rxx slot: no block pairs an
+    x-quadratic term odd in xi (_curvature_family).  The build sums into
+    one list by these slots, so no tuple key is hashed per entry."""
     index: dict = {}
     groups = []
     for i, j in combinations(range(1, n + 1), 2):
@@ -223,9 +225,11 @@ def _record_slots(n: int) -> tuple:
         for k, l in combinations(range(1, n + 1), 2):
             kl = 1 << (k - 1) | 1 << (l - 1)
             images = ((i, j, k, l, 1), (j, i, l, k, 1), (j, i, k, l, -1), (i, j, l, k, -1))
-            rxx = tuple(index.setdefault((_e(n, b, d), _e(n, a, c)), len(index)) for a, b, c, d, _ in images)
-            ricci = tuple(((a - 1) * n + c - 1, sign) for a, b, c, d, sign in images if b == d)
-            rows.append(((i, j, k, l), kl, kl | ij << n, rxx, ricci))
+            slots = tuple(((a - 1) * n + c - 1, sign) for a, b, c, d, sign in images if b == d) + tuple(
+                (index.setdefault((_e(n, b, d), _e(n, a, a)), n * n + len(index)), sign)
+                for a, b, c, d, sign in images if a == c
+            )
+            rows.append(((i, j, k, l), kl, kl | ij << n, slots))
         groups.append(((i, j), tuple(rows)))
     return tuple(index), tuple(groups)
 
@@ -241,10 +245,12 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
     sign in their weights (_ordered_pairs).  hh is cc's canonical form,
     den and numerators, with every blade mask shifted left by n (c_j to
     chat_j).  f = sum_{ijkl} R_{ijkl} chat_i chat_j c_k c_l.  rxx maps
-    (x_j x_k, xi_a xi_b) to sum R_{ajbk} over the entries sharing that
-    monomial (nonzero sums only).  ricci maps (a, b) to the numerator of
-    Ric_ab = sum_p R_{apbp}, nonzero entries only, in row-major order,
-    and s is the numerator of the scalar curvature.  Every numerator is
+    (x_j x_k, xi_a^2) to sum R_{ajak} over the entries sharing that
+    monomial (nonzero sums only); the monomials xi_a xi_b with a != b
+    are not summed, since no block pairs them (_curvature_family).
+    ricci maps (a, b) to the numerator of Ric_ab = sum_p R_{apbp},
+    nonzero entries only, in row-major order, and s is the numerator of
+    the scalar curvature.  Every numerator is
     written over den, the lcm of the read entries' denominators.
 
     Only the entries r = R_{ijkl} with i < j and k < l are read, one per
@@ -267,19 +273,15 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
         get = R.entries.get
         read = [(ab, [(row, r) for row in rows if (r := get(row[0]))]) for ab, rows in groups]
         den = lcm(*(r.denominator for _, hits in read for _, r in hits))
-        rxx, ricci = [0] * len(keys), [0] * (n * n)
+        sums = [0] * (n * n + len(keys))
         op = CliffordOp.from_numerators
         bivectors, f = {}, {}
         for ab, hits in read:
             pair = {}
-            for (_, kl, fmask, (p1, p2, m1, m2), ric), r in hits:
+            for (_, kl, fmask, slots), r in hits:
                 num = r.numerator * (den // r.denominator)
-                rxx[p1] += num
-                rxx[p2] += num
-                rxx[m1] -= num
-                rxx[m2] -= num
-                for x, sign in ric:
-                    ricci[x] += sign * num
+                for x, sign in slots:
+                    sums[x] += sign * num
                 pair[kl] = 2 * num
                 f[fmask] = 4 * num
             if pair:
@@ -288,10 +290,10 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
         return CurvatureRecord(
             bivectors,
             op(n, den, f),
-            {k: v for k, v in zip(keys, rxx) if v},
+            {k: v for k, v in zip(keys, sums[n * n :]) if v},
             den,
-            {(x // n + 1, x % n + 1): v for x, v in enumerate(ricci) if v},
-            sum(ricci[:: n + 1]),
+            {(x // n + 1, x % n + 1): v for x, v in enumerate(sums[: n * n]) if v},
+            sum(sums[: n * n : n + 1]),
         )
 
     return cache.named(("curvature_ops", R), build)
@@ -363,6 +365,12 @@ def _curvature_family(exp: SymbolExpansion, rec: CurvatureRecord, M: int) -> Non
     Ricci terms M(M+1)/3 Ric of order -2M-2, so criterion 4 compares two
     transcriptions of them.
 
+    Only the terms even in xi of the x-quadratic correction are built,
+    x_j x_k xi_a^2 (the record's rxx): only an even xi monomial
+    integrates to nonzero on the cosphere, and these terms meet only
+    block I-6, which differentiates PQ's xi-quadratic terms twice into
+    constants, so a term xi_a xi_b with a != b forms no even pair.
+
     The top symbol is the one term |xi|^(-2M) rather than the n terms
     xi_a^2 |xi|^(-2M-2) of the metric contraction: the two agree on the
     cosphere, and an inverse power is only ever the right factor of a
@@ -417,8 +425,9 @@ def lemma2_symbols(
     second-order product, stored at orders -2m, -2m-1 and -2m-2, and
     -2m+2 for the reduced power, stored at order -2m alone.  The reduced
     power is only ever the right factor of ctilde(u) ctilde(v), which is
-    free of x and xi, so only its x-free terms of order -2m form pairs
-    (k = 0); its upper orders and x-linear terms are not built.
+    free of x and xi, so only its x-free terms of order -2m that are even
+    in xi form even pairs (k = 0): its upper orders, x-linear terms and
+    Ricci terms xi_a xi_b with a != b are not built.
     """
     dim.check("symbol", R=R)
     n = dim.n
@@ -438,7 +447,8 @@ def lemma2_symbols(
             exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, sign * M, (cc,), "cc"))
             exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, -sign * M, (hh,), "hchc"))
     for (a, b), ric in rec.ricci.items():
-        exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 3 * rec.den, M * (M + 1) * ric, (), "ric"))
+        if M == m or a == b:
+            exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 3 * rec.den, M * (M + 1) * ric, (), "ric"))
     if not rec.f.is_zero():
         exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 8, -M, (rec.f,), "f"))
     if rec.s and M:
@@ -447,12 +457,13 @@ def lemma2_symbols(
 
 
 def principal_symbol(dim: Dimension, w: FrameVector) -> SymbolExpansion:
-    """Order 1 of ctilde(w) * (Hodge operator): i ctilde(w) ctilde(xi), free of x."""
+    """Order 1 of ctilde(w) * (Hodge operator): i ctilde(w) ctilde(xi), free
+    of x, one term xi_f (x) ctilde(w) ctilde(e_f) per f (tildec_row)."""
     dim.check("symbol", w=w)
     n = dim.n
     exp = SymbolExpansion(n)
-    for f in range(1, n + 1):
-        exp.add(SymbolTerm(_e(n), _e(n, f), 0, 1, 1, (tildec_pair(w, FrameVector.basis(n, f)),), ""))
+    for f, op in enumerate(tildec_row(w), 1):
+        exp.add(SymbolTerm(_e(n), _e(n, f), 0, 1, 1, (op,), ""))
     return exp
 
 

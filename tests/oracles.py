@@ -16,7 +16,10 @@ chat_j (bit n+j-1) built with from_numerators and the algebra, and each
 ctilde is folded one generator at a time, independently of the engine's
 one-pass pairs clifford.tildec_pair.  trace materialises nothing but the
 scalar part, against which clifford.trace_chains is checked; trace_one
-runs that engine trace on a batch of one chain.
+runs that engine trace on a batch of one chain.  expected_densities
+evaluates the closed forms one Fraction row at a time, against which
+residue.Analysis's integer rows are checked.  basis and planar are the
+frame vector e_j and the unit 2-plane tensor that the tests share.
 """
 
 import itertools
@@ -25,8 +28,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from wres.clifford import CliffordOp, FrameVector, trace_chains
-from wres.curvature import CurvatureContractions
+from wres.clifford import CliffordOp, FrameVector, inner, trace_chains
+from wres.curvature import CurvatureContractions, RiemannTensor
+from wres.residue import _SHAPES, CLOSED_FORMS, FunctionalDensity
 from wres.scalars import ScalarPoly, _pack
 from wres.sphere import vol_multiplier
 from wres.symbols import SymbolTerm
@@ -53,6 +57,11 @@ def wide_draw(rng: random.Random) -> Fraction:
     """A raw entry for projected_riemann with a numerator of up to 2^90
     and a denominator 1 to 9: the curvature files with wide coefficients."""
     return Fraction(rng.randint(-2**90, 2**90), rng.randint(1, 9))
+
+
+def planar(n: int) -> RiemannTensor:
+    """Unit 2-plane curvature: R_1212 = 1 and its symmetric entries."""
+    return RiemannTensor(n, {(1, 2, 1, 2): 1, (2, 1, 2, 1): 1, (1, 2, 2, 1): -1, (2, 1, 1, 2): -1})
 
 
 def entry(R, i: int, j: int, k: int, l: int) -> Fraction:
@@ -106,6 +115,29 @@ def contract(t) -> CurvatureContractions:
             ricci[a - 1][b - 1] += r
     scalar = sum((ricci[a][a] for a in range(n)), Fraction(0))
     return CurvatureContractions(n, tuple(map(tuple, ricci)), scalar)
+
+
+def basis(n: int, j: int) -> FrameVector:
+    """The frame vector e_j of R^n."""
+    return FrameVector(n, tuple(int(a == j) for a in range(1, n + 1)))
+
+
+def expected_densities(dim, R, u: FrameVector, v: FrameVector) -> dict:
+    """{check id: FunctionalDensity} of every CLOSED_FORMS row at dim.m in
+    Fraction arithmetic, one row at a time: tr[id] / 48 = 2^n / 48 times
+    the row's combination of g(u,v), s g(u,v) and Ric(u,v), each from
+    contract and a direct double sum, scales the row's shape polynomial."""
+    n, m = dim.n, dim.m
+    contr = contract(R)
+    g = inner(u, v)
+    idx = range(1, n + 1)
+    ric = sum((u[a] * v[b] * contr.ricci[a - 1][b - 1] for a in idx for b in idx), Fraction(0))
+    values = (g, contr.scalar * g, ric)
+    out = {}
+    for cid, (shape, (e0, e1), *coeffs) in CLOSED_FORMS.items():
+        value = sum(((c0 + c1 * m) * x for (c0, c1), x in zip(coeffs, values)), Fraction(0))
+        out[cid] = FunctionalDensity(_SHAPES[shape].scale(value * Fraction(1 << n, 48)), e0 + e1 * m)
+    return out
 
 
 def order(t) -> int:

@@ -38,6 +38,17 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--dim", "4", "--seeds", "0"])
         assert result.exit_code == 2
 
+    def test_huge_seed_count_is_not_listed(self, runner):
+        # the seeds stay a range: a count past the index size reaches the
+        # curvature check, which fails before any analysis runs
+        result = runner.invoke(
+            main, ["verify", "--dim", "4", "--seeds", "99999999999999999999", "--curvature", "nope"]
+        )
+        assert result.exit_code == 2
+        assert "--curvature must be 'random', 'constant', 'flat', or a JSON file" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
     def test_json_report_round_trips_byte_identically(self, runner):
         result = runner.invoke(
             main, ["verify", "--dim", "4", "--seeds", "1", "--json"]

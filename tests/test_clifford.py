@@ -7,7 +7,9 @@ import pytest
 
 import wres.residue
 from wres import clifford
-from wres.clifford import CliffordOp, Dimension, FrameVector, ProductCache, inner, tildec_pair, trace_chains
+from wres.clifford import (
+    CliffordOp, Dimension, FrameVector, ProductCache, inner, tildec_pair, tildec_row, trace_chains,
+)
 from wres.curvature import random_riemann
 from wres.residue import Analysis, derive_inputs
 from wres.scalars import GaussianRational, ScalarPoly
@@ -15,6 +17,7 @@ from wres.symbols import curvature_ops
 
 from oracles import (
     anticommutator,
+    basis,
     c_op,
     ext_op,
     hatc_op,
@@ -55,7 +58,7 @@ class TestBasics:
     def test_frame_vector_validation(self):
         with pytest.raises(ValueError):
             FrameVector(4, (1, 0, 0))
-        e2 = FrameVector.basis(4, 2)
+        e2 = basis(4, 2)
         assert e2[2] == 1 and e2[1] == 0
         assert any(e2.components)
         assert not any(FrameVector(2, (0, 0)).components)
@@ -188,11 +191,11 @@ class TestDeformedRelations:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_tildec_matches_the_generator_fold(self, n):
         # the engine's one-pass pair against the product of two folds of
-        # n scaled generators: every vector against the basis vectors (as
-        # principal_symbol builds them), itself, its negative and three
+        # n scaled generators: every vector against the basis vectors (the
+        # pairs of tildec_row), itself, its negative and three
         # random partners; zero components and the zero vector included
         rng = random.Random(7000 + n)
-        vectors = [FrameVector.basis(n, j) for j in range(1, n + 1)]
+        vectors = [basis(n, j) for j in range(1, n + 1)]
         vectors += [
             rational_vector(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)])
             for _ in range(20)
@@ -209,11 +212,30 @@ class TestDeformedRelations:
                 got, want = tildec_pair(w, x), fold[w] * fold[x]
                 assert (got.den, got.blades) == (want.den, want.blades)
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_tildec_row_is_the_pairs_with_the_frame(self, n):
+        # principal_symbol's row against tildec_pair(w, e_f): random
+        # vectors with zero components, the zero vector, a frame vector
+        # and numerators up to 2^90 over denominators up to 10^12
+        rng = random.Random(7200 + n)
+        vectors = [
+            rational_vector(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)])
+            for _ in range(6)
+        ]
+        vectors += [rational_vector(n, [0] * n), basis(n, n)]
+        wide = [Fraction(rng.randint(-2**90, 2**90), rng.randint(1, 10**12)) for _ in range(n)]
+        vectors.append(rational_vector(n, wide))
+        for w in vectors:
+            row = tildec_row(w)
+            assert len(row) == n
+            for f, op in enumerate(row, 1):
+                assert op == tildec_pair(w, basis(n, f))
+
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_tildec_pair_anticommutator_is_the_metric(self, n):
         # ctilde(x) ctilde(y) + ctilde(y) ctilde(x) = -2 a0 b0 g(x, y)
         rng = random.Random(7100 + n)
-        vectors = [FrameVector.basis(n, 1), rational_vector(n, [0] * n)]
+        vectors = [basis(n, 1), rational_vector(n, [0] * n)]
         vectors += [
             rational_vector(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)])
             for _ in range(6)
@@ -225,7 +247,7 @@ class TestDeformedRelations:
 
     def test_tildec_pair_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            tildec_pair(FrameVector.basis(4, 1), FrameVector.basis(2, 1))
+            tildec_pair(basis(4, 1), basis(2, 1))
 
     def test_tildec_specializes_to_c_at_unit_parameters(self):
         n = 4
@@ -274,7 +296,7 @@ class TestTraces:
         tv = vector_clifford("tildec", v)
         want = ScalarPoly.monomial(1, 1, -inner(u, v) * (1 << n))
         assert trace(tu * tv) == want
-        e1 = FrameVector.basis(n, 1)
+        e1 = basis(n, 1)
         t1 = vector_clifford("tildec", e1)
         assert trace(t1 * t1) == ScalarPoly.monomial(1, 1, -16)
 

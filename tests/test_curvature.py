@@ -21,7 +21,7 @@ from wres.curvature import (
 )
 
 import oracles
-from oracles import entry, projected_riemann, symmetry_violation, wide_draw
+from oracles import basis, entry, projected_riemann, symmetry_violation, wide_draw
 
 DATA = Path(__file__).parent / "data"
 
@@ -199,7 +199,7 @@ class TestFixedTensors:
 
     def test_constant_curvature_einstein_value(self):
         t = constant_curvature(4)
-        e1 = FrameVector.basis(4, 1)
+        e1 = basis(4, 1)
         # Ric(e1,e1) - s/2 = 3 - 6
         assert einstein_bilinear(t, e1, e1) == -3
 
@@ -323,7 +323,7 @@ class TestContractionParity:
         assert all(type(r) is Fraction for row in contr.ricci for r in row) and type(contr.scalar) is Fraction
         rng = random.Random(t.n)
         vectors = [wide_vector(t.n, rng) for _ in range(6)]
-        vectors += [random_vector(t.n, 5), FrameVector.basis(t.n, 1), FrameVector(t.n, (0,) * t.n)]
+        vectors += [random_vector(t.n, 5), basis(t.n, 1), FrameVector(t.n, (0,) * t.n)]
         idx = range(1, t.n + 1)
         for u, v in itertools.product(vectors, repeat=2):
             direct = sum((u[a] * v[b] * ric(ref, a, b) for a in idx for b in idx), Fraction(0))

@@ -7,7 +7,8 @@ weight or operator is built from R.  So a density is linear in R when
 each of its pairs carries exactly one curvature-tagged factor: the I
 and II blocks.  The metric block must not see R at all, so each of its
 pairs carries none.  u and v enter only through the ops
-symbols.tildec_pair builds, ctilde(w) ctilde(x), so a density is
+symbols.tildec_pair and symbols.tildec_row build, ctilde(w) ctilde(x)
+with x = e_f in a row, so a density is
 bilinear in (u, v) when every pair's chain holds u once and v once
 among the vectors of those ops.  The walk covers the blocks of one
 Analysis on derive_inputs(n, 1), whose random_riemann tensor draws
@@ -107,19 +108,26 @@ def test_a_curvature_tag_on_the_top_term_fails(monkeypatch, n):
 def vector_counts(monkeypatch, n: int, plant=None) -> dict:
     """{block id: Counter {(u count, v count) of a pair: pairs}} over the
     even pairs of every non-empty block: each pair's ops are looked up
-    among the ops tildec_pair built, and their vectors (w, x) are
+    among the ops tildec_pair and tildec_row built, and their vectors (w,
+    x, x = None for a row's e_f) are
     counted by identity against u and v.  plant, if given, patches the
     pipeline after the spy is in place."""
     _, u, v = inputs = derive_inputs(n, 1)
     built = {}  # id(op) -> (op, w, x); the op is held so its id stays unique
-    real_pair = wres.symbols.tildec_pair
+    real_pair, real_row = wres.symbols.tildec_pair, wres.symbols.tildec_row
 
     def tildec_pair(w, x):
         op = real_pair(w, x)
         built[id(op)] = (op, w, x)
         return op
 
+    def tildec_row(w):
+        row = real_row(w)
+        built.update((id(op), (op, w, None)) for op in row)  # x is a frame vector e_f
+        return row
+
     monkeypatch.setattr(wres.symbols, "tildec_pair", tildec_pair)
+    monkeypatch.setattr(wres.symbols, "tildec_row", tildec_row)
     if plant:
         plant(monkeypatch)
     blocks = analysis_blocks(monkeypatch, n, inputs)

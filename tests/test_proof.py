@@ -24,12 +24,12 @@ import pytest
 
 import wres.residue
 import wres.symbols
-from wres.clifford import Dimension, FrameVector
+from wres.clifford import Dimension
 from wres.curvature import RiemannTensor
 from wres.residue import Analysis
 from wres.symbols import SymbolExpansion
 
-from oracles import entry
+from oracles import basis, entry
 
 
 def _omega(P, a, b) -> int:
@@ -81,10 +81,10 @@ def sweep(n: int):
     spanning set and every ordered basis pair (e_a, e_b) that does not
     match its closed forms, or None when every one matches."""
     dim = Dimension(n)
-    basis = [FrameVector.basis(n, a) for a in range(1, n + 1)]
+    frame = [basis(n, a) for a in range(1, n + 1)]
     for t, R in enumerate(spanning_set(n)):
         for a, b in product(range(n), repeat=2):
-            run = Analysis(dim, R, basis[a], basis[b])
+            run = Analysis(dim, R, frame[a], frame[b])
             if not run.all_match():
                 return t, a + 1, b + 1, run.mismatches()
     return None

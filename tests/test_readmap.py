@@ -11,6 +11,12 @@ every term SymbolExpansion.add stores, so a term built and dropped later
 still counts as written, and the cells of every formed pair.  The
 expansions are named by the builder that returns them: PQ, its factors
 P and Q, UV, and the full (B1) and reduced (B2) inverse powers.
+
+The inverse powers are read term by term too: each is only ever the
+right factor of a block, read by even_pairs as the stored terms
+themselves, so every term of B1 and B2 must sit in some group it hands
+out.  A term in none is odd in xi against every left factor that reads
+its cell, and weighs nothing in any density.
 """
 
 import pytest
@@ -18,10 +24,11 @@ import pytest
 import wres.residue
 import wres.symbols
 from wres.clifford import Dimension
+from wres.curvature import RiemannTensor, constant_curvature, flat, random_riemann
 from wres.residue import _BLOCKS, _SUBPARTS, CHECK_IDS, Analysis, derive_inputs
 from wres.symbols import SymbolExpansion, SymbolTerm, _e, curvature_ops, pair_tag
 
-from oracles import order
+from oracles import order, planar, projected_riemann, wide_draw
 
 DIMS = (2, 4, 6, 8, 10, 12)
 
@@ -39,17 +46,20 @@ EMPTY_D2 = EMPTY | {"II-1", "II-4", "II-5", "II", "zpdt"}
 
 
 class ReadMap:
-    """The cells written and read by one Analysis at dim n."""
+    """The cells written and read by one Analysis at dim n, and the
+    right-factor terms of every group of even_pairs."""
 
-    def __init__(self, monkeypatch, n: int):
+    def __init__(self, monkeypatch, n: int, R: RiemannTensor | None = None):
         self.names: dict = {}  # id(expansion) -> family name
         self.kept: dict = {}  # id(expansion) -> expansion, so no id is reused
         self.written: dict = {}  # (id, order, x degree) -> tags
+        self.terms: dict = {}  # id(expansion) -> its stored terms, held so their ids stay unique
         self.read: set = set()  # (id, order, x degree)
+        self.paired: set = set()  # ids of the B terms of every group of even_pairs
         self.specs: dict = {}  # block id -> [(id(A), oa, id(B), ob, k)]
         self.tags: dict = {}  # (id(A), oa, id(B), ob, k) -> tags of its pairs
         self._patch(monkeypatch)
-        self.analysis = Analysis(Dimension(n), *derive_inputs(n, 1))
+        self.analysis = Analysis(Dimension(n), *derive_inputs(n, 1, R))
 
     def _patch(self, monkeypatch) -> None:
         real_add = SymbolExpansion.add
@@ -60,6 +70,7 @@ class ReadMap:
                 self.kept[id(exp)] = exp
                 cell = (id(exp), order(term), sum(term.x_mono))
                 self.written.setdefault(cell, set()).add(term.tag)
+                self.terms.setdefault(id(exp), []).append(term)
 
         monkeypatch.setattr(SymbolExpansion, "add", add)
 
@@ -86,6 +97,7 @@ class ReadMap:
                 self.read |= {(id(A), oa, 0), (id(B), ob, k)}
                 tags = self.tags.setdefault((id(A), oa, id(B), ob, k), set())
                 tags |= {pair_tag(ta, tb) for ta in alist for tb in blist}
+                self.paired.update(map(id, blist))
                 yield alist, blist
 
         monkeypatch.setattr(wres.residue, "even_pairs", even_pairs)
@@ -118,6 +130,19 @@ class ReadMap:
             if (eid, order, x) not in self.read
         }
 
+    def unpaired(self) -> dict:
+        """{(family, order, tag): terms} of the B1 and B2 terms that sit in
+        no group of even_pairs."""
+        out: dict = {}
+        for eid, terms in self.terms.items():
+            family = self.names.get(eid)
+            if family in ("B1", "B2"):
+                for t in terms:
+                    if id(t) not in self.paired:
+                        key = (family, order(t), t.tag)
+                        out[key] = out.get(key, 0) + 1
+        return out
+
     def empty_checks(self) -> set:
         """The check ids that no formed pair feeds."""
         out = set()
@@ -139,6 +164,25 @@ def test_every_written_cell_is_read(monkeypatch, n):
     assert not unread, "written, never read: " + "; ".join(
         f"{fam} order {order} x degree {x}: {', '.join(tags)}" for (fam, order, x), tags in sorted(unread.items())
     )
+
+
+TENSORS = {
+    "random": lambda n: random_riemann(n, 1),
+    "flat": flat,
+    "constant": constant_curvature,
+    "planar": planar,
+    "wide": lambda n: RiemannTensor(n, projected_riemann(n, 19, wide_draw)),
+}
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8))
+@pytest.mark.parametrize("kind", sorted(TENSORS))
+def test_every_inverse_power_term_is_paired(monkeypatch, kind, n):
+    # every term of both inverse powers, at every order and x degree
+    rm = ReadMap(monkeypatch, n, TENSORS[kind](n))
+    assert rm.analysis.all_match()
+    assert any(rm.names.get(eid) == "B1" for eid in rm.terms)  # the top symbol at least
+    assert rm.unpaired() == {}
 
 
 @pytest.mark.parametrize("n", DIMS)

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ import wres.clifford
 import wres.residue
 import wres.sphere
 import wres.symbols
+from wres.cli import main
 from wres.residue import (
     _BLOCKS,
     ASSEMBLED_IDS,
@@ -56,16 +58,20 @@ from wres.symbols import (
 )
 
 from oracles import (
+    basis,
     brute_compose,
     brute_weights,
     entry,
+    expected_densities,
     order,
+    planar,
     projected_riemann,
     tildec_op,
     trace,
     weight,
     wide_draw,
 )
+from test_golden import CASES
 
 
 def mono(n, *idx):
@@ -532,7 +538,7 @@ class TestPartTable:
     def test_constant_curvature_anchor_values(self):
         # closed forms specialized to Ric = 3 delta, s = 12, u = v = e1
         dim = Dimension(4)
-        e1 = FrameVector.basis(4, 1)
+        e1 = basis(4, 1)
         analysis = Analysis(dim, constant_curvature(4), e1, e1)
         assert analysis.all_match()
         quarter = ScalarPoly.monomial(1, 1, Fraction(3, 8) * 16)
@@ -626,11 +632,6 @@ class TestPartTable:
             assert rep[key] is True
 
 
-def planar(n):
-    """Unit 2-plane curvature: R_1212 = 1 and its symmetric entries."""
-    return RiemannTensor(n, {(1, 2, 1, 2): 1, (2, 1, 2, 1): 1, (1, 2, 2, 1): -1, (2, 1, 1, 2): -1})
-
-
 class TestPlanarProbes:
     # each density is a s g(u, v) + b Ric(u, v) with a, b depending
     # only on m; planar curvature has s = 2, and Ric(e_1, e_1) = 1,
@@ -640,7 +641,7 @@ class TestPlanarProbes:
     def test_closed_forms_hold_to_m_12(self, n):
         R = planar(n)
         for j in (1, 3):
-            e = FrameVector.basis(n, j)
+            e = basis(n, j)
             assert Analysis(Dimension(n), R, e, e).all_match(), (n, j)
 
 
@@ -661,14 +662,14 @@ class TestMetricFunctional:
     def test_orthogonal_arguments_vanish(self):
         dim = Dimension(4)
         R = random_riemann(4, 4)
-        d = density_of("metric", dim, R, FrameVector.basis(4, 1), FrameVector.basis(4, 2))
+        d = density_of("metric", dim, R, basis(4, 1), basis(4, 2))
         assert not d.poly
 
     def test_bilinearity_in_first_slot(self):
         dim = Dimension(4)
         R = random_riemann(4, 5)
-        u1 = FrameVector.basis(4, 1)
-        u2 = FrameVector.basis(4, 3)
+        u1 = basis(4, 1)
+        u2 = basis(4, 3)
         v = random_vector(4, 31)
         u12 = FrameVector(4, tuple(a + b for a, b in zip(u1.components, u2.components)))
         assert density_of("metric", dim, R, u12, v) == density_of(
@@ -684,7 +685,7 @@ class TestEinsteinFunctional:
 
     def test_constant_curvature_closed_value(self):
         dim = Dimension(4)
-        e1 = FrameVector.basis(4, 1)
+        e1 = basis(4, 1)
         d = density_of("einstein", dim, constant_curvature(4), e1, e1).normalized()
         assert d.poly == ScalarPoly.const(8)
         assert d.prefactor_exp == 0
@@ -852,6 +853,59 @@ def reports(*args, **kwargs):
     return [a.report_dict(seed) for seed, a in verify_all(*args, **kwargs)]
 
 
+class TestExpectedSide:
+    """Analysis.expected, each row one integer combination, against
+    oracles.expected_densities, each row in Fraction arithmetic, in their
+    stored form: a density's canonical denominator and numerators and its
+    (a0 b0) exponent, so the reports render them alike."""
+
+    @staticmethod
+    def assert_expected(analysis):
+        def stored(densities):
+            return {cid: (d.poly.den, d.poly.nums, d.prefactor_exp) for cid, d in densities.items()}
+
+        want = expected_densities(analysis.dim, analysis.R, analysis.u, analysis.v)
+        assert stored(analysis.expected) == stored(want)
+
+    def test_golden_inputs(self, monkeypatch):
+        # every input a golden's CLI run hands to Analysis, with the
+        # composition skipped: each run then reports its closed forms
+        seen = []
+
+        class ExpectedOnly(Analysis):
+            def _run(self):
+                self._fill_expected()
+                self.computed = dict(self.expected)
+                seen.append(self)
+
+        monkeypatch.setattr(wres.residue, "Analysis", ExpectedOnly)
+        for _, args in CASES:
+            result = CliRunner().invoke(main, args, env={"WRES_SEED_BASE": "0"})
+            assert result.exit_code == 0, result.output
+        assert len(seen) > len(CASES)
+        for analysis in seen:
+            self.assert_expected(analysis)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_random_inputs(self, n):
+        for seed in (1, 2, 3):
+            self.assert_expected(Analysis(Dimension(n), *derive_inputs(n, seed)))
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_wide_zero_and_flat_inputs(self, n):
+        rng = random.Random(8300 + n)
+
+        def wide_vector():
+            comps = [Fraction(rng.randint(-2**60, 2**60), rng.randint(1, 10**12)) for _ in range(n)]
+            return FrameVector(n, comps)
+
+        R, u, v = derive_inputs(n, 4)
+        wide = RiemannTensor(n, projected_riemann(n, 19, wide_draw))
+        zero_u = FrameVector(n, (0,) * n)
+        for inputs in ((wide, wide_vector(), wide_vector()), (R, zero_u, v), (flat(n), u, v)):
+            self.assert_expected(Analysis(Dimension(n), *inputs))
+
+
 class TestAnalysisInputs:
     @pytest.mark.parametrize("name", ["R", "u", "v"])
     def test_an_input_of_another_dimension_is_named(self, name):
@@ -879,7 +933,7 @@ class TestVerifyAll:
 
     def test_explicit_tensor_and_pinned_vectors(self):
         R = constant_curvature(4)
-        e1 = FrameVector.basis(4, 1)
+        e1 = basis(4, 1)
         first = reports(Dimension(4), [3], R, u=e1, v=e1)
         assert first[0]["einstein_match"]
         # pinned vectors make the report independent of the seed
