@@ -16,16 +16,14 @@ the blade of a product is the XOR of the masks, its sign the reordering
 sign times the metric sign.  Every blade but the scalar one is
 traceless, so tr X = 2^n * (scalar part of X), and a trace of a chain
 builds no product: tr(a b c) is a signed sum of a b c over the blade
-triples whose masks XOR to zero (trace_chains, the one trace, which
-traces a whole batch of chains).  Traced operators are real: the
-operator a0 d + b0 delta acts on real forms, and a symbol weight's i
-follows from its term's order.  A batch substitutes a0 = 2^K,
-b0 = 1 within each total degree of every blade's polynomial (Kronecker
-packing) at one width K, so each operator is one real integer per
-blade and total degree, packed once; it sums signed integer triple
-products and reads the digits back once per chain.  Operators keep
-the integer terms, since the gcd of a packed integer is not the gcd of
-its digits.  The nonminimal operator enters only through pairs
+triples whose masks XOR to zero.  trace_sums, the one trace, takes a
+batch of weighted sums of chains.  Traced operators are real (a0 d + b0
+delta acts on real forms, and a symbol weight's i follows from its
+term's order), so a batch substitutes a0 = 2^K, b0 = 1 within each
+total degree (Kronecker packing), packs each operator once, weights
+each chain's integer trace and reads each sum's digits back once.
+Operators keep the integer terms, since the gcd of a packed integer is
+not the gcd of its digits.  The nonminimal operator enters only through pairs
 ctilde(w) ctilde(x) (tildec_pair, or tildec_row for the frame partners
 e_f), each written from g(w, x) and w ^ x.
 The numerators are in the one integer form that ScalarPoly also stores
@@ -38,8 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from functools import lru_cache, reduce
+from math import gcd, lcm, prod
+from operator import xor
 
 from .scalars import (
     ScalarPoly, _canonical, _frac, _imac_each, _ints, _kron_norm, _kron_parts, _kron_slots,
@@ -111,9 +110,11 @@ def _blade_sign(n: int, a: int, b: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _trace_sign(n: int, a: int, b: int) -> int:
-    """The scalar part of blade(a) blade(b) blade(a ^ b)."""
-    return _blade_sign(n, a, b) * _blade_sign(n, a ^ b, a ^ b)
+def _sign_mask(n: int, a: int) -> int:
+    """mu with blade(a) * blade(b) = (-1)^popcount(b & mu) * blade(a ^ b):
+    _blade_sign's swap count is linear in b over GF(2), one term per
+    shifted copy of a and one for a's c bits."""
+    return reduce(xor, (a >> k for k in range(1, 2 * n)), a & ((1 << n) - 1))
 
 
 @lru_cache(maxsize=None)
@@ -283,73 +284,106 @@ def _pair_op(n: int, den: int, scalar: int, om: list) -> CliffordOp:
     return CliffordOp._make(n, den // g, blades)
 
 
-def trace_chains(chains: dict, n: int) -> dict:
-    """{key: trace of the product of chains[key]}, each chain a tuple of
-    at most three operators of dimension n; the engine's only trace.
-    Every chain is checked before anything is packed; the engine builds
-    no longer chain (PQ's three-factor terms meet only B1's factor-free
-    terms).
+def trace_sums(sums: dict, n: int) -> dict:
+    """{key: sum of w / den tr(ops)} of the weighted chain sums {key: (den,
+    {chain key: (ops, w)})} (residue.composed_weights), chains of at most
+    three operators of dimension n, integer w.  The chains of nonzero
+    weight are checked before anything is packed, and each is traced
+    once however many keys share it.
 
-    No product is built: a trace is 2^n times the sum of sign * a b c
-    over the blade triples with ma ^ mb ^ mc = 0, one integer sum per
-    combination of homogeneous parts, a shorter chain padded in front
-    with the identity.  The pairs (ma, mb) come from a join on the half
-    of c's masks (c or chat bits) with fewer distinct values, not a walk
-    of all a x b: b's blades are bucketed by it, and each blade of a
-    reads one bucket per half value.
+    tr(a b c) is 2^n times the sum of a b c over the blade triples with
+    ma ^ mb ^ mc = 0, signed by (-1)^popcount(mb & _sign_mask(n, ma)) and
+    by c's square sign, folded into c's packed values; per blade of a the
+    signed b c products are summed, then multiplied by a once.  a's and
+    b's blades are bucketed by the half of c's masks (c or chat bits)
+    with fewer distinct values, and a bucket of a reads the buckets of b
+    that c's half values select, or walks b's keys when they are fewer.
+    A shorter chain is a signed dot product, with no identity pad.
 
-    Each distinct operator is packed once (scalars._kron_parts), at one
-    digit width K for the batch, one integer per blade and total degree.
-    Traced operators are real (a symbol weight's i follows from its
-    term's order), and an imaginary numerator anywhere in the batch
-    raises ValueError before anything is packed.  Over its denominator
-    and before the factor 2^n, a coefficient of tr(a b c) is at most
-    |a.blades| |c.blades| L(a) L(b) L(c), L the largest L1 norm (sum of
-    |re|) of one blade's terms, since ma and mc fix mb.  K exceeds the
-    bit length of the batch's largest bound by 2, so every digit reads
-    back exactly.
+    Each operator is packed once (scalars._kron_parts; an imaginary
+    numerator raises ValueError) at one width K, and a chain traces to
+    {total degree: packed} over den_c, its denominators' product.  A key
+    sums w (L // den_c) packed_c, L the lcm of its den_c, and reads the
+    digits back once, over den L.  Packing is linear, so each digit is a
+    coefficient of that sum, at most the sum of |w| (L // den_c) B_c, where
+    B_c = |a.blades| |c.blades| L(a) L(b) L(c) (|a.blades| = 1 for a
+    shorter chain), L a blade's largest L1 norm, bounds a coefficient of
+    tr(a b c) over den_c before 2^n, as ma and mc fix mb.  K exceeds the
+    widest key's bound by 2 bits, so every digit reads back exactly.
     """
-    for ops in chains.values():
-        if len(ops) > 3:
-            raise ValueError(f"trace_chains traces at most three factors, got {len(ops)}")
-        if any(op.n != n for op in ops):
-            raise ValueError("dimension mismatch")
-    one = CliffordOp._make(n, 1, {0: _ONE_TERMS})
-    padded = {key: (one,) * (3 - len(ops)) + ops for key, ops in chains.items()}
-    distinct = {id(op): op for ops in padded.values() for op in ops}
+    live = {ck: ops for _, chains in sums.values() for ck, (ops, w) in chains.items() if w}
+    distinct = {id(op): op for ops in live.values() for op in ops}
+    if any(len(ops) > 3 for ops in live.values()):
+        raise ValueError(f"trace_sums traces at most three factors, got {max(map(len, live.values()))}")
+    if any(op.n != n for op in distinct.values()):
+        raise ValueError("dimension mismatch")
     norm = {k: _kron_norm(op.blades) for k, op in distinct.items()}
-    bound = max((len(a.blades) * len(c.blades) * norm[id(a)] * norm[id(b)] * norm[id(c)]
-                 for a, b, c in padded.values()), default=0)
-    width = bound.bit_length() + 2
+    cden = {ck: prod(op.den for op in ops) for ck, ops in live.items()}
+    bound = {ck: prod(len(op.blades) for op in (ops[::2] if len(ops) == 3 else ops[-1:]))
+             * prod(norm[id(op)] for op in ops) for ck, ops in live.items()}
+    keyed, width = {}, 2
+    for key, (_, chains) in sums.items():
+        L = lcm(*(cden[ck] for ck, (_, w) in chains.items() if w))
+        keyed[key] = L, [(ck, ops, w * (L // cden[ck])) for ck, (ops, w) in chains.items() if w]
+        width = max(width, 2 + sum(abs(f) * bound[ck] for ck, _, f in keyed[key][1]).bit_length())
     parts = {k: _kron_parts(op.blades, width) for k, op in distinct.items()}
-    low = (1 << n) - 1
-    halves, buckets, out = {}, {}, {}
-    for key, (a, b, c) in padded.items():
+    folded = {
+        k: {d: {m: -v if _blade_sign(n, m, m) < 0 else v for m, v in part.items()} for d, part in parts[k].items()}
+        for k in {id(ops[-1]) for ops in live.values() if ops}
+    }
+    low, unit, buckets, halves, traced = (1 << n) - 1, {0: {0: 1}}, {}, {}, {}
+
+    def bucketed(k, d, shift) -> dict:
+        """{half value: [(mask, packed, sign mask)]} of parts[k][d], memoised."""
+        out = buckets.get((k, d, shift))
+        if out is None:
+            out = buckets[k, d, shift] = {}
+            for m, v in parts[k][d].items():
+                out.setdefault(m >> shift & low, []).append((m, v, _sign_mask(n, m)))
+        return out
+
+    def trace(ops) -> dict:
         acc = {}
-        for dc, cpart in parts[id(c)].items():
-            half = halves.get((id(c), dc))
-            if half is None:
+        if len(ops) < 3:
+            for da, apart in (parts[id(ops[0])] if len(ops) == 2 else unit).items():
+                for db, bpart in (folded[id(ops[-1])] if ops else unit).items():
+                    small, big = sorted((apart, bpart), key=len)
+                    acc[da + db] = acc.get(da + db, 0) + sum(v * big[m] for m, v in small.items() if m in big)
+            return acc
+        a, b, c = map(id, ops)
+        for dc, cpart in folded[c].items():
+            if (c, dc) not in halves:
                 lo, hi = {m & low for m in cpart}, {m >> n for m in cpart}
-                half = halves[id(c), dc] = (0, lo) if len(lo) <= len(hi) else (n, hi)
-            shift, values = half
-            for db, bpart in parts[id(b)].items():
-                bucket = buckets.get((id(b), db, shift))
-                if bucket is None:
-                    bucket = buckets[id(b), db, shift] = {}
-                    for mb, br in bpart.items():
-                        bucket.setdefault(mb >> shift & low, []).append((mb, br))
-                for da, apart in parts[id(a)].items():
+                halves[c, dc] = (0, lo) if len(lo) <= len(hi) else (n, hi)
+            shift, values = halves[c, dc]
+            for db in parts[b]:
+                bucket = bucketed(b, db, shift)
+                by_key = len(values) > len(bucket)
+                for da in parts[a]:
                     total = 0
-                    for ma, ar in apart.items():
-                        ka = ma >> shift & low
-                        for h in values:
-                            for mb, br in bucket.get(ka ^ h, ()):
+                    for ka, members in bucketed(a, da, shift).items():
+                        hits = ([e for kb, es in bucket.items() if ka ^ kb in values for e in es] if by_key
+                                else [e for h in values for e in bucket.get(ka ^ h, ())])
+                        for ma, ar, mu in members if hits else ():
+                            s = 0
+                            for mb, br, _ in hits:
                                 cr = cpart.get(ma ^ mb)
                                 if cr is not None:
-                                    total += _trace_sign(n, ma, mb) * ar * br * cr
-                    d = da + db + dc
-                    acc[d] = acc.get(d, 0) + total
-        out[key] = ScalarPoly._from_slots(a.den * b.den * c.den, _kron_slots(acc, width, 1 << n))
+                                    s += -br * cr if (mb & mu).bit_count() & 1 else br * cr
+                            total += ar * s
+                    acc[da + db + dc] = acc.get(da + db + dc, 0) + total
+        return acc
+
+    out = {}
+    for key, (den, _) in sums.items():
+        L, weighted = keyed[key]
+        acc = {}
+        for ck, ops, f in weighted:
+            if ck not in traced:
+                traced[ck] = trace(ops)
+            for d, v in traced[ck].items():
+                acc[d] = acc.get(d, 0) + f * v
+        out[key] = ScalarPoly._from_slots(den * L, _kron_slots(acc, width, 1 << n))
     return out
 
 

@@ -166,35 +166,35 @@ def random_riemann(n: int, seed: int) -> RiemannTensor:
 
 @dataclass(frozen=True)
 class CurvatureContractions:
-    """Ricci matrix and scalar curvature derived from a Riemann tensor."""
+    """Ricci matrix and scalar curvature of a Riemann tensor over one
+    denominator: Ric_ab = ricci[(a - 1) n + b - 1] / den, s = scalar / den."""
 
     n: int
+    den: int
     ricci: tuple
-    scalar: Fraction
+    scalar: int
 
 
 def contract(t: RiemannTensor) -> CurvatureContractions:
-    """ricci[a][b] sums the entries (a, p, b, q) of t with p == q, on
-    integer numerators over the lcm of their denominators; scalar is the
+    """ricci sums the entries (a, p, b, q) of t with p == q, on integer
+    numerators over den, the lcm of their denominators; scalar is the
     trace of ricci."""
     n, nums = t.n, [0] * (t.n * t.n)
     hits = [((a - 1) * n + b - 1, r) for (a, p, b, q), r in t.entries.items() if p == q]
     den = lcm(*(r.denominator for _, r in hits))
     for x, r in hits:
         nums[x] += r.numerator * (den // r.denominator)
-    ricci = tuple(tuple(Fraction(v, den) for v in nums[a : a + n]) for a in range(0, n * n, n))
-    return CurvatureContractions(n, ricci, Fraction(sum(nums[:: n + 1]), den))
+    return CurvatureContractions(n, den, tuple(nums), sum(nums[:: n + 1]))
 
 
 def ricci_bilinear(contr: CurvatureContractions, u: FrameVector, v: FrameVector) -> Fraction:
-    """Ric(u, v) = sum_ab u_a v_b Ric_ab, one integer sum with u, v and
-    Ric written over den, the lcm of all their denominators."""
-    n, values = contr.n, (*u.components, *v.components, *(r for row in contr.ricci for r in row))
-    den = lcm(*(x.denominator for x in values))
-    nums = [x.numerator * (den // x.denominator) for x in values]
-    us, vs, rs = nums[:n], nums[n : 2 * n], nums[2 * n :]
+    """Ric(u, v) = sum_ab u_a v_b Ric_ab, one integer sum with u and v
+    over the lcm of their denominators and Ric over contr.den."""
+    n, rs = contr.n, contr.ricci
+    den = lcm(*(x.denominator for x in (*u.components, *v.components)))
+    us, vs = ([x.numerator * (den // x.denominator) for x in w.components] for w in (u, v))
     total = sum(x * y * rs[a * n + b] for a, x in enumerate(us) if x for b, y in enumerate(vs) if y)
-    return Fraction(total, den**3)
+    return Fraction(total, den * den * contr.den)
 
 
 def random_vector(n: int, seed: int) -> FrameVector:

@@ -12,12 +12,12 @@ Vol(S^{n-1}) times tr[id] and are never floated.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import gcd, lcm
 from operator import add
 
-from .clifford import Dimension, FrameVector, ProductCache, inner, trace_chains
+from .clifford import Dimension, FrameVector, ProductCache, inner, trace_sums
 from .curvature import (
     RiemannTensor,
     contract,
@@ -25,7 +25,7 @@ from .curvature import (
     random_vector,
     ricci_bilinear,
 )
-from .scalars import ScalarPoly, _frac, _imac_each
+from .scalars import ScalarPoly, _frac
 from .sphere import vol_multiplier
 from .symbols import (
     block_sign,
@@ -101,19 +101,6 @@ class FunctionalDensity:
         return f"FunctionalDensity({self.text()})"
 
 
-def trace_weights(den: int, chains: dict, traces: dict) -> FunctionalDensity:
-    """Sum of num / den * trace over one tag's {chain ids: (ops, num)}
-    (composed_weights), each trace read from traces (trace_chains), which
-    need only hold the uncancelled chains.  The traces, over the lcm of
-    their denominators, times the integer numerators go into one slot
-    dict, made canonical once."""
-    traced = [(traces[key], w) for key, (_, w) in chains.items() if w]
-    tden = lcm(*(t.den for t, _ in traced))
-    hits = ((0, tden // t.den, ((0, w, 0),), t.nums) for t, w in traced)
-    acc = _imac_each({}, hits).get(0, {})
-    return FunctionalDensity(ScalarPoly._from_slots(den * tden, acc), 0)
-
-
 def composed_weights(blocks, n: int) -> dict:
     """{tag: [den, {chain ids: (ops, num)}]} of the cosphere-integrated
     terms of the blocks (A, oa, B, ob, k), without building any product
@@ -129,47 +116,41 @@ def composed_weights(blocks, n: int) -> dict:
     when a pair's denominator does not divide it.
     """
     weights: dict = {}
+    vols: dict = {}
     for A, oa, B, ob, k in blocks:
         sign = block_sign(oa, ob, k)
         for alist, blist in even_pairs(A, oa, B, ob, k):
-            for ta, tb in product(alist, blist):
-                vnum, vden = vol_multiplier(n, tuple(map(add, ta.xi_mono, tb.xi_mono)))
-                den = ta.den * tb.den * vden
-                tag = pair_tag(ta, tb)
-                acc = weights.get(tag)
-                if acc is None:
-                    acc = weights[tag] = [den, {}]
-                elif acc[0] % den:
-                    f = den // gcd(acc[0], den)
-                    acc[0] *= f
-                    acc[1] = {key: (ops, w * f) for key, (ops, w) in acc[1].items()}
-                ops = ta.ops + tb.ops
-                key = tuple(map(id, ops))
-                w = sign * ta.num * tb.num * (acc[0] // den * vnum)
-                chains = acc[1]
-                chains[key] = (ops, chains[key][1] + w if key in chains else w)
+            bs = [(tb, tb.xi_mono, tb.den, tb.num, tb.ops, tuple(map(id, tb.ops))) for tb in blist]
+            for ta in alist:
+                axi, aden, anum, aops, akey = ta.xi_mono, ta.den, sign * ta.num, ta.ops, tuple(map(id, ta.ops))
+                for tb, bxi, bden, bnum, bops, bkey in bs:
+                    v = vols.get((axi, bxi))
+                    if v is None:
+                        v = vols[axi, bxi] = vol_multiplier(n, tuple(map(add, axi, bxi)))
+                    vnum, vden = v
+                    den = aden * bden * vden
+                    tag = pair_tag(ta, tb)
+                    acc = weights.get(tag)
+                    if acc is None:
+                        acc = weights[tag] = [den, {}]
+                    elif acc[0] % den:
+                        f = den // gcd(acc[0], den)
+                        acc[0] *= f
+                        acc[1] = {key: (ops, w * f) for key, (ops, w) in acc[1].items()}
+                    key, w = akey + bkey, anum * bnum * (acc[0] // den * vnum)
+                    hit = acc[1].get(key)
+                    acc[1][key] = (aops + bops, w) if hit is None else (hit[0], hit[1] + w)
     return weights
 
 
 def integrate_blocks(blocks: dict, n: int) -> dict:
     """{id: {tag: density}} of {id: [(A, oa, B, ob, k), ...]}: every
-    block is composed into weights first (composed_weights), then the
-    chains whose weight does not cancel are traced in one batch
-    (trace_chains), each once, and trace_weights reads the batch per
-    tag."""
+    block is composed into weights first (composed_weights), then every
+    (block, tag) sum goes into one trace_sums batch, which traces once
+    each chain whose weight does not cancel."""
     weights = {bid: composed_weights(spec, n) for bid, spec in blocks.items()}
-    chains = {
-        key: ops
-        for tags in weights.values()
-        for _, tagged in tags.values()
-        for key, (ops, w) in tagged.items()
-        if w
-    }
-    traces = trace_chains(chains, n)
-    return {
-        bid: {tag: trace_weights(den, tagged, traces) for tag, (den, tagged) in tags.items()}
-        for bid, tags in weights.items()
-    }
+    sums = trace_sums({(bid, tag): s for bid, tags in weights.items() for tag, s in tags.items()}, n)
+    return {bid: {tag: FunctionalDensity(sums[bid, tag], 0) for tag in tags} for bid, tags in weights.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +307,14 @@ class Analysis:
 
     def _fill_expected(self) -> None:
         """expected[id]: each CLOSED_FORMS row at this m, on contract's
-        values.  g(u,v), s g(u,v) and Ric(u,v) go over one denominator, with
-        tr[id] = 2^n and the 1/48 folded in, so a row is one integer
-        combination of their numerators times its shape's integer
-        numerators, made canonical once."""
+        integer numerators.  g(u,v), s g(u,v) and Ric(u,v) go over one
+        denominator, with tr[id] = 2^n and the 1/48 folded in, so a row is
+        one integer combination of their numerators times its shape's
+        integer numerators, made canonical once."""
         m, n = self.dim.m, self.dim.n
         contr = contract(self.R)
         g = inner(self.u, self.v)
-        values = (g, contr.scalar * g, ricci_bilinear(contr, self.u, self.v))
+        values = (g, Fraction(contr.scalar, contr.den) * g, ricci_bilinear(contr, self.u, self.v))
         den = lcm(*(x.denominator for x in values))
         basis = [x.numerator * (den // x.denominator) << n for x in values]
         done: dict = {}

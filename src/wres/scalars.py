@@ -15,9 +15,9 @@ and folding the gcd in one pass, then builds each term once; a real
 constant (clifford's from_numerators) needs no pass, only one gcd.
 Chain traces run on Kronecker-packed real integers instead: _kron_parts
 substitutes a0 = 2^K, b0 = 1 within each total degree, splitting an
-operator into one homogeneous part per degree, one integer per blade,
-and _kron_slots reads the digits of a traced sum back as real terms
-(_kron_norm bounds them and refuses an imaginary numerator).
+operator into one homogeneous part per degree, one integer per blade;
+a weighted sum of traces is summed packed, and _kron_slots reads its
+digits back once as real terms (_kron_norm bounds them, refusing i).
 GaussianRational has none: it is the value a coefficient is read out as
 (terms, evaluate) and one of the exact inputs the constructors accept.
 """
@@ -178,10 +178,10 @@ def _imac(acc: dict, factor: int, p, q) -> dict:
 # the packed degree-(d1 + d2) part of the product, and a b0 power packs
 # to itself.  Only real polynomials are packed: a traced operator is a
 # real polynomial in a0, b0, and a symbol weight's i follows from its
-# term's order (symbols.SymbolTerm).  Digits are balanced: the caller
-# proves every digit of its result inside +-2^(K-2), so _kron_slots reads
-# each back exactly.  A packed integer is never a stored form: its gcd
-# is not the gcd of its digits.
+# term's order (symbols.SymbolTerm).  Packing is linear, and digits are
+# balanced: the caller proves every digit of its result (an integer sum
+# of packed products) inside +-2^(K-2), so _kron_slots reads each back
+# exactly.  A packed integer is never stored: its gcd is not its digits'.
 
 _NEXT_DIGIT = (1 << _DEG_BITS) - 1  # one more a0, one less b0
 

@@ -12,7 +12,7 @@ numerators, over its denominator.  The parameters a0, b0 enter only
 through ctilde = a0*ext - b0*int, so they live in the Clifford
 coefficients and never in a weight.  The ops chain is kept unevaluated:
 its trace is read off once per chain without building the product
-(clifford.trace_chains).  Composition pairs xi-derivatives on the left
+(clifford.trace_sums).  Composition pairs xi-derivatives on the left
 factor with x-derivatives on the right factor and evaluates everything
 at the base point x = 0.
 """

@@ -5,7 +5,7 @@ projected_riemann is the benchmark's curvature construction
 the caller, for curvature files with wide coefficients, and
 symmetry_violation is the Fraction scan against which
 RiemannTensor.validate's integer scan is checked, as contract is for
-curvature.contract's integer sums.  brute_compose composes a block
+curvature.contract's integer numerators.  brute_compose composes a block
 term by term, each pair differentiated on its own with its phase
 multiplied out in complex arithmetic, and brute_weights integrates its
 even terms: the references for symbols.compose_block and
@@ -15,8 +15,9 @@ each operator is a sum of single generators c_j (blade bit j-1) and
 chat_j (bit n+j-1) built with from_numerators and the algebra, and each
 ctilde is folded one generator at a time, independently of the engine's
 one-pass pairs clifford.tildec_pair.  trace materialises nothing but the
-scalar part, against which clifford.trace_chains is checked; trace_one
-runs that engine trace on a batch of one chain.  expected_densities
+scalar part, against which clifford.trace_sums is checked; trace_each
+runs that engine trace on a batch of one-chain sums, each with weight 1
+over den 1, and trace_one on a batch of one.  expected_densities
 evaluates the closed forms one Fraction row at a time, against which
 residue.Analysis's integer rows are checked.  basis and planar are the
 frame vector e_j and the unit 2-plane tensor that the tests share.
@@ -28,8 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from wres.clifford import CliffordOp, FrameVector, inner, trace_chains
-from wres.curvature import CurvatureContractions, RiemannTensor
+from wres.clifford import CliffordOp, FrameVector, inner, trace_sums
+from wres.curvature import RiemannTensor
 from wres.residue import _SHAPES, CLOSED_FORMS, FunctionalDensity
 from wres.scalars import ScalarPoly, _pack
 from wres.sphere import vol_multiplier
@@ -105,16 +106,16 @@ def symmetry_violation(n: int, entries: dict):
     return None
 
 
-def contract(t) -> CurvatureContractions:
-    """curvature.contract in Fraction arithmetic: ricci[a][b] sums the
-    entries (a, p, b, q) of t with p == q one Fraction at a time."""
+def contract(t) -> tuple:
+    """curvature.contract in Fraction arithmetic: (ricci, scalar), where
+    ricci[a][b] sums the entries (a, p, b, q) of t with p == q one
+    Fraction at a time (0-based a, b) and scalar is its trace."""
     n = t.n
     ricci = [[Fraction(0)] * n for _ in range(n)]
     for (a, p, b, q), r in t.entries.items():
         if p == q:
             ricci[a - 1][b - 1] += r
-    scalar = sum((ricci[a][a] for a in range(n)), Fraction(0))
-    return CurvatureContractions(n, tuple(map(tuple, ricci)), scalar)
+    return tuple(map(tuple, ricci)), sum((ricci[a][a] for a in range(n)), Fraction(0))
 
 
 def basis(n: int, j: int) -> FrameVector:
@@ -128,11 +129,11 @@ def expected_densities(dim, R, u: FrameVector, v: FrameVector) -> dict:
     the row's combination of g(u,v), s g(u,v) and Ric(u,v), each from
     contract and a direct double sum, scales the row's shape polynomial."""
     n, m = dim.n, dim.m
-    contr = contract(R)
+    ricci, scalar = contract(R)
     g = inner(u, v)
     idx = range(1, n + 1)
-    ric = sum((u[a] * v[b] * contr.ricci[a - 1][b - 1] for a in idx for b in idx), Fraction(0))
-    values = (g, contr.scalar * g, ric)
+    ric = sum((u[a] * v[b] * ricci[a - 1][b - 1] for a in idx for b in idx), Fraction(0))
+    values = (g, scalar * g, ric)
     out = {}
     for cid, (shape, (e0, e1), *coeffs) in CLOSED_FORMS.items():
         value = sum(((c0 + c1 * m) * x for (c0, c1), x in zip(coeffs, values)), Fraction(0))
@@ -235,9 +236,15 @@ def trace(op: CliffordOp) -> ScalarPoly:
     return ScalarPoly._from_slots(op.den, {k: (unit * re, unit * im) for k, re, im in scalar})
 
 
+def trace_each(chains: dict, n: int) -> dict:
+    """{key: the engine's trace of chains[key]}, one trace_sums batch
+    whose every sum is its one chain with weight 1 over den 1."""
+    return trace_sums({key: (1, {tuple(map(id, ops)): (ops, 1)}) for key, ops in chains.items()}, n)
+
+
 def trace_one(ops: tuple, n: int) -> ScalarPoly:
     """The engine's trace of one chain, traced as a batch of one."""
-    return trace_chains({0: ops}, n)[0]
+    return trace_each({0: ops}, n)[0]
 
 
 def anticommutator(a: CliffordOp, b: CliffordOp) -> CliffordOp:

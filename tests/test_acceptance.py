@@ -172,7 +172,7 @@ def test_criterion_6_nonzero_part_closed_forms(sweep):
             contr = contract(a.R)
             g = inner(a.u, a.v)
             ric = ricci_bilinear(contr, a.u, a.v)
-            sg = contr.scalar * g
+            sg = Fraction(contr.scalar, contr.den) * g
             absq = ScalarPoly.monomial(2, 2)
             ab = ScalarPoly.monomial(1, 1)
             expect = {
@@ -198,7 +198,7 @@ def test_criterion_7_part_sums(sweep):
             contr = contract(a.R)
             g = inner(a.u, a.v)
             ric = ricci_bilinear(contr, a.u, a.v)
-            sg = contr.scalar * g
+            sg = Fraction(contr.scalar, contr.den) * g
             want_ab = density(
                 ScalarPoly.monomial(2, 2),
                 Fraction(2 - m, 12) * sg - Fraction(1, 6) * ric,
@@ -235,7 +235,7 @@ def test_criterion_9_einstein_functional(sweep):
             want = FunctionalDensity(
                 ScalarPoly.const(
                     (1 << n)
-                    * (Fraction(1, 12) * contr.scalar * g - Fraction(1, 6) * ric)
+                    * (Fraction(contr.scalar, 12 * contr.den) * g - Fraction(1, 6) * ric)
                 ),
                 -m + 2,
             )

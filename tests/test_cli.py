@@ -11,7 +11,7 @@ from click.testing import CliRunner
 import wres.residue
 from wres.cli import main
 from wres.curvature import RiemannTensor, constant_curvature, random_riemann
-from wres.residue import CLOSED_FORMS, Analysis, FunctionalDensity
+from wres.residue import CLOSED_FORMS, Analysis
 from wres.scalars import GaussianRational, ScalarPoly
 
 from oracles import projected_riemann
@@ -310,12 +310,12 @@ class TestPartsCommand:
 
 class TestFailingChecks:
     def test_non_real_density_exits_one_and_is_named(self, runner, monkeypatch):
-        real = wres.residue.trace_weights
-        i_unit = FunctionalDensity(ScalarPoly.const(GaussianRational(0, 1)), 0)
+        real = wres.residue.trace_sums
+        i_unit = ScalarPoly.const(GaussianRational(0, 1))
         monkeypatch.setattr(
             wres.residue,
-            "trace_weights",
-            lambda den, chains, traces: real(den, chains, traces) + i_unit,
+            "trace_sums",
+            lambda sums, n: {key: poly + i_unit for key, poly in real(sums, n).items()},
         )
         for args in (["verify", "--dim", "2", "--seeds", "1"], ["parts", "--dim", "2"]):
             result = runner.invoke(main, args)

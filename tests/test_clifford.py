@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 import wres.residue
 from wres import clifford
 from wres.clifford import (
-    CliffordOp, Dimension, FrameVector, ProductCache, inner, tildec_pair, tildec_row, trace_chains,
+    CliffordOp, Dimension, FrameVector, ProductCache, _blade_sign, _sign_mask, inner, tildec_pair, tildec_row,
 )
 from wres.curvature import random_riemann
 from wres.residue import Analysis, derive_inputs
@@ -25,6 +26,7 @@ from oracles import (
     int_op,
     tildec_op,
     trace,
+    trace_each,
     trace_one,
     vector_clifford,
     zero,
@@ -335,10 +337,10 @@ class TestTraceChains:
     def test_empty_short_and_padded_chains(self):
         n = 4
         a, b = tildec_op(n, 1), tildec_op(n, 1)
-        got = trace_chains({"": (), "ab": (a, b), "ab1": (a, b, identity(n))}, n)
+        got = trace_each({"": (), "ab": (a, b), "ab1": (a, b, identity(n))}, n)
         assert got[""] == ScalarPoly.const(16)
         assert got["ab"] == got["ab1"] == ScalarPoly.monomial(1, 1, -16)
-        assert trace_chains({}, n) == {}
+        assert trace_each({}, n) == {}
 
     def test_a_bad_chain_is_refused_before_any_pack(self, monkeypatch):
         # a longer chain, an operator of another dimension or one with an
@@ -367,9 +369,9 @@ class TestTraceChains:
         for bad, match in refused:
             for batch in ({"bad": bad, **good}, {**good, "bad": bad}):
                 with pytest.raises(ValueError, match=match):
-                    trace_chains(batch, n)
+                    trace_each(batch, n)
         assert packs == []
-        assert trace_chains(good, n) and packs
+        assert trace_each(good, n) and packs
 
 
 def rational_op(n, rng, masks):
@@ -423,7 +425,7 @@ class TestPrefixMemo:
         prefixes = ((a, b), (a, b2), (b, a))
         for order in (lasts, lasts[::-1]):
             chains = {(i, j): (x, y, c) for i, c in enumerate(order) for j, (x, y) in enumerate(prefixes)}
-            traces = list(trace_chains(chains, n).values())
+            traces = list(trace_each(chains, n).values())
             for got, (x, y, c) in zip(traces, chains.values(), strict=True):
                 assert got == trace(x * y * c) == trace_one((x, y, c), n)
             assert all(any(t for t in traces[i : i + 3]) for i in range(0, len(traces), 3))
@@ -460,10 +462,11 @@ def mixed_op(n, rng, masks, bits):
 
 
 class TestPackedTraces:
-    """trace_chains multiplies Kronecker-packed integers: every trace of a
+    """trace_sums multiplies Kronecker-packed integers: every trace of a
     chain of 0 to 3 factors equals the scalar part of the materialised
-    product, and a batch packs each of its operators once, at the one
-    width its widest chain needs."""
+    product, a weighted sum of traces reads back exactly at the one
+    width its widest sum needs, and a batch packs each of its operators
+    once, at that width."""
 
     @staticmethod
     def chains(ops):
@@ -484,19 +487,19 @@ class TestPackedTraces:
 
     @staticmethod
     def spied(monkeypatch):
-        """Spy on every pack and every trace_chains batch; return a
+        """Spy on every pack and every trace_sums batch; return a
         function that runs a callable and checks that it made one batch,
-        which packed every distinct operator of it once (and the identity
-        that pads its shorter chains), all at one width."""
+        which packed every distinct operator of its uncancelled chains
+        exactly once, and nothing else, all at one width."""
         packs, batches = [], []
 
         def spy(blades, width):
             packs.append((blades, width))  # holds blades, so its id stays unique
             return kron_parts(blades, width)
 
-        def batch_spy(chains, n):
-            batches.append(chains)
-            return real_trace(chains, n)
+        def batch_spy(sums, n):
+            batches.append(sums)
+            return real_trace(sums, n)
 
         def packings(run):
             packs.clear()
@@ -504,16 +507,15 @@ class TestPackedTraces:
             got = run()
             (batch,) = batches
             packed = [id(blades) for blades, _ in packs]
-            distinct = {id(op.blades) for ops in batch.values() for op in ops}
-            assert len(set(packed)) == len(packed) and distinct <= set(packed)
-            assert len(packed) <= len(distinct) + 1
+            distinct = {id(op.blades) for _, chains in batch.values() for ops, w in chains.values() if w for op in ops}
+            assert len(packed) == len(distinct) and set(packed) == distinct
             assert len({width for _, width in packs}) == 1
             return got
 
-        kron_parts, real_trace = clifford._kron_parts, clifford.trace_chains
+        kron_parts, real_trace = clifford._kron_parts, clifford.trace_sums
         monkeypatch.setattr(clifford, "_kron_parts", spy)
-        monkeypatch.setattr(clifford, "trace_chains", batch_spy)
-        monkeypatch.setattr(wres.residue, "trace_chains", batch_spy)
+        for module in (clifford, oracles, wres.residue):
+            monkeypatch.setattr(module, "trace_sums", batch_spy)
         return packings
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -523,7 +525,7 @@ class TestPackedTraces:
         # materialised product's
         packings = self.spied(monkeypatch)
         chains = self.mixed_chains(n)
-        traces = packings(lambda: clifford.trace_chains(dict(enumerate(chains)), n))
+        traces = packings(lambda: trace_each(dict(enumerate(chains)), n))
         for i, ops in enumerate(chains):
             assert traces[i] == chain_oracle(ops, n)
         assert sum(map(bool, traces.values())) > len(traces) // 2
@@ -532,13 +534,14 @@ class TestPackedTraces:
 
     def test_each_view_is_packed_once_per_width(self, monkeypatch):
         # an Analysis traces in one batch, so each operator is packed
-        # once, at the batch's one width, and never packed again
+        # exactly once, at the batch's one width, and no identity pads a
+        # shorter chain
         packings = self.spied(monkeypatch)
         for n in (4, 6):
             assert packings(lambda: Analysis(Dimension(n), *derive_inputs(n, 1))).all_match()
         for n in (2, 4, 6):
             chains = self.mixed_chains(n)
-            assert len(packings(lambda: clifford.trace_chains(dict(enumerate(chains)), n))) == len(chains)
+            assert len(packings(lambda: trace_each(dict(enumerate(chains)), n))) == len(chains)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_non_homogeneous_chains(self, n):
@@ -547,12 +550,75 @@ class TestPackedTraces:
         ops = [mixed_op(n, rng, rng.sample(span, 6), 3) for _ in range(4)]
         ops[3] = ops[3] + random_element(n, rng, 4, real=True)  # a0 and b0 degrees up to 2
         chains = self.chains(ops)
-        traces = list(trace_chains(dict(enumerate(chains)), n).values())
+        traces = list(trace_each(dict(enumerate(chains)), n).values())
         for got, chain in zip(traces, chains, strict=True):
             assert got == chain_oracle(chain, n)
         degrees = {sum(deg) for t in traces for deg in t.terms}
         assert len(degrees) >= 4
         assert both_signs(traces)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_weighted_sums_read_back_exactly(self, n, monkeypatch):
+        # two sums over different dens share chains, with weights of about
+        # 2^300 and opposite signs that nearly cancel: a width from the
+        # chains alone would wrap their digits.  A sum whose weights are
+        # all 0 is the zero polynomial, and its own chains are not packed
+        packings = self.spied(monkeypatch)
+        rng = random.Random(2100 + n)
+        span = xor_span(n, rng, 8)
+        ops = [mixed_op(n, rng, rng.sample(span, 5), 3) for _ in range(4)]
+        spare = [mixed_op(n, rng, rng.sample(span, 5), 3) for _ in range(2)]
+        chains = self.chains(ops)
+        big = 1 << 300
+        first = [big + rng.randrange(1 << 20) for _ in chains]
+        second = [-w + rng.choice((-1, 1)) * rng.randrange(1, 1 << 10) for w in first]
+        keyed = lambda weights: {tuple(map(id, ops)): (ops, w) for ops, w in zip(chains, weights)}
+        sums = {
+            "first": (7, keyed(first)),
+            "second": (3 * 5, keyed(second)),
+            "both": (2, {**keyed(first), **{(0,): (chains[5], 0)}}),
+            "zero": (11, {tuple(map(id, spare)): (tuple(spare), 0), (1,): (spare[:1], 0)}),
+        }
+        got = packings(lambda: clifford.trace_sums(sums, n))
+        for key, (den, weighted) in sums.items():
+            want = ScalarPoly.zero()
+            for ops, w in weighted.values():
+                if w:
+                    want = want + chain_oracle(ops, n).scale(Fraction(w, den))
+            assert got[key] == want, key
+        assert got["zero"] == ScalarPoly.zero() and got["first"] and got["second"]
+        # the two sums' weights nearly cancel: back over their dens, they
+        # add to a sum of traces with weights below 2^20
+        total = got["first"].scale(7) + got["second"].scale(15)
+        assert total and max(abs(re) for _, re, _ in total.nums) < big
+
+
+class TestSignRule:
+    """_sign_mask(n, a) is the mask mu with blade(a) blade(b) =
+    (-1)^popcount(b & mu) blade(a ^ b), as _blade_sign counts it."""
+
+    @staticmethod
+    def rule(n, a, b):
+        return -1 if (b & _sign_mask(n, a)).bit_count() & 1 else 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_pair_at_small_n(self, n):
+        masks = range(1 << (2 * n))
+        assert all(self.rule(n, a, b) == _blade_sign(n, a, b) for a in masks for b in masks)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_random_pairs(self, n):
+        rng = random.Random(40 + n)
+        pairs = [(rng.randrange(1 << (2 * n)), rng.randrange(1 << (2 * n))) for _ in range(10**4)]
+        assert all(self.rule(n, a, b) == _blade_sign(n, a, b) for a, b in pairs)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_square_blade_traces(self, n):
+        # tr(blade blade) = 2^n times the blade's square sign, for every blade
+        ops = {m: CliffordOp.from_numerators(n, 1, {m: 1}) for m in range(1 << (2 * n))}
+        got = trace_each({m: (op, op) for m, op in ops.items()}, n)
+        assert all(got[m] == ScalarPoly.const((1 << n) * _blade_sign(n, m, m)) for m in ops)
+        assert {_blade_sign(n, m, m) for m in ops} == {-1, 1}
 
 
 def graded_op(n, rng, masks):
@@ -606,7 +672,7 @@ class TestHalfMaskJoin:
             for r, rot in enumerate((chain, chain[1:] + chain[:1], chain[2:] + chain[:2]))
             for j, sub in enumerate((rot, rot[:2], rot[1:], rot[:1]))
         }
-        got = trace_chains(subs, n)
+        got = trace_each(subs, n)
         for key, sub in subs.items():
             assert got[key] == chain_oracle(sub, n), (n, len(sub))
         traces = list(got.values())
@@ -746,7 +812,7 @@ class TestSignRuleOracle:
             batch[trial, 2], batch[trial, 3] = (x, y), (x, y, z)
             want[trial, 2], want[trial, 3] = mtrace(xy), mtrace(xyz)
         # the three trials' chains, also traced as one batch
-        assert trace_chains(batch, n) == want
+        assert trace_each(batch, n) == want
 
     def test_entry_reads_the_matrix_view(self):
         # every entry, zeros included, against the sum of coefficient

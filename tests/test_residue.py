@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from wres.clifford import Dimension, FrameVector, ProductCache, inner, trace_chains
+from wres.clifford import Dimension, FrameVector, ProductCache, inner, trace_sums
 from wres.curvature import (
     RiemannTensor,
     constant_curvature,
@@ -38,7 +38,6 @@ from wres.residue import (
     composed_weights,
     derive_inputs,
     integrate_blocks,
-    trace_weights,
     verify_all,
 )
 from wres.scalars import GaussianRational, ScalarPoly
@@ -61,6 +60,7 @@ from oracles import (
     basis,
     brute_compose,
     brute_weights,
+    c_op,
     entry,
     expected_densities,
     order,
@@ -145,15 +145,33 @@ class TestFunctionalDensity:
 
 
 def spy_batches(monkeypatch):
-    """The list each trace_chains batch of wres.residue is appended to."""
-    batches, real = [], wres.residue.trace_chains
+    """The list each trace_sums batch of wres.residue is appended to."""
+    batches, real = [], wres.residue.trace_sums
 
-    def spy(chains, n):
-        batches.append(chains)
-        return real(chains, n)
+    def spy(sums, n):
+        batches.append(sums)
+        return real(sums, n)
 
-    monkeypatch.setattr(wres.residue, "trace_chains", spy)
+    monkeypatch.setattr(wres.residue, "trace_sums", spy)
     return batches
+
+
+def spy_packs(monkeypatch):
+    """The list of the blades of every operator clifford._kron_parts packs."""
+    packs, real = [], wres.clifford._kron_parts
+
+    def spy(blades, width):
+        packs.append(blades)
+        return real(blades, width)
+
+    monkeypatch.setattr(wres.clifford, "_kron_parts", spy)
+    return packs
+
+
+def live_chains(batch) -> dict:
+    """{chain key: ops} of the chains of a trace_sums batch that carry a
+    nonzero weight in some sum: the chains the batch traces, once each."""
+    return {key: ops for _, chains in batch.values() for key, (ops, w) in chains.items() if w}
 
 
 class TestIntegration:
@@ -176,10 +194,11 @@ class TestIntegration:
         assert got == FunctionalDensity(ScalarPoly.monomial(1, 1, -4), 0)
 
     def test_one_trace_per_distinct_chain(self, monkeypatch):
-        # one trace_chains batch per integration, keyed by the distinct
-        # chains whose weight does not cancel: a chain shared by several
-        # terms is traced once, and an odd or cancelled one not at all
-        batches = spy_batches(monkeypatch)
+        # one trace_sums batch per integration, whose uncancelled chains
+        # are the distinct chains whose weight does not cancel: a chain
+        # shared by several terms is traced once, and an odd or cancelled
+        # one not at all, so b alone is packed only for (a, b)
+        batches, packs = spy_batches(monkeypatch), spy_packs(monkeypatch)
         n = 4
         a, b = tildec_op(n, 1), tildec_op(n, 2)
         terms = [
@@ -193,7 +212,8 @@ class TestIntegration:
         ]
         got = integrate(terms, n)
         (batch,) = batches
-        assert set(batch) == {(id(a), id(a)), (id(a), id(b))}
+        assert set(live_chains(batch)) == {(id(a), id(a)), (id(a), id(b))}
+        assert sorted(map(id, packs)) == sorted((id(a.blades), id(b.blades)))
         # per term, as scalar * integral * trace
         want = ScalarPoly.zero()
         for t in terms:
@@ -212,22 +232,25 @@ class TestIntegration:
         assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
         (batch,) = batches
         specs = block_specs(n, 1).values()
-        assert len(batch) == len({key for spec in specs for _, key in term_weights(spec, n)})
+        assert len(live_chains(batch)) == len({key for spec in specs for _, key in term_weights(spec, n)})
 
-    def test_cancelled_weight_is_not_traced(self):
+    def test_cancelled_weight_is_not_traced(self, monkeypatch):
+        packs = spy_packs(monkeypatch)
         n = 4
         a, b = tildec_op(n, 1), tildec_op(n, 2)
         three = ScalarPoly.const(3)
+        # b with i a0^2 added on its c_2 blade: packing it would raise
+        gaussian = b + c_op(n, 2).scale(ScalarPoly.monomial(2, 0, GaussianRational(0, 1)))
         # weights 3, 3 - 3 and 3 + (-3), as numerators over den 2
         chains = {
             (id(a), id(a)): ((a, a), 6),
-            (id(b), id(b)): ((b, b), 6 - 6),
+            (id(b), id(gaussian)): ((b, gaussian), 6 - 6),
             (id(a), id(b)): ((a, b), 6 + -6),
         }
-        # trace_weights reads no trace of a cancelled chain
-        traces = trace_chains({(id(a), id(a)): (a, a)}, n)
-        got = trace_weights(2, chains, traces)
-        assert got == FunctionalDensity(trace(a * a) * three, 0)
+        # trace_sums packs and traces no operator of a cancelled chain
+        got = trace_sums({"tag": (2, chains)}, n)["tag"]
+        assert got == trace(a * a) * three
+        assert [id(blades) for blades in packs] == [id(a.blades)]
 
 
 def symbol_set(n, seed, R=None):
@@ -353,10 +376,11 @@ class TestBlocks:
         assert handed
 
     def test_each_chain_is_traced_once(self, monkeypatch):
-        # an Analysis makes one trace_chains call, keyed by the distinct
-        # chains whose weight does not cancel: a chain shared by several
-        # blocks or tags is traced once, and a cancelled one not at all
-        batches, composed = spy_batches(monkeypatch), []
+        # an Analysis makes one trace_sums call, whose uncancelled chains
+        # are the distinct chains whose weight does not cancel: a chain
+        # shared by several blocks or tags is traced once, and a
+        # cancelled one not at all, its operator never packed
+        batches, packs, composed = spy_batches(monkeypatch), spy_packs(monkeypatch), []
         real_weights = wres.residue.composed_weights
 
         def weights_spy(blocks, n):
@@ -376,7 +400,8 @@ class TestBlocks:
             for _, chains in tags.values():
                 for key, (_, num) in chains.items():
                     (weighted if num else cancelled).add(key)
-        assert set(batch) == weighted and tuple(map(id, planted)) in cancelled - weighted
+        assert set(live_chains(batch)) == weighted and tuple(map(id, planted)) in cancelled - weighted
+        assert id(planted[0].blades) not in map(id, packs)
 
     def test_analysis_builds_no_gaussian_rational(self, monkeypatch):
         # every exact constant is a ScalarPoly: a GaussianRational is only
@@ -402,7 +427,7 @@ class TestBlocks:
     def test_weight_path_builds_no_fraction(self, monkeypatch):
         # symbol building, composition, cosphere weights and traces are
         # integer arithmetic: no Fraction is built under the symbol
-        # families, composed_weights, trace_chains or trace_weights, nor
+        # families, composed_weights or trace_sums, nor
         # on criterion 4's path (standard_connection, lemma1_symbols,
         # merged).  The
         # sphere and Clifford memos start cold, so a weight or generator
@@ -435,8 +460,7 @@ class TestBlocks:
             "lemma2_symbols",
             "uv_symbol",
             "composed_weights",
-            "trace_chains",
-            "trace_weights",
+            "trace_sums",
         ):
             monkeypatch.setattr(wres.residue, name, inside(getattr(wres.residue, name)))
         for name in ("standard_connection", "lemma1_symbols", "lemma2_symbols"):
@@ -607,12 +631,12 @@ class TestPartTable:
         assert not analysis.all_match()
 
     def test_non_real_density_is_a_failing_check(self, monkeypatch):
-        real = wres.residue.trace_weights
-        i_unit = FunctionalDensity(ScalarPoly.const(GaussianRational(0, 1)), 0)
+        real = wres.residue.trace_sums
+        i_unit = ScalarPoly.const(GaussianRational(0, 1))
         monkeypatch.setattr(
             wres.residue,
-            "trace_weights",
-            lambda den, chains, traces: real(den, chains, traces) + i_unit,
+            "trace_sums",
+            lambda sums, n: {key: poly + i_unit for key, poly in real(sums, n).items()},
         )
         R, u, v = derive_inputs(2, 0)
         analysis = Analysis(Dimension(2), R, u, v)
@@ -704,7 +728,7 @@ class TestEinsteinFunctional:
         u = random_vector(4, 51)
         v = random_vector(4, 52)
         contr = contract(R)
-        val = Fraction(1, 12) * contr.scalar * inner(u, v) - Fraction(
+        val = Fraction(contr.scalar, 12 * contr.den) * inner(u, v) - Fraction(
             1, 6
         ) * ricci_bilinear(contr, u, v)
         want = FunctionalDensity(ScalarPoly.const(16 * val), 0)

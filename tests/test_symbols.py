@@ -587,8 +587,8 @@ class TestCurvatureTable:
         contr = contract(R)
         idx = range(1, R.n + 1)
         ricci = {(a, b): Fraction(rec.ricci.get((a, b), 0), rec.den) for a in idx for b in idx}
-        assert ricci == {(a, b): contr.ricci[a - 1][b - 1] for a in idx for b in idx}
-        assert Fraction(rec.s, rec.den) == contr.scalar
+        assert ricci == {(a, b): Fraction(contr.ricci[(a - 1) * R.n + b - 1], contr.den) for a in idx for b in idx}
+        assert Fraction(rec.s, rec.den) == Fraction(contr.scalar, contr.den)
         assert all(rec.ricci.values()) and list(rec.ricci) == sorted(rec.ricci)
 
     def test_one_record_per_analysis(self, monkeypatch):
@@ -657,13 +657,14 @@ class TestCurvatureTable:
         # two chains traced in one Analysis differ only in one factor,
         # there an operator and its negative
         computed: dict = {}
-        real = wres.residue.trace_chains
+        real = wres.residue.trace_sums
 
-        def spy(chains, n):
-            computed.update(chains)  # keyed by the chain's ids
-            return real(chains, n)
+        def spy(sums, n):
+            # the chains traced, keyed by their ids
+            computed.update((key, ops) for _, chains in sums.values() for key, (ops, w) in chains.items() if w)
+            return real(sums, n)
 
-        monkeypatch.setattr(wres.residue, "trace_chains", spy)
+        monkeypatch.setattr(wres.residue, "trace_sums", spy)
         R, u, v = derive_inputs(n, 1)
         assert Analysis(Dimension(n), R, u, v).all_match()
 
