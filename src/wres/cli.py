@@ -91,6 +91,13 @@ def _resolve_curvature(spec: str, n: int):
     return tensor, str(path)
 
 
+def _analyses(dim: int, seeds, curvature: str, u_raw: str | None, v_raw: str | None) -> tuple:
+    """(label, verify_all's [(seed, Analysis)]) of --curvature, --u and --v, read in that order."""
+    R, label = _resolve_curvature(curvature, dim)
+    u, v = _parse_vector(u_raw, dim, "u"), _parse_vector(v_raw, dim, "v")
+    return label, verify_all(Dimension(dim), seeds, R, u, v)
+
+
 def _render_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -129,13 +136,9 @@ def verify(dim, seed_count, curvature, u_raw, v_raw, as_json, out):
     """Check every identity over a seed sweep; nonzero exit on mismatch."""
     if seed_count < 1:
         raise click.UsageError("--seeds must be positive")
-    d = Dimension(dim)
     base = _seed_base()
     seeds = range(base, base + seed_count)
-    R, label = _resolve_curvature(curvature, dim)
-    u = _parse_vector(u_raw, dim, "u")
-    v = _parse_vector(v_raw, dim, "v")
-    results = verify_all(d, seeds, R, u, v)
+    label, results = _analyses(dim, seeds, curvature, u_raw, v_raw)
     misses = {seed: analysis.mismatches() for seed, analysis in results}
     ok = not any(misses.values())
     if as_json:
@@ -170,13 +173,9 @@ def verify(dim, seed_count, curvature, u_raw, v_raw, as_json, out):
 @click.option("--out", default=None)
 def parts(dim, seed, curvature, u_raw, v_raw, as_json, out):
     """Render the full check table for a single configuration."""
-    d = Dimension(dim)
     if seed is None:
         seed = _seed_base()
-    R, label = _resolve_curvature(curvature, dim)
-    u = _parse_vector(u_raw, dim, "u")
-    v = _parse_vector(v_raw, dim, "v")
-    ((_, analysis),) = verify_all(d, [seed], R, u, v)
+    label, ((_, analysis),) = _analyses(dim, [seed], curvature, u_raw, v_raw)
     misses = analysis.mismatches()
     if as_json:
         _emit(_render_json(analysis.report_dict(seed)), out)
@@ -211,13 +210,9 @@ def parts(dim, seed, curvature, u_raw, v_raw, as_json, out):
 @click.option("--seed", type=int, default=None, help="Seed when --curvature random.")
 def einstein(dim, curvature, u_raw, v_raw, eval_point, as_json, out, seed):
     """Print the Einstein-functional density for explicit u, v."""
-    d = Dimension(dim)
     if seed is None:
         seed = _seed_base()
-    R, label = _resolve_curvature(curvature, dim)
-    u = _parse_vector(u_raw, dim, "u")
-    v = _parse_vector(v_raw, dim, "v")
-    ((_, analysis),) = verify_all(d, [seed], R, u, v)
+    label, ((_, analysis),) = _analyses(dim, [seed], curvature, u_raw, v_raw)
     density = analysis.computed["einstein"].normalized()
     matches = analysis.match["einstein"]
 

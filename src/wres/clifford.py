@@ -13,8 +13,9 @@ bitmask over the 2n generators: bit j-1 for c_j, bit n+j-1 for chat_j,
 factors in increasing bit order.  Blade products follow the bitmap sign
 rules (Dorst-Fontijne-Mann, Geometric Algebra for Computer Science, ch. 19):
 the blade of a product is the XOR of the masks, its sign the reordering
-sign times the metric sign.  Every blade but the scalar one is
-traceless, so tr X = 2^n * (scalar part of X), and a trace of a chain
+sign times the metric sign, everywhere the parity of b & _sign_mask(n,
+a).  Every blade but the scalar one is traceless, so tr X = 2^n *
+(scalar part of X), and a trace of a chain
 builds no product: tr(a b c) is a signed sum of a b c over the blade
 triples whose masks XOR to zero.  trace_sums, the one trace, takes a
 batch of weighted sums of chains.  Traced operators are real (a0 d + b0
@@ -97,24 +98,16 @@ def inner(u: FrameVector, v: FrameVector) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _blade_sign(n: int, a: int, b: int) -> int:
-    """s with blade(a) * blade(b) = s * blade(a ^ b)."""
-    swaps = 0
-    x = a >> 1
-    while x:
-        swaps += (x & b).bit_count()
-        x >>= 1
-    # each shared c_j meets itself and squares to -1
-    swaps += (a & b & ((1 << n) - 1)).bit_count()
-    return -1 if swaps & 1 else 1
+def _sign_mask(n: int, a: int) -> int:
+    """mu with blade(a) * blade(b) = (-1)^popcount(b & mu) * blade(a ^ b): a
+    shifted copy of a per swap distance, and a's c bits (c_j^2 = -1)."""
+    return reduce(xor, (a >> k for k in range(1, 2 * n)), a & ((1 << n) - 1))
 
 
 @lru_cache(maxsize=None)
-def _sign_mask(n: int, a: int) -> int:
-    """mu with blade(a) * blade(b) = (-1)^popcount(b & mu) * blade(a ^ b):
-    _blade_sign's swap count is linear in b over GF(2), one term per
-    shifted copy of a and one for a's c bits."""
-    return reduce(xor, (a >> k for k in range(1, 2 * n)), a & ((1 << n) - 1))
+def _blade_sign(n: int, a: int, b: int) -> int:
+    """s with blade(a) * blade(b) = s * blade(a ^ b), by _sign_mask."""
+    return -1 if (b & _sign_mask(n, a)).bit_count() & 1 else 1
 
 
 @lru_cache(maxsize=None)
@@ -297,8 +290,8 @@ def trace_sums(sums: dict, n: int) -> dict:
     signed b c products are summed, then multiplied by a once.  a's and
     b's blades are bucketed by the half of c's masks (c or chat bits)
     with fewer distinct values, and a bucket of a reads the buckets of b
-    that c's half values select, or walks b's keys when they are fewer.
-    A shorter chain is a signed dot product, with no identity pad.
+    that c's half values select.  A shorter chain is a signed dot
+    product, with no identity pad.
 
     Each operator is packed once (scalars._kron_parts; an imaginary
     numerator raises ValueError) at one width K, and a chain traces to
@@ -358,12 +351,10 @@ def trace_sums(sums: dict, n: int) -> dict:
             shift, values = halves[c, dc]
             for db in parts[b]:
                 bucket = bucketed(b, db, shift)
-                by_key = len(values) > len(bucket)
                 for da in parts[a]:
                     total = 0
                     for ka, members in bucketed(a, da, shift).items():
-                        hits = ([e for kb, es in bucket.items() if ka ^ kb in values for e in es] if by_key
-                                else [e for h in values for e in bucket.get(ka ^ h, ())])
+                        hits = [e for h in values for e in bucket.get(ka ^ h, ())]
                         for ma, ar, mu in members if hits else ():
                             s = 0
                             for mb, br, _ in hits:

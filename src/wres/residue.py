@@ -89,7 +89,7 @@ class FunctionalDensity:
         return self.poly.is_real()
 
     def text(self) -> str:
-        if self.prefactor_exp:
+        if self.prefactor_exp and self.poly:
             return f"({self.poly.text()}) * (a0*b0)^{self.prefactor_exp}"
         return self.poly.text()
 
@@ -369,6 +369,8 @@ class Analysis:
         }
         for key in ASSEMBLED_IDS:
             report[f"{key}_match"] = match[key]
+        if misses := self.mismatches():
+            report["mismatches"] = misses
         return report
 
 

@@ -11,9 +11,9 @@ blade coefficients of clifford.CliffordOp: one positive denominator and
 a sorted tuple of integer terms (packed degree, re, im).  The kernel
 below (_imac_each, its one-hit form _imac, _canonical) is the only
 complex-rational arithmetic.  _canonical reduces first, checking degrees
-and folding the gcd in one pass, then builds each term once; a real
-constant (clifford's from_numerators) needs no pass, only one gcd.
-Chain traces run on Kronecker-packed real integers instead: _kron_parts
+and folding the gcd in one pass, then builds every key's terms one way,
+sorted and divided; a real constant (clifford's from_numerators) needs
+no pass, only one gcd.  Chain traces run on Kronecker-packed real integers instead: _kron_parts
 substitutes a0 = 2^K, b0 = 1 within each total degree, splitting an
 operator into one homogeneous part per degree, one integer per blade;
 a weighted sum of traces is summed packed, and _kron_slots reads its
@@ -248,11 +248,7 @@ def _canonical(den: int, acc: dict) -> tuple:
                     g = gcd(g, re, im)
     out = {}
     for key, slots in acc.items():
-        if len(slots) == 1:
-            ((k, (re, im)),) = slots.items()
-            if re or im:
-                out[key] = ((k, re // g, im // g),)
-        elif terms := sorted([(k, re // g, im // g) for k, (re, im) in slots.items() if re or im]):
+        if terms := sorted([(k, re // g, im // g) for k, (re, im) in slots.items() if re or im]):
             out[key] = tuple(terms)
     return den // g, out
 

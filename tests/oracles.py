@@ -14,8 +14,10 @@ builders here are the generator-by-generator reference:
 each operator is a sum of single generators c_j (blade bit j-1) and
 chat_j (bit n+j-1) built with from_numerators and the algebra, and each
 ctilde is folded one generator at a time, independently of the engine's
-one-pass pairs clifford.tildec_pair.  trace materialises nothing but the
-scalar part, against which clifford.trace_sums is checked; trace_each
+one-pass pairs clifford.tildec_pair, and blade_sign counts a blade
+product's sign swap by swap, independently of clifford._sign_mask.
+trace materialises nothing but the scalar part, against which
+clifford.trace_sums is checked; trace_each
 runs that engine trace on a batch of one-chain sums, each with weight 1
 over den 1, and trace_one on a batch of one.  expected_densities
 evaluates the closed forms one Fraction row at a time, against which
@@ -219,6 +221,20 @@ def brute_weights(blocks, n: int) -> dict:
         key = tuple(map(id, t.ops))
         chains[key] = chains.get(key, 0) + t.num * vnum * (dens[t.tag] // (t.den * vden))
     return {tag: (dens[tag], chains) for tag, chains in out.items()}
+
+
+def blade_sign(n: int, a: int, b: int) -> int:
+    """s with blade(a) * blade(b) = s * blade(a ^ b), counted swap by swap:
+    moving each generator of b left past the generators of a above it,
+    then each shared c_j squaring to -1.  The reference for
+    clifford._sign_mask and clifford._blade_sign."""
+    swaps = 0
+    x = a >> 1
+    while x:
+        swaps += (x & b).bit_count()
+        x >>= 1
+    swaps += (a & b & ((1 << n) - 1)).bit_count()
+    return -1 if swaps & 1 else 1
 
 
 def identity(n: int) -> CliffordOp:

@@ -300,6 +300,15 @@ class TestPartsCommand:
         assert rep["seed"] == 1
         assert len(rep["parts"]) == 18
 
+    def test_a_zero_density_prints_as_zero(self, runner):
+        # zero vectors make every density zero, the ones with a prefactor too
+        args = ["parts", "--dim", "4", "--seed", "3", "--u", "0,0,0,0", "--v", "0,0,0,0"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert "  metric    ok        computed = 0\n" in result.output
+        assert "  einstein  ok        computed = 0\n" in result.output
+        assert "(0)" not in result.output
+
     def test_a_directory_is_not_a_curvature_file(self, runner, tmp_path):
         # a path that exists but is no file is named as such, not as missing
         for path, reason in ((tmp_path, "is not a file"), (tmp_path / "nope.json", "not found")):
@@ -337,9 +346,17 @@ class TestFailingChecks:
         result = runner.invoke(main, ["verify", "--dim", "4", "--seeds", "1", "--json"])
         assert result.exit_code == 1
         assert all(p["match"] for p in json.loads(result.output)[0]["parts"])
+        # every part and assembled flag reads true, so the report names the total
+        assert json.loads(result.output)[0]["mismatches"] == ["I-3"]
         result = runner.invoke(main, ["parts", "--dim", "4"])
         assert result.exit_code == 1
         assert "MISMATCHES FOUND: I-3" in result.output
+        assert json.loads(runner.invoke(main, ["parts", "--dim", "4", "--json"]).output)["mismatches"] == ["I-3"]
+        # a passing report has no mismatches key
+        monkeypatch.undo()
+        result = runner.invoke(main, ["verify", "--dim", "4", "--seeds", "1", "--json"])
+        assert result.exit_code == 0
+        assert "mismatches" not in json.loads(result.output)[0]
 
     def test_a_wrong_part_row_prints_its_expected_side(self, runner, monkeypatch):
         # I-3-E's (1 - m)/4 s g written as (1 - m)/3

@@ -595,22 +595,24 @@ class TestPackedTraces:
 
 class TestSignRule:
     """_sign_mask(n, a) is the mask mu with blade(a) blade(b) =
-    (-1)^popcount(b & mu) blade(a ^ b), as _blade_sign counts it."""
+    (-1)^popcount(b & mu) blade(a ^ b), and _blade_sign reads it; both
+    against the swap-by-swap count oracles.blade_sign."""
 
     @staticmethod
-    def rule(n, a, b):
-        return -1 if (b & _sign_mask(n, a)).bit_count() & 1 else 1
+    def agree(n, a, b):
+        want = oracles.blade_sign(n, a, b)
+        return _blade_sign(n, a, b) == want and (-1 if (b & _sign_mask(n, a)).bit_count() & 1 else 1) == want
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_pair_at_small_n(self, n):
         masks = range(1 << (2 * n))
-        assert all(self.rule(n, a, b) == _blade_sign(n, a, b) for a in masks for b in masks)
+        assert all(self.agree(n, a, b) for a in masks for b in masks)
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_random_pairs(self, n):
         rng = random.Random(40 + n)
         pairs = [(rng.randrange(1 << (2 * n)), rng.randrange(1 << (2 * n))) for _ in range(10**4)]
-        assert all(self.rule(n, a, b) == _blade_sign(n, a, b) for a, b in pairs)
+        assert all(self.agree(n, a, b) for a, b in pairs)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_square_blade_traces(self, n):
