@@ -15,18 +15,19 @@ rules (Dorst-Fontijne-Mann, Geometric Algebra for Computer Science, ch. 19):
 the blade of a product is the XOR of the masks, its sign the reordering
 sign times the metric sign, everywhere the parity of b & _sign_mask(n,
 a).  Every blade but the scalar one is traceless, so tr X = 2^n *
-(scalar part of X), and a trace of a chain
-builds no product: tr(a b c) is a signed sum of a b c over the blade
-triples whose masks XOR to zero.  trace_sums, the one trace, takes a
-batch of weighted sums of chains.  Traced operators are real (a0 d + b0
-delta acts on real forms, and a symbol weight's i follows from its
-term's order), so a batch substitutes a0 = 2^K, b0 = 1 within each
-total degree (Kronecker packing), packs each operator once, weights
-each chain's integer trace and reads each sum's digits back once.
-Operators keep the integer terms, since the gcd of a packed integer is
-not the gcd of its digits.  The nonminimal operator enters only through pairs
-ctilde(w) ctilde(x) (tildec_pair, or tildec_row for the frame partners
-e_f), each written from g(w, x) and w ^ x.
+(scalar part of X), and a trace of a chain builds no product: tr(a b c)
+sums a b c over the blade triples whose masks XOR to zero, signed by
+s(mb, mc) sq(ma), with sq folded into a's packed values.  trace_sums,
+the one trace, takes a batch of weighted sums of chains.  Traced
+operators are real (a0 d + b0 delta acts on real forms, and a symbol
+weight's i follows from its term's order), so a batch substitutes a0 =
+2^K, b0 = 1 within each total degree (Kronecker packing), packs each
+operator once, weights each chain's integer trace and reads each sum's
+digits back once.  Operators keep the integer terms, since the gcd of a
+packed integer is not the gcd of its digits.  The nonminimal operator
+enters only through pairs ctilde(w) ctilde(x) (tildec_pair, or
+tildec_row for the frame partners e_f), each written from g(w, x) and
+w ^ x.
 The numerators are in the one integer form that ScalarPoly also stores
 (scalars.py): sums and products run on that module's batched kernel,
 and a trace or an entry of the 2^n x 2^n matrix view (rows) for checks
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import xor
 
 from .scalars import (
@@ -285,22 +286,26 @@ def trace_sums(sums: dict, n: int) -> dict:
     once however many keys share it.
 
     tr(a b c) is 2^n times the sum of a b c over the blade triples with
-    ma ^ mb ^ mc = 0, signed by (-1)^popcount(mb & _sign_mask(n, ma)) and
-    by c's square sign, folded into c's packed values; per blade of a the
+    ma ^ mb ^ mc = 0, each signed by s(mb, mc) sq(ma), as blade(mb)
+    blade(mc) = s(mb, mc) blade(ma): sq(ma) = _blade_sign(n, ma, ma) is
+    folded into a's packed values, and the parity of mc & _sign_mask(n,
+    mb) is read from the mask stored with b's blade.  Per blade of a the
     signed b c products are summed, then multiplied by a once.  a's and
     b's blades are bucketed by the half of c's masks (c or chat bits)
     with fewer distinct values, and a bucket of a reads the buckets of b
-    that c's half values select.  A shorter chain is a signed dot
-    product, with no identity pad.
+    that c's half values select (b's one bucket, uncopied, for one
+    value).  A shorter chain is a signed dot product, with no identity
+    pad; the first of two factors carries the fold (sq(0) = 1).
 
-    Each operator is packed once (scalars._kron_parts; an imaginary
-    numerator raises ValueError) at one width K, and a chain traces to
-    {total degree: packed} over den_c, its denominators' product.  A key
-    sums w (L // den_c) packed_c, L the lcm of its den_c, and reads the
-    digits back once, over den L.  Packing is linear, so each digit is a
+    Each operator's den, blade count and largest blade L1 norm L are read
+    once, and it is packed once (scalars._kron_parts; an imaginary
+    numerator raises ValueError) at one width K.  A chain traces to
+    {total degree: packed} over den_c, its dens' product.  A key sums w
+    (L // den_c) packed_c, L the lcm of its den_c, and reads the digits
+    back once, over den L.  Packing is linear, so each digit is a
     coefficient of that sum, at most the sum of |w| (L // den_c) B_c, where
-    B_c = |a.blades| |c.blades| L(a) L(b) L(c) (|a.blades| = 1 for a
-    shorter chain), L a blade's largest L1 norm, bounds a coefficient of
+    B_c = |a.blades| |c.blades| L(a) L(b) L(c) (a shorter chain padded in
+    front by factors of den, count and norm 1) bounds a coefficient of
     tr(a b c) over den_c before 2^n, as ma and mc fix mb.  K exceeds the
     widest key's bound by 2 bits, so every digit reads back exactly.
     """
@@ -310,11 +315,11 @@ def trace_sums(sums: dict, n: int) -> dict:
         raise ValueError(f"trace_sums traces at most three factors, got {max(map(len, live.values()))}")
     if any(op.n != n for op in distinct.values()):
         raise ValueError("dimension mismatch")
-    norm = {k: _kron_norm(op.blades) for k, op in distinct.items()}
-    cden = {ck: prod(op.den for op in ops) for ck, ops in live.items()}
-    bound = {ck: prod(len(op.blades) for op in (ops[::2] if len(ops) == 3 else ops[-1:]))
-             * prod(norm[id(op)] for op in ops) for ck, ops in live.items()}
-    keyed, width = {}, 2
+    facts = {k: (op.den, len(op.blades), _kron_norm(op.blades)) for k, op in distinct.items()}
+    cden, bound, keyed, width = {}, {}, {}, 2
+    for ck, ops in live.items():
+        (da, na, la), (db, _, lb), (dc, nc, lc) = [(1, 1, 1)] * (3 - len(ops)) + [facts[id(op)] for op in ops]
+        cden[ck], bound[ck] = da * db * dc, na * nc * la * lb * lc
     for key, (_, chains) in sums.items():
         L = lcm(*(cden[ck] for ck, (_, w) in chains.items() if w))
         keyed[key] = L, [(ck, ops, w * (L // cden[ck])) for ck, (ops, w) in chains.items() if w]
@@ -322,45 +327,50 @@ def trace_sums(sums: dict, n: int) -> dict:
     parts = {k: _kron_parts(op.blades, width) for k, op in distinct.items()}
     folded = {
         k: {d: {m: -v if _blade_sign(n, m, m) < 0 else v for m, v in part.items()} for d, part in parts[k].items()}
-        for k in {id(ops[-1]) for ops in live.values() if ops}
+        for k in {id(ops[0]) for ops in live.values() if len(ops) > 1}
     }
     low, unit, buckets, halves, traced = (1 << n) - 1, {0: {0: 1}}, {}, {}, {}
 
-    def bucketed(k, d, shift) -> dict:
-        """{half value: [(mask, packed, sign mask)]} of parts[k][d], memoised."""
-        out = buckets.get((k, d, shift))
+    def bucketed(k, d, shift, middle) -> dict:
+        """{half value: [(mask, packed)]} of the first factor's folded[k][d],
+        or with each mask's _sign_mask for the middle factor's parts[k][d],
+        memoised."""
+        out = buckets.get((k, d, shift, middle))
         if out is None:
-            out = buckets[k, d, shift] = {}
-            for m, v in parts[k][d].items():
-                out.setdefault(m >> shift & low, []).append((m, v, _sign_mask(n, m)))
+            out = buckets[k, d, shift, middle] = {}
+            for m, v in (parts if middle else folded)[k][d].items():
+                out.setdefault(m >> shift & low, []).append((m, v, _sign_mask(n, m)) if middle else (m, v))
         return out
 
     def trace(ops) -> dict:
         acc = {}
         if len(ops) < 3:
-            for da, apart in (parts[id(ops[0])] if len(ops) == 2 else unit).items():
-                for db, bpart in (folded[id(ops[-1])] if ops else unit).items():
+            for da, apart in (folded[id(ops[0])] if len(ops) == 2 else unit).items():
+                for db, bpart in (parts[id(ops[-1])] if ops else unit).items():
                     small, big = sorted((apart, bpart), key=len)
                     acc[da + db] = acc.get(da + db, 0) + sum(v * big[m] for m, v in small.items() if m in big)
             return acc
         a, b, c = map(id, ops)
-        for dc, cpart in folded[c].items():
+        for dc, cpart in parts[c].items():
             if (c, dc) not in halves:
                 lo, hi = {m & low for m in cpart}, {m >> n for m in cpart}
                 halves[c, dc] = (0, lo) if len(lo) <= len(hi) else (n, hi)
             shift, values = halves[c, dc]
+            only = next(iter(values)) if len(values) == 1 else None
             for db in parts[b]:
-                bucket = bucketed(b, db, shift)
-                for da in parts[a]:
+                bucket = bucketed(b, db, shift, True)
+                for da in folded[a]:
                     total = 0
-                    for ka, members in bucketed(a, da, shift).items():
-                        hits = [e for h in values for e in bucket.get(ka ^ h, ())]
-                        for ma, ar, mu in members if hits else ():
+                    for ka, members in bucketed(a, da, shift, False).items():
+                        hits = ([e for h in values for e in bucket.get(ka ^ h, ())] if only is None
+                                else bucket.get(ka ^ only, ()))
+                        for ma, ar in members if hits else ():
                             s = 0
-                            for mb, br, _ in hits:
-                                cr = cpart.get(ma ^ mb)
+                            for mb, br, mu in hits:
+                                mc = ma ^ mb
+                                cr = cpart.get(mc)
                                 if cr is not None:
-                                    s += -br * cr if (mb & mu).bit_count() & 1 else br * cr
+                                    s += -br * cr if (mc & mu).bit_count() & 1 else br * cr
                             total += ar * s
                     acc[da + db + dc] = acc.get(da + db + dc, 0) + total
         return acc

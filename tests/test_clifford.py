@@ -543,6 +543,52 @@ class TestPackedTraces:
             chains = self.mixed_chains(n)
             assert len(packings(lambda: trace_each(dict(enumerate(chains)), n))) == len(chains)
 
+    def test_signs_are_looked_up_for_first_and_middle_factors(self, monkeypatch):
+        # the square sign is folded into the chains' first factors and sign
+        # masks are stored only with the middle factors of three-factor
+        # chains: every square-sign lookup is for a first factor's blade,
+        # every mask lookup for a middle factor's, both in a dense dim-6
+        # Analysis and on chains whose first and middle factors share no
+        # blade
+        squares, masks, batches = [], [], []
+        sign_mask, real_trace = clifford._sign_mask, clifford.trace_sums
+
+        def sign_spy(n, a, b):
+            if a == b:
+                squares.append(a)
+            return oracles.blade_sign(n, a, b)  # looks up no mask of its own
+
+        def mask_spy(n, a):
+            masks.append(a)
+            return sign_mask(n, a)
+
+        def batch_spy(sums, n):
+            batches.append(sums)
+            return real_trace(sums, n)
+
+        rng = random.Random(2500)
+        span = xor_span(4, rng, 16)
+        a, b, c = (mixed_op(4, rng, support, 2) for support in (span[:8], span[8:], span))
+        disjoint = {0: (a, b, c), 1: (a, c)}
+        want = {key: chain_oracle(ops, 4) for key, ops in disjoint.items()}  # products look up signs too
+        runs = [
+            lambda: Analysis(Dimension(6), *derive_inputs(6, 1)).all_match(),
+            lambda: trace_each(disjoint, 4) == want and all(want.values()),
+        ]
+        monkeypatch.setattr(clifford, "_blade_sign", sign_spy)
+        monkeypatch.setattr(clifford, "_sign_mask", mask_spy)
+        for module in (clifford, oracles, wres.residue):
+            monkeypatch.setattr(module, "trace_sums", batch_spy)
+        for run in runs:
+            for seen in (squares, masks, batches):
+                seen.clear()
+            assert run()
+            chains = [ops for sums in batches for _, group in sums.values() for ops, w in group.values() if w]
+            firsts = {m for ops in chains if len(ops) > 1 for m in ops[0].blades}
+            middles = {m for ops in chains if len(ops) == 3 for m in ops[1].blades}
+            assert squares and set(squares) <= firsts
+            assert masks and set(masks) <= middles
+
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_non_homogeneous_chains(self, n):
         rng = random.Random(1950 + n)
@@ -647,7 +693,7 @@ class TestHalfMaskJoin:
         low = (1 << n) - 1
         return len({m & low for m in op.blades}), len({m >> n for m in op.blades})
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_every_rotation_and_sub_chain_matches_the_oracle(self, n):
         rng = random.Random(2300 + n)
         spread = rng.sample(range(1 << n), min(6, 1 << n))  # distinct half values
