@@ -92,7 +92,8 @@ def _resolve_curvature(spec: str, n: int):
 
 
 def _analyses(dim: int, seeds, curvature: str, u_raw: str | None, v_raw: str | None) -> tuple:
-    """(label, verify_all's [(seed, Analysis)]) of --curvature, --u and --v, read in that order."""
+    """(label, verify_all's (seed, Analysis) generator) of --curvature, --u
+    and --v, read in that order."""
     R, label = _resolve_curvature(curvature, dim)
     u, v = _parse_vector(u_raw, dim, "u"), _parse_vector(v_raw, dim, "v")
     return label, verify_all(Dimension(dim), seeds, R, u, v)
@@ -139,25 +140,29 @@ def verify(dim, seed_count, curvature, u_raw, v_raw, as_json, out):
     base = _seed_base()
     seeds = range(base, base + seed_count)
     label, results = _analyses(dim, seeds, curvature, u_raw, v_raw)
-    misses = {seed: analysis.mismatches() for seed, analysis in results}
-    ok = not any(misses.values())
+    # each seed's Analysis is dropped once its report or lines are kept
+    ok, reports = True, []
+    lines = [f"verify dim={dim} curvature={label} seeds={seeds[0]}..{seeds[-1]}"]
+    for seed, analysis in results:
+        misses = analysis.mismatches()
+        ok = ok and not misses
+        if as_json:
+            reports.append(analysis.report_dict(seed))
+        elif misses:
+            lines.append(f"seed={seed}: MISMATCH in {', '.join(misses)}")
+            # a real:<id> miss also fails <id>, which is shown
+            for cid in misses:
+                if cid in analysis.computed:
+                    lines.append(
+                        f"  {cid}: computed {analysis.computed[cid].text()}"
+                        f" expected {analysis.expected[cid].text()}"
+                    )
+        else:
+            ids_ok = ", ".join(f"{key} ok" for key in ASSEMBLED_IDS)
+            lines.append(f"seed={seed}: {len(PART_IDS)} parts ok, {ids_ok}")
     if as_json:
-        _emit(_render_json([analysis.report_dict(seed) for seed, analysis in results]), out)
+        _emit(_render_json(reports), out)
     else:
-        lines = [f"verify dim={dim} curvature={label} seeds={seeds[0]}..{seeds[-1]}"]
-        for seed, analysis in results:
-            if misses[seed]:
-                lines.append(f"seed={seed}: MISMATCH in {', '.join(misses[seed])}")
-                # a real:<id> miss also fails <id>, which is shown
-                for cid in misses[seed]:
-                    if cid in analysis.computed:
-                        lines.append(
-                            f"  {cid}: computed {analysis.computed[cid].text()}"
-                            f" expected {analysis.expected[cid].text()}"
-                        )
-            else:
-                ids_ok = ", ".join(f"{key} ok" for key in ASSEMBLED_IDS)
-                lines.append(f"seed={seed}: {len(PART_IDS)} parts ok, {ids_ok}")
         lines.append("all identities hold" if ok else "MISMATCHES FOUND")
         _emit("\n".join(lines) + "\n", out)
     raise SystemExit(0 if ok else 1)

@@ -22,12 +22,13 @@ the one trace, takes a batch of weighted sums of chains.  Traced
 operators are real (a0 d + b0 delta acts on real forms, and a symbol
 weight's i follows from its term's order), so a batch substitutes a0 =
 2^K, b0 = 1 within each total degree (Kronecker packing), packs each
-operator once, weights each chain's integer trace and reads each sum's
-digits back once.  Operators keep the integer terms, since the gcd of a
-packed integer is not the gcd of its digits.  The nonminimal operator
-enters only through pairs ctilde(w) ctilde(x) (tildec_pair, or
-tildec_row for the frame partners e_f), each written from g(w, x) and
-w ^ x.
+operator once (a constant one, marked at construction, is its own
+numerators at every K), weights each chain's integer trace and reads
+each sum's digits back once.  Operators keep the integer terms, since
+the gcd of a packed integer is not the gcd of its digits.  The
+nonminimal operator enters only through pairs ctilde(w) ctilde(x)
+(tildec_pair, or tildec_row for the frame partners e_f), each written
+from g(w, x) and w ^ x.
 The numerators are in the one integer form that ScalarPoly also stores
 (scalars.py): sums and products run on that module's batched kernel,
 and a trace or an entry of the 2^n x 2^n matrix view (rows) for checks
@@ -144,24 +145,32 @@ class CliffordOp:
     faithfulness of the action, equal operators compare equal however
     they were built.  Instances are built by from_numerators,
     tildec_pair, tildec_row and the algebra, and are treated as immutable.
+
+    constant marks a real constant, every blade one degree-0 real term
+    (0, numerator, 0): set by from_numerators and on the record's hh
+    (symbols.curvature_ops), False for every other build.  trace_sums
+    reads such an operator's numerators as its packed values, at every
+    width, instead of packing its terms; the flag takes no part in ==.
     """
 
-    __slots__ = ("n", "den", "blades")
+    __slots__ = ("n", "den", "blades", "constant")
 
     @classmethod
-    def _make(cls, n: int, den: int, blades: dict) -> "CliffordOp":
+    def _make(cls, n: int, den: int, blades: dict, constant: bool = False) -> "CliffordOp":
         op = cls.__new__(cls)
-        op.n, op.den, op.blades = n, den, blades
+        op.n, op.den, op.blades, op.constant = n, den, blades, constant
         return op
 
     @classmethod
     def from_numerators(cls, n: int, den: int, numerators: dict) -> "CliffordOp":
         """Operator with the real constant coefficient numerators[mask] / den
         on each blade mask; den is a positive integer.  Degree-0 real
-        terms need no _canonical pass: one gcd reduces them."""
+        terms need no _canonical pass: one gcd reduces them, and the
+        operator is marked constant, so trace_sums reads these integers
+        back without packing them."""
         g = gcd(den, *numerators.values())
         blades = {mask: ((0, num // g, 0),) for mask, num in numerators.items() if num}
-        return cls._make(n, den // g, blades)
+        return cls._make(n, den // g, blades, True)
 
     # ---- algebra ----
 
@@ -299,7 +308,10 @@ def trace_sums(sums: dict, n: int) -> dict:
 
     Each operator's den, blade count and largest blade L1 norm L are read
     once, and it is packed once (scalars._kron_parts; an imaginary
-    numerator raises ValueError) at one width K.  A chain traces to
+    numerator raises ValueError) at one width K.  A constant operator
+    (from_numerators, the record's hh) is its degree-0 numerators at
+    every width: its part is {blade: numerator} and L their largest |.|,
+    with no pack and no term walk.  A chain traces to
     {total degree: packed} over den_c, its dens' product.  A key sums w
     (L // den_c) packed_c, L the lcm of its den_c, and reads the digits
     back once, over den L.  Packing is linear, so each digit is a
@@ -315,7 +327,12 @@ def trace_sums(sums: dict, n: int) -> dict:
         raise ValueError(f"trace_sums traces at most three factors, got {max(map(len, live.values()))}")
     if any(op.n != n for op in distinct.values()):
         raise ValueError("dimension mismatch")
-    facts = {k: (op.den, len(op.blades), _kron_norm(op.blades)) for k, op in distinct.items()}
+    consts = {k: {m: t[0][1] for m, t in op.blades.items()} for k, op in distinct.items() if op.constant}
+    facts = {
+        k: (op.den, len(op.blades), max(map(abs, consts[k].values()), default=0) if k in consts
+            else _kron_norm(op.blades))
+        for k, op in distinct.items()
+    }
     cden, bound, keyed, width = {}, {}, {}, 2
     for ck, ops in live.items():
         (da, na, la), (db, _, lb), (dc, nc, lc) = [(1, 1, 1)] * (3 - len(ops)) + [facts[id(op)] for op in ops]
@@ -324,7 +341,7 @@ def trace_sums(sums: dict, n: int) -> dict:
         L = lcm(*(cden[ck] for ck, (_, w) in chains.items() if w))
         keyed[key] = L, [(ck, ops, w * (L // cden[ck])) for ck, (ops, w) in chains.items() if w]
         width = max(width, 2 + sum(abs(f) * bound[ck] for ck, _, f in keyed[key][1]).bit_length())
-    parts = {k: _kron_parts(op.blades, width) for k, op in distinct.items()}
+    parts = {k: {0: consts[k]} if k in consts else _kron_parts(op.blades, width) for k, op in distinct.items()}
     folded = {
         k: {d: {m: -v if _blade_sign(n, m, m) < 0 else v for m, v in part.items()} for d, part in parts[k].items()}
         for k in {id(ops[0]) for ops in live.values() if len(ops) > 1}

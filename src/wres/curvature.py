@@ -1,8 +1,9 @@
 """Exact Riemann curvature data at a point in an orthonormal frame.
 
-A tensor is a sparse map (i,j,k,l) -> Fraction (1-based indices) that is
-required to satisfy the two pair antisymmetries, the pair-exchange
-symmetry, and the first Bianchi identity.  Contractions follow the
+A tensor is a sparse map (i,j,k,l) -> integer numerator over one
+denominator (1-based indices) that is required to satisfy the two pair
+antisymmetries, the pair-exchange symmetry, and the first Bianchi
+identity.  Contractions follow the
 convention ricci[a][b] = sum_p R[a][p][b][p], scalar = sum_a ricci[a][a].
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from .clifford import FrameVector
 from .scalars import _frac
@@ -24,9 +25,15 @@ def _is_int(x) -> bool:
 
 
 class RiemannTensor:
-    """Curvature coefficients R_{ijkl} with the full algebraic symmetries."""
+    """Curvature coefficients R_{ijkl} with the full algebraic symmetries.
 
-    __slots__ = ("n", "entries")
+    Stored as integer numerators nums {(i, j, k, l): nonzero int} over
+    one positive denominator den coprime to them, so den is the lcm of
+    the entries' reduced denominators.  nums and den are the tensor's
+    only map: validate, contract and symbols.curvature_ops read them,
+    and entries is the Fraction view, built when read."""
+
+    __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, entries: dict, validate: bool = True):
         """Entries are coerced exactly; a float raises TypeError.
@@ -36,15 +43,28 @@ class RiemannTensor:
         entries with i < j and k < l (symbols.curvature_ops)."""
         if n < 2:
             raise ValueError("dimension must be >= 2")
-        self.n = n
-        exact = {k: _frac(v) for k, v in entries.items()}
-        self.entries = {k: v for k, v in exact.items() if v}
+        exact = [(k, r) for k, v in entries.items() if (r := _frac(v))]
+        den = lcm(*(r.denominator for _, r in exact))
+        self.n, self.den, self.nums = n, den, {k: r.numerator * (den // r.denominator) for k, r in exact}
         if validate:
             self.validate()
 
+    @classmethod
+    def _from_nums(cls, n: int, den: int, nums: dict) -> "RiemannTensor":
+        """The tensor nums / den, unvalidated: den positive and coprime to
+        the nonzero integers nums."""
+        t = cls.__new__(cls)
+        t.n, t.den, t.nums = n, den, nums
+        return t
+
+    @property
+    def entries(self) -> dict:
+        """{(i, j, k, l): Fraction} of the nonzero entries."""
+        return {q: Fraction(v, self.den) for q, v in self.nums.items()}
+
     def validate(self) -> None:
         """Check index ranges and all four algebraic symmetries exactly, on
-        integer numerators over the lcm of the entries' denominators.
+        the integer numerators nums.
 
         One scan per property, in this order, so the reported violation
         names the most specific broken symmetry: first-pair and second-pair
@@ -54,13 +74,12 @@ class RiemannTensor:
         naming the property and its first defective quad.
         """
         n = self.n
-        for idx in self.entries:
+        for idx in self.nums:
             if len(idx) != 4 or any(not 1 <= a <= n for a in idx):
                 raise ValueError(f"index tuple {idx} out of range 1..{n}")
-        den = lcm(*(r.denominator for r in self.entries.values()))
-        g = {q: r.numerator * (den // r.denominator) for q, r in self.entries.items()}.get
+        g = self.nums.get
         quads = sorted({
-            q for i, j, k, l in self.entries
+            q for i, j, k, l in self.nums
             for q in ((i, j, k, l), (j, i, k, l), (i, j, l, k), (k, l, i, j), (i, k, l, j), (i, l, j, k))
         })
         defects = (
@@ -109,7 +128,7 @@ class RiemannTensor:
         return cls(n, entries, validate=True)
 
     def __repr__(self) -> str:
-        return f"RiemannTensor(n={self.n}, nnz={len(self.entries)})"
+        return f"RiemannTensor(n={self.n}, nnz={len(self.nums)})"
 
 
 def flat(n: int) -> RiemannTensor:
@@ -118,13 +137,13 @@ def flat(n: int) -> RiemannTensor:
 
 def constant_curvature(n: int) -> RiemannTensor:
     """Round sphere normalization R_{ijkl} = d_ik d_jl - d_il d_jk."""
-    entries = {}
+    nums = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
-                entries[(i, j, i, j)] = Fraction(1)
-                entries[(i, j, j, i)] = Fraction(-1)
-    return RiemannTensor(n, entries, validate=False)
+                nums[(i, j, i, j)] = 1
+                nums[(i, j, j, i)] = -1
+    return RiemannTensor._from_nums(n, 1, nums)
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +171,9 @@ def random_riemann(n: int, seed: int) -> RiemannTensor:
     with those three symmetries is totally antisymmetric; so the entry
     also satisfies the first Bianchi identity.  288 = 12 * 8 * 3: the
     draw's denominator, the D4 average and the cyclic projection.  Both
-    passes run over flat integer lists (_image_index).
+    passes run over flat integer lists (_image_index), and the tensor
+    keeps the projected integers over 288, reduced by their one gcd: no
+    Fraction is built.
     """
     rng = random.Random(seed)
     xs = range(n ** 4)
@@ -161,7 +182,9 @@ def random_riemann(n: int, seed: int) -> RiemannTensor:
     t = [raw[x] - raw[a] - raw[b] + raw[c] + raw[d] - raw[e] - raw[f] + raw[g]
          for x, a, b, c, d, e, f, g in zip(xs, *d4)]
     out = zip(product(range(1, n + 1), repeat=4), (2 * t[x] - t[a] - t[b] for x, a, b in zip(xs, iklj, iljk)))
-    return RiemannTensor(n, {q: Fraction(v, 288) for q, v in out if v}, validate=False)
+    nums = {q: v for q, v in out if v}
+    g = gcd(288, *nums.values())
+    return RiemannTensor._from_nums(n, 288 // g, {q: v // g for q, v in nums.items()})
 
 
 @dataclass(frozen=True)
@@ -176,15 +199,14 @@ class CurvatureContractions:
 
 
 def contract(t: RiemannTensor) -> CurvatureContractions:
-    """ricci sums the entries (a, p, b, q) of t with p == q, on integer
-    numerators over den, the lcm of their denominators; scalar is the
-    trace of ricci."""
+    """ricci sums the entries (a, p, b, q) of t with p == q, in one walk
+    over t's integer numerators, kept over t.den; scalar is the trace of
+    ricci."""
     n, nums = t.n, [0] * (t.n * t.n)
-    hits = [((a - 1) * n + b - 1, r) for (a, p, b, q), r in t.entries.items() if p == q]
-    den = lcm(*(r.denominator for _, r in hits))
-    for x, r in hits:
-        nums[x] += r.numerator * (den // r.denominator)
-    return CurvatureContractions(n, den, tuple(nums), sum(nums[:: n + 1]))
+    for (a, p, b, q), r in t.nums.items():
+        if p == q:
+            nums[(a - 1) * n + b - 1] += r
+    return CurvatureContractions(n, t.den, tuple(nums), sum(nums[:: n + 1]))
 
 
 def ricci_bilinear(contr: CurvatureContractions, u: FrameVector, v: FrameVector) -> Fraction:

@@ -395,14 +395,14 @@ def verify_all(
     R: RiemannTensor | None = None,
     u: FrameVector | None = None,
     v: FrameVector | None = None,
-) -> list:
-    """Run the full check table for each seed; returns [(seed, Analysis)].
+):
+    """Run the full check table for each seed, yielding (seed, Analysis)
+    one seed at a time, so a caller that keeps only what it prints holds
+    one Analysis at a time.
 
     R, when given, fixes the tensor for every seed (derive_inputs); u
     and v, when given, pin the vectors.
     """
-    results = []
     for seed in seeds:
         R_s, u_s, v_s = derive_inputs(dim.n, seed, R)
-        results.append((seed, Analysis(dim, R_s, u or u_s, v or v_s)))
-    return results
+        yield seed, Analysis(dim, R_s, u or u_s, v or v_s)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul
 from typing import NamedTuple
 
@@ -104,7 +104,9 @@ class SymbolExpansion:
     def derived(self, order: int, alpha: tuple) -> dict:
         """{odd xi mask: terms} of d_xi^alpha of the x-free terms of one
         order, alpha a sorted multi-index, built on alpha[:-1]'s: d_xi_j
-        flips bit j-1 of a term's odd mask, so a group stays one group."""
+        flips bit j-1 of a term's odd mask, so a group stays one group.
+        Only the terms in which xi_j occurs or whose norm power is
+        nonzero are differentiated: d_xi_j of any other is zero."""
         out = self._memo.get((order, alpha))
         if out is None:
             if not alpha:
@@ -112,7 +114,7 @@ class SymbolExpansion:
             else:
                 j, out = alpha[-1], {}
                 for mask, terms in self.derived(order, alpha[:-1]).items():
-                    if terms := [d for t in terms for d in d_xi(t, j)]:
+                    if terms := [d for t in terms if t.xi_mono[j - 1] or t.norm_power for d in d_xi(t, j)]:
                         out[mask ^ 1 << (j - 1)] = terms
             self._memo[order, alpha] = out
         return out
@@ -250,8 +252,10 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
     are not summed, since no block pairs them (_curvature_family).
     ricci maps (a, b) to the numerator of Ric_ab = sum_p R_{apbp},
     nonzero entries only, in row-major order, and s is the numerator of
-    the scalar curvature.  Every numerator is
-    written over den, the lcm of the read entries' denominators.
+    the scalar curvature.  Every numerator is R's own integer numerator
+    (R.nums) or a sum of them, over den = R.den, with no rescale.  cc and
+    f come from from_numerators and hh is marked constant with them, so
+    trace_sums reads all three without packing.
 
     Only the entries r = R_{ijkl} with i < j and k < l are read, one per
     independent component up to sign: the two pair antisymmetries give
@@ -270,23 +274,21 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
     def build() -> CurvatureRecord:
         n = R.n
         keys, groups = _record_slots(n)
-        get = R.entries.get
-        read = [(ab, [(row, r) for row in rows if (r := get(row[0]))]) for ab, rows in groups]
-        den = lcm(*(r.denominator for _, hits in read for _, r in hits))
+        get, den = R.nums.get, R.den
         sums = [0] * (n * n + len(keys))
         op = CliffordOp.from_numerators
         bivectors, f = {}, {}
-        for ab, hits in read:
+        for ab, rows in groups:
             pair = {}
-            for (_, kl, fmask, slots), r in hits:
-                num = r.numerator * (den // r.denominator)
-                for x, sign in slots:
-                    sums[x] += sign * num
-                pair[kl] = 2 * num
-                f[fmask] = 4 * num
+            for quad, kl, fmask, slots in rows:
+                if num := get(quad):
+                    for x, sign in slots:
+                        sums[x] += sign * num
+                    pair[kl] = 2 * num
+                    f[fmask] = 4 * num
             if pair:
                 cc = op(n, den, pair)
-                bivectors[ab] = cc, CliffordOp._make(n, cc.den, {m << n: t for m, t in cc.blades.items()})
+                bivectors[ab] = cc, CliffordOp._make(n, cc.den, {m << n: t for m, t in cc.blades.items()}, True)
         return CurvatureRecord(
             bivectors,
             op(n, den, f),

@@ -68,8 +68,9 @@ def planar(n: int) -> RiemannTensor:
 
 
 def entry(R, i: int, j: int, k: int, l: int) -> Fraction:
-    """R_ijkl of a RiemannTensor, Fraction(0) where it has no entry."""
-    return R.entries.get((i, j, k, l), Fraction(0))
+    """R_ijkl of a RiemannTensor, read from its integer numerators over
+    R.den (no Fraction view is built), Fraction(0) where it has no entry."""
+    return Fraction(R.nums.get((i, j, k, l), 0), R.den)
 
 
 def symmetry_violation(n: int, entries: dict):

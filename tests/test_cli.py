@@ -1,7 +1,9 @@
 """Command line behavior: exit codes, report formats, golden outputs."""
 
+import gc
 import json
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +50,26 @@ class TestVerifyCommand:
         assert "--curvature must be 'random', 'constant', 'flat', or a JSON file" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("as_json", [[], ["--json"]], ids=["text", "json"])
+    def test_one_seed_is_held_at_a_time(self, runner, monkeypatch, as_json):
+        # verify keeps each seed's mismatches and its report or lines, not
+        # its Analysis: with every Analysis tracked by weakref, no more
+        # than two are alive, the last seed's and the one just built
+        alive, counts = weakref.WeakSet(), []
+        real = wres.residue.Analysis
+
+        def tracked(*args):
+            analysis = real(*args)
+            alive.add(analysis)
+            gc.collect()
+            counts.append(len(alive))
+            return analysis
+
+        monkeypatch.setattr(wres.residue, "Analysis", tracked)
+        result = runner.invoke(main, ["verify", "--dim", "4", "--seeds", "6", *as_json])
+        assert result.exit_code == 0
+        assert len(counts) == 6 and max(counts) <= 2
 
     def test_json_report_round_trips_byte_identically(self, runner):
         result = runner.invoke(

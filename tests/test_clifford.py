@@ -395,32 +395,28 @@ def both_signs(traces):
     return {re > 0 for t in traces for _, re, _ in t.nums} == {False, True}
 
 
-def bivector_masks(n, offset):
-    """The c-bivector blades (offset 0) or chat-bivector blades (offset n)."""
-    return [(1 << i | 1 << j) << offset for i in range(n) for j in range(i + 1, n)]
-
-
 class TestPrefixMemo:
     """Three-factor chains that share their first two factors, in both
     orders and against last factors of the same, disjoint and
     overlapping blade supports, each trace to the materialised product,
-    whichever last factor comes first."""
+    whichever last factor comes first.  Every factor is drawn from one
+    XOR-closed span, so each product's blade is in it and no last factor
+    traces to zero against every prefix."""
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_shared_prefix_traces_match_products(self, n):
         rng = random.Random(5000 + n)
-        low = [m for m in range(1 << (2 * n)) if m.bit_count() <= 2]
-        a, b, b2 = (rational_op(n, rng, rng.sample(low, min(8, len(low)))) for _ in range(3))
-        cbiv, hbiv = bivector_masks(n, 0), bivector_masks(n, n)
+        span = xor_span(n, rng, 16)
+        a, b, b2 = (rational_op(n, rng, rng.sample(span, 8)) for _ in range(3))
         lasts = [
-            rational_op(n, rng, cbiv),
-            rational_op(n, rng, cbiv),  # the same support again: nothing to fill
-            rational_op(n, rng, hbiv),  # disjoint from the first
-            rational_op(n, rng, cbiv[: len(cbiv) // 2 + 1] + hbiv[-1:] + [0]),  # overlapping
-            rational_op(n, rng, [c | h for c in cbiv for h in hbiv]),  # 225 blades at n = 6
+            rational_op(n, rng, span[:8]),
+            rational_op(n, rng, span[:8]),  # the same support again: nothing to fill
+            rational_op(n, rng, span[8:]),  # disjoint from the first
+            rational_op(n, rng, span[4:12] + [0]),  # overlapping
+            rational_op(n, rng, span),
             identity(n),
         ]
-        assert len(lasts[4].blades) == len(cbiv) ** 2
+        assert len(lasts[4].blades) == len(span) == 16
         # (a, b) and (a, b2) share a first factor, (b, a) is the prefix reversed
         prefixes = ((a, b), (a, b2), (b, a))
         for order in (lasts, lasts[::-1]):
@@ -487,33 +483,43 @@ class TestPackedTraces:
 
     @staticmethod
     def spied(monkeypatch):
-        """Spy on every pack and every trace_sums batch; return a
-        function that runs a callable and checks that it made one batch,
-        which packed every distinct operator of its uncancelled chains
-        exactly once, and nothing else, all at one width."""
-        packs, batches = [], []
+        """Spy on every pack, every norm and every trace_sums batch; return
+        a function that runs a callable and checks that it made one
+        batch, which normed and packed every distinct non-constant
+        operator of its uncancelled chains exactly once, all at one
+        width, and no constant one (CliffordOp.constant), and holds at
+        least min_constant constant operators."""
+        packs, norms, batches = [], [], []
 
         def spy(blades, width):
             packs.append((blades, width))  # holds blades, so its id stays unique
             return kron_parts(blades, width)
 
+        def norm_spy(blades):
+            norms.append(blades)
+            return kron_norm(blades)
+
         def batch_spy(sums, n):
             batches.append(sums)
             return real_trace(sums, n)
 
-        def packings(run):
-            packs.clear()
-            batches.clear()
+        def packings(run, min_constant=0):
+            for seen in (packs, norms, batches):
+                seen.clear()
             got = run()
             (batch,) = batches
+            distinct = {id(op.blades): op for _, chains in batch.values() for ops, w in chains.values() if w for op in ops}
+            varying = {k for k, op in distinct.items() if not op.constant}
             packed = [id(blades) for blades, _ in packs]
-            distinct = {id(op.blades) for _, chains in batch.values() for ops, w in chains.values() if w for op in ops}
-            assert len(packed) == len(distinct) and set(packed) == distinct
+            assert len(packed) == len(varying) and set(packed) == varying
+            assert sorted(map(id, norms)) == sorted(varying)
             assert len({width for _, width in packs}) == 1
+            assert len(distinct) - len(varying) >= min_constant
             return got
 
-        kron_parts, real_trace = clifford._kron_parts, clifford.trace_sums
+        kron_parts, kron_norm, real_trace = clifford._kron_parts, clifford._kron_norm, clifford.trace_sums
         monkeypatch.setattr(clifford, "_kron_parts", spy)
+        monkeypatch.setattr(clifford, "_kron_norm", norm_spy)
         for module in (clifford, oracles, wres.residue):
             monkeypatch.setattr(module, "trace_sums", batch_spy)
         return packings
@@ -533,12 +539,14 @@ class TestPackedTraces:
         assert widest > 3 * 300
 
     def test_each_view_is_packed_once_per_width(self, monkeypatch):
-        # an Analysis traces in one batch, so each operator is packed
-        # exactly once, at the batch's one width, and no identity pads a
-        # shorter chain
+        # an Analysis traces in one batch, so each non-constant operator
+        # (the ctilde pairs) is normed and packed exactly once, at the
+        # batch's one width, and no identity pads a shorter chain; the
+        # record's cc, hh and f are constants, read without a pack or a
+        # norm walk
         packings = self.spied(monkeypatch)
         for n in (4, 6):
-            assert packings(lambda: Analysis(Dimension(n), *derive_inputs(n, 1))).all_match()
+            assert packings(lambda: Analysis(Dimension(n), *derive_inputs(n, 1)), min_constant=3).all_match()
         for n in (2, 4, 6):
             chains = self.mixed_chains(n)
             assert len(packings(lambda: trace_each(dict(enumerate(chains)), n))) == len(chains)
@@ -637,6 +645,45 @@ class TestPackedTraces:
         # add to a sum of traces with weights below 2^20
         total = got["first"].scale(7) + got["second"].scale(15)
         assert total and max(abs(re) for _, re, _ in total.nums) < big
+
+
+class TestConstantOperators:
+    """An operator marked constant (from_numerators, the record's hh) is
+    read from its numerators by trace_sums, with no pack: it traces
+    exactly as the same operator rebuilt by the algebra, which is
+    unmarked and packed."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_a_marked_operator_traces_as_its_rebuild(self, n):
+        rng = random.Random(2700 + n)
+        span = xor_span(n, rng, 16)
+
+        def constant(bits):
+            nums = {m: rng.choice((-1, 1)) * rng.randint(1, 1 << bits) for m in rng.sample(span, 10)}
+            return CliffordOp.from_numerators(n, rng.randint(1, 9), nums)
+
+        rec = curvature_ops(random_riemann(n, n), ProductCache())
+        (cc, hh), *_ = rec.bivectors.values()
+        marked = [constant(3), constant(3), constant(200), cc, hh, rec.f]
+        rebuilt = [op.scale(1) for op in marked]
+        assert all(op.constant and not again.constant and again == op for op, again in zip(marked, rebuilt))
+        varying = mixed_op(n, rng, rng.sample(span, 5), 2)
+        picks = [(), (0,), (2, 1), (1, 6), (6, 0), (0, 1, 2), (0, 6, 1), (6, 1, 0), (3, 4, 5), (4, 3, 5), (3, 6, 4)]
+        chains = {i: [(marked + [varying])[k] for k in ks] for i, ks in enumerate(picks)}
+        twins = {i: [(rebuilt + [varying])[k] for k in ks] for i, ks in enumerate(picks)}
+        got, want = trace_each(chains, n), trace_each(twins, n)
+        assert got == want
+        # the materialised products, but for n = 8, where f has 784 blades
+        assert n == 8 or all(got[i] == chain_oracle(ops, n) for i, ops in chains.items())
+        assert sum(map(bool, got.values())) > len(got) // 2
+
+    def test_an_imaginary_numerator_is_still_refused(self):
+        n = 4
+        a = CliffordOp.from_numerators(n, 3, {0: 1, 5: -2})
+        ia = a.scale(GaussianRational(0, 1))
+        assert a.constant and not ia.constant
+        with pytest.raises(ValueError, match="must be real"):
+            trace_each({0: (a,), 1: (a, ia)}, n)
 
 
 class TestSignRule:

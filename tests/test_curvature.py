@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -258,6 +259,31 @@ class TestRandomTensors:
         # cyclic sum, one Fraction dict per pass; n = 10 and 12 at one seed
         for seed in range(5 if n <= 8 else 1):
             assert random_riemann(n, seed).entries == three_pass_riemann(n, seed)
+
+    def test_the_draw_builds_no_fraction(self, monkeypatch):
+        # random_riemann keeps the projected integers over 288, reduced by
+        # one gcd: no Fraction is built from draw to tensor, and den is
+        # the lcm of the Fraction view's denominators
+        made = []
+        real = Fraction.__new__
+
+        def spy(cls, *args, **kwargs):
+            made.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", spy)
+        assert Fraction(1, 2) and made  # the spy sees a construction
+        for seed in range(3):
+            made.clear()
+            t = random_riemann(6, seed)
+            assert t.nums and not made
+        entries = t.entries
+        assert len(made) == len(entries) == len(t.nums)
+        # sparser draws reduce: dens 4, 16, 24 and 8 at n = 2, 96 at n = 4
+        for t in [t] + [random_riemann(n, seed) for n in (2, 4) for seed in range(4)]:
+            entries = t.entries
+            assert t.den == math.lcm(*(r.denominator for r in entries.values()))
+            assert all(type(v) is int and v and Fraction(v, t.den) == entries[q] for q, v in t.nums.items())
 
     def test_random_vector_determinism_and_nonzero(self):
         for seed in range(6):

@@ -16,6 +16,7 @@ two planted errors that the sampled checks alone need not see: an
 R-quadratic operator in the first-order factor, and u read for v.
 """
 
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
@@ -90,6 +91,24 @@ def sweep(n: int):
     return None
 
 
+def sweep_seconds(n: int, step: int, repeats: int) -> float:
+    """The best of repeats process times, per analysis, of the sweep over
+    every step-th spanning tensor and every ordered basis pair: a fixed
+    slice timed in-process, steadier than one whole sweep's time."""
+    dim = Dimension(n)
+    frame = [basis(n, a) for a in range(1, n + 1)]
+    tensors = spanning_set(n)[::step]
+    best = None
+    for _ in range(repeats):
+        start = time.process_time()
+        for R in tensors:
+            for u, v in product(frame, repeat=2):
+                Analysis(dim, R, u, v).all_match()
+        took = time.process_time() - start
+        best = took if best is None else min(best, took)
+    return best / (len(tensors) * n * n)
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_spanning_set_has_full_rank(n):
     tensors = spanning_set(n)
@@ -102,6 +121,10 @@ def test_spanning_set_has_full_rank(n):
 @pytest.mark.parametrize("n", [2, 4])
 def test_every_identity_holds_on_the_spanning_set(n):
     assert sweep(n) is None
+
+
+def test_sweep_seconds_times_a_slice():
+    assert 0 < sweep_seconds(2, 1, 2) < 1
 
 
 def test_rank_counts_independent_rows():

@@ -31,6 +31,7 @@ ALLOWED = {
     "CliffordOp.scale": "bench/test_bench.py scales a merged coefficient",
     "Analysis.all_match": "library API",
     "RiemannTensor.to_json": "library API, the inverse of from_json",
+    "RiemannTensor.entries": "library API, the Fraction view that tests and bench/oracle.py read",
 }
 
 U = "1/2,-3,2/7,1"

@@ -121,6 +121,21 @@ class TestDerivatives:
         t = SymbolTerm(mono(n), mono(n, 2), 0, 1, 1)
         assert d_xi(t, 1) == []
 
+    def test_derived_differentiates_only_terms_that_vary(self, monkeypatch):
+        # SymbolExpansion.derived skips a term free of xi_j with no norm
+        # factor, whose d_xi_j is zero: no d_xi call of a dense dim-6
+        # Analysis returns nothing
+        calls = []
+
+        def spy(t, j):
+            calls.append(real(t, j))
+            return calls[-1]
+
+        real = wres.symbols.d_xi
+        monkeypatch.setattr(wres.symbols, "d_xi", spy)
+        assert Analysis(Dimension(6), *derive_inputs(6, 1)).all_match()
+        assert calls and all(calls)
+
     def test_order_is_xi_degree_plus_norm_power(self):
         exp = SymbolExpansion(4)
         exp.add(SymbolTerm(mono(4), mono(4, 1, 2), -6, 1, 1))
@@ -593,10 +608,10 @@ class TestCurvatureTable:
 
     def test_one_record_per_analysis(self, monkeypatch):
         # B1, B2 and the first-order factors all read one record: R's
-        # entries are looked up once per independent quad by its pass,
-        # walked once by the closed forms' contract, and read by nothing
-        # else
-        class CountingEntries(dict):
+        # integer numerators are looked up once per independent quad by
+        # its pass, walked once by the closed forms' contract, and read
+        # by nothing else
+        class CountingNums(dict):
             passes = 0
             lookups: list = []
 
@@ -620,12 +635,12 @@ class TestCurvatureTable:
 
         monkeypatch.setattr(ProductCache, "named", spy)
         R, u, v = derive_inputs(6, 1)
-        R.entries = CountingEntries(R.entries)
+        R.nums = CountingNums(R.nums)
         assert Analysis(Dimension(6), R, u, v).all_match()
         assert builds == ["curvature_ops"]
-        assert R.entries.passes == 1
-        assert len(R.entries.lookups) == len(set(R.entries.lookups)) == comb(6, 2) ** 2
-        assert all(i < j and k < l for i, j, k, l in R.entries.lookups)
+        assert R.nums.passes == 1
+        assert len(R.nums.lookups) == len(set(R.nums.lookups)) == comb(6, 2) ** 2
+        assert all(i < j and k < l for i, j, k, l in R.nums.lookups)
 
     def test_one_record_for_the_symbol_families(self, monkeypatch):
         # criterion 4 builds the connection, the concrete family and the
