@@ -17,15 +17,22 @@ sign times the metric sign, everywhere the parity of b & _sign_mask(n,
 a).  Every blade but the scalar one is traceless, so tr X = 2^n *
 (scalar part of X), and a trace of a chain builds no product: tr(a b c)
 sums a b c over the blade triples whose masks XOR to zero, signed by
-s(mb, mc) sq(ma), with sq folded into a's packed values.  trace_sums,
+sq(ma) s(mb, mc).  Which triples meet depends on which blades the
+factors may hold, not on their values: each traced operator has a
+shape, a sorted tuple of masks containing its blades (its builder's, or
+its own blades), and a plan, the signed index triples of a shape
+triple, is found once and memoised.  A builder's shape depends on n and
+on at most n + 1 support classes of a vector (one frame direction, or
+all), so an Analysis at n reads a bounded set of plans.  trace_sums,
 the one trace, takes a batch of weighted sums of chains.  Traced
 operators are real (a0 d + b0 delta acts on real forms, and a symbol
 weight's i follows from its term's order), so a batch substitutes a0 =
 2^K, b0 = 1 within each total degree (Kronecker packing), packs each
 operator once (a constant one, marked at construction, is its own
-numerators at every K), weights each chain's integer trace and reads
-each sum's digits back once.  Operators keep the integer terms, since
-the gcd of a packed integer is not the gcd of its digits.  The
+numerators at every K), traces each chain through its plan, weights
+its integer trace and reads each sum's digits back once.  Operators
+keep the integer terms, since the gcd of a packed integer is not the
+gcd of its digits.  The
 nonminimal operator enters only through pairs ctilde(w) ctilde(x)
 (tildec_pair, or tildec_row for the frame partners e_f), each written
 from g(w, x) and w ^ x.
@@ -40,8 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import combinations, islice, repeat
 from math import gcd, lcm
-from operator import xor
+from operator import mul, xor
 
 from .scalars import (
     ScalarPoly, _canonical, _frac, _imac_each, _ints, _kron_norm, _kron_parts, _kron_slots,
@@ -135,6 +143,47 @@ def _blade_action(n: int, mask: int) -> tuple:
     return x, tuple(signs)
 
 
+# ---------------------------------------------------------------------------
+# shapes and trace plans
+# ---------------------------------------------------------------------------
+
+_PLANS: dict = {}
+_PLAN_CAP = 1 << 14
+_UNIT = (0,)
+
+
+@lru_cache(maxsize=None)
+def _pair_shape(n: int, sw: int, sx: int) -> tuple:
+    """The shape of ctilde(w) ctilde(x) for every w, x whose supports lie
+    in sw, sx (bit j for component j+1, _support): blade 0 where sw and
+    sx meet, and the four blades of each j < k where sw holds j and sx
+    k, or sw k and sx j (_pair_op)."""
+    masks = [0] if sw & sx else []
+    for j, k in combinations(range(n), 2):
+        if (sw >> j & sx >> k | sw >> k & sx >> j) & 1:
+            masks += [1 << j | 1 << k, 1 << n + j | 1 << n + k, 1 << j | 1 << n + k, 1 << k | 1 << n + j]
+    return tuple(sorted(masks))
+
+
+def _plan(n: int, sa: tuple, sb: tuple, sc: tuple) -> tuple:
+    """(p, ia, ib, ic): index tuples into the shapes sa, sb, sc, one entry
+    per blade triple with ma ^ mb ^ mc = 0, the p triples of sign +1
+    first and then those of sign -1.  The sign is sq(ma) s(mb, mc):
+    blade(mb) blade(mc) = s(mb, mc) blade(ma) and blade(ma)^2 = sq(ma),
+    both by _blade_sign.  A plain loop over sa and sb, looking mc up in
+    sc."""
+    where = {m: i for i, m in enumerate(sc)}
+    signed = {1: [], -1: []}
+    for ia, ma in enumerate(sa):
+        sq = _blade_sign(n, ma, ma)
+        for ib, mb in enumerate(sb):
+            ic = where.get(ma ^ mb)
+            if ic is not None:
+                signed[sq * _blade_sign(n, mb, sc[ic])].append((ia, ib, ic))
+    triples = signed[1] + signed[-1]
+    return (len(signed[1]), *(zip(*triples) if triples else ((), (), ())))
+
+
 class CliffordOp:
     """Element of Cl(n,n) acting on Lambda R^n.
 
@@ -150,27 +199,33 @@ class CliffordOp:
     (0, numerator, 0): set by from_numerators and on the record's hh
     (symbols.curvature_ops), False for every other build.  trace_sums
     reads such an operator's numerators as its packed values, at every
-    width, instead of packing its terms; the flag takes no part in ==.
+    width, instead of packing its terms.  shape is the sorted tuple of
+    blade masks that the builder hands out, containing the blades:
+    tildec_pair's and tildec_row's follow their vectors' support classes
+    (_support), the curvature record's are dense; None for every other
+    build, which trace_sums reads as the operator's own blades.  Neither
+    takes part in ==.
     """
 
-    __slots__ = ("n", "den", "blades", "constant")
+    __slots__ = ("n", "den", "blades", "constant", "shape")
 
     @classmethod
-    def _make(cls, n: int, den: int, blades: dict, constant: bool = False) -> "CliffordOp":
+    def _make(cls, n: int, den: int, blades: dict, constant: bool = False, shape: tuple = None) -> "CliffordOp":
         op = cls.__new__(cls)
-        op.n, op.den, op.blades, op.constant = n, den, blades, constant
+        op.n, op.den, op.blades, op.constant, op.shape = n, den, blades, constant, shape
         return op
 
     @classmethod
-    def from_numerators(cls, n: int, den: int, numerators: dict) -> "CliffordOp":
+    def from_numerators(cls, n: int, den: int, numerators: dict, shape: tuple = None) -> "CliffordOp":
         """Operator with the real constant coefficient numerators[mask] / den
-        on each blade mask; den is a positive integer.  Degree-0 real
+        on each blade mask; den is a positive integer, and shape, if
+        given, a sorted tuple of masks containing every mask.  Degree-0 real
         terms need no _canonical pass: one gcd reduces them, and the
         operator is marked constant, so trace_sums reads these integers
         back without packing them."""
         g = gcd(den, *numerators.values())
         blades = {mask: ((0, num // g, 0),) for mask, num in numerators.items() if num}
-        return cls._make(n, den // g, blades, True)
+        return cls._make(n, den // g, blades, True, shape)
 
     # ---- algebra ----
 
@@ -249,7 +304,9 @@ def tildec_pair(w: FrameVector, x: FrameVector) -> CliffordOp:
     product plus their wedge): with om_jk = w_j x_k - w_k x_j, -a0 b0 g(w, x)
     + sum_{j<k} om_jk ((a0+b0)^2 c_j c_k + (a0-b0)^2 chat_j chat_k) / 4 +
     (a0^2 - b0^2) sum_{j != k} om_jk c_j chat_k / 4.  One pass: numerators over
-    4 lcm(w's denominators) lcm(x's denominators), one gcd, terms built sorted."""
+    4 lcm(w's denominators) lcm(x's denominators), one gcd, terms built
+    sorted; its shape follows the support classes of w and x
+    (_pair_shape of _support)."""
     n = w.n
     if x.n != n:
         raise ValueError("dimension mismatch")
@@ -257,23 +314,35 @@ def tildec_pair(w: FrameVector, x: FrameVector) -> CliffordOp:
     W = [c.numerator * (lw // c.denominator) for c in w.components]
     X = [c.numerator * (lx // c.denominator) for c in x.components]
     om = [(j, k, W[j] * X[k] - W[k] * X[j]) for j in range(n) for k in range(j + 1, n)]
-    return _pair_op(n, 4 * lw * lx, 4 * sum(a * b for a, b in zip(W, X)), om)
+    shape = _pair_shape(n, _support(W), _support(X))
+    return _pair_op(n, 4 * lw * lx, 4 * sum(a * b for a, b in zip(W, X)), om, shape)
 
 
 def tildec_row(w: FrameVector) -> list:
     """[ctilde(w) ctilde(e_f) for f = 1..n], each equal to tildec_pair(w,
     e_f), reading w's numerators and lcm once: against e_f, g(w, e_f) =
     w_f, and the only nonzero om are om_jf = w_j (j < f) and om_fk = -w_k
-    (k > f)."""
+    (k > f).  Row f's shape is tildec_pair's, of w's support class and
+    e_f's."""
     n, lw = w.n, lcm(*(c.denominator for c in w.components))
     W = [c.numerator * (lw // c.denominator) for c in w.components]
+    sw = _support(W)
     om = [[(j, f, W[j]) for j in range(f)] + [(f, k, -W[k]) for k in range(f + 1, n)] for f in range(n)]
-    return [_pair_op(n, 4 * lw, 4 * W[f], om[f]) for f in range(n)]
+    return [_pair_op(n, 4 * lw, 4 * W[f], om[f], _pair_shape(n, sw, 1 << f)) for f in range(n)]
 
 
-def _pair_op(n: int, den: int, scalar: int, om: list) -> CliffordOp:
+def _support(W: list) -> int:
+    """The support class a pair shape is built for: bit j alone when W[j]
+    is W's one nonzero entry (a multiple of a frame vector, as the proof
+    sweep's are), else all n bits.  So a vector takes one of n + 1
+    classes, and a dimension's shapes, and its plans, are bounded."""
+    nonzero = [j for j, x in enumerate(W) if x]
+    return 1 << nonzero[0] if len(nonzero) == 1 else (1 << len(W)) - 1
+
+
+def _pair_op(n: int, den: int, scalar: int, om: list, shape: tuple) -> CliffordOp:
     """The op of tildec_pair from its numerators over den: 4 g(w, x) and
-    the (j, k, om_jk) of j < k."""
+    the (j, k, om_jk) of j < k, of the given shape."""
     g = gcd(den, scalar, *(o for _, _, o in om))
     aa, ab, bb = _pack(2, 0), _pack(1, 1), _pack(0, 2)
     blades = {0: ((ab, -scalar // g, 0),)} if scalar else {}
@@ -284,7 +353,7 @@ def _pair_op(n: int, den: int, scalar: int, om: list) -> CliffordOp:
             blades[1 << n + j | 1 << n + k] = ((bb, o, 0), (ab, -2 * o, 0), (aa, o, 0))
             blades[1 << j | 1 << n + k] = ((bb, -o, 0), (aa, o, 0))
             blades[1 << k | 1 << n + j] = ((bb, o, 0), (aa, -o, 0))
-    return CliffordOp._make(n, den // g, blades)
+    return CliffordOp._make(n, den // g, blades, False, shape)
 
 
 def trace_sums(sums: dict, n: int) -> dict:
@@ -295,16 +364,25 @@ def trace_sums(sums: dict, n: int) -> dict:
     once however many keys share it.
 
     tr(a b c) is 2^n times the sum of a b c over the blade triples with
-    ma ^ mb ^ mc = 0, each signed by s(mb, mc) sq(ma), as blade(mb)
-    blade(mc) = s(mb, mc) blade(ma): sq(ma) = _blade_sign(n, ma, ma) is
-    folded into a's packed values, and the parity of mc & _sign_mask(n,
-    mb) is read from the mask stored with b's blade.  Per blade of a the
-    signed b c products are summed, then multiplied by a once.  a's and
-    b's blades are bucketed by the half of c's masks (c or chat bits)
-    with fewer distinct values, and a bucket of a reads the buckets of b
-    that c's half values select (b's one bucket, uncopied, for one
-    value).  A shorter chain is a signed dot product, with no identity
-    pad; the first of two factors carries the fold (sq(0) = 1).
+    ma ^ mb ^ mc = 0, each signed by sq(ma) s(mb, mc), as blade(mb)
+    blade(mc) = s(mb, mc) blade(ma).  Which triples meet is read from a
+    plan (_plan): the signed index triples into the factors' shapes,
+    memoised in _PLANS by (n, shape of a, of b, of c); no key is the
+    id() of an object that can be freed.  A shape is handed out by the
+    operator's builder, or is the operator's own blades.  A builder's
+    shape is fixed by n and its vectors' support classes (_support), so
+    the plans an Analysis reads are bounded per dimension (1,686 over
+    every class pair at n = 6, 4,650 at n = 8) and fresh inputs reuse
+    them; a vector with some zero components pays for the zeros its
+    shape holds.  Operators built otherwise (by a direct caller) add
+    plans by their blade sets, so the memo is emptied when it reaches
+    _PLAN_CAP plans.  Each operator's packed part of each degree is read
+    once into a list in its shape's order (0 where it has no blade), and
+    a chain's trace is, per degree triple, the sum of A[ia] B[ib] C[ic]
+    over the plan's positive triples minus that over its negative ones,
+    in one pass; a chain whose plan is empty traces to zero without
+    reading a value.  A shorter chain is padded in front by the unit, of
+    shape (0,) and value 1, and takes the same path.
 
     Each operator's den, blade count and largest blade L1 norm L are read
     once, and it is packed once (scalars._kron_parts; an imaginary
@@ -341,55 +419,29 @@ def trace_sums(sums: dict, n: int) -> dict:
         L = lcm(*(cden[ck] for ck, (_, w) in chains.items() if w))
         keyed[key] = L, [(ck, ops, w * (L // cden[ck])) for ck, (ops, w) in chains.items() if w]
         width = max(width, 2 + sum(abs(f) * bound[ck] for ck, _, f in keyed[key][1]).bit_length())
-    parts = {k: {0: consts[k]} if k in consts else _kron_parts(op.blades, width) for k, op in distinct.items()}
-    folded = {
-        k: {d: {m: -v if _blade_sign(n, m, m) < 0 else v for m, v in part.items()} for d, part in parts[k].items()}
-        for k in {id(ops[0]) for ops in live.values() if len(ops) > 1}
-    }
-    low, unit, buckets, halves, traced = (1 << n) - 1, {0: {0: 1}}, {}, {}, {}
-
-    def bucketed(k, d, shift, middle) -> dict:
-        """{half value: [(mask, packed)]} of the first factor's folded[k][d],
-        or with each mask's _sign_mask for the middle factor's parts[k][d],
-        memoised."""
-        out = buckets.get((k, d, shift, middle))
-        if out is None:
-            out = buckets[k, d, shift, middle] = {}
-            for m, v in (parts if middle else folded)[k][d].items():
-                out.setdefault(m >> shift & low, []).append((m, v, _sign_mask(n, m)) if middle else (m, v))
-        return out
+    views = {}
+    for k, op in distinct.items():
+        shape = op.shape or tuple(sorted(op.blades))
+        parts = {0: consts[k]} if k in consts else _kron_parts(op.blades, width)
+        views[k] = shape, [(d, list(map(part.get, shape, repeat(0)))) for d, part in parts.items()]
+    unit, traced = (_UNIT, [(0, [1])]), {}
 
     def trace(ops) -> dict:
+        (sa, va), (sb, vb), (sc, vc) = [unit] * (3 - len(ops)) + [views[id(op)] for op in ops]
+        plan = _PLANS.get((n, sa, sb, sc))
+        if plan is None:
+            if len(_PLANS) >= _PLAN_CAP:
+                _PLANS.clear()
+            plan = _PLANS[n, sa, sb, sc] = _plan(n, sa, sb, sc)
+        count, ia, ib, ic = plan
         acc = {}
-        if len(ops) < 3:
-            for da, apart in (folded[id(ops[0])] if len(ops) == 2 else unit).items():
-                for db, bpart in (parts[id(ops[-1])] if ops else unit).items():
-                    small, big = sorted((apart, bpart), key=len)
-                    acc[da + db] = acc.get(da + db, 0) + sum(v * big[m] for m, v in small.items() if m in big)
+        if not ia:
             return acc
-        a, b, c = map(id, ops)
-        for dc, cpart in parts[c].items():
-            if (c, dc) not in halves:
-                lo, hi = {m & low for m in cpart}, {m >> n for m in cpart}
-                halves[c, dc] = (0, lo) if len(lo) <= len(hi) else (n, hi)
-            shift, values = halves[c, dc]
-            only = next(iter(values)) if len(values) == 1 else None
-            for db in parts[b]:
-                bucket = bucketed(b, db, shift, True)
-                for da in folded[a]:
-                    total = 0
-                    for ka, members in bucketed(a, da, shift, False).items():
-                        hits = ([e for h in values for e in bucket.get(ka ^ h, ())] if only is None
-                                else bucket.get(ka ^ only, ()))
-                        for ma, ar in members if hits else ():
-                            s = 0
-                            for mb, br, mu in hits:
-                                mc = ma ^ mb
-                                cr = cpart.get(mc)
-                                if cr is not None:
-                                    s += -br * cr if (mc & mu).bit_count() & 1 else br * cr
-                            total += ar * s
-                    acc[da + db + dc] = acc.get(da + db + dc, 0) + total
+        for da, A in va:
+            for db, B in vb:
+                for dc, C in vc:
+                    terms = map(mul, map(mul, map(A.__getitem__, ia), map(B.__getitem__, ib)), map(C.__getitem__, ic))
+                    acc[da + db + dc] = acc.get(da + db + dc, 0) + sum(islice(terms, count)) - sum(terms)
         return acc
 
     out = {}

@@ -208,9 +208,10 @@ class CurvatureRecord(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _record_slots(n: int) -> tuple:
-    """(keys, groups) for curvature_ops on R^n (memoised per dimension).
-    keys lists the rxx keys (x monomial, xi monomial).  groups holds, per
-    pair (i, j) with i < j, one row per quad (i, j, k, l) with k < l:
+    """(keys, groups, shapes) for curvature_ops on R^n (memoised per
+    dimension).  keys lists the rxx keys (x monomial, xi monomial).
+    groups holds, per pair (i, j) with i < j, one row per quad (i, j, k,
+    l) with k < l:
     (quad, the c mask of {k, l}, f's blade, the (slot, sign) pairs the
     entry is summed into).  The images are the entry r = R_{ijkl} itself
     and its three sign images, of sign +1, +1, -1, -1, each read where an
@@ -218,7 +219,9 @@ def _record_slots(n: int) -> tuple:
     on the rxx key (x_b x_d, xi_a^2) when a = c, slot n^2 plus its index
     in keys.  An image with a != c has no rxx slot: no block pairs an
     x-quadratic term odd in xi (_curvature_family).  The build sums into
-    one list by these slots, so no tuple key is hashed per entry."""
+    one list by these slots, so no tuple key is hashed per entry.
+    shapes holds the dense shapes of the record's cc, hh and f: every c
+    mask of {k, l}, the same on the chat bits, and every f blade."""
     index: dict = {}
     groups = []
     for i, j in combinations(range(1, n + 1), 2):
@@ -233,7 +236,9 @@ def _record_slots(n: int) -> tuple:
             )
             rows.append(((i, j, k, l), kl, kl | ij << n, slots))
         groups.append(((i, j), tuple(rows)))
-    return tuple(index), tuple(groups)
+    kls = sorted(1 << k | 1 << l for k, l in combinations(range(n), 2))
+    fs = sorted(kl | ij << n for ij in kls for kl in kls)
+    return tuple(index), tuple(groups), (tuple(kls), tuple(kl << n for kl in kls), tuple(fs))
 
 
 def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
@@ -255,7 +260,9 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
     the scalar curvature.  Every numerator is R's own integer numerator
     (R.nums) or a sum of them, over den = R.den, with no rescale.  cc and
     f come from from_numerators and hh is marked constant with them, so
-    trace_sums reads all three without packing.
+    trace_sums reads all three without packing; they take the dense
+    shapes of n (_record_slots), whatever R's support, so their trace
+    plans are shared by every tensor of that dimension.
 
     Only the entries r = R_{ijkl} with i < j and k < l are read, one per
     independent component up to sign: the two pair antisymmetries give
@@ -273,7 +280,7 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
 
     def build() -> CurvatureRecord:
         n = R.n
-        keys, groups = _record_slots(n)
+        keys, groups, (cc_shape, hh_shape, f_shape) = _record_slots(n)
         get, den = R.nums.get, R.den
         sums = [0] * (n * n + len(keys))
         op = CliffordOp.from_numerators
@@ -287,11 +294,12 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
                     pair[kl] = 2 * num
                     f[fmask] = 4 * num
             if pair:
-                cc = op(n, den, pair)
-                bivectors[ab] = cc, CliffordOp._make(n, cc.den, {m << n: t for m, t in cc.blades.items()}, True)
+                cc = op(n, den, pair, cc_shape)
+                hh = {m << n: t for m, t in cc.blades.items()}
+                bivectors[ab] = cc, CliffordOp._make(n, cc.den, hh, True, hh_shape)
         return CurvatureRecord(
             bivectors,
-            op(n, den, f),
+            op(n, den, f, f_shape),
             {k: v for k, v in zip(keys, sums[n * n :]) if v},
             den,
             {(x // n + 1, x % n + 1): v for x, v in enumerate(sums[: n * n]) if v},

@@ -1,5 +1,6 @@
 """Matrix realizations of the three Clifford actions and their relations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 import oracles
 import wres.residue
-from wres import clifford
+from wres import clifford, curvature
 from wres.clifford import (
     CliffordOp, Dimension, FrameVector, ProductCache, _blade_sign, _sign_mask, inner, tildec_pair, tildec_row,
 )
@@ -552,50 +553,47 @@ class TestPackedTraces:
             assert len(packings(lambda: trace_each(dict(enumerate(chains)), n))) == len(chains)
 
     def test_signs_are_looked_up_for_first_and_middle_factors(self, monkeypatch):
-        # the square sign is folded into the chains' first factors and sign
-        # masks are stored only with the middle factors of three-factor
-        # chains: every square-sign lookup is for a first factor's blade,
-        # every mask lookup for a middle factor's, both in a dense dim-6
-        # Analysis and on chains whose first and middle factors share no
-        # blade
-        squares, masks, batches = [], [], []
-        sign_mask, real_trace = clifford._sign_mask, clifford.trace_sums
+        # every plan that dense and sparse Analyses at n = 2, 4, 6 and the
+        # mixed chains at n = 8 build lists exactly the blade triples of
+        # its shapes whose masks XOR to zero, each signed sq(ma) s(mb, mc)
+        # by the swap-by-swap count, and its builder looks up only those
+        # signs: the first factor's squares and the middle factor's
+        # products with the last
+        plans, lookups, calls = {}, {}, []
+        build, blade_sign = clifford._plan, clifford._blade_sign
 
         def sign_spy(n, a, b):
-            if a == b:
-                squares.append(a)
-            return oracles.blade_sign(n, a, b)  # looks up no mask of its own
+            calls.append((a, b))
+            return blade_sign(n, a, b)
 
-        def mask_spy(n, a):
-            masks.append(a)
-            return sign_mask(n, a)
+        def plan_spy(n, sa, sb, sc):
+            calls.clear()
+            plan = plans[n, sa, sb, sc] = build(n, sa, sb, sc)
+            lookups[n, sa, sb, sc] = set(calls)
+            return plan
 
-        def batch_spy(sums, n):
-            batches.append(sums)
-            return real_trace(sums, n)
-
-        rng = random.Random(2500)
-        span = xor_span(4, rng, 16)
-        a, b, c = (mixed_op(4, rng, support, 2) for support in (span[:8], span[8:], span))
-        disjoint = {0: (a, b, c), 1: (a, c)}
-        want = {key: chain_oracle(ops, 4) for key, ops in disjoint.items()}  # products look up signs too
-        runs = [
-            lambda: Analysis(Dimension(6), *derive_inputs(6, 1)).all_match(),
-            lambda: trace_each(disjoint, 4) == want and all(want.values()),
-        ]
+        monkeypatch.setattr(clifford, "_PLANS", {})
+        monkeypatch.setattr(clifford, "_plan", plan_spy)
         monkeypatch.setattr(clifford, "_blade_sign", sign_spy)
-        monkeypatch.setattr(clifford, "_sign_mask", mask_spy)
-        for module in (clifford, oracles, wres.residue):
-            monkeypatch.setattr(module, "trace_sums", batch_spy)
-        for run in runs:
-            for seen in (squares, masks, batches):
-                seen.clear()
-            assert run()
-            chains = [ops for sums in batches for _, group in sums.values() for ops, w in group.values() if w]
-            firsts = {m for ops in chains if len(ops) > 1 for m in ops[0].blades}
-            middles = {m for ops in chains if len(ops) == 3 for m in ops[1].blades}
-            assert squares and set(squares) <= firsts
-            assert masks and set(masks) <= middles
+        for n in (2, 4, 6):
+            assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
+            assert Analysis(Dimension(n), oracles.planar(n), basis(n, 1), basis(n, 2)).all_match()
+        chains = self.mixed_chains(8)
+        assert trace_each(dict(enumerate(chains)), 8) == {i: chain_oracle(ops, 8) for i, ops in enumerate(chains)}
+        assert {n for n, *_ in plans} == {2, 4, 6, 8} and plans == clifford._PLANS
+        negative = 0
+        for (n, sa, sb, sc), (count, *indices) in plans.items():
+            want = {1: set(), -1: set()}
+            for (ia, ma), (ib, mb), (ic, mc) in itertools.product(enumerate(sa), enumerate(sb), enumerate(sc)):
+                if not ma ^ mb ^ mc:
+                    want[oracles.blade_sign(n, ma, ma) * oracles.blade_sign(n, mb, mc)].add((ia, ib, ic))
+            assert len(indices) == 3 and len(set(map(len, indices))) == 1
+            triples = list(zip(*indices))
+            assert sorted(triples[:count]) == sorted(want[1]) and sorted(triples[count:]) == sorted(want[-1])
+            negative += bool(want[-1])
+            allowed = {(ma, ma) for ma in sa} | {(mb, mc) for mb in sb for mc in sc}
+            assert lookups[n, sa, sb, sc] <= allowed
+        assert negative > len(plans) // 4
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_non_homogeneous_chains(self, n):
@@ -686,6 +684,121 @@ class TestConstantOperators:
             trace_each({0: (a,), 1: (a, ia)}, n)
 
 
+class TestPlanMemo:
+    """Plans are memoised by dimension and shapes, and a builder's shape
+    is fixed by n and its vectors' support classes, so they are built
+    once per class: a second Analysis or sweep over the same classes
+    builds none and looks up no sign, fresh vectors with zero components
+    build none once every class pair has run, the memo never holds more
+    than _PLAN_CAP plans, every builder hands out shapes that contain its
+    blades, and an operator traces the same whichever builder's shape it
+    carries."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        """Count plan builds and sign lookups from an empty memo."""
+        counts = {"plans": 0, "signs": 0}
+        build, blade_sign = clifford._plan, clifford._blade_sign
+
+        def plan_spy(*args):
+            counts["plans"] += 1
+            return build(*args)
+
+        def sign_spy(*args):
+            counts["signs"] += 1
+            return blade_sign(*args)
+
+        monkeypatch.setattr(clifford, "_PLANS", {})
+        monkeypatch.setattr(clifford, "_plan", plan_spy)
+        monkeypatch.setattr(clifford, "_blade_sign", sign_spy)
+        return counts
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_a_second_analysis_builds_no_plan(self, n, monkeypatch):
+        counts = self.spied(monkeypatch)
+        assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
+        assert counts["plans"] and counts["signs"]
+        counts.update(plans=0, signs=0)
+        # the same inputs drawn again: new tensor, vectors and operators
+        assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
+        assert counts == {"plans": 0, "signs": 0}
+
+    def test_a_second_sweep_builds_no_plan(self, monkeypatch):
+        from test_proof import sweep
+
+        counts = self.spied(monkeypatch)
+        assert sweep(4) is None
+        built = counts["plans"]
+        assert built == len(clifford._PLANS) > 0
+        assert sweep(4) is None
+        assert counts["plans"] == built
+
+    def test_fresh_supports_build_no_plan(self, monkeypatch):
+        # one Analysis per pair of support classes (e_a, or a vector with
+        # no zero) holds every plan of n = 4: seeded tensors and vectors
+        # with zero components, sparse and flat tensors, build none
+        n = 4
+        classes = [basis(n, a) for a in range(1, n + 1)] + [rational_vector(n, (2, -1, Fraction(1, 3), 5))]
+        counts = self.spied(monkeypatch)
+        R = random_riemann(n, 4)
+        for u, v in itertools.product(classes, repeat=2):
+            assert Analysis(Dimension(n), R, u, v).all_match()
+        built = counts["plans"]
+        assert built == len(clifford._PLANS) > 0
+        sparse = [rational_vector(n, s) for s in ((1, 0, 2, 0), (0, -3, 0, 1), (0, 0, 1, 1), (4, 1, 0, 7))]
+        tensors = [random_riemann(n, 11), oracles.planar(n), curvature.flat(n)]
+        for R, u, v in itertools.product(tensors, sparse, sparse + classes[:1]):
+            assert Analysis(Dimension(n), R, u, v).all_match()
+        for seed in range(1, 13):
+            assert Analysis(Dimension(n), *derive_inputs(n, seed)).all_match()
+        assert counts["plans"] == built == len(clifford._PLANS)
+
+    def test_the_memo_is_emptied_at_its_cap(self, monkeypatch):
+        counts = self.spied(monkeypatch)
+        monkeypatch.setattr(clifford, "_PLAN_CAP", 5)
+        for seed in (1, 2):
+            assert Analysis(Dimension(4), *derive_inputs(4, seed)).all_match()
+            assert 0 < len(clifford._PLANS) <= 5
+        assert counts["plans"] > 10
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_builders_hand_out_shapes_that_contain_their_blades(self, n):
+        rng = random.Random(3100 + n)
+        vectors = [basis(n, 1), basis(n, n), rational_vector(n, range(1, n + 1))]
+        vectors += [rational_vector(n, [rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(n)]) for _ in range(4)]
+        ops = [op for w in vectors for op in tildec_row(w)]
+        ops += [tildec_pair(w, x) for w in vectors for x in vectors]
+        for R in (random_riemann(n, n), oracles.planar(n), curvature.flat(n)):
+            rec = curvature_ops(R, ProductCache())
+            ops += [rec.f, *(op for pair in rec.bivectors.values() for op in pair)]
+        for op in ops:
+            assert list(op.shape) == sorted(set(op.shape)) and set(op.blades) <= set(op.shape)
+        assert len(set(op.shape for op in ops)) > 4
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_equal_operators_trace_alike_whatever_their_shape(self, n):
+        # the record's cc and f of a sparse tensor (dense shapes), a pair of
+        # equal vectors (a scalar pair on a dense shape) and a row, each
+        # against its rebuild from its own blades, in every chain position
+        rec = curvature_ops(oracles.planar(n), ProductCache())
+        (cc, _), = rec.bivectors.values()
+        w = rational_vector(n, range(1, n + 1))
+        built = [cc, rec.f, tildec_pair(w, w), tildec_row(w)[0]]
+        rebuilt = [
+            CliffordOp.from_numerators(n, cc.den, {m: t[0][1] for m, t in cc.blades.items()}),
+            rec.f.scale(1), built[2].scale(1), built[3].scale(1),
+        ]
+        assert all(op == twin and twin.shape is None for op, twin in zip(built, rebuilt))
+        assert n == 2 or all(len(op.shape) > len(op.blades) for op in built[:3])
+        picks = [p for k in (1, 2, 3) for p in itertools.product(range(4), repeat=k)]
+        chains = {p: [built[i] for i in p] for p in picks}
+        twins = {p: [rebuilt[i] for i in p] for p in picks}
+        got = trace_each(chains, n)
+        assert got == trace_each(twins, n)
+        assert all(got[p] == chain_oracle(ops, n) for p, ops in chains.items() if len(p) < 3)
+        assert sum(map(bool, got.values())) > len(got) // 4
+
+
 class TestSignRule:
     """_sign_mask(n, a) is the mask mu with blade(a) blade(b) =
     (-1)^popcount(b & mu) blade(a ^ b), and _blade_sign reads it; both
@@ -730,10 +843,12 @@ def graded_op(n, rng, masks):
 
 
 class TestHalfMaskJoin:
-    """The join finds every blade triple whatever half of the last
-    factor's masks it buckets on: each rotation of a three-factor chain,
-    and every shorter chain inside it, traces to the materialised
-    product, on operators with several homogeneous parts."""
+    """Each rotation of a three-factor chain, and every shorter chain
+    inside it, traces to the materialised product, on operators with
+    several homogeneous parts, against last factors whose masks spread
+    over both halves (c and chat bits) or hold one value in one half.
+    The class keeps the name of the half-mask join it was written for;
+    the same chains now exercise the trace plans."""
 
     @staticmethod
     def half_counts(n, op):

@@ -336,15 +336,17 @@ class TestContractionParity:
     """contract keeps integer numerators over one denominator, and
     ricci_bilinear sums them; over that denominator they must equal
     their Fraction references (oracles.contract, and the direct sum of
-    u_a v_b Ric_ab)."""
+    u_a v_b Ric_ab), on dense, sparse (constant, planar) and flat
+    tensors at n = 2 to 8."""
 
     TENSORS = [
         *(("file-" + p.stem, lambda p=p: RiemannTensor.from_json(json.loads(p.read_text())))
           for p in sorted(DATA.glob("curvature-*.json"))),
         *((f"random-d{n}", lambda n=n: random_riemann(n, 3)) for n in (2, 4, 6, 8)),
         ("wide-d6", lambda: RiemannTensor(6, projected_riemann(6, 19, wide_draw))),
-        ("constant-d6", lambda: constant_curvature(6)),
-        ("flat-d4", lambda: flat(4)),
+        *((f"{name}-d{n}", lambda build=build, n=n: build(n))
+          for name, build in (("constant", constant_curvature), ("planar", oracles.planar), ("flat", flat))
+          for n in (2, 4, 6, 8)),
     ]
 
     @pytest.mark.parametrize("build", [b for _, b in TENSORS], ids=[name for name, _ in TENSORS])
