@@ -380,13 +380,18 @@ def trace_sums(sums: dict, n: int) -> dict:
     once into a list in its shape's order (0 where it has no blade), and
     a chain's trace is, per degree triple, the sum of A[ia] B[ib] C[ic]
     over the plan's positive triples minus that over its negative ones,
-    in one pass; a chain whose plan is empty traces to zero without
-    reading a value.  A shorter chain is padded in front by the unit, of
-    shape (0,) and value 1, and takes the same path.
+    in one pass.  A shorter chain is padded in front by the unit, of
+    shape (0,) and value 1, and takes the same path.  Each chain's plan
+    is looked up before any operator is packed, and a chain whose plan is
+    empty traces to zero whatever its values: it is dropped before the
+    width bound, and an operator that sits only in such chains is never
+    packed.
 
     Each operator's den, blade count and largest blade L1 norm L are read
-    once, and it is packed once (scalars._kron_parts; an imaginary
-    numerator raises ValueError) at one width K.  A constant operator
+    once (_kron_norm, which refuses an imaginary numerator with
+    ValueError, also on an operator of a dropped chain), and each
+    operator of a chain with a non-empty plan is packed once
+    (scalars._kron_parts) at one width K.  A constant operator
     (from_numerators, the record's hh) is its degree-0 numerators at
     every width: its part is {blade: numerator} and L their largest |.|,
     with no pack and no term walk.  A chain traces to
@@ -411,32 +416,36 @@ def trace_sums(sums: dict, n: int) -> dict:
             else _kron_norm(op.blades))
         for k, op in distinct.items()
     }
-    cden, bound, keyed, width = {}, {}, {}, 2
+    shapes, plans = {k: op.shape or tuple(sorted(op.blades)) for k, op in distinct.items()}, {}
     for ck, ops in live.items():
-        (da, na, la), (db, _, lb), (dc, nc, lc) = [(1, 1, 1)] * (3 - len(ops)) + [facts[id(op)] for op in ops]
-        cden[ck], bound[ck] = da * db * dc, na * nc * la * lb * lc
-    for key, (_, chains) in sums.items():
-        L = lcm(*(cden[ck] for ck, (_, w) in chains.items() if w))
-        keyed[key] = L, [(ck, ops, w * (L // cden[ck])) for ck, (ops, w) in chains.items() if w]
-        width = max(width, 2 + sum(abs(f) * bound[ck] for ck, _, f in keyed[key][1]).bit_length())
-    views = {}
-    for k, op in distinct.items():
-        shape = op.shape or tuple(sorted(op.blades))
-        parts = {0: consts[k]} if k in consts else _kron_parts(op.blades, width)
-        views[k] = shape, [(d, list(map(part.get, shape, repeat(0)))) for d, part in parts.items()]
-    unit, traced = (_UNIT, [(0, [1])]), {}
-
-    def trace(ops) -> dict:
-        (sa, va), (sb, vb), (sc, vc) = [unit] * (3 - len(ops)) + [views[id(op)] for op in ops]
+        sa, sb, sc = [_UNIT] * (3 - len(ops)) + [shapes[id(op)] for op in ops]
         plan = _PLANS.get((n, sa, sb, sc))
         if plan is None:
             if len(_PLANS) >= _PLAN_CAP:
                 _PLANS.clear()
             plan = _PLANS[n, sa, sb, sc] = _plan(n, sa, sb, sc)
-        count, ia, ib, ic = plan
+        if plan[1]:
+            plans[ck] = plan
+    cden, bound, keyed, width = {}, {}, {}, 2
+    for ck in plans:
+        ops = live[ck]
+        (da, na, la), (db, _, lb), (dc, nc, lc) = [(1, 1, 1)] * (3 - len(ops)) + [facts[id(op)] for op in ops]
+        cden[ck], bound[ck] = da * db * dc, na * nc * la * lb * lc
+    for key, (_, chains) in sums.items():
+        L = lcm(*(cden[ck] for ck, (_, w) in chains.items() if w and ck in plans))
+        keyed[key] = L, [(ck, w * (L // cden[ck])) for ck, (_, w) in chains.items() if w and ck in plans]
+        width = max(width, 2 + sum(abs(f) * bound[ck] for ck, f in keyed[key][1]).bit_length())
+    views = {}
+    for k, op in {id(op): op for ck in plans for op in live[ck]}.items():
+        parts = {0: consts[k]} if k in consts else _kron_parts(op.blades, width)
+        views[k] = [(d, list(map(part.get, shapes[k], repeat(0)))) for d, part in parts.items()]
+    unit = [(0, [1])]
+
+    def trace(ck) -> dict:
+        ops = live[ck]
+        va, vb, vc = [unit] * (3 - len(ops)) + [views[id(op)] for op in ops]
+        count, ia, ib, ic = plans[ck]
         acc = {}
-        if not ia:
-            return acc
         for da, A in va:
             for db, B in vb:
                 for dc, C in vc:
@@ -444,13 +453,13 @@ def trace_sums(sums: dict, n: int) -> dict:
                     acc[da + db + dc] = acc.get(da + db + dc, 0) + sum(islice(terms, count)) - sum(terms)
         return acc
 
-    out = {}
+    out, traced = {}, {}
     for key, (den, _) in sums.items():
         L, weighted = keyed[key]
         acc = {}
-        for ck, ops, f in weighted:
+        for ck, f in weighted:
             if ck not in traced:
-                traced[ck] = trace(ops)
+                traced[ck] = trace(ck)
             for d, v in traced[ck].items():
                 acc[d] = acc.get(d, 0) + f * v
         out[key] = ScalarPoly._from_slots(den * L, _kron_slots(acc, width, 1 << n))

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
-from operator import add
+from itertools import accumulate, compress, repeat
+from math import lcm
+from operator import add, floordiv, mul
 
 from .clifford import Dimension, FrameVector, ProductCache, inner, trace_sums
 from .curvature import (
@@ -32,6 +33,7 @@ from .symbols import (
     blocks_at,
     even_pairs,
     lemma2_symbols,
+    op_pattern,
     pair_tag,
     symbol_product_PQ,
     uv_symbol,
@@ -101,6 +103,57 @@ class FunctionalDensity:
         return f"FunctionalDensity({self.text()})"
 
 
+_PLANS: dict = {}
+_PLAN_CAP = 1 << 14
+
+
+def _plan(n: int, A, oa: int, B, ob: int, k: int) -> tuple:
+    """The composition plan of a block: per tag, the columns (tag, ia,
+    ib, coef, vden, starts, ends, ia0, ib0).  Pair p is slot ia[p] of A
+    at oa against slot ib[p] of B at ob, an even pair of even_pairs over
+    every slot (SymbolExpansion.probe), of weight coef[p] * A's num *
+    B's num over vden[p] * A's den * B's den: coef is block_sign times
+    the xi-derivative multiplier times the cosphere numerator, and vden
+    the cosphere denominator (vol_multiplier).  The pairs of one chain
+    (one tag, and the same operators of A and of B by op_pattern) are
+    consecutive: chain c holds pairs starts[c] to ends[c], and its first
+    pair's slots are ia0[c] and ib0[c].  Built from the slots'
+    monomials, tags and operator identities alone, a plan holds no
+    weight, den, id() or operator."""
+    pa, pb = A.probe(oa), B.probe(ob)
+    ops_a, ops_b = op_pattern(A.slots(oa)[0]), op_pattern(B.slots(ob)[0])
+    sign, chains = block_sign(oa, ob, k), {}
+    for alist, blist in even_pairs(pa, oa, pb, ob, k):
+        for ta in alist:
+            for tb in blist:
+                (ia,), (ib,) = ta.ops, tb.ops
+                vnum, vden = vol_multiplier(n, tuple(map(add, ta.xi_mono, tb.xi_mono)))
+                chain = (pair_tag(ta, tb), ops_a[ia], ops_b[ib])
+                chains.setdefault(chain, []).append((ia, ib, sign * ta.num * vnum, vden))
+    tags: dict = {}
+    for (tag, _, _), pairs in chains.items():
+        tags.setdefault(tag, []).append(pairs)
+    plan = []
+    for tag, group in tags.items():
+        ends = tuple(accumulate(map(len, group)))
+        firsts = zip(*(pairs[0][:2] for pairs in group))
+        plan.append((tag, *zip(*(p for pairs in group for p in pairs)), (0, *ends[:-1]), ends, *firsts))
+    return tuple(plan)
+
+
+def composition_plan(n: int, A, oa: int, B, ob: int, k: int) -> tuple:
+    """The plan of the block (A, oa, B, ob, k) (_plan), memoised in _PLANS
+    by (n, A's layout at oa, oa, B's layout at ob, ob, k), which is
+    emptied when it reaches _PLAN_CAP plans."""
+    layouts = (n, A.layout_at(oa), oa, B.layout_at(ob), ob, k)
+    plan = _PLANS.get(layouts)
+    if plan is None:
+        if len(_PLANS) >= _PLAN_CAP:
+            _PLANS.clear()
+        plan = _PLANS[layouts] = _plan(n, A, oa, B, ob, k)
+    return plan
+
+
 def composed_weights(blocks, n: int) -> dict:
     """{tag: [den, {chain ids: (ops, num)}]} of the cosphere-integrated
     terms of the blocks (A, oa, B, ob, k), without building any product
@@ -110,36 +163,49 @@ def composed_weights(blocks, n: int) -> dict:
     A factor pair (ta, tb) integrates to block_sign * ta.num * tb.num
     times vol_multiplier(n, ta.xi + tb.xi) on the chain ta.ops + tb.ops,
     an integer over ta.den * tb.den * vol_den.  Only even pairs
-    integrate to nonzero, each group of even_pairs a product of two
-    lists, and an even pair has even order, so the weight is real.  A
-    tag's denominator is the lcm of its pairs', its numerators rescaled
-    when a pair's denominator does not divide it.
+    integrate to nonzero (even_pairs), and an even pair has even order,
+    so the weight is real.  A tag's denominator is the lcm of its
+    pairs', each pair's numerator rescaled to it.
+
+    Which slots pair, with which integer coefficient and on which chain,
+    is read from the block's plan (composition_plan), memoised by the
+    layouts of A and B: a builder's layout is fixed by what it was built
+    from (SymbolExpansion), so a dimension's dense tensors share one set
+    of plans, and a sparse tensor's follow its record's support.
+    Expansions built otherwise add plans by their slots' signatures, so
+    the memo is emptied when it reaches _PLAN_CAP plans.  Per call, each
+    block reads its slots' nums and dens (SymbolExpansion.slots), forms
+    every pair's numerator and den in one map pass per tag, and sums
+    each chain's consecutive pairs.  A slot
+    of zero weight, which a dense record writes where a sum cancels,
+    forms pairs of zero weight: they take no part in the den, and a
+    chain none of whose pairs has a nonzero weight is left out, so the
+    map is the one that the nonzero terms alone give.  A chain is keyed
+    by its operators' ids, so chains that several blocks share meet in
+    one key and trace_sums traces them once.
     """
-    weights: dict = {}
-    vols: dict = {}
+    parts: dict = {}
     for A, oa, B, ob, k in blocks:
-        sign = block_sign(oa, ob, k)
-        for alist, blist in even_pairs(A, oa, B, ob, k):
-            bs = [(tb, tb.xi_mono, tb.den, tb.num, tb.ops, tuple(map(id, tb.ops))) for tb in blist]
-            for ta in alist:
-                axi, aden, anum, aops, akey = ta.xi_mono, ta.den, sign * ta.num, ta.ops, tuple(map(id, ta.ops))
-                for tb, bxi, bden, bnum, bops, bkey in bs:
-                    v = vols.get((axi, bxi))
-                    if v is None:
-                        v = vols[axi, bxi] = vol_multiplier(n, tuple(map(add, axi, bxi)))
-                    vnum, vden = v
-                    den = aden * bden * vden
-                    tag = pair_tag(ta, tb)
-                    acc = weights.get(tag)
-                    if acc is None:
-                        acc = weights[tag] = [den, {}]
-                    elif acc[0] % den:
-                        f = den // gcd(acc[0], den)
-                        acc[0] *= f
-                        acc[1] = {key: (ops, w * f) for key, (ops, w) in acc[1].items()}
-                    key, w = akey + bkey, anum * bnum * (acc[0] // den * vnum)
-                    hit = acc[1].get(key)
-                    acc[1][key] = (aops + bops, w) if hit is None else (hit[0], hit[1] + w)
+        (at, an, ad), (bt, bn, bd) = A.slots(oa), B.slots(ob)
+        for tag, ia, ib, coef, vden, *chains in composition_plan(n, A, oa, B, ob, k):
+            ws = list(map(mul, map(mul, coef, map(an.__getitem__, ia)), map(bn.__getitem__, ib)))
+            ds = list(map(mul, map(mul, vden, map(ad.__getitem__, ia)), map(bd.__getitem__, ib)))
+            parts.setdefault(tag, []).append((ws, ds, chains, at, bt))
+    weights: dict = {}
+    for tag, group in parts.items():
+        den = lcm(*(lcm(*compress(ds, ws)) for ws, ds, *_ in group))
+        acc: dict = {}
+        for ws, ds, (starts, ends, ia, ib), at, bt in group:
+            run = [0, *accumulate(map(mul, ws, map(floordiv, repeat(den), ds)))]
+            for s, e, i, j in zip(starts, ends, ia, ib):
+                w = run[e] - run[s]
+                if w or any(ws[s:e]):
+                    ops = at[i].ops + bt[j].ops
+                    key = tuple(map(id, ops))
+                    hit = acc.get(key)
+                    acc[key] = (ops, w) if hit is None else (hit[0], hit[1] + w)
+        if acc:
+            weights[tag] = [den, acc]
     return weights
 
 

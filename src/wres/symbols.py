@@ -76,21 +76,75 @@ def _odd_mask(mono: tuple) -> int:
     return sum(1 << j for j, e in enumerate(mono) if e & 1)
 
 
+def op_pattern(terms) -> list:
+    """Each term's operators numbered by identity, in order of first
+    appearance over terms: two terms share a number where they share an
+    operator object, which is what makes their chains one chain."""
+    seen: dict = {}
+    return [tuple(seen.setdefault(id(op), len(seen)) for op in t.ops) for t in terms]
+
+
 class SymbolExpansion:
     """Finite collection of symbol terms, bucketed by homogeneity order.
-    Composition reads it through indexed and derived, memoised until the
-    next add, so the blocks of one Analysis share each of them."""
+
+    Every added term is a slot of the expansion, a zero weight too:
+    terms_at and orders read the nonzero ones, and composition reads
+    every slot (slots, layout_at).  A builder hands out its layout, a
+    key fixed by what it was built from (principal_symbol,
+    symbols_PQ, symbol_product_PQ, lemma2_symbols, uv_symbol) and never
+    by a sum that cancels by chance, so equal layouts mean equal slots
+    up to weights and operator values; add drops it.  compose_block
+    and the composition plans read terms through indexed and derived,
+    memoised until the next add."""
 
     def __init__(self, n: int):
         self.n = n
+        self.layout = None
         self._orders: dict = {}
         self._memo: dict = {}
 
     def add(self, term: SymbolTerm) -> None:
-        """File a term of nonzero weight under its order, |xi| + p."""
-        if term.num:
-            self._orders.setdefault(sum(term.xi_mono) + term.norm_power, []).append(term)
-            self._memo.clear()
+        """File a term as a slot under its order, |xi| + p, and drop the
+        builder's layout."""
+        self._orders.setdefault(sum(term.xi_mono) + term.norm_power, []).append(term)
+        self._memo.clear()
+        self.layout = None
+
+    def slots(self, order: int) -> tuple:
+        """(terms, nums, dens) of every slot of one order, zero weights
+        included, memoised until the next add."""
+        out = self._memo.get(("slots", order))
+        if out is None:
+            terms = self._orders.get(order, [])
+            out = self._memo["slots", order] = terms, [t.num for t in terms], [t.den for t in terms]
+        return out
+
+    def layout_at(self, order: int):
+        """The key of the slots of one order that a composition plan is
+        memoised by: the builder's layout, or else the slots' own
+        signature, each slot's x and xi monomials, norm power, tag and
+        operators numbered by identity (op_pattern)."""
+        if self.layout is not None:
+            return self.layout
+        out = self._memo.get(("layout", order))
+        if out is None:
+            terms = self.slots(order)[0]
+            out = self._memo["layout", order] = tuple(
+                (t.x_mono, t.xi_mono, t.norm_power, t.tag, p) for t, p in zip(terms, op_pattern(terms))
+            )
+        return out
+
+    def probe(self, order: int) -> "SymbolExpansion":
+        """The slots of one order as an expansion of weight-1 terms whose
+        ops are their slot index: composed, each pair names its two slots
+        and carries its xi-derivative multiplier as num (residue._plan).
+        A probe is no symbol, so its terms are filed without add, the
+        symbols' one write path."""
+        out = SymbolExpansion(self.n)
+        out._orders[order] = [
+            SymbolTerm(t.x_mono, t.xi_mono, t.norm_power, 1, 1, (i,), t.tag) for i, t in enumerate(self.slots(order)[0])
+        ]
+        return out
 
     def indexed(self, order: int) -> dict:
         """{x monomial: {odd xi mask: terms}} of the terms of one order."""
@@ -120,10 +174,12 @@ class SymbolExpansion:
         return out
 
     def terms_at(self, order: int) -> list:
-        return self._orders.get(order, [])
+        """The terms of nonzero weight of one order."""
+        return [t for t in self._orders.get(order, ()) if t.num]
 
     def orders(self) -> list:
-        return sorted(o for o, terms in self._orders.items() if terms)
+        """The orders that hold a term of nonzero weight, ascending."""
+        return sorted(o for o, terms in self._orders.items() if any(t.num for t in terms))
 
     def merged(self, cache: ProductCache) -> dict:
         """Canonical form: (order, x, xi, norm) -> summed coefficient.
@@ -204,6 +260,8 @@ class CurvatureRecord(NamedTuple):
     den: int
     ricci: dict
     s: int
+    layout: object
+    slots: tuple
 
 
 @lru_cache(maxsize=None)
@@ -264,6 +322,14 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
     shapes of n (_record_slots), whatever R's support, so their trace
     plans are shared by every tensor of that dimension.
 
+    layout is "dense" when every pair a < b holds a bivector, as the
+    seeded tensors do, and else the record's own support: its
+    bivector, rxx and Ricci keys and whether s is nonzero.  slots is the
+    (rxx, ricci, whether s is written) that the symbol families write: a
+    dense record writes every rxx key of n (_record_slots), every (a, b)
+    and s, zeros included, so its families' layouts do not depend on a
+    sum that cancels by chance; any other writes its nonzero entries.
+
     Only the entries r = R_{ijkl} with i < j and k < l are read, one per
     independent component up to sign: the two pair antisymmetries give
     R_{jikl} = R_{ijlk} = -r and R_{jilk} = r, and each of the four is
@@ -297,14 +363,15 @@ def curvature_ops(R: RiemannTensor, cache: ProductCache) -> CurvatureRecord:
                 cc = op(n, den, pair, cc_shape)
                 hh = {m << n: t for m, t in cc.blades.items()}
                 bivectors[ab] = cc, CliffordOp._make(n, cc.den, hh, True, hh_shape)
-        return CurvatureRecord(
-            bivectors,
-            op(n, den, f, f_shape),
-            {k: v for k, v in zip(keys, sums[n * n :]) if v},
-            den,
-            {(x // n + 1, x % n + 1): v for x, v in enumerate(sums[: n * n]) if v},
-            sum(sums[: n * n : n + 1]),
-        )
+        rxx = dict(zip(keys, sums[n * n :]))
+        ricci = {(x // n + 1, x % n + 1): v for x, v in enumerate(sums[: n * n])}
+        s = sum(sums[: n * n : n + 1])
+        nonzero = {k: v for k, v in rxx.items() if v}, {k: v for k, v in ricci.items() if v}
+        if len(bivectors) == len(groups):
+            layout, slots = "dense", (rxx, ricci, True)
+        else:
+            layout, slots = (tuple(bivectors), *map(tuple, nonzero), bool(s)), (*nonzero, bool(s))
+        return CurvatureRecord(bivectors, op(n, den, f, f_shape), nonzero[0], den, nonzero[1], s, layout, slots)
 
     return cache.named(("curvature_ops", R), build)
 
@@ -391,9 +458,10 @@ def _curvature_family(exp: SymbolExpansion, rec: CurvatureRecord, M: int) -> Non
     top = -2 * M - 2
     den = 3 * rec.den
     exp.add(SymbolTerm(_e(n), _e(n), -2 * M, 1, 1, (), "delta"))
-    for (x, xi), num in rec.rxx.items():
+    rxx, ricci, _ = rec.slots
+    for (x, xi), num in rxx.items():
         exp.add(SymbolTerm(x, xi, top, den, -M * num, (), "rxx"))
-    for (a, b), ric in rec.ricci.items():
+    for (a, b), ric in ricci.items():
         exp.add(SymbolTerm(_e(n, b), _e(n, a), top, den, -2 * M * ric, (), "ric"))
 
 
@@ -413,7 +481,7 @@ def lemma1_symbols(
     rec, zero_x = conn.rec, _e(n)
     exp = SymbolExpansion(n)
     _curvature_family(exp, rec, M)
-    for (a, b), ric in rec.ricci.items():
+    for (a, b), ric in rec.slots[1].items():
         exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 3 * rec.den, M * (M + 1) * ric, (), "ric"))
 
     # order -2M-1; the order -2M-2 terms 2M(M+1) T_ab xi_a xi_b of (a, b)
@@ -456,24 +524,28 @@ def lemma2_symbols(
         for a, b, sign, cc, hh in _ordered_pairs(rec):
             exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, sign * M, (cc,), "cc"))
             exp.add(SymbolTerm(_e(n, b), _e(n, a), -2 * M - 2, 4, -sign * M, (hh,), "hchc"))
-    for (a, b), ric in rec.ricci.items():
+    _, ricci, s_slot = rec.slots
+    for (a, b), ric in ricci.items():
         if M == m or a == b:
             exp.add(SymbolTerm(zero_x, _e(n, a, b), -2 * M - 4, 3 * rec.den, M * (M + 1) * ric, (), "ric"))
     if not rec.f.is_zero():
         exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 8, -M, (rec.f,), "f"))
-    if rec.s and M:
+    if s_slot and M:
         exp.add(SymbolTerm(zero_x, zero_x, -2 * M - 2, 4 * rec.den, -M * rec.s, (), "s"))
+    exp.layout = ("lemma2_symbols", m, exponent, rec.layout)
     return exp
 
 
 def principal_symbol(dim: Dimension, w: FrameVector) -> SymbolExpansion:
     """Order 1 of ctilde(w) * (Hodge operator): i ctilde(w) ctilde(xi), free
-    of x, one term xi_f (x) ctilde(w) ctilde(e_f) per f (tildec_row)."""
+    of x, one term xi_f (x) ctilde(w) ctilde(e_f) per f (tildec_row).
+    Its layout is the same for every w."""
     dim.check("symbol", w=w)
     n = dim.n
     exp = SymbolExpansion(n)
     for f, op in enumerate(tildec_row(w), 1):
         exp.add(SymbolTerm(_e(n), _e(n, f), 0, 1, 1, (op,), ""))
+    exp.layout = ("principal_symbol",)
     return exp
 
 
@@ -487,24 +559,28 @@ def symbols_PQ(
     along e_p is half the (l, p) curvature bivectors cc and hh of
     curvature_ops, so the c-family has weight -1/8 and the chat-family
     +1/8.  The coefficient vector w is constant, so no other
-    x-dependence appears.
+    x-dependence appears.  Its layout follows the curvature record's.
     """
     dim.check("symbol", R=R, w=w)
     n = dim.n
     exp = principal_symbol(dim, w)
     w_p = [t.ops[0] for t in exp.terms_at(1)]  # ctilde(w) ctilde(e_p), p = 1..n
-    for l, p, sign, cc, hh in _ordered_pairs(curvature_ops(R, cache)):
+    rec = curvature_ops(R, cache)
+    for l, p, sign, cc, hh in _ordered_pairs(rec):
         exp.add(SymbolTerm(_e(n, l), _e(n), 0, 8, -sign, (w_p[p - 1], cc), "cc"))
         exp.add(SymbolTerm(_e(n, l), _e(n), 0, 8, sign, (w_p[p - 1], hh), "hchc"))
+    exp.layout = ("symbols_PQ", rec.layout)
     return exp
 
 
 def uv_symbol(dim: Dimension, u: FrameVector, v: FrameVector) -> SymbolExpansion:
-    """Order-zero symbol of the endomorphism ctilde(u) ctilde(v)."""
+    """Order-zero symbol of the endomorphism ctilde(u) ctilde(v), one
+    term, of one layout for every u, v."""
     dim.check("symbol", u=u, v=v)
     n = dim.n
     exp = SymbolExpansion(n)
     exp.add(SymbolTerm(_e(n), _e(n), 0, 1, 1, (tildec_pair(u, v),), ""))
+    exp.layout = ("uv_symbol",)
     return exp
 
 
@@ -615,7 +691,8 @@ def symbol_product_PQ(
     the base point, so it is principal_symbol(u), without the x-linear
     terms of symbols_PQ.  The order-1 bucket comes out empty: its blocks
     read Q's order-1 terms of x degree 1 and order-0 terms of x degree 0,
-    and v is constant, so Q has neither."""
+    and v is constant, so Q has neither.  Its terms follow from P's and
+    Q's, so its layout is theirs when both have one."""
     P = principal_symbol(dim, u)
     Q = symbols_PQ(dim, R, v, cache)
     exp = SymbolExpansion(dim.n)
@@ -623,4 +700,6 @@ def symbol_product_PQ(
         for block in blocks_at(P, Q, target):
             for term in compose_block(*block):
                 exp.add(term)
+    if P.layout and Q.layout:
+        exp.layout = ("symbol_product_PQ", P.layout, Q.layout)
     return exp

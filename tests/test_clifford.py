@@ -372,7 +372,11 @@ class TestTraceChains:
                 with pytest.raises(ValueError, match=match):
                     trace_each(batch, n)
         assert packs == []
-        assert trace_each(good, n) and packs
+        # a good batch packs the operators of its chains whose shapes meet
+        # in a blade triple, a in (a, a), once; b sits only in chains that
+        # meet in none, (a, b, a) and (b,), which trace to zero unpacked
+        got = trace_each({**good, "aa": (a, a)}, n)
+        assert got["aa"] and not got["aba"] and not got["b"] and len(packs) == 1
 
 
 def rational_op(n, rng, masks):
@@ -437,6 +441,15 @@ def chain_oracle(ops, n):
     return trace(out)
 
 
+def meets_in_a_triple(ops):
+    """Whether some blade triple of the chain's shapes (each operator's
+    builder shape, or its own blades), padded in front by the unit's
+    (0,), has masks that XOR to zero: else its trace is zero whatever
+    its values."""
+    sa, sb, sc = [(0,)] * (3 - len(ops)) + [op.shape or sorted(op.blades) for op in ops]
+    return any(ma ^ mb in set(sc) for ma in sa for mb in sb)
+
+
 def xor_span(n, rng, size):
     """At least `size` blade masks closed under XOR, spanned by random
     masks, so chains drawn from them have nonzero scalar parts."""
@@ -486,10 +499,12 @@ class TestPackedTraces:
     def spied(monkeypatch):
         """Spy on every pack, every norm and every trace_sums batch; return
         a function that runs a callable and checks that it made one
-        batch, which normed and packed every distinct non-constant
-        operator of its uncancelled chains exactly once, all at one
-        width, and no constant one (CliffordOp.constant), and holds at
-        least min_constant constant operators."""
+        batch, which normed every distinct non-constant operator of its
+        uncancelled chains exactly once, packed exactly those of them
+        that sit in a chain whose shapes meet in a blade triple
+        (meets_in_a_triple), once each and all at one width, and no
+        constant one (CliffordOp.constant), and holds at least
+        min_constant constant operators."""
         packs, norms, batches = [], [], []
 
         def spy(blades, width):
@@ -509,10 +524,12 @@ class TestPackedTraces:
                 seen.clear()
             got = run()
             (batch,) = batches
-            distinct = {id(op.blades): op for _, chains in batch.values() for ops, w in chains.values() if w for op in ops}
+            live = [ops for _, chains in batch.values() for ops, w in chains.values() if w]
+            distinct = {id(op.blades): op for ops in live for op in ops}
             varying = {k for k, op in distinct.items() if not op.constant}
+            traced = {id(op.blades) for ops in live if meets_in_a_triple(ops) for op in ops} & varying
             packed = [id(blades) for blades, _ in packs]
-            assert len(packed) == len(varying) and set(packed) == varying
+            assert len(packed) == len(traced) and set(packed) == traced
             assert sorted(map(id, norms)) == sorted(varying)
             assert len({width for _, width in packs}) == 1
             assert len(distinct) - len(varying) >= min_constant

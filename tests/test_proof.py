@@ -39,24 +39,24 @@ def _omega(P, a, b) -> int:
     return (a == i and b == j) - (a == j and b == i)
 
 
+def bianchi_tensor(n: int, P: tuple, Q: tuple) -> RiemannTensor:
+    """The Bianchi projection T - (T_ijkl + T_iklj + T_iljk) / 3 of T =
+    w_P (x) w_Q + w_Q (x) w_P, validated."""
+    idx = list(product(range(1, n + 1), repeat=4))
+    t = {(i, j, k, l): _omega(P, i, j) * _omega(Q, k, l) + _omega(Q, i, j) * _omega(P, k, l) for i, j, k, l in idx}
+    entries = {
+        (i, j, k, l): t[i, j, k, l] - Fraction(t[i, j, k, l] + t[i, k, l, j] + t[i, l, j, k], 3)
+        for i, j, k, l in idx
+    }
+    return RiemannTensor(n, entries, validate=True)
+
+
 @lru_cache(maxsize=None)
 def spanning_set(n: int) -> tuple:
-    """The Bianchi projections T - (T_ijkl + T_iklj + T_iljk) / 3 of
-    T = w_P (x) w_Q + w_Q (x) w_P over the bivector pairs P <= Q:
-    N (N + 1) / 2 tensors, N = n (n - 1) / 2, each validated."""
-    idx = list(product(range(1, n + 1), repeat=4))
-    out = []
-    for P, Q in combinations_with_replacement(list(combinations(range(1, n + 1), 2)), 2):
-        t = {
-            (i, j, k, l): _omega(P, i, j) * _omega(Q, k, l) + _omega(Q, i, j) * _omega(P, k, l)
-            for i, j, k, l in idx
-        }
-        entries = {
-            (i, j, k, l): t[i, j, k, l] - Fraction(t[i, j, k, l] + t[i, k, l, j] + t[i, l, j, k], 3)
-            for i, j, k, l in idx
-        }
-        out.append(RiemannTensor(n, entries, validate=True))
-    return tuple(out)
+    """The Bianchi projections (bianchi_tensor) over the bivector pairs
+    P <= Q: N (N + 1) / 2 tensors, N = n (n - 1) / 2."""
+    pairs = combinations_with_replacement(list(combinations(range(1, n + 1), 2)), 2)
+    return tuple(bianchi_tensor(n, P, Q) for P, Q in pairs)
 
 
 def rank(rows: list) -> int:

@@ -2,7 +2,9 @@
 
 A cell is one expansion's terms at one order and one x degree.  A block
 (A, oa, B, ob, k) reads A's cell (oa, 0) and B's cell (ob, k), and only
-when it forms a pair: even_pairs on the traced path, a non-empty
+when it forms a pair: a pair of two stored terms in the block's
+composition plan on the traced path (residue.composition_plan, whose
+pairs are the even pairs of even_pairs over every slot), a non-empty
 compose_block inside symbol_product_PQ.  A term written to a cell that
 no pair reads enters no density, so no check can see an error in it.
 
@@ -13,10 +15,10 @@ expansions are named by the builder that returns them: PQ, its factors
 P and Q, UV, and the full (B1) and reduced (B2) inverse powers.
 
 The inverse powers are read term by term too: each is only ever the
-right factor of a block, read by even_pairs as the stored terms
-themselves, so every term of B1 and B2 must sit in some group it hands
-out.  A term in none is odd in xi against every left factor that reads
-its cell, and weighs nothing in any density.
+right factor of a block, read by the plan slot by slot, so every term
+of B1 and B2 must sit in some pair it forms.  A term in none is odd in
+xi against every left factor that reads its cell, and weighs nothing in
+any density.
 """
 
 import pytest
@@ -26,7 +28,7 @@ import wres.symbols
 from wres.clifford import Dimension
 from wres.curvature import RiemannTensor, constant_curvature, flat, random_riemann
 from wres.residue import _BLOCKS, _SUBPARTS, CHECK_IDS, Analysis, derive_inputs
-from wres.symbols import SymbolExpansion, SymbolTerm, _e, curvature_ops, pair_tag
+from wres.symbols import SymbolExpansion, SymbolTerm, _e, curvature_ops
 
 from oracles import order, planar, projected_riemann, wide_draw
 
@@ -47,7 +49,7 @@ EMPTY_D2 = EMPTY | {"II-1", "II-4", "II-5", "II", "zpdt"}
 
 class ReadMap:
     """The cells written and read by one Analysis at dim n, and the
-    right-factor terms of every group of even_pairs."""
+    right-factor terms of every formed pair."""
 
     def __init__(self, monkeypatch, n: int, R: RiemannTensor | None = None):
         self.names: dict = {}  # id(expansion) -> family name
@@ -55,7 +57,7 @@ class ReadMap:
         self.written: dict = {}  # (id, order, x degree) -> tags
         self.terms: dict = {}  # id(expansion) -> its stored terms, held so their ids stay unique
         self.read: set = set()  # (id, order, x degree)
-        self.paired: set = set()  # ids of the B terms of every group of even_pairs
+        self.paired: set = set()  # ids of the B terms of every formed pair
         self.specs: dict = {}  # block id -> [(id(A), oa, id(B), ob, k)]
         self.tags: dict = {}  # (id(A), oa, id(B), ob, k) -> tags of its pairs
         self._patch(monkeypatch)
@@ -90,17 +92,22 @@ class ReadMap:
         named(wres.residue, "uv_symbol", "UV")
         named(wres.residue, "lemma2_symbols", lambda dim, R, m, e, cache: "B1" if e == -2 * m else "B2")
 
-        real_pairs = wres.residue.even_pairs
+        real_plan = wres.residue.composition_plan
 
-        def even_pairs(A, oa, B, ob, k):
-            for alist, blist in real_pairs(A, oa, B, ob, k):
-                self.read |= {(id(A), oa, 0), (id(B), ob, k)}
-                tags = self.tags.setdefault((id(A), oa, id(B), ob, k), set())
-                tags |= {pair_tag(ta, tb) for ta in alist for tb in blist}
-                self.paired.update(map(id, blist))
-                yield alist, blist
+        def composition_plan(n, A, oa, B, ob, k):
+            # the pairs the block forms: its plan's pairs of two stored
+            # (nonzero) terms
+            plan = real_plan(n, A, oa, B, ob, k)
+            an, (bt, bn, _) = A.slots(oa)[1], B.slots(ob)
+            for tag, ia, ib, *_ in plan:
+                formed = [(i, j) for i, j in zip(ia, ib) if an[i] and bn[j]]
+                if formed:
+                    self.read |= {(id(A), oa, 0), (id(B), ob, k)}
+                    self.tags.setdefault((id(A), oa, id(B), ob, k), set()).add(tag)
+                    self.paired.update(id(bt[j]) for _, j in formed)
+            return plan
 
-        monkeypatch.setattr(wres.residue, "even_pairs", even_pairs)
+        monkeypatch.setattr(wres.residue, "composition_plan", composition_plan)
 
         real_compose = wres.symbols.compose_block
 
@@ -132,7 +139,7 @@ class ReadMap:
 
     def unpaired(self) -> dict:
         """{(family, order, tag): terms} of the B1 and B2 terms that sit in
-        no group of even_pairs."""
+        no formed pair."""
         out: dict = {}
         for eid, terms in self.terms.items():
             family = self.names.get(eid)

@@ -72,6 +72,7 @@ from oracles import (
     wide_draw,
 )
 from test_golden import CASES
+from test_proof import bianchi_tensor
 
 
 def mono(n, *idx):
@@ -197,7 +198,9 @@ class TestIntegration:
         # one trace_sums batch per integration, whose uncancelled chains
         # are the distinct chains whose weight does not cancel: a chain
         # shared by several terms is traced once, and an odd or cancelled
-        # one not at all, so b alone is packed only for (a, b)
+        # one not at all; b is only in (a, b), whose shapes meet in no
+        # blade triple (ctilde(e1) ctilde(e2) is traceless whatever its
+        # values), so a alone is packed
         batches, packs = spy_batches(monkeypatch), spy_packs(monkeypatch)
         n = 4
         a, b = tildec_op(n, 1), tildec_op(n, 2)
@@ -213,7 +216,7 @@ class TestIntegration:
         got = integrate(terms, n)
         (batch,) = batches
         assert set(live_chains(batch)) == {(id(a), id(a)), (id(a), id(b))}
-        assert sorted(map(id, packs)) == sorted((id(a.blades), id(b.blades)))
+        assert [id(blades) for blades in packs] == [id(a.blades)]
         # per term, as scalar * integral * trace
         want = ScalarPoly.zero()
         for t in terms:
@@ -370,7 +373,10 @@ class TestBlocks:
                 handed.append(1)
                 yield alist, blist
 
+        # pairs are enumerated where a composition plan is built, once
+        # per layout, so the Analyses start from an empty plan memo
         monkeypatch.setattr(wres.residue, "even_pairs", walker)
+        monkeypatch.setattr(wres.residue, "_PLANS", {})
         for n in (2, 4):
             assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
         assert handed
@@ -540,6 +546,141 @@ class TestBruteForce:
             assert (terms, weights) != old
             assert terms == term_keys(brute_compose(*block))
             assert weights == brute_weights([block], n)
+
+
+def tensor_times(R, q):
+    """R times the rational q: the same support, other values."""
+    return RiemannTensor(R.n, {key: r * q for key, r in R.entries.items()})
+
+
+def sweep_tensors(n):
+    """Two tensors of one support: a spanning-set tensor (bianchi_tensor
+    of the bivectors e1 ^ e2 and e1 ^ e3, or e1 ^ e2 twice at n = 2) and
+    that tensor scaled."""
+    R = bianchi_tensor(n, (1, 2), (1, 3) if n > 2 else (1, 2))
+    return R, tensor_times(R, Fraction(5, 3))
+
+
+# kind -> n -> two tensors whose records have one layout, values apart
+LAYOUT_PAIRS = {
+    "random": lambda n: (random_riemann(n, 1), random_riemann(n, 2)),
+    "planar": lambda n: (planar(n), tensor_times(planar(n), Fraction(3, 7))),
+    "constant": lambda n: (constant_curvature(n), tensor_times(constant_curvature(n), Fraction(-2, 3))),
+    "flat": lambda n: (flat(n), flat(n)),
+    "sweep": sweep_tensors,
+}
+
+
+class TestCompositionPlans:
+    """composed_weights reads each block's pairs from a plan memoised by
+    the layouts of its two expansions, and a builder's layout is fixed
+    by what it was built from: a tensor holding every bivector pair
+    takes the dense layout of its dimension, whatever sums cancel, and
+    any other its record's support.  So a second input of a layout
+    builds no plan and a plan gives every input of its layout the
+    weights a cold build gives, the memo never holds more than
+    _PLAN_CAP plans, and an add drops the builder's layout."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        """Count plan builds from an empty memo."""
+        counts = {"plans": 0}
+        build = wres.residue._plan
+
+        def plan_spy(*args):
+            counts["plans"] += 1
+            return build(*args)
+
+        monkeypatch.setattr(wres.residue, "_PLANS", {})
+        monkeypatch.setattr(wres.residue, "_plan", plan_spy)
+        return counts
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_a_second_analysis_builds_no_plan(self, n, monkeypatch):
+        counts = self.spied(monkeypatch)
+        for R in (None, planar(n)):
+            assert Analysis(Dimension(n), *derive_inputs(n, 1, R)).all_match()
+            built = counts["plans"]
+            assert built
+            # the same inputs drawn again: new tensor, symbols and operators
+            assert Analysis(Dimension(n), *derive_inputs(n, 1, R and planar(n))).all_match()
+            assert counts["plans"] == built
+
+    @pytest.mark.parametrize("n, seeds", [(4, range(1, 25)), (6, range(1, 12)), (8, range(1, 5))])
+    def test_fresh_dense_seeds_build_no_plan(self, n, seeds, monkeypatch):
+        # seeded tensors hold every bivector pair, so after the first
+        # Analysis of the dense layout no seed builds a plan, those whose
+        # rxx or Ricci sums cancel by chance included
+        counts = self.spied(monkeypatch)
+        assert Analysis(Dimension(n), *derive_inputs(n, 0)).all_match()
+        built, cancelled = counts["plans"], 0
+        for seed in seeds:
+            R, u, v = derive_inputs(n, seed)
+            rec = wres.symbols.curvature_ops(R, ProductCache())
+            assert rec.layout == "dense"
+            cancelled += not all(rec.slots[0].values()) or not all(rec.slots[1].values())
+            assert Analysis(Dimension(n), R, u, v).all_match()
+        assert cancelled and counts["plans"] == built == len(wres.residue._PLANS) > 0
+
+    @pytest.mark.parametrize("kind", sorted(LAYOUT_PAIRS))
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_a_plan_serves_every_input_of_its_layout(self, n, kind, monkeypatch):
+        # plans built on one input, read by another of its layout, give
+        # that input's weights as a cold build does, and as the brute
+        # force composer does, zero-weight slots and all
+        first, second = LAYOUT_PAIRS[kind](n)
+        assert [e.layout for e in symbol_set(n, 1, first)] == [e.layout for e in symbol_set(n, 2, second)]
+        counts = self.spied(monkeypatch)
+        for spec in block_specs(n, 1, first).values():
+            composed_weights(spec, n)
+        built = counts["plans"]
+        specs = block_specs(n, 2, second)
+        warm = {bid: chain_weights(composed_weights(spec, n)) for bid, spec in specs.items()}
+        assert counts["plans"] == built > 0
+        monkeypatch.setattr(wres.residue, "_PLANS", {})
+        cold = {bid: chain_weights(composed_weights(spec, n)) for bid, spec in specs.items()}
+        assert counts["plans"] > built
+        assert warm == cold == {bid: brute_weights(spec, n) for bid, spec in specs.items()}
+        if kind == "constant":
+            _, B1, _, _ = symbol_set(n, 2, second)
+            assert any(not t.num for o in B1.orders() for t in B1.slots(o)[0])
+
+    def test_the_memo_is_emptied_at_its_cap(self, monkeypatch):
+        counts = self.spied(monkeypatch)
+        monkeypatch.setattr(wres.residue, "_PLAN_CAP", 5)
+        for seed, R in ((1, None), (2, None), (3, planar(4))):
+            assert Analysis(Dimension(4), *derive_inputs(4, seed, R)).all_match()
+            assert 0 < len(wres.residue._PLANS) <= 5
+        assert counts["plans"] > 10
+
+    def test_an_add_drops_the_builders_layout(self):
+        n = 4
+        PQ, B1, UV, B2 = symbol_set(n, 1)
+        assert all(e.layout for e in (PQ, B1, UV, B2))
+        assert B1.layout_at(-n) is B1.layout
+        B1.add(SymbolTerm(mono(n), mono(n, 1, 1), -n - 2, 1, 0))
+        terms = B1.slots(-n)[0]
+        assert B1.layout is None and len(B1.layout_at(-n)) == len(terms) > len(B1.terms_at(-n))
+        assert B1.layout_at(-n)[-1] == (mono(n), mono(n, 1, 1), -n - 2, "", ())
+
+    def test_a_product_takes_no_layout_from_a_factor_without_one(self, monkeypatch):
+        # a first-order factor rebuilt term by term (as test_proof's
+        # R-quadratic plant does) has no layout, so neither has PQ: its
+        # plans are keyed by its own slots
+        n, real = 4, wres.symbols.symbols_PQ
+
+        def rebuilt(dim, R, w, cache):
+            exp, out = real(dim, R, w, cache), SymbolExpansion(dim.n)
+            for o in exp.orders():
+                for t in exp.terms_at(o):
+                    out.add(t)
+            return out
+
+        assert symbol_set(n, 1)[0].layout
+        monkeypatch.setattr(wres.symbols, "symbols_PQ", rebuilt)
+        PQ = symbol_set(n, 1)[0]
+        assert PQ.layout is None and all(PQ.layout_at(o) for o in PQ.orders())
+        assert Analysis(Dimension(n), *derive_inputs(n, 1)).all_match()
 
 
 class _PoisonOps(tuple):
